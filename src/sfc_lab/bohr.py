@@ -48,7 +48,7 @@ from . import catalog as cat
 from .brownian import BrownianPath
 from .errors import UnsupportedModeError
 from .grid import eval_basis, kernel_difference_table
-from .sfc import CoefficientSet, sfc_dx, sfc_range, wiener_sfc_range
+from .sfc import CoefficientSet, sfc_range, wiener_sfc_range
 
 CLOSED_FORM = "closed_form"
 SYNTHESIZED = "synthesized"
@@ -126,18 +126,17 @@ def synthesize(coeffs: CoefficientSet, t: np.ndarray | float) -> np.ndarray:
 
 
 def _estimator_gradient(
-    pf: cat.PathFunctionals, a_hat: CoefficientSet, N: int
+    pf: cat.PathFunctionals, f_set: CoefficientSet, a_hat: CoefficientSet, N: int
 ) -> np.ndarray:
     """Diagonal-use gradient table d a_hat_q / d xi_r, shape (orders, m).
 
     Differentiates B_N(q) = (1/(2N+1)) sum_l F_{q-l} I_l through both
-    factors; the catalog supplies dF_k/dxi_r in closed form and
-    dI_l/dxi_r = conj(e_l(t_r))/sqrt(m).
+    factors; ``f_set`` holds the F_k, the catalog supplies dF_k/dxi_r in
+    closed form and dI_l/dxi_r = conj(e_l(t_r))/sqrt(m).
     """
     m = pf.grid.m
     M = a_hat.max_order
     t_left = pf.grid.left_nodes
-    f_set = sfc_range(pf, N + M)
     w_set = wiener_sfc_range(pf.path, N)
     k_orders = range(-(N + M), N + M + 1)
     dF = {k: cat.dsfc_partials(pf.spec, pf.path, k) for k in k_orders}
@@ -165,13 +164,9 @@ def recover_b(
     m = pf.grid.m
     orders = range(-cfg.M, cfg.M + 1)
     if cfg.mode == CLOSED_FORM:
-        values = np.array(
-            [
-                sfc_dx(pf, n) - cat.exact_diffusion_sfc(pf.spec, pf.path, n)
-                for n in orders
-            ]
-        )
-        return CoefficientSet(max_order=cfg.M, values=values)
+        f_set = sfc_range(pf, cfg.M)
+        exact = np.array([cat.exact_diffusion_sfc(pf.spec, pf.path, n) for n in orders])
+        return CoefficientSet(max_order=cfg.M, values=f_set.values - exact)
 
     if pf.spec.a_chaos_order > 1:
         raise UnsupportedModeError(
@@ -180,7 +175,8 @@ def recover_b(
         )
     t_left = pf.grid.left_nodes
     a_nodes = synthesize(a_hat, t_left)
-    grad = _estimator_gradient(pf, a_hat, cfg.N)
+    f_set = sfc_range(pf, cfg.N + cfg.M)
+    grad = _estimator_gradient(pf, f_set, a_hat, cfg.N)
     # d a_hat(t_i)/d xi_i = sum_q grad[q, i] e_q(t_i)
     diag = np.zeros(m, dtype=complex)
     for qi, q in enumerate(range(-a_hat.max_order, a_hat.max_order + 1)):
@@ -189,7 +185,7 @@ def recover_b(
     for n in orders:
         ebar = eval_basis(-n, t_left)
         div_hat = np.dot(a_nodes * ebar, pf.path.increments) - np.dot(diag, ebar) / np.sqrt(m)
-        values.append(sfc_dx(pf, n) - div_hat)
+        values.append(f_set.entry(n) - div_hat)
     return CoefficientSet(max_order=cfg.M, values=np.array(values))
 
 

@@ -48,6 +48,7 @@ from .brownian import BrownianPath
 from .errors import ConfigError
 from .grid import TimeGrid, eval_basis
 from .malliavin import FunctionalArray
+from .sfc import coefficients
 
 CONST = "CONST"
 DET = "DET"
@@ -376,53 +377,36 @@ def block_true_fourier_a(
     TrigPoly data, NONCAUSAL_W1, NONCAUSAL_MIDPOINT).  ADAPTED_W and
     NONCAUSAL_BRIDGE use trapezoid quadrature along the sampled path, and an
     array-table DET uses the left Riemann sum; both are flagged approximate.
+    Since ``W_0 = 0`` and ``conj(e_n(t_0)) = conj(e_n(t_m)) = 1``, the
+    trapezoid rule for W is ``(F_n(W at the left tags) + W_1 / 2) / m``.
     """
     m = grid.m
-    B = w_block.shape[0]
-    orders = list(orders)
-    out = np.zeros((B, len(orders)), dtype=complex)
-
-    def trapz_against_basis(values: np.ndarray) -> np.ndarray:
-        weights = np.full(m + 1, grid.dt)
-        weights[0] = weights[-1] = 0.5 * grid.dt
-        cols = np.zeros((B, len(orders)), dtype=complex)
-        for j, n in enumerate(orders):
-            ebar = eval_basis(-n, grid.nodes)
-            cols[:, j] = values @ (weights * ebar)
-        return cols
+    orders = np.asarray(orders, dtype=int)
+    top = int(np.max(np.abs(orders), initial=0))
+    cols = orders + top
+    at_zero = (orders == 0).astype(complex)
+    w1 = w_block[:, -1:]
 
     if spec.kind == CONST:
-        for j, n in enumerate(orders):
-            out[:, j] = 1.0 if n == 0 else 0.0
-    elif spec.kind == DET:
+        return np.broadcast_to(at_zero, (w_block.shape[0], orders.size)).copy()
+    if spec.kind == DET:
         if isinstance(spec.f, TrigPoly):
-            for j, n in enumerate(orders):
-                out[:, j] = spec.f.coeff(n)
+            row = np.array([spec.f.coeff(int(n)) for n in orders], dtype=complex)
         else:
             f_nodes = _table_nodes("f", spec.f, grid.left_nodes, m)
-            for j, n in enumerate(orders):
-                ebar = eval_basis(-n, grid.left_nodes)
-                out[:, j] = np.sum(f_nodes * ebar) / m
-    elif spec.kind == NONCAUSAL_W1:
-        w1 = w_block[:, -1]
-        for j, n in enumerate(orders):
-            out[:, j] = w1 if n == 0 else 0.0
-    elif spec.kind == NONCAUSAL_MIDPOINT:
+            row = coefficients(f_nodes, top)[cols] / m
+        return np.broadcast_to(row, (w_block.shape[0], orders.size)).copy()
+    if spec.kind == NONCAUSAL_W1:
+        return w1 * at_zero
+    if spec.kind == NONCAUSAL_MIDPOINT:
         if m % 2 != 0:
             raise ConfigError(f"{NONCAUSAL_MIDPOINT} needs an even m; got m={m}")
-        wh = w_block[:, m // 2]
-        for j, n in enumerate(orders):
-            out[:, j] = wh if n == 0 else 0.0
-    elif spec.kind == ADAPTED_W:
-        out = trapz_against_basis(w_block)
-    elif spec.kind == NONCAUSAL_BRIDGE:
-        # W_1 * integral of conj(e_n) contributes only at n = 0.
-        w1 = w_block[:, -1]
-        out = -trapz_against_basis(w_block)
-        for j, n in enumerate(orders):
-            if n == 0:
-                out[:, j] += w1
-    return out
+        return w_block[:, m // 2 : m // 2 + 1] * at_zero
+    trapezoid = (coefficients(w_block[:, :-1], top)[:, cols] + w1 / 2) / m
+    if spec.kind == ADAPTED_W:
+        return trapezoid
+    # NONCAUSAL_BRIDGE: W_1 * integral of conj(e_n) contributes only at n = 0.
+    return w1 * at_zero - trapezoid
 
 
 def true_fourier_a(spec: ProcessSpec, path: BrownianPath, n: int) -> complex:
@@ -443,8 +427,7 @@ def true_fourier_b(spec: ProcessSpec, path: BrownianPath, n: int) -> complex:
         base = spec.g.coeff(n)
     else:
         g_nodes = _table_nodes("g", spec.g, path.grid.left_nodes, m)
-        ebar = eval_basis(-n, path.grid.left_nodes)
-        base = complex(np.sum(g_nodes * ebar) / m)
+        base = complex(coefficients(g_nodes, abs(n))[n + abs(n)]) / m
     if spec.drift_kind == DRIFT_DET:
         return complex(base)
     return complex(path.terminal * base)

@@ -57,6 +57,7 @@ from .malliavin import (
     prop1_residual,
     prop2_residual,
 )
+from .sfc import wiener_sfc_range
 
 DEFAULT_SEED = 20260819
 
@@ -192,7 +193,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     for idx in range(paths):
         path = sample_path(SeedSpec(seed, 2000 + idx), grid)
         term[idx] = path.terminal
-        iso[idx] = abs(np.dot(eval_basis(-1, grid.left_nodes), path.increments)) ** 2
+        iso[idx] = abs(wiener_sfc_range(path, 1).entry(1)) ** 2
     var = float(np.var(term, ddof=1))
     ok &= _check_line(0.85 <= var <= 1.15, "terminal variance", f"var={var:.4f}")
     iso_mean = float(np.mean(iso))
@@ -319,10 +320,15 @@ def run_identify(cfg: ExperimentConfig, mode: str) -> dict:
         pf = eval_functionals(cfg.spec, path)
         a_hat = identify_a(pf, bohr_cfg)
         b_hat = recover_b(pf, a_hat, bohr_cfg)
+        for name, values in (("a_hat", a_hat.values), ("b_hat", b_hat.values)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise NumericalFailureError(
+                    f"non-finite {name} for path {idx} "
+                    f"(n={cfg.orders[int(bad[0])]}, N={bohr_cfg.N})"
+                )
         a_vals[idx] = a_hat.values
         b_vals[idx] = b_hat.values
-    if not (np.all(np.isfinite(a_vals)) and np.all(np.isfinite(b_vals))):
-        raise NumericalFailureError("non-finite estimate in identify run")
 
     def stats(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mean = block.mean(axis=0)

@@ -6,10 +6,11 @@ Results are a pure function of the configuration:
 
 * every path comes from its own counter-based substream keyed by
   ``(master_seed, path_index)``;
-* paths are processed in fixed blocks of ``block_size`` rows, zero-padded to
-  a constant shape, so the vectorized arithmetic sees identical shapes
-  whatever the total path count -- per-path outputs are bitwise independent
-  of both the worker schedule and the run's total P (prefix property);
+* paths are processed in blocks of at most ``block_size`` rows (a memory
+  bound only); every step treats each row on its own -- the coefficient
+  transform is one real FFT per row -- so per-path outputs are bitwise
+  independent of the block a path lands in, of the worker schedule and of
+  the run's total P (prefix property);
 * per-path statistics land in arrays indexed by path, and all reductions run
   afterwards in ascending path order with exactly rounded (compensated)
   summation via ``math.fsum``.
@@ -45,6 +46,7 @@ from .catalog import (
 from .errors import ConfigError, NumericalFailureError
 from .grid import TimeGrid
 from .brownian import SeedSpec, substream
+from .sfc import coefficients
 
 THREADS_ENV = "SFC_LAB_THREADS"
 
@@ -309,31 +311,28 @@ def fit_decay(result: ExperimentResult, n: int = 0) -> DecayFit:
 def _run_block(
     cfg: ExperimentConfig,
     grid: TimeGrid,
-    basis_table: np.ndarray,
     block_index: int,
     abs_err: np.ndarray,
     estimates: np.ndarray,
 ) -> None:
-    """Fill ``abs_err`` rows for one fixed-size block of paths."""
+    """Fill ``abs_err`` and ``estimates`` rows for one block of paths."""
     m = cfg.m
-    bs = cfg.block_size
     n_max = max(cfg.n_list)
     k_max = n_max + cfg.M
-    lo = block_index * bs
-    hi = min(cfg.paths, lo + bs)
+    lo = block_index * cfg.block_size
+    hi = min(cfg.paths, lo + cfg.block_size)
     count = hi - lo
 
-    xi = np.zeros((bs, m))
+    xi = np.empty((count, m))
     for r in range(count):
         rng = substream(SeedSpec(cfg.master_seed, lo + r))
         xi[r] = rng.standard_normal(m)
     dw = xi / np.sqrt(m)
-    w = np.concatenate([np.zeros((bs, 1)), np.cumsum(dw, axis=1)], axis=1)
+    w = np.concatenate([np.zeros((count, 1)), np.cumsum(dw, axis=1)], axis=1)
 
     _, _, x = block_functionals(cfg.spec, w, grid)
-    dx = np.diff(x, axis=1)
-    f_coef = dx @ basis_table.T  # (bs, 2k_max+1), order k at column k + k_max
-    i_coef = dw @ basis_table[k_max - n_max : k_max + n_max + 1].T
+    f_coef = coefficients(np.diff(x, axis=1), k_max)  # order k at column k + k_max
+    i_coef = coefficients(dw, n_max)
     truth = block_true_fourier_a(cfg.spec, w, grid, cfg.orders)
 
     ells = np.arange(-n_max, n_max + 1)
@@ -348,25 +347,20 @@ def _run_block(
             if lo_col > 0:
                 window = window - prefix[:, lo_col - 1]
             est = window / (2 * N + 1)
-            err = np.abs(est - truth[:, oi])[:count]
+            err = np.abs(est - truth[:, oi])
             if not np.all(np.isfinite(err)):
                 bad = int(np.flatnonzero(~np.isfinite(err))[0])
                 raise NumericalFailureError(
                     f"non-finite estimate for path {lo + bad} (n={n}, N={N})"
                 )
             abs_err[lo:hi, wi, oi] = err
-            estimates[lo:hi, wi, oi] = est[:count]
+            estimates[lo:hi, wi, oi] = est
 
 
 def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the sweep; see the module docstring for the determinism contract."""
     started = time.perf_counter()
     grid = TimeGrid(cfg.m)
-    n_max = max(cfg.n_list)
-    k_max = n_max + cfg.M
-    k_orders = np.arange(-k_max, k_max + 1)
-    basis_table = np.exp(-2j * np.pi * np.outer(k_orders, grid.left_nodes))
-
     n_blocks = -(-cfg.paths // cfg.block_size)
     abs_err = np.zeros((cfg.paths, len(cfg.n_list), len(cfg.orders)))
     estimates = np.zeros((cfg.paths, len(cfg.n_list), len(cfg.orders)), dtype=complex)
@@ -374,14 +368,14 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [
-                pool.submit(_run_block, cfg, grid, basis_table, bi, abs_err, estimates)
+                pool.submit(_run_block, cfg, grid, bi, abs_err, estimates)
                 for bi in range(n_blocks)
             ]
             for fut in futures:
                 fut.result()
     else:
         for bi in range(n_blocks):
-            _run_block(cfg, grid, basis_table, bi, abs_err, estimates)
+            _run_block(cfg, grid, bi, abs_err, estimates)
 
     p = cfg.p_exponent
     shape = (len(cfg.orders), len(cfg.n_list))

@@ -57,11 +57,6 @@ class TimeGrid:
         return np.arange(self.m) / self.m
 
 
-def make_grid(m: int) -> TimeGrid:
-    """Construct a validated :class:`TimeGrid` with ``m`` cells."""
-    return TimeGrid(m)
-
-
 def eval_basis(n: int, t: np.ndarray | float) -> np.ndarray:
     """Evaluate ``e_n(t) = exp(2*pi*i*n*t)``.
 

@@ -8,6 +8,17 @@ taken against the increments of the integrated process.  Left tagging is the
 definition here, not an approximation choice: with anticipating integrands
 the tag selects which integral the sum converges to.
 
+With ``t_i = i/m`` the sum is the real DFT of the increments:
+``np.fft.rfft(x)[n] = sum_i exp(-2 pi i n i/m) x_i`` is ``F_n`` for
+``n >= 0``.  The increments are real, so the negative orders are conjugates,
+``F_{-n} = conj(F_n)``, and :func:`coefficients` fills them that way.  Every
+coefficient of dX and dW that the estimators use, and the quadrature truth of
+a, comes from it.  Direct sums remain only in the closed-form oracle
+``catalog.exact_diffusion_sfc``, kept independent so tests can compare the
+two, and in derivative code that needs ``conj(e_n)`` element by element.
+Each row is transformed on its own, so a row's coefficients are bitwise the
+same whatever block it arrives in.
+
 Aliasing guard: order n is only meaningful when the grid resolves the
 oscillation, so every operation requires ``m > 2 |n|``.
 """
@@ -15,12 +26,13 @@ oscillation, so every operation requires ``m > 2 |n|``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .brownian import BrownianPath
-from .catalog import PathFunctionals
-from .grid import eval_basis
+if TYPE_CHECKING:
+    from .brownian import BrownianPath
+    from .catalog import PathFunctionals
 
 
 @dataclass(frozen=True)
@@ -50,39 +62,38 @@ class CoefficientSet:
         return complex(self.values[n + self.max_order])
 
 
-def _check_alias(m: int, n: int) -> None:
-    if m <= 2 * abs(n):
-        raise ValueError(f"order {n} aliases on a grid with m={m} cells; need m > {2 * abs(n)}")
+def coefficients(increments: np.ndarray, max_order: int) -> np.ndarray:
+    """All ``sum_i conj(e_k(t_i)) x_i`` with ``|k| <= max_order``.
 
+    Parameters
+    ----------
+    increments : ndarray, shape (m,) or (B, m)
+        Real values at the m left tags, one path per row.
+    max_order : int
+        Largest order kept; the grid must satisfy ``m > 2 max_order``.
 
-def sfc_dx(pf: PathFunctionals, n: int) -> complex:
-    """Coefficient of order n of dX along one path."""
-    _check_alias(pf.grid.m, n)
-    ebar = eval_basis(-n, pf.grid.left_nodes)
-    return complex(np.dot(ebar, pf.dx))
+    Returns
+    -------
+    ndarray of complex, shape (2 max_order + 1,) or (B, 2 max_order + 1)
+        Order k in column ``k + max_order``.
+    """
+    x = np.asarray(increments, dtype=float)
+    if max_order < 0:
+        raise ValueError(f"max_order must be >= 0, got {max_order}")
+    m = x.shape[-1]
+    if m <= 2 * max_order:
+        raise ValueError(
+            f"order {max_order} aliases on a grid with m={m} cells; need m > {2 * max_order}"
+        )
+    pos = np.fft.rfft(x, axis=-1)[..., : max_order + 1]
+    return np.concatenate([np.conj(pos[..., :0:-1]), pos], axis=-1)
 
 
 def sfc_range(pf: PathFunctionals, max_order: int) -> CoefficientSet:
     """All coefficients of dX with |n| <= max_order."""
-    _check_alias(pf.grid.m, max_order)
-    t = pf.grid.left_nodes
-    dx = pf.dx
-    orders = np.arange(-max_order, max_order + 1)
-    table = np.exp(-2j * np.pi * np.outer(orders, t))
-    return CoefficientSet(max_order=max_order, values=table @ dx)
-
-
-def wiener_sfc(path: BrownianPath, ell: int) -> complex:
-    """Coefficient of order ell of dW: ``sum_i conj(e_ell(t_i)) dW_i``."""
-    _check_alias(path.grid.m, ell)
-    ebar = eval_basis(-ell, path.grid.left_nodes)
-    return complex(np.dot(ebar, path.increments))
+    return CoefficientSet(max_order=max_order, values=coefficients(pf.dx, max_order))
 
 
 def wiener_sfc_range(path: BrownianPath, max_order: int) -> CoefficientSet:
     """All coefficients of dW with |ell| <= max_order."""
-    _check_alias(path.grid.m, max_order)
-    t = path.grid.left_nodes
-    orders = np.arange(-max_order, max_order + 1)
-    table = np.exp(-2j * np.pi * np.outer(orders, t))
-    return CoefficientSet(max_order=max_order, values=table @ path.increments)
+    return CoefficientSet(max_order=max_order, values=coefficients(path.increments, max_order))

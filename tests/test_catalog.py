@@ -18,7 +18,7 @@ from sfc_lab import (
     exact_diffusion_sfc,
     make_process,
     sample_path,
-    sfc_dx,
+    sfc_range,
     true_fourier_a,
     true_fourier_b,
 )
@@ -201,9 +201,9 @@ def test_sfc_equals_divergence_for_exact_kinds(paths256):
     for kind in EXACT_ALGEBRA_KINDS:
         spec = spec_for(kind)
         for path in paths256[:4]:
-            pf = eval_functionals(spec, path)
+            cs = sfc_range(eval_functionals(spec, path), 2)
             for n in (0, 1, -2):
-                gap = abs(sfc_dx(pf, n) - exact_diffusion_sfc(spec, path, n))
+                gap = abs(cs.entry(n) - exact_diffusion_sfc(spec, path, n))
                 assert gap <= 1e-12, (kind, n)
 
 
@@ -213,9 +213,9 @@ def test_sfc_divergence_defect_is_quadratic_variation(paths256):
     for kind in ("ADAPTED_W", "NONCAUSAL_BRIDGE"):
         spec = spec_for(kind)
         for path in paths256:
-            pf = eval_functionals(spec, path)
+            cs = sfc_range(eval_functionals(spec, path), 1)
             for n in (0, 1):
-                gap = abs(sfc_dx(pf, n) - exact_diffusion_sfc(spec, path, n))
+                gap = abs(cs.entry(n) - exact_diffusion_sfc(spec, path, n))
                 assert gap <= 6.0 / np.sqrt(2 * 256), (kind, n)
 
 
@@ -227,8 +227,8 @@ def test_sfc_divergence_defect_shrinks_with_mesh():
         gaps = []
         for idx in range(40):
             path = sample_path(SeedSpec(26, idx), grid)
-            pf = eval_functionals(spec, path)
-            gaps.append(abs(sfc_dx(pf, 0) - exact_diffusion_sfc(spec, path, 0)) ** 2)
+            f0 = sfc_range(eval_functionals(spec, path), 0).entry(0)
+            gaps.append(abs(f0 - exact_diffusion_sfc(spec, path, 0)) ** 2)
         rms.append(np.sqrt(np.mean(gaps)))
     ratio = rms[1] / rms[0]  # mesh quadrupled: expect about 1/2
     assert 0.3 <= ratio <= 0.7
@@ -250,8 +250,8 @@ def test_dsfc_partials_match_finite_differences():
                     xi_hi[r] += h
                     xi_lo = base.xi.copy()
                     xi_lo[r] -= h
-                    hi = sfc_dx(eval_functionals(spec, path_from_xi(xi_hi, grid)), n)
-                    lo = sfc_dx(eval_functionals(spec, path_from_xi(xi_lo, grid)), n)
+                    hi = sfc_range(eval_functionals(spec, path_from_xi(xi_hi, grid)), n).entry(n)
+                    lo = sfc_range(eval_functionals(spec, path_from_xi(xi_lo, grid)), n).entry(n)
                     fd = (hi - lo) / (2 * h)
                     assert abs(grad[r] - fd) <= 1e-7, (kind, extra.get("drift"), n, r)
 

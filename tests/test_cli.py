@@ -1,7 +1,13 @@
+import dataclasses
 import json
 
+import numpy as np
+import pytest
+
+import sfc_lab.cli as cli
+from sfc_lab import NumericalFailureError
 from sfc_lab.cli import IDENTIFY_CSV_HEADER, main
-from sfc_lab.experiment import CSV_HEADER
+from sfc_lab.experiment import CSV_HEADER, config_from_jsonable
 
 
 def write_config(tmp_path, name, data):
@@ -125,6 +131,27 @@ def test_identify_closed_form(tmp_path, capsys):
     assert report["mode"] == "closed_form"
     assert len(report["rows"]) == 3
     assert report["rows"][2]["b_mean_re"] == float(row_n1[7 + 3])
+
+
+def test_identify_nonfinite_estimate_names_the_path(monkeypatch):
+    real = cli.eval_functionals
+    calls = []
+
+    def poisoned(spec, path):
+        pf = real(spec, path)
+        calls.append(None)
+        if len(calls) == 4:  # path index 3
+            x = pf.x_nodes.copy()
+            x[-1] = np.nan
+            pf = dataclasses.replace(pf, x_nodes=x)
+        return pf
+
+    monkeypatch.setattr(cli, "eval_functionals", poisoned)
+    cfg = config_from_jsonable(identify_config())
+    with pytest.raises(NumericalFailureError, match="path 3") as info:
+        cli.run_identify(cfg, "closed_form")
+    assert "a_hat" in str(info.value)
+    assert "N=16" in str(info.value)
 
 
 def test_identify_rejects_unknown_mode(tmp_path):

@@ -136,9 +136,10 @@ def test_thread_count_does_not_change_bytes(monkeypatch):
     assert seq.json_text() == par.json_text()
 
 
-def test_prefix_property():
-    short = run_convergence(small_config(paths=100))
-    longer = run_convergence(small_config(paths=160))
+@pytest.mark.parametrize("kind", ["CONST", "ADAPTED_W", "NONCAUSAL_BRIDGE"])
+def test_prefix_property(kind):
+    short = run_convergence(small_config(spec=spec_for(kind), paths=100))
+    longer = run_convergence(small_config(spec=spec_for(kind), paths=160))
     assert np.array_equal(short.abs_errors, longer.abs_errors[:100])
     assert np.array_equal(short.estimates, longer.estimates[:100])
 

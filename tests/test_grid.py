@@ -9,7 +9,6 @@ from sfc_lab import (
     eval_basis,
     kernel_difference_table,
     kernel_l2_identity,
-    make_grid,
 )
 
 
@@ -18,7 +17,6 @@ def test_grid_fields():
     assert grid.dt == 0.125
     npt.assert_allclose(grid.nodes, np.arange(9) / 8, rtol=0, atol=0)
     npt.assert_allclose(grid.left_nodes, np.arange(8) / 8, rtol=0, atol=0)
-    assert make_grid(8) == grid
 
 
 def test_grid_rejects_tiny_m():

@@ -1,6 +1,9 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helpers import spec_for
 from sfc_lab import (
@@ -10,11 +13,16 @@ from sfc_lab import (
     eval_basis,
     eval_functionals,
     sample_path,
-    sfc_dx,
     sfc_range,
-    wiener_sfc,
     wiener_sfc_range,
 )
+from sfc_lab.sfc import coefficients
+
+
+def bruteforce(values, n):
+    """``sum_i conj(e_n(t_i)) values_i`` term by term."""
+    m = values.shape[-1]
+    return complex(np.sum(eval_basis(-n, np.arange(m) / m) * values))
 
 
 def test_coefficient_set_access():
@@ -33,10 +41,10 @@ def test_sfc_matches_bruteforce():
     grid = TimeGrid(32)
     path = sample_path(SeedSpec(31, 0), grid)
     pf = eval_functionals(spec_for("ADAPTED_W"), path)
+    cs = sfc_range(pf, 4)
     for n in (0, 1, -4):
-        ebar = eval_basis(-n, grid.left_nodes)
-        brute = complex(np.sum(ebar * np.diff(pf.x_nodes)))
-        assert sfc_dx(pf, n) == pytest.approx(brute, abs=1e-13)
+        brute = complex(np.sum(eval_basis(-n, grid.left_nodes) * np.diff(pf.x_nodes)))
+        assert cs.entry(n) == pytest.approx(brute, abs=1e-13)
 
 
 def test_sfc_range_consistency():
@@ -45,18 +53,21 @@ def test_sfc_range_consistency():
     pf = eval_functionals(spec_for("NONCAUSAL_W1"), path)
     cs = sfc_range(pf, 5)
     assert cs.max_order == 5
+    narrow = sfc_range(pf, 2)
     for n in range(-5, 6):
-        assert cs.entry(n) == pytest.approx(sfc_dx(pf, n), abs=1e-13)
+        assert cs.entry(n) == pytest.approx(bruteforce(pf.dx, n), abs=1e-13)
+        if abs(n) <= 2:
+            assert narrow.entry(n) == cs.entry(n)  # truncation, not a new sum
 
 
 def test_wiener_sfc_values():
     grid = TimeGrid(64)
     path = sample_path(SeedSpec(31, 2), grid)
     # order zero integrates dW over [0, 1]
-    assert wiener_sfc(path, 0) == pytest.approx(path.terminal, abs=1e-14)
+    assert wiener_sfc_range(path, 0).entry(0) == pytest.approx(path.terminal, abs=1e-14)
     ws = wiener_sfc_range(path, 4)
     for ell in range(-4, 5):
-        assert ws.entry(ell) == pytest.approx(wiener_sfc(path, ell), abs=1e-13)
+        assert ws.entry(ell) == pytest.approx(bruteforce(path.increments, ell), abs=1e-13)
     # conjugate symmetry of coefficients of a real differential
     assert ws.entry(-3) == pytest.approx(np.conj(ws.entry(3)), abs=1e-13)
 
@@ -66,10 +77,12 @@ def test_alias_guard():
     path = sample_path(SeedSpec(31, 3), grid)
     pf = eval_functionals(spec_for("CONST"), path)
     with pytest.raises(ValueError):
-        sfc_dx(pf, 4)  # m = 8 needs m > 2|n|
+        sfc_range(pf, 4)  # m = 8 needs m > 2|n|
     with pytest.raises(ValueError):
-        wiener_sfc(path, -4)
-    sfc_dx(pf, 3)  # boundary order is fine
+        wiener_sfc_range(path, 4)
+    with pytest.raises(ValueError):
+        coefficients(path.increments, -1)
+    sfc_range(pf, 3)  # boundary order is fine
 
 
 def test_sfc_additivity_across_entries():
@@ -79,21 +92,48 @@ def test_sfc_additivity_across_entries():
     path = sample_path(SeedSpec(31, 4), grid)
     pf1 = eval_functionals(spec_for("CONST"), path)
     pf2 = eval_functionals(spec_for("NONCAUSAL_W1"), path)
+    cs1 = sfc_range(pf1, 2)
+    cs2 = sfc_range(pf2, 2)
     summed_dx = pf1.dx + pf2.dx
     for n in (0, 1, -2):
-        ebar = eval_basis(-n, grid.left_nodes)
-        combined = complex(np.sum(ebar * summed_dx))
-        assert combined == pytest.approx(
-            complex(sfc_dx(pf1, n) + sfc_dx(pf2, n)), abs=1e-13
-        )
+        combined = bruteforce(summed_dx, n)
+        assert combined == pytest.approx(complex(cs1.entry(n) + cs2.entry(n)), abs=1e-13)
 
 
 def test_isometry_of_wiener_coefficients():
     grid = TimeGrid(128)
     vals = np.array(
         [
-            abs(wiener_sfc(sample_path(SeedSpec(32, i), grid), 1)) ** 2
+            abs(wiener_sfc_range(sample_path(SeedSpec(32, i), grid), 1).entry(1)) ** 2
             for i in range(500)
         ]
     )
     assert abs(vals.mean() - 1.0) < 0.2
+
+
+@st.composite
+def increments_and_order(draw):
+    m = 2 * draw(st.integers(1, 40)) + draw(st.integers(0, 1))
+    max_order = draw(st.integers(0, (m - 1) // 2))  # max_order < m/2
+    batch = draw(st.sampled_from([(), (1,), (2,), (5,)]))
+    finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    x = draw(hnp.arrays(np.float64, batch + (m,), elements=finite))
+    return x, max_order
+
+
+@settings(max_examples=80, deadline=None)
+@given(increments_and_order())
+def test_coefficients_properties(case):
+    x, max_order = case
+    got = coefficients(x, max_order)
+    assert got.shape == x.shape[:-1] + (2 * max_order + 1,)
+    rows = x.reshape(-1, x.shape[-1])
+    got_rows = got.reshape(rows.shape[0], -1)
+    for row, coef in zip(rows, got_rows):
+        tol = 1e-12 * (1.0 + np.sum(np.abs(row)))
+        for k in range(-max_order, max_order + 1):
+            assert abs(coef[k + max_order] - bruteforce(row, k)) <= tol, k
+        # each row is transformed on its own, bitwise
+        assert np.array_equal(coefficients(row, max_order), coef)
+        # real input: negative orders are the conjugates
+        assert np.array_equal(coef[max_order::-1], np.conj(coef[max_order:]))
