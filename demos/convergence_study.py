@@ -11,17 +11,10 @@ power for a few seconds of runtime.
 
 import sys
 
-import numpy as np
-
 from sfc_lab import ExperimentConfig, fit_decay, make_process, run_convergence
-from sfc_lab.catalog import CATALOG_KINDS, cosine
+from sfc_lab.catalog import CATALOG_KINDS, spec_for
 
 N_LIST = (4, 8, 16, 32, 64)
-
-
-def spec_for(kind: str):
-    params = {"f": cosine()} if kind == "DET" else {}
-    return make_process(kind, params)
 
 
 def main() -> int:

@@ -9,13 +9,9 @@ decomposition of the Bohr product and closes it with the double stochastic
 integral computed directly.
 """
 
-import math
 import sys
 
-import numpy as np
-
 from sfc_lab import (
-    DiscreteFunctional,
     SeedSpec,
     TimeGrid,
     bohr_product,
@@ -33,6 +29,7 @@ from sfc_lab import (
     true_fourier_a,
     wiener_sfc_range,
 )
+from sfc_lab.malliavin import w1_functionals
 
 SEED = 424242
 
@@ -40,21 +37,13 @@ SEED = 424242
 def main() -> int:
     ok = True
     grid = TimeGrid(512)
-    m = grid.m
 
     # integration by parts: E-free, per-path identity F * delta(e) =
     # delta(F e) + <DF, e>
     worst = 0.0
     for idx in range(20):
         path = sample_path(SeedSpec(SEED, idx), grid)
-        w1 = float(path.terminal)
-        s = 1.0 / math.sqrt(m)
-        functionals = [
-            DiscreteFunctional(value=w1, partials=np.full(m, s)),
-            DiscreteFunctional(value=w1 * w1 - 1.0, partials=np.full(m, 2.0 * w1 * s)),
-            DiscreteFunctional(value=-1.25, partials=np.zeros(m)),
-        ]
-        for functional in functionals:
+        for functional in w1_functionals(path).values():
             for n in (0, 1, -3):
                 e_nodes = eval_basis(n, grid.left_nodes)
                 worst = max(worst, lemma_fdelta_residual(functional, e_nodes, path))

@@ -32,10 +32,9 @@ stochastic part and what is left is the drift coefficient.  Two modes:
 * ``synthesized``   rebuild a from the *estimated* coefficients and subtract
                     the divergence of the synthesized trigonometric
                     polynomial, differentiating the whole estimation pipeline
-                    to supply the divergence correction.  Available when the
-                    diffusion's chaos order is at most 1 (all catalog kinds);
-                    higher chaos would need second-derivative data the
-                    pipeline does not carry.
+                    to supply the divergence correction.  Exact first-order
+                    calculus suffices because every catalog diffusion is
+                    affine in W.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ import numpy as np
 
 from . import catalog as cat
 from .brownian import BrownianPath
-from .errors import UnsupportedModeError
 from .grid import eval_basis, kernel_difference_table
 from .sfc import CoefficientSet, sfc_range, wiener_sfc_range
 
@@ -142,13 +140,15 @@ def _estimator_gradient(
     dF = {k: cat.dsfc_partials(pf.spec, pf.path, k) for k in k_orders}
     grad = np.zeros((2 * M + 1, m), dtype=complex)
     sqrt_m = np.sqrt(m)
-    for qi, q in enumerate(range(-M, M + 1)):
-        acc = np.zeros(m, dtype=complex)
-        for ell in range(-N, N + 1):
-            acc += dF[q - ell] * w_set.entry(ell)
-            acc += f_set.entry(q - ell) * eval_basis(-ell, t_left) / sqrt_m
-        grad[qi] = acc / (2 * N + 1)
-    return grad
+    # One conj(e_l) per l, added into every row; each row still accumulates
+    # its terms in ascending l.
+    for ell in range(-N, N + 1):
+        ebar = eval_basis(-ell, t_left)
+        w_ell = w_set.entry(ell)
+        for qi, q in enumerate(range(-M, M + 1)):
+            grad[qi] += dF[q - ell] * w_ell
+            grad[qi] += f_set.entry(q - ell) * ebar / sqrt_m
+    return grad / (2 * N + 1)
 
 
 def recover_b(
@@ -159,20 +159,15 @@ def recover_b(
     ``closed_form`` subtracts the catalog's exact stochastic integral of the
     true a.  ``synthesized`` subtracts the divergence of the polynomial
     rebuilt from ``a_hat``, using the estimator's own gradient for the
-    divergence correction; requires diffusion chaos order <= 1.
+    divergence correction.
     """
     m = pf.grid.m
     orders = range(-cfg.M, cfg.M + 1)
     if cfg.mode == CLOSED_FORM:
         f_set = sfc_range(pf, cfg.M)
-        exact = np.array([cat.exact_diffusion_sfc(pf.spec, pf.path, n) for n in orders])
+        exact = cat.exact_diffusion_sfc(pf.spec, pf.path, orders)
         return CoefficientSet(max_order=cfg.M, values=f_set.values - exact)
 
-    if pf.spec.a_chaos_order > 1:
-        raise UnsupportedModeError(
-            f"synthesized recovery needs diffusion chaos order <= 1, "
-            f"got {pf.spec.a_chaos_order} for kind {pf.spec.kind}"
-        )
     t_left = pf.grid.left_nodes
     a_nodes = synthesize(a_hat, t_left)
     f_set = sfc_range(pf, cfg.N + cfg.M)
@@ -225,7 +220,7 @@ def _direct_terms(
     # integrated dW in the i slot.  Catalog diffusions have deterministic
     # derivative tables, so the divergence is the plain Wiener sum.
     da = cat.diffusion_array(spec, path).partials
-    u = (np.einsum("ij,ij->i", da, kernel) / sqrt_m) * ebar
+    u = (da.kernel_row_sums(kernel) / sqrt_m) * ebar
     diffusion_derivative = scale * np.dot(u, path.increments)
 
     # drift smoothed by the kernel, integrated dW in the j slot.
@@ -235,8 +230,8 @@ def _direct_terms(
     dv_diag = kernel.T @ (c * ebar) / m
     drift_wiener = scale * (np.dot(v, path.increments) - np.sum(dv_diag) / sqrt_m)
 
-    # derivative of the drift, double time integral.
-    drift_derivative = scale * np.sum(kernel.T @ (c * ebar)) / (m * sqrt_m)
+    # derivative of the drift, double time integral: the same diagonal sum.
+    drift_derivative = scale * np.sum(dv_diag) / sqrt_m
     return complex(diffusion_derivative), complex(drift_wiener), complex(drift_derivative)
 
 
@@ -248,8 +243,6 @@ def remainder_terms(pf: cat.PathFunctionals, n: int, N: int) -> RemainderTerms:
     ``B_N(n) - true coefficient - (other three)``, per the decomposition's
     exactness on the discrete space.  Memory is O(m^2) for the kernel table.
     """
-    if pf.spec.kind not in cat.CATALOG_KINDS:  # pragma: no cover - spec guards
-        raise UnsupportedModeError(f"no closed forms for kind {pf.spec.kind!r}")
     m = pf.grid.m
     if not grid_supports(m, N, abs(n)):
         raise ValueError(f"grid too coarse: m={m} < 8 (N + |n|) = {8 * (N + abs(n))}")
@@ -273,15 +266,10 @@ def iterated_divergence_term(pf: cat.PathFunctionals, n: int, N: int) -> complex
     """Direct evaluation of the double stochastic integral remainder.
 
     Computes ``(1/(2N+1)) div_j( div_i( a_i conj(e_n(t_i)) K_N(t_i - t_j) ) )``
-    with full divergence corrections in both slots.  Exact for diffusion
-    chaos order <= 1; used as the independent oracle for the residual-based
-    ``double_wiener``.
+    with full divergence corrections in both slots (exact because catalog
+    diffusions are affine in W); used as the independent oracle for the
+    residual-based ``double_wiener``.
     """
-    if pf.spec.a_chaos_order > 1:
-        raise UnsupportedModeError(
-            f"direct double integral needs diffusion chaos order <= 1, "
-            f"got {pf.spec.a_chaos_order}"
-        )
     m = pf.grid.m
     path = pf.path
     t_left = pf.grid.left_nodes
@@ -292,10 +280,10 @@ def iterated_divergence_term(pf: cat.PathFunctionals, n: int, N: int) -> complex
 
     # inner divergence at each j: values G_j and their diagonal derivatives
     weighted = a.values * ebar  # a_i conj(e_n)(t_i)
-    inner_trace = (np.diag(a.partials) * ebar) @ kernel  # sum_i da_i/dxi_i ebar_i K[i,j]
+    inner_trace = (a.partials.diag() * ebar) @ kernel  # sum_i da_i/dxi_i ebar_i K[i,j]
     g = (weighted * path.increments) @ kernel - inner_trace / sqrt_m
     # dG_j/dxi_j = sum_i da_i/dxi_j ebar_i K[i,j] dW_i + a_j ebar_j K[j,j]/sqrt(m)
-    cross = np.einsum("i,ij->j", ebar * path.increments, a.partials * kernel)
+    cross = a.partials.kernel_col_sums(kernel, ebar * path.increments)
     dg_diag = cross + weighted * np.diag(kernel) / sqrt_m
     outer = np.dot(g, path.increments) - np.sum(dg_diag) / sqrt_m
     return complex(outer / (2 * N + 1))

@@ -1,40 +1,36 @@
 """Catalog of processes dX = b dt + a dW with known closed forms.
 
-Each entry fixes a diffusion coefficient a(t, omega), an optional drift
-b(t, omega), and the node values of the integrated process X.  The stochastic
-part of X is the anticipating (Skorokhod) integral of a, for which every
-entry admits elementary algebra:
+Every catalog diffusion is affine in the path, ``a(t) = f(t) + alpha W_t +
+beta W_tau``, so each kind is one record ``(f, alpha, beta, tau)``:
 
-==================  ======================  ==========================================
-kind                a(t)                    X stochastic part at node t
-==================  ======================  ==========================================
-CONST               1                       W_t
-DET                 f(t)                    sum_{i: t_i < t} f(t_i) dW_i
-ADAPTED_W           W_t                     (W_t^2 - t) / 2
-NONCAUSAL_W1        W_1                     W_1 W_t - t
-NONCAUSAL_BRIDGE    W_1 - W_t               W_1 W_t - (W_t^2 + t) / 2
-NONCAUSAL_MIDPOINT  W_{1/2}                 W_{1/2} W_t - min(t, 1/2)
-==================  ======================  ==========================================
+==================  =======  =====  ====  ===  ==========
+kind                f        alpha  beta  tau  a(t)
+==================  =======  =====  ====  ===  ==========
+CONST               1        0      0     --   1
+DET                 table f  0      0     --   f(t)
+ADAPTED_W           0        1      0     --   W_t
+NONCAUSAL_W1        0        0      1     1    W_1
+NONCAUSAL_BRIDGE    0        -1     1     1    W_1 - W_t
+NONCAUSAL_MIDPOINT  0        0      1     1/2  W_{1/2}
+==================  =======  =====  ====  ===  ==========
 
-Derivations: the integral of a constant-in-time functional F over [0, t] is
-F W_t minus the time integral of its derivative, t * DF; this gives the
-NONCAUSAL_W1 row (DF = 1) and the NONCAUSAL_MIDPOINT row (DF = 1 on
-[0, 1/2], hence min(t, 1/2)).  NONCAUSAL_BRIDGE is the W1 row minus the
-ADAPTED_W row by linearity.  ADAPTED_W is the usual Ito formula.
+Everything is written once from the record.  The stochastic part of X is
+the anticipating (Skorokhod) integral of a,
+``sum_{t_i < t} f(t_i) dW_i + alpha (W_t^2 - t)/2 + beta (W_tau W_t - min(t, tau))``:
+the Ito formula for W_t, and ``F W_t`` minus the time integral of
+``D F = 1_{[0, tau]}`` for the constant-in-time ``F = W_tau`` (tau must be a
+grid node).  The derivative table ``D_r a_i = (alpha 1[r < i] +
+beta 1[r < tau m]) / sqrt(m)`` is a strict lower triangle plus a rank-one
+term (a ``malliavin.DerivativeTable``).  Kinds with ``alpha == 0`` reproduce
+``div(a conj(e_n))`` and their Fourier coefficients exactly; the W_t term
+adds a quadratic-variation defect and takes trapezoid quadrature for truth.
 
-The drift contributes the left Riemann accumulator
-``(1/m) sum_{i: t_i < t} b(t_i)`` to X.  Using the same left tagging as every
-other sum keeps the catalog's algebraic identities exact at the grid level;
-for the trigonometric-polynomial drifts used throughout, reported Fourier
-quantities agree with the continuum values exactly by discrete orthogonality.
-
-Drift shapes: ``none``, deterministic ``g(t)``, and ``W_1 * g(t)`` (an
-anticipating drift of chaos order 1).
-
-Derivative tables are exact: ``D_s a(t)`` is 0 (CONST, DET), ``1_{s <= t}``
-(ADAPTED_W), ``1`` (NONCAUSAL_W1), ``1 - 1_{s <= t}`` (NONCAUSAL_BRIDGE),
-``1_{s <= 1/2}`` (NONCAUSAL_MIDPOINT); for the ``W_1 * g`` drift,
-``D_s b(t) = g(t)``.
+The drift ``b(t) = g(t)`` or ``W_1 g(t)`` (an anticipating drift of chaos
+order 1, ``D_s b(t) = g(t)``) contributes the left Riemann accumulator
+``(1/m) sum_{i: t_i < t} b(t_i)`` to X.  The same left tagging as every other
+sum keeps the algebraic identities exact at the grid level; for
+trigonometric-polynomial data, Fourier quantities agree with the continuum
+values exactly by discrete orthogonality.
 """
 
 from __future__ import annotations
@@ -47,7 +43,7 @@ import numpy as np
 from .brownian import BrownianPath
 from .errors import ConfigError
 from .grid import TimeGrid, eval_basis
-from .malliavin import FunctionalArray
+from .malliavin import DerivativeTable, FunctionalArray
 from .sfc import coefficients
 
 CONST = "CONST"
@@ -57,21 +53,12 @@ NONCAUSAL_W1 = "NONCAUSAL_W1"
 NONCAUSAL_BRIDGE = "NONCAUSAL_BRIDGE"
 NONCAUSAL_MIDPOINT = "NONCAUSAL_MIDPOINT"
 
-CATALOG_KINDS = (CONST, DET, ADAPTED_W, NONCAUSAL_W1, NONCAUSAL_BRIDGE, NONCAUSAL_MIDPOINT)
-
 DRIFT_NONE = "none"
 DRIFT_DET = "det"
 DRIFT_W1 = "w1"
-DRIFT_KINDS = (DRIFT_NONE, DRIFT_DET, DRIFT_W1)
-
-# Kinds whose X-node algebra reproduces div(a e) + drift quadrature exactly
-# (floating point only); the remaining kinds carry an O(m^{-1/2}) defect from
-# the quadratic variation.
-EXACT_ALGEBRA_KINDS = (CONST, DET, NONCAUSAL_W1, NONCAUSAL_MIDPOINT)
-
-# Kinds whose per-path Fourier coefficient of a is exact; the others fall
-# back to trapezoid quadrature on the sampled path.
-EXACT_FOURIER_A_KINDS = (CONST, DET, NONCAUSAL_W1, NONCAUSAL_MIDPOINT)
+# b(t) = g(t) (g0 + g1 W_1): the weights (g0, g1) of each drift shape.
+DRIFT_RECORDS = {DRIFT_NONE: (0.0, 0.0), DRIFT_DET: (1.0, 0.0), DRIFT_W1: (0.0, 1.0)}
+DRIFT_KINDS = tuple(DRIFT_RECORDS)
 
 
 @dataclass(frozen=True)
@@ -125,42 +112,77 @@ def constant(value: float = 1.0) -> TrigPoly:
     return TrigPoly.from_mapping({0: value})
 
 
+# The spec supplies the deterministic part f itself (DET).
+SPEC_TABLE = "spec.f"
+
+
+@dataclass(frozen=True)
+class AffineKind:
+    """``a(t) = f(t) + alpha W_t + beta W_tau``; ``f`` is a fixed table,
+    ``SPEC_TABLE`` when each spec carries its own, or None for zero."""
+
+    f: TrigPoly | str | None = None
+    alpha: float = 0.0
+    beta: float = 0.0
+    tau: float = 0.0
+
+
+KIND_RECORDS = {
+    CONST: AffineKind(f=constant(1.0)),
+    DET: AffineKind(f=SPEC_TABLE),
+    ADAPTED_W: AffineKind(alpha=1.0),
+    NONCAUSAL_W1: AffineKind(beta=1.0, tau=1.0),
+    NONCAUSAL_BRIDGE: AffineKind(alpha=-1.0, beta=1.0, tau=1.0),
+    NONCAUSAL_MIDPOINT: AffineKind(beta=1.0, tau=0.5),
+}
+
+CATALOG_KINDS = tuple(KIND_RECORDS)
+
+# Kinds whose X algebra and Fourier coefficients of a are exact (to rounding);
+# ``alpha W_t`` carries an O(m^{-1/2}) quadratic-variation defect.
+EXACT_ALGEBRA_KINDS = tuple(kind for kind, rec in KIND_RECORDS.items() if rec.alpha == 0)
+
+
 @dataclass(frozen=True, eq=False)
 class ProcessSpec:
     """One catalog entry: kind, deterministic tables, drift shape.
 
     ``f`` and ``g`` may be :class:`TrigPoly` (exact Fourier data) or plain
-    node tables of length m (quadrature-only truth).  ``a_chaos_order``
-    records the Wiener-chaos order of the diffusion coefficient; catalog
-    kinds are all 0 or 1, and the field exists so downstream modes can
-    refuse entries they cannot handle.
+    node tables of length m (quadrature-only truth).
     """
 
     kind: str
     f: TrigPoly | np.ndarray | None = None
     drift_kind: str = DRIFT_NONE
     g: TrigPoly | np.ndarray | None = None
-    a_chaos_order: int = field(default=0)
 
     def __post_init__(self) -> None:
-        if self.kind not in CATALOG_KINDS:
+        if self.kind not in KIND_RECORDS:
             raise ConfigError(f"unknown process kind {self.kind!r}; choose from {CATALOG_KINDS}")
         if self.drift_kind not in DRIFT_KINDS:
             raise ConfigError(f"unknown drift kind {self.drift_kind!r}; choose from {DRIFT_KINDS}")
-        if self.kind == DET and self.f is None:
-            raise ConfigError("DET requires a diffusion table f")
-        if self.kind != DET and self.f is not None:
+        takes_f = self.record.f is SPEC_TABLE
+        if takes_f and self.f is None:
+            raise ConfigError(f"{self.kind} requires a diffusion table f")
+        if not takes_f and self.f is not None:
             raise ConfigError(f"{self.kind} does not take a diffusion table f")
         if self.drift_kind != DRIFT_NONE and self.g is None:
             raise ConfigError(f"drift kind {self.drift_kind!r} requires a drift table g")
         if self.drift_kind == DRIFT_NONE and self.g is not None:
             raise ConfigError("drift table g supplied but drift kind is 'none'")
-        if self.a_chaos_order not in (0, 1, 2):
-            raise ConfigError(f"a_chaos_order must be 0, 1, or 2, got {self.a_chaos_order}")
 
     @property
     def label(self) -> str:
         return self.kind
+
+    @property
+    def record(self) -> AffineKind:
+        return KIND_RECORDS[self.kind]
+
+    @property
+    def f_table(self) -> TrigPoly | np.ndarray | None:
+        """The deterministic part f of a, or None when it is zero."""
+        return self.f if self.record.f is SPEC_TABLE else self.record.f
 
 
 def _coerce_table(name: str, value) -> TrigPoly | np.ndarray:
@@ -196,8 +218,15 @@ def make_process(kind: str, params: Mapping | None = None) -> ProcessSpec:
         raise ConfigError(f"unknown process parameters: {sorted(params)}")
     f = _coerce_table("f", f) if f is not None else None
     g = _coerce_table("g", g) if g is not None else None
-    chaos = 0 if kind in (CONST, DET) else 1
-    return ProcessSpec(kind=kind, f=f, drift_kind=drift, g=g, a_chaos_order=chaos)
+    return ProcessSpec(kind=kind, f=f, drift_kind=drift, g=g)
+
+
+def spec_for(kind: str, extra: Mapping | None = None) -> ProcessSpec:
+    """Catalog entry with enough data to instantiate (f = cos(2 pi t) if needed)."""
+    params = dict(extra or {})
+    if KIND_RECORDS.get(kind, AffineKind()).f is SPEC_TABLE:
+        params.setdefault("f", cosine())
+    return make_process(kind, params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,17 +270,25 @@ def _table_nodes(name: str, table, t: np.ndarray, m: int) -> np.ndarray:
     return arr
 
 
+def _f_nodes(spec: ProcessSpec, grid: TimeGrid) -> np.ndarray | None:
+    table = spec.f_table
+    return None if table is None else _table_nodes("f", table, grid.left_nodes, grid.m)
+
+
+def _tau_node(spec: ProcessSpec, m: int) -> int:
+    """Index j with ``t_j = tau``; tau must be a node of the grid."""
+    j = spec.record.tau * m
+    if j != int(j):
+        raise ConfigError(f"{spec.kind} needs t = {spec.record.tau} to be a grid node; got m={m}")
+    return int(j)
+
+
 def _block_drift(spec: ProcessSpec, w_block: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Drift values b(t_i) for a block of paths; shape (B, m)."""
-    B = w_block.shape[0]
-    m = grid.m
-    if spec.drift_kind == DRIFT_NONE:
-        return np.zeros((B, m))
-    g_nodes = _table_nodes("g", spec.g, grid.left_nodes, m)
-    if spec.drift_kind == DRIFT_DET:
-        return np.broadcast_to(g_nodes, (B, m)).copy()
-    w1 = w_block[:, -1]
-    return w1[:, None] * g_nodes[None, :]
+    if spec.g is None:
+        return np.zeros((w_block.shape[0], grid.m))
+    g0, g1 = DRIFT_RECORDS[spec.drift_kind]
+    return (g0 + g1 * w_block[:, -1:]) * _table_nodes("g", spec.g, grid.left_nodes, grid.m)
 
 
 def block_functionals(
@@ -274,43 +311,26 @@ def block_functionals(
     m = grid.m
     if w_block.ndim != 2 or w_block.shape[1] != m + 1:
         raise ConfigError(f"w_block must have shape (B, {m + 1}), got {w_block.shape}")
-    t_left = grid.left_nodes
+    rec = spec.record
     t_all = grid.nodes
-    w_left = w_block[:, :-1]
+    B = w_block.shape[0]
     b = _block_drift(spec, w_block, grid)
-
-    if spec.kind == CONST:
-        a = np.ones_like(w_left)
-        x_stoch = w_block.copy()
-    elif spec.kind == DET:
-        f_nodes = _table_nodes("f", spec.f, t_left, m)
-        a = np.broadcast_to(f_nodes, w_left.shape).copy()
-        incr = np.diff(w_block, axis=1) * f_nodes[None, :]
-        x_stoch = np.concatenate([np.zeros((w_block.shape[0], 1)), np.cumsum(incr, axis=1)], axis=1)
-    elif spec.kind == ADAPTED_W:
-        a = w_left.copy()
-        x_stoch = 0.5 * (w_block**2 - t_all[None, :])
-    elif spec.kind == NONCAUSAL_W1:
-        w1 = w_block[:, -1:]
-        a = np.broadcast_to(w1, w_left.shape).copy()
-        x_stoch = w1 * w_block - t_all[None, :]
-    elif spec.kind == NONCAUSAL_BRIDGE:
-        w1 = w_block[:, -1:]
-        a = w1 - w_left
-        x_stoch = w1 * w_block - 0.5 * (w_block**2 + t_all[None, :])
-    elif spec.kind == NONCAUSAL_MIDPOINT:
-        if m % 2 != 0:
-            raise ConfigError(f"{NONCAUSAL_MIDPOINT} needs an even m so t = 1/2 is a node; got m={m}")
-        wh = w_block[:, m // 2][:, None]
-        a = np.broadcast_to(wh, w_left.shape).copy()
-        x_stoch = wh * w_block - np.minimum(t_all, 0.5)[None, :]
-    else:  # pragma: no cover - guarded in ProcessSpec
-        raise ConfigError(f"unknown kind {spec.kind!r}")
-
-    drift_prefix = np.concatenate(
-        [np.zeros((w_block.shape[0], 1)), np.cumsum(b, axis=1) / m], axis=1
-    )
-    return a, b, x_stoch + drift_prefix
+    x = np.zeros((B, m + 1))  # the drift accumulator, then each term of X in place
+    np.cumsum(b, axis=1, out=x[:, 1:])
+    x[:, 1:] /= m
+    a = np.zeros((B, m))
+    f_nodes = _f_nodes(spec, grid)
+    if f_nodes is not None:
+        a += f_nodes
+        x[:, 1:] += np.cumsum(np.diff(w_block, axis=1) * f_nodes, axis=1)
+    if rec.alpha:
+        a += rec.alpha * w_block[:, :-1]
+        x += 0.5 * rec.alpha * (np.square(w_block) - t_all)
+    if rec.beta:
+        w_tau = rec.beta * w_block[:, _tau_node(spec, m)][:, None]
+        a += w_tau
+        x += w_tau * w_block - rec.beta * np.minimum(t_all, rec.tau)
+    return a, b, x
 
 
 def eval_functionals(spec: ProcessSpec, path: BrownianPath) -> PathFunctionals:
@@ -324,22 +344,17 @@ def eval_functionals(spec: ProcessSpec, path: BrownianPath) -> PathFunctionals:
 
 
 def diffusion_array(spec: ProcessSpec, path: BrownianPath) -> FunctionalArray:
-    """Diffusion values with the full (m, m) table ``d a_i / d xi_r``."""
+    """Diffusion values with the table ``d a_i / d xi_r``: the strict lower
+    triangle ``alpha / sqrt(m)`` plus ``1 v^T``, ``v_r = beta 1[r < tau m] / sqrt(m)``."""
     m = path.grid.m
-    pf_a = block_functionals(spec, path.values[None, :], path.grid)[0][0]
+    rec = spec.record
+    a = block_functionals(spec, path.values[None, :], path.grid)[0][0]
     s = 1.0 / np.sqrt(m)
-    if spec.kind in (CONST, DET):
-        partials = np.zeros((m, m))
-    elif spec.kind == ADAPTED_W:
-        partials = np.tril(np.full((m, m), s), k=-1)
-    elif spec.kind == NONCAUSAL_W1:
-        partials = np.full((m, m), s)
-    elif spec.kind == NONCAUSAL_BRIDGE:
-        partials = np.triu(np.full((m, m), s), k=0)
-    else:  # NONCAUSAL_MIDPOINT
-        partials = np.zeros((m, m))
-        partials[:, : m // 2] = s
-    return FunctionalArray(values=pf_a.astype(float), partials=partials)
+    v = np.zeros(m)
+    if rec.beta:
+        v[: _tau_node(spec, m)] = s * rec.beta
+    table = DerivativeTable(u=np.ones(m), v=v, lower=s * rec.alpha)
+    return FunctionalArray(values=a, partials=table)
 
 
 def drift_partial_const(spec: ProcessSpec, path: BrownianPath) -> np.ndarray:
@@ -350,18 +365,17 @@ def drift_partial_const(spec: ProcessSpec, path: BrownianPath) -> np.ndarray:
     ``W_1 * g`` drift.  Returned as the length-m vector over i.
     """
     m = path.grid.m
-    if spec.drift_kind != DRIFT_W1:
+    g1 = DRIFT_RECORDS[spec.drift_kind][1]
+    if not g1:
         return np.zeros(m)
-    g_nodes = _table_nodes("g", spec.g, path.grid.left_nodes, m)
-    return g_nodes / np.sqrt(m)
+    return g1 * _table_nodes("g", spec.g, path.grid.left_nodes, m) / np.sqrt(m)
 
 
 def drift_array(spec: ProcessSpec, path: BrownianPath) -> FunctionalArray:
-    """Drift values with the full (m, m) derivative table."""
-    m = path.grid.m
+    """Drift values with the rank-one derivative table ``c 1^T``."""
     b = _block_drift(spec, path.values[None, :], path.grid)[0]
     const = drift_partial_const(spec, path)
-    return FunctionalArray(values=b, partials=np.repeat(const[:, None], m, axis=1))
+    return FunctionalArray(values=b, partials=DerivativeTable(u=const, v=np.ones(path.grid.m)))
 
 
 # ---------------------------------------------------------------------------
@@ -373,47 +387,37 @@ def block_true_fourier_a(
 ) -> np.ndarray:
     """Fourier coefficients of a against conj(e_n), one row per path.
 
-    Exact closed forms where a is constant in time per path (CONST, DET with
-    TrigPoly data, NONCAUSAL_W1, NONCAUSAL_MIDPOINT).  ADAPTED_W and
-    NONCAUSAL_BRIDGE use trapezoid quadrature along the sampled path, and an
-    array-table DET uses the left Riemann sum; both are flagged approximate.
+    ``f_n + alpha * trapezoid_n(W) + beta * W_tau * delta_{n0}``.  The f
+    term is exact for TrigPoly data and the left Riemann sum for a node
+    table; the W_t term uses trapezoid quadrature along the sampled path.
     Since ``W_0 = 0`` and ``conj(e_n(t_0)) = conj(e_n(t_m)) = 1``, the
     trapezoid rule for W is ``(F_n(W at the left tags) + W_1 / 2) / m``.
     """
     m = grid.m
+    rec = spec.record
     orders = np.asarray(orders, dtype=int)
     top = int(np.max(np.abs(orders), initial=0))
     cols = orders + top
-    at_zero = (orders == 0).astype(complex)
-    w1 = w_block[:, -1:]
-
-    if spec.kind == CONST:
-        return np.broadcast_to(at_zero, (w_block.shape[0], orders.size)).copy()
-    if spec.kind == DET:
-        if isinstance(spec.f, TrigPoly):
-            row = np.array([spec.f.coeff(int(n)) for n in orders], dtype=complex)
-        else:
-            f_nodes = _table_nodes("f", spec.f, grid.left_nodes, m)
-            row = coefficients(f_nodes, top)[cols] / m
-        return np.broadcast_to(row, (w_block.shape[0], orders.size)).copy()
-    if spec.kind == NONCAUSAL_W1:
-        return w1 * at_zero
-    if spec.kind == NONCAUSAL_MIDPOINT:
-        if m % 2 != 0:
-            raise ConfigError(f"{NONCAUSAL_MIDPOINT} needs an even m; got m={m}")
-        return w_block[:, m // 2 : m // 2 + 1] * at_zero
-    trapezoid = (coefficients(w_block[:, :-1], top)[:, cols] + w1 / 2) / m
-    if spec.kind == ADAPTED_W:
-        return trapezoid
-    # NONCAUSAL_BRIDGE: W_1 * integral of conj(e_n) contributes only at n = 0.
-    return w1 * at_zero - trapezoid
+    out = np.zeros((w_block.shape[0], orders.size), dtype=complex)
+    table = spec.f_table
+    if isinstance(table, TrigPoly):
+        out += np.array([table.coeff(int(n)) for n in orders], dtype=complex)
+    elif table is not None:
+        out += coefficients(_table_nodes("f", table, grid.left_nodes, m), top)[cols] / m
+    if rec.alpha:
+        w1 = w_block[:, -1:]
+        out += rec.alpha * ((coefficients(w_block[:, :-1], top)[:, cols] + w1 / 2) / m)
+    if rec.beta:
+        j = _tau_node(spec, m)
+        out += rec.beta * (w_block[:, j : j + 1] * (orders == 0))
+    return out
 
 
 def true_fourier_a(spec: ProcessSpec, path: BrownianPath, n: int) -> complex:
     """Per-path coefficient ``integral_0^1 a(t) conj(e_n(t)) dt``.
 
-    Exact for kinds in ``EXACT_FOURIER_A_KINDS`` (and DET given TrigPoly
-    data); trapezoid quadrature along the path otherwise.
+    Exact for kinds in ``EXACT_ALGEBRA_KINDS`` (DET given TrigPoly data);
+    trapezoid quadrature along the path otherwise.
     """
     return complex(block_true_fourier_a(spec, path.values[None, :], path.grid, [n])[0, 0])
 
@@ -421,93 +425,67 @@ def true_fourier_a(spec: ProcessSpec, path: BrownianPath, n: int) -> complex:
 def true_fourier_b(spec: ProcessSpec, path: BrownianPath, n: int) -> complex:
     """Per-path coefficient of the drift against conj(e_n)."""
     m = path.grid.m
-    if spec.drift_kind == DRIFT_NONE:
+    if spec.g is None:
         return 0.0 + 0.0j
     if isinstance(spec.g, TrigPoly):
         base = spec.g.coeff(n)
     else:
         g_nodes = _table_nodes("g", spec.g, path.grid.left_nodes, m)
         base = complex(coefficients(g_nodes, abs(n))[n + abs(n)]) / m
-    if spec.drift_kind == DRIFT_DET:
-        return complex(base)
-    return complex(path.terminal * base)
+    g0, g1 = DRIFT_RECORDS[spec.drift_kind]
+    return complex((g0 + g1 * path.terminal) * base)
 
 
 # ---------------------------------------------------------------------------
 # closed-form stochastic integrals of a * conj(e_n)
 
 
-def exact_diffusion_sfc(spec: ProcessSpec, path: BrownianPath, n: int) -> complex:
-    """The divergence ``div(a conj(e_n))`` via each entry's closed form.
+def exact_diffusion_sfc(spec: ProcessSpec, path: BrownianPath, n):
+    """``div(a conj(e_n))`` for one order n, or an array for a sequence.
 
-    This is the catalog's exact value of the stochastic integral of
-    ``a(t) conj(e_n(t))``, used by drift recovery and as an oracle for the
-    coefficient pipeline.
+    ``sum_i a_i conj(e_n(t_i)) dW_i - (1/sqrt(m)) sum_i D_i a_i conj(e_n(t_i))``
+    with the exact derivative diagonal, used by drift recovery.  Direct
+    sums, never the FFT, so it stays an independent oracle for the pipeline.
     """
     m = path.grid.m
-    t_left = path.grid.left_nodes
-    ebar = eval_basis(-n, t_left)
-    dw = path.increments
-    if spec.kind == CONST:
-        return complex(np.dot(ebar, dw))
-    if spec.kind == DET:
-        f_nodes = _table_nodes("f", spec.f, t_left, m)
-        return complex(np.dot(f_nodes * ebar, dw))
-    if spec.kind == ADAPTED_W:
-        return complex(np.dot(path.values[:-1] * ebar, dw))
-    if spec.kind == NONCAUSAL_W1:
-        return complex(path.terminal * np.dot(ebar, dw) - np.sum(ebar) / m)
-    if spec.kind == NONCAUSAL_BRIDGE:
-        adapted = np.dot(path.values[:-1] * ebar, dw)
-        return complex(path.terminal * np.dot(ebar, dw) - np.sum(ebar) / m - adapted)
-    if spec.kind == NONCAUSAL_MIDPOINT:
-        wh = float(path.values[m // 2])
-        return complex(wh * np.dot(ebar, dw) - np.sum(ebar[: m // 2]) / m)
-    raise ConfigError(f"unknown kind {spec.kind!r}")  # pragma: no cover
+    a = diffusion_array(spec, path)
+    # conj(e_n(t_i)) = conj(e_1(t_{n i mod m})): one basis row serves every order
+    rows = np.outer(np.atleast_1d(n), np.arange(m))
+    ebar = np.take(eval_basis(-1, path.grid.left_nodes), rows, mode="wrap")
+    values = ebar @ (a.values * path.increments) - ebar @ a.partials.diag() / np.sqrt(m)
+    return complex(values[0]) if np.ndim(n) == 0 else values
 
 
 def dsfc_partials(spec: ProcessSpec, path: BrownianPath, n: int) -> np.ndarray:
-    """Gradient of the coefficient sum ``sum_i conj(e_n(t_i)) dX_i``.
+    """Gradient ``d F_n / d xi_r`` of ``F_n = sum_i conj(e_n(t_i)) dX_i``:
 
-    Returns the length-m vector ``d F_n / d xi_r`` obtained by
-    differentiating each entry's closed-form increments.  Available for every
-    catalog entry (their X are at most second chaos, so the gradient is
-    affine in the increments).
+        s [f_r ebar_r + alpha (tail_r + W_{t_{r+1}} ebar_r)
+           + beta (W_tau ebar_r + 1[r < tau m] sum_i ebar_i dW_i)] + drift
+
+    with ``s = 1/sqrt(m)`` and ``tail_r = sum_{i > r} ebar_i dW_i``.
     """
     m = path.grid.m
     s = 1.0 / np.sqrt(m)
-    t_left = path.grid.left_nodes
-    ebar = eval_basis(-n, t_left)
+    rec = spec.record
+    ebar = eval_basis(-n, path.grid.left_nodes)
     dw = path.increments
-    w_left = path.values[:-1]
 
     # Drift accumulator contributes Q(c * ebar) in every direction, where c
     # is the direction-independent drift derivative.
     c = drift_partial_const(spec, path)
     drift_term = np.sum(c * ebar) / m
 
-    if spec.kind == CONST:
-        grad = s * ebar
-    elif spec.kind == DET:
-        f_nodes = _table_nodes("f", spec.f, t_left, m)
-        grad = s * f_nodes * ebar
-    elif spec.kind == NONCAUSAL_W1:
-        ito = np.dot(ebar, dw)
-        grad = s * (ito + path.terminal * ebar)
-    elif spec.kind == ADAPTED_W:
-        # tail_r = sum_{i > r} ebar_i dW_i ; then s * (tail + W_{t_{r+1}} ebar_r)
+    inner = np.zeros(m, dtype=complex)
+    f_nodes = _f_nodes(spec, path.grid)
+    if f_nodes is not None:
+        inner += f_nodes * ebar
+    if rec.alpha:
         prods = ebar * dw
         tail = np.cumsum(prods[::-1])[::-1] - prods
-        grad = s * (tail + path.values[1:] * ebar)
-    elif spec.kind == NONCAUSAL_BRIDGE:
-        prods = ebar * dw
-        head = np.cumsum(prods)
-        grad = s * (head + (path.terminal - path.values[1:]) * ebar)
-    elif spec.kind == NONCAUSAL_MIDPOINT:
-        ito = np.dot(ebar, dw)
-        wh = float(path.values[m // 2])
-        grad = s * wh * ebar
-        grad = grad + np.where(np.arange(m) < m // 2, s * ito, 0.0)
-    else:  # pragma: no cover
-        raise ConfigError(f"unknown kind {spec.kind!r}")
-    return grad + drift_term
+        inner += rec.alpha * (tail + path.values[1:] * ebar)
+    if rec.beta:
+        j = _tau_node(spec, m)
+        head = path.values[j] * ebar
+        head[:j] += np.dot(ebar, dw)
+        inner += rec.beta * head
+    return s * inner + drift_term

@@ -8,8 +8,9 @@ verify-multiplication product-rule residuals over the whole process catalog
 convergence           Monte Carlo error sweep, CSV + JSON reports
 identify              per-order coefficient estimates for one configuration
 
-Exit status: 0 success, 1 a check or acceptance band failed, 2 usage or
-configuration error.  Configs are JSON; see the README for the schema.
+Exit status: 0 success, 1 a check or acceptance band failed, a numerical
+failure or an internal error, 2 usage or configuration error.  Configs are
+JSON; see the README for the schema.
 Numbers in reports are printed with ``repr``, the shortest decimal that
 round-trips, so identical configurations give byte-identical artifacts.
 """
@@ -18,8 +19,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +38,9 @@ from .catalog import (
     CATALOG_KINDS,
     DRIFT_DET,
     DRIFT_W1,
-    cosine,
     eval_functionals,
     make_process,
+    spec_for,
 )
 from .errors import ConfigError, NumericalFailureError
 from .experiment import (
@@ -51,12 +52,7 @@ from .experiment import (
     run_convergence,
 )
 from .grid import TimeGrid, dirichlet_closed_form, dirichlet_kernel, eval_basis, kernel_l2_identity
-from .malliavin import (
-    DiscreteFunctional,
-    lemma_fdelta_residual,
-    prop1_residual,
-    prop2_residual,
-)
+from .malliavin import lemma_fdelta_residual, prop1_residual, prop2_residual, w1_functionals
 from .sfc import wiener_sfc_range
 
 DEFAULT_SEED = 20260819
@@ -96,12 +92,9 @@ def _check_line(ok: bool, name: str, detail: str) -> bool:
     return ok
 
 
-def _catalog_spec(kind: str, extra: dict | None = None):
-    """Catalog entry with enough data to instantiate (DET needs a table)."""
-    params = dict(extra or {})
-    if kind == "DET":
-        params.setdefault("f", cosine())
-    return make_process(kind, params)
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed <= 2**64 - 1:
+        raise ConfigError(f"--seed must fit in uint64, got {seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +102,10 @@ def _catalog_spec(kind: str, extra: dict | None = None):
 
 
 def cmd_kernel_check(args: argparse.Namespace) -> int:
+    if args.N < 0:
+        raise ConfigError(f"--N must be >= 0, got {args.N}")
+    if args.m < 4 * args.N + 4:
+        raise ConfigError(f"--m must be >= 4N + 4 = {4 * args.N + 4}, got {args.m}")
     value = kernel_l2_identity(args.N, args.m)
     expected = 2 * args.N + 1
     rel = abs(value - expected) / expected
@@ -129,20 +126,10 @@ def cmd_kernel_check(args: argparse.Namespace) -> int:
 # selftest
 
 
-def _selftest_functionals(path) -> list[tuple[str, DiscreteFunctional]]:
-    m = path.grid.m
-    s = 1.0 / math.sqrt(m)
-    w1 = float(path.terminal)
-    return [
-        ("W_1", DiscreteFunctional(value=w1, partials=np.full(m, s))),
-        ("W_1^2-1", DiscreteFunctional(value=w1 * w1 - 1.0, partials=np.full(m, 2.0 * w1 * s))),
-        ("const", DiscreteFunctional(value=2.5, partials=np.zeros(m))),
-    ]
-
-
 def cmd_selftest(args: argparse.Namespace) -> int:
     ok = True
     seed = args.seed
+    _check_seed(seed)
 
     # kernel norm identity at several widths
     for N in (1, 5, 32):
@@ -152,39 +139,13 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         ok &= _check_line(rel <= 1e-9, f"kernel identity N={N}", f"rel_err={rel:.3e}")
 
     # basis orthogonality through the left-tag quadrature
-    m = 64
-    t = TimeGrid(m).left_nodes
-    worst = 0.0
-    for k in range(-5, 6):
-        for l in range(-5, 6):
-            val = np.sum(eval_basis(k, t) * eval_basis(-l, t)) / m
-            worst = max(worst, abs(val - (1.0 if k == l else 0.0)))
+    basis = eval_basis(np.arange(-5, 6)[:, None], TimeGrid(64).left_nodes)
+    worst = float(np.max(np.abs(basis @ basis.conj().T / 64 - np.eye(11))))
     ok &= _check_line(worst <= 1e-12, "basis orthogonality", f"max_gap={worst:.3e}")
 
-    # integration by parts on a few paths
+    # integration by parts and the product rules on a few paths
     grid = TimeGrid(512)
-    worst = 0.0
-    for idx in range(20):
-        path = sample_path(SeedSpec(seed, idx), grid)
-        for _, functional in _selftest_functionals(path):
-            for n in (0, 1, -3):
-                e_nodes = eval_basis(n, grid.left_nodes)
-                worst = max(worst, lemma_fdelta_residual(functional, e_nodes, path))
-    ok &= _check_line(worst <= 1e-10, "integration by parts", f"max_residual={worst:.3e}")
-
-    # product rules over the catalog
-    worst1 = worst2 = 0.0
-    for kind in CATALOG_KINDS:
-        plain = _catalog_spec(kind)
-        drifted = _catalog_spec(kind, {"g": cosine(), "drift": DRIFT_DET})
-        for idx in range(10):
-            path = sample_path(SeedSpec(seed, 1000 + idx), grid)
-            for n in (0, 1):
-                e_nodes = eval_basis(n, grid.left_nodes)
-                worst1 = max(worst1, prop1_residual(plain, e_nodes, path))
-                worst2 = max(worst2, prop2_residual(drifted, e_nodes, path))
-    ok &= _check_line(worst1 <= 1e-9, "product rule, stochastic factor", f"max_residual={worst1:.3e}")
-    ok &= _check_line(worst2 <= 1e-9, "product rule, drift factor", f"max_residual={worst2:.3e}")
+    ok &= _identity_checks(grid, seed, paths=20)
 
     # sampling sanity: terminal variance and the discrete isometry
     paths = 400
@@ -220,42 +181,41 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 # verify-multiplication
 
 
-def cmd_verify_multiplication(args: argparse.Namespace) -> int:
-    grid = TimeGrid(args.m)
-    tol_lemma = 1e-10
-    tol_props = 1e-9
-    ok = True
-
+def _identity_checks(grid: TimeGrid, seed: int, paths: int) -> bool:
+    """Integration by parts and both product rules over the catalog on the
+    first ``paths`` paths; prints one line per check."""
     worst = 0.0
-    for idx in range(args.paths):
-        path = sample_path(SeedSpec(args.seed, idx), grid)
-        for _, functional in _selftest_functionals(path):
+    for idx in range(paths):
+        path = sample_path(SeedSpec(seed, idx), grid)
+        for functional in w1_functionals(path).values():
             for n in (0, 1, -3):
                 e_nodes = eval_basis(n, grid.left_nodes)
                 worst = max(worst, lemma_fdelta_residual(functional, e_nodes, path))
-    ok &= _check_line(worst <= tol_lemma, "integration by parts", f"max_residual={worst:.3e}")
-
+    ok = _check_line(worst <= 1e-10, "integration by parts", f"max_residual={worst:.3e}")
+    g = {0: 0.5, 1: 0.5, -1: 0.5}  # 1/2 + cos(2 pi t); a zero mean makes prop 2 vacuous
     for kind in CATALOG_KINDS:
-        specs = [
-            _catalog_spec(kind),
-            _catalog_spec(kind, {"g": cosine(), "drift": DRIFT_DET}),
-            _catalog_spec(kind, {"g": cosine(), "drift": DRIFT_W1}),
-        ]
+        plain = spec_for(kind)
+        drifted = [spec_for(kind, {"g": g, "drift": d}) for d in (DRIFT_DET, DRIFT_W1)]
         worst1 = worst2 = 0.0
-        for idx in range(args.paths):
-            path = sample_path(SeedSpec(args.seed, idx), grid)
+        for idx in range(paths):
+            path = sample_path(SeedSpec(seed, idx), grid)
             for n in (0, 1):
                 e_nodes = eval_basis(n, grid.left_nodes)
-                worst1 = max(worst1, prop1_residual(specs[0], e_nodes, path))
-                for spec in specs[1:]:
-                    worst2 = max(worst2, prop2_residual(spec, e_nodes, path))
-        ok &= _check_line(
-            worst1 <= tol_props, f"{kind} stochastic product rule", f"max_residual={worst1:.3e}"
-        )
-        ok &= _check_line(
-            worst2 <= tol_props, f"{kind} drift product rule", f"max_residual={worst2:.3e}"
-        )
+                worst1 = max(worst1, prop1_residual(plain, e_nodes, path))
+                worst2 = max(worst2, *(prop2_residual(s, e_nodes, path) for s in drifted))
+        for factor, worst in (("stochastic", worst1), ("drift", worst2)):
+            line = f"{kind} {factor} product rule"
+            ok &= _check_line(worst <= 1e-9, line, f"max_residual={worst:.3e}")
+    return ok
 
+
+def cmd_verify_multiplication(args: argparse.Namespace) -> int:
+    if args.m < 2:
+        raise ConfigError(f"--m must be >= 2, got {args.m}")
+    if args.paths < 1:
+        raise ConfigError(f"--paths must be >= 1, got {args.paths}")
+    _check_seed(args.seed)
+    ok = _identity_checks(TimeGrid(args.m), args.seed, args.paths)
     print("verify-multiplication:", "all residuals in tolerance" if ok else "FAILED")
     return 0 if ok else 1
 
@@ -268,6 +228,12 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     data = _apply_overrides(_load_config(args.config), args)
     band = data.get("slope_band")
     band_orders = data.get("slope_band_orders", [0])
+    if band is not None and not (
+        isinstance(band, list) and len(band) == 2 and all(type(v) in (int, float) for v in band)
+    ):
+        raise ConfigError(f"slope_band must be a [low, high] pair of numbers, got {band!r}")
+    if not isinstance(band_orders, list):
+        raise ConfigError(f"slope_band_orders must be a list of orders, got {band_orders!r}")
     cfg = config_from_jsonable(data)
     result = run_convergence(cfg)
 
@@ -455,11 +421,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # a defect, not a user mistake
+        traceback.print_exc()
+        print(f"internal error: {exc}", file=sys.stderr)
         return 1
 
 

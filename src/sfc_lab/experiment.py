@@ -53,6 +53,11 @@ THREADS_ENV = "SFC_LAB_THREADS"
 CSV_HEADER = "process,n,N,m,P,seed,mean_abs_err,lp_err,std_err"
 
 
+def _require_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Settings for one convergence sweep."""
@@ -67,6 +72,10 @@ class ExperimentConfig:
     block_size: int = 256
 
     def __post_init__(self) -> None:
+        for name in ("M", "m", "paths", "master_seed", "block_size"):
+            _require_int(name, getattr(self, name))
+        for N in self.n_list:
+            _require_int("each n_list entry", N)
         if len(self.n_list) == 0:
             raise ConfigError("n_list must not be empty")
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
@@ -86,7 +95,8 @@ class ExperimentConfig:
             raise ConfigError(f"p_exponent must be >= 1, got {self.p_exponent}")
         if self.block_size < 1:
             raise ConfigError(f"block_size must be >= 1, got {self.block_size}")
-        SeedSpec(self.master_seed, 0)  # range check
+        if not 0 <= self.master_seed <= 2**64 - 1:
+            raise ConfigError(f"master_seed must fit in uint64, got {self.master_seed}")
 
     @property
     def orders(self) -> tuple[int, ...]:
@@ -132,8 +142,19 @@ def config_jsonable(cfg: ExperimentConfig) -> dict:
 
 
 def config_from_jsonable(data: Mapping) -> ExperimentConfig:
-    """Build a config from plain data (the CLI's JSON schema)."""
-    data = dict(data)
+    """Build a config from plain data (the CLI's JSON schema).
+
+    Malformed values of any type or shape raise :class:`ConfigError`.
+    """
+    try:
+        return _config_from_jsonable(dict(data))
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, KeyError, IndexError) as exc:
+        raise ConfigError(f"malformed config: {exc!r}") from None
+
+
+def _config_from_jsonable(data: dict) -> ExperimentConfig:
     proc = dict(data.pop("process", {}))
     kind = proc.pop("kind", None)
     if kind is None:
@@ -165,10 +186,7 @@ def config_from_jsonable(data: Mapping) -> ExperimentConfig:
     stray = set(data) - known_extra
     if stray:
         raise ConfigError(f"unknown config keys: {sorted(stray)}")
-    try:
-        return ExperimentConfig(spec=spec, **kwargs)
-    except TypeError as exc:  # bad field types
-        raise ConfigError(str(exc)) from None
+    return ExperimentConfig(spec=spec, **kwargs)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

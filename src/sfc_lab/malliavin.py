@@ -56,36 +56,81 @@ class DiscreteFunctional:
 
 
 @dataclass(frozen=True)
-class FunctionalArray:
-    """A process on the left nodes: values ``u_i`` and partials ``du_i/dxi_r``.
+class DerivativeTable:
+    """The m x m table ``P[i, r] = u_i v_r + lower * 1[r < i]``, stored as its parts.
 
-    ``partials`` has shape (m, m) with rows indexed by the node i and columns
-    by the differentiation direction r.  Dense by design -- the exact-identity
-    checks run at moderate m where an m x m table is cheap and unambiguous.
+    Every derivative table in the package has this shape: an affine
+    diffusion ``f + alpha W_t + beta W_tau`` has ``u = 1``,
+    ``v = beta 1[r < tau m] / sqrt(m)`` and ``lower = alpha / sqrt(m)``;
+    ``F e`` has ``u = e``, ``v = dF/dxi``; the drift has ``u = c``, ``v = 1``.
+    Each operation is O(m); :meth:`dense` is a test oracle.
     """
 
-    values: np.ndarray = field(repr=False)
-    partials: np.ndarray = field(repr=False)
+    u: np.ndarray = field(repr=False)
+    v: np.ndarray = field(repr=False)
+    lower: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.partials is None:
-            raise ValueError("partials are required; pass zeros for a deterministic process")
-        m = self.values.shape[0]
+        if self.u.ndim != 1 or self.u.shape != self.v.shape:
+            raise ValueError(f"u, v must be vectors of one shape: {self.u.shape}, {self.v.shape}")
+
+    def diag(self) -> np.ndarray:
+        return self.u * self.v
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """``P @ x = u (v . x) + lower * sum_{r < i} x_r``."""
+        out = self.u * np.dot(self.v, x)
+        if self.lower:
+            out = out + self.lower * np.concatenate(([0.0], np.cumsum(x[:-1])))
+        return out
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """``P.T @ y = v (u . y) + lower * sum_{i > r} y_i``."""
+        out = self.v * np.dot(self.u, y)
+        if self.lower:
+            out = out + self.lower * np.concatenate((np.cumsum(y[:0:-1])[::-1], [0.0]))
+        return out
+
+    def kernel_row_sums(self, kernel: np.ndarray) -> np.ndarray:
+        """``sum_r P[i, r] K[i, r]`` for a symmetric Toeplitz ``K[i, r] = k_|i-r|``
+        such as ``grid.kernel_difference_table``; the triangle adds the lag
+        prefix sums ``sum_{1 <= d <= i} k_d``."""
+        out = self.u * (kernel @ self.v)
+        if self.lower:
+            out = out + self.lower * np.concatenate(([0.0], np.cumsum(kernel[1:, 0])))
+        return out
+
+    def kernel_col_sums(self, kernel: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``sum_i y_i P[i, r] K[i, r]`` for a symmetric Toeplitz K; the triangle
+        adds the correlation ``sum_{d >= 1} y_{r+d} k_d``."""
+        out = self.v * ((self.u * y) @ kernel)
+        if self.lower:
+            lags = np.concatenate(([0.0], kernel[1:, 0]))
+            out = out + self.lower * np.convolve(y[::-1], lags)[: len(y)][::-1]
+        return out
+
+    def dense(self) -> np.ndarray:
+        m = len(self.u)
+        return np.outer(self.u, self.v) + self.lower * np.tril(np.ones((m, m)), -1)
+
+
+@dataclass(frozen=True)
+class FunctionalArray:
+    """A process on the left nodes: values ``u_i`` and the
+    :class:`DerivativeTable` of partials ``du_i/dxi_r`` (row i, direction r)."""
+
+    values: np.ndarray = field(repr=False)
+    partials: DerivativeTable = field(repr=False)
+
+    def __post_init__(self) -> None:
         if self.values.ndim != 1:
             raise ValueError(f"values must be a vector, got shape {self.values.shape}")
-        if self.partials.shape != (m, m):
-            raise ValueError(f"partials must have shape ({m}, {m}), got {self.partials.shape}")
+        if not isinstance(self.partials, DerivativeTable) or len(self.partials.u) != self.m:
+            raise ValueError(f"partials must be a DerivativeTable over {self.m} nodes")
 
     @property
     def m(self) -> int:
         return self.values.shape[0]
-
-
-def deterministic_array(values: np.ndarray) -> FunctionalArray:
-    """Wrap a deterministic integrand (zero partials)."""
-    values = np.asarray(values)
-    m = values.shape[0]
-    return FunctionalArray(values=values, partials=np.zeros((m, m), dtype=values.dtype))
 
 
 def pairing(functional: DiscreteFunctional, e_nodes: np.ndarray, path: BrownianPath) -> complex:
@@ -106,26 +151,28 @@ def discrete_divergence(u: FunctionalArray, path: BrownianPath) -> complex:
     m = path.grid.m
     if u.m != m:
         raise ValueError(f"integrand has {u.m} nodes but path grid has {m}")
-    trace = np.trace(u.partials)
+    trace = np.sum(u.partials.diag())
     return complex(np.dot(u.values, path.increments) - trace / np.sqrt(m))
 
 
 def divergence_with_partials(u: FunctionalArray, path: BrownianPath) -> DiscreteFunctional:
-    """Divergence together with its own gradient.
+    """Divergence with its gradient ``sum_i (du_i/dxi_r) dW_i + u_r / sqrt(m)``.
 
-    The gradient formula
-
-        d(div u)/dxi_r = sum_i (du_i/dxi_r) dW_i + u_r / sqrt(m)
-
-    drops the second-derivative trace term and is therefore exact only when
-    the entries of ``u.partials`` are deterministic, i.e. ``u`` has chaos
-    order at most 1.  Every catalog coefficient satisfies this; callers
-    feeding richer integrands must supply their own gradient.
+    The formula drops the second-derivative trace term, so it is exact only
+    for deterministic partials (chaos order <= 1), as every table here is.
     """
     m = path.grid.m
     value = discrete_divergence(u, path)
-    grad = u.partials.T @ path.increments + u.values / np.sqrt(m)
+    grad = u.partials.rmatvec(path.increments) + u.values / np.sqrt(m)
     return DiscreteFunctional(value=value, partials=grad)
+
+
+def _times_e(functional: DiscreteFunctional, e_nodes: np.ndarray) -> FunctionalArray:
+    """The process ``F e(t)``: values ``F e_i``, partials ``e_i dF/dxi_r``."""
+    return FunctionalArray(
+        values=functional.value * e_nodes,
+        partials=DerivativeTable(u=e_nodes, v=functional.partials),
+    )
 
 
 def lemma_fdelta_residual(
@@ -137,14 +184,11 @@ def lemma_fdelta_residual(
     the discrete space, so the return value is rounding noise (<= 1e-10 at
     the meshes used here) whenever the supplied partials are exact.
     """
-    m = path.grid.m
     e_nodes = np.asarray(e_nodes)
     lhs = functional.value * wiener_integral(path, e_nodes)
-    integrand = FunctionalArray(
-        values=functional.value * e_nodes,
-        partials=np.outer(e_nodes, functional.partials),
+    rhs = discrete_divergence(_times_e(functional, e_nodes), path) + pairing(
+        functional, e_nodes, path
     )
-    rhs = discrete_divergence(integrand, path) + pairing(functional, e_nodes, path)
     return float(abs(lhs - rhs))
 
 
@@ -164,17 +208,13 @@ def prop1_residual(spec, e_nodes: np.ndarray, path: BrownianPath) -> float:
     e_nodes = np.asarray(e_nodes)
     m = path.grid.m
     a = diffusion_array(spec, path)
-    ito_e = wiener_integral(path, e_nodes)
     div_a = divergence_with_partials(a, path)
-    lhs = div_a.value * ito_e
+    lhs = div_a.value * wiener_integral(path, e_nodes)
 
-    first = discrete_divergence(
-        FunctionalArray(values=div_a.value * e_nodes, partials=np.outer(e_nodes, div_a.partials)),
-        path,
-    )
-    # <D a(s), e> at each node s: rows of the partial table paired with e.
-    deriv_pair = (a.partials @ e_nodes) / np.sqrt(m)
-    second = discrete_divergence(deterministic_array(deriv_pair), path)
+    first = discrete_divergence(_times_e(div_a, e_nodes), path)
+    # <D a(s), e> at each node s is deterministic (a is affine in W), so its
+    # divergence is the plain Wiener sum.
+    second = wiener_integral(path, a.partials.matvec(e_nodes) / np.sqrt(m))
     third = np.dot(a.values, e_nodes) / m
     return float(abs(lhs - (first + second + third)))
 
@@ -194,15 +234,27 @@ def prop2_residual(spec, e_nodes: np.ndarray, path: BrownianPath) -> float:
     e_nodes = np.asarray(e_nodes)
     m = path.grid.m
     b = drift_array(spec, path)
-    ito_e = wiener_integral(path, e_nodes)
     b_int = DiscreteFunctional(
         value=complex(np.sum(b.values) / m),
-        partials=b.partials.sum(axis=0) / m,
+        partials=b.partials.rmatvec(np.ones(m)) / m,
     )
-    lhs = b_int.value * ito_e
-    first = discrete_divergence(
-        FunctionalArray(values=b_int.value * e_nodes, partials=np.outer(e_nodes, b_int.partials)),
-        path,
-    )
+    lhs = b_int.value * wiener_integral(path, e_nodes)
+    first = discrete_divergence(_times_e(b_int, e_nodes), path)
     second = pairing(b_int, e_nodes, path)
     return float(abs(lhs - (first + second)))
+
+
+# ---------------------------------------------------------------------------
+# scalar functionals shared by the CLI checks, the tests and the demos
+
+
+def w1_functionals(path: BrownianPath) -> dict[str, DiscreteFunctional]:
+    """W_1, W_1^2 - 1 and the constant 2.5 with their exact gradients."""
+    m = path.grid.m
+    s = 1.0 / np.sqrt(m)
+    w1 = float(path.terminal)
+    return {
+        "W_1": DiscreteFunctional(value=w1, partials=np.full(m, s)),
+        "W_1^2-1": DiscreteFunctional(value=w1 * w1 - 1.0, partials=np.full(m, 2.0 * w1 * s)),
+        "const": DiscreteFunctional(value=2.5, partials=np.zeros(m)),
+    }

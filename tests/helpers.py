@@ -1,25 +1,5 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite: the package's own example specs and
+scalar functionals, under the names the tests use."""
 
-import numpy as np
-
-from sfc_lab import DiscreteFunctional, cosine, make_process
-
-
-def spec_for(kind: str, extra: dict | None = None):
-    """Catalog spec with DET's required table filled in."""
-    params = dict(extra or {})
-    if kind == "DET":
-        params.setdefault("f", cosine())
-    return make_process(kind, params)
-
-
-def w1_functionals(path):
-    """The three scalar functionals used across the identity tests."""
-    m = path.grid.m
-    s = 1.0 / np.sqrt(m)
-    w1 = float(path.terminal)
-    return {
-        "W_1": DiscreteFunctional(value=w1, partials=np.full(m, s)),
-        "W_1^2-1": DiscreteFunctional(value=w1 * w1 - 1.0, partials=np.full(m, 2.0 * w1 * s)),
-        "const": DiscreteFunctional(value=2.5, partials=np.zeros(m)),
-    }
+from sfc_lab.catalog import spec_for  # noqa: F401
+from sfc_lab.malliavin import w1_functionals  # noqa: F401

@@ -17,10 +17,8 @@ from sfc_lab import (
     EXACT_ALGEBRA_KINDS,
     BohrConfig,
     CoefficientSet,
-    ProcessSpec,
     SeedSpec,
     TimeGrid,
-    UnsupportedModeError,
     bohr_product,
     cosine,
     eval_functionals,
@@ -132,19 +130,6 @@ def test_recover_b_synthesized_tracks_closed_form():
     assert recover_b(pf, identify_a(pf, cfg_closed), cfg_closed).entry(1) == pytest.approx(
         0.5, abs=1e-12
     )
-
-
-def test_synthesized_mode_refuses_high_chaos():
-    grid = TimeGrid(256)
-    path = sample_path(SeedSpec(44, 0), grid)
-    spec = ProcessSpec(kind="NONCAUSAL_W1", a_chaos_order=2)
-    pf = eval_functionals(spec, path)
-    cfg = BohrConfig(N=8, M=1, mode="synthesized")
-    a_hat = CoefficientSet(max_order=1, values=np.zeros(3, dtype=complex))
-    with pytest.raises(UnsupportedModeError):
-        recover_b(pf, a_hat, cfg)
-    with pytest.raises(UnsupportedModeError):
-        iterated_divergence_term(pf, 0, 8)
 
 
 def test_remainder_terms_mesh_guard():

@@ -188,3 +188,51 @@ def test_config_errors_exit_two(tmp_path):
 
 def test_unknown_subcommand_exits_two():
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("paths", 150.5),
+        ("paths", True),
+        ("M", 1.5),
+        ("m", 256.5),
+        ("block_size", 32.5),
+        ("master_seed", 1.5),
+        ("master_seed", -1),
+        ("N_list", [4, 8.5]),
+        ("N_list", 8),
+    ],
+)
+def test_non_integer_config_fields_exit_two(tmp_path, capsys, field, value):
+    data = base_convergence_config()
+    data[field] = value
+    cfg_path = write_config(tmp_path, "cfg.json", data)
+    assert main(["convergence", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel-check", "--N", "-1", "--m", "8"],
+        ["verify-multiplication", "--m", "1", "--paths", "2"],
+        ["verify-multiplication", "--m", "64", "--paths", "0"],
+        ["verify-multiplication", "--m", "64", "--paths", "2", "--seed", "-3"],
+    ],
+)
+def test_bad_command_line_values_exit_two(argv, capsys):
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_internal_error_exits_one(monkeypatch, capsys):
+    def broken(N, m):
+        raise ValueError("kernel table out of sync")
+
+    monkeypatch.setattr(cli, "kernel_l2_identity", broken)
+    assert main(["kernel-check", "--N", "5", "--m", "24"]) == 1
+    err = capsys.readouterr().err
+    assert "internal error: kernel table out of sync" in err
+    assert "config error" not in err

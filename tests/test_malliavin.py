@@ -13,11 +13,11 @@ import pytest
 from helpers import spec_for, w1_functionals
 from sfc_lab import (
     CATALOG_KINDS,
+    DerivativeTable,
     DiscreteFunctional,
     FunctionalArray,
     SeedSpec,
     TimeGrid,
-    deterministic_array,
     discrete_divergence,
     divergence_with_partials,
     eval_basis,
@@ -29,19 +29,27 @@ from sfc_lab import (
 )
 
 
+def zero_table(m):
+    return DerivativeTable(u=np.zeros(m), v=np.zeros(m))
+
+
 def test_container_validation():
     with pytest.raises(ValueError):
         DiscreteFunctional(value=1.0, partials=None)
     with pytest.raises(ValueError):
-        FunctionalArray(values=np.ones(4), partials=np.ones((3, 4)))
-    arr = deterministic_array(np.arange(5.0))
+        FunctionalArray(values=np.ones(4), partials=zero_table(3))
+    with pytest.raises(ValueError):
+        FunctionalArray(values=np.ones(4), partials=np.ones((4, 4)))
+    with pytest.raises(ValueError):
+        DerivativeTable(u=np.ones(3), v=np.ones(4))
+    arr = FunctionalArray(values=np.arange(5.0), partials=zero_table(5))
     assert arr.m == 5
-    npt.assert_allclose(arr.partials, 0.0, atol=0)
+    npt.assert_allclose(arr.partials.dense(), 0.0, atol=0)
 
 
 def test_divergence_of_deterministic_row_is_ito(paths256):
     path = paths256[0]
-    u = deterministic_array(np.ones(path.grid.m))
+    u = FunctionalArray(values=np.ones(path.grid.m), partials=zero_table(path.grid.m))
     # zero correction: the divergence is the plain Wiener sum
     assert discrete_divergence(u, path) == pytest.approx(path.terminal, abs=1e-15)
 
@@ -51,7 +59,9 @@ def test_divergence_of_w1_row_is_hermite(paths256):
     for path in paths256[:5]:
         m = path.grid.m
         s = 1.0 / np.sqrt(m)
-        u = FunctionalArray(values=np.full(m, path.terminal), partials=np.full((m, m), s))
+        table = DerivativeTable(u=np.ones(m), v=np.full(m, s))
+        assert np.array_equal(table.dense(), np.full((m, m), s))
+        u = FunctionalArray(values=np.full(m, path.terminal), partials=table)
         val = discrete_divergence(u, path)
         assert val == pytest.approx(path.terminal**2 - 1.0, abs=1e-12)
 
@@ -62,7 +72,8 @@ def test_divergence_of_adapted_row_is_ito_sum(paths256):
     path = paths256[1]
     m = path.grid.m
     w_left = path.values[:-1]
-    partials = np.tril(np.full((m, m), 1.0 / np.sqrt(m)), k=-1)
+    partials = DerivativeTable(u=np.ones(m), v=np.zeros(m), lower=1.0 / np.sqrt(m))
+    assert np.array_equal(partials.dense(), np.tril(np.full((m, m), 1.0 / np.sqrt(m)), k=-1))
     u = FunctionalArray(values=w_left, partials=partials)
     ito = float(np.dot(w_left, path.increments))
     assert discrete_divergence(u, path) == pytest.approx(ito, abs=1e-15)
@@ -82,9 +93,11 @@ def test_divergence_gradient(paths256):
     path = paths256[3]
     m = path.grid.m
     s = 1.0 / np.sqrt(m)
-    det = divergence_with_partials(deterministic_array(np.ones(m)), path)
+    det = divergence_with_partials(FunctionalArray(values=np.ones(m), partials=zero_table(m)), path)
     npt.assert_allclose(det.partials, np.full(m, s), atol=1e-15)
-    u = FunctionalArray(values=np.full(m, path.terminal), partials=np.full((m, m), s))
+    u = FunctionalArray(
+        values=np.full(m, path.terminal), partials=DerivativeTable(u=np.ones(m), v=np.full(m, s))
+    )
     non = divergence_with_partials(u, path)
     npt.assert_allclose(non.partials, np.full(m, 2.0 * path.terminal * s), atol=1e-12)
 
