@@ -35,6 +35,11 @@ stochastic part and what is left is the drift coefficient.  Two modes:
                     to supply the divergence correction.  Exact first-order
                     calculus suffices because every catalog diffusion is
                     affine in W.
+
+The correction's gradient of ``B_N(q)`` is a convolution in frequency.  With
+``I_l = F_l(dW)``, ``sum_l I_l dF_{q-l}/dxi_r`` is the gradient of
+``sum_i h_q(i) dX_i`` at ``h_q = conj(e_q) sum_{|l| <= N} I_l e_l``, and
+``sum_l F_{q-l} conj(e_l(t_r)) = sum_{|j| <= N} F_{q+j} e_j(t_r)``: inverse FFTs.
 """
 
 from __future__ import annotations
@@ -45,8 +50,9 @@ import numpy as np
 
 from . import catalog as cat
 from .brownian import BrownianPath
+from .errors import ConfigError
 from .grid import eval_basis, kernel_difference_table
-from .sfc import CoefficientSet, sfc_range, wiener_sfc_range
+from .sfc import CoefficientSet, coefficients, sfc_range, wiener_sfc_range
 
 CLOSED_FORM = "closed_form"
 SYNTHESIZED = "synthesized"
@@ -63,11 +69,11 @@ class BohrConfig:
 
     def __post_init__(self) -> None:
         if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
+            raise ConfigError(f"N must be >= 1, got {self.N}")
         if self.M < 0:
-            raise ValueError(f"M must be >= 0, got {self.M}")
+            raise ConfigError(f"M must be >= 0, got {self.M}")
         if self.mode not in RECOVERY_MODES:
-            raise ValueError(f"mode must be one of {RECOVERY_MODES}, got {self.mode!r}")
+            raise ConfigError(f"mode must be one of {RECOVERY_MODES}, got {self.mode!r}")
 
 
 def grid_supports(m: int, N: int, M: int) -> bool:
@@ -114,41 +120,40 @@ def identify_a(pf: cat.PathFunctionals, cfg: BohrConfig) -> CoefficientSet:
     return CoefficientSet(max_order=cfg.M, values=values)
 
 
-def synthesize(coeffs: CoefficientSet, t: np.ndarray | float) -> np.ndarray:
-    """Evaluate the trigonometric polynomial with the given coefficients."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape, dtype=complex)
-    for n in range(-coeffs.max_order, coeffs.max_order + 1):
-        out = out + coeffs.entry(n) * eval_basis(n, t)
-    return out
+def synthesize(coeffs: CoefficientSet, m: int) -> np.ndarray:
+    """The real polynomial ``sum_n c_n e_n(t_i)`` at the m left tags: one
+    ``np.fft.irfft`` of the orders ``n >= 0``, so the coefficients must be
+    conjugate-symmetric, ``c_{-n} = conj(c_n)``, as ``identify_a``'s are."""
+    if m <= 2 * coeffs.max_order:
+        raise ValueError(f"order {coeffs.max_order} aliases on a grid with m={m} cells")
+    return np.fft.irfft(coeffs.values[coeffs.max_order :], n=m) * m
 
 
 def _estimator_gradient(
-    pf: cat.PathFunctionals, f_set: CoefficientSet, a_hat: CoefficientSet, N: int
+    pf: cat.PathFunctionals, f_set: CoefficientSet, N: int, M: int
 ) -> np.ndarray:
-    """Diagonal-use gradient table d a_hat_q / d xi_r, shape (orders, m).
+    """The diagonal ``d a_hat(t_r)/d xi_r = sum_{|q| <= M} e_q(t_r) d a_hat_q/d xi_r``
+    of ``a_hat_q = (1/(2N+1)) sum_{|l| <= N} F_{q-l} I_l``, ``I_l = F_l(dW)``;
+    ``f_set`` holds F_k for ``|k| <= N + M``.
 
-    Differentiates B_N(q) = (1/(2N+1)) sum_l F_{q-l} I_l through both
-    factors; ``f_set`` holds the F_k, the catalog supplies dF_k/dxi_r in
-    closed form and dI_l/dxi_r = conj(e_l(t_r))/sqrt(m).
+    * ``sum_l I_l dF_{q-l}/dxi_r`` is the gradient of ``sum_i h_q(i) dX_i``
+      at ``h_q = conj(e_q) S``, with ``S = sum_{|l| <= N} I_l e_l`` real and
+      one inverse FFT of the dW window; ``dsfc_partials`` takes all 2M + 1 rows.
+    * ``dI_l/dxi_r = conj(e_l(t_r))/sqrt(m)`` and ``sum_l F_{q-l}
+      conj(e_l(t_r)) = sum_{|j| <= N} F_{q+j} e_j(t_r)``, an inverse FFT of
+      the dX window; weighted by ``e_q(t_r)`` and summed over q, the windows
+      add up to ``sum_k c_k F_k e_k`` with ``c_k = #{|q| <= M : |k - q| <= N}``.
+
+    Both sums are real, because ``a_hat_{-q} = conj(a_hat_q)``.
     """
     m = pf.grid.m
-    M = a_hat.max_order
-    t_left = pf.grid.left_nodes
-    w_set = wiener_sfc_range(pf.path, N)
-    k_orders = range(-(N + M), N + M + 1)
-    dF = {k: cat.dsfc_partials(pf.spec, pf.path, k) for k in k_orders}
-    grad = np.zeros((2 * M + 1, m), dtype=complex)
-    sqrt_m = np.sqrt(m)
-    # One conj(e_l) per l, added into every row; each row still accumulates
-    # its terms in ascending l.
-    for ell in range(-N, N + 1):
-        ebar = eval_basis(-ell, t_left)
-        w_ell = w_set.entry(ell)
-        for qi, q in enumerate(range(-M, M + 1)):
-            grad[qi] += dF[q - ell] * w_ell
-            grad[qi] += f_set.entry(q - ell) * ebar / sqrt_m
-    return grad / (2 * N + 1)
+    e = eval_basis(np.arange(-M, M + 1)[:, None], pf.grid.left_nodes)
+    s = synthesize(wiener_sfc_range(pf.path, N), m)
+    d_dx = np.sum(e * cat.dsfc_partials(pf.spec, pf.path, np.conj(e) * s), axis=0).real
+    k = f_set.orders
+    counts = np.minimum(k + N, M) - np.maximum(k - N, -M) + 1
+    d_dw = synthesize(CoefficientSet(f_set.max_order, counts * f_set.values), m) / np.sqrt(m)
+    return (d_dx + d_dw) / (2 * N + 1)
 
 
 def recover_b(
@@ -162,26 +167,16 @@ def recover_b(
     divergence correction.
     """
     m = pf.grid.m
-    orders = range(-cfg.M, cfg.M + 1)
     if cfg.mode == CLOSED_FORM:
-        f_set = sfc_range(pf, cfg.M)
-        exact = cat.exact_diffusion_sfc(pf.spec, pf.path, orders)
-        return CoefficientSet(max_order=cfg.M, values=f_set.values - exact)
+        exact = cat.exact_diffusion_sfc(pf.spec, pf.path, range(-cfg.M, cfg.M + 1))
+        return CoefficientSet(max_order=cfg.M, values=sfc_range(pf, cfg.M).values - exact)
 
-    t_left = pf.grid.left_nodes
-    a_nodes = synthesize(a_hat, t_left)
-    f_set = sfc_range(pf, cfg.N + cfg.M)
-    grad = _estimator_gradient(pf, f_set, a_hat, cfg.N)
-    # d a_hat(t_i)/d xi_i = sum_q grad[q, i] e_q(t_i)
-    diag = np.zeros(m, dtype=complex)
-    for qi, q in enumerate(range(-a_hat.max_order, a_hat.max_order + 1)):
-        diag += grad[qi] * eval_basis(q, t_left)
-    values = []
-    for n in orders:
-        ebar = eval_basis(-n, t_left)
-        div_hat = np.dot(a_nodes * ebar, pf.path.increments) - np.dot(diag, ebar) / np.sqrt(m)
-        values.append(f_set.entry(n) - div_hat)
-    return CoefficientSet(max_order=cfg.M, values=np.array(values))
+    a_nodes = synthesize(a_hat, m)
+    diag = _estimator_gradient(pf, sfc_range(pf, cfg.N + cfg.M), cfg.N, cfg.M)
+    # div(a_hat conj(e_n)) = sum_i conj(e_n(t_i)) (a_hat_i dW_i - diag_i / sqrt(m)),
+    # so b_n is one transform of what dX leaves over.
+    rest = pf.dx - a_nodes * pf.path.increments + diag / np.sqrt(m)
+    return CoefficientSet(max_order=cfg.M, values=coefficients(rest, cfg.M))
 
 
 @dataclass(frozen=True)

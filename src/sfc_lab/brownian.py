@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
 from .grid import TimeGrid
 
 
@@ -39,9 +40,9 @@ class SeedSpec:
 
     def __post_init__(self) -> None:
         if self.master_seed < 0 or self.master_seed > 2**64 - 1:
-            raise ValueError(f"master_seed must fit in uint64, got {self.master_seed}")
+            raise ConfigError(f"master_seed must fit in uint64, got {self.master_seed}")
         if self.path_index < 0 or self.path_index > 2**64 - 1:
-            raise ValueError(f"path_index must fit in uint64, got {self.path_index}")
+            raise ConfigError(f"path_index must fit in uint64, got {self.path_index}")
 
 
 @dataclass(frozen=True)

@@ -291,6 +291,22 @@ def _block_drift(spec: ProcessSpec, w_block: np.ndarray, grid: TimeGrid) -> np.n
     return (g0 + g1 * w_block[:, -1:]) * _table_nodes("g", spec.g, grid.left_nodes, grid.m)
 
 
+def _block_diffusion(
+    spec: ProcessSpec, w_block: np.ndarray, f_nodes: np.ndarray | None
+) -> np.ndarray:
+    """Diffusion ``a = f + alpha W_t + beta W_tau`` at the left tags; shape (B, m)."""
+    rec = spec.record
+    m = w_block.shape[1] - 1
+    a = np.zeros((w_block.shape[0], m))
+    if f_nodes is not None:
+        a += f_nodes
+    if rec.alpha:
+        a += rec.alpha * w_block[:, :-1]
+    if rec.beta:
+        a += rec.beta * w_block[:, _tau_node(spec, m)][:, None]
+    return a
+
+
 def block_functionals(
     spec: ProcessSpec, w_block: np.ndarray, grid: TimeGrid
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -313,22 +329,18 @@ def block_functionals(
         raise ConfigError(f"w_block must have shape (B, {m + 1}), got {w_block.shape}")
     rec = spec.record
     t_all = grid.nodes
-    B = w_block.shape[0]
     b = _block_drift(spec, w_block, grid)
-    x = np.zeros((B, m + 1))  # the drift accumulator, then each term of X in place
+    x = np.zeros((w_block.shape[0], m + 1))  # the drift accumulator, then each term of X in place
     np.cumsum(b, axis=1, out=x[:, 1:])
     x[:, 1:] /= m
-    a = np.zeros((B, m))
     f_nodes = _f_nodes(spec, grid)
+    a = _block_diffusion(spec, w_block, f_nodes)
     if f_nodes is not None:
-        a += f_nodes
         x[:, 1:] += np.cumsum(np.diff(w_block, axis=1) * f_nodes, axis=1)
     if rec.alpha:
-        a += rec.alpha * w_block[:, :-1]
         x += 0.5 * rec.alpha * (np.square(w_block) - t_all)
     if rec.beta:
         w_tau = rec.beta * w_block[:, _tau_node(spec, m)][:, None]
-        a += w_tau
         x += w_tau * w_block - rec.beta * np.minimum(t_all, rec.tau)
     return a, b, x
 
@@ -348,7 +360,7 @@ def diffusion_array(spec: ProcessSpec, path: BrownianPath) -> FunctionalArray:
     triangle ``alpha / sqrt(m)`` plus ``1 v^T``, ``v_r = beta 1[r < tau m] / sqrt(m)``."""
     m = path.grid.m
     rec = spec.record
-    a = block_functionals(spec, path.values[None, :], path.grid)[0][0]
+    a = _block_diffusion(spec, path.values[None, :], _f_nodes(spec, path.grid))[0]
     s = 1.0 / np.sqrt(m)
     v = np.zeros(m)
     if rec.beta:
@@ -456,36 +468,37 @@ def exact_diffusion_sfc(spec: ProcessSpec, path: BrownianPath, n):
     return complex(values[0]) if np.ndim(n) == 0 else values
 
 
-def dsfc_partials(spec: ProcessSpec, path: BrownianPath, n: int) -> np.ndarray:
-    """Gradient ``d F_n / d xi_r`` of ``F_n = sum_i conj(e_n(t_i)) dX_i``:
+def dsfc_partials(spec: ProcessSpec, path: BrownianPath, weights: np.ndarray) -> np.ndarray:
+    """Gradient ``d / d xi_r`` of ``sum_i h_i dX_i`` for fixed weights h:
 
-        s [f_r ebar_r + alpha (tail_r + W_{t_{r+1}} ebar_r)
-           + beta (W_tau ebar_r + 1[r < tau m] sum_i ebar_i dW_i)] + drift
+        s [f_r h_r + alpha (tail_r + W_{t_{r+1}} h_r)
+           + beta (W_tau h_r + 1[r < tau m] sum_i h_i dW_i)] + sum_i c_i h_i / m
 
-    with ``s = 1/sqrt(m)`` and ``tail_r = sum_{i > r} ebar_i dW_i``.
+    with ``s = 1/sqrt(m)``, ``tail_r = sum_{i > r} h_i dW_i`` and ``c`` the
+    drift derivative; ``h = conj(e_n)`` gives ``d F_n / d xi_r``.  ``weights``
+    is one row (m,) or a stack (K, m), and the result has its shape.
     """
     m = path.grid.m
     s = 1.0 / np.sqrt(m)
     rec = spec.record
-    ebar = eval_basis(-n, path.grid.left_nodes)
+    h = np.asarray(weights)
     dw = path.increments
 
-    # Drift accumulator contributes Q(c * ebar) in every direction, where c
-    # is the direction-independent drift derivative.
+    # the drift accumulator: the drift derivative c is the same in every direction
     c = drift_partial_const(spec, path)
-    drift_term = np.sum(c * ebar) / m
+    drift_term = (h @ c)[..., None] / m
 
-    inner = np.zeros(m, dtype=complex)
+    inner = np.zeros(h.shape, dtype=complex)
     f_nodes = _f_nodes(spec, path.grid)
     if f_nodes is not None:
-        inner += f_nodes * ebar
+        inner += f_nodes * h
     if rec.alpha:
-        prods = ebar * dw
-        tail = np.cumsum(prods[::-1])[::-1] - prods
-        inner += rec.alpha * (tail + path.values[1:] * ebar)
+        prods = h * dw
+        tail = np.cumsum(prods[..., ::-1], axis=-1)[..., ::-1] - prods
+        inner += rec.alpha * (tail + path.values[1:] * h)
     if rec.beta:
         j = _tau_node(spec, m)
-        head = path.values[j] * ebar
-        head[:j] += np.dot(ebar, dw)
+        head = path.values[j] * h
+        head[..., :j] += (h @ dw)[..., None]
         inner += rec.beta * head
     return s * inner + drift_term

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -38,9 +40,9 @@ class TimeGrid:
 
     def __post_init__(self) -> None:
         if not isinstance(self.m, (int, np.integer)) or isinstance(self.m, bool):
-            raise ValueError(f"m must be an integer, got {self.m!r}")
+            raise ConfigError(f"m must be an integer, got {self.m!r}")
         if self.m < 2:
-            raise ValueError(f"m must be >= 2, got {self.m}")
+            raise ConfigError(f"m must be >= 2, got {self.m}")
 
     @property
     def dt(self) -> float:
@@ -141,11 +143,11 @@ def kernel_l2_identity(N: int, m: int) -> float:
 
     Raises
     ------
-    ValueError
+    ConfigError
         If ``m < 4N + 4``.
     """
     if m < 4 * N + 4:
-        raise ValueError(f"need m >= 4N + 4 = {4 * N + 4} to resolve |K_N|^2, got m={m}")
+        raise ConfigError(f"need m >= 4N + 4 = {4 * N + 4} to resolve |K_N|^2, got m={m}")
     grid = TimeGrid(m)
     vals = dirichlet_kernel(N, grid.left_nodes)
     return float(np.sum(np.abs(vals) ** 2) / m)

@@ -1,6 +1,19 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from sfc_lab import SeedSpec, TimeGrid, sample_path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def package_on_subprocess_path():
+    """Subprocesses (criterion 8, the demos) import sfc_lab from src, as pytest does."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -11,9 +11,13 @@ Frozen per-path oracles used here (derived by hand, see notes):
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import spec_for
 from sfc_lab import (
+    CATALOG_KINDS,
+    DRIFT_KINDS,
     EXACT_ALGEBRA_KINDS,
     BohrConfig,
     CoefficientSet,
@@ -21,6 +25,7 @@ from sfc_lab import (
     TimeGrid,
     bohr_product,
     cosine,
+    eval_basis,
     eval_functionals,
     grid_supports,
     identify_a,
@@ -33,6 +38,9 @@ from sfc_lab import (
     true_fourier_a,
     wiener_sfc_range,
 )
+from sfc_lab.bohr import _estimator_gradient
+from sfc_lab.catalog import dsfc_partials
+from sfc_lab.sfc import coefficients
 
 
 def test_bohr_config_validation():
@@ -95,8 +103,11 @@ def test_identify_a_const_statistics():
 
 def test_synthesize_round_trip():
     cs = CoefficientSet(max_order=1, values=np.array([0.5, 2.0, 0.5], dtype=complex))
-    t = np.linspace(0, 1, 33)
-    npt.assert_allclose(synthesize(cs, t), 2.0 + np.cos(2 * np.pi * t), atol=1e-12)
+    t = TimeGrid(32).left_nodes
+    npt.assert_allclose(synthesize(cs, 32), 2.0 + np.cos(2 * np.pi * t), atol=1e-12)
+    npt.assert_allclose(coefficients(synthesize(cs, 32), 1) / 32, cs.values, atol=1e-12)
+    with pytest.raises(ValueError):
+        synthesize(cs, 2)
 
 
 def test_recover_b_closed_form_is_exact(paths256):
@@ -130,6 +141,74 @@ def test_recover_b_synthesized_tracks_closed_form():
     assert recover_b(pf, identify_a(pf, cfg_closed), cfg_closed).entry(1) == pytest.approx(
         0.5, abs=1e-12
     )
+
+
+def _loop_diagonal(pf, f_set, N, M):
+    """Reference for ``_estimator_gradient``: the (q, l) double loop over the
+    per-order gradients, ``sum_q e_q(t_i) d a_hat_q / d xi_i``."""
+    m = pf.grid.m
+    t_left = pf.grid.left_nodes
+    w_set = wiener_sfc_range(pf.path, N)
+    dF = {
+        k: dsfc_partials(pf.spec, pf.path, eval_basis(-k, t_left))
+        for k in range(-(N + M), N + M + 1)
+    }
+    grad = np.zeros((2 * M + 1, m), dtype=complex)
+    for ell in range(-N, N + 1):
+        ebar = eval_basis(-ell, t_left)
+        for qi, q in enumerate(range(-M, M + 1)):
+            grad[qi] += dF[q - ell] * w_set.entry(ell)
+            grad[qi] += f_set.entry(q - ell) * ebar / np.sqrt(m)
+    grad /= 2 * N + 1
+    return sum(grad[qi] * eval_basis(q, t_left) for qi, q in enumerate(range(-M, M + 1)))
+
+
+def _loop_recover_b(pf, a_hat, N, M):
+    """Reference for synthesized ``recover_b``: one direct sum per order."""
+    m = pf.grid.m
+    t_left = pf.grid.left_nodes
+    a_nodes = sum(a_hat.entry(n) * eval_basis(n, t_left) for n in range(-M, M + 1))
+    f_set = sfc_range(pf, N + M)
+    diag = _loop_diagonal(pf, f_set, N, M)
+    values = []
+    for n in range(-M, M + 1):
+        ebar = eval_basis(-n, t_left)
+        div_hat = np.dot(a_nodes * ebar, pf.path.increments) - np.dot(diag, ebar) / np.sqrt(m)
+        values.append(f_set.entry(n) - div_hat)
+    return np.array(values)
+
+
+@st.composite
+def synth_cases(draw):
+    N = draw(st.integers(1, 24))
+    M = draw(st.integers(0, 32 - N))
+    return {
+        "N": N,
+        "M": M,
+        "m": 2 * draw(st.integers(4 * (N + M), 128)),  # even, m >= 8 (N + M)
+        "kind": draw(st.sampled_from(CATALOG_KINDS)),
+        "drift": draw(st.sampled_from(DRIFT_KINDS)),
+        "seed": draw(st.integers(0, 2**32)),
+    }
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(synth_cases())
+def test_spectral_gradient_matches_loop(case):
+    N, M = case["N"], case["M"]
+    g = {0: 0.5, 1: 0.5, -1: 0.5}
+    extra = {} if case["drift"] == "none" else {"g": g, "drift": case["drift"]}
+    path = sample_path(SeedSpec(case["seed"], 0), TimeGrid(case["m"]))
+    pf = eval_functionals(spec_for(case["kind"], extra), path)
+    cfg = BohrConfig(N=N, M=M, mode="synthesized")
+    f_set = sfc_range(pf, N + M)
+    reference = _loop_diagonal(pf, f_set, N, M)
+    diag = _estimator_gradient(pf, f_set, N, M)
+    assert np.max(np.abs(diag - reference)) <= 1e-12 * (1 + np.max(np.abs(reference)))
+    a_hat = identify_a(pf, cfg)
+    reference = _loop_recover_b(pf, a_hat, N, M)
+    b_hat = recover_b(pf, a_hat, cfg).values
+    assert np.max(np.abs(b_hat - reference)) <= 1e-12 * (1 + np.max(np.abs(reference)))
 
 
 def test_remainder_terms_mesh_guard():

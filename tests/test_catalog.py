@@ -148,6 +148,17 @@ def test_block_matches_single_path():
         assert np.array_equal(x[i], pf.x_nodes)
 
 
+def test_diffusion_array_values_are_the_block_a_nodes():
+    # diffusion_array builds a without X; its nodes are bitwise block_functionals'
+    grid = TimeGrid(64)
+    path = sample_path(SeedSpec(25, 0), grid)
+    for kind in CATALOG_KINDS:
+        for extra in ({}, {"g": cosine(), "drift": "w1"}):
+            spec = spec_for(kind, extra)
+            a = block_functionals(spec, path.values[None, :], grid)[0][0]
+            assert np.array_equal(diffusion_array(spec, path).values, a), kind
+
+
 def test_derivative_tables():
     grid = TimeGrid(16)
     path = sample_path(SeedSpec(24, 0), grid)
@@ -242,7 +253,7 @@ def test_dsfc_partials_match_finite_differences():
         for extra in ({}, {"g": cosine(), "drift": "det"}, {"g": cosine(), "drift": "w1"}):
             spec = spec_for(kind, extra)
             for n in (0, 2):
-                grad = dsfc_partials(spec, base, n)
+                grad = dsfc_partials(spec, base, eval_basis(-n, grid.left_nodes))
                 for r in (0, 7, 31):
                     xi_hi = base.xi.copy()
                     xi_hi[r] += h

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 import sfc_lab.cli as cli
-from sfc_lab import NumericalFailureError
+from sfc_lab import (
+    BohrConfig,
+    ConfigError,
+    NumericalFailureError,
+    SeedSpec,
+    TimeGrid,
+    kernel_l2_identity,
+)
 from sfc_lab.cli import IDENTIFY_CSV_HEADER, main
 from sfc_lab.experiment import CSV_HEADER, config_from_jsonable
 
@@ -225,6 +232,25 @@ def test_non_integer_config_fields_exit_two(tmp_path, capsys, field, value):
 def test_bad_command_line_values_exit_two(argv, capsys):
     assert main(argv) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BohrConfig(N=0),
+        lambda: BohrConfig(N=4, M=-1),
+        lambda: BohrConfig(N=4, mode="magic"),
+        lambda: TimeGrid(1),
+        lambda: TimeGrid(8.0),
+        lambda: SeedSpec(-1),
+        lambda: SeedSpec(1, 2**64),
+        lambda: kernel_l2_identity(5, 23),
+    ],
+)
+def test_library_boundaries_raise_config_error(build):
+    # a new subcommand that skips its own checks still exits 2, not "internal error"
+    with pytest.raises(ConfigError):
+        build()
 
 
 def test_internal_error_exits_one(monkeypatch, capsys):

@@ -1,6 +1,5 @@
 """Every demo script runs to completion against the current package."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -17,9 +16,6 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_zero(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
-    )
+    # conftest puts src on the subprocess PYTHONPATH
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
