@@ -24,6 +24,15 @@ states; ``iterated_divergence_term`` computes the same double integral
 directly so tests can confirm the decomposition holds term by term and the
 residual is not absorbing errors.
 
+Every remainder is a Bohr window.  The kernel matrix
+``K[i, j] = K_N(t_i - t_j) = sum_{|l| <= N} conj(e_l(t_i)) e_l(t_j)`` is
+circulant of rank 2N + 1, so for real x, y
+
+    sum_i conj(e_n(t_i)) x_i (K y)_i = sum_{|l| <= N} F_{n-l}(x) F_l(y),
+
+which is ``(2N+1) bohr_product`` of the coefficients of x and y, and every
+row of K sums to m.  No m x m array is built.
+
 Drift recovery inverts the coefficient relation
 ``F_n(dX) = div(a conj(e_n)) + (1/m) sum b conj(e_n)``: subtract the
 stochastic part and what is left is the drift coefficient.  Two modes:
@@ -51,7 +60,8 @@ import numpy as np
 from . import catalog as cat
 from .brownian import BrownianPath
 from .errors import ConfigError
-from .grid import eval_basis, kernel_difference_table
+from .grid import eval_basis
+from .malliavin import DerivativeTable
 from .sfc import CoefficientSet, coefficients, sfc_range, wiener_sfc_range
 
 CLOSED_FORM = "closed_form"
@@ -198,36 +208,62 @@ class RemainderTerms:
         )
 
 
+def _require_mesh(m: int, N: int, n: int) -> None:
+    if not grid_supports(m, N, abs(n)):
+        raise ValueError(f"grid too coarse: m={m} < 8 (N + |n|) = {8 * (N + abs(n))}")
+
+
+def _window(x: np.ndarray, y: np.ndarray, n: int, N: int) -> complex:
+    """``B(x, y) = (1/(2N+1)) sum_i conj(e_n(t_i)) x_i (K y)_i``, the
+    ``bohr_product`` of the coefficients of x and y."""
+    width = N + abs(n)
+    return bohr_product(
+        CoefficientSet(width, coefficients(x, width)), CoefficientSet(N, coefficients(y, N)), n, N
+    )
+
+
+def _coefficient(x: np.ndarray, n: int) -> complex:
+    """``F_n(x) = sum_i conj(e_n(t_i)) x_i``."""
+    return complex(coefficients(x, abs(n))[n + abs(n)])
+
+
+def _kernel_trace(table: DerivativeTable, y: np.ndarray, n: int, N: int) -> complex:
+    """``(1/(2N+1)) sum_i conj(e_n(t_i)) y_i sum_r P[i, r] K[i, r]`` for a real table P.
+
+    The rank-one part is the window ``B(u y, v)``.  The strict lower triangle
+    adds ``lower S_i`` with ``S_i = sum_{1 <= d <= i} K_N(d/m)``, a cumsum of
+    the kernel's lag row, which is one inverse FFT of the all-ones window.
+    """
+    out = _window(table.u * y, table.v, n, N)
+    if table.lower:
+        lags = synthesize(CoefficientSet(N, np.ones(2 * N + 1)), len(y))
+        prefix = np.concatenate(([0.0], np.cumsum(lags[1:])))
+        out += table.lower * _coefficient(prefix * y, n) / (2 * N + 1)
+    return out
+
+
 def _direct_terms(
     pf: cat.PathFunctionals, n: int, N: int
 ) -> tuple[complex, complex, complex]:
     """The three directly computable remainders (all but double_wiener)."""
     m = pf.grid.m
-    spec = pf.spec
-    path = pf.path
-    t_left = pf.grid.left_nodes
-    ebar = eval_basis(-n, t_left)
-    kernel = kernel_difference_table(N, pf.grid)
-    scale = 1.0 / (2 * N + 1)
-    sqrt_m = np.sqrt(m)
+    s = 1.0 / np.sqrt(m)
+    dw = pf.path.increments
 
-    # diffusion derivative: u_i = (1/sqrt(m)) sum_j (da_i/dxi_j) ebar_i K[i, j],
-    # integrated dW in the i slot.  Catalog diffusions have deterministic
-    # derivative tables, so the divergence is the plain Wiener sum.
-    da = cat.diffusion_array(spec, path).partials
-    u = (da.kernel_row_sums(kernel) / sqrt_m) * ebar
-    diffusion_derivative = scale * np.dot(u, path.increments)
+    # diffusion derivative: (1/sqrt(m)) conj(e_n(t_i)) sum_j (da_i/dxi_j) K[i, j]
+    # integrated dW in the i slot.  Catalog diffusions have deterministic derivative
+    # tables, so the divergence is the plain Wiener sum.
+    da = cat.diffusion_array(pf.spec, pf.path).partials
+    diffusion_derivative = s * _kernel_trace(da, dw, n, N)
 
-    # drift smoothed by the kernel, integrated dW in the j slot.
-    b = pf.b_nodes
-    v = kernel.T @ (b * ebar) / m
-    c = cat.drift_partial_const(spec, path)
-    dv_diag = kernel.T @ (c * ebar) / m
-    drift_wiener = scale * (np.dot(v, path.increments) - np.sum(dv_diag) / sqrt_m)
+    # derivative of the drift, double time integral: every row of K sums to m.
+    c = cat.drift_partial_const(pf.spec, pf.path)
+    drift_derivative = s * _coefficient(c, n) / (2 * N + 1)
 
-    # derivative of the drift, double time integral: the same diagonal sum.
-    drift_derivative = scale * np.sum(dv_diag) / sqrt_m
-    return complex(diffusion_derivative), complex(drift_wiener), complex(drift_derivative)
+    # drift smoothed by the kernel, integrated dW in the j slot; its divergence
+    # correction is the drift derivative.
+    drift_wiener = _window(pf.b_nodes / m, dw, n, N) - drift_derivative
+    return diffusion_derivative, drift_wiener, drift_derivative
 
 
 def remainder_terms(pf: cat.PathFunctionals, n: int, N: int) -> RemainderTerms:
@@ -236,14 +272,10 @@ def remainder_terms(pf: cat.PathFunctionals, n: int, N: int) -> RemainderTerms:
     The three structured terms come from the catalog's closed forms; the
     double stochastic integral is the residual
     ``B_N(n) - true coefficient - (other three)``, per the decomposition's
-    exactness on the discrete space.  Memory is O(m^2) for the kernel table.
+    exactness on the discrete space.  Memory is O(m): every term is a window.
     """
-    m = pf.grid.m
-    if not grid_supports(m, N, abs(n)):
-        raise ValueError(f"grid too coarse: m={m} < 8 (N + |n|) = {8 * (N + abs(n))}")
-    f_set = sfc_range(pf, N + abs(n))
-    w_set = wiener_sfc_range(pf.path, N)
-    estimate = bohr_product(f_set, w_set, n, N)
+    _require_mesh(pf.grid.m, N, n)
+    estimate = _window(pf.dx, pf.path.increments, n, N)
     truth = cat.true_fourier_a(pf.spec, pf.path, n)
     diffusion_derivative, drift_wiener, drift_derivative = _direct_terms(pf, n, N)
     double_wiener = (
@@ -264,21 +296,17 @@ def iterated_divergence_term(pf: cat.PathFunctionals, n: int, N: int) -> complex
     with full divergence corrections in both slots (exact because catalog
     diffusions are affine in W); used as the independent oracle for the
     residual-based ``double_wiener``.
+
+    The inner divergence paired with dW is the window ``B(z, dW)`` with
+    ``z = a dW - diag(Da)/sqrt(m)``.  The outer correction is the kernel
+    trace of ``Da`` against ``dW`` plus the kernel's peak ``K[j, j] = 2N+1``
+    times ``a_j conj(e_n(t_j))/sqrt(m)``, summed.
     """
     m = pf.grid.m
-    path = pf.path
-    t_left = pf.grid.left_nodes
-    ebar = eval_basis(-n, t_left)
-    kernel = kernel_difference_table(N, pf.grid)
-    sqrt_m = np.sqrt(m)
-    a = cat.diffusion_array(pf.spec, path)
-
-    # inner divergence at each j: values G_j and their diagonal derivatives
-    weighted = a.values * ebar  # a_i conj(e_n)(t_i)
-    inner_trace = (a.partials.diag() * ebar) @ kernel  # sum_i da_i/dxi_i ebar_i K[i,j]
-    g = (weighted * path.increments) @ kernel - inner_trace / sqrt_m
-    # dG_j/dxi_j = sum_i da_i/dxi_j ebar_i K[i,j] dW_i + a_j ebar_j K[j,j]/sqrt(m)
-    cross = a.partials.kernel_col_sums(kernel, ebar * path.increments)
-    dg_diag = cross + weighted * np.diag(kernel) / sqrt_m
-    outer = np.dot(g, path.increments) - np.sum(dg_diag) / sqrt_m
-    return complex(outer / (2 * N + 1))
+    _require_mesh(m, N, n)
+    s = 1.0 / np.sqrt(m)
+    dw = pf.path.increments
+    a = cat.diffusion_array(pf.spec, pf.path)
+    z = a.values * dw - s * a.partials.diag()
+    outer = _window(z, dw, n, N) - s * _kernel_trace(a.partials, dw, n, N)
+    return complex(outer - _coefficient(a.values, n) / m)

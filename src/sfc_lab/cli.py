@@ -96,8 +96,6 @@ def _check_line(ok: bool, name: str, detail: str) -> bool:
 
 
 def cmd_kernel_check(args: argparse.Namespace) -> int:
-    if args.N < 0:
-        raise ConfigError(f"--N must be >= 0, got {args.N}")
     value = kernel_l2_identity(args.N, args.m)
     expected = 2 * args.N + 1
     rel = abs(value - expected) / expected

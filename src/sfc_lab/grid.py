@@ -144,24 +144,13 @@ def kernel_l2_identity(N: int, m: int) -> float:
     Raises
     ------
     ConfigError
-        If ``m < 4N + 4``.
+        If ``N < 0`` or ``m < 4N + 4``.
     """
+    if N < 0:
+        raise ConfigError(f"N must be >= 0, got {N}")
     if m < 4 * N + 4:
         raise ConfigError(f"need m >= 4N + 4 = {4 * N + 4} to resolve |K_N|^2, got m={m}")
     grid = TimeGrid(m)
     vals = dirichlet_kernel(N, grid.left_nodes)
     return float(np.sum(np.abs(vals) ** 2) / m)
 
-
-def kernel_difference_table(N: int, grid: TimeGrid) -> np.ndarray:
-    """Matrix ``K[i, j] = K_N(t_i - t_j)`` over the left nodes.
-
-    Built from the 2m - 1 distinct node differences, so the cost is
-    O(m * N) kernel evaluations plus an O(m^2) gather.  Real-valued: the
-    defining sum pairs conjugate terms.
-    """
-    m = grid.m
-    diffs = np.arange(-(m - 1), m) / m
-    vals = dirichlet_kernel(N, diffs).real
-    i = np.arange(m)
-    return vals[(i[:, None] - i[None, :]) + (m - 1)]

@@ -63,7 +63,9 @@ class DerivativeTable:
     diffusion ``f + alpha W_t + beta W_tau`` has ``u = 1``,
     ``v = beta 1[r < tau m] / sqrt(m)`` and ``lower = alpha / sqrt(m)``;
     ``F e`` has ``u = e``, ``v = dF/dxi``; the drift has ``u = c``, ``v = 1``.
-    Each operation is O(m); :meth:`dense` is a test oracle.
+    Each operation is O(m); :meth:`dense` is a test oracle.  Sums weighted by
+    the Dirichlet kernel read ``u``, ``v`` and ``lower`` directly as Bohr
+    windows (``bohr._kernel_trace``).
     """
 
     u: np.ndarray = field(repr=False)
@@ -89,24 +91,6 @@ class DerivativeTable:
         out = self.v * np.dot(self.u, y)
         if self.lower:
             out = out + self.lower * np.concatenate((np.cumsum(y[:0:-1])[::-1], [0.0]))
-        return out
-
-    def kernel_row_sums(self, kernel: np.ndarray) -> np.ndarray:
-        """``sum_r P[i, r] K[i, r]`` for a symmetric Toeplitz ``K[i, r] = k_|i-r|``
-        such as ``grid.kernel_difference_table``; the triangle adds the lag
-        prefix sums ``sum_{1 <= d <= i} k_d``."""
-        out = self.u * (kernel @ self.v)
-        if self.lower:
-            out = out + self.lower * np.concatenate(([0.0], np.cumsum(kernel[1:, 0])))
-        return out
-
-    def kernel_col_sums(self, kernel: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """``sum_i y_i P[i, r] K[i, r]`` for a symmetric Toeplitz K; the triangle
-        adds the correlation ``sum_{d >= 1} y_{r+d} k_d``."""
-        out = self.v * ((self.u * y) @ kernel)
-        if self.lower:
-            lags = np.concatenate(([0.0], kernel[1:, 0]))
-            out = out + self.lower * np.convolve(y[::-1], lags)[: len(y)][::-1]
         return out
 
     def dense(self) -> np.ndarray:

@@ -214,8 +214,10 @@ def test_spectral_gradient_matches_loop(case):
 def test_remainder_terms_mesh_guard():
     grid = TimeGrid(64)
     pf = eval_functionals(spec_for("CONST"), sample_path(SeedSpec(44, 1), grid))
-    with pytest.raises(ValueError):
-        remainder_terms(pf, 0, 16)  # needs m >= 128
+    for decompose in (remainder_terms, iterated_divergence_term):
+        for n, N in ((0, 16), (-2, 7)):  # need m >= 128 and m >= 72
+            with pytest.raises(ValueError, match="grid too coarse"):
+                decompose(pf, n, N)
 
 
 def test_remainder_structure_const(paths256):

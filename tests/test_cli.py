@@ -245,6 +245,7 @@ def test_bad_command_line_values_exit_two(argv, capsys):
         lambda: SeedSpec(-1),
         lambda: SeedSpec(1, 2**64),
         lambda: kernel_l2_identity(5, 23),
+        lambda: kernel_l2_identity(-1, 24),
     ],
 )
 def test_library_boundaries_raise_config_error(build):

@@ -3,12 +3,13 @@ import numpy.testing as npt
 import pytest
 
 from sfc_lab import (
+    CoefficientSet,
     TimeGrid,
     dirichlet_closed_form,
     dirichlet_kernel,
     eval_basis,
-    kernel_difference_table,
     kernel_l2_identity,
+    synthesize,
 )
 
 
@@ -81,13 +82,12 @@ def test_kernel_l2_identity_needs_fine_grid():
         kernel_l2_identity(5, 23)
 
 
-def test_difference_table_matches_bruteforce():
-    N, m = 3, 16
-    grid = TimeGrid(m)
-    table = kernel_difference_table(N, grid)
-    t = grid.left_nodes
-    brute = dirichlet_kernel(N, t[:, None] - t[None, :])
-    npt.assert_allclose(table, brute.real, atol=1e-12)
-    # real symmetric with the peak on the diagonal
-    npt.assert_allclose(table, table.T, atol=0)
-    npt.assert_allclose(np.diag(table), 2 * N + 1, atol=1e-12)
+def test_lag_row_is_one_inverse_fft():
+    # the kernel's lags k_d = K_N(d/m): one inverse FFT of the all-ones window
+    for N, m in ((0, 8), (3, 16), (17, 64), (256, 4096)):
+        lags = synthesize(CoefficientSet(N, np.ones(2 * N + 1)), m)
+        tol = 1e-12 * (2 * N + 1)
+        brute = dirichlet_kernel(N, TimeGrid(m).left_nodes).real
+        npt.assert_allclose(lags, brute, rtol=0, atol=tol)
+        assert abs(lags[0] - (2 * N + 1)) <= tol
+        npt.assert_allclose(lags[1:], lags[:0:-1], rtol=0, atol=tol)
