@@ -30,14 +30,18 @@ circulant of rank 2N + 1, so for real x, y
 
     sum_i conj(e_n(t_i)) x_i (K y)_i = sum_{|l| <= N} F_{n-l}(x) F_l(y),
 
-which is ``(2N+1) bohr_product`` of the coefficients of x and y, and every
-row of K sums to m.  No m x m array is built.
+which is ``(2N+1)`` times the :func:`windows` entry of the coefficients of x
+and y, and every row of K sums to m.  No m x m array is built.  ``windows``
+is the one window kernel: the sweep, identification and the remainders all
+call it, and ``bohr_product`` and ``identify_a`` are one-path views on it.
 
 Drift recovery inverts the coefficient relation
 ``F_n(dX) = div(a conj(e_n)) + (1/m) sum b conj(e_n)``: subtract the
-stochastic part and what is left is the drift coefficient.  Two modes:
+stochastic part and what is left is the drift coefficient, one transform
+``coefficients(dX - a dW + diag / sqrt(m))`` with ``diag_i = d a_i / d xi_i``
+(:func:`drift_coefficients`).  Two modes:
 
-* ``closed_form``   subtract the catalog's exact ``div(a conj(e_n))``;
+* ``closed_form``   the true a and its exact derivative diagonal;
 * ``synthesized``   rebuild a from the *estimated* coefficients and subtract
                     the divergence of the synthesized trigonometric
                     polynomial, differentiating the whole estimation pipeline
@@ -54,15 +58,14 @@ The correction's gradient of ``B_N(q)`` is a convolution in frequency.  With
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import catalog as cat
-from .brownian import BrownianPath
 from .errors import ConfigError
-from .grid import eval_basis
 from .malliavin import DerivativeTable
-from .sfc import CoefficientSet, coefficients, sfc_range, wiener_sfc_range
+from .sfc import CoefficientSet, coefficients
 
 CLOSED_FORM = "closed_form"
 SYNTHESIZED = "synthesized"
@@ -91,79 +94,130 @@ def grid_supports(m: int, N: int, M: int) -> bool:
     return m >= 8 * (N + M)
 
 
+def windows(
+    f_coef: np.ndarray, i_coef: np.ndarray, orders: Sequence[int], widths: Sequence[int]
+) -> np.ndarray:
+    """``B_N(n) = (1/(2N+1)) sum_{|l| <= N} F_{n-l} I_l`` for every row, order
+    n and width N, shape (..., orders, widths): the one window kernel.
+
+    ``f_coef`` (..., 2K + 1) holds ``F_k`` and ``i_coef`` (..., 2L + 1) holds
+    ``I_l`` in column ``k + K`` and ``l + L``; it needs ``max N <= L`` and
+    ``L + max |n| <= K``.  One cumsum over ``l = -L .. L`` serves every order;
+    each width is the difference of two prefix entries (the full sum when
+    ``N = L``).  Rows never mix, so a row's windows do not depend on the
+    rows beside it.
+    """
+    K = (f_coef.shape[-1] - 1) // 2
+    L = (i_coef.shape[-1] - 1) // 2
+    orders = np.asarray(orders)
+    widths = np.asarray(widths)
+    if not 0 <= widths.min() <= widths.max() <= L or L + np.abs(orders).max() > K:
+        raise ValueError(
+            f"dW coefficients cover |l| <= {L} and dX coefficients |k| <= {K}; widths "
+            f"{widths.tolist()} at orders {orders.tolist()} need |l| <= N and |k| <= N + |n|"
+        )
+    cols = orders[:, None] - np.arange(-L, L + 1) + K
+    prefix = np.zeros(f_coef.shape[:-1] + cols.shape[:1] + (2 * L + 2,), dtype=complex)
+    np.cumsum(f_coef[..., cols] * i_coef[..., None, :], axis=-1, out=prefix[..., 1:])
+    return (prefix[..., L + widths + 1] - prefix[..., L - widths]) / (2 * widths + 1)
+
+
 def bohr_product(
     dx_coeffs: CoefficientSet, dw_coeffs: CoefficientSet, n: int, N: int
 ) -> complex:
-    """``(1/(2N+1)) sum_{|l| <= N} dx_coeffs(n - l) dw_coeffs(l)``.
+    """``(1/(2N+1)) sum_{|l| <= N} dx_coeffs(n - l) dw_coeffs(l)``, one
+    :func:`windows` entry.
 
     Raises ``ValueError`` if either set lacks a required order.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    if dw_coeffs.max_order < N:
-        raise ValueError(
-            f"dW coefficients cover |l| <= {dw_coeffs.max_order}, need |l| <= {N}"
-        )
-    if dx_coeffs.max_order < N + abs(n):
-        raise ValueError(
-            f"dX coefficients cover |k| <= {dx_coeffs.max_order}, "
-            f"need |k| <= {N + abs(n)} for order n={n}"
-        )
-    ells = np.arange(-N, N + 1)
-    f_vals = dx_coeffs.values[(n - ells) + dx_coeffs.max_order]
-    w_vals = dw_coeffs.values[ells + dw_coeffs.max_order]
-    return complex(np.dot(f_vals, w_vals) / (2 * N + 1))
+    L = dw_coeffs.max_order
+    i_coef = dw_coeffs.values[max(L - N, 0) : L + N + 1]  # |l| <= N, or all if N > L
+    return complex(windows(dx_coeffs.values, i_coef, [n], [N])[0, 0])
 
 
 def identify_a(pf: cat.PathFunctionals, cfg: BohrConfig) -> CoefficientSet:
     """Estimate the Fourier coefficients of a for all |n| <= cfg.M."""
     m = pf.grid.m
     if not grid_supports(m, cfg.N, cfg.M):
-        raise ValueError(
-            f"grid too coarse: m={m} < 8 (N + M) = {8 * (cfg.N + cfg.M)}"
-        )
-    f_set = sfc_range(pf, cfg.N + cfg.M)
-    w_set = wiener_sfc_range(pf.path, cfg.N)
-    values = np.array(
-        [bohr_product(f_set, w_set, n, cfg.N) for n in range(-cfg.M, cfg.M + 1)]
-    )
+        raise ValueError(f"grid too coarse: m={m} < 8 (N + M) = {8 * (cfg.N + cfg.M)}")
+    f_coef = coefficients(pf.dx, cfg.N + cfg.M)
+    i_coef = coefficients(pf.path.increments, cfg.N)
+    values = windows(f_coef, i_coef, range(-cfg.M, cfg.M + 1), [cfg.N])[:, 0]
     return CoefficientSet(max_order=cfg.M, values=values)
 
 
-def synthesize(coeffs: CoefficientSet, m: int) -> np.ndarray:
-    """The real polynomial ``sum_n c_n e_n(t_i)`` at the m left tags: one
+def synthesize(coeffs: CoefficientSet | np.ndarray, m: int) -> np.ndarray:
+    """The real polynomial ``sum_n c_n e_n(t_i)`` at the m left tags, for a
+    set or for each row (..., 2K + 1) of orders ``-K .. K``: one
     ``np.fft.irfft`` of the orders ``n >= 0``, so the coefficients must be
     conjugate-symmetric, ``c_{-n} = conj(c_n)``, as ``identify_a``'s are."""
-    if m <= 2 * coeffs.max_order:
-        raise ValueError(f"order {coeffs.max_order} aliases on a grid with m={m} cells")
-    return np.fft.irfft(coeffs.values[coeffs.max_order :], n=m) * m
+    values = coeffs.values if isinstance(coeffs, CoefficientSet) else coeffs
+    K = (values.shape[-1] - 1) // 2
+    if m <= 2 * K:
+        raise ValueError(f"order {K} aliases on a grid with m={m} cells")
+    return np.fft.irfft(values[..., K:], n=m) * m
 
 
-def _estimator_gradient(
-    pf: cat.PathFunctionals, f_set: CoefficientSet, N: int, M: int
+def estimator_gradient(
+    st: cat.SpecTables, w: np.ndarray, dw: np.ndarray, f_coef: np.ndarray, i_coef: np.ndarray
 ) -> np.ndarray:
     """The diagonal ``d a_hat(t_r)/d xi_r = sum_{|q| <= M} e_q(t_r) d a_hat_q/d xi_r``
-    of ``a_hat_q = (1/(2N+1)) sum_{|l| <= N} F_{q-l} I_l``, ``I_l = F_l(dW)``;
-    ``f_set`` holds F_k for ``|k| <= N + M``.
+    of ``a_hat_q = (1/(2N+1)) sum_{|l| <= N} F_{q-l} I_l``, ``I_l = F_l(dW)``,
+    for one path or each row of a block: ``i_coef`` holds I_l for
+    ``|l| <= N`` and ``f_coef`` holds F_k for ``|k| <= N + M``.
 
     * ``sum_l I_l dF_{q-l}/dxi_r`` is the gradient of ``sum_i h_q(i) dX_i``
       at ``h_q = conj(e_q) S``, with ``S = sum_{|l| <= N} I_l e_l`` real and
-      one inverse FFT of the dW window; ``dsfc_partials`` takes all 2M + 1 rows.
+      one inverse FFT of the dW window.  For the affine X that gradient is
+      ``s [f h + alpha (tail + W_{t_{r+1}} h) + beta (W_tau h + 1[r < tau m]
+      sum_i h_i dW_i)] + sum_i c_i h_i / m`` (``s = 1/sqrt(m)``, ``tail_r =
+      sum_{i > r} h_i dW_i``, ``c`` the drift derivative).  Weighted by
+      ``e_q(t_r)`` and summed over q: ``h_q(r)`` gives ``(2M+1) S_r``; each
+      ``sum_i h_q(i) x_i`` gives the band ``|q| <= M`` of ``x S``, one
+      transform and back; the tails give ``sum_{i > r} D_M(t_i - t_r) S_i
+      dW_i`` with ``D_M`` the kernel's lag row, one zero-padded FFT
+      correlation.
     * ``dI_l/dxi_r = conj(e_l(t_r))/sqrt(m)`` and ``sum_l F_{q-l}
       conj(e_l(t_r)) = sum_{|j| <= N} F_{q+j} e_j(t_r)``, an inverse FFT of
       the dX window; weighted by ``e_q(t_r)`` and summed over q, the windows
-      add up to ``sum_k c_k F_k e_k`` with ``c_k = #{|q| <= M : |k - q| <= N}``.
+      add up to ``sum_k n_k F_k e_k`` with ``n_k = #{|q| <= M : |k - q| <= N}``.
 
-    Both sums are real, because ``a_hat_{-q} = conj(a_hat_q)``.
+    Every array is one (m,) row per path, and every sum is real, because
+    ``a_hat_{-q} = conj(a_hat_q)``.
     """
-    m = pf.grid.m
-    e = eval_basis(np.arange(-M, M + 1)[:, None], pf.grid.left_nodes)
-    s = synthesize(wiener_sfc_range(pf.path, N), m)
-    d_dx = np.sum(e * cat.dsfc_partials(pf.spec, pf.path, np.conj(e) * s), axis=0).real
-    k = f_set.orders
+    m = st.grid.m
+    rec = st.spec.record
+    N = (i_coef.shape[-1] - 1) // 2
+    M = (f_coef.shape[-1] - 1) // 2 - N
+    s = synthesize(i_coef, m)
+    y = s * dw
+    local = rec.alpha * w[..., 1:] + rec.beta * w[..., st.tau : st.tau + 1]
+    if st.f is not None:
+        local = local + st.f
+    d_dx = (2 * M + 1) * s * local / np.sqrt(m)
+    d_dx += synthesize(coefficients(st.c * s, M), m) / m
+    if rec.beta:
+        d_dx += st.da.v * synthesize(coefficients(y, M), m)
+    if rec.alpha:
+        lags = synthesize(np.ones(2 * M + 1), m)
+        lags[0] = 0.0
+        spectrum = np.fft.rfft(y, 2 * m) * np.conj(np.fft.rfft(lags, 2 * m))
+        d_dx += st.da.lower * np.fft.irfft(spectrum, 2 * m)[..., :m]
+    k = np.arange(-(N + M), N + M + 1)
     counts = np.minimum(k + N, M) - np.maximum(k - N, -M) + 1
-    d_dw = synthesize(CoefficientSet(f_set.max_order, counts * f_set.values), m) / np.sqrt(m)
+    d_dw = synthesize(counts * f_coef, m) / np.sqrt(m)
     return (d_dx + d_dw) / (2 * N + 1)
+
+
+def drift_coefficients(
+    dx: np.ndarray, dw: np.ndarray, a_nodes: np.ndarray, diag: np.ndarray, M: int
+) -> np.ndarray:
+    """``b_n = F_n(dX) - div(a conj(e_n))`` for ``|n| <= M``, per row:
+    ``div(a conj(e_n)) = sum_i conj(e_n(t_i)) (a_i dW_i - diag_i / sqrt(m))``
+    with ``diag_i = d a_i / d xi_i``, so b is one transform of what dX leaves."""
+    return coefficients(dx - a_nodes * dw + diag / np.sqrt(dx.shape[-1]), M)
 
 
 def recover_b(
@@ -171,22 +225,21 @@ def recover_b(
 ) -> CoefficientSet:
     """Recover the drift coefficients: ``b_n = F_n(dX) - div(a conj(e_n))``.
 
-    ``closed_form`` subtracts the catalog's exact stochastic integral of the
-    true a.  ``synthesized`` subtracts the divergence of the polynomial
-    rebuilt from ``a_hat``, using the estimator's own gradient for the
-    divergence correction.
+    ``closed_form`` subtracts the exact divergence of the true a, with the
+    exact derivative diagonal.  ``synthesized`` subtracts the divergence of
+    the polynomial rebuilt from ``a_hat``, using the estimator's own
+    gradient for the divergence correction.
     """
-    m = pf.grid.m
+    st = cat.spec_tables(pf.spec, pf.grid)
+    dw = pf.path.increments
     if cfg.mode == CLOSED_FORM:
-        exact = cat.exact_diffusion_sfc(pf.spec, pf.path, range(-cfg.M, cfg.M + 1))
-        return CoefficientSet(max_order=cfg.M, values=sfc_range(pf, cfg.M).values - exact)
-
-    a_nodes = synthesize(a_hat, m)
-    diag = _estimator_gradient(pf, sfc_range(pf, cfg.N + cfg.M), cfg.N, cfg.M)
-    # div(a_hat conj(e_n)) = sum_i conj(e_n(t_i)) (a_hat_i dW_i - diag_i / sqrt(m)),
-    # so b_n is one transform of what dX leaves over.
-    rest = pf.dx - a_nodes * pf.path.increments + diag / np.sqrt(m)
-    return CoefficientSet(max_order=cfg.M, values=coefficients(rest, cfg.M))
+        a_nodes, diag = pf.a_nodes, st.da.diag()
+    else:
+        a_nodes = synthesize(a_hat, pf.grid.m)
+        f_coef = coefficients(pf.dx, cfg.N + cfg.M)
+        i_coef = coefficients(dw, cfg.N)
+        diag = estimator_gradient(st, pf.path.values, dw, f_coef, i_coef)
+    return CoefficientSet(cfg.M, drift_coefficients(pf.dx, dw, a_nodes, diag, cfg.M))
 
 
 @dataclass(frozen=True)
@@ -215,11 +268,8 @@ def _require_mesh(m: int, N: int, n: int) -> None:
 
 def _window(x: np.ndarray, y: np.ndarray, n: int, N: int) -> complex:
     """``B(x, y) = (1/(2N+1)) sum_i conj(e_n(t_i)) x_i (K y)_i``, the
-    ``bohr_product`` of the coefficients of x and y."""
-    width = N + abs(n)
-    return bohr_product(
-        CoefficientSet(width, coefficients(x, width)), CoefficientSet(N, coefficients(y, N)), n, N
-    )
+    :func:`windows` entry of the coefficients of x and y."""
+    return complex(windows(coefficients(x, N + abs(n)), coefficients(y, N), [n], [N])[0, 0])
 
 
 def _coefficient(x: np.ndarray, n: int) -> complex:
@@ -236,7 +286,7 @@ def _kernel_trace(table: DerivativeTable, y: np.ndarray, n: int, N: int) -> comp
     """
     out = _window(table.u * y, table.v, n, N)
     if table.lower:
-        lags = synthesize(CoefficientSet(N, np.ones(2 * N + 1)), len(y))
+        lags = synthesize(np.ones(2 * N + 1), len(y))
         prefix = np.concatenate(([0.0], np.cumsum(lags[1:])))
         out += table.lower * _coefficient(prefix * y, n) / (2 * N + 1)
     return out

@@ -97,16 +97,6 @@ def sample_path(seed: SeedSpec, grid: TimeGrid) -> BrownianPath:
     return BrownianPath(grid=grid, values=values, increments=increments, xi=xi)
 
 
-def path_from_xi(xi: np.ndarray, grid: TimeGrid) -> BrownianPath:
-    """Wrap externally supplied standardized increments as a path."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (grid.m,):
-        raise ValueError(f"xi must have shape ({grid.m},), got {xi.shape}")
-    increments = xi / np.sqrt(grid.m)
-    values = np.concatenate([[0.0], np.cumsum(increments)])
-    return BrownianPath(grid=grid, values=values, increments=increments, xi=xi)
-
-
 def wiener_integral(path: BrownianPath, f_nodes: np.ndarray) -> complex:
     """Left-tagged Wiener sum ``sum_i f(t_i) * (W_{t_{i+1}} - W_{t_i})``.
 

@@ -254,8 +254,6 @@ class PathFunctionals:
 
 
 def _table_nodes(name: str, table, t: np.ndarray, m: int) -> np.ndarray:
-    if table is None:
-        raise ConfigError(f"{name} table missing")
     if isinstance(table, TrigPoly):
         if m <= 2 * table.max_freq:
             raise ConfigError(
@@ -270,11 +268,6 @@ def _table_nodes(name: str, table, t: np.ndarray, m: int) -> np.ndarray:
     return arr
 
 
-def _f_nodes(spec: ProcessSpec, grid: TimeGrid) -> np.ndarray | None:
-    table = spec.f_table
-    return None if table is None else _table_nodes("f", table, grid.left_nodes, grid.m)
-
-
 def _tau_node(spec: ProcessSpec, m: int) -> int:
     """Index j with ``t_j = tau``; tau must be a node of the grid."""
     j = spec.record.tau * m
@@ -283,71 +276,86 @@ def _tau_node(spec: ProcessSpec, m: int) -> int:
     return int(j)
 
 
-def _block_drift(spec: ProcessSpec, w_block: np.ndarray, grid: TimeGrid) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class SpecTables:
+    """What a spec fixes on one grid, built once per run: f and g at the left
+    tags (None when absent), the node index of tau (0 when beta == 0), the
+    drift derivative ``c_i = d b_i / d xi_r`` (the same for every r) and the
+    table ``d a_i / d xi_r``: ``alpha / sqrt(m)`` on the strict lower triangle
+    plus ``1 v^T``, ``v_r = beta 1[r < tau m] / sqrt(m)``, the same on every path."""
+
+    spec: ProcessSpec
+    grid: TimeGrid
+    f: np.ndarray | None = field(repr=False)
+    g: np.ndarray | None = field(repr=False)
+    tau: int
+    c: np.ndarray = field(repr=False)
+    da: DerivativeTable = field(repr=False)
+
+
+def spec_tables(spec: ProcessSpec, grid: TimeGrid) -> SpecTables:
+    t, m, rec = grid.left_nodes, grid.m, spec.record
+    s = 1.0 / np.sqrt(m)
+    f = None if spec.f_table is None else _table_nodes("f", spec.f_table, t, m)
+    g = None if spec.g is None else _table_nodes("g", spec.g, t, m)
+    g1 = DRIFT_RECORDS[spec.drift_kind][1]
+    c = g1 * g / np.sqrt(m) if g1 else np.zeros(m)
+    tau = _tau_node(spec, m) if rec.beta else 0
+    v = np.zeros(m)
+    v[:tau] = s * rec.beta
+    return SpecTables(spec, grid, f, g, tau, c, DerivativeTable(np.ones(m), v, s * rec.alpha))
+
+
+def _block_drift(st: SpecTables, w_block: np.ndarray) -> np.ndarray:
     """Drift values b(t_i) for a block of paths; shape (B, m)."""
-    if spec.g is None:
-        return np.zeros((w_block.shape[0], grid.m))
-    g0, g1 = DRIFT_RECORDS[spec.drift_kind]
-    return (g0 + g1 * w_block[:, -1:]) * _table_nodes("g", spec.g, grid.left_nodes, grid.m)
+    if st.g is None:
+        return np.zeros((w_block.shape[0], st.grid.m))
+    g0, g1 = DRIFT_RECORDS[st.spec.drift_kind]
+    return (g0 + g1 * w_block[:, -1:]) * st.g
 
 
-def _block_diffusion(
-    spec: ProcessSpec, w_block: np.ndarray, f_nodes: np.ndarray | None
-) -> np.ndarray:
+def block_diffusion(st: SpecTables, w_block: np.ndarray) -> np.ndarray:
     """Diffusion ``a = f + alpha W_t + beta W_tau`` at the left tags; shape (B, m)."""
-    rec = spec.record
-    m = w_block.shape[1] - 1
-    a = np.zeros((w_block.shape[0], m))
-    if f_nodes is not None:
-        a += f_nodes
+    rec = st.spec.record
+    a = np.zeros((w_block.shape[0], st.grid.m))
+    if st.f is not None:
+        a += st.f
     if rec.alpha:
         a += rec.alpha * w_block[:, :-1]
     if rec.beta:
-        a += rec.beta * w_block[:, _tau_node(spec, m)][:, None]
+        a += rec.beta * w_block[:, st.tau][:, None]
     return a
 
 
-def block_functionals(
-    spec: ProcessSpec, w_block: np.ndarray, grid: TimeGrid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized closed forms for a block of paths.
-
-    Parameters
-    ----------
-    spec : ProcessSpec
-    w_block : ndarray, shape (B, m + 1)
-        Brownian node values, one path per row.
-    grid : TimeGrid
-
-    Returns
-    -------
-    (a, b, x) : ndarrays of shapes (B, m), (B, m), (B, m + 1)
-        Diffusion and drift at the left tags; X at every node.
-    """
-    m = grid.m
+def block_functionals(st: SpecTables, w_block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed forms for a block of paths, given the Brownian nodes ``w_block``
+    (B, m + 1): the drift (B, m) at the left tags and X (B, m + 1) at every
+    node.  The diffusion is :func:`block_diffusion`, for callers that need it."""
+    m = st.grid.m
     if w_block.ndim != 2 or w_block.shape[1] != m + 1:
         raise ConfigError(f"w_block must have shape (B, {m + 1}), got {w_block.shape}")
-    rec = spec.record
-    t_all = grid.nodes
-    b = _block_drift(spec, w_block, grid)
+    rec = st.spec.record
+    t_all = st.grid.nodes
+    b = _block_drift(st, w_block)
     x = np.zeros((w_block.shape[0], m + 1))  # the drift accumulator, then each term of X in place
     np.cumsum(b, axis=1, out=x[:, 1:])
     x[:, 1:] /= m
-    f_nodes = _f_nodes(spec, grid)
-    a = _block_diffusion(spec, w_block, f_nodes)
-    if f_nodes is not None:
-        x[:, 1:] += np.cumsum(np.diff(w_block, axis=1) * f_nodes, axis=1)
+    if st.f is not None:
+        x[:, 1:] += np.cumsum(np.diff(w_block, axis=1) * st.f, axis=1)
     if rec.alpha:
         x += 0.5 * rec.alpha * (np.square(w_block) - t_all)
     if rec.beta:
-        w_tau = rec.beta * w_block[:, _tau_node(spec, m)][:, None]
+        w_tau = rec.beta * w_block[:, st.tau][:, None]
         x += w_tau * w_block - rec.beta * np.minimum(t_all, rec.tau)
-    return a, b, x
+    return b, x
 
 
 def eval_functionals(spec: ProcessSpec, path: BrownianPath) -> PathFunctionals:
     """Evaluate a catalog entry along one path (X(0) = 0 always)."""
-    a, b, x = block_functionals(spec, path.values[None, :], path.grid)
+    st = spec_tables(spec, path.grid)
+    w = path.values[None, :]
+    b, x = block_functionals(st, w)
+    a = block_diffusion(st, w)
     return PathFunctionals(spec=spec, path=path, a_nodes=a[0], b_nodes=b[0], x_nodes=x[0])
 
 
@@ -356,47 +364,29 @@ def eval_functionals(spec: ProcessSpec, path: BrownianPath) -> PathFunctionals:
 
 
 def diffusion_array(spec: ProcessSpec, path: BrownianPath) -> FunctionalArray:
-    """Diffusion values with the table ``d a_i / d xi_r``: the strict lower
-    triangle ``alpha / sqrt(m)`` plus ``1 v^T``, ``v_r = beta 1[r < tau m] / sqrt(m)``."""
-    m = path.grid.m
-    rec = spec.record
-    a = _block_diffusion(spec, path.values[None, :], _f_nodes(spec, path.grid))[0]
-    s = 1.0 / np.sqrt(m)
-    v = np.zeros(m)
-    if rec.beta:
-        v[: _tau_node(spec, m)] = s * rec.beta
-    table = DerivativeTable(u=np.ones(m), v=v, lower=s * rec.alpha)
-    return FunctionalArray(values=a, partials=table)
+    """Diffusion values with the table ``d a_i / d xi_r`` (``SpecTables.da``)."""
+    st = spec_tables(spec, path.grid)
+    return FunctionalArray(values=block_diffusion(st, path.values[None, :])[0], partials=st.da)
 
 
 def drift_partial_const(spec: ProcessSpec, path: BrownianPath) -> np.ndarray:
-    """The direction-independent drift derivative ``d b_i / d xi_r``.
-
-    Every catalog drift has a derivative that does not depend on the
-    direction r: zero for deterministic drifts, ``g(t_i)/sqrt(m)`` for the
-    ``W_1 * g`` drift.  Returned as the length-m vector over i.
-    """
-    m = path.grid.m
-    g1 = DRIFT_RECORDS[spec.drift_kind][1]
-    if not g1:
-        return np.zeros(m)
-    return g1 * _table_nodes("g", spec.g, path.grid.left_nodes, m) / np.sqrt(m)
+    """The direction-independent drift derivative ``d b_i / d xi_r``: zero for
+    deterministic drifts, ``g(t_i)/sqrt(m)`` for the ``W_1 * g`` drift."""
+    return spec_tables(spec, path.grid).c
 
 
 def drift_array(spec: ProcessSpec, path: BrownianPath) -> FunctionalArray:
     """Drift values with the rank-one derivative table ``c 1^T``."""
-    b = _block_drift(spec, path.values[None, :], path.grid)[0]
-    const = drift_partial_const(spec, path)
-    return FunctionalArray(values=b, partials=DerivativeTable(u=const, v=np.ones(path.grid.m)))
+    st = spec_tables(spec, path.grid)
+    b = _block_drift(st, path.values[None, :])[0]
+    return FunctionalArray(values=b, partials=DerivativeTable(u=st.c, v=np.ones(st.grid.m)))
 
 
 # ---------------------------------------------------------------------------
 # per-path truth values
 
 
-def block_true_fourier_a(
-    spec: ProcessSpec, w_block: np.ndarray, grid: TimeGrid, orders: Sequence[int]
-) -> np.ndarray:
+def block_true_fourier_a(st: SpecTables, w_block: np.ndarray, orders: Sequence[int]) -> np.ndarray:
     """Fourier coefficients of a against conj(e_n), one row per path.
 
     ``f_n + alpha * trapezoid_n(W) + beta * W_tau * delta_{n0}``.  The f
@@ -405,23 +395,22 @@ def block_true_fourier_a(
     Since ``W_0 = 0`` and ``conj(e_n(t_0)) = conj(e_n(t_m)) = 1``, the
     trapezoid rule for W is ``(F_n(W at the left tags) + W_1 / 2) / m``.
     """
-    m = grid.m
-    rec = spec.record
+    m = st.grid.m
+    rec = st.spec.record
     orders = np.asarray(orders, dtype=int)
     top = int(np.max(np.abs(orders), initial=0))
     cols = orders + top
     out = np.zeros((w_block.shape[0], orders.size), dtype=complex)
-    table = spec.f_table
+    table = st.spec.f_table
     if isinstance(table, TrigPoly):
         out += np.array([table.coeff(int(n)) for n in orders], dtype=complex)
     elif table is not None:
-        out += coefficients(_table_nodes("f", table, grid.left_nodes, m), top)[cols] / m
+        out += coefficients(st.f, top)[cols] / m
     if rec.alpha:
         w1 = w_block[:, -1:]
         out += rec.alpha * ((coefficients(w_block[:, :-1], top)[:, cols] + w1 / 2) / m)
     if rec.beta:
-        j = _tau_node(spec, m)
-        out += rec.beta * (w_block[:, j : j + 1] * (orders == 0))
+        out += rec.beta * (w_block[:, st.tau : st.tau + 1] * (orders == 0))
     return out
 
 
@@ -431,74 +420,5 @@ def true_fourier_a(spec: ProcessSpec, path: BrownianPath, n: int) -> complex:
     Exact for kinds in ``EXACT_ALGEBRA_KINDS`` (DET given TrigPoly data);
     trapezoid quadrature along the path otherwise.
     """
-    return complex(block_true_fourier_a(spec, path.values[None, :], path.grid, [n])[0, 0])
-
-
-def true_fourier_b(spec: ProcessSpec, path: BrownianPath, n: int) -> complex:
-    """Per-path coefficient of the drift against conj(e_n)."""
-    m = path.grid.m
-    if spec.g is None:
-        return 0.0 + 0.0j
-    if isinstance(spec.g, TrigPoly):
-        base = spec.g.coeff(n)
-    else:
-        g_nodes = _table_nodes("g", spec.g, path.grid.left_nodes, m)
-        base = complex(coefficients(g_nodes, abs(n))[n + abs(n)]) / m
-    g0, g1 = DRIFT_RECORDS[spec.drift_kind]
-    return complex((g0 + g1 * path.terminal) * base)
-
-
-# ---------------------------------------------------------------------------
-# closed-form stochastic integrals of a * conj(e_n)
-
-
-def exact_diffusion_sfc(spec: ProcessSpec, path: BrownianPath, n):
-    """``div(a conj(e_n))`` for one order n, or an array for a sequence.
-
-    ``sum_i a_i conj(e_n(t_i)) dW_i - (1/sqrt(m)) sum_i D_i a_i conj(e_n(t_i))``
-    with the exact derivative diagonal, used by drift recovery.  Direct
-    sums, never the FFT, so it stays an independent oracle for the pipeline.
-    """
-    m = path.grid.m
-    a = diffusion_array(spec, path)
-    # conj(e_n(t_i)) = conj(e_1(t_{n i mod m})): one basis row serves every order
-    rows = np.outer(np.atleast_1d(n), np.arange(m))
-    ebar = np.take(eval_basis(-1, path.grid.left_nodes), rows, mode="wrap")
-    values = ebar @ (a.values * path.increments) - ebar @ a.partials.diag() / np.sqrt(m)
-    return complex(values[0]) if np.ndim(n) == 0 else values
-
-
-def dsfc_partials(spec: ProcessSpec, path: BrownianPath, weights: np.ndarray) -> np.ndarray:
-    """Gradient ``d / d xi_r`` of ``sum_i h_i dX_i`` for fixed weights h:
-
-        s [f_r h_r + alpha (tail_r + W_{t_{r+1}} h_r)
-           + beta (W_tau h_r + 1[r < tau m] sum_i h_i dW_i)] + sum_i c_i h_i / m
-
-    with ``s = 1/sqrt(m)``, ``tail_r = sum_{i > r} h_i dW_i`` and ``c`` the
-    drift derivative; ``h = conj(e_n)`` gives ``d F_n / d xi_r``.  ``weights``
-    is one row (m,) or a stack (K, m), and the result has its shape.
-    """
-    m = path.grid.m
-    s = 1.0 / np.sqrt(m)
-    rec = spec.record
-    h = np.asarray(weights)
-    dw = path.increments
-
-    # the drift accumulator: the drift derivative c is the same in every direction
-    c = drift_partial_const(spec, path)
-    drift_term = (h @ c)[..., None] / m
-
-    inner = np.zeros(h.shape, dtype=complex)
-    f_nodes = _f_nodes(spec, path.grid)
-    if f_nodes is not None:
-        inner += f_nodes * h
-    if rec.alpha:
-        prods = h * dw
-        tail = np.cumsum(prods[..., ::-1], axis=-1)[..., ::-1] - prods
-        inner += rec.alpha * (tail + path.values[1:] * h)
-    if rec.beta:
-        j = _tau_node(spec, m)
-        head = path.values[j] * h
-        head[..., :j] += (h @ dw)[..., None]
-        inner += rec.beta * head
-    return s * inner + drift_term
+    st = spec_tables(spec, path.grid)
+    return complex(block_true_fourier_a(st, path.values[None, :], [n])[0, 0])

@@ -26,39 +26,23 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bohr import (
-    CLOSED_FORM,
-    BohrConfig,
-    identify_a,
-    recover_b,
-)
+from .bohr import CLOSED_FORM
 from .brownian import SeedSpec, sample_path
-from .catalog import (
-    CATALOG_KINDS,
-    DRIFT_DET,
-    DRIFT_W1,
-    eval_functionals,
-    make_process,
-    spec_for,
-)
+from .catalog import CATALOG_KINDS, DRIFT_DET, DRIFT_W1, make_process, spec_for
 from .errors import ConfigError, NumericalFailureError
 from .experiment import (
     ExperimentConfig,
     config_from_jsonable,
     config_hash,
-    config_jsonable,
     fit_decay,
     run_convergence,
+    run_identify,
 )
 from .grid import TimeGrid, dirichlet_closed_form, dirichlet_kernel, eval_basis, kernel_l2_identity
 from .malliavin import lemma_fdelta_residual, prop1_residual, prop2_residual, w1_functionals
 from .sfc import wiener_sfc_range
 
 DEFAULT_SEED = 20260819
-
-IDENTIFY_CSV_HEADER = (
-    "process,n,N,m,P,seed,mode,a_mean_re,a_mean_im,a_se,b_mean_re,b_mean_im,b_se"
-)
 
 
 def _load_config(path_str: str) -> dict:
@@ -255,90 +239,19 @@ def cmd_convergence(args: argparse.Namespace) -> int:
 # identify
 
 
-def run_identify(cfg: ExperimentConfig, mode: str) -> dict:
-    """Per-order estimates of the two coefficient processes.
-
-    Runs the estimator path by path at width N = max(cfg.n_list) and
-    aggregates per order: the complex sample mean and a scalar standard
-    error ``sqrt((var(re) + var(im)) / paths)`` for each coefficient.
-    """
-    grid = TimeGrid(cfg.m)
-    bohr_cfg = BohrConfig(N=max(cfg.n_list), M=cfg.M, mode=mode)
-    a_vals = np.empty((cfg.paths, 2 * cfg.M + 1), dtype=complex)
-    b_vals = np.empty_like(a_vals)
-    for idx in range(cfg.paths):
-        path = sample_path(SeedSpec(cfg.master_seed, idx), grid)
-        pf = eval_functionals(cfg.spec, path)
-        a_hat = identify_a(pf, bohr_cfg)
-        b_hat = recover_b(pf, a_hat, bohr_cfg)
-        for name, values in (("a_hat", a_hat.values), ("b_hat", b_hat.values)):
-            bad = np.flatnonzero(~np.isfinite(values))
-            if bad.size:
-                raise NumericalFailureError(
-                    f"non-finite {name} for path {idx} "
-                    f"(n={cfg.orders[int(bad[0])]}, N={bohr_cfg.N})"
-                )
-        a_vals[idx] = a_hat.values
-        b_vals[idx] = b_hat.values
-
-    def stats(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mean = block.mean(axis=0)
-        var = block.real.var(axis=0, ddof=1) + block.imag.var(axis=0, ddof=1)
-        return mean, np.sqrt(var / cfg.paths)
-
-    a_mean, a_se = stats(a_vals)
-    b_mean, b_se = stats(b_vals)
-    rows = []
-    for oi, n in enumerate(cfg.orders):
-        rows.append(
-            {
-                "process": cfg.spec.label,
-                "n": n,
-                "N": bohr_cfg.N,
-                "m": cfg.m,
-                "P": cfg.paths,
-                "seed": cfg.master_seed,
-                "mode": mode,
-                "a_mean_re": float(a_mean[oi].real),
-                "a_mean_im": float(a_mean[oi].imag),
-                "a_se": float(a_se[oi]),
-                "b_mean_re": float(b_mean[oi].real),
-                "b_mean_im": float(b_mean[oi].imag),
-                "b_se": float(b_se[oi]),
-            }
-        )
-    return {
-        "version": __version__,
-        "config_hash": config_hash(cfg),
-        "config": config_jsonable(cfg),
-        "mode": mode,
-        "rows": rows,
-    }
-
-
-def _identify_csv(report: dict) -> str:
-    lines = [IDENTIFY_CSV_HEADER]
-    for row in report["rows"]:
-        lines.append(
-            f"{row['process']},{row['n']},{row['N']},{row['m']},{row['P']},{row['seed']},"
-            f"{row['mode']},{row['a_mean_re']!r},{row['a_mean_im']!r},{row['a_se']!r},"
-            f"{row['b_mean_re']!r},{row['b_mean_im']!r},{row['b_se']!r}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def cmd_identify(args: argparse.Namespace) -> int:
     data = _apply_overrides(_load_config(args.config), args)
     mode = data.get("mode", CLOSED_FORM)
     cfg = config_from_jsonable(data)
-    report = run_identify(cfg, mode)
+    result = run_identify(cfg, mode)
+    report = result.json_dict()
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "identify.csv"
     json_path = out_dir / "identify.json"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_identify_csv(report))
+        fh.write(result.csv_text())
     with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     print(f"wrote {csv_path}")

@@ -1,21 +1,27 @@
-"""Monte Carlo convergence experiments for the coefficient estimator.
+"""Monte Carlo experiments for the coefficient estimator: the convergence
+sweep and coefficient identification, on one engine.  Paths run in row tiles
+of at most ``block_size`` rows, and of at most as many as keep one (rows, m)
+float array within ``TILE_BYTES``.  Each tile is sampled, gets X from tables
+built once per run, one transform each of dX and dW and all its Bohr windows
+from one ``bohr.windows`` call; ``run_identify`` recovers b on the same tile.
 
 Determinism contract
 --------------------
-Results are a pure function of the configuration:
+Results are a pure function of the configuration, and ``run_identify``
+keeps the same contract as the sweep:
 
 * every path comes from its own counter-based substream keyed by
   ``(master_seed, path_index)``;
-* paths are processed in blocks of at most ``block_size`` rows (a memory
-  bound only); every step treats each row on its own -- the coefficient
-  transform is one real FFT per row -- so per-path outputs are bitwise
-  independent of the block a path lands in, of the worker schedule and of
-  the run's total P (prefix property);
+* every step treats each row on its own -- the coefficient transform is one
+  real FFT per row, and the windows' cumsum runs along each row -- so
+  per-path outputs are bitwise independent of the tile a path lands in, of
+  ``block_size``, of the worker schedule and of the run's total P (prefix
+  property);
 * per-path statistics land in arrays indexed by path, and all reductions run
   afterwards in ascending path order with exactly rounded (compensated)
   summation via ``math.fsum``.
 
-``SFC_LAB_THREADS`` caps how many blocks are processed concurrently and has
+``SFC_LAB_THREADS`` caps how many tiles are processed concurrently and has
 no effect on any reported number.  Wall-clock time is kept on the in-memory
 result only; serialized artifacts contain nothing volatile, so identical
 configurations yield identical bytes.
@@ -35,13 +41,24 @@ from typing import Mapping
 import numpy as np
 
 from . import __version__
-from .bohr import grid_supports
+from .bohr import (
+    CLOSED_FORM,
+    BohrConfig,
+    drift_coefficients,
+    estimator_gradient,
+    grid_supports,
+    synthesize,
+    windows,
+)
 from .catalog import (
     ProcessSpec,
+    SpecTables,
     TrigPoly,
+    block_diffusion,
     block_functionals,
     block_true_fourier_a,
     make_process,
+    spec_tables,
 )
 from .errors import ConfigError, NumericalFailureError
 from .grid import TimeGrid
@@ -51,6 +68,18 @@ from .sfc import coefficients
 THREADS_ENV = "SFC_LAB_THREADS"
 
 CSV_HEADER = "process,n,N,m,P,seed,mean_abs_err,lp_err,std_err"
+IDENTIFY_CSV_HEADER = (
+    "process,n,N,m,P,seed,mode,a_mean_re,a_mean_im,a_se,b_mean_re,b_mean_im,b_se"
+)
+
+
+def _csv_text(header: str, rows) -> str:
+    """The header's columns, one line per row; numbers print as ``repr``."""
+    keys = header.split(",")
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else repr(v) for v in map(row.get, keys)))
+    return "\n".join(lines) + "\n"
 
 
 def _require_int(name: str, value) -> None:
@@ -280,13 +309,7 @@ class ExperimentResult:
                 }
 
     def csv_text(self) -> str:
-        lines = [CSV_HEADER]
-        for row in self.row_iter():
-            lines.append(
-                f"{row['process']},{row['n']},{row['N']},{row['m']},{row['P']},"
-                f"{row['seed']},{row['mean_abs_err']!r},{row['lp_err']!r},{row['std_err']!r}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv_text(CSV_HEADER, self.row_iter())
 
     def json_dict(self) -> dict:
         decay = {}
@@ -326,74 +349,89 @@ def fit_decay(result: ExperimentResult, n: int = 0) -> DecayFit:
     return fit_loglog(widths, result.lp_err[n + cfg.M])
 
 
-def _run_block(
-    cfg: ExperimentConfig,
-    grid: TimeGrid,
-    block_index: int,
-    abs_err: np.ndarray,
-    estimates: np.ndarray,
-) -> None:
-    """Fill ``abs_err`` and ``estimates`` rows for one block of paths."""
-    m = cfg.m
-    n_max = max(cfg.n_list)
-    k_max = n_max + cfg.M
-    lo = block_index * cfg.block_size
-    hi = min(cfg.paths, lo + cfg.block_size)
-    count = hi - lo
+TILE_BYTES = 128 * 1024  # one (rows, m) float64 array of a tile fits in this
 
-    xi = np.empty((count, m))
-    for r in range(count):
-        rng = substream(SeedSpec(cfg.master_seed, lo + r))
-        xi[r] = rng.standard_normal(m)
-    dw = xi / np.sqrt(m)
-    w = np.concatenate([np.zeros((count, 1)), np.cumsum(dw, axis=1)], axis=1)
 
-    _, _, x = block_functionals(cfg.spec, w, grid)
-    f_coef = coefficients(np.diff(x, axis=1), k_max)  # order k at column k + k_max
-    i_coef = coefficients(dw, n_max)
-    truth = block_true_fourier_a(cfg.spec, w, grid, cfg.orders)
+def tile_rows(cfg: ExperimentConfig) -> int:
+    """Rows per tile: one (rows, m) float array in ``TILE_BYTES``, at most ``block_size``."""
+    return min(cfg.block_size, max(1, TILE_BYTES // (8 * cfg.m)))
 
-    ells = np.arange(-n_max, n_max + 1)
-    for oi, n in enumerate(cfg.orders):
-        cols = (n - ells) + k_max
-        prods = f_coef[:, cols] * i_coef
-        prefix = np.cumsum(prods, axis=1)
-        for wi, N in enumerate(cfg.n_list):
-            hi_col = N + n_max
-            lo_col = -N + n_max
-            window = prefix[:, hi_col]
-            if lo_col > 0:
-                window = window - prefix[:, lo_col - 1]
-            est = window / (2 * N + 1)
-            err = np.abs(est - truth[:, oi])
-            if not np.all(np.isfinite(err)):
-                bad = int(np.flatnonzero(~np.isfinite(err))[0])
-                raise NumericalFailureError(
-                    f"non-finite estimate for path {lo + bad} (n={n}, N={N})"
-                )
-            abs_err[lo:hi, wi, oi] = err
-            estimates[lo:hi, wi, oi] = est
+
+@dataclass(frozen=True, eq=False)
+class Tile:
+    """Paths ``lo ..`` of one tile: W's nodes and increments, dX, ``F_k(dX)``
+    (``|k| <= N + M``), ``F_l(dW)`` (``|l| <= N``) and the windows (rows, orders, widths)."""
+
+    lo: int
+    w: np.ndarray
+    dw: np.ndarray
+    dx: np.ndarray
+    f_coef: np.ndarray
+    i_coef: np.ndarray
+    est: np.ndarray
+
+
+def _run_tiles(cfg: ExperimentConfig, st: SpecTables, widths: tuple[int, ...], work) -> None:
+    """Build every tile of paths and hand it to ``work``, on up to
+    ``SFC_LAB_THREADS`` threads; the first failing tile in path order raises."""
+    m, n_max, rows = cfg.m, max(widths), tile_rows(cfg)
+
+    def one(lo: int) -> None:
+        count = min(cfg.paths, lo + rows) - lo
+        xi = np.empty((count, m))
+        for r in range(count):
+            xi[r] = substream(SeedSpec(cfg.master_seed, lo + r)).standard_normal(m)
+        dw = xi / np.sqrt(m)
+        w = np.zeros((count, m + 1))
+        np.cumsum(dw, axis=1, out=w[:, 1:])
+        dx = np.diff(block_functionals(st, w)[1], axis=1)
+        f_coef = coefficients(dx, n_max + cfg.M)  # order k at column k + n_max + M
+        i_coef = coefficients(dw, n_max)
+        work(Tile(lo, w, dw, dx, f_coef, i_coef, windows(f_coef, i_coef, cfg.orders, widths)))
+
+    starts = range(0, cfg.paths, rows)
+    threads = min(resolve_threads(), len(starts))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(one, starts))
+    else:
+        for lo in starts:
+            one(lo)
+
+
+def _require_finite(name: str, values: np.ndarray, lo: int, orders, widths) -> None:
+    """Name the first path (then order, width) whose ``values`` (rows, orders,
+    widths) are not finite."""
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        r, oi, wi = bad[0]
+        raise NumericalFailureError(
+            f"non-finite {name} for path {lo + r} (n={orders[oi]}, N={widths[wi]})"
+        )
+
+
+def _mean_var(vals: list[float]) -> tuple[float, float]:
+    """Exactly rounded mean and sample variance, summed in path order."""
+    mean = math.fsum(vals) / len(vals)
+    return mean, math.fsum([(v - mean) ** 2 for v in vals]) / (len(vals) - 1)
 
 
 def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the sweep; see the module docstring for the determinism contract."""
     started = time.perf_counter()
-    grid = TimeGrid(cfg.m)
-    n_blocks = -(-cfg.paths // cfg.block_size)
+    st = spec_tables(cfg.spec, TimeGrid(cfg.m))
     abs_err = np.zeros((cfg.paths, len(cfg.n_list), len(cfg.orders)))
     estimates = np.zeros((cfg.paths, len(cfg.n_list), len(cfg.orders)), dtype=complex)
-    threads = min(resolve_threads(), n_blocks)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_run_block, cfg, grid, bi, abs_err, estimates)
-                for bi in range(n_blocks)
-            ]
-            for fut in futures:
-                fut.result()
-    else:
-        for bi in range(n_blocks):
-            _run_block(cfg, grid, bi, abs_err, estimates)
+
+    def work(tile: Tile) -> None:
+        truth = block_true_fourier_a(st, tile.w, cfg.orders)
+        err = np.abs(tile.est - truth[:, :, None])
+        _require_finite("estimate", err, tile.lo, cfg.orders, cfg.n_list)
+        hi = tile.lo + len(err)
+        abs_err[tile.lo : hi] = err.transpose(0, 2, 1)
+        estimates[tile.lo : hi] = tile.est.transpose(0, 2, 1)
+
+    _run_tiles(cfg, st, cfg.n_list, work)
 
     p = cfg.p_exponent
     shape = (len(cfg.orders), len(cfg.n_list))
@@ -402,12 +440,10 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     se = np.zeros(shape)
     for oi in range(len(cfg.orders)):
         for wi in range(len(cfg.n_list)):
-            col = abs_err[:, wi, oi]
-            mean = math.fsum(col) / cfg.paths
-            power_mean = math.fsum(float(v) ** p for v in col) / cfg.paths
-            var = math.fsum((float(v) - mean) ** 2 for v in col) / (cfg.paths - 1)
+            vals = abs_err[:, wi, oi].tolist()
+            mean, var = _mean_var(vals)
             mean_abs[oi, wi] = mean
-            lp[oi, wi] = power_mean ** (1.0 / p)
+            lp[oi, wi] = (math.fsum([v**p for v in vals]) / cfg.paths) ** (1.0 / p)
             se[oi, wi] = math.sqrt(var / cfg.paths)
     return ExperimentResult(
         config=cfg,
@@ -418,3 +454,71 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
         estimates=estimates,
         runtime_seconds=time.perf_counter() - started,
     )
+
+
+@dataclass(frozen=True, eq=False)
+class IdentifyResult:
+    """Per-path estimates of both coefficient processes at width
+    ``N = max(config.n_list)``: ``a_hat`` and ``b_hat`` have shape (paths,
+    orders), orders ascending.  They stay out of :meth:`json_dict`."""
+
+    config: ExperimentConfig
+    mode: str
+    a_hat: np.ndarray = field(repr=False)
+    b_hat: np.ndarray = field(repr=False)
+
+    def json_dict(self) -> dict:
+        """Per order: the complex sample mean and the scalar standard error
+        ``sqrt((var(re) + var(im)) / paths)`` of each coefficient."""
+        cfg = self.config
+        rows = []
+        for oi, n in enumerate(cfg.orders):
+            row = dict(process=cfg.spec.label, n=n, N=max(cfg.n_list), m=cfg.m, P=cfg.paths)
+            row.update(seed=cfg.master_seed, mode=self.mode)
+            for name, vals in (("a", self.a_hat[:, oi]), ("b", self.b_hat[:, oi])):
+                row[f"{name}_mean_re"], var_re = _mean_var(vals.real.tolist())
+                row[f"{name}_mean_im"], var_im = _mean_var(vals.imag.tolist())
+                row[f"{name}_se"] = math.sqrt((var_re + var_im) / cfg.paths)
+            rows.append(row)
+        return {
+            "version": __version__,
+            "config_hash": config_hash(cfg),
+            "config": config_jsonable(cfg),
+            "mode": self.mode,
+            "rows": rows,
+        }
+
+    def csv_text(self) -> str:
+        return _csv_text(IDENTIFY_CSV_HEADER, self.json_dict()["rows"])
+
+
+def run_identify(cfg: ExperimentConfig, mode: str) -> IdentifyResult:
+    """Estimate a and recover b on every path, at width N = max(cfg.n_list).
+
+    The paths run on the sweep's tiles, so ``a_hat`` is bitwise the sweep's
+    estimate at width N and the determinism contract is the sweep's.  Both
+    modes take ``b = coefficients(dX - a dW + diag / sqrt(m))``: closed form
+    with the true a and its exact derivative diagonal, synthesized with the
+    polynomial of ``a_hat`` and the estimator's gradient.
+    """
+    N = BohrConfig(N=max(cfg.n_list), M=cfg.M, mode=mode).N
+    st = spec_tables(cfg.spec, TimeGrid(cfg.m))
+    a_hat = np.empty((cfg.paths, len(cfg.orders)), dtype=complex)
+    b_hat = np.empty_like(a_hat)
+    diag = st.da.diag()
+
+    def work(tile: Tile) -> None:
+        a = tile.est[:, :, 0]
+        _require_finite("a_hat", tile.est, tile.lo, cfg.orders, (N,))
+        if mode == CLOSED_FORM:
+            a_nodes, d = block_diffusion(st, tile.w), diag
+        else:
+            a_nodes = synthesize(a, cfg.m)
+            d = estimator_gradient(st, tile.w, tile.dw, tile.f_coef, tile.i_coef)
+        b = drift_coefficients(tile.dx, tile.dw, a_nodes, d, cfg.M)
+        _require_finite("b_hat", b[:, :, None], tile.lo, cfg.orders, (N,))
+        a_hat[tile.lo : tile.lo + len(a)] = a
+        b_hat[tile.lo : tile.lo + len(a)] = b
+
+    _run_tiles(cfg, st, (N,), work)
+    return IdentifyResult(config=cfg, mode=mode, a_hat=a_hat, b_hat=b_hat)

@@ -13,9 +13,9 @@ With ``t_i = i/m`` the sum is the real DFT of the increments:
 ``n >= 0``.  The increments are real, so the negative orders are conjugates,
 ``F_{-n} = conj(F_n)``, and :func:`coefficients` fills them that way.  Every
 coefficient of dX and dW that the estimators use, and the quadrature truth of
-a, comes from it.  Direct sums remain only in the closed-form oracle
-``catalog.exact_diffusion_sfc``, kept independent so tests can compare the
-two, and in derivative code that needs ``conj(e_n)`` element by element.
+a, comes from it.  Direct sums remain only in the tests' closed-form oracle
+``exact_diffusion_sfc``, kept independent so they can compare the two, and
+in derivative code that needs ``conj(e_n)`` element by element.
 Each row is transformed on its own, so a row's coefficients are bitwise the
 same whatever block it arrives in.
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import spec_for
+from helpers import dsfc_partials, spec_for
 from sfc_lab import (
     CATALOG_KINDS,
     DRIFT_KINDS,
@@ -38,8 +38,8 @@ from sfc_lab import (
     true_fourier_a,
     wiener_sfc_range,
 )
-from sfc_lab.bohr import _estimator_gradient
-from sfc_lab.catalog import dsfc_partials
+from sfc_lab.bohr import estimator_gradient, windows
+from sfc_lab.catalog import spec_tables
 from sfc_lab.sfc import coefficients
 
 
@@ -65,6 +65,40 @@ def test_bohr_product_matches_loop():
     w = CoefficientSet(max_order=N, values=rng.standard_normal(2 * N + 1) + 1j * rng.standard_normal(2 * N + 1))
     loop = sum(f.entry(n - ell) * w.entry(ell) for ell in range(-N, N + 1)) / (2 * N + 1)
     assert bohr_product(f, w, n, N) == pytest.approx(loop, abs=1e-13)
+
+
+def _prefix_loop(f_coef, i_coef, orders, widths):
+    """The sweep's per-order loop that ``windows`` replaced: one cumsum per
+    order, each width the difference of two prefix entries."""
+    K = (f_coef.shape[-1] - 1) // 2
+    L = (i_coef.shape[-1] - 1) // 2
+    ells = np.arange(-L, L + 1)
+    out = np.empty((f_coef.shape[0], len(orders), len(widths)), dtype=complex)
+    for oi, n in enumerate(orders):
+        prefix = np.cumsum(f_coef[:, (n - ells) + K] * i_coef, axis=1)
+        for wi, N in enumerate(widths):
+            window = prefix[:, N + L]
+            if N < L:
+                window = window - prefix[:, L - N - 1]
+            out[:, oi, wi] = window / (2 * N + 1)
+    return out
+
+
+@pytest.mark.parametrize("rows,K,L", [(1, 20, 16), (4, 19, 16), (7, 40, 9)])
+def test_windows_match_the_per_order_prefix_loop(rows, K, L):
+    # same arithmetic in the same order, so equal bitwise, and row by row
+    rng = np.random.default_rng(rows)
+    f_coef = rng.standard_normal((rows, 2 * K + 1)) + 1j * rng.standard_normal((rows, 2 * K + 1))
+    i_coef = rng.standard_normal((rows, 2 * L + 1)) + 1j * rng.standard_normal((rows, 2 * L + 1))
+    orders, widths = range(-3, 4), [w for w in (1, 2, 5, 9, 16) if w <= L]
+    out = windows(f_coef, i_coef, orders, widths)
+    assert np.array_equal(out, _prefix_loop(f_coef, i_coef, orders, widths))
+    for r in range(rows):
+        assert np.array_equal(windows(f_coef[r], i_coef[r], orders, widths), out[r])
+    with pytest.raises(ValueError):
+        windows(f_coef, i_coef, orders, [L + 1])
+    with pytest.raises(ValueError):
+        windows(f_coef[:, 1:-1], i_coef, range(K - L - 1, K - L + 1), [1])
 
 
 def test_bohr_product_coverage_errors():
@@ -203,7 +237,9 @@ def test_spectral_gradient_matches_loop(case):
     cfg = BohrConfig(N=N, M=M, mode="synthesized")
     f_set = sfc_range(pf, N + M)
     reference = _loop_diagonal(pf, f_set, N, M)
-    diag = _estimator_gradient(pf, f_set, N, M)
+    i_coef = coefficients(path.increments, N)
+    st = spec_tables(pf.spec, pf.grid)
+    diag = estimator_gradient(st, path.values, path.increments, f_set.values, i_coef)
     assert np.max(np.abs(diag - reference)) <= 1e-12 * (1 + np.max(np.abs(reference)))
     a_hat = identify_a(pf, cfg)
     reference = _loop_recover_b(pf, a_hat, N, M)

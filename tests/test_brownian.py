@@ -2,12 +2,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from helpers import path_from_xi
 from sfc_lab import (
     BrownianPath,
     SeedSpec,
     TimeGrid,
     eval_basis,
-    path_from_xi,
     sample_path,
     substream,
     wiener_integral,

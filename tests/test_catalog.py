@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import spec_for
+from helpers import dsfc_partials, exact_diffusion_sfc, path_from_xi, spec_for, true_fourier_b
 from sfc_lab import (
     CATALOG_KINDS,
     EXACT_ALGEBRA_KINDS,
@@ -15,20 +15,18 @@ from sfc_lab import (
     cosine,
     eval_basis,
     eval_functionals,
-    exact_diffusion_sfc,
     make_process,
     sample_path,
     sfc_range,
     true_fourier_a,
-    true_fourier_b,
 )
 from sfc_lab.catalog import (
+    block_diffusion,
     block_functionals,
     diffusion_array,
     drift_partial_const,
-    dsfc_partials,
+    spec_tables,
 )
-from sfc_lab.brownian import path_from_xi
 
 
 def test_trigpoly_basics():
@@ -140,7 +138,9 @@ def test_block_matches_single_path():
     paths = [sample_path(SeedSpec(23, i), grid) for i in range(3)]
     spec = spec_for("NONCAUSAL_BRIDGE", {"g": cosine(), "drift": "det"})
     w_block = np.stack([p.values for p in paths])
-    a, b, x = block_functionals(spec, w_block, grid)
+    st = spec_tables(spec, grid)
+    a = block_diffusion(st, w_block)
+    b, x = block_functionals(st, w_block)
     for i, path in enumerate(paths):
         pf = eval_functionals(spec, path)
         assert np.array_equal(a[i], pf.a_nodes)
@@ -149,13 +149,13 @@ def test_block_matches_single_path():
 
 
 def test_diffusion_array_values_are_the_block_a_nodes():
-    # diffusion_array builds a without X; its nodes are bitwise block_functionals'
+    # diffusion_array builds a without X; its nodes are bitwise the path functionals'
     grid = TimeGrid(64)
     path = sample_path(SeedSpec(25, 0), grid)
     for kind in CATALOG_KINDS:
         for extra in ({}, {"g": cosine(), "drift": "w1"}):
             spec = spec_for(kind, extra)
-            a = block_functionals(spec, path.values[None, :], grid)[0][0]
+            a = eval_functionals(spec, path).a_nodes
             assert np.array_equal(diffusion_array(spec, path).values, a), kind
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -13,8 +12,8 @@ from sfc_lab import (
     TimeGrid,
     kernel_l2_identity,
 )
-from sfc_lab.cli import IDENTIFY_CSV_HEADER, main
-from sfc_lab.experiment import CSV_HEADER, config_from_jsonable
+from sfc_lab.cli import main
+from sfc_lab.experiment import CSV_HEADER, IDENTIFY_CSV_HEADER, config_from_jsonable
 
 
 def write_config(tmp_path, name, data):
@@ -141,24 +140,39 @@ def test_identify_closed_form(tmp_path, capsys):
 
 
 def test_identify_nonfinite_estimate_names_the_path(monkeypatch):
-    real = cli.eval_functionals
-    calls = []
+    import sfc_lab.experiment as exp
 
-    def poisoned(spec, path):
-        pf = real(spec, path)
-        calls.append(None)
-        if len(calls) == 4:  # path index 3
-            x = pf.x_nodes.copy()
-            x[-1] = np.nan
-            pf = dataclasses.replace(pf, x_nodes=x)
-        return pf
+    real = exp.block_functionals
 
-    monkeypatch.setattr(cli, "eval_functionals", poisoned)
+    def poisoned(st, w_block):
+        b, x = real(st, w_block)
+        x = x.copy()
+        x[3, -1] = np.nan  # path index 3 of the first tile
+        return b, x
+
+    monkeypatch.setattr(exp, "block_functionals", poisoned)
     cfg = config_from_jsonable(identify_config())
     with pytest.raises(NumericalFailureError, match="path 3") as info:
         cli.run_identify(cfg, "closed_form")
     assert "a_hat" in str(info.value)
     assert "N=16" in str(info.value)
+
+
+@pytest.mark.parametrize("mode", ["closed_form", "synthesized"])
+def test_identify_bytes_ignore_threads_and_block_size(tmp_path, monkeypatch, mode):
+    def run(name, threads, block_size):
+        data = dict(identify_config(), mode=mode, paths=120, block_size=block_size)
+        monkeypatch.setenv("SFC_LAB_THREADS", str(threads))
+        out = tmp_path / name
+        assert main(["identify", "--config", write_config(tmp_path, f"{name}.json", data),
+                     "--out", str(out)]) == 0
+        return [(out / f).read_bytes() for f in ("identify.csv", "identify.json")]
+
+    csv1, json1 = run("t1", 1, 32)
+    assert [csv1, json1] == run("t3", 3, 32)
+    csv50, json50 = run("b50", 1, 50)
+    assert csv50 == csv1  # the CSV carries no block_size; the JSON config and hash do
+    assert json.loads(json50)["rows"] == json.loads(json1)["rows"]
 
 
 def test_identify_rejects_unknown_mode(tmp_path):

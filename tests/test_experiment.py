@@ -6,9 +6,16 @@ import pytest
 
 from helpers import spec_for
 from sfc_lab import (
+    BohrConfig,
     ConfigError,
     NumericalFailureError,
+    SeedSpec,
+    TimeGrid,
     cosine,
+    eval_functionals,
+    identify_a,
+    recover_b,
+    sample_path,
 )
 from sfc_lab.experiment import (
     CSV_HEADER,
@@ -20,6 +27,8 @@ from sfc_lab.experiment import (
     fit_loglog,
     resolve_threads,
     run_convergence,
+    run_identify,
+    tile_rows,
 )
 
 
@@ -147,10 +156,72 @@ def test_prefix_property(kind):
 def test_block_size_does_not_change_estimates():
     # partitioning is an implementation detail of scheduling; the per-path
     # substreams make path content independent of it.  Block size does join
-    # the config hash, so artifacts declare it.
+    # the config hash, so artifacts declare it.  At m=256 a tile holds at most
+    # 64 rows, so 100 runs tiles of 64 and 56 rows: not a multiple of either.
+    assert [tile_rows(small_config(block_size=b)) for b in (32, 50, 100)] == [32, 50, 64]
     a = run_convergence(small_config(block_size=32))
-    b = run_convergence(small_config(block_size=50))
-    npt.assert_allclose(a.abs_errors, b.abs_errors, rtol=0, atol=1e-12)
+    for block_size in (50, 100):
+        b = run_convergence(small_config(block_size=block_size))
+        assert np.array_equal(a.abs_errors, b.abs_errors)
+        assert np.array_equal(a.estimates, b.estimates)
+
+
+def identify_config(**over):
+    spec = spec_for("NONCAUSAL_W1", {"g": cosine(), "drift": "det"})
+    return small_config(spec=spec, **over)
+
+
+@pytest.mark.parametrize("mode", ["closed_form", "synthesized"])
+def test_identify_a_hat_is_the_sweep_estimate(mode):
+    cfg = identify_config()
+    ident = run_identify(cfg, mode)
+    sweep = run_convergence(cfg)
+    assert ident.a_hat.shape == (120, 3)
+    assert np.array_equal(ident.a_hat, sweep.estimates[:, -1, :])  # width N = max(n_list)
+
+
+@pytest.mark.parametrize("mode", ["closed_form", "synthesized"])
+def test_identify_tiles_match_the_per_path_estimators(mode):
+    # the engine's tiles and the one-path library calls share every kernel
+    cfg = identify_config()
+    ident = run_identify(cfg, mode)
+    bohr_cfg = BohrConfig(N=16, M=1, mode=mode)
+    for idx in (0, 37, 119):
+        pf = eval_functionals(cfg.spec, sample_path(SeedSpec(cfg.master_seed, idx), TimeGrid(256)))
+        a_hat = identify_a(pf, bohr_cfg)
+        assert np.array_equal(ident.a_hat[idx], a_hat.values)
+        assert np.array_equal(ident.b_hat[idx], recover_b(pf, a_hat, bohr_cfg).values)
+
+
+@pytest.mark.parametrize("mode", ["closed_form", "synthesized"])
+def test_identify_prefix_property(mode):
+    short = run_identify(identify_config(paths=100), mode)
+    longer = run_identify(identify_config(paths=160), mode)
+    assert np.array_equal(short.a_hat, longer.a_hat[:100])
+    assert np.array_equal(short.b_hat, longer.b_hat[:100])
+
+
+def test_identify_closed_form_recovers_the_drift_exactly():
+    rows = run_identify(identify_config(), "closed_form").json_dict()["rows"]
+    for row in rows:
+        target = 0.5 if abs(row["n"]) == 1 else 0.0
+        assert abs(row["b_mean_re"] - target) <= 1e-12 and abs(row["b_mean_im"]) <= 1e-12
+        assert row["b_se"] <= 1e-12
+
+
+def test_identify_nonfinite_names_b_hat(monkeypatch):
+    import sfc_lab.experiment as exp
+
+    real = exp.drift_coefficients
+
+    def poisoned(dx, dw, a_nodes, diag, M):
+        b = real(dx, dw, a_nodes, diag, M)
+        b[5, 2] = np.nan  # row 5 of every tile; path 5 is the first
+        return b
+
+    monkeypatch.setattr(exp, "drift_coefficients", poisoned)
+    with pytest.raises(NumericalFailureError, match=r"b_hat for path 5 \(n=1, N=16\)"):
+        run_identify(identify_config(), "synthesized")
 
 
 def test_csv_schema_and_round_trip():
@@ -210,11 +281,11 @@ def test_nonfinite_estimate_names_the_path(monkeypatch):
 
     real = exp.block_functionals
 
-    def poisoned(spec, w_block, grid):
-        a, b, x = real(spec, w_block, grid)
+    def poisoned(st, w_block):
+        b, x = real(st, w_block)
         x = x.copy()
-        x[3, -1] = np.nan  # path index 3 of the first block
-        return a, b, x
+        x[3, -1] = np.nan  # path index 3 of the first tile
+        return b, x
 
     monkeypatch.setattr(exp, "block_functionals", poisoned)
     with pytest.raises(NumericalFailureError, match="path 3"):

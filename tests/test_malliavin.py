@@ -143,7 +143,7 @@ def test_residuals_scale_with_path_magnitude():
     # the identities are exact whatever the path magnitude; feed a wild path
     grid = TimeGrid(64)
     rng = np.random.default_rng(5)
-    from sfc_lab import path_from_xi
+    from helpers import path_from_xi
 
     path = path_from_xi(10.0 * rng.standard_normal(64), grid)
     spec = spec_for("NONCAUSAL_BRIDGE")
