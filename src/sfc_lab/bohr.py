@@ -170,15 +170,15 @@ def estimator_gradient(
 
     * ``sum_l I_l dF_{q-l}/dxi_r`` is the gradient of ``sum_i h_q(i) dX_i``
       at ``h_q = conj(e_q) S``, with ``S = sum_{|l| <= N} I_l e_l`` real and
-      one inverse FFT of the dW window.  For the affine X that gradient is
-      ``s [f h + alpha (tail + W_{t_{r+1}} h) + beta (W_tau h + 1[r < tau m]
-      sum_i h_i dW_i)] + sum_i c_i h_i / m`` (``s = 1/sqrt(m)``, ``tail_r =
-      sum_{i > r} h_i dW_i``, ``c`` the drift derivative).  Weighted by
-      ``e_q(t_r)`` and summed over q: ``h_q(r)`` gives ``(2M+1) S_r``; each
-      ``sum_i h_q(i) x_i`` gives the band ``|q| <= M`` of ``x S``, one
-      transform and back; the tails give ``sum_{i > r} D_M(t_i - t_r) S_i
-      dW_i`` with ``D_M`` the kernel's lag row, one zero-padded FFT
-      correlation.
+      one inverse FFT of the dW window.  For ``dX = a dW - diag / sqrt(m) +
+      b / m`` with its deterministic diagonal, that gradient is ``s [a h +
+      alpha tail + beta 1[r < tau m] sum_i h_i dW_i] + sum_i c_i h_i / m``
+      (``s = 1/sqrt(m)``, ``a`` at the left tag ``t_r``, ``tail_r = sum_{i >
+      r} h_i dW_i``, ``c`` the drift derivative).  Weighted by ``e_q(t_r)``
+      and summed over q: ``h_q(r)`` gives ``(2M+1) S_r``; each ``sum_i h_q(i)
+      x_i`` gives the band ``|q| <= M`` of ``x S``, one transform and back;
+      the tails give ``sum_{i > r} D_M(t_i - t_r) S_i dW_i`` with ``D_M`` the
+      kernel's lag row, one zero-padded FFT correlation.
     * ``dI_l/dxi_r = conj(e_l(t_r))/sqrt(m)`` and ``sum_l F_{q-l}
       conj(e_l(t_r)) = sum_{|j| <= N} F_{q+j} e_j(t_r)``, an inverse FFT of
       the dX window; weighted by ``e_q(t_r)`` and summed over q, the windows
@@ -193,10 +193,7 @@ def estimator_gradient(
     M = (f_coef.shape[-1] - 1) // 2 - N
     s = synthesize(i_coef, m)
     y = s * dw
-    local = rec.alpha * w[..., 1:] + rec.beta * w[..., st.tau : st.tau + 1]
-    if st.f is not None:
-        local = local + st.f
-    d_dx = (2 * M + 1) * s * local / np.sqrt(m)
+    d_dx = (2 * M + 1) * s * cat.block_diffusion(st, w) / np.sqrt(m)
     d_dx += synthesize(coefficients(st.c * s, M), m) / m
     if rec.beta:
         d_dx += st.da.v * synthesize(coefficients(y, M), m)
@@ -230,7 +227,7 @@ def recover_b(
     the polynomial rebuilt from ``a_hat``, using the estimator's own
     gradient for the divergence correction.
     """
-    st = cat.spec_tables(pf.spec, pf.grid)
+    st = pf.tables
     dw = pf.path.increments
     if cfg.mode == CLOSED_FORM:
         a_nodes, diag = pf.a_nodes, st.da.diag()
@@ -303,12 +300,10 @@ def _direct_terms(
     # diffusion derivative: (1/sqrt(m)) conj(e_n(t_i)) sum_j (da_i/dxi_j) K[i, j]
     # integrated dW in the i slot.  Catalog diffusions have deterministic derivative
     # tables, so the divergence is the plain Wiener sum.
-    da = cat.diffusion_array(pf.spec, pf.path).partials
-    diffusion_derivative = s * _kernel_trace(da, dw, n, N)
+    diffusion_derivative = s * _kernel_trace(pf.tables.da, dw, n, N)
 
     # derivative of the drift, double time integral: every row of K sums to m.
-    c = cat.drift_partial_const(pf.spec, pf.path)
-    drift_derivative = s * _coefficient(c, n) / (2 * N + 1)
+    drift_derivative = s * _coefficient(pf.tables.c, n) / (2 * N + 1)
 
     # drift smoothed by the kernel, integrated dW in the j slot; its divergence
     # correction is the drift derivative.
@@ -326,7 +321,7 @@ def remainder_terms(pf: cat.PathFunctionals, n: int, N: int) -> RemainderTerms:
     """
     _require_mesh(pf.grid.m, N, n)
     estimate = _window(pf.dx, pf.path.increments, n, N)
-    truth = cat.true_fourier_a(pf.spec, pf.path, n)
+    truth = complex(cat.block_true_fourier_a(pf.tables, pf.path.values, [n])[0])
     diffusion_derivative, drift_wiener, drift_derivative = _direct_terms(pf, n, N)
     double_wiener = (
         estimate - truth - diffusion_derivative - drift_wiener - drift_derivative
@@ -356,7 +351,7 @@ def iterated_divergence_term(pf: cat.PathFunctionals, n: int, N: int) -> complex
     _require_mesh(m, N, n)
     s = 1.0 / np.sqrt(m)
     dw = pf.path.increments
-    a = cat.diffusion_array(pf.spec, pf.path)
-    z = a.values * dw - s * a.partials.diag()
-    outer = _window(z, dw, n, N) - s * _kernel_trace(a.partials, dw, n, N)
-    return complex(outer - _coefficient(a.values, n) / m)
+    da = pf.tables.da
+    z = pf.a_nodes * dw - s * da.diag()
+    outer = _window(z, dw, n, N) - s * _kernel_trace(da, dw, n, N)
+    return complex(outer - _coefficient(pf.a_nodes, n) / m)

@@ -14,16 +14,19 @@ NONCAUSAL_BRIDGE    0        -1     1     1    W_1 - W_t
 NONCAUSAL_MIDPOINT  0        0      1     1/2  W_{1/2}
 ==================  =======  =====  ====  ===  ==========
 
-Everything is written once from the record.  The stochastic part of X is
-the anticipating (Skorokhod) integral of a,
-``sum_{t_i < t} f(t_i) dW_i + alpha (W_t^2 - t)/2 + beta (W_tau W_t - min(t, tau))``:
-the Ito formula for W_t, and ``F W_t`` minus the time integral of
-``D F = 1_{[0, tau]}`` for the constant-in-time ``F = W_tau`` (tau must be a
-grid node).  The derivative table ``D_r a_i = (alpha 1[r < i] +
-beta 1[r < tau m]) / sqrt(m)`` is a strict lower triangle plus a rank-one
-term (a ``malliavin.DerivativeTable``).  Kinds with ``alpha == 0`` reproduce
-``div(a conj(e_n))`` and their Fourier coefficients exactly; the W_t term
-adds a quadratic-variation defect and takes trapezoid quadrature for truth.
+Everything is written once from the record.  With the derivative table
+``D_r a_i = (alpha 1[r < i] + beta 1[r < tau m]) / sqrt(m)`` -- a strict lower
+triangle plus a rank-one term (a ``malliavin.DerivativeTable``; tau must be a
+grid node) -- every kind has the one increment, with ``D_i a_i`` the table's
+diagonal,
+
+    dX_i = a_i dW_i - D_i a_i / sqrt(m) + b_i / m,
+
+the discrete divergence of a plus the left Riemann drift.  Summed, the
+stochastic part is the discrete Ito sum ``sum_{i < k} W_i dW_i`` for W_t and
+``W_tau W_t - min(t, tau)`` for ``W_tau``, and X reproduces
+``div(a conj(e_n))`` and the Fourier coefficients of a exactly on every path,
+for every kind.
 
 The drift ``b(t) = g(t)`` or ``W_1 g(t)`` (an anticipating drift of chaos
 order 1, ``D_s b(t) = g(t)``) contributes the left Riemann accumulator
@@ -138,17 +141,13 @@ KIND_RECORDS = {
 
 CATALOG_KINDS = tuple(KIND_RECORDS)
 
-# Kinds whose X algebra and Fourier coefficients of a are exact (to rounding);
-# ``alpha W_t`` carries an O(m^{-1/2}) quadratic-variation defect.
-EXACT_ALGEBRA_KINDS = tuple(kind for kind, rec in KIND_RECORDS.items() if rec.alpha == 0)
-
 
 @dataclass(frozen=True, eq=False)
 class ProcessSpec:
     """One catalog entry: kind, deterministic tables, drift shape.
 
     ``f`` and ``g`` may be :class:`TrigPoly` (exact Fourier data) or plain
-    node tables of length m (quadrature-only truth).
+    node tables of length m (left Riemann truth).
     """
 
     kind: str
@@ -231,26 +230,25 @@ def spec_for(kind: str, extra: Mapping | None = None) -> ProcessSpec:
 
 @dataclass(frozen=True, eq=False)
 class PathFunctionals:
-    """A catalog entry evaluated along one path.
-
-    Node arrays are cached on construction: the diffusion and drift at the
-    left tags, and X at every node (``x_nodes[0] == 0``).
-    """
+    """A catalog entry evaluated along one path: the spec's tables on the
+    path's grid, built once, the diffusion and drift at the left tags and the
+    increments dX that feed every coefficient sum."""
 
     spec: ProcessSpec
     path: BrownianPath
+    tables: SpecTables = field(repr=False)
     a_nodes: np.ndarray = field(repr=False)
     b_nodes: np.ndarray = field(repr=False)
-    x_nodes: np.ndarray = field(repr=False)
+    dx: np.ndarray = field(repr=False)
 
     @property
     def grid(self) -> TimeGrid:
         return self.path.grid
 
     @property
-    def dx(self) -> np.ndarray:
-        """Increments ``X_{i+1} - X_i`` feeding every coefficient sum."""
-        return np.diff(self.x_nodes)
+    def x_nodes(self) -> np.ndarray:
+        """X at every node, ``x_nodes[0] == 0``."""
+        return np.concatenate(([0.0], np.cumsum(self.dx)))
 
 
 def _table_nodes(name: str, table, t: np.ndarray, m: int) -> np.ndarray:
@@ -306,57 +304,46 @@ def spec_tables(spec: ProcessSpec, grid: TimeGrid) -> SpecTables:
     return SpecTables(spec, grid, f, g, tau, c, DerivativeTable(np.ones(m), v, s * rec.alpha))
 
 
-def _block_drift(st: SpecTables, w_block: np.ndarray) -> np.ndarray:
-    """Drift values b(t_i) for a block of paths; shape (B, m)."""
+def _block_drift(st: SpecTables, w: np.ndarray) -> np.ndarray:
+    """Drift values b(t_i) at the left tags, given W (..., m + 1); shape (..., m)."""
     if st.g is None:
-        return np.zeros((w_block.shape[0], st.grid.m))
+        return np.zeros(w.shape[:-1] + (st.grid.m,))
     g0, g1 = DRIFT_RECORDS[st.spec.drift_kind]
-    return (g0 + g1 * w_block[:, -1:]) * st.g
+    return (g0 + g1 * w[..., -1:]) * st.g
 
 
-def block_diffusion(st: SpecTables, w_block: np.ndarray) -> np.ndarray:
-    """Diffusion ``a = f + alpha W_t + beta W_tau`` at the left tags; shape (B, m)."""
+def block_diffusion(st: SpecTables, w: np.ndarray) -> np.ndarray:
+    """Diffusion ``a = f + alpha W_t + beta W_tau`` at the left tags, given W
+    (..., m + 1); shape (..., m)."""
     rec = st.spec.record
-    a = np.zeros((w_block.shape[0], st.grid.m))
+    a = np.zeros(w.shape[:-1] + (st.grid.m,))
     if st.f is not None:
         a += st.f
     if rec.alpha:
-        a += rec.alpha * w_block[:, :-1]
+        a += rec.alpha * w[..., :-1]
     if rec.beta:
-        a += rec.beta * w_block[:, st.tau][:, None]
+        a += rec.beta * w[..., st.tau : st.tau + 1]
     return a
 
 
-def block_functionals(st: SpecTables, w_block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed forms for a block of paths, given the Brownian nodes ``w_block``
-    (B, m + 1): the drift (B, m) at the left tags and X (B, m + 1) at every
-    node.  The diffusion is :func:`block_diffusion`, for callers that need it."""
+def block_functionals(
+    st: SpecTables, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed forms given the Brownian nodes W (..., m + 1): the diffusion a,
+    the drift b and ``dX = a dW - diag(Da) / sqrt(m) + b / m``, each (..., m)."""
     m = st.grid.m
-    if w_block.ndim != 2 or w_block.shape[1] != m + 1:
-        raise ConfigError(f"w_block must have shape (B, {m + 1}), got {w_block.shape}")
-    rec = st.spec.record
-    t_all = st.grid.nodes
-    b = _block_drift(st, w_block)
-    x = np.zeros((w_block.shape[0], m + 1))  # the drift accumulator, then each term of X in place
-    np.cumsum(b, axis=1, out=x[:, 1:])
-    x[:, 1:] /= m
-    if st.f is not None:
-        x[:, 1:] += np.cumsum(np.diff(w_block, axis=1) * st.f, axis=1)
-    if rec.alpha:
-        x += 0.5 * rec.alpha * (np.square(w_block) - t_all)
-    if rec.beta:
-        w_tau = rec.beta * w_block[:, st.tau][:, None]
-        x += w_tau * w_block - rec.beta * np.minimum(t_all, rec.tau)
-    return b, x
+    if w.shape[-1:] != (m + 1,):
+        raise ConfigError(f"W must have shape (..., {m + 1}), got {w.shape}")
+    a = block_diffusion(st, w)
+    b = _block_drift(st, w)
+    return a, b, a * np.diff(w, axis=-1) - st.da.diag() / np.sqrt(m) + b / m
 
 
 def eval_functionals(spec: ProcessSpec, path: BrownianPath) -> PathFunctionals:
     """Evaluate a catalog entry along one path (X(0) = 0 always)."""
     st = spec_tables(spec, path.grid)
-    w = path.values[None, :]
-    b, x = block_functionals(st, w)
-    a = block_diffusion(st, w)
-    return PathFunctionals(spec=spec, path=path, a_nodes=a[0], b_nodes=b[0], x_nodes=x[0])
+    a, b, dx = block_functionals(st, path.values)
+    return PathFunctionals(spec=spec, path=path, tables=st, a_nodes=a, b_nodes=b, dx=dx)
 
 
 # ---------------------------------------------------------------------------
@@ -366,19 +353,13 @@ def eval_functionals(spec: ProcessSpec, path: BrownianPath) -> PathFunctionals:
 def diffusion_array(spec: ProcessSpec, path: BrownianPath) -> FunctionalArray:
     """Diffusion values with the table ``d a_i / d xi_r`` (``SpecTables.da``)."""
     st = spec_tables(spec, path.grid)
-    return FunctionalArray(values=block_diffusion(st, path.values[None, :])[0], partials=st.da)
-
-
-def drift_partial_const(spec: ProcessSpec, path: BrownianPath) -> np.ndarray:
-    """The direction-independent drift derivative ``d b_i / d xi_r``: zero for
-    deterministic drifts, ``g(t_i)/sqrt(m)`` for the ``W_1 * g`` drift."""
-    return spec_tables(spec, path.grid).c
+    return FunctionalArray(values=block_diffusion(st, path.values), partials=st.da)
 
 
 def drift_array(spec: ProcessSpec, path: BrownianPath) -> FunctionalArray:
     """Drift values with the rank-one derivative table ``c 1^T``."""
     st = spec_tables(spec, path.grid)
-    b = _block_drift(st, path.values[None, :])[0]
+    b = _block_drift(st, path.values)
     return FunctionalArray(values=b, partials=DerivativeTable(u=st.c, v=np.ones(st.grid.m)))
 
 
@@ -386,39 +367,34 @@ def drift_array(spec: ProcessSpec, path: BrownianPath) -> FunctionalArray:
 # per-path truth values
 
 
-def block_true_fourier_a(st: SpecTables, w_block: np.ndarray, orders: Sequence[int]) -> np.ndarray:
-    """Fourier coefficients of a against conj(e_n), one row per path.
+def block_true_fourier_a(st: SpecTables, w: np.ndarray, orders: Sequence[int]) -> np.ndarray:
+    """Fourier coefficients of a against conj(e_n), given W (..., m + 1);
+    shape (..., orders).
 
-    ``f_n + alpha * trapezoid_n(W) + beta * W_tau * delta_{n0}``.  The f
-    term is exact for TrigPoly data and the left Riemann sum for a node
-    table; the W_t term uses trapezoid quadrature along the sampled path.
-    Since ``W_0 = 0`` and ``conj(e_n(t_0)) = conj(e_n(t_m)) = 1``, the
-    trapezoid rule for W is ``(F_n(W at the left tags) + W_1 / 2) / m``.
+    ``f_n + alpha F_n(W at the left tags) / m + beta W_tau delta_{n0}``: the
+    f term is exact for TrigPoly data and the left Riemann sum for a node
+    table, and the W_t term is the left Riemann sum along the path, like
+    every other integral of the package.
     """
     m = st.grid.m
     rec = st.spec.record
     orders = np.asarray(orders, dtype=int)
     top = int(np.max(np.abs(orders), initial=0))
     cols = orders + top
-    out = np.zeros((w_block.shape[0], orders.size), dtype=complex)
+    out = np.zeros(w.shape[:-1] + orders.shape, dtype=complex)
     table = st.spec.f_table
     if isinstance(table, TrigPoly):
         out += np.array([table.coeff(int(n)) for n in orders], dtype=complex)
     elif table is not None:
         out += coefficients(st.f, top)[cols] / m
     if rec.alpha:
-        w1 = w_block[:, -1:]
-        out += rec.alpha * ((coefficients(w_block[:, :-1], top)[:, cols] + w1 / 2) / m)
+        out += rec.alpha * (coefficients(w[..., :-1], top)[..., cols] / m)
     if rec.beta:
-        out += rec.beta * (w_block[:, st.tau : st.tau + 1] * (orders == 0))
+        out += rec.beta * (w[..., st.tau : st.tau + 1] * (orders == 0))
     return out
 
 
 def true_fourier_a(spec: ProcessSpec, path: BrownianPath, n: int) -> complex:
-    """Per-path coefficient ``integral_0^1 a(t) conj(e_n(t)) dt``.
-
-    Exact for kinds in ``EXACT_ALGEBRA_KINDS`` (DET given TrigPoly data);
-    trapezoid quadrature along the path otherwise.
-    """
-    st = spec_tables(spec, path.grid)
-    return complex(block_true_fourier_a(st, path.values[None, :], [n])[0, 0])
+    """Per-path coefficient ``(1/m) sum_i a(t_i) conj(e_n(t_i))`` (DET given
+    TrigPoly data: its exact coefficient, which the sum equals)."""
+    return complex(block_true_fourier_a(spec_tables(spec, path.grid), path.values, [n])[0])

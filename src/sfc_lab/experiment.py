@@ -54,7 +54,6 @@ from .catalog import (
     ProcessSpec,
     SpecTables,
     TrigPoly,
-    block_diffusion,
     block_functionals,
     block_true_fourier_a,
     make_process,
@@ -120,8 +119,10 @@ class ExperimentConfig:
             )
         if self.paths < 100:
             raise ConfigError(f"paths must be >= 100, got {self.paths}")
-        if self.p_exponent < 1.0:
-            raise ConfigError(f"p_exponent must be >= 1, got {self.p_exponent}")
+        p = self.p_exponent
+        real = isinstance(p, (int, float, np.integer, np.floating)) and not isinstance(p, bool)
+        if not (real and math.isfinite(p) and p >= 1.0):
+            raise ConfigError(f"p_exponent must be a finite real >= 1, got {p!r}")
         if self.block_size < 1:
             raise ConfigError(f"block_size must be >= 1, got {self.block_size}")
         if not 0 <= self.master_seed <= 2**64 - 1:
@@ -359,12 +360,14 @@ def tile_rows(cfg: ExperimentConfig) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Tile:
-    """Paths ``lo ..`` of one tile: W's nodes and increments, dX, ``F_k(dX)``
-    (``|k| <= N + M``), ``F_l(dW)`` (``|l| <= N``) and the windows (rows, orders, widths)."""
+    """Paths ``lo ..`` of one tile: W's nodes and increments, a at the left
+    tags, dX, ``F_k(dX)`` (``|k| <= N + M``), ``F_l(dW)`` (``|l| <= N``) and
+    the windows (rows, orders, widths)."""
 
     lo: int
     w: np.ndarray
     dw: np.ndarray
+    a: np.ndarray
     dx: np.ndarray
     f_coef: np.ndarray
     i_coef: np.ndarray
@@ -384,10 +387,10 @@ def _run_tiles(cfg: ExperimentConfig, st: SpecTables, widths: tuple[int, ...], w
         dw = xi / np.sqrt(m)
         w = np.zeros((count, m + 1))
         np.cumsum(dw, axis=1, out=w[:, 1:])
-        dx = np.diff(block_functionals(st, w)[1], axis=1)
+        a, _, dx = block_functionals(st, w)
         f_coef = coefficients(dx, n_max + cfg.M)  # order k at column k + n_max + M
         i_coef = coefficients(dw, n_max)
-        work(Tile(lo, w, dw, dx, f_coef, i_coef, windows(f_coef, i_coef, cfg.orders, widths)))
+        work(Tile(lo, w, dw, a, dx, f_coef, i_coef, windows(f_coef, i_coef, cfg.orders, widths)))
 
     starts = range(0, cfg.paths, rows)
     threads = min(resolve_threads(), len(starts))
@@ -511,7 +514,7 @@ def run_identify(cfg: ExperimentConfig, mode: str) -> IdentifyResult:
         a = tile.est[:, :, 0]
         _require_finite("a_hat", tile.est, tile.lo, cfg.orders, (N,))
         if mode == CLOSED_FORM:
-            a_nodes, d = block_diffusion(st, tile.w), diag
+            a_nodes, d = tile.a, diag
         else:
             a_nodes = synthesize(a, cfg.m)
             d = estimator_gradient(st, tile.w, tile.dw, tile.f_coef, tile.i_coef)

@@ -12,10 +12,10 @@ With ``t_i = i/m`` the sum is the real DFT of the increments:
 ``np.fft.rfft(x)[n] = sum_i exp(-2 pi i n i/m) x_i`` is ``F_n`` for
 ``n >= 0``.  The increments are real, so the negative orders are conjugates,
 ``F_{-n} = conj(F_n)``, and :func:`coefficients` fills them that way.  Every
-coefficient of dX and dW that the estimators use, and the quadrature truth of
-a, comes from it.  Direct sums remain only in the tests' closed-form oracle
-``exact_diffusion_sfc``, kept independent so they can compare the two, and
-in derivative code that needs ``conj(e_n)`` element by element.
+coefficient in the package comes from it: those of dX and dW, the windows of
+the remainders and the left Riemann truth of a.  Direct sums remain only in
+the tests' closed-form oracle ``exact_diffusion_sfc``, kept independent so
+they can compare the two.
 Each row is transformed on its own, so a row's coefficients are bitwise the
 same whatever block it arrives in.
 

@@ -59,7 +59,7 @@ def dsfc_partials(spec, path, weights):
     """Gradient ``d / d xi_r`` of ``sum_i h_i dX_i`` for fixed weights h, one
     row (m,) or a stack (K, m):
 
-        s [f_r h_r + alpha (tail_r + W_{t_{r+1}} h_r)
+        s [f_r h_r + alpha (tail_r + W_{t_r} h_r)
            + beta (W_tau h_r + 1[r < tau m] sum_i h_i dW_i)] + sum_i c_i h_i / m
 
     with ``s = 1/sqrt(m)``, ``tail_r = sum_{i > r} h_i dW_i`` and ``c`` the
@@ -76,7 +76,7 @@ def dsfc_partials(spec, path, weights):
     if rec.alpha:
         prods = h * dw
         tail = np.cumsum(prods[..., ::-1], axis=-1)[..., ::-1] - prods
-        inner += rec.alpha * (tail + path.values[1:] * h)
+        inner += rec.alpha * (tail + path.values[:-1] * h)
     if rec.beta:
         head = path.values[st.tau] * h
         head[..., : st.tau] += (h @ dw)[..., None]

@@ -4,8 +4,8 @@ Frozen per-path oracles used here (derived by hand, see notes):
 
 * NONCAUSAL_W1, n = 0: the diffusion-derivative remainder is exactly
   W_1 / (2N+1) per path, because the kernel's grid row sums are m.
-* closed-form drift recovery is exact for the exact-algebra kinds, so a
-  cos(2 pi t) drift gives coefficient 1/2 at n = 1 to rounding.
+* closed-form drift recovery is exact for every kind, so a cos(2 pi t)
+  drift gives coefficient 1/2 at n = 1 to rounding.
 """
 
 import numpy as np
@@ -18,7 +18,6 @@ from helpers import dsfc_partials, spec_for
 from sfc_lab import (
     CATALOG_KINDS,
     DRIFT_KINDS,
-    EXACT_ALGEBRA_KINDS,
     BohrConfig,
     CoefficientSet,
     SeedSpec,
@@ -285,7 +284,7 @@ def test_w1_diffusion_derivative_oracle(paths256):
 def test_decomposition_exact_for_exact_kinds(paths256):
     # residual double integral must agree with the direct iterated
     # divergence: the decomposition holds term by term, not just in total
-    for kind in EXACT_ALGEBRA_KINDS:
+    for kind in CATALOG_KINDS:
         for extra in ({}, {"g": cosine(), "drift": "det"}, {"g": cosine(), "drift": "w1"}):
             spec = spec_for(kind, extra)
             for path in paths256[:3]:
@@ -294,24 +293,6 @@ def test_decomposition_exact_for_exact_kinds(paths256):
                     terms = remainder_terms(pf, n, 8)
                     direct = iterated_divergence_term(pf, n, 8)
                     assert abs(terms.double_wiener - direct) <= 1e-11, (kind, extra, n)
-
-
-def test_decomposition_defect_shrinks_for_path_kinds():
-    # ADAPTED_W and NONCAUSAL_BRIDGE carry the quadratic-variation defect in
-    # their residual; it must shrink like 1/sqrt(m)
-    spec = spec_for("ADAPTED_W")
-    rms = []
-    for m in (256, 1024):
-        grid = TimeGrid(m)
-        gaps = []
-        for idx in range(30):
-            pf = eval_functionals(spec, sample_path(SeedSpec(45, idx), grid))
-            terms = remainder_terms(pf, 0, 8)
-            direct = iterated_divergence_term(pf, 0, 8)
-            gaps.append(abs(terms.double_wiener - direct) ** 2)
-        rms.append(float(np.sqrt(np.mean(gaps))))
-    assert rms[0] <= 0.1
-    assert 0.3 <= rms[1] / rms[0] <= 0.75
 
 
 def test_estimate_decomposes_with_direct_terms(paths256):

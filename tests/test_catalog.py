@@ -5,7 +5,7 @@ import pytest
 from helpers import dsfc_partials, exact_diffusion_sfc, path_from_xi, spec_for, true_fourier_b
 from sfc_lab import (
     CATALOG_KINDS,
-    EXACT_ALGEBRA_KINDS,
+    DRIFT_KINDS,
     ConfigError,
     ProcessSpec,
     SeedSpec,
@@ -20,13 +20,7 @@ from sfc_lab import (
     sfc_range,
     true_fourier_a,
 )
-from sfc_lab.catalog import (
-    block_diffusion,
-    block_functionals,
-    diffusion_array,
-    drift_partial_const,
-    spec_tables,
-)
+from sfc_lab.catalog import block_functionals, diffusion_array, spec_tables
 
 
 def test_trigpoly_basics():
@@ -69,11 +63,12 @@ def test_closed_forms_against_direct_formulas():
     path = sample_path(SeedSpec(21, 0), grid)
     w = path.values
     t = grid.nodes
+    qv = np.concatenate(([0.0], np.cumsum(np.diff(w) ** 2)))  # sum_{i<k} dW_i^2
     checks = {
         "CONST": (np.ones(64), w),
-        "ADAPTED_W": (w[:-1], 0.5 * (w**2 - t)),
+        "ADAPTED_W": (w[:-1], 0.5 * (w**2 - qv)),
         "NONCAUSAL_W1": (np.full(64, w[-1]), w[-1] * w - t),
-        "NONCAUSAL_BRIDGE": (w[-1] - w[:-1], w[-1] * w - 0.5 * (w**2 + t)),
+        "NONCAUSAL_BRIDGE": (w[-1] - w[:-1], w[-1] * w - t - 0.5 * (w**2 - qv)),
         "NONCAUSAL_MIDPOINT": (np.full(64, w[32]), w[32] * w - np.minimum(t, 0.5)),
     }
     for kind, (a_expect, x_expect) in checks.items():
@@ -138,14 +133,12 @@ def test_block_matches_single_path():
     paths = [sample_path(SeedSpec(23, i), grid) for i in range(3)]
     spec = spec_for("NONCAUSAL_BRIDGE", {"g": cosine(), "drift": "det"})
     w_block = np.stack([p.values for p in paths])
-    st = spec_tables(spec, grid)
-    a = block_diffusion(st, w_block)
-    b, x = block_functionals(st, w_block)
+    a, b, dx = block_functionals(spec_tables(spec, grid), w_block)
     for i, path in enumerate(paths):
         pf = eval_functionals(spec, path)
         assert np.array_equal(a[i], pf.a_nodes)
         assert np.array_equal(b[i], pf.b_nodes)
-        assert np.array_equal(x[i], pf.x_nodes)
+        assert np.array_equal(dx[i], pf.dx)
 
 
 def test_diffusion_array_values_are_the_block_a_nodes():
@@ -173,9 +166,9 @@ def test_derivative_tables():
     assert da[3, 3] == s and da[3, 2] == 0.0 and da[2, 3] == s
     da = diffusion_array(spec_for("NONCAUSAL_MIDPOINT"), path).partials.dense()
     assert da[0, 7] == s and da[0, 8] == 0.0  # only directions r < m/2 matter
-    c = drift_partial_const(spec_for("CONST", {"g": constant(2.0), "drift": "w1"}), path)
+    c = spec_tables(spec_for("CONST", {"g": constant(2.0), "drift": "w1"}), grid).c
     npt.assert_allclose(c, 2.0 * s, atol=1e-14)
-    c = drift_partial_const(spec_for("CONST", {"g": constant(2.0), "drift": "det"}), path)
+    c = spec_tables(spec_for("CONST", {"g": constant(2.0), "drift": "det"}), grid).c
     npt.assert_allclose(c, 0.0, atol=0)
 
 
@@ -190,9 +183,9 @@ def test_true_fourier_a_values():
     assert true_fourier_a(spec_for("NONCAUSAL_MIDPOINT"), path, 0) == pytest.approx(
         path.values[32]
     )
-    # path-dependent kinds fall back to quadrature along the path
+    # path-dependent kinds take the left Riemann sum along the path
     val = true_fourier_a(spec_for("ADAPTED_W"), path, 0)
-    assert val == pytest.approx(np.trapezoid(path.values, grid.nodes), abs=1e-12)
+    assert val == pytest.approx(np.sum(path.values[:-1]) / 64, abs=1e-12)
 
 
 def test_true_fourier_b_values():
@@ -207,40 +200,16 @@ def test_true_fourier_b_values():
 
 
 def test_sfc_equals_divergence_for_exact_kinds(paths256):
-    for kind in EXACT_ALGEBRA_KINDS:
-        spec = spec_for(kind)
-        for path in paths256[:4]:
-            cs = sfc_range(eval_functionals(spec, path), 2)
-            for n in (0, 1, -2):
-                gap = abs(cs.entry(n) - exact_diffusion_sfc(spec, path, n))
-                assert gap <= 1e-12, (kind, n)
-
-
-def test_sfc_divergence_defect_is_quadratic_variation(paths256):
-    # ADAPTED_W and NONCAUSAL_BRIDGE carry the (dW^2 - dt)/2 defect whose
-    # rms is 1/sqrt(2m); 6 sigma bounds any single path comfortably
-    for kind in ("ADAPTED_W", "NONCAUSAL_BRIDGE"):
-        spec = spec_for(kind)
-        for path in paths256:
-            cs = sfc_range(eval_functionals(spec, path), 1)
-            for n in (0, 1):
-                gap = abs(cs.entry(n) - exact_diffusion_sfc(spec, path, n))
-                assert gap <= 6.0 / np.sqrt(2 * 256), (kind, n)
-
-
-def test_sfc_divergence_defect_shrinks_with_mesh():
-    spec = spec_for("ADAPTED_W")
-    rms = []
-    for m in (256, 1024):
-        grid = TimeGrid(m)
-        gaps = []
-        for idx in range(40):
-            path = sample_path(SeedSpec(26, idx), grid)
-            f0 = sfc_range(eval_functionals(spec, path), 0).entry(0)
-            gaps.append(abs(f0 - exact_diffusion_sfc(spec, path, 0)) ** 2)
-        rms.append(np.sqrt(np.mean(gaps)))
-    ratio = rms[1] / rms[0]  # mesh quadrupled: expect about 1/2
-    assert 0.3 <= ratio <= 0.7
+    # every kind: F_n(dX) = div(a conj(e_n)) + F_n(b dt), exactly on each path
+    for kind in CATALOG_KINDS:
+        for drift in DRIFT_KINDS:
+            extra = {} if drift == "none" else {"g": cosine(), "drift": drift}
+            spec = spec_for(kind, extra)
+            for path in paths256[:4]:
+                cs = sfc_range(eval_functionals(spec, path), 2)
+                for n in (0, 1, -2):
+                    expect = exact_diffusion_sfc(spec, path, n) + true_fourier_b(spec, path, n)
+                    assert abs(cs.entry(n) - expect) <= 1e-12, (kind, drift, n)
 
 
 def test_dsfc_partials_match_finite_differences():

@@ -145,10 +145,9 @@ def test_identify_nonfinite_estimate_names_the_path(monkeypatch):
     real = exp.block_functionals
 
     def poisoned(st, w_block):
-        b, x = real(st, w_block)
-        x = x.copy()
-        x[3, -1] = np.nan  # path index 3 of the first tile
-        return b, x
+        a, b, dx = real(st, w_block)
+        dx[3, -1] = np.nan  # path index 3 of the first tile
+        return a, b, dx
 
     monkeypatch.setattr(exp, "block_functionals", poisoned)
     cfg = config_from_jsonable(identify_config())
@@ -223,6 +222,9 @@ def test_unknown_subcommand_exits_two():
         ("master_seed", -1),
         ("N_list", [4, 8.5]),
         ("N_list", 8),
+        ("p_exponent", float("nan")),
+        ("p_exponent", float("inf")),
+        ("p_exponent", True),
     ],
 )
 def test_non_integer_config_fields_exit_two(tmp_path, capsys, field, value):

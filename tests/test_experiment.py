@@ -6,6 +6,7 @@ import pytest
 
 from helpers import spec_for
 from sfc_lab import (
+    CATALOG_KINDS,
     BohrConfig,
     ConfigError,
     NumericalFailureError,
@@ -201,8 +202,10 @@ def test_identify_prefix_property(mode):
     assert np.array_equal(short.b_hat, longer.b_hat[:100])
 
 
-def test_identify_closed_form_recovers_the_drift_exactly():
-    rows = run_identify(identify_config(), "closed_form").json_dict()["rows"]
+@pytest.mark.parametrize("kind", CATALOG_KINDS)
+def test_identify_closed_form_recovers_the_drift_exactly(kind):
+    cfg = small_config(spec=spec_for(kind, {"g": cosine(), "drift": "det"}))
+    rows = run_identify(cfg, "closed_form").json_dict()["rows"]
     for row in rows:
         target = 0.5 if abs(row["n"]) == 1 else 0.0
         assert abs(row["b_mean_re"] - target) <= 1e-12 and abs(row["b_mean_im"]) <= 1e-12
@@ -282,10 +285,9 @@ def test_nonfinite_estimate_names_the_path(monkeypatch):
     real = exp.block_functionals
 
     def poisoned(st, w_block):
-        b, x = real(st, w_block)
-        x = x.copy()
-        x[3, -1] = np.nan  # path index 3 of the first tile
-        return b, x
+        a, b, dx = real(st, w_block)
+        dx[3, -1] = np.nan  # path index 3 of the first tile
+        return a, b, dx
 
     monkeypatch.setattr(exp, "block_functionals", poisoned)
     with pytest.raises(NumericalFailureError, match="path 3"):

@@ -12,7 +12,6 @@ from helpers import spec_for, w1_functionals
 from sfc_lab import (
     CATALOG_KINDS,
     DRIFT_KINDS,
-    EXACT_ALGEBRA_KINDS,
     DerivativeTable,
     SeedSpec,
     TimeGrid,
@@ -29,7 +28,7 @@ from sfc_lab import (
     true_fourier_a,
 )
 from sfc_lab.bohr import _direct_terms
-from sfc_lab.catalog import diffusion_array, drift_array, drift_partial_const
+from sfc_lab.catalog import diffusion_array, drift_array, spec_tables
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -101,10 +100,9 @@ def test_exact_identities_hold(case):
 @given(cases, st.integers(1, 8))
 def test_decomposition_closes(case, N):
     # the residual double integral equals the direct iterated divergence
-    # for the kinds whose algebra is exact (alpha == 0)
     m = case["m"]
     n = case["n"]
-    if case["kind"] not in EXACT_ALGEBRA_KINDS or m < 8 * (N + abs(n)):
+    if m < 8 * (N + abs(n)):
         return
     grid = TimeGrid(m)
     pf = eval_functionals(_spec(case), sample_path(SeedSpec(case["seed"], 2), grid))
@@ -132,7 +130,7 @@ def _dense_direct_terms(pf, n, N):
     u = np.sum(da * kernel, axis=1) / sqrt_m * ebar
     diffusion_derivative = scale * np.dot(u, dw)
     v = kernel.T @ (pf.b_nodes * ebar) / m
-    dv_diag = kernel.T @ (drift_partial_const(pf.spec, pf.path) * ebar) / m
+    dv_diag = kernel.T @ (spec_tables(pf.spec, pf.grid).c * ebar) / m
     drift_wiener = scale * (np.dot(v, dw) - np.sum(dv_diag) / sqrt_m)
     drift_derivative = scale * np.sum(dv_diag) / sqrt_m
     return np.array([diffusion_derivative, drift_wiener, drift_derivative])
