@@ -34,6 +34,12 @@ which is ``(2N+1)`` times the :func:`windows` entry of the coefficients of x
 and y, and every row of K sums to m.  No m x m array is built.  ``windows``
 is the one window kernel: the sweep, identification and the remainders all
 call it, and ``bohr_product`` and ``identify_a`` are one-path views on it.
+It sums the products center-out, ``l = 0, 1, -1, 2, -2, ..``, so width N is
+entry 2N of one cumsum: its value does not depend on which other widths run
+beside it.  For real increments ``F_{-k} = conj(F_k)`` and ``I_{-l} =
+conj(I_l)``, so ``B_N(-n) = conj(B_N(n))``; ``band_windows`` computes the
+orders ``0 .. M`` only and fills ``n < 0`` as these exact conjugates, for the
+sweep and ``identify_a`` alike.
 
 Drift recovery inverts the coefficient relation
 ``F_n(dX) = div(a conj(e_n)) + (1/m) sum b conj(e_n)``: subtract the
@@ -95,17 +101,23 @@ def grid_supports(m: int, N: int, M: int) -> bool:
 
 
 def windows(
-    f_coef: np.ndarray, i_coef: np.ndarray, orders: Sequence[int], widths: Sequence[int]
+    f_coef: np.ndarray,
+    i_coef: np.ndarray,
+    orders: Sequence[int],
+    widths: Sequence[int],
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """``B_N(n) = (1/(2N+1)) sum_{|l| <= N} F_{n-l} I_l`` for every row, order
     n and width N, shape (..., orders, widths): the one window kernel.
 
     ``f_coef`` (..., 2K + 1) holds ``F_k`` and ``i_coef`` (..., 2L + 1) holds
     ``I_l`` in column ``k + K`` and ``l + L``; it needs ``max N <= L`` and
-    ``L + max |n| <= K``.  One cumsum over ``l = -L .. L`` serves every order;
-    each width is the difference of two prefix entries (the full sum when
-    ``N = L``).  Rows never mix, so a row's windows do not depend on the
-    rows beside it.
+    ``L + max |n| <= K``.  The products run center-out, ``l = 0, 1, -1, 2,
+    -2, ..``, so one cumsum serves every order and width N is its entry 2N:
+    no difference of two prefix sums, and a width's value does not depend on
+    which other widths are asked for.  ``out``, complex (..., orders, 2L + 1),
+    receives the products and their cumsum in place of a new array.  Rows
+    never mix, so a row's windows do not depend on the rows beside it.
     """
     K = (f_coef.shape[-1] - 1) // 2
     L = (i_coef.shape[-1] - 1) // 2
@@ -116,10 +128,28 @@ def windows(
             f"dW coefficients cover |l| <= {L} and dX coefficients |k| <= {K}; widths "
             f"{widths.tolist()} at orders {orders.tolist()} need |l| <= N and |k| <= N + |n|"
         )
-    cols = orders[:, None] - np.arange(-L, L + 1) + K
-    prefix = np.zeros(f_coef.shape[:-1] + cols.shape[:1] + (2 * L + 2,), dtype=complex)
-    np.cumsum(f_coef[..., cols] * i_coef[..., None, :], axis=-1, out=prefix[..., 1:])
-    return (prefix[..., L + widths + 1] - prefix[..., L - widths]) / (2 * widths + 1)
+    j = np.arange(2 * L + 1)
+    ells = (j + 1) // 2 * np.where(j % 2, 1, -1)  # 0, 1, -1, 2, -2, ...
+    # the indices are in range: mode "clip" only keeps take from buffering ``out``
+    prod = np.take(f_coef, orders[:, None] - ells + K, axis=-1, out=out, mode="clip")
+    prod *= np.take(i_coef, ells + L, axis=-1)[..., None, :]
+    np.cumsum(prod, axis=-1, out=prod)
+    return prod[..., 2 * widths] / (2 * widths + 1)
+
+
+def band_windows(
+    f_coef: np.ndarray,
+    i_coef: np.ndarray,
+    M: int,
+    widths: Sequence[int],
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """:func:`windows` at the orders ``-M .. M`` of real increments, shape
+    (..., 2M + 1, widths): computed for ``n = 0 .. M`` (``out`` sized for
+    M + 1 orders), and ``B_N(-n) = conj(B_N(n))`` exactly, because
+    ``F_{-k} = conj(F_k)`` and ``I_{-l} = conj(I_l)``."""
+    half = windows(f_coef, i_coef, range(M + 1), widths, out)
+    return np.concatenate([np.conj(half[..., :0:-1, :]), half], axis=-2)
 
 
 def bohr_product(
@@ -144,7 +174,7 @@ def identify_a(pf: cat.PathFunctionals, cfg: BohrConfig) -> CoefficientSet:
         raise ValueError(f"grid too coarse: m={m} < 8 (N + M) = {8 * (cfg.N + cfg.M)}")
     f_coef = coefficients(pf.dx, cfg.N + cfg.M)
     i_coef = coefficients(pf.path.increments, cfg.N)
-    values = windows(f_coef, i_coef, range(-cfg.M, cfg.M + 1), [cfg.N])[:, 0]
+    values = band_windows(f_coef, i_coef, cfg.M, [cfg.N])[:, 0]
     return CoefficientSet(max_order=cfg.M, values=values)
 
 

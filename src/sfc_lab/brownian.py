@@ -82,10 +82,26 @@ class BrownianPath:
         return float(self.values[-1])
 
 
-def substream(seed: SeedSpec) -> np.random.Generator:
-    """Generator for one path's substream (Philox keyed by seed and index)."""
+def substream(seed: SeedSpec, rekey: np.random.Generator | None = None) -> np.random.Generator:
+    """Generator for one path's substream (Philox keyed by seed and index).
+
+    Given ``rekey``, a generator from an earlier call, its Philox is reset to
+    the new key with a zero counter and an empty buffer instead, which is
+    the state a new ``Philox(key=)`` starts in, so the stream is the same;
+    a new bit generator would also read OS entropy it then discards.
+    """
     key = np.array([seed.master_seed, seed.path_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    if rekey is None:
+        return np.random.Generator(np.random.Philox(key=key))
+    rekey.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rekey
 
 
 def sample_path(seed: SeedSpec, grid: TimeGrid) -> BrownianPath:

@@ -39,6 +39,7 @@ values exactly by discrete orthogonality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -290,6 +291,12 @@ class SpecTables:
     c: np.ndarray = field(repr=False)
     da: DerivativeTable = field(repr=False)
 
+    @cached_property
+    def correction(self) -> np.ndarray:
+        """``D_i a_i / sqrt(m)``, the divergence's correction that dX
+        subtracts, computed on first use and kept for the run."""
+        return self.da.diag() / np.sqrt(self.grid.m)
+
 
 def spec_tables(spec: ProcessSpec, grid: TimeGrid) -> SpecTables:
     t, m, rec = grid.left_nodes, grid.m, spec.record
@@ -304,39 +311,55 @@ def spec_tables(spec: ProcessSpec, grid: TimeGrid) -> SpecTables:
     return SpecTables(spec, grid, f, g, tau, c, DerivativeTable(np.ones(m), v, s * rec.alpha))
 
 
-def _block_drift(st: SpecTables, w: np.ndarray) -> np.ndarray:
-    """Drift values b(t_i) at the left tags, given W (..., m + 1); shape (..., m)."""
+def _block_drift(st: SpecTables, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Drift values b(t_i) at the left tags, given W (..., m + 1); shape (..., m),
+    written into ``out`` when given."""
+    b = np.empty(w.shape[:-1] + (st.grid.m,)) if out is None else out
     if st.g is None:
-        return np.zeros(w.shape[:-1] + (st.grid.m,))
-    g0, g1 = DRIFT_RECORDS[st.spec.drift_kind]
-    return (g0 + g1 * w[..., -1:]) * st.g
+        b.fill(0.0)
+    else:
+        g0, g1 = DRIFT_RECORDS[st.spec.drift_kind]
+        np.multiply(g0 + g1 * w[..., -1:], st.g, out=b)
+    return b
 
 
-def block_diffusion(st: SpecTables, w: np.ndarray) -> np.ndarray:
-    """Diffusion ``a = f + alpha W_t + beta W_tau`` at the left tags, given W
-    (..., m + 1); shape (..., m)."""
+def block_diffusion(st: SpecTables, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Diffusion ``a = alpha W_t + f + beta W_tau`` at the left tags, given W
+    (..., m + 1); shape (..., m), written into ``out`` when given."""
     rec = st.spec.record
-    a = np.zeros(w.shape[:-1] + (st.grid.m,))
+    a = np.empty(w.shape[:-1] + (st.grid.m,)) if out is None else out
+    if rec.alpha:
+        np.multiply(rec.alpha, w[..., :-1], out=a)
+    else:
+        a.fill(0.0)
     if st.f is not None:
         a += st.f
-    if rec.alpha:
-        a += rec.alpha * w[..., :-1]
     if rec.beta:
         a += rec.beta * w[..., st.tau : st.tau + 1]
     return a
 
 
 def block_functionals(
-    st: SpecTables, w: np.ndarray
+    st: SpecTables, w: np.ndarray, out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed forms given the Brownian nodes W (..., m + 1): the diffusion a,
-    the drift b and ``dX = a dW - diag(Da) / sqrt(m) + b / m``, each (..., m)."""
+    the drift b and ``dX = a dW - diag(Da) / sqrt(m) + b / m``, each (..., m).
+
+    ``out``, three (..., m) arrays, receives a, b and dX in place of new
+    arrays; the drift's share ``b / m`` of dX is then divided in b's place,
+    so that b comes back as ``b / m``.
+    """
     m = st.grid.m
     if w.shape[-1:] != (m + 1,):
         raise ConfigError(f"W must have shape (..., {m + 1}), got {w.shape}")
-    a = block_diffusion(st, w)
-    b = _block_drift(st, w)
-    return a, b, a * np.diff(w, axis=-1) - st.da.diag() / np.sqrt(m) + b / m
+    a_out, b_out, dx_out = (None, None, None) if out is None else out
+    a = block_diffusion(st, w, a_out)
+    b = _block_drift(st, w, b_out)
+    dx = np.subtract(w[..., 1:], w[..., :-1], out=dx_out)
+    dx *= a
+    dx -= st.correction
+    dx += np.divide(b, m, out=b_out)
+    return a, b, dx
 
 
 def eval_functionals(spec: ProcessSpec, path: BrownianPath) -> PathFunctionals:
@@ -367,28 +390,43 @@ def drift_array(spec: ProcessSpec, path: BrownianPath) -> FunctionalArray:
 # per-path truth values
 
 
-def block_true_fourier_a(st: SpecTables, w: np.ndarray, orders: Sequence[int]) -> np.ndarray:
+def block_true_fourier_a(
+    st: SpecTables, w: np.ndarray, orders: Sequence[int], i_coef: np.ndarray | None = None
+) -> np.ndarray:
     """Fourier coefficients of a against conj(e_n), given W (..., m + 1);
     shape (..., orders).
 
     ``f_n + alpha F_n(W at the left tags) / m + beta W_tau delta_{n0}``: the
     f term is exact for TrigPoly data and the left Riemann sum for a node
     table, and the W_t term is the left Riemann sum along the path, like
-    every other integral of the package.
+    every other integral of the package.  Summation by parts gives that sum
+    from the dW coefficients ``I_n``: ``F_n(W) = (z I_n - I_0) / (1 - z)``
+    with ``z = e^{-2 pi i n/m}`` for n != 0, and ``sum_i W_i`` for n = 0.
+    ``i_coef`` (..., 2L + 1), with I_l in column ``l + L``, supplies them when
+    it covers every order, as a sweep tile's does; otherwise they are the
+    coefficients of W's increments.
     """
     m = st.grid.m
     rec = st.spec.record
     orders = np.asarray(orders, dtype=int)
     top = int(np.max(np.abs(orders), initial=0))
-    cols = orders + top
     out = np.zeros(w.shape[:-1] + orders.shape, dtype=complex)
     table = st.spec.f_table
     if isinstance(table, TrigPoly):
         out += np.array([table.coeff(int(n)) for n in orders], dtype=complex)
     elif table is not None:
-        out += coefficients(st.f, top)[cols] / m
+        out += coefficients(st.f, top)[orders + top] / m
     if rec.alpha:
-        out += rec.alpha * (coefficients(w[..., :-1], top)[..., cols] / m)
+        if i_coef is None or i_coef.shape[-1] < 2 * top + 1:
+            i_coef = coefficients(np.diff(w, axis=-1), top)
+        L = (i_coef.shape[-1] - 1) // 2
+        one_minus_z = -np.expm1(-2j * np.pi * orders / m)
+        nonzero = orders != 0
+        w_coef = ((1 - one_minus_z) * i_coef[..., orders + L] - i_coef[..., L : L + 1]) / (
+            np.where(nonzero, one_minus_z, 1.0)
+        )
+        w_coef[..., ~nonzero] = w[..., :-1].sum(axis=-1, keepdims=True)
+        out += rec.alpha * (w_coef / m)
     if rec.beta:
         out += rec.beta * (w[..., st.tau : st.tau + 1] * (orders == 0))
     return out

@@ -3,7 +3,10 @@ sweep and coefficient identification, on one engine.  Paths run in row tiles
 of at most ``block_size`` rows, and of at most as many as keep one (rows, m)
 float array within ``TILE_BYTES``.  Each tile is sampled, gets X from tables
 built once per run, one transform each of dX and dW and all its Bohr windows
-from one ``bohr.windows`` call; ``run_identify`` recovers b on the same tile.
+from one ``bohr.band_windows`` call; ``run_identify`` recovers b on the same
+tile.  Each worker thread fills the same buffers for every tile it builds,
+so a :class:`Tile`'s arrays are views on them, valid only inside the
+callback that receives it.
 
 Determinism contract
 --------------------
@@ -32,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -44,11 +48,11 @@ from . import __version__
 from .bohr import (
     CLOSED_FORM,
     BohrConfig,
+    band_windows,
     drift_coefficients,
     estimator_gradient,
     grid_supports,
     synthesize,
-    windows,
 )
 from .catalog import (
     ProcessSpec,
@@ -362,7 +366,9 @@ def tile_rows(cfg: ExperimentConfig) -> int:
 class Tile:
     """Paths ``lo ..`` of one tile: W's nodes and increments, a at the left
     tags, dX, ``F_k(dX)`` (``|k| <= N + M``), ``F_l(dW)`` (``|l| <= N``) and
-    the windows (rows, orders, widths)."""
+    the windows (rows, orders, widths).  W, dW, a and dX are views on the
+    worker's buffers, which its next tile overwrites: they are valid only
+    inside the callback, so keep a copy of what must outlive it."""
 
     lo: int
     w: np.ndarray
@@ -376,21 +382,42 @@ class Tile:
 
 def _run_tiles(cfg: ExperimentConfig, st: SpecTables, widths: tuple[int, ...], work) -> None:
     """Build every tile of paths and hand it to ``work``, on up to
-    ``SFC_LAB_THREADS`` threads; the first failing tile in path order raises."""
+    ``SFC_LAB_THREADS`` threads; the first failing tile in path order raises.
+
+    Each worker thread allocates its buffers and its generator at its first
+    tile and fills them in place for every later one, so a tile makes no
+    array of a tile's size: xi (turned into dW in place), W, a, dX, the
+    drift's scratch, the rfft spectrum both transforms share and the window
+    products.
+    """
     m, n_max, rows = cfg.m, max(widths), tile_rows(cfg)
+    local = threading.local()
+
+    def buffers() -> tuple[np.ndarray, ...]:
+        """This thread's xi, a, scratch, dX, W, spectrum and window products."""
+        if not hasattr(local, "buffers"):
+            local.buffers = (
+                *(np.empty((rows, m)) for _ in range(4)),
+                np.zeros((rows, m + 1)),  # column 0 stays W_0 = 0
+                np.empty((rows, m // 2 + 1), dtype=complex),
+                np.empty((rows, cfg.M + 1, 2 * n_max + 1), dtype=complex),
+            )
+            local.rng = None
+        return local.buffers
 
     def one(lo: int) -> None:
         count = min(cfg.paths, lo + rows) - lo
-        xi = np.empty((count, m))
+        xi, a, scratch, dx, w, spectrum, products = (b[:count] for b in buffers())
         for r in range(count):
-            xi[r] = substream(SeedSpec(cfg.master_seed, lo + r)).standard_normal(m)
-        dw = xi / np.sqrt(m)
-        w = np.zeros((count, m + 1))
+            local.rng = substream(SeedSpec(cfg.master_seed, lo + r), local.rng)
+            local.rng.standard_normal(out=xi[r])
+        dw = np.divide(xi, np.sqrt(m), out=xi)
         np.cumsum(dw, axis=1, out=w[:, 1:])
-        a, _, dx = block_functionals(st, w)
-        f_coef = coefficients(dx, n_max + cfg.M)  # order k at column k + n_max + M
-        i_coef = coefficients(dw, n_max)
-        work(Tile(lo, w, dw, a, dx, f_coef, i_coef, windows(f_coef, i_coef, cfg.orders, widths)))
+        a, _, dx = block_functionals(st, w, out=(a, scratch, dx))
+        f_coef = coefficients(dx, n_max + cfg.M, spectrum)  # order k at column k + n_max + M
+        i_coef = coefficients(dw, n_max, spectrum)
+        est = band_windows(f_coef, i_coef, cfg.M, widths, products)
+        work(Tile(lo, w, dw, a, dx, f_coef, i_coef, est))
 
     starts = range(0, cfg.paths, rows)
     threads = min(resolve_threads(), len(starts))
@@ -427,7 +454,7 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     estimates = np.zeros((cfg.paths, len(cfg.n_list), len(cfg.orders)), dtype=complex)
 
     def work(tile: Tile) -> None:
-        truth = block_true_fourier_a(st, tile.w, cfg.orders)
+        truth = block_true_fourier_a(st, tile.w, cfg.orders, tile.i_coef)
         err = np.abs(tile.est - truth[:, :, None])
         _require_finite("estimate", err, tile.lo, cfg.orders, cfg.n_list)
         hi = tile.lo + len(err)

@@ -13,9 +13,9 @@ With ``t_i = i/m`` the sum is the real DFT of the increments:
 ``n >= 0``.  The increments are real, so the negative orders are conjugates,
 ``F_{-n} = conj(F_n)``, and :func:`coefficients` fills them that way.  Every
 coefficient in the package comes from it: those of dX and dW, the windows of
-the remainders and the left Riemann truth of a.  Direct sums remain only in
-the tests' closed-form oracle ``exact_diffusion_sfc``, kept independent so
-they can compare the two.
+the remainders and, through the dW coefficients, the left Riemann truth of a.
+Direct sums remain only in the tests' closed-form oracle
+``exact_diffusion_sfc``, kept independent so they can compare the two.
 Each row is transformed on its own, so a row's coefficients are bitwise the
 same whatever block it arrives in.
 
@@ -62,7 +62,9 @@ class CoefficientSet:
         return complex(self.values[n + self.max_order])
 
 
-def coefficients(increments: np.ndarray, max_order: int) -> np.ndarray:
+def coefficients(
+    increments: np.ndarray, max_order: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """All ``sum_i conj(e_k(t_i)) x_i`` with ``|k| <= max_order``.
 
     Parameters
@@ -71,6 +73,9 @@ def coefficients(increments: np.ndarray, max_order: int) -> np.ndarray:
         Real values at the m left tags, one path per row.
     max_order : int
         Largest order kept; the grid must satisfy ``m > 2 max_order``.
+    out : ndarray of complex, shape (m // 2 + 1,) or (B, m // 2 + 1), optional
+        Receives the real FFT in place of a new array; the orders kept are
+        copied out of it, so it may be reused as soon as this returns.
 
     Returns
     -------
@@ -85,7 +90,7 @@ def coefficients(increments: np.ndarray, max_order: int) -> np.ndarray:
         raise ValueError(
             f"order {max_order} aliases on a grid with m={m} cells; need m > {2 * max_order}"
         )
-    pos = np.fft.rfft(x, axis=-1)[..., : max_order + 1]
+    pos = np.fft.rfft(x, axis=-1, out=out)[..., : max_order + 1]
     return np.concatenate([np.conj(pos[..., :0:-1]), pos], axis=-1)
 
 

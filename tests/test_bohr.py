@@ -8,6 +8,8 @@ Frozen per-path oracles used here (derived by hand, see notes):
   drift gives coefficient 1/2 at n = 1 to rounding.
 """
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -37,7 +39,7 @@ from sfc_lab import (
     true_fourier_a,
     wiener_sfc_range,
 )
-from sfc_lab.bohr import estimator_gradient, windows
+from sfc_lab.bohr import band_windows, estimator_gradient, windows
 from sfc_lab.catalog import spec_tables
 from sfc_lab.sfc import coefficients
 
@@ -66,38 +68,56 @@ def test_bohr_product_matches_loop():
     assert bohr_product(f, w, n, N) == pytest.approx(loop, abs=1e-13)
 
 
-def _prefix_loop(f_coef, i_coef, orders, widths):
-    """The sweep's per-order loop that ``windows`` replaced: one cumsum per
-    order, each width the difference of two prefix entries."""
-    K = (f_coef.shape[-1] - 1) // 2
-    L = (i_coef.shape[-1] - 1) // 2
-    ells = np.arange(-L, L + 1)
-    out = np.empty((f_coef.shape[0], len(orders), len(widths)), dtype=complex)
-    for oi, n in enumerate(orders):
-        prefix = np.cumsum(f_coef[:, (n - ells) + K] * i_coef, axis=1)
-        for wi, N in enumerate(widths):
-            window = prefix[:, N + L]
-            if N < L:
-                window = window - prefix[:, L - N - 1]
-            out[:, oi, wi] = window / (2 * N + 1)
-    return out
+def _fsum_window(f_row, i_row, n, N):
+    """``B_N(n)`` of one row with each product's real and imaginary parts
+    summed exactly by ``math.fsum``, and its rounding bound: the kernel's
+    running sum of the 2N+1 products may err by ``2N eps sum |t|``, the
+    products themselves by an ulp each."""
+    K = (len(f_row) - 1) // 2
+    L = (len(i_row) - 1) // 2
+    terms = [complex(f_row[n - ell + K] * i_row[ell + L]) for ell in range(-N, N + 1)]
+    exact = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    bound = 2 * np.finfo(float).eps * sum(abs(t) for t in terms)
+    return exact / (2 * N + 1), bound
 
 
-@pytest.mark.parametrize("rows,K,L", [(1, 20, 16), (4, 19, 16), (7, 40, 9)])
-def test_windows_match_the_per_order_prefix_loop(rows, K, L):
-    # same arithmetic in the same order, so equal bitwise, and row by row
+@pytest.mark.parametrize("rows,K,L", [(1, 20, 16), (4, 19, 16), (7, 40, 9), (2, 260, 256)])
+def test_windows_match_an_exactly_summed_oracle(rows, K, L):
+    # coefficients of a few thousand in modulus, so the products reach 1e7
     rng = np.random.default_rng(rows)
-    f_coef = rng.standard_normal((rows, 2 * K + 1)) + 1j * rng.standard_normal((rows, 2 * K + 1))
-    i_coef = rng.standard_normal((rows, 2 * L + 1)) + 1j * rng.standard_normal((rows, 2 * L + 1))
-    orders, widths = range(-3, 4), [w for w in (1, 2, 5, 9, 16) if w <= L]
+    f_coef, i_coef = (
+        1.5e3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        for shape in ((rows, 2 * K + 1), (rows, 2 * L + 1))
+    )
+    orders, widths = range(-3, 4), [w for w in (1, 2, 5, 9, 16, 64, 256) if w <= L]
     out = windows(f_coef, i_coef, orders, widths)
-    assert np.array_equal(out, _prefix_loop(f_coef, i_coef, orders, widths))
     for r in range(rows):
+        for oi, n in enumerate(orders):
+            for wi, N in enumerate(widths):
+                exact, bound = _fsum_window(f_coef[r], i_coef[r], n, N)
+                assert abs(out[r, oi, wi] - exact) <= bound, (r, n, N)
+        # rows never mix, bitwise
         assert np.array_equal(windows(f_coef[r], i_coef[r], orders, widths), out[r])
+    # a width's value does not depend on the other widths or on L, bitwise
+    for wi, N in enumerate(widths):
+        alone = windows(f_coef, i_coef[:, L - N : L + N + 1], orders, [N])
+        assert np.array_equal(alone[..., 0], out[..., wi])
     with pytest.raises(ValueError):
         windows(f_coef, i_coef, orders, [L + 1])
     with pytest.raises(ValueError):
         windows(f_coef[:, 1:-1], i_coef, range(K - L - 1, K - L + 1), [1])
+
+
+def test_band_windows_conjugate_the_nonnegative_orders():
+    rng = np.random.default_rng(5)
+    dx, dw = rng.standard_normal((2, 3, 128))
+    M, widths = 3, [2, 8]
+    f_coef, i_coef = coefficients(dx, 8 + M), coefficients(dw, 8)
+    out = np.empty((3, M + 1, 17), dtype=complex)
+    band = band_windows(f_coef, i_coef, M, widths, out)
+    assert np.array_equal(band[:, M:], windows(f_coef, i_coef, range(M + 1), widths))
+    assert np.array_equal(band[:, :M], np.conj(band[:, : M : -1]))
+    npt.assert_allclose(band, windows(f_coef, i_coef, range(-M, M + 1), widths), rtol=1e-14)
 
 
 def test_bohr_product_coverage_errors():

@@ -61,6 +61,19 @@ def test_substream_is_schedule_free():
     assert np.array_equal(first, second)
 
 
+def test_rekeyed_substream_is_a_new_substream():
+    gen = substream(SeedSpec(5, 0))
+    gen.standard_normal(7)
+    gen.integers(0, 9, size=3, dtype=np.uint32)  # leaves a buffered word and a half word
+    for seed in (SeedSpec(5, 3), SeedSpec(2**64 - 1, 2**64 - 1), SeedSpec(0, 0), SeedSpec(5, 3)):
+        fresh = substream(seed)
+        assert substream(seed, gen) is gen
+        assert np.array_equal(gen.standard_normal(33), fresh.standard_normal(33))
+        assert np.array_equal(gen.integers(0, 2**31, size=5, dtype=np.uint32),
+                              fresh.integers(0, 2**31, size=5, dtype=np.uint32))
+        assert np.array_equal(gen.standard_normal(9), fresh.standard_normal(9))
+
+
 def test_path_from_xi_round_trip():
     grid = TimeGrid(16)
     path = sample_path(SeedSpec(11, 2), grid)

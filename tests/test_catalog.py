@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import dsfc_partials, exact_diffusion_sfc, path_from_xi, spec_for, true_fourier_b
 from sfc_lab import (
@@ -20,7 +22,14 @@ from sfc_lab import (
     sfc_range,
     true_fourier_a,
 )
-from sfc_lab.catalog import block_functionals, diffusion_array, spec_tables
+from sfc_lab.catalog import (
+    block_diffusion,
+    block_functionals,
+    block_true_fourier_a,
+    diffusion_array,
+    spec_tables,
+)
+from sfc_lab.sfc import coefficients
 
 
 def test_trigpoly_basics():
@@ -139,6 +148,53 @@ def test_block_matches_single_path():
         assert np.array_equal(a[i], pf.a_nodes)
         assert np.array_equal(b[i], pf.b_nodes)
         assert np.array_equal(dx[i], pf.dx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(CATALOG_KINDS),
+    drift=st.sampled_from(DRIFT_KINDS),
+    rows=st.integers(1, 5),
+    m=st.sampled_from([8, 64, 256, 1024]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_buffered_forms_equal_the_allocating_forms(kind, drift, rows, m, seed):
+    # the sweep's tiles fill reused buffers; every bit must match a fresh call
+    spec = spec_for(kind, {} if drift == "none" else {"g": cosine(), "drift": drift})
+    tables = spec_tables(spec, TimeGrid(m))
+    dw = np.random.default_rng(seed).standard_normal((rows, m)) / np.sqrt(m)
+    w = np.zeros((rows, m + 1))
+    np.cumsum(dw, axis=1, out=w[:, 1:])
+    a, b, dx = block_functionals(tables, w)
+    out = tuple(np.full((rows, m), np.nan) for _ in range(3))
+    got = block_functionals(tables, w, out=out)
+    assert all(g is o for g, o in zip(got, out))
+    assert got[0].tobytes() == a.tobytes()
+    assert got[1].tobytes() == (b / m).tobytes()  # the drift's share of dX
+    assert got[2].tobytes() == dx.tobytes()
+    spectrum = np.full((rows, m // 2 + 1), np.nan, dtype=complex)
+    for x, order in ((dx, (m - 1) // 2), (dw, 2)):
+        assert coefficients(x, order, spectrum).tobytes() == coefficients(x, order).tobytes()
+
+
+@pytest.mark.parametrize("m", [256, 4096])
+@pytest.mark.parametrize("kind", CATALOG_KINDS)
+def test_true_fourier_a_by_parts_is_the_left_riemann_sum(kind, m):
+    # the oracle is the left Riemann sum of a, coefficients(a) / m, whose W_t
+    # part is coefficients(W at the left tags) / m; the truth reads that part
+    # off the dW coefficients by summation by parts
+    M, grid = 4, TimeGrid(m)
+    paths = [sample_path(SeedSpec(29, i), grid) for i in range(3)]
+    w = np.stack([p.values for p in paths])
+    dw = np.stack([p.increments for p in paths])
+    tables = spec_tables(spec_for(kind), grid)
+    orders = np.arange(-M, M + 1)
+    oracle = coefficients(block_diffusion(tables, w), M) / m
+    for i_coef in (None, coefficients(dw, M), coefficients(dw, 3 * M), coefficients(dw, M - 1)):
+        got = block_true_fourier_a(tables, w, orders, i_coef)
+        assert np.abs(got - oracle).max() <= 1e-12, kind
+    for p, row in zip(paths, oracle):
+        assert abs(true_fourier_a(spec_for(kind), p, -M) - row[0]) <= 1e-12
 
 
 def test_diffusion_array_values_are_the_block_a_nodes():

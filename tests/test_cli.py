@@ -144,8 +144,8 @@ def test_identify_nonfinite_estimate_names_the_path(monkeypatch):
 
     real = exp.block_functionals
 
-    def poisoned(st, w_block):
-        a, b, dx = real(st, w_block)
+    def poisoned(st, w_block, out=None):
+        a, b, dx = real(st, w_block, out=out)
         dx[3, -1] = np.nan  # path index 3 of the first tile
         return a, b, dx
 

@@ -18,9 +18,11 @@ from sfc_lab import (
     recover_b,
     sample_path,
 )
+from sfc_lab.catalog import spec_tables
 from sfc_lab.experiment import (
     CSV_HEADER,
     ExperimentConfig,
+    _run_tiles,
     config_from_jsonable,
     config_hash,
     config_jsonable,
@@ -167,6 +169,24 @@ def test_block_size_does_not_change_estimates():
         assert np.array_equal(a.estimates, b.estimates)
 
 
+def test_negative_orders_are_the_conjugates_of_the_positive(monkeypatch):
+    monkeypatch.setenv("SFC_LAB_THREADS", "2")
+    cfg = small_config(spec=spec_for("NONCAUSAL_BRIDGE", {"g": cosine(), "drift": "w1"}), M=3)
+    est = run_convergence(cfg).estimates  # (paths, widths, orders -M .. M)
+    assert np.array_equal(est[:, :, :3], np.conj(est[:, :, :3:-1]))
+
+
+def test_tiles_reuse_the_workers_buffers(monkeypatch):
+    monkeypatch.setenv("SFC_LAB_THREADS", "1")
+    cfg = small_config()
+    tiles = []
+    _run_tiles(cfg, spec_tables(cfg.spec, TimeGrid(cfg.m)), cfg.n_list, tiles.append)
+    assert [t.lo for t in tiles] == [0, 32, 64, 96] and len(tiles[-1].dx) == 24
+    for prev, tile in zip(tiles, tiles[1:]):
+        assert np.shares_memory(prev.dx, tile.dx)
+        assert np.shares_memory(prev.w, tile.w)
+
+
 def identify_config(**over):
     spec = spec_for("NONCAUSAL_W1", {"g": cosine(), "drift": "det"})
     return small_config(spec=spec, **over)
@@ -284,8 +304,8 @@ def test_nonfinite_estimate_names_the_path(monkeypatch):
 
     real = exp.block_functionals
 
-    def poisoned(st, w_block):
-        a, b, dx = real(st, w_block)
+    def poisoned(st, w_block, out=None):
+        a, b, dx = real(st, w_block, out=out)
         dx[3, -1] = np.nan  # path index 3 of the first tile
         return a, b, dx
 

@@ -133,6 +133,9 @@ def test_coefficients_properties(case):
         tol = 1e-12 * (1.0 + np.sum(np.abs(row)))
         for k in range(-max_order, max_order + 1):
             assert abs(coef[k + max_order] - bruteforce(row, k)) <= tol, k
+        # a given spectrum buffer changes nothing, bitwise
+        spectrum = np.full(row.shape[:-1] + (len(row) // 2 + 1,), np.nan, dtype=complex)
+        assert coefficients(row, max_order, spectrum).tobytes() == coef.tobytes()
         # each row is transformed on its own, bitwise
         assert np.array_equal(coefficients(row, max_order), coef)
         # real input: negative orders are the conjugates
