@@ -44,16 +44,19 @@ sweep and ``identify_a`` alike.
 Drift recovery inverts the coefficient relation
 ``F_n(dX) = div(a conj(e_n)) + (1/m) sum b conj(e_n)``: subtract the
 stochastic part and what is left is the drift coefficient, one transform
-``coefficients(dX - a dW + diag / sqrt(m))`` with ``diag_i = d a_i / d xi_i``
-(:func:`drift_coefficients`).  Two modes:
+``coefficients(dX - a dW + correction, M)`` with the divergence's correction
+``correction_i = (d a_i / d xi_i) / sqrt(m)``.  :func:`drift_coefficients`
+is that one step, for ``recover_b`` and for ``experiment.run_identify``'s
+tiles alike, and holds the choice between the two modes:
 
-* ``closed_form``   the true a and its exact derivative diagonal;
+* ``closed_form``   the true a and ``SpecTables.correction``, its exact
+                    derivative diagonal;
 * ``synthesized``   rebuild a from the *estimated* coefficients and subtract
                     the divergence of the synthesized trigonometric
-                    polynomial, differentiating the whole estimation pipeline
-                    to supply the divergence correction.  Exact first-order
-                    calculus suffices because every catalog diffusion is
-                    affine in W.
+                    polynomial, whose correction :func:`estimator_gradient`
+                    returns by differentiating the whole estimation
+                    pipeline.  Exact first-order calculus suffices because
+                    every catalog diffusion is affine in W.
 
 The correction's gradient of ``B_N(q)`` is a convolution in frequency.  With
 ``I_l = F_l(dW)``, ``sum_l I_l dF_{q-l}/dxi_r`` is the gradient of
@@ -71,7 +74,7 @@ import numpy as np
 from . import catalog as cat
 from .errors import ConfigError
 from .malliavin import DerivativeTable
-from .sfc import CoefficientSet, coefficients
+from .sfc import CoefficientSet, coefficients, synthesize
 
 CLOSED_FORM = "closed_form"
 SYNTHESIZED = "synthesized"
@@ -178,25 +181,15 @@ def identify_a(pf: cat.PathFunctionals, cfg: BohrConfig) -> CoefficientSet:
     return CoefficientSet(max_order=cfg.M, values=values)
 
 
-def synthesize(coeffs: CoefficientSet | np.ndarray, m: int) -> np.ndarray:
-    """The real polynomial ``sum_n c_n e_n(t_i)`` at the m left tags, for a
-    set or for each row (..., 2K + 1) of orders ``-K .. K``: one
-    ``np.fft.irfft`` of the orders ``n >= 0``, so the coefficients must be
-    conjugate-symmetric, ``c_{-n} = conj(c_n)``, as ``identify_a``'s are."""
-    values = coeffs.values if isinstance(coeffs, CoefficientSet) else coeffs
-    K = (values.shape[-1] - 1) // 2
-    if m <= 2 * K:
-        raise ValueError(f"order {K} aliases on a grid with m={m} cells")
-    return np.fft.irfft(values[..., K:], n=m) * m
-
-
 def estimator_gradient(
     st: cat.SpecTables, w: np.ndarray, dw: np.ndarray, f_coef: np.ndarray, i_coef: np.ndarray
 ) -> np.ndarray:
-    """The diagonal ``d a_hat(t_r)/d xi_r = sum_{|q| <= M} e_q(t_r) d a_hat_q/d xi_r``
-    of ``a_hat_q = (1/(2N+1)) sum_{|l| <= N} F_{q-l} I_l``, ``I_l = F_l(dW)``,
-    for one path or each row of a block: ``i_coef`` holds I_l for
-    ``|l| <= N`` and ``f_coef`` holds F_k for ``|k| <= N + M``.
+    """The divergence's correction ``(d a_hat(t_r)/d xi_r) / sqrt(m)`` of the
+    synthesized a, from the diagonal ``d a_hat(t_r)/d xi_r = sum_{|q| <= M}
+    e_q(t_r) d a_hat_q/d xi_r`` of ``a_hat_q = (1/(2N+1)) sum_{|l| <= N}
+    F_{q-l} I_l``, ``I_l = F_l(dW)``, for one path or each row of a block:
+    ``i_coef`` holds I_l for ``|l| <= N`` and ``f_coef`` holds F_k for
+    ``|k| <= N + M``.
 
     * ``sum_l I_l dF_{q-l}/dxi_r`` is the gradient of ``sum_i h_q(i) dX_i``
       at ``h_q = conj(e_q) S``, with ``S = sum_{|l| <= N} I_l e_l`` real and
@@ -235,38 +228,47 @@ def estimator_gradient(
     k = np.arange(-(N + M), N + M + 1)
     counts = np.minimum(k + N, M) - np.maximum(k - N, -M) + 1
     d_dw = synthesize(counts * f_coef, m) / np.sqrt(m)
-    return (d_dx + d_dw) / (2 * N + 1)
+    return (d_dx + d_dw) / (2 * N + 1) / np.sqrt(m)
 
 
 def drift_coefficients(
-    dx: np.ndarray, dw: np.ndarray, a_nodes: np.ndarray, diag: np.ndarray, M: int
+    st: cat.SpecTables,
+    mode: str,
+    w: np.ndarray,
+    dw: np.ndarray,
+    dx: np.ndarray,
+    a: np.ndarray,
+    a_hat: np.ndarray,
+    f_coef: np.ndarray,
+    i_coef: np.ndarray,
 ) -> np.ndarray:
-    """``b_n = F_n(dX) - div(a conj(e_n))`` for ``|n| <= M``, per row:
-    ``div(a conj(e_n)) = sum_i conj(e_n(t_i)) (a_i dW_i - diag_i / sqrt(m))``
-    with ``diag_i = d a_i / d xi_i``, so b is one transform of what dX leaves."""
-    return coefficients(dx - a_nodes * dw + diag / np.sqrt(dx.shape[-1]), M)
+    """``b_n = F_n(dX) - div(a conj(e_n)) = F_n(dX - a dW + correction)`` for
+    ``|n| <= M``, one path or each row of a block: the drift step of both
+    modes.  ``closed_form`` takes the true a at the left tags with
+    ``SpecTables.correction``; ``synthesized`` the polynomial of the estimated
+    coefficients ``a_hat`` (..., 2M + 1) with the correction that
+    :func:`estimator_gradient` takes from W, dW, ``f_coef`` and ``i_coef``.
+    """
+    if mode == CLOSED_FORM:
+        correction = st.correction
+    else:
+        a = synthesize(a_hat, dx.shape[-1])
+        correction = estimator_gradient(st, w, dw, f_coef, i_coef)
+    return coefficients(dx - a * dw + correction, (f_coef.shape[-1] - i_coef.shape[-1]) // 2)
 
 
 def recover_b(
     pf: cat.PathFunctionals, a_hat: CoefficientSet, cfg: BohrConfig
 ) -> CoefficientSet:
-    """Recover the drift coefficients: ``b_n = F_n(dX) - div(a conj(e_n))``.
-
-    ``closed_form`` subtracts the exact divergence of the true a, with the
-    exact derivative diagonal.  ``synthesized`` subtracts the divergence of
-    the polynomial rebuilt from ``a_hat``, using the estimator's own
-    gradient for the divergence correction.
-    """
-    st = pf.tables
+    """Recover the drift coefficients ``b_n = F_n(dX) - div(a conj(e_n))``,
+    ``|n| <= cfg.M``, of one path: :func:`drift_coefficients` in ``cfg.mode``."""
     dw = pf.path.increments
-    if cfg.mode == CLOSED_FORM:
-        a_nodes, diag = pf.a_nodes, st.da.diag()
-    else:
-        a_nodes = synthesize(a_hat, pf.grid.m)
-        f_coef = coefficients(pf.dx, cfg.N + cfg.M)
-        i_coef = coefficients(dw, cfg.N)
-        diag = estimator_gradient(st, pf.path.values, dw, f_coef, i_coef)
-    return CoefficientSet(cfg.M, drift_coefficients(pf.dx, dw, a_nodes, diag, cfg.M))
+    f_coef = coefficients(pf.dx, cfg.N + cfg.M)
+    i_coef = coefficients(dw, cfg.N)
+    b = drift_coefficients(
+        pf.tables, cfg.mode, pf.path.values, dw, pf.dx, pf.a_nodes, a_hat.values, f_coef, i_coef
+    )
+    return CoefficientSet(cfg.M, b)
 
 
 @dataclass(frozen=True)
@@ -379,9 +381,7 @@ def iterated_divergence_term(pf: cat.PathFunctionals, n: int, N: int) -> complex
     """
     m = pf.grid.m
     _require_mesh(m, N, n)
-    s = 1.0 / np.sqrt(m)
     dw = pf.path.increments
-    da = pf.tables.da
-    z = pf.a_nodes * dw - s * da.diag()
-    outer = _window(z, dw, n, N) - s * _kernel_trace(da, dw, n, N)
+    z = pf.a_nodes * dw - pf.tables.correction
+    outer = _window(z, dw, n, N) - _kernel_trace(pf.tables.da, dw, n, N) / np.sqrt(m)
     return complex(outer - _coefficient(pf.a_nodes, n) / m)

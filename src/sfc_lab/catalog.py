@@ -33,7 +33,9 @@ order 1, ``D_s b(t) = g(t)``) contributes the left Riemann accumulator
 ``(1/m) sum_{i: t_i < t} b(t_i)`` to X.  The same left tagging as every other
 sum keeps the algebraic identities exact at the grid level; for
 trigonometric-polynomial data, Fourier quantities agree with the continuum
-values exactly by discrete orthogonality.
+values exactly by discrete orthogonality.  A :class:`TrigPoly` table reaches
+the left tags through ``sfc.synthesize``, the inverse of the coefficient
+transform; a node table is used as given.
 """
 
 from __future__ import annotations
@@ -46,9 +48,9 @@ import numpy as np
 
 from .brownian import BrownianPath
 from .errors import ConfigError
-from .grid import TimeGrid, eval_basis
+from .grid import TimeGrid
 from .malliavin import DerivativeTable, FunctionalArray
-from .sfc import coefficients
+from .sfc import coefficients, synthesize
 
 CONST = "CONST"
 DET = "DET"
@@ -70,8 +72,9 @@ class TrigPoly:
     """Real trigonometric polynomial ``sum_k c_k exp(2 pi i k t)``.
 
     Stored as a sorted tuple of (frequency, coefficient) pairs with the
-    conjugate symmetry ``c_{-k} = conj(c_k)`` enforced, so sampled values
-    are real.
+    conjugate symmetry ``c_{-k} = conj(c_k)`` enforced, so its values are
+    real; they are taken at the left tags by ``sfc.synthesize``, like every
+    other polynomial of the package.
     """
 
     coeffs: tuple[tuple[int, complex], ...]
@@ -97,13 +100,6 @@ class TrigPoly:
     @property
     def max_freq(self) -> int:
         return max((abs(k) for k, _ in self.coeffs), default=0)
-
-    def sample(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape, dtype=complex)
-        for k, c in self.coeffs:
-            out += c * eval_basis(k, t)
-        return out.real
 
 
 def cosine(freq: int = 1, amplitude: float = 1.0) -> TrigPoly:
@@ -252,13 +248,13 @@ class PathFunctionals:
         return np.concatenate(([0.0], np.cumsum(self.dx)))
 
 
-def _table_nodes(name: str, table, t: np.ndarray, m: int) -> np.ndarray:
+def _table_nodes(name: str, table, m: int) -> np.ndarray:
+    """A table at the m left tags: a TrigPoly through the inverse transform."""
     if isinstance(table, TrigPoly):
-        if m <= 2 * table.max_freq:
-            raise ConfigError(
-                f"grid too coarse for {name}: need m > {2 * table.max_freq}, got m={m}"
-            )
-        return table.sample(t)
+        K = table.max_freq
+        if m <= 2 * K:
+            raise ConfigError(f"grid too coarse for {name}: need m > {2 * K}, got m={m}")
+        return synthesize(np.array([table.coeff(k) for k in range(-K, K + 1)]), m)
     arr = np.asarray(table, dtype=float)
     if arr.shape != (m,):
         raise ConfigError(
@@ -294,15 +290,16 @@ class SpecTables:
     @cached_property
     def correction(self) -> np.ndarray:
         """``D_i a_i / sqrt(m)``, the divergence's correction that dX
-        subtracts, computed on first use and kept for the run."""
+        subtracts and closed-form drift recovery adds back, computed on
+        first use and kept for the run."""
         return self.da.diag() / np.sqrt(self.grid.m)
 
 
 def spec_tables(spec: ProcessSpec, grid: TimeGrid) -> SpecTables:
-    t, m, rec = grid.left_nodes, grid.m, spec.record
+    m, rec = grid.m, spec.record
     s = 1.0 / np.sqrt(m)
-    f = None if spec.f_table is None else _table_nodes("f", spec.f_table, t, m)
-    g = None if spec.g is None else _table_nodes("g", spec.g, t, m)
+    f = None if spec.f_table is None else _table_nodes("f", spec.f_table, m)
+    g = None if spec.g is None else _table_nodes("g", spec.g, m)
     g1 = DRIFT_RECORDS[spec.drift_kind][1]
     c = g1 * g / np.sqrt(m) if g1 else np.zeros(m)
     tau = _tau_node(spec, m) if rec.beta else 0

@@ -70,6 +70,16 @@ def _apply_overrides(data: dict, args: argparse.Namespace) -> dict:
     return data
 
 
+def _write_artifacts(out: str, stem: str, result) -> None:
+    """Write a result's ``<stem>.csv`` and ``<stem>.json`` into ``out``."""
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for suffix, text in (("csv", result.csv_text()), ("json", result.json_text())):
+        path = out_dir / f"{stem}.{suffix}"
+        path.write_text(text, encoding="utf-8", newline="\n")
+        print(f"wrote {path}")
+
+
 def _check_line(ok: bool, name: str, detail: str) -> bool:
     print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
     return ok
@@ -157,26 +167,24 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
 def _identity_checks(grid: TimeGrid, seed: int, paths: int) -> bool:
     """Integration by parts and both product rules over the catalog on the
-    first ``paths`` paths; prints one line per check."""
+    first ``paths`` paths, each sampled once; prints one line per check."""
+    sampled = [sample_path(SeedSpec(seed, idx), grid) for idx in range(paths)]
+    e = {n: eval_basis(n, grid.left_nodes) for n in (0, 1, -3)}
     worst = 0.0
-    for idx in range(paths):
-        path = sample_path(SeedSpec(seed, idx), grid)
+    for path in sampled:
         for functional in w1_functionals(path).values():
             for n in (0, 1, -3):
-                e_nodes = eval_basis(n, grid.left_nodes)
-                worst = max(worst, lemma_fdelta_residual(functional, e_nodes, path))
+                worst = max(worst, lemma_fdelta_residual(functional, e[n], path))
     ok = _check_line(worst <= 1e-10, "integration by parts", f"max_residual={worst:.3e}")
     g = {0: 0.5, 1: 0.5, -1: 0.5}  # 1/2 + cos(2 pi t); a zero mean makes prop 2 vacuous
     for kind in CATALOG_KINDS:
         plain = spec_for(kind)
         drifted = [spec_for(kind, {"g": g, "drift": d}) for d in (DRIFT_DET, DRIFT_W1)]
         worst1 = worst2 = 0.0
-        for idx in range(paths):
-            path = sample_path(SeedSpec(seed, idx), grid)
+        for path in sampled:
             for n in (0, 1):
-                e_nodes = eval_basis(n, grid.left_nodes)
-                worst1 = max(worst1, prop1_residual(plain, e_nodes, path))
-                worst2 = max(worst2, *(prop2_residual(s, e_nodes, path) for s in drifted))
+                worst1 = max(worst1, prop1_residual(plain, e[n], path))
+                worst2 = max(worst2, *(prop2_residual(s, e[n], path) for s in drifted))
         for factor, worst in (("stochastic", worst1), ("drift", worst2)):
             line = f"{kind} {factor} product rule"
             ok &= _check_line(worst <= 1e-9, line, f"max_residual={worst:.3e}")
@@ -207,15 +215,7 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         raise ConfigError(f"slope_band_orders must be a list of orders, got {band_orders!r}")
     cfg = config_from_jsonable(data)
     result = run_convergence(cfg)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "convergence.csv"
-    json_path = out_dir / "convergence.json"
-    result.write_csv(csv_path)
-    result.write_json(json_path)
-    print(f"wrote {csv_path}")
-    print(f"wrote {json_path}")
+    _write_artifacts(args.out, "convergence", result)
     print(f"config_hash={config_hash(cfg)}")
     print(f"runtime_seconds={result.runtime_seconds:.3f}")
 
@@ -244,19 +244,8 @@ def cmd_identify(args: argparse.Namespace) -> int:
     mode = data.get("mode", CLOSED_FORM)
     cfg = config_from_jsonable(data)
     result = run_identify(cfg, mode)
-    report = result.json_dict()
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "identify.csv"
-    json_path = out_dir / "identify.json"
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(result.csv_text())
-    with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    print(f"wrote {csv_path}")
-    print(f"wrote {json_path}")
-    for row in report["rows"]:
+    _write_artifacts(args.out, "identify", result)
+    for row in result.rows:
         print(
             f"n={row['n']} a_mean={row['a_mean_re']:+.6f}{row['a_mean_im']:+.6f}j "
             f"(se {row['a_se']:.2e}) b_mean={row['b_mean_re']:+.6f}{row['b_mean_im']:+.6f}j "

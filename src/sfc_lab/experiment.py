@@ -39,21 +39,14 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from hashlib import sha256
 from typing import Mapping
 
 import numpy as np
 
 from . import __version__
-from .bohr import (
-    CLOSED_FORM,
-    BohrConfig,
-    band_windows,
-    drift_coefficients,
-    estimator_gradient,
-    grid_supports,
-    synthesize,
-)
+from .bohr import BohrConfig, band_windows, drift_coefficients, grid_supports
 from .catalog import (
     ProcessSpec,
     SpecTables,
@@ -83,6 +76,10 @@ def _csv_text(header: str, rows) -> str:
     for row in rows:
         lines.append(",".join(v if isinstance(v, str) else repr(v) for v in map(row.get, keys)))
     return "\n".join(lines) + "\n"
+
+
+def _json_text(data: dict) -> str:
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 def _require_int(name: str, value) -> None:
@@ -334,15 +331,7 @@ class ExperimentResult:
         }
 
     def json_text(self) -> str:
-        return json.dumps(self.json_dict(), sort_keys=True, indent=2) + "\n"
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.csv_text())
-
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.json_text())
+        return _json_text(self.json_dict())
 
 
 def fit_decay(result: ExperimentResult, n: int = 0) -> DecayFit:
@@ -497,9 +486,11 @@ class IdentifyResult:
     a_hat: np.ndarray = field(repr=False)
     b_hat: np.ndarray = field(repr=False)
 
-    def json_dict(self) -> dict:
+    @cached_property
+    def rows(self) -> list[dict]:
         """Per order: the complex sample mean and the scalar standard error
-        ``sqrt((var(re) + var(im)) / paths)`` of each coefficient."""
+        ``sqrt((var(re) + var(im)) / paths)`` of each coefficient, reduced
+        once and shared by both artifacts."""
         cfg = self.config
         rows = []
         for oi, n in enumerate(cfg.orders):
@@ -510,42 +501,43 @@ class IdentifyResult:
                 row[f"{name}_mean_im"], var_im = _mean_var(vals.imag.tolist())
                 row[f"{name}_se"] = math.sqrt((var_re + var_im) / cfg.paths)
             rows.append(row)
+        return rows
+
+    def json_dict(self) -> dict:
         return {
             "version": __version__,
-            "config_hash": config_hash(cfg),
-            "config": config_jsonable(cfg),
+            "config_hash": config_hash(self.config),
+            "config": config_jsonable(self.config),
             "mode": self.mode,
-            "rows": rows,
+            "rows": self.rows,
         }
 
     def csv_text(self) -> str:
-        return _csv_text(IDENTIFY_CSV_HEADER, self.json_dict()["rows"])
+        return _csv_text(IDENTIFY_CSV_HEADER, self.rows)
+
+    def json_text(self) -> str:
+        return _json_text(self.json_dict())
 
 
 def run_identify(cfg: ExperimentConfig, mode: str) -> IdentifyResult:
     """Estimate a and recover b on every path, at width N = max(cfg.n_list).
 
     The paths run on the sweep's tiles, so ``a_hat`` is bitwise the sweep's
-    estimate at width N and the determinism contract is the sweep's.  Both
-    modes take ``b = coefficients(dX - a dW + diag / sqrt(m))``: closed form
-    with the true a and its exact derivative diagonal, synthesized with the
-    polynomial of ``a_hat`` and the estimator's gradient.
+    estimate at width N and the determinism contract is the sweep's.  Each
+    tile takes b from ``bohr.drift_coefficients``, the drift step that
+    ``recover_b`` takes too, so ``b_hat`` is bitwise its value per path.
     """
     N = BohrConfig(N=max(cfg.n_list), M=cfg.M, mode=mode).N
     st = spec_tables(cfg.spec, TimeGrid(cfg.m))
     a_hat = np.empty((cfg.paths, len(cfg.orders)), dtype=complex)
     b_hat = np.empty_like(a_hat)
-    diag = st.da.diag()
 
     def work(tile: Tile) -> None:
         a = tile.est[:, :, 0]
         _require_finite("a_hat", tile.est, tile.lo, cfg.orders, (N,))
-        if mode == CLOSED_FORM:
-            a_nodes, d = tile.a, diag
-        else:
-            a_nodes = synthesize(a, cfg.m)
-            d = estimator_gradient(st, tile.w, tile.dw, tile.f_coef, tile.i_coef)
-        b = drift_coefficients(tile.dx, tile.dw, a_nodes, d, cfg.M)
+        b = drift_coefficients(
+            st, mode, tile.w, tile.dw, tile.dx, tile.a, a, tile.f_coef, tile.i_coef
+        )
         _require_finite("b_hat", b[:, :, None], tile.lo, cfg.orders, (N,))
         a_hat[tile.lo : tile.lo + len(a)] = a
         b_hat[tile.lo : tile.lo + len(a)] = b

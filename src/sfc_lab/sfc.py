@@ -1,4 +1,4 @@
-"""Stochastic Fourier coefficients of dX and of dW.
+"""Stochastic Fourier coefficients of dX and of dW, and the way back.
 
 The coefficient of order n is the left-tagged Riemann-Stieltjes sum
 
@@ -14,8 +14,11 @@ With ``t_i = i/m`` the sum is the real DFT of the increments:
 ``F_{-n} = conj(F_n)``, and :func:`coefficients` fills them that way.  Every
 coefficient in the package comes from it: those of dX and dW, the windows of
 the remainders and, through the dW coefficients, the left Riemann truth of a.
-Direct sums remain only in the tests' closed-form oracle
-``exact_diffusion_sfc``, kept independent so they can compare the two.
+Its inverse, :func:`synthesize`, is the one way back to the left tags: one
+``irfft`` gives the estimated a, the estimator's gradient, the kernel's lag
+row and every trigonometric-polynomial table of the catalog.  Direct sums
+remain only in the tests' oracles (``exact_diffusion_sfc`` and the basis
+loop of ``trigpoly_nodes``), kept independent so they can compare the two.
 Each row is transformed on its own, so a row's coefficients are bitwise the
 same whatever block it arrives in.
 
@@ -92,6 +95,19 @@ def coefficients(
         )
     pos = np.fft.rfft(x, axis=-1, out=out)[..., : max_order + 1]
     return np.concatenate([np.conj(pos[..., :0:-1]), pos], axis=-1)
+
+
+def synthesize(coeffs: CoefficientSet | np.ndarray, m: int) -> np.ndarray:
+    """The real polynomial ``sum_n c_n e_n(t_i)`` at the m left tags, for a
+    set or for each row (..., 2K + 1) of orders ``-K .. K``: one
+    ``np.fft.irfft`` of the orders ``n >= 0``, so the coefficients must be
+    conjugate-symmetric, ``c_{-n} = conj(c_n)``.  The inverse of
+    :func:`coefficients` up to the factor m; needs ``m > 2K``."""
+    values = coeffs.values if isinstance(coeffs, CoefficientSet) else coeffs
+    K = (values.shape[-1] - 1) // 2
+    if m <= 2 * K:
+        raise ValueError(f"order {K} aliases on a grid with m={m} cells")
+    return np.fft.irfft(values[..., K:], n=m) * m
 
 
 def sfc_range(pf: PathFunctionals, max_order: int) -> CoefficientSet:

@@ -39,6 +39,16 @@ def true_fourier_b(spec, path, n):
     return complex((g0 + g1 * path.terminal) * base)
 
 
+def trigpoly_nodes(poly, t):
+    """``sum_k c_k e_k(t)`` of a TrigPoly, one basis call per coefficient:
+    the oracle for the tables' inverse transform."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape, dtype=complex)
+    for k, c in poly.coeffs:
+        out += c * eval_basis(k, t)
+    return out.real
+
+
 def exact_diffusion_sfc(spec, path, n):
     """``div(a conj(e_n))`` for one order n, or an array for a sequence.
 

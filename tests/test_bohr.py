@@ -255,7 +255,7 @@ def test_spectral_gradient_matches_loop(case):
     pf = eval_functionals(spec_for(case["kind"], extra), path)
     cfg = BohrConfig(N=N, M=M, mode="synthesized")
     f_set = sfc_range(pf, N + M)
-    reference = _loop_diagonal(pf, f_set, N, M)
+    reference = _loop_diagonal(pf, f_set, N, M) / np.sqrt(case["m"])
     i_coef = coefficients(path.increments, N)
     st = spec_tables(pf.spec, pf.grid)
     diag = estimator_gradient(st, path.values, path.increments, f_set.values, i_coef)

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dsfc_partials, exact_diffusion_sfc, path_from_xi, spec_for, true_fourier_b
+from helpers import (
+    dsfc_partials,
+    exact_diffusion_sfc,
+    path_from_xi,
+    spec_for,
+    trigpoly_nodes,
+    true_fourier_b,
+)
 from sfc_lab import (
     CATALOG_KINDS,
     DRIFT_KINDS,
@@ -38,9 +45,38 @@ def test_trigpoly_basics():
     assert poly.coeff(-2) == 1.5
     assert poly.coeff(5) == 0.0
     assert poly.max_freq == 2
-    t = np.linspace(0, 1, 9)
-    npt.assert_allclose(poly.sample(t), 3.0 * np.cos(4 * np.pi * t), atol=1e-12)
+    for m in (5, 9, 16):  # the nodes at the left tags, odd and even m
+        grid = TimeGrid(m)
+        nodes = spec_tables(make_process("DET", {"f": poly}), grid).f
+        npt.assert_allclose(nodes, 3.0 * np.cos(4 * np.pi * grid.left_nodes), rtol=0, atol=1e-12)
     assert constant(2.0).max_freq == 0
+    with pytest.raises(ConfigError, match="grid too coarse for f"):
+        spec_tables(make_process("DET", {"f": poly}), TimeGrid(4))
+
+
+@st.composite
+def trig_polys(draw):
+    K = draw(st.integers(0, 12))
+    parts = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    coeffs = {0: draw(parts)}
+    for k in range(1, K + 1):
+        c = complex(draw(parts), draw(parts))
+        coeffs[k], coeffs[-k] = c, c.conjugate()
+    m = draw(st.integers(max(2, 2 * K + 1), 2 * K + 40))  # odd and even, m > 2K
+    return TrigPoly.from_mapping(coeffs), m
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(trig_polys())
+def test_trigpoly_tables_match_the_basis_loop(case):
+    poly, m = case
+    grid = TimeGrid(m)
+    spec = make_process("DET", {"f": poly, "g": poly, "drift": "det"})
+    st_ = spec_tables(spec, grid)
+    oracle = trigpoly_nodes(poly, grid.left_nodes)
+    tol = 1e-12 * (1 + sum(abs(c) for _, c in poly.coeffs))
+    assert np.max(np.abs(st_.f - oracle)) <= tol
+    assert np.max(np.abs(st_.g - oracle)) <= tol
 
 
 def test_trigpoly_requires_conjugate_symmetry():

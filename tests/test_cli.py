@@ -78,6 +78,36 @@ def test_verify_multiplication_reduced(capsys):
     assert "all residuals in tolerance" in out
 
 
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_identity_checks_sample_each_path_and_basis_once(monkeypatch, capsys):
+    paths = _counting(monkeypatch, cli, "sample_path")
+    bases = _counting(monkeypatch, cli, "eval_basis")
+    assert cli._identity_checks(TimeGrid(64), 7, paths=8)
+    assert len(paths) == 8 and len(bases) == 3
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 1 + 2 * 6 and lines[0].startswith("ok   integration by parts")
+
+
+def test_identify_reduces_each_order_once(tmp_path, monkeypatch, capsys):
+    import sfc_lab.experiment as exp
+
+    reductions = _counting(monkeypatch, exp, "_mean_var")
+    cfg_path = write_config(tmp_path, "id.json", identify_config())
+    assert main(["identify", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    assert len(reductions) == 3 * 4  # orders -1, 0, 1; re and im of a and b
+
+
 def test_convergence_writes_identical_artifacts(tmp_path, capsys, monkeypatch):
     cfg_path = write_config(tmp_path, "cfg.json", base_convergence_config())
     out1 = tmp_path / "run1"

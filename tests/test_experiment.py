@@ -237,8 +237,8 @@ def test_identify_nonfinite_names_b_hat(monkeypatch):
 
     real = exp.drift_coefficients
 
-    def poisoned(dx, dw, a_nodes, diag, M):
-        b = real(dx, dw, a_nodes, diag, M)
+    def poisoned(st, mode, w, dw, dx, a, a_hat, f_coef, i_coef):
+        b = real(st, mode, w, dw, dx, a, a_hat, f_coef, i_coef)
         b[5, 2] = np.nan  # row 5 of every tile; path 5 is the first
         return b
 
