@@ -17,7 +17,7 @@ from .grid import (
     eval_basis,
     kernel_l2_identity,
 )
-from .brownian import BrownianPath, SeedSpec, sample_path, substream, wiener_integral
+from .brownian import BrownianPath, SeedSpec, sample_path, wiener_integral
 from .malliavin import (
     DiscreteFunctional,
     DerivativeTable,
@@ -36,7 +36,6 @@ from .catalog import (
     DET,
     DRIFT_DET,
     DRIFT_KINDS,
-    DRIFT_NONE,
     DRIFT_W1,
     NONCAUSAL_BRIDGE,
     NONCAUSAL_MIDPOINT,
@@ -57,7 +56,6 @@ from .bohr import (
     BohrConfig,
     RemainderTerms,
     bohr_product,
-    grid_supports,
     identify_a,
     iterated_divergence_term,
     recover_b,
@@ -70,9 +68,7 @@ from .experiment import (
     ExperimentResult,
     config_from_jsonable,
     config_hash,
-    config_jsonable,
     fit_decay,
-    fit_loglog,
     run_convergence,
 )
 
@@ -87,7 +83,6 @@ __all__ = [
     "kernel_l2_identity",
     "SeedSpec",
     "BrownianPath",
-    "substream",
     "sample_path",
     "wiener_integral",
     "DiscreteFunctional",
@@ -106,7 +101,6 @@ __all__ = [
     "NONCAUSAL_BRIDGE",
     "NONCAUSAL_MIDPOINT",
     "CATALOG_KINDS",
-    "DRIFT_NONE",
     "DRIFT_DET",
     "DRIFT_W1",
     "DRIFT_KINDS",
@@ -124,7 +118,6 @@ __all__ = [
     "CLOSED_FORM",
     "SYNTHESIZED",
     "BohrConfig",
-    "grid_supports",
     "bohr_product",
     "identify_a",
     "synthesize",
@@ -135,10 +128,8 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "DecayFit",
-    "config_jsonable",
     "config_from_jsonable",
     "config_hash",
     "run_convergence",
     "fit_decay",
-    "fit_loglog",
 ]

@@ -49,7 +49,7 @@ import numpy as np
 from .brownian import BrownianPath
 from .errors import ConfigError
 from .grid import TimeGrid
-from .malliavin import DerivativeTable, FunctionalArray
+from .malliavin import DerivativeTable
 from .sfc import coefficients, synthesize
 
 CONST = "CONST"
@@ -144,13 +144,15 @@ class ProcessSpec:
     """One catalog entry: kind, deterministic tables, drift shape.
 
     ``f`` and ``g`` may be :class:`TrigPoly` (exact Fourier data) or plain
-    node tables of length m (left Riemann truth).
+    node tables of length m (left Riemann truth).  The spec owns its grid
+    tables: :func:`spec_tables` builds them once per m and keeps them here.
     """
 
     kind: str
     f: TrigPoly | np.ndarray | None = None
     drift_kind: str = DRIFT_NONE
     g: TrigPoly | np.ndarray | None = None
+    _tables: dict[int, SpecTables] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in KIND_RECORDS:
@@ -227,13 +229,12 @@ def spec_for(kind: str, extra: Mapping | None = None) -> ProcessSpec:
 
 @dataclass(frozen=True, eq=False)
 class PathFunctionals:
-    """A catalog entry evaluated along one path: the spec's tables on the
-    path's grid, built once, the diffusion and drift at the left tags and the
-    increments dX that feed every coefficient sum."""
+    """A catalog entry evaluated along one path: the diffusion and drift at
+    the left tags and the increments dX that feed every coefficient sum.
+    Its :attr:`tables` are the spec's own, built once per spec and grid."""
 
     spec: ProcessSpec
     path: BrownianPath
-    tables: SpecTables = field(repr=False)
     a_nodes: np.ndarray = field(repr=False)
     b_nodes: np.ndarray = field(repr=False)
     dx: np.ndarray = field(repr=False)
@@ -241,6 +242,10 @@ class PathFunctionals:
     @property
     def grid(self) -> TimeGrid:
         return self.path.grid
+
+    @property
+    def tables(self) -> SpecTables:
+        return spec_tables(self.spec, self.grid)
 
     @property
     def x_nodes(self) -> np.ndarray:
@@ -252,6 +257,8 @@ def _table_nodes(name: str, table, m: int) -> np.ndarray:
     """A table at the m left tags: a TrigPoly through the inverse transform."""
     if isinstance(table, TrigPoly):
         K = table.max_freq
+        if K == 0:  # a constant is exact at every m; the irfft's scaling is not
+            return np.full(m, table.coeff(0).real)
         if m <= 2 * K:
             raise ConfigError(f"grid too coarse for {name}: need m > {2 * K}, got m={m}")
         return synthesize(np.array([table.coeff(k) for k in range(-K, K + 1)]), m)
@@ -273,11 +280,12 @@ def _tau_node(spec: ProcessSpec, m: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SpecTables:
-    """What a spec fixes on one grid, built once per run: f and g at the left
-    tags (None when absent), the node index of tau (0 when beta == 0), the
-    drift derivative ``c_i = d b_i / d xi_r`` (the same for every r) and the
-    table ``d a_i / d xi_r``: ``alpha / sqrt(m)`` on the strict lower triangle
-    plus ``1 v^T``, ``v_r = beta 1[r < tau m] / sqrt(m)``, the same on every path."""
+    """What a spec fixes on one grid, built once per spec and grid and kept
+    by the spec (:func:`spec_tables`): f and g at the left tags (None when
+    absent), the node index of tau (0 when beta == 0), the drift derivative
+    ``c_i = d b_i / d xi_r`` (the same for every r) and the table ``d a_i /
+    d xi_r``: ``alpha / sqrt(m)`` on the strict lower triangle plus ``1 v^T``,
+    ``v_r = beta 1[r < tau m] / sqrt(m)``, the same on every path."""
 
     spec: ProcessSpec
     grid: TimeGrid
@@ -291,12 +299,18 @@ class SpecTables:
     def correction(self) -> np.ndarray:
         """``D_i a_i / sqrt(m)``, the divergence's correction that dX
         subtracts and closed-form drift recovery adds back, computed on
-        first use and kept for the run."""
+        first use and kept with the tables."""
         return self.da.diag() / np.sqrt(self.grid.m)
 
 
 def spec_tables(spec: ProcessSpec, grid: TimeGrid) -> SpecTables:
+    """The one :class:`SpecTables` of ``spec`` on grids of ``grid.m`` cells:
+    built on the first request and kept on the spec, so every later call,
+    from any path, run or residual, returns the same object.  A table that
+    does not fit the grid raises :class:`ConfigError` and nothing is kept."""
     m, rec = grid.m, spec.record
+    if m in spec._tables:
+        return spec._tables[m]
     s = 1.0 / np.sqrt(m)
     f = None if spec.f_table is None else _table_nodes("f", spec.f_table, m)
     g = None if spec.g is None else _table_nodes("g", spec.g, m)
@@ -305,10 +319,12 @@ def spec_tables(spec: ProcessSpec, grid: TimeGrid) -> SpecTables:
     tau = _tau_node(spec, m) if rec.beta else 0
     v = np.zeros(m)
     v[:tau] = s * rec.beta
-    return SpecTables(spec, grid, f, g, tau, c, DerivativeTable(np.ones(m), v, s * rec.alpha))
+    da = DerivativeTable(np.ones(m), v, s * rec.alpha)
+    st = spec._tables[m] = SpecTables(spec, grid, f, g, tau, c, da)
+    return st
 
 
-def _block_drift(st: SpecTables, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def block_drift(st: SpecTables, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Drift values b(t_i) at the left tags, given W (..., m + 1); shape (..., m),
     written into ``out`` when given."""
     b = np.empty(w.shape[:-1] + (st.grid.m,)) if out is None else out
@@ -351,7 +367,7 @@ def block_functionals(
         raise ConfigError(f"W must have shape (..., {m + 1}), got {w.shape}")
     a_out, b_out, dx_out = (None, None, None) if out is None else out
     a = block_diffusion(st, w, a_out)
-    b = _block_drift(st, w, b_out)
+    b = block_drift(st, w, b_out)
     dx = np.subtract(w[..., 1:], w[..., :-1], out=dx_out)
     dx *= a
     dx -= st.correction
@@ -361,26 +377,8 @@ def block_functionals(
 
 def eval_functionals(spec: ProcessSpec, path: BrownianPath) -> PathFunctionals:
     """Evaluate a catalog entry along one path (X(0) = 0 always)."""
-    st = spec_tables(spec, path.grid)
-    a, b, dx = block_functionals(st, path.values)
-    return PathFunctionals(spec=spec, path=path, tables=st, a_nodes=a, b_nodes=b, dx=dx)
-
-
-# ---------------------------------------------------------------------------
-# derivative tables
-
-
-def diffusion_array(spec: ProcessSpec, path: BrownianPath) -> FunctionalArray:
-    """Diffusion values with the table ``d a_i / d xi_r`` (``SpecTables.da``)."""
-    st = spec_tables(spec, path.grid)
-    return FunctionalArray(values=block_diffusion(st, path.values), partials=st.da)
-
-
-def drift_array(spec: ProcessSpec, path: BrownianPath) -> FunctionalArray:
-    """Drift values with the rank-one derivative table ``c 1^T``."""
-    st = spec_tables(spec, path.grid)
-    b = _block_drift(st, path.values)
-    return FunctionalArray(values=b, partials=DerivativeTable(u=st.c, v=np.ones(st.grid.m)))
+    a, b, dx = block_functionals(spec_tables(spec, path.grid), path.values)
+    return PathFunctionals(spec=spec, path=path, a_nodes=a, b_nodes=b, dx=dx)
 
 
 # ---------------------------------------------------------------------------

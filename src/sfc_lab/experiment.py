@@ -1,12 +1,12 @@
 """Monte Carlo experiments for the coefficient estimator: the convergence
 sweep and coefficient identification, on one engine.  Paths run in row tiles
 of at most ``block_size`` rows, and of at most as many as keep one (rows, m)
-float array within ``TILE_BYTES``.  Each tile is sampled, gets X from tables
-built once per run, one transform each of dX and dW and all its Bohr windows
-from one ``bohr.band_windows`` call; ``run_identify`` recovers b on the same
-tile.  Each worker thread fills the same buffers for every tile it builds,
-so a :class:`Tile`'s arrays are views on them, valid only inside the
-callback that receives it.
+float array within ``TILE_BYTES``.  Each tile is sampled, gets X from the
+spec's tables (built once per spec and grid), one transform each of dX and
+dW and all its Bohr windows from one ``bohr.band_windows`` call;
+``run_identify`` recovers b on the same tile.  Each worker thread fills the
+same buffers for every tile it builds, so a :class:`Tile`'s arrays are views
+on them, valid only inside the callback that receives it.
 
 Determinism contract
 --------------------

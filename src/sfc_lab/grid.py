@@ -12,7 +12,8 @@ The Dirichlet kernel is *defined* as the symmetric exponential sum
 
 which is real, even, and equals exactly ``2N + 1`` at ``x = 0``.  The familiar
 sine-ratio closed form is provided only as a cross-check; it reproduces the
-sum at a rescaled argument (see ``dirichlet_closed_form``).
+sum at a rescaled argument (see ``dirichlet_closed_form``).  At the left tags
+the same sum is one inverse FFT, ``sfc.synthesize`` of the all-ones window.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .sfc import synthesize
 
 TWO_PI = 2.0 * np.pi
 
@@ -88,9 +90,10 @@ def dirichlet_kernel(N: int, x: np.ndarray | float) -> np.ndarray:
 
     Notes
     -----
-    The sum form is authoritative throughout the package; the sine-ratio
-    expression is kept in :func:`dirichlet_closed_form` strictly as an
-    independent cross-check.
+    This off-grid definition builds a (2N + 1, x.size) term table; at the
+    left tags the package uses ``sfc.synthesize`` of the all-ones window.
+    The sine-ratio expression is kept in :func:`dirichlet_closed_form`
+    strictly as an independent cross-check.
     """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
@@ -139,7 +142,8 @@ def kernel_l2_identity(N: int, m: int) -> float:
 
     The integrand is a trigonometric polynomial of degree ``2N``, so the
     discrete sum reproduces the integral exactly (up to rounding) once the
-    grid resolves it; ``m >= 4N + 4`` is required.
+    grid resolves it; ``m >= 4N + 4`` is required.  K_N comes from one
+    inverse FFT (``sfc.synthesize``), in O(m) memory.
 
     Raises
     ------
@@ -150,7 +154,6 @@ def kernel_l2_identity(N: int, m: int) -> float:
         raise ConfigError(f"N must be >= 0, got {N}")
     if m < 4 * N + 4:
         raise ConfigError(f"need m >= 4N + 4 = {4 * N + 4} to resolve |K_N|^2, got m={m}")
-    grid = TimeGrid(m)
-    vals = dirichlet_kernel(N, grid.left_nodes)
-    return float(np.sum(np.abs(vals) ** 2) / m)
+    vals = synthesize(np.ones(2 * N + 1), m)
+    return float(np.dot(vals, vals) / m)
 

@@ -184,14 +184,16 @@ def prop1_residual(spec, e_nodes: np.ndarray, path: BrownianPath) -> float:
         div(a) * I(e) = div(div(a) e) + div(s -> <D a(s), e>) + (1/m) sum a e
 
     which is the exact discrete form of multiplying a stochastic integral by
-    a first-order one.  Returns |LHS - RHS|.
+    a first-order one.  Returns |LHS - RHS|.  a and its derivative table
+    come from the spec's tables, built once per spec and grid.
     """
     # Container types live here; closed forms live in the catalog.
-    from .catalog import diffusion_array
+    from .catalog import block_diffusion, spec_tables
 
     e_nodes = np.asarray(e_nodes)
     m = path.grid.m
-    a = diffusion_array(spec, path)
+    st = spec_tables(spec, path.grid)
+    a = FunctionalArray(values=block_diffusion(st, path.values), partials=st.da)
     div_a = divergence_with_partials(a, path)
     lhs = div_a.value * wiener_integral(path, e_nodes)
 
@@ -212,15 +214,17 @@ def prop2_residual(spec, e_nodes: np.ndarray, path: BrownianPath) -> float:
 
     i.e. the drift integral times a first-order integral equals a divergence
     plus the double time integral of the derivative.  Returns |LHS - RHS|.
+    b comes from the spec's tables, built once per spec and grid; ``d b_i /
+    d xi_r = c_i`` for every r, so the integral's gradient is ``sum(c) / m``.
     """
-    from .catalog import drift_array
+    from .catalog import block_drift, spec_tables
 
     e_nodes = np.asarray(e_nodes)
     m = path.grid.m
-    b = drift_array(spec, path)
+    st = spec_tables(spec, path.grid)
     b_int = DiscreteFunctional(
-        value=complex(np.sum(b.values) / m),
-        partials=b.partials.rmatvec(np.ones(m)) / m,
+        value=complex(np.sum(block_drift(st, path.values)) / m),
+        partials=np.full(m, np.sum(st.c) / m),
     )
     lhs = b_int.value * wiener_integral(path, e_nodes)
     first = discrete_divergence(_times_e(b_int, e_nodes), path)

@@ -8,7 +8,7 @@ from sfc_lab.brownian import BrownianPath
 from sfc_lab.catalog import (  # noqa: F401
     DRIFT_RECORDS,
     TrigPoly,
-    diffusion_array,
+    block_diffusion,
     spec_for,
     spec_tables,
 )
@@ -57,11 +57,12 @@ def exact_diffusion_sfc(spec, path, n):
     is an independent oracle for the coefficient transform.
     """
     m = path.grid.m
-    a = diffusion_array(spec, path)
+    st = spec_tables(spec, path.grid)
+    a = block_diffusion(st, path.values)
     # conj(e_n(t_i)) = conj(e_1(t_{n i mod m})): one basis row serves every order
     rows = np.outer(np.atleast_1d(n), np.arange(m))
     ebar = np.take(eval_basis(-1, path.grid.left_nodes), rows, mode="wrap")
-    values = ebar @ (a.values * path.increments) - ebar @ a.partials.diag() / np.sqrt(m)
+    values = ebar @ (a * path.increments) - ebar @ st.da.diag() / np.sqrt(m)
     return complex(values[0]) if np.ndim(n) == 0 else values
 
 

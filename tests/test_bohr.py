@@ -28,7 +28,6 @@ from sfc_lab import (
     cosine,
     eval_basis,
     eval_functionals,
-    grid_supports,
     identify_a,
     iterated_divergence_term,
     recover_b,
@@ -39,7 +38,7 @@ from sfc_lab import (
     true_fourier_a,
     wiener_sfc_range,
 )
-from sfc_lab.bohr import band_windows, estimator_gradient, windows
+from sfc_lab.bohr import band_windows, estimator_gradient, grid_supports, windows
 from sfc_lab.catalog import spec_tables
 from sfc_lab.sfc import coefficients
 

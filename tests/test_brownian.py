@@ -9,9 +9,9 @@ from sfc_lab import (
     TimeGrid,
     eval_basis,
     sample_path,
-    substream,
     wiener_integral,
 )
+from sfc_lab.brownian import substream
 
 
 def test_seedspec_validation():

@@ -33,7 +33,6 @@ from sfc_lab.catalog import (
     block_diffusion,
     block_functionals,
     block_true_fourier_a,
-    diffusion_array,
     spec_tables,
 )
 from sfc_lab.sfc import coefficients
@@ -233,30 +232,45 @@ def test_true_fourier_a_by_parts_is_the_left_riemann_sum(kind, m):
         assert abs(true_fourier_a(spec_for(kind), p, -M) - row[0]) <= 1e-12
 
 
-def test_diffusion_array_values_are_the_block_a_nodes():
-    # diffusion_array builds a without X; its nodes are bitwise the path functionals'
-    grid = TimeGrid(64)
-    path = sample_path(SeedSpec(25, 0), grid)
-    for kind in CATALOG_KINDS:
-        for extra in ({}, {"g": cosine(), "drift": "w1"}):
-            spec = spec_for(kind, extra)
-            a = eval_functionals(spec, path).a_nodes
-            assert np.array_equal(diffusion_array(spec, path).values, a), kind
+def test_spec_tables_are_built_once_per_spec_and_grid():
+    spec = spec_for("NONCAUSAL_MIDPOINT", {"g": cosine(), "drift": "w1"})
+    tables = spec_tables(spec, TimeGrid(64))
+    assert spec_tables(spec, TimeGrid(64)) is tables
+    path = sample_path(SeedSpec(26, 0), TimeGrid(64))
+    assert eval_functionals(spec, path).tables is tables
+    other = spec_tables(spec, TimeGrid(128))
+    assert other is not tables and other.grid.m == 128
+    assert spec_tables(spec, TimeGrid(64)) is tables
+    # an equal spec is another spec: it builds its own tables
+    twin = spec_for("NONCAUSAL_MIDPOINT", {"g": cosine(), "drift": "w1"})
+    assert spec_tables(twin, TimeGrid(64)) is not tables
+    # a node table on the wrong grid fails on every call; no failure is kept
+    nodes = make_process("DET", {"f": np.ones(16)})
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="length 16 but the path grid has m=32"):
+            spec_tables(nodes, TimeGrid(32))
+    assert spec_tables(nodes, TimeGrid(16)).f.shape == (16,)
+
+
+def test_constant_tables_are_exact_at_every_m():
+    # irfft([c], m) * m misses c by an ulp at many m that are not powers of two
+    for m in range(2, 5000):
+        nodes = spec_tables(make_process("CONST"), TimeGrid(m)).f
+        assert np.all(nodes == 1.0), m
 
 
 def test_derivative_tables():
     grid = TimeGrid(16)
-    path = sample_path(SeedSpec(24, 0), grid)
     s = 0.25  # 1/sqrt(16)
-    da = diffusion_array(spec_for("CONST"), path).partials.dense()
+    da = spec_tables(spec_for("CONST"), grid).da.dense()
     npt.assert_allclose(da, 0.0, atol=0)
-    da = diffusion_array(spec_for("ADAPTED_W"), path).partials.dense()
+    da = spec_tables(spec_for("ADAPTED_W"), grid).da.dense()
     assert da[3, 2] == s and da[3, 3] == 0.0 and da[2, 3] == 0.0
-    da = diffusion_array(spec_for("NONCAUSAL_W1"), path).partials.dense()
+    da = spec_tables(spec_for("NONCAUSAL_W1"), grid).da.dense()
     npt.assert_allclose(da, s, atol=0)
-    da = diffusion_array(spec_for("NONCAUSAL_BRIDGE"), path).partials.dense()
+    da = spec_tables(spec_for("NONCAUSAL_BRIDGE"), grid).da.dense()
     assert da[3, 3] == s and da[3, 2] == 0.0 and da[2, 3] == s
-    da = diffusion_array(spec_for("NONCAUSAL_MIDPOINT"), path).partials.dense()
+    da = spec_tables(spec_for("NONCAUSAL_MIDPOINT"), grid).da.dense()
     assert da[0, 7] == s and da[0, 8] == 0.0  # only directions r < m/2 matter
     c = spec_tables(spec_for("CONST", {"g": constant(2.0), "drift": "w1"}), grid).c
     npt.assert_allclose(c, 2.0 * s, atol=1e-14)

@@ -91,10 +91,14 @@ def _counting(monkeypatch, module, name):
 
 
 def test_identity_checks_sample_each_path_and_basis_once(monkeypatch, capsys):
+    import sfc_lab.catalog as cat
+
     paths = _counting(monkeypatch, cli, "sample_path")
     bases = _counting(monkeypatch, cli, "eval_basis")
+    tables = _counting(monkeypatch, cat, "SpecTables")
     assert cli._identity_checks(TimeGrid(64), 7, paths=8)
     assert len(paths) == 8 and len(bases) == 3
+    assert len(tables) == 18  # once per spec: 6 kinds x (no drift, det, w1)
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 1 + 2 * 6 and lines[0].startswith("ok   integration by parts")
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -75,6 +77,19 @@ def test_kernel_l2_identity_values():
         m = 4 * N + 4
         val = kernel_l2_identity(N, m)
         assert abs(val - (2 * N + 1)) <= 1e-9 * (2 * N + 1)
+
+
+def test_kernel_l2_identity_memory_is_linear_in_m():
+    # the (2N + 1, m) complex term table alone was 52 MB here; stay O(m)
+    N, m = 200, 4096
+    tracemalloc.start()
+    try:
+        value = kernel_l2_identity(N, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(value - (2 * N + 1)) <= 1e-12 * (2 * N + 1)
+    assert peak < 2_000_000, peak
 
 
 def test_kernel_l2_identity_needs_fine_grid():

@@ -28,7 +28,7 @@ from sfc_lab import (
     true_fourier_a,
 )
 from sfc_lab.bohr import _direct_terms
-from sfc_lab.catalog import diffusion_array, drift_array, spec_tables
+from sfc_lab.catalog import block_diffusion, spec_tables
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -51,14 +51,14 @@ def _spec(case):
 
 
 def _tables(case, path):
-    """Every table shape the package builds: diffusion, drift, ``e dF``."""
-    spec = _spec(case)
+    """Every table shape of the package: diffusion, drift ``c 1^T``, ``e dF``."""
+    tables = spec_tables(_spec(case), path.grid)
     m = path.grid.m
     e = eval_basis(case["n"], path.grid.left_nodes)
     grad = w1_functionals(path)["W_1^2-1"].partials
     return [
-        diffusion_array(spec, path).partials,
-        drift_array(spec, path).partials,
+        tables.da,
+        DerivativeTable(u=tables.c, v=np.ones(m)),
         DerivativeTable(u=e, v=grad),
         DerivativeTable(u=e, v=grad * 1j, lower=-0.3 / np.sqrt(m)),
     ]
@@ -126,11 +126,12 @@ def _dense_direct_terms(pf, n, N):
     kernel = _dense_kernel(N, m)
     scale = 1.0 / (2 * N + 1)
     sqrt_m = np.sqrt(m)
-    da = diffusion_array(pf.spec, pf.path).partials.dense()
+    tables = spec_tables(pf.spec, pf.grid)
+    da = tables.da.dense()
     u = np.sum(da * kernel, axis=1) / sqrt_m * ebar
     diffusion_derivative = scale * np.dot(u, dw)
     v = kernel.T @ (pf.b_nodes * ebar) / m
-    dv_diag = kernel.T @ (spec_tables(pf.spec, pf.grid).c * ebar) / m
+    dv_diag = kernel.T @ (tables.c * ebar) / m
     drift_wiener = scale * (np.dot(v, dw) - np.sum(dv_diag) / sqrt_m)
     drift_derivative = scale * np.sum(dv_diag) / sqrt_m
     return np.array([diffusion_derivative, drift_wiener, drift_derivative])
@@ -144,9 +145,9 @@ def _dense_iterated(pf, n, N):
     ebar = eval_basis(-n, pf.grid.left_nodes)
     kernel = _dense_kernel(N, m)
     sqrt_m = np.sqrt(m)
-    a = diffusion_array(pf.spec, pf.path)
-    da = a.partials.dense()
-    weighted = a.values * ebar
+    tables = spec_tables(pf.spec, pf.grid)
+    da = tables.da.dense()
+    weighted = block_diffusion(tables, pf.path.values) * ebar
     g = (weighted * dw) @ kernel - (np.diag(da) * ebar) @ kernel / sqrt_m
     dg_diag = (ebar * dw) @ (da * kernel) + weighted * np.diag(kernel) / sqrt_m
     return (np.dot(g, dw) - np.sum(dg_diag) / sqrt_m) / (2 * N + 1)
