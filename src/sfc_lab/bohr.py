@@ -67,6 +67,7 @@ The correction's gradient of ``B_N(q)`` is a convolution in frequency.  With
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -103,6 +104,28 @@ def grid_supports(m: int, N: int, M: int) -> bool:
     return m >= 8 * (N + M)
 
 
+@lru_cache(maxsize=16)
+def _window_plan(
+    K: int, L: int, orders: tuple[int, ...], widths: tuple[int, ...]
+) -> tuple[np.ndarray, ...]:
+    """:func:`windows`' gather indices into ``f_coef`` and ``i_coef``, its
+    cumsum entries ``2N`` and their widths ``2N + 1``: built once per shape,
+    orders and widths, so a run's tiles share them (read-only)."""
+    orders_ = np.asarray(orders, dtype=int)
+    widths_ = np.asarray(widths, dtype=int)
+    if not 0 <= widths_.min() <= widths_.max() <= L or L + np.abs(orders_).max() > K:
+        raise ValueError(
+            f"dW coefficients cover |l| <= {L} and dX coefficients |k| <= {K}; widths "
+            f"{widths_.tolist()} at orders {orders_.tolist()} need |l| <= N and |k| <= N + |n|"
+        )
+    j = np.arange(2 * L + 1)
+    ells = (j + 1) // 2 * np.where(j % 2, 1, -1)  # 0, 1, -1, 2, -2, ...
+    plan = (orders_[:, None] - ells + K, ells + L, 2 * widths_, 2 * widths_ + 1)
+    for index in plan:
+        index.flags.writeable = False
+    return plan
+
+
 def windows(
     f_coef: np.ndarray,
     i_coef: np.ndarray,
@@ -124,20 +147,12 @@ def windows(
     """
     K = (f_coef.shape[-1] - 1) // 2
     L = (i_coef.shape[-1] - 1) // 2
-    orders = np.asarray(orders)
-    widths = np.asarray(widths)
-    if not 0 <= widths.min() <= widths.max() <= L or L + np.abs(orders).max() > K:
-        raise ValueError(
-            f"dW coefficients cover |l| <= {L} and dX coefficients |k| <= {K}; widths "
-            f"{widths.tolist()} at orders {orders.tolist()} need |l| <= N and |k| <= N + |n|"
-        )
-    j = np.arange(2 * L + 1)
-    ells = (j + 1) // 2 * np.where(j % 2, 1, -1)  # 0, 1, -1, 2, -2, ...
+    f_index, i_index, picks, norms = _window_plan(K, L, tuple(orders), tuple(widths))
     # the indices are in range: mode "clip" only keeps take from buffering ``out``
-    prod = np.take(f_coef, orders[:, None] - ells + K, axis=-1, out=out, mode="clip")
-    prod *= np.take(i_coef, ells + L, axis=-1)[..., None, :]
+    prod = np.take(f_coef, f_index, axis=-1, out=out, mode="clip")
+    prod *= np.take(i_coef, i_index, axis=-1)[..., None, :]
     np.cumsum(prod, axis=-1, out=prod)
-    return prod[..., 2 * widths] / (2 * widths + 1)
+    return prod[..., picks] / norms
 
 
 def band_windows(
@@ -216,10 +231,18 @@ def estimator_gradient(
     M = (f_coef.shape[-1] - 1) // 2 - N
     s = synthesize(i_coef, m)
     y = s * dw
-    d_dx = (2 * M + 1) * s * cat.block_diffusion(st, w) / np.sqrt(m)
-    d_dx += synthesize(coefficients(st.c * s, M), m) / m
+    # in place, in the order of ((2M+1) s a / sqrt(m) + terms + d_dw) / (2N+1) / sqrt(m)
+    d_dx = np.multiply(2 * M + 1, s)
+    d_dx *= cat.block_diffusion(st, w)
+    d_dx /= np.sqrt(m)
+    if st.c.any():  # the drift derivative is zero unless the drift depends on W
+        term = synthesize(coefficients(st.c * s, M), m)
+        term /= m
+        d_dx += term
     if rec.beta:
-        d_dx += st.da.v * synthesize(coefficients(y, M), m)
+        term = synthesize(coefficients(y, M), m)
+        term *= st.da.v
+        d_dx += term
     if rec.alpha:
         lags = synthesize(np.ones(2 * M + 1), m)
         lags[0] = 0.0
@@ -227,8 +250,12 @@ def estimator_gradient(
         d_dx += st.da.lower * np.fft.irfft(spectrum, 2 * m)[..., :m]
     k = np.arange(-(N + M), N + M + 1)
     counts = np.minimum(k + N, M) - np.maximum(k - N, -M) + 1
-    d_dw = synthesize(counts * f_coef, m) / np.sqrt(m)
-    return (d_dx + d_dw) / (2 * N + 1) / np.sqrt(m)
+    d_dw = synthesize(counts * f_coef, m)
+    d_dw /= np.sqrt(m)
+    d_dx += d_dw
+    d_dx /= 2 * N + 1
+    d_dx /= np.sqrt(m)
+    return d_dx
 
 
 def drift_coefficients(
@@ -241,6 +268,8 @@ def drift_coefficients(
     a_hat: np.ndarray,
     f_coef: np.ndarray,
     i_coef: np.ndarray,
+    *,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """``b_n = F_n(dX) - div(a conj(e_n)) = F_n(dX - a dW + correction)`` for
     ``|n| <= M``, one path or each row of a block: the drift step of both
@@ -248,13 +277,19 @@ def drift_coefficients(
     ``SpecTables.correction``; ``synthesized`` the polynomial of the estimated
     coefficients ``a_hat`` (..., 2M + 1) with the correction that
     :func:`estimator_gradient` takes from W, dW, ``f_coef`` and ``i_coef``.
+    ``out``, a real array shaped like dX and a complex one shaped like its
+    rfft, receives the residual and its spectrum in place of new arrays.
     """
     if mode == CLOSED_FORM:
         correction = st.correction
     else:
         a = synthesize(a_hat, dx.shape[-1])
         correction = estimator_gradient(st, w, dw, f_coef, i_coef)
-    return coefficients(dx - a * dw + correction, (f_coef.shape[-1] - i_coef.shape[-1]) // 2)
+    scratch, spectrum = (None, None) if out is None else out
+    residual = np.multiply(a, dw, out=scratch)
+    np.subtract(dx, residual, out=residual)
+    residual += correction
+    return coefficients(residual, (f_coef.shape[-1] - i_coef.shape[-1]) // 2, spectrum)
 
 
 def recover_b(

@@ -294,6 +294,7 @@ class SpecTables:
     tau: int
     c: np.ndarray = field(repr=False)
     da: DerivativeTable = field(repr=False)
+    _order_terms: dict[tuple[int, ...], tuple] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def correction(self) -> np.ndarray:
@@ -385,6 +386,30 @@ def eval_functionals(spec: ProcessSpec, path: BrownianPath) -> PathFunctionals:
 # per-path truth values
 
 
+def _order_terms(st: SpecTables, orders: tuple[int, ...]) -> tuple:
+    """What :func:`block_true_fourier_a` takes from the orders alone: f's
+    coefficient row (None when f is zero), ``z``, the divisor ``1 - z`` (1
+    at n = 0) and the mask n = 0; built once per tables and orders and kept
+    on the tables, so a run's tiles share them."""
+    terms = st._order_terms.get(orders)
+    if terms is None:
+        m = st.grid.m
+        ords = np.array(orders, dtype=int)
+        top = int(np.max(np.abs(ords), initial=0))
+        table = st.spec.f_table
+        if isinstance(table, TrigPoly):
+            f_row = np.array([table.coeff(n) for n in orders], dtype=complex)
+        elif table is not None:
+            f_row = coefficients(st.f, top)[ords + top] / m
+        else:
+            f_row = None
+        one_minus_z = -np.expm1(-2j * np.pi * ords / m)
+        is_zero = ords == 0
+        terms = (f_row, 1 - one_minus_z, np.where(is_zero, 1.0, one_minus_z), is_zero)
+        st._order_terms[orders] = terms
+    return terms
+
+
 def block_true_fourier_a(
     st: SpecTables, w: np.ndarray, orders: Sequence[int], i_coef: np.ndarray | None = None
 ) -> np.ndarray:
@@ -404,26 +429,20 @@ def block_true_fourier_a(
     m = st.grid.m
     rec = st.spec.record
     orders = np.asarray(orders, dtype=int)
-    top = int(np.max(np.abs(orders), initial=0))
+    f_row, z, divisor, is_zero = _order_terms(st, tuple(orders.tolist()))
     out = np.zeros(w.shape[:-1] + orders.shape, dtype=complex)
-    table = st.spec.f_table
-    if isinstance(table, TrigPoly):
-        out += np.array([table.coeff(int(n)) for n in orders], dtype=complex)
-    elif table is not None:
-        out += coefficients(st.f, top)[orders + top] / m
+    if f_row is not None:
+        out += f_row
     if rec.alpha:
+        top = int(np.max(np.abs(orders), initial=0))
         if i_coef is None or i_coef.shape[-1] < 2 * top + 1:
             i_coef = coefficients(np.diff(w, axis=-1), top)
         L = (i_coef.shape[-1] - 1) // 2
-        one_minus_z = -np.expm1(-2j * np.pi * orders / m)
-        nonzero = orders != 0
-        w_coef = ((1 - one_minus_z) * i_coef[..., orders + L] - i_coef[..., L : L + 1]) / (
-            np.where(nonzero, one_minus_z, 1.0)
-        )
-        w_coef[..., ~nonzero] = w[..., :-1].sum(axis=-1, keepdims=True)
+        w_coef = (z * i_coef[..., orders + L] - i_coef[..., L : L + 1]) / divisor
+        w_coef[..., is_zero] = w[..., :-1].sum(axis=-1, keepdims=True)
         out += rec.alpha * (w_coef / m)
     if rec.beta:
-        out += rec.beta * (w[..., st.tau : st.tau + 1] * (orders == 0))
+        out += rec.beta * (w[..., st.tau : st.tau + 1] * is_zero)
     return out
 
 

@@ -24,7 +24,9 @@ keeps the same contract as the sweep:
   afterwards in ascending path order with exactly rounded (compensated)
   summation via ``math.fsum``.
 
-``SFC_LAB_THREADS`` caps how many tiles are processed concurrently and has
+Tiles run on as many threads as the process may use CPUs, or on
+``SFC_LAB_THREADS`` when it is set: the calling thread and its helpers take
+the next tile in path order from one shared counter.  The thread count has
 no effect on any reported number.  Wall-clock time is kept on the in-memory
 result only; serialized artifacts contain nothing volatile, so identical
 configurations yield identical bytes.
@@ -37,7 +39,6 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from hashlib import sha256
@@ -226,9 +227,14 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 def resolve_threads() -> int:
+    """``SFC_LAB_THREADS``, or when it is unset or empty the number of CPUs
+    this process may run on."""
     raw = os.environ.get(THREADS_ENV)
     if raw is None or raw.strip() == "":
-        return 1
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity on this platform
+            return os.cpu_count() or 1
     try:
         value = int(raw)
     except ValueError:
@@ -355,7 +361,8 @@ def tile_rows(cfg: ExperimentConfig) -> int:
 class Tile:
     """Paths ``lo ..`` of one tile: W's nodes and increments, a at the left
     tags, dX, ``F_k(dX)`` (``|k| <= N + M``), ``F_l(dW)`` (``|l| <= N``) and
-    the windows (rows, orders, widths).  W, dW, a and dX are views on the
+    the windows (rows, orders, widths), with the worker's free scratch (rows,
+    m) and rfft spectrum.  W, dW, a, dX and the two buffers are views on the
     worker's buffers, which its next tile overwrites: they are valid only
     inside the callback, so keep a copy of what must outlive it."""
 
@@ -367,11 +374,21 @@ class Tile:
     f_coef: np.ndarray
     i_coef: np.ndarray
     est: np.ndarray
+    scratch: np.ndarray
+    spectrum: np.ndarray
 
 
 def _run_tiles(cfg: ExperimentConfig, st: SpecTables, widths: tuple[int, ...], work) -> None:
-    """Build every tile of paths and hand it to ``work``, on up to
-    ``SFC_LAB_THREADS`` threads; the first failing tile in path order raises.
+    """Build every tile of paths and hand it to ``work``.
+
+    The calling thread works the first tile alone, so that the run's
+    one-time costs are paid once; then it and ``resolve_threads() - 1``
+    helper threads (fewer when there are fewer tiles) each take the next
+    tile start from one shared counter until none is left.  A worker whose
+    tile raises takes no further tile, and the others take none past the
+    current start either; every helper is joined before the failing tile
+    with the lowest path index raises, so a failure is reported as the
+    one-thread run reports it.
 
     Each worker thread allocates its buffers and its generator at its first
     tile and fills them in place for every later one, so a tile makes no
@@ -406,16 +423,47 @@ def _run_tiles(cfg: ExperimentConfig, st: SpecTables, widths: tuple[int, ...], w
         f_coef = coefficients(dx, n_max + cfg.M, spectrum)  # order k at column k + n_max + M
         i_coef = coefficients(dw, n_max, spectrum)
         est = band_windows(f_coef, i_coef, cfg.M, widths, products)
-        work(Tile(lo, w, dw, a, dx, f_coef, i_coef, est))
+        work(Tile(lo, w, dw, a, dx, f_coef, i_coef, est, scratch, spectrum))
 
     starts = range(0, cfg.paths, rows)
     threads = min(resolve_threads(), len(starts))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, starts))
-    else:
-        for lo in starts:
+    pending = iter(starts)
+    lock = threading.Lock()
+    failures: dict[int, BaseException] = {}
+
+    def step() -> bool:
+        """Work the next tile; False once none is left or a tile has failed."""
+        with lock:
+            lo = None if failures else next(pending, None)
+        if lo is None:
+            return False
+        try:
             one(lo)
+        except BaseException as exc:  # raised below, once every helper has joined
+            with lock:
+                failures[lo] = exc
+            return False
+        return True
+
+    def drain() -> None:
+        while step():
+            pass
+
+    helpers: list[threading.Thread] = []
+    try:
+        # the first tile runs alone: it pays the run's one-time costs (lazy
+        # imports, FFT plans) without a helper contending for them
+        if step():
+            for _ in range(threads - 1):
+                helper = threading.Thread(target=drain)
+                helper.start()
+                helpers.append(helper)
+            drain()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
 
 
 def _require_finite(name: str, values: np.ndarray, lo: int, orders, widths) -> None:
@@ -536,7 +584,8 @@ def run_identify(cfg: ExperimentConfig, mode: str) -> IdentifyResult:
         a = tile.est[:, :, 0]
         _require_finite("a_hat", tile.est, tile.lo, cfg.orders, (N,))
         b = drift_coefficients(
-            st, mode, tile.w, tile.dw, tile.dx, tile.a, a, tile.f_coef, tile.i_coef
+            st, mode, tile.w, tile.dw, tile.dx, tile.a, a, tile.f_coef, tile.i_coef,
+            out=(tile.scratch, tile.spectrum),
         )
         _require_finite("b_hat", b[:, :, None], tile.lo, cfg.orders, (N,))
         a_hat[tile.lo : tile.lo + len(a)] = a

@@ -107,7 +107,9 @@ def synthesize(coeffs: CoefficientSet | np.ndarray, m: int) -> np.ndarray:
     K = (values.shape[-1] - 1) // 2
     if m <= 2 * K:
         raise ValueError(f"order {K} aliases on a grid with m={m} cells")
-    return np.fft.irfft(values[..., K:], n=m) * m
+    nodes = np.fft.irfft(values[..., K:], n=m)
+    nodes *= m
+    return nodes
 
 
 def sfc_range(pf: PathFunctionals, max_order: int) -> CoefficientSet:

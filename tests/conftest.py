@@ -16,6 +16,15 @@ def package_on_subprocess_path():
         yield
 
 
+@pytest.fixture(scope="session", autouse=True)
+def default_thread_count():
+    """Runs use the default thread count (one per CPU) unless a test sets
+    ``SFC_LAB_THREADS``, whatever the invoking shell exports."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("SFC_LAB_THREADS", raising=False)
+        yield
+
+
 @pytest.fixture(scope="session")
 def grid256() -> TimeGrid:
     return TimeGrid(256)

@@ -195,7 +195,10 @@ def test_identify_nonfinite_estimate_names_the_path(monkeypatch):
 def test_identify_bytes_ignore_threads_and_block_size(tmp_path, monkeypatch, mode):
     def run(name, threads, block_size):
         data = dict(identify_config(), mode=mode, paths=120, block_size=block_size)
-        monkeypatch.setenv("SFC_LAB_THREADS", str(threads))
+        if threads is None:  # unset: one thread per CPU
+            monkeypatch.delenv("SFC_LAB_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("SFC_LAB_THREADS", str(threads))
         out = tmp_path / name
         assert main(["identify", "--config", write_config(tmp_path, f"{name}.json", data),
                      "--out", str(out)]) == 0
@@ -203,6 +206,7 @@ def test_identify_bytes_ignore_threads_and_block_size(tmp_path, monkeypatch, mod
 
     csv1, json1 = run("t1", 1, 32)
     assert [csv1, json1] == run("t3", 3, 32)
+    assert [csv1, json1] == run("unset", None, 32)
     csv50, json50 = run("b50", 1, 50)
     assert csv50 == csv1  # the CSV carries no block_size; the JSON config and hash do
     assert json.loads(json50)["rows"] == json.loads(json1)["rows"]

@@ -1,4 +1,8 @@
 import json
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import numpy.testing as npt
@@ -141,11 +145,15 @@ def test_thread_count_does_not_change_bytes(monkeypatch):
     cfg = small_config()
     monkeypatch.setenv("SFC_LAB_THREADS", "1")
     seq = run_convergence(cfg)
-    monkeypatch.setenv("SFC_LAB_THREADS", "3")
-    par = run_convergence(cfg)
-    assert np.array_equal(seq.abs_errors, par.abs_errors)
-    assert seq.csv_text() == par.csv_text()
-    assert seq.json_text() == par.json_text()
+    for threads in ("3", None):  # None: unset, one thread per CPU
+        if threads is None:
+            monkeypatch.delenv("SFC_LAB_THREADS")
+        else:
+            monkeypatch.setenv("SFC_LAB_THREADS", threads)
+        par = run_convergence(cfg)
+        assert np.array_equal(seq.abs_errors, par.abs_errors)
+        assert seq.csv_text() == par.csv_text()
+        assert seq.json_text() == par.json_text()
 
 
 @pytest.mark.parametrize("kind", ["CONST", "ADAPTED_W", "NONCAUSAL_BRIDGE"])
@@ -185,6 +193,89 @@ def test_tiles_reuse_the_workers_buffers(monkeypatch):
     for prev, tile in zip(tiles, tiles[1:]):
         assert np.shares_memory(prev.dx, tile.dx)
         assert np.shares_memory(prev.w, tile.w)
+
+
+def test_threaded_tiles_reuse_the_workers_buffers(monkeypatch):
+    # the calling thread is one of the three workers, and each worker keeps
+    # one set of buffers for all of its tiles
+    monkeypatch.setenv("SFC_LAB_THREADS", "3")
+    cfg = small_config(block_size=8)
+    seen = []
+
+    def work(tile):
+        seen.append((threading.get_ident(), tile.lo, tile.dx, tile.w))
+
+    _run_tiles(cfg, spec_tables(cfg.spec, TimeGrid(cfg.m)), cfg.n_list, work)
+    assert sorted(lo for _, lo, _, _ in seen) == list(range(0, 120, 8))
+    workers = {ident for ident, *_ in seen}
+    assert threading.get_ident() in workers and len(workers) <= 3
+    assert len({dx.__array_interface__["data"][0] for *_, dx, _ in seen}) == len(workers)
+    for ident in workers:
+        mine = [(dx, w) for i, _, dx, w in seen if i == ident]
+        for (dx0, w0), (dx1, w1) in zip(mine, mine[1:]):
+            assert np.shares_memory(dx0, dx1) and np.shares_memory(w0, w1)
+
+
+def test_every_tile_runs_once_under_thread_stress(monkeypatch):
+    # more workers than cores and a short switch interval: a tile start lost
+    # or handed out twice by the shared counter would show in the list
+    monkeypatch.setenv("SFC_LAB_THREADS", "8")
+    cfg = small_config(block_size=4)
+    seen = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        _run_tiles(cfg, spec_tables(cfg.spec, TimeGrid(cfg.m)), cfg.n_list,
+                   lambda tile: seen.append(tile.lo))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(seen) == list(range(0, 120, 4))
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_lowest_failing_path_raises_after_every_helper_joins(monkeypatch, threads):
+    # paths 40 and 70 draw NaN, in the tiles at 32 and 64 (the tile at 0 runs
+    # before the helpers start); path 40 draws late, so on threads the tile at
+    # 64 fails first, yet path 40 is reported, and no helper is left running
+    import sfc_lab.experiment as exp
+
+    real = exp.substream
+
+    class NanStream:
+        def __init__(self, index):
+            self.index = index
+
+        def standard_normal(self, out):
+            if self.index == 40:
+                time.sleep(0.1)
+            out.fill(np.nan)
+
+    def poisoned(seed, rekey=None):
+        if seed.path_index in (40, 70):
+            return NanStream(seed.path_index)
+        return real(seed, None if isinstance(rekey, NanStream) else rekey)
+
+    monkeypatch.setattr(exp, "substream", poisoned)
+    monkeypatch.setenv("SFC_LAB_THREADS", threads)
+    before = set(threading.enumerate())
+    with pytest.raises(NumericalFailureError, match=r"path 40 "):
+        run_convergence(small_config())
+    assert set(threading.enumerate()) == before
+
+
+def test_a_failing_tile_stops_the_run(monkeypatch):
+    monkeypatch.setenv("SFC_LAB_THREADS", "1")
+    cfg = small_config()
+    seen = []
+
+    def work(tile):
+        seen.append(tile.lo)
+        if tile.lo == 32:
+            raise NumericalFailureError("tile 32")
+
+    with pytest.raises(NumericalFailureError, match="tile 32"):
+        _run_tiles(cfg, spec_tables(cfg.spec, TimeGrid(cfg.m)), cfg.n_list, work)
+    assert seen == [0, 32]
 
 
 def identify_config(**over):
@@ -237,8 +328,8 @@ def test_identify_nonfinite_names_b_hat(monkeypatch):
 
     real = exp.drift_coefficients
 
-    def poisoned(st, mode, w, dw, dx, a, a_hat, f_coef, i_coef):
-        b = real(st, mode, w, dw, dx, a, a_hat, f_coef, i_coef)
+    def poisoned(st, mode, w, dw, dx, a, a_hat, f_coef, i_coef, **buffers):
+        b = real(st, mode, w, dw, dx, a, a_hat, f_coef, i_coef, **buffers)
         b[5, 2] = np.nan  # row 5 of every tile; path 5 is the first
         return b
 
@@ -316,7 +407,9 @@ def test_nonfinite_estimate_names_the_path(monkeypatch):
 
 def test_resolve_threads(monkeypatch):
     monkeypatch.delenv("SFC_LAB_THREADS", raising=False)
-    assert resolve_threads() == 1
+    assert resolve_threads() == len(os.sched_getaffinity(0))
+    monkeypatch.setenv("SFC_LAB_THREADS", "")
+    assert resolve_threads() == len(os.sched_getaffinity(0))
     monkeypatch.setenv("SFC_LAB_THREADS", "4")
     assert resolve_threads() == 4
     monkeypatch.setenv("SFC_LAB_THREADS", "0")
