@@ -62,15 +62,7 @@ from .bohr import (
     remainder_terms,
     synthesize,
 )
-from .experiment import (
-    DecayFit,
-    ExperimentConfig,
-    ExperimentResult,
-    config_from_jsonable,
-    config_hash,
-    fit_decay,
-    run_convergence,
-)
+from .experiment import ExperimentConfig, fit_decay, run_convergence
 
 __all__ = [
     "__version__",
@@ -126,10 +118,6 @@ __all__ = [
     "remainder_terms",
     "iterated_divergence_term",
     "ExperimentConfig",
-    "ExperimentResult",
-    "DecayFit",
-    "config_from_jsonable",
-    "config_hash",
     "run_convergence",
     "fit_decay",
 ]

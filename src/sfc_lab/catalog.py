@@ -184,6 +184,8 @@ class ProcessSpec:
 
 
 def _coerce_table(name: str, value) -> TrigPoly | np.ndarray:
+    if isinstance(value, Mapping) and all(isinstance(k, str) for k in value):
+        value = _table_from_json(name, value)
     if isinstance(value, TrigPoly):
         return value
     if isinstance(value, Mapping):
@@ -196,8 +198,35 @@ def _coerce_table(name: str, value) -> TrigPoly | np.ndarray:
     raise ConfigError(f"{name} must be a TrigPoly, a frequency->coefficient mapping, or a node table")
 
 
+def _table_from_json(name: str, obj: Mapping) -> TrigPoly | np.ndarray:
+    """A table from its JSON form, ``{"coeffs": {"k": [re, im]}}`` or
+    ``{"values": [...]}``: every mapping whose keys are strings (a frequency
+    mapping has integer keys)."""
+    if set(obj) == {"values"}:
+        return np.asarray(obj["values"], dtype=float)
+    coeffs = obj.get("coeffs") if set(obj) == {"coeffs"} else None
+    if not isinstance(coeffs, Mapping):
+        raise ConfigError(
+            f'{name} must be {{"coeffs": {{"k": [re, im]}}}} or {{"values": [...]}}, got {obj!r}'
+        )
+    for k, v in coeffs.items():
+        if not (isinstance(v, (list, tuple)) and len(v) == 2):
+            raise ConfigError(f"{name} coefficient {k!r} must be an [re, im] pair, got {v!r}")
+    return TrigPoly.from_mapping({k: complex(*v) for k, v in coeffs.items()})
+
+
+def _table_jsonable(table: TrigPoly | np.ndarray | None) -> dict | None:
+    if table is None:
+        return None
+    if isinstance(table, TrigPoly):
+        return {"coeffs": {str(k): [c.real, c.imag] for k, c in table.coeffs}}
+    return {"values": [float(v) for v in table]}
+
+
 def make_process(kind: str, params: Mapping | None = None) -> ProcessSpec:
-    """Build a validated :class:`ProcessSpec`.
+    """Build a validated :class:`ProcessSpec`; the one reader of a process
+    block, in code and in config files alike (:func:`process_jsonable` is
+    its inverse).
 
     Parameters
     ----------
@@ -205,8 +234,11 @@ def make_process(kind: str, params: Mapping | None = None) -> ProcessSpec:
         One of ``CATALOG_KINDS``.
     params : mapping, optional
         Keys: ``"f"`` (DET only), ``"drift"`` (one of ``"none"``, ``"det"``,
-        ``"w1"``), ``"g"`` (required when drift is not ``"none"``).  Tables
-        may be TrigPoly, {frequency: coefficient} mappings, or node arrays.
+        ``"w1"``; ``"det"`` when only ``"g"`` is given), ``"g"`` (required
+        when drift is not ``"none"``).  A table may be a TrigPoly, an
+        {int frequency: coefficient} mapping, a node array, or one of the
+        JSON forms ``{"coeffs": {"k": [re, im]}}`` and ``{"values": [...]}``.
+        Any other key raises :class:`ConfigError`.
     """
     params = dict(params or {})
     f = params.pop("f", None)
@@ -217,6 +249,16 @@ def make_process(kind: str, params: Mapping | None = None) -> ProcessSpec:
     f = _coerce_table("f", f) if f is not None else None
     g = _coerce_table("g", g) if g is not None else None
     return ProcessSpec(kind=kind, f=f, drift_kind=drift, g=g)
+
+
+def process_jsonable(spec: ProcessSpec) -> dict:
+    """The process block of a config file, as :func:`make_process` reads it."""
+    return {
+        "kind": spec.kind,
+        "f": _table_jsonable(spec.f),
+        "drift": spec.drift_kind,
+        "g": _table_jsonable(spec.g),
+    }
 
 
 def spec_for(kind: str, extra: Mapping | None = None) -> ProcessSpec:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -31,6 +32,7 @@ from .brownian import SeedSpec, sample_path
 from .catalog import CATALOG_KINDS, DRIFT_DET, DRIFT_W1, make_process, spec_for
 from .errors import ConfigError, NumericalFailureError
 from .experiment import (
+    COMMAND_KEYS,
     ExperimentConfig,
     config_from_jsonable,
     config_hash,
@@ -45,8 +47,10 @@ from .sfc import wiener_sfc_range
 DEFAULT_SEED = 20260819
 
 
-def _load_config(path_str: str) -> dict:
-    path = Path(path_str)
+def _run_config(args: argparse.Namespace) -> tuple[ExperimentConfig, dict]:
+    """The run's config from ``--config`` and the ``--seed``, ``--paths`` and
+    ``--mesh`` overrides, and the file's command keys (``COMMAND_KEYS``)."""
+    path = Path(args.config)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -57,17 +61,10 @@ def _load_config(path_str: str) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    return data
-
-
-def _apply_overrides(data: dict, args: argparse.Namespace) -> dict:
-    if args.seed is not None:
-        data["master_seed"] = args.seed
-    if args.paths is not None:
-        data["paths"] = args.paths
-    if args.mesh is not None:
-        data["m"] = args.mesh
-    return data
+    for key, value in (("master_seed", args.seed), ("paths", args.paths), ("m", args.mesh)):
+        if value is not None:
+            data[key] = value
+    return config_from_jsonable(data), {k: data[k] for k in COMMAND_KEYS if k in data}
 
 
 def _write_artifacts(out: str, stem: str, result) -> None:
@@ -204,16 +201,28 @@ def cmd_verify_multiplication(args: argparse.Namespace) -> int:
 
 
 def cmd_convergence(args: argparse.Namespace) -> int:
-    data = _apply_overrides(_load_config(args.config), args)
-    band = data.get("slope_band")
-    band_orders = data.get("slope_band_orders", [0])
+    cfg, command = _run_config(args)
+    # a gate must be able to fail: a finite band over reported orders
+    band = command.get("slope_band")
+    band_orders = command.get("slope_band_orders", [0])
     if band is not None and not (
-        isinstance(band, list) and len(band) == 2 and all(type(v) in (int, float) for v in band)
+        isinstance(band, list)
+        and len(band) == 2
+        and all(type(v) in (int, float) and math.isfinite(v) for v in band)
+        and band[0] <= band[1]
     ):
-        raise ConfigError(f"slope_band must be a [low, high] pair of numbers, got {band!r}")
-    if not isinstance(band_orders, list):
-        raise ConfigError(f"slope_band_orders must be a list of orders, got {band_orders!r}")
-    cfg = config_from_jsonable(data)
+        raise ConfigError(
+            f"slope_band must be a [low, high] pair of finite numbers, low <= high, got {band!r}"
+        )
+    if not (
+        isinstance(band_orders, list)
+        and band_orders
+        and all(type(n) is int and abs(n) <= cfg.M for n in band_orders)
+    ):
+        raise ConfigError(
+            f"slope_band_orders must be a non-empty list of integer orders in -{cfg.M}..{cfg.M}, "
+            f"got {band_orders!r}"
+        )
     result = run_convergence(cfg)
     _write_artifacts(args.out, "convergence", result)
     print(f"config_hash={config_hash(cfg)}")
@@ -240,10 +249,8 @@ def cmd_convergence(args: argparse.Namespace) -> int:
 
 
 def cmd_identify(args: argparse.Namespace) -> int:
-    data = _apply_overrides(_load_config(args.config), args)
-    mode = data.get("mode", CLOSED_FORM)
-    cfg = config_from_jsonable(data)
-    result = run_identify(cfg, mode)
+    cfg, command = _run_config(args)
+    result = run_identify(cfg, command.get("mode", CLOSED_FORM))
     _write_artifacts(args.out, "identify", result)
     for row in result.rows:
         print(

@@ -30,6 +30,15 @@ the next tile in path order from one shared counter.  The thread count has
 no effect on any reported number.  Wall-clock time is kept on the in-memory
 result only; serialized artifacts contain nothing volatile, so identical
 configurations yield identical bytes.
+
+Config schema
+-------------
+Each part of a config file has one owner: ``catalog.make_process`` reads
+the process block and ``catalog.process_jsonable`` writes it; ``RUN_FIELDS``
+lists the run fields for :func:`config_from_jsonable` and
+:func:`config_jsonable`; the command that uses a ``COMMAND_KEYS`` entry
+(``cli``) reads it.  Both results write their CSV and JSON through one
+writer, each giving only its rows and its own JSON key.
 """
 
 from __future__ import annotations
@@ -39,10 +48,10 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from hashlib import sha256
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 import numpy as np
 
@@ -51,10 +60,10 @@ from .bohr import BohrConfig, band_windows, drift_coefficients, grid_supports
 from .catalog import (
     ProcessSpec,
     SpecTables,
-    TrigPoly,
     block_functionals,
     block_true_fourier_a,
     make_process,
+    process_jsonable,
     spec_tables,
 )
 from .errors import ConfigError, NumericalFailureError
@@ -68,19 +77,6 @@ CSV_HEADER = "process,n,N,m,P,seed,mean_abs_err,lp_err,std_err"
 IDENTIFY_CSV_HEADER = (
     "process,n,N,m,P,seed,mode,a_mean_re,a_mean_im,a_se,b_mean_re,b_mean_im,b_se"
 )
-
-
-def _csv_text(header: str, rows) -> str:
-    """The header's columns, one line per row; numbers print as ``repr``."""
-    keys = header.split(",")
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(v if isinstance(v, str) else repr(v) for v in map(row.get, keys)))
-    return "\n".join(lines) + "\n"
-
-
-def _json_text(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 def _require_int(name: str, value) -> None:
@@ -102,6 +98,7 @@ class ExperimentConfig:
     block_size: int = 256
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_list", tuple(self.n_list))  # any sequence, JSON lists too
         for name in ("M", "m", "paths", "master_seed", "block_size"):
             _require_int(name, getattr(self, name))
         for N in self.n_list:
@@ -135,90 +132,50 @@ class ExperimentConfig:
         return tuple(range(-self.M, self.M + 1))
 
 
-def _table_jsonable(table) -> object:
-    if table is None:
-        return None
-    if isinstance(table, TrigPoly):
-        return {"coeffs": {str(k): [c.real, c.imag] for k, c in table.coeffs}}
-    return {"values": [float(v) for v in np.asarray(table)]}
-
-
-def table_from_jsonable(obj) -> object:
-    """Inverse of the table serialization used in configs and reports."""
-    if obj is None:
-        return None
-    if "coeffs" in obj:
-        return TrigPoly.from_mapping(
-            {int(k): complex(v[0], v[1]) for k, v in obj["coeffs"].items()}
-        )
-    return np.asarray(obj["values"], dtype=float)
+# The run fields of a config file: JSON key -> ExperimentConfig field.
+RUN_FIELDS = {
+    "N_list": "n_list",
+    "M": "M",
+    "m": "m",
+    "paths": "paths",
+    "master_seed": "master_seed",
+    "p_exponent": "p_exponent",
+    "block_size": "block_size",
+}
+# Keys of a config file that a command reads (cli) and the run does not.
+COMMAND_KEYS = ("mode", "slope_band", "slope_band_orders")
 
 
 def config_jsonable(cfg: ExperimentConfig) -> dict:
-    """Canonical plain-data form of a configuration (hash input)."""
-    return {
-        "process": {
-            "kind": cfg.spec.kind,
-            "f": _table_jsonable(cfg.spec.f),
-            "drift": cfg.spec.drift_kind,
-            "g": _table_jsonable(cfg.spec.g),
-        },
-        "N_list": list(cfg.n_list),
-        "M": cfg.M,
-        "m": cfg.m,
-        "paths": cfg.paths,
-        "master_seed": cfg.master_seed,
-        "p_exponent": cfg.p_exponent,
-        "block_size": cfg.block_size,
-    }
+    """Canonical plain-data form of a configuration (hash input): the
+    process block from ``catalog.process_jsonable``, then the run fields."""
+    data = {"process": process_jsonable(cfg.spec)}
+    for key, name in RUN_FIELDS.items():
+        value = getattr(cfg, name)
+        data[key] = list(value) if isinstance(value, tuple) else value
+    return data
 
 
 def config_from_jsonable(data: Mapping) -> ExperimentConfig:
-    """Build a config from plain data (the CLI's JSON schema).
+    """Build a config from plain data (the CLI's JSON schema): the process
+    block goes to ``catalog.make_process``, the run fields of
+    ``RUN_FIELDS`` to :class:`ExperimentConfig`; the ``COMMAND_KEYS`` are
+    left to the command that reads them, and any other key is rejected.
 
     Malformed values of any type or shape raise :class:`ConfigError`.
     """
     try:
-        return _config_from_jsonable(dict(data))
+        data = dict(data)
+        proc = dict(data.pop("process", {}))
+        stray = set(data) - set(RUN_FIELDS) - set(COMMAND_KEYS)
+        if stray:
+            raise ConfigError(f"unknown config keys: {sorted(stray)}")
+        run = {name: data[key] for key, name in RUN_FIELDS.items() if key in data}
+        return ExperimentConfig(spec=make_process(proc.pop("kind", None), proc), **run)
     except ConfigError:
         raise
     except (TypeError, ValueError, KeyError, IndexError) as exc:
         raise ConfigError(f"malformed config: {exc!r}") from None
-
-
-def _config_from_jsonable(data: dict) -> ExperimentConfig:
-    proc = dict(data.pop("process", {}))
-    kind = proc.pop("kind", None)
-    if kind is None:
-        raise ConfigError("config needs process.kind")
-    params: dict = {}
-    if proc.get("f") is not None:
-        params["f"] = table_from_jsonable(proc["f"])
-    drift = proc.get("drift", "none")
-    if proc.get("g") is not None:
-        params["g"] = table_from_jsonable(proc["g"])
-        params["drift"] = drift
-    elif drift not in (None, "none"):
-        raise ConfigError(f"drift {drift!r} requires a table g")
-    spec = make_process(kind, params)
-    kwargs = {}
-    for src, dst in (
-        ("N_list", "n_list"),
-        ("M", "M"),
-        ("m", "m"),
-        ("paths", "paths"),
-        ("master_seed", "master_seed"),
-        ("p_exponent", "p_exponent"),
-        ("block_size", "block_size"),
-    ):
-        if src in data:
-            value = data.pop(src)
-            kwargs[dst] = tuple(value) if dst == "n_list" else value
-    known_extra = {"mode", "slope_band", "slope_band_orders"}
-    stray = set(data) - known_extra
-    if stray:
-        raise ConfigError(f"unknown config keys: {sorted(stray)}")
-    return ExperimentConfig(spec=spec, **kwargs)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -280,8 +237,42 @@ def fit_loglog(widths: np.ndarray, errors: np.ndarray) -> DecayFit:
     return DecayFit(slope=slope, half_width=half, intercept=intercept)
 
 
+class _Report:
+    """The two artifacts of a run, written the same way for every result:
+    the CSV has the columns of ``csv_header``, one line per entry of
+    ``rows``, numbers printed as ``repr``; the JSON holds the version, the
+    config and its hash, the rows and the result's own keys
+    (``_json_extra``)."""
+
+    csv_header: ClassVar[str]
+
+    def _row(self, n: int, N: int, **values) -> dict:
+        cfg = self.config
+        return dict(process=cfg.spec.label, n=n, N=N, m=cfg.m, P=cfg.paths, seed=cfg.master_seed,
+                    **values)
+
+    def csv_text(self) -> str:
+        keys = self.csv_header.split(",")
+        lines = [self.csv_header]
+        for row in self.rows:
+            lines.append(",".join(v if isinstance(v, str) else repr(v) for v in map(row.get, keys)))
+        return "\n".join(lines) + "\n"
+
+    def json_dict(self) -> dict:
+        return {
+            "version": __version__,
+            "config_hash": config_hash(self.config),
+            "config": config_jsonable(self.config),
+            "rows": self.rows,
+            **self._json_extra(),
+        }
+
+    def json_text(self) -> str:
+        return json.dumps(self.json_dict(), sort_keys=True, indent=2) + "\n"
+
+
 @dataclass(frozen=True, eq=False)
-class ExperimentResult:
+class ExperimentResult(_Report):
     """Aggregated errors of the estimator, per order n and width N.
 
     Tables are indexed ``[order_index, width_index]`` with orders ascending
@@ -292,6 +283,7 @@ class ExperimentResult:
     identically.
     """
 
+    csv_header: ClassVar[str] = CSV_HEADER
     config: ExperimentConfig
     mean_abs_err: np.ndarray = field(repr=False)
     lp_err: np.ndarray = field(repr=False)
@@ -300,44 +292,22 @@ class ExperimentResult:
     estimates: np.ndarray = field(repr=False)
     runtime_seconds: float = 0.0
 
-    def row_iter(self):
-        cfg = self.config
-        for oi, n in enumerate(cfg.orders):
-            for wi, N in enumerate(cfg.n_list):
-                yield {
-                    "process": cfg.spec.label,
-                    "n": n,
-                    "N": N,
-                    "m": cfg.m,
-                    "P": cfg.paths,
-                    "seed": cfg.master_seed,
-                    "mean_abs_err": float(self.mean_abs_err[oi, wi]),
-                    "lp_err": float(self.lp_err[oi, wi]),
-                    "std_err": float(self.std_err[oi, wi]),
-                }
+    @cached_property
+    def rows(self) -> list[dict]:
+        return [
+            self._row(
+                n,
+                N,
+                mean_abs_err=float(self.mean_abs_err[oi, wi]),
+                lp_err=float(self.lp_err[oi, wi]),
+                std_err=float(self.std_err[oi, wi]),
+            )
+            for oi, n in enumerate(self.config.orders)
+            for wi, N in enumerate(self.config.n_list)
+        ]
 
-    def csv_text(self) -> str:
-        return _csv_text(CSV_HEADER, self.row_iter())
-
-    def json_dict(self) -> dict:
-        decay = {}
-        for oi, n in enumerate(self.config.orders):
-            fit = fit_decay(self, n)
-            decay[str(n)] = {
-                "slope": fit.slope,
-                "half_width": fit.half_width,
-                "intercept": fit.intercept,
-            }
-        return {
-            "version": __version__,
-            "config_hash": config_hash(self.config),
-            "config": config_jsonable(self.config),
-            "rows": list(self.row_iter()),
-            "decay": decay,
-        }
-
-    def json_text(self) -> str:
-        return _json_text(self.json_dict())
+    def _json_extra(self) -> dict:
+        return {"decay": {str(n): asdict(fit_decay(self, n)) for n in self.config.orders}}
 
 
 def fit_decay(result: ExperimentResult, n: int = 0) -> DecayFit:
@@ -524,11 +494,12 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 @dataclass(frozen=True, eq=False)
-class IdentifyResult:
+class IdentifyResult(_Report):
     """Per-path estimates of both coefficient processes at width
     ``N = max(config.n_list)``: ``a_hat`` and ``b_hat`` have shape (paths,
     orders), orders ascending.  They stay out of :meth:`json_dict`."""
 
+    csv_header: ClassVar[str] = IDENTIFY_CSV_HEADER
     config: ExperimentConfig
     mode: str
     a_hat: np.ndarray = field(repr=False)
@@ -542,8 +513,7 @@ class IdentifyResult:
         cfg = self.config
         rows = []
         for oi, n in enumerate(cfg.orders):
-            row = dict(process=cfg.spec.label, n=n, N=max(cfg.n_list), m=cfg.m, P=cfg.paths)
-            row.update(seed=cfg.master_seed, mode=self.mode)
+            row = self._row(n, max(cfg.n_list), mode=self.mode)
             for name, vals in (("a", self.a_hat[:, oi]), ("b", self.b_hat[:, oi])):
                 row[f"{name}_mean_re"], var_re = _mean_var(vals.real.tolist())
                 row[f"{name}_mean_im"], var_im = _mean_var(vals.imag.tolist())
@@ -551,20 +521,8 @@ class IdentifyResult:
             rows.append(row)
         return rows
 
-    def json_dict(self) -> dict:
-        return {
-            "version": __version__,
-            "config_hash": config_hash(self.config),
-            "config": config_jsonable(self.config),
-            "mode": self.mode,
-            "rows": self.rows,
-        }
-
-    def csv_text(self) -> str:
-        return _csv_text(IDENTIFY_CSV_HEADER, self.rows)
-
-    def json_text(self) -> str:
-        return _json_text(self.json_dict())
+    def _json_extra(self) -> dict:
+        return {"mode": self.mode}
 
 
 def run_identify(cfg: ExperimentConfig, mode: str) -> IdentifyResult:

@@ -152,6 +152,30 @@ def test_convergence_slope_band_gate(tmp_path):
     assert main(["convergence", "--config", cfg_path, "--out", str(tmp_path / "b")]) == 1
 
 
+@pytest.mark.parametrize(
+    "band, orders",
+    [
+        ([5.0, 6.0], [7, "x"]),  # no order of M = 1 is gated: the gate would pass vacuously
+        ([5.0, 6.0], [2]),
+        ([5.0, 6.0], []),
+        ([5.0, 6.0], [0.0]),
+        ([5.0, 6.0], [True]),
+        ([5.0, 6.0], 0),
+        ([-0.35, -0.65], [0]),  # low > high
+        ([float("nan"), 0.0], [0]),
+        ([float("-inf"), 0.0], [0]),
+        ([-0.65, "x"], [0]),
+        ([-0.65], [0]),
+    ],
+)
+def test_convergence_slope_gate_must_gate(tmp_path, capsys, band, orders):
+    data = dict(base_convergence_config(), slope_band=band, slope_band_orders=orders)
+    cfg_path = write_config(tmp_path, "cfg.json", data)
+    assert main(["convergence", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: slope_band" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_identify_closed_form(tmp_path, capsys):
     cfg_path = write_config(tmp_path, "id.json", identify_config())
     out_dir = tmp_path / "out"
@@ -242,6 +266,9 @@ def test_config_errors_exit_two(tmp_path):
         tmp_path, "drift.json", {"process": {"kind": "CONST", "drift": "det"}}
     )
     assert main(["convergence", "--config", drift]) == 2
+
+    bogus = write_config(tmp_path, "bogus.json", {"process": {"kind": "CONST", "bogus": 1}})
+    assert main(["convergence", "--config", bogus]) == 2
 
 
 def test_unknown_subcommand_exits_two():

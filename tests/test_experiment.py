@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import sys
@@ -7,10 +8,13 @@ import time
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import spec_for
 from sfc_lab import (
     CATALOG_KINDS,
+    DRIFT_KINDS,
     BohrConfig,
     ConfigError,
     NumericalFailureError,
@@ -19,6 +23,7 @@ from sfc_lab import (
     cosine,
     eval_functionals,
     identify_a,
+    make_process,
     recover_b,
     sample_path,
 )
@@ -73,18 +78,87 @@ def test_config_validation():
         small_config(block_size=0)
 
 
-def test_config_round_trip_and_hash():
-    spec = spec_for("DET", {"f": cosine(2), "g": cosine(), "drift": "w1"})
-    cfg = ExperimentConfig(spec=spec, n_list=(4, 8, 16), M=1, m=256, paths=150, master_seed=7)
+@st.composite
+def run_configs(draw):
+    """A valid config of any kind and drift, with TrigPoly or node tables."""
+    m = draw(st.integers(8, 96))
+    num = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+    def table():
+        if draw(st.booleans()):
+            return np.array(draw(st.lists(num, min_size=m, max_size=m)))
+        coeffs = {0: draw(num)}
+        for k in range(1, draw(st.integers(0, 3)) + 1):
+            coeffs[k] = complex(draw(num), draw(num))
+            coeffs[-k] = coeffs[k].conjugate()
+        return coeffs
+
+    kind = draw(st.sampled_from(CATALOG_KINDS))
+    drift = draw(st.sampled_from(DRIFT_KINDS))
+    params = {"drift": drift} if drift == "none" else {"drift": drift, "g": table()}
+    if kind == "DET":
+        params["f"] = table()
+    M = draw(st.integers(0, 3))
+    widths = draw(st.lists(st.integers(1, m // 8), min_size=1, max_size=4, unique=True))
+    return ExperimentConfig(
+        spec=make_process(kind, params),
+        n_list=tuple(sorted(widths)),
+        M=min(M, m // 8 - max(widths)),
+        m=m,
+        paths=draw(st.integers(100, 10**6)),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
+        p_exponent=draw(st.one_of(st.integers(1, 8), st.floats(1.0, 1e6))),
+        block_size=draw(st.integers(1, 4096)),
+    )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(run_configs())
+def test_config_round_trip_and_hash(cfg):
     data = config_jsonable(cfg)
     rebuilt = config_from_jsonable(json.loads(json.dumps(data)))
+    assert config_jsonable(rebuilt) == data
     assert config_hash(rebuilt) == config_hash(cfg)
-    assert rebuilt.spec.kind == "DET"
-    assert rebuilt.spec.f.coeff(2) == 0.5
-    # hash reacts to content, not dict ordering
-    assert config_hash(small_config()) != config_hash(small_config(master_seed=91))
+    # the hash reacts to content, not to dict ordering
     shuffled = dict(reversed(list(data.items())))
     assert config_hash(config_from_jsonable(shuffled)) == config_hash(cfg)
+    assert config_hash(dataclasses.replace(cfg, paths=cfg.paths + 1)) != config_hash(cfg)
+
+
+def test_json_g_without_drift_is_det():
+    # the process block is read by make_process, whose default drift with a g is "det"
+    g = {"coeffs": {"1": [0.5, 0.0], "-1": [0.5, 0.0]}}
+    spec = config_from_jsonable({"process": {"kind": "NONCAUSAL_W1", "g": g}}).spec
+    assert spec.drift_kind == make_process("NONCAUSAL_W1", {"g": g}).drift_kind == "det"
+    assert spec.g == cosine()
+
+
+@pytest.mark.parametrize(
+    "process",
+    [
+        {"kind": "CONST", "bogus": 1},
+        {"kind": "CONST", "drift": "det"},
+        {"kind": "CONST", "drift": None, "g": {"coeffs": {"0": [1.0, 0.0]}}},
+        {"kind": "DET"},
+        {"kind": "DET", "f": {"coeffs": {"0": [0.5]}}},
+        {"kind": "DET", "f": {"coeffs": {"0": [0.5, 0.0, 1.0]}}},
+        {"kind": "DET", "f": {"coeffs": {"1": 0.5}}},
+        {"kind": "DET", "f": {"coeffs": {"x": [0.5, 0.0]}}},
+        {"kind": "DET", "f": {"coeffs": [[0.5, 0.0]]}},
+        {"kind": "DET", "f": {"coeffs": {"1": [0.5, 0.0]}, "values": [1.0, 2.0]}},
+        {"kind": "DET", "f": {"1": [0.5, 0.0]}},
+        {"kind": "DET", "f": {}},
+        {"kind": "DET", "f": {"values": {"1": 0.5}}},
+        {"kind": "DET", "f": {"values": [1.0]}},
+        {"kind": "DET", "f": {"values": [[1.0, 2.0]]}},
+        {"kind": "DET", "f": {"values": "abc"}},
+        {"kind": "DET", "f": "abc"},
+        {"kind": "DET", "f": 5},
+    ],
+)
+def test_malformed_process_blocks_raise_config_error(process):
+    with pytest.raises(ConfigError):
+        config_from_jsonable({"process": process})
 
 
 def test_config_from_jsonable_rejects_strays():
