@@ -30,17 +30,8 @@ from .malliavin import (
     prop2_residual,
 )
 from .catalog import (
-    ADAPTED_W,
     CATALOG_KINDS,
-    CONST,
-    DET,
-    DRIFT_DET,
     DRIFT_KINDS,
-    DRIFT_W1,
-    NONCAUSAL_BRIDGE,
-    NONCAUSAL_MIDPOINT,
-    NONCAUSAL_W1,
-    PathFunctionals,
     ProcessSpec,
     TrigPoly,
     constant,
@@ -51,10 +42,7 @@ from .catalog import (
 )
 from .sfc import CoefficientSet, sfc_range, wiener_sfc_range
 from .bohr import (
-    CLOSED_FORM,
-    SYNTHESIZED,
     BohrConfig,
-    RemainderTerms,
     bohr_product,
     identify_a,
     iterated_divergence_term,
@@ -86,35 +74,23 @@ __all__ = [
     "lemma_fdelta_residual",
     "prop1_residual",
     "prop2_residual",
-    "CONST",
-    "DET",
-    "ADAPTED_W",
-    "NONCAUSAL_W1",
-    "NONCAUSAL_BRIDGE",
-    "NONCAUSAL_MIDPOINT",
     "CATALOG_KINDS",
-    "DRIFT_DET",
-    "DRIFT_W1",
     "DRIFT_KINDS",
     "TrigPoly",
     "cosine",
     "constant",
     "ProcessSpec",
     "make_process",
-    "PathFunctionals",
     "eval_functionals",
     "true_fourier_a",
     "CoefficientSet",
     "sfc_range",
     "wiener_sfc_range",
-    "CLOSED_FORM",
-    "SYNTHESIZED",
     "BohrConfig",
     "bohr_product",
     "identify_a",
     "synthesize",
     "recover_b",
-    "RemainderTerms",
     "remainder_terms",
     "iterated_divergence_term",
     "ExperimentConfig",

@@ -91,7 +91,12 @@ class TrigPoly:
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[int, complex]) -> "TrigPoly":
-        items = tuple(sorted((int(k), complex(v)) for k, v in mapping.items()))
+        try:
+            items = tuple(sorted((int(k), complex(v)) for k, v in mapping.items()))
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"a frequency mapping takes integer keys to numbers, got {mapping!r}"
+            ) from None
         return cls(items)
 
     def coeff(self, n: int) -> complex:
@@ -191,11 +196,18 @@ def _coerce_table(name: str, value) -> TrigPoly | np.ndarray:
     if isinstance(value, Mapping):
         return TrigPoly.from_mapping(value)
     if isinstance(value, (Sequence, np.ndarray)):
-        arr = np.asarray(value, dtype=float)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ConfigError(f"{name} node table must be a 1-d array over the grid")
-        return arr
+        return _node_table(name, value)
     raise ConfigError(f"{name} must be a TrigPoly, a frequency->coefficient mapping, or a node table")
+
+
+def _node_table(name: str, values) -> np.ndarray:
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} node table must hold numbers, got {values!r}") from None
+    if arr.ndim != 1 or arr.size < 2:
+        raise ConfigError(f"{name} node table must be a 1-d array over the grid")
+    return arr
 
 
 def _table_from_json(name: str, obj: Mapping) -> TrigPoly | np.ndarray:
@@ -203,14 +215,15 @@ def _table_from_json(name: str, obj: Mapping) -> TrigPoly | np.ndarray:
     ``{"values": [...]}``: every mapping whose keys are strings (a frequency
     mapping has integer keys)."""
     if set(obj) == {"values"}:
-        return np.asarray(obj["values"], dtype=float)
+        return _node_table(name, obj["values"])
     coeffs = obj.get("coeffs") if set(obj) == {"coeffs"} else None
     if not isinstance(coeffs, Mapping):
         raise ConfigError(
             f'{name} must be {{"coeffs": {{"k": [re, im]}}}} or {{"values": [...]}}, got {obj!r}'
         )
     for k, v in coeffs.items():
-        if not (isinstance(v, (list, tuple)) and len(v) == 2):
+        pair = isinstance(v, (list, tuple)) and len(v) == 2
+        if not (pair and all(isinstance(x, (int, float)) for x in v)):
             raise ConfigError(f"{name} coefficient {k!r} must be an [re, im] pair, got {v!r}")
     return TrigPoly.from_mapping({k: complex(*v) for k, v in coeffs.items()})
 

@@ -98,7 +98,10 @@ class ExperimentConfig:
     block_size: int = 256
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_list", tuple(self.n_list))  # any sequence, JSON lists too
+        try:
+            object.__setattr__(self, "n_list", tuple(self.n_list))  # any sequence, JSON lists too
+        except TypeError:
+            raise ConfigError(f"n_list must be a sequence of ints, got {self.n_list!r}") from None
         for name in ("M", "m", "paths", "master_seed", "block_size"):
             _require_int(name, getattr(self, name))
         for N in self.n_list:

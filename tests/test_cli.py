@@ -7,10 +7,12 @@ import sfc_lab.cli as cli
 from sfc_lab import (
     BohrConfig,
     ConfigError,
+    ExperimentConfig,
     NumericalFailureError,
     SeedSpec,
     TimeGrid,
     kernel_l2_identity,
+    make_process,
 )
 from sfc_lab.cli import main
 from sfc_lab.experiment import CSV_HEADER, IDENTIFY_CSV_HEADER, config_from_jsonable
@@ -96,11 +98,33 @@ def test_identity_checks_sample_each_path_and_basis_once(monkeypatch, capsys):
     paths = _counting(monkeypatch, cli, "sample_path")
     bases = _counting(monkeypatch, cli, "eval_basis")
     tables = _counting(monkeypatch, cat, "SpecTables")
+    drift_rules = _counting(monkeypatch, cli, "prop2_residual")
     assert cli._identity_checks(TimeGrid(64), 7, paths=8)
     assert len(paths) == 8 and len(bases) == 3
-    assert len(tables) == 18  # once per spec: 6 kinds x (no drift, det, w1)
+    assert len(tables) == 8  # once per spec: 6 kinds without drift, one spec per drift shape
+    assert len(drift_rules) == 4 * 8  # (det, w1) x orders (0, 1) per path
     lines = capsys.readouterr().out.strip().split("\n")
-    assert len(lines) == 1 + 2 * 6 and lines[0].startswith("ok   integration by parts")
+    assert len(lines) == 1 + 6 + 2 and lines[0].startswith("ok   integration by parts")
+
+
+def test_each_product_rule_line_gates_on_its_own(monkeypatch, capsys):
+    def broken(name, hit):
+        real = getattr(cli, name)
+
+        def residual(spec, e, path):
+            return 1.0 if hit(spec) else real(spec, e, path)
+
+        monkeypatch.setattr(cli, name, residual)
+
+    def fail_lines():
+        assert main(["verify-multiplication", "--m", "64", "--paths", "2"]) == 1
+        return [line for line in capsys.readouterr().out.split("\n") if line.startswith("FAIL")]
+
+    broken("prop2_residual", lambda spec: spec.drift_kind == "w1")
+    assert fail_lines() == ["FAIL w1 drift product rule: max_residual=1.000e+00"]
+    monkeypatch.undo()
+    broken("prop1_residual", lambda spec: spec.kind == "ADAPTED_W")
+    assert fail_lines() == ["FAIL ADAPTED_W stochastic product rule: max_residual=1.000e+00"]
 
 
 def test_identify_reduces_each_order_once(tmp_path, monkeypatch, capsys):
@@ -327,6 +351,11 @@ def test_bad_command_line_values_exit_two(argv, capsys):
         lambda: SeedSpec(1, 2**64),
         lambda: kernel_l2_identity(5, 23),
         lambda: kernel_l2_identity(-1, 24),
+        lambda: make_process("DET", {"f": "abc"}),
+        lambda: make_process("DET", {"f": {1: "x"}}),
+        lambda: make_process("DET", {"f": {"values": {"1": 0.5}}}),
+        lambda: make_process("DET", {"f": {"coeffs": {"1": ["a", 0.0]}}}),
+        lambda: ExperimentConfig(spec=make_process("CONST"), n_list=8),
     ],
 )
 def test_library_boundaries_raise_config_error(build):
