@@ -34,12 +34,12 @@ which is ``(2N+1)`` times the :func:`windows` entry of the coefficients of x
 and y, and every row of K sums to m.  No m x m array is built.  ``windows``
 is the one window kernel: the sweep, identification and the remainders all
 call it, and ``bohr_product`` and ``identify_a`` are one-path views on it.
-It sums the products center-out, ``l = 0, 1, -1, 2, -2, ..``, so width N is
-entry 2N of one cumsum: its value does not depend on which other widths run
-beside it.  For real increments ``F_{-k} = conj(F_k)`` and ``I_{-l} =
-conj(I_l)``, so ``B_N(-n) = conj(B_N(n))``; ``band_windows`` computes the
-orders ``0 .. M`` only and fills ``n < 0`` as these exact conjugates, for the
-sweep and ``identify_a`` alike.
+It adds the products center-out, ``l = 0, 1, -1, 2, -2, ..``, one by one,
+and width N is the running total after entry 2N: its value does not depend
+on which other widths run beside it.  For real increments ``F_{-k} =
+conj(F_k)`` and ``I_{-l} = conj(I_l)``, so ``B_N(-n) = conj(B_N(n))``;
+``band_windows`` computes the orders ``0 .. M`` only and fills ``n < 0`` as
+these exact conjugates, for the sweep and ``identify_a`` alike.
 
 Drift recovery inverts the coefficient relation
 ``F_n(dX) = div(a conj(e_n)) + (1/m) sum b conj(e_n)``: subtract the
@@ -107,10 +107,11 @@ def grid_supports(m: int, N: int, M: int) -> bool:
 @lru_cache(maxsize=16)
 def _window_plan(
     K: int, L: int, orders: tuple[int, ...], widths: tuple[int, ...]
-) -> tuple[np.ndarray, ...]:
-    """:func:`windows`' gather indices into ``f_coef`` and ``i_coef``, its
-    cumsum entries ``2N`` and their widths ``2N + 1``: built once per shape,
-    orders and widths, so a run's tiles share them (read-only)."""
+) -> tuple:
+    """:func:`windows`' gather indices into ``f_coef`` and ``i_coef``
+    (center-out entry j first), its segments ``(width index, start, 2N + 1)``
+    in ascending N and the widths ``2N + 1``: built once per shape, orders and
+    widths, so a run's tiles share them (read-only)."""
     orders_ = np.asarray(orders, dtype=int)
     widths_ = np.asarray(widths, dtype=int)
     if not 0 <= widths_.min() <= widths_.max() <= L or L + np.abs(orders_).max() > K:
@@ -120,10 +121,14 @@ def _window_plan(
         )
     j = np.arange(2 * L + 1)
     ells = (j + 1) // 2 * np.where(j % 2, 1, -1)  # 0, 1, -1, 2, -2, ...
-    plan = (orders_[:, None] - ells + K, ells + L, 2 * widths_, 2 * widths_ + 1)
-    for index in plan:
+    f_index, i_index, norms = orders_ - ells[:, None] + K, ells + L, 2 * widths_ + 1
+    segments, start = [], 0
+    for wi in np.argsort(widths_, kind="stable").tolist():
+        segments.append((wi, start, int(norms[wi])))
+        start = int(norms[wi]) - 1  # the next segment starts on this running total
+    for index in (f_index, i_index, norms):
         index.flags.writeable = False
-    return plan
+    return f_index, i_index, tuple(segments), norms
 
 
 def windows(
@@ -138,21 +143,41 @@ def windows(
 
     ``f_coef`` (..., 2K + 1) holds ``F_k`` and ``i_coef`` (..., 2L + 1) holds
     ``I_l`` in column ``k + K`` and ``l + L``; it needs ``max N <= L`` and
-    ``L + max |n| <= K``.  The products run center-out, ``l = 0, 1, -1, 2,
-    -2, ..``, so one cumsum serves every order and width N is its entry 2N:
-    no difference of two prefix sums, and a width's value does not depend on
-    which other widths are asked for.  ``out``, complex (..., orders, 2L + 1),
-    receives the products and their cumsum in place of a new array.  Rows
-    never mix, so a row's windows do not depend on the rows beside it.
+    ``L + max |n| <= K``.  The products lie l axis first, center-out ``l = 0,
+    1, -1, 2, -2, ..``, in a (2L + 1, orders, rows) array, the leading axes
+    flattened into rows.  The widths go in ascending N, each one reduce along
+    the l axis over its new entries, starting from the total of the width
+    before: the additions of one cumsum, in its order, read at entry 2N.  So
+    a width's value does not depend on which other widths are asked for, and
+    no difference of two prefix sums is taken.  numpy releases the GIL for a
+    reduce over whole (orders, rows) slabs, and holds it through a cumsum
+    along the last axis.  ``out``, a C-contiguous complex array of at least
+    as many elements as the products, in any shape (a tile's rfft spectrum,
+    say), receives them in place of a new array.  Rows never mix, so a row's
+    windows do not depend on the rows beside it.
     """
     K = (f_coef.shape[-1] - 1) // 2
     L = (i_coef.shape[-1] - 1) // 2
-    f_index, i_index, picks, norms = _window_plan(K, L, tuple(orders), tuple(widths))
+    f_index, i_index, segments, norms = _window_plan(K, L, tuple(orders), tuple(widths))
+    lead = f_coef.shape[:-1]
+    f_by_k = np.ascontiguousarray(f_coef.reshape(-1, 2 * K + 1).T)  # gathers whole rows
+    if out is not None:
+        shape = f_index.shape + f_by_k.shape[1:]
+        out = out.reshape(-1)[: np.prod(shape)].reshape(shape)
     # the indices are in range: mode "clip" only keeps take from buffering ``out``
-    prod = np.take(f_coef, f_index, axis=-1, out=out, mode="clip")
-    prod *= np.take(i_coef, i_index, axis=-1)[..., None, :]
-    np.cumsum(prod, axis=-1, out=prod)
-    return prod[..., picks] / norms
+    prod = np.take(f_by_k, f_index, axis=0, out=out, mode="clip")
+    prod *= np.take(i_coef.reshape(-1, 2 * L + 1), i_index, axis=1).T[:, None, :]
+    est = np.empty((prod.shape[2], prod.shape[1], len(norms)), dtype=complex)
+    for wi, start, stop in segments:
+        if start:
+            prod[start] = est[:, :, prev].T
+        if prod[0].size > 1:
+            np.add.reduce(prod[start:stop], axis=0, out=est[:, :, wi].T)
+        else:  # a reduce of a single sequence adds pairwise; cumsum adds in order
+            est[:, :, wi] = np.cumsum(prod[start:stop], axis=0)[-1].T
+        prev = wi
+    est /= norms
+    return est.reshape(lead + est.shape[1:])
 
 
 def band_windows(

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Number
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -65,6 +66,10 @@ DRIFT_W1 = "w1"
 # b(t) = g(t) (g0 + g1 W_1): the weights (g0, g1) of each drift shape.
 DRIFT_RECORDS = {DRIFT_NONE: (0.0, 0.0), DRIFT_DET: (1.0, 0.0), DRIFT_W1: (0.0, 1.0)}
 DRIFT_KINDS = tuple(DRIFT_RECORDS)
+
+
+def _is_bool(x) -> bool:
+    return isinstance(x, (bool, np.bool_))
 
 
 @dataclass(frozen=True)
@@ -91,13 +96,15 @@ class TrigPoly:
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[int, complex]) -> "TrigPoly":
-        try:
-            items = tuple(sorted((int(k), complex(v)) for k, v in mapping.items()))
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"a frequency mapping takes integer keys to numbers, got {mapping!r}"
-            ) from None
-        return cls(items)
+        """From {frequency: coefficient}: integer keys (a bool is neither a
+        frequency nor a coefficient) and numeric values."""
+        for k, v in mapping.items():
+            integer = isinstance(k, (int, np.integer)) and not _is_bool(k)
+            if not (integer and isinstance(v, Number) and not _is_bool(v)):
+                raise ConfigError(
+                    f"a frequency mapping takes integer keys to numbers, got {mapping!r}"
+                )
+        return cls(tuple(sorted((int(k), complex(v)) for k, v in mapping.items())))
 
     def coeff(self, n: int) -> complex:
         return dict(self.coeffs).get(n, 0.0 + 0.0j)
@@ -207,6 +214,8 @@ def _node_table(name: str, values) -> np.ndarray:
         raise ConfigError(f"{name} node table must hold numbers, got {values!r}") from None
     if arr.ndim != 1 or arr.size < 2:
         raise ConfigError(f"{name} node table must be a 1-d array over the grid")
+    if any(map(_is_bool, values)):
+        raise ConfigError(f"{name} node table must hold numbers, not booleans")
     return arr
 
 
@@ -221,11 +230,16 @@ def _table_from_json(name: str, obj: Mapping) -> TrigPoly | np.ndarray:
         raise ConfigError(
             f'{name} must be {{"coeffs": {{"k": [re, im]}}}} or {{"values": [...]}}, got {obj!r}'
         )
+    table = {}
     for k, v in coeffs.items():
         pair = isinstance(v, (list, tuple)) and len(v) == 2
-        if not (pair and all(isinstance(x, (int, float)) for x in v)):
+        if not (pair and all(isinstance(x, (int, float)) and not _is_bool(x) for x in v)):
             raise ConfigError(f"{name} coefficient {k!r} must be an [re, im] pair, got {v!r}")
-    return TrigPoly.from_mapping({k: complex(*v) for k, v in coeffs.items()})
+        try:
+            table[int(k) if isinstance(k, str) else k] = complex(*v)
+        except ValueError:
+            raise ConfigError(f"{name} frequency {k!r} is not an integer") from None
+    return TrigPoly.from_mapping(table)
 
 
 def _table_jsonable(table: TrigPoly | np.ndarray | None) -> dict | None:
@@ -416,16 +430,18 @@ def block_functionals(
 
     ``out``, three (..., m) arrays, receives a, b and dX in place of new
     arrays; the drift's share ``b / m`` of dX is then divided in b's place,
-    so that b comes back as ``b / m``.
+    so that b comes back as ``b / m``.  b is built only after ``a dW`` has
+    used a up, so ``out`` may pass a and b as one array, which then holds
+    ``b / m``.
     """
     m = st.grid.m
     if w.shape[-1:] != (m + 1,):
         raise ConfigError(f"W must have shape (..., {m + 1}), got {w.shape}")
     a_out, b_out, dx_out = (None, None, None) if out is None else out
     a = block_diffusion(st, w, a_out)
-    b = block_drift(st, w, b_out)
     dx = np.subtract(w[..., 1:], w[..., :-1], out=dx_out)
     dx *= a
+    b = block_drift(st, w, b_out)
     dx -= st.correction
     dx += np.divide(b, m, out=b_out)
     return a, b, dx

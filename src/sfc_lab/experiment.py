@@ -1,12 +1,13 @@
 """Monte Carlo experiments for the coefficient estimator: the convergence
 sweep and coefficient identification, on one engine.  Paths run in row tiles
-of at most ``block_size`` rows, and of at most as many as keep one (rows, m)
-float array within ``TILE_BYTES``.  Each tile is sampled, gets X from the
-spec's tables (built once per spec and grid), one transform each of dX and
-dW and all its Bohr windows from one ``bohr.band_windows`` call;
-``run_identify`` recovers b on the same tile.  Each worker thread fills the
-same buffers for every tile it builds, so a :class:`Tile`'s arrays are views
-on them, valid only inside the callback that receives it.
+of at most ``block_size`` and 16 rows, and of at most as many as keep one
+(rows, m) float array within ``TILE_BYTES``.  Each tile is sampled, gets X
+from the spec's tables (built once per spec and grid), one transform each of
+dX and dW and all its Bohr windows from one ``bohr.band_windows`` call;
+``run_identify`` recovers b on the same tile.
+Each worker thread fills the same five buffers for every tile it builds, so
+a :class:`Tile`'s arrays are views on them, valid only inside the callback
+that receives it.
 
 Determinism contract
 --------------------
@@ -16,7 +17,8 @@ keeps the same contract as the sweep:
 * every path comes from its own counter-based substream keyed by
   ``(master_seed, path_index)``;
 * every step treats each row on its own -- the coefficient transform is one
-  real FFT per row, and the windows' cumsum runs along each row -- so
+  real FFT per row, W is one cumsum per row, and each window adds its row's
+  products one by one in the same order whatever the rows beside it -- so
   per-path outputs are bitwise independent of the tile a path lands in, of
   ``block_size``, of the worker schedule and of the run's total P (prefix
   property);
@@ -60,6 +62,7 @@ from .bohr import BohrConfig, band_windows, drift_coefficients, grid_supports
 from .catalog import (
     ProcessSpec,
     SpecTables,
+    block_diffusion,
     block_functionals,
     block_true_fourier_a,
     make_process,
@@ -322,27 +325,30 @@ def fit_decay(result: ExperimentResult, n: int = 0) -> DecayFit:
     return fit_loglog(widths, result.lp_err[n + cfg.M])
 
 
-TILE_BYTES = 128 * 1024  # one (rows, m) float64 array of a tile fits in this
+TILE_BYTES = 256 * 1024  # one (rows, m) float64 array of a tile fits in this
+_TILE_MAX_ROWS = 16  # taller tiles grow synthesized identify's temporaries and gain no time
 
 
 def tile_rows(cfg: ExperimentConfig) -> int:
-    """Rows per tile: one (rows, m) float array in ``TILE_BYTES``, at most ``block_size``."""
-    return min(cfg.block_size, max(1, TILE_BYTES // (8 * cfg.m)))
+    """Rows per tile: one (rows, m) float array in ``TILE_BYTES``, at most 16
+    rows and ``block_size``: 16 rows at m=1024, 8 at 4096, 2 at 16384."""
+    return min(cfg.block_size, _TILE_MAX_ROWS, max(1, TILE_BYTES // (8 * cfg.m)))
 
 
 @dataclass(frozen=True, eq=False)
 class Tile:
-    """Paths ``lo ..`` of one tile: W's nodes and increments, a at the left
-    tags, dX, ``F_k(dX)`` (``|k| <= N + M``), ``F_l(dW)`` (``|l| <= N``) and
-    the windows (rows, orders, widths), with the worker's free scratch (rows,
-    m) and rfft spectrum.  W, dW, a, dX and the two buffers are views on the
-    worker's buffers, which its next tile overwrites: they are valid only
-    inside the callback, so keep a copy of what must outlive it."""
+    """Paths ``lo ..`` of one tile: W's nodes and increments, dX, ``F_k(dX)``
+    (``|k| <= N + M``), ``F_l(dW)`` (``|l| <= N``) and the windows (rows,
+    orders, widths), with the worker's free real scratch (rows, m) and
+    complex scratch, shaped as the rfft spectrum (rows, m // 2 + 1).  W, dW,
+    dX and the two scratch arrays are views on the worker's buffers, which
+    its next tile overwrites: they are valid only inside the callback, so
+    keep a copy of what must outlive it.  The coefficients and the windows
+    are the tile's own."""
 
     lo: int
     w: np.ndarray
     dw: np.ndarray
-    a: np.ndarray
     dx: np.ndarray
     f_coef: np.ndarray
     i_coef: np.ndarray
@@ -363,40 +369,48 @@ def _run_tiles(cfg: ExperimentConfig, st: SpecTables, widths: tuple[int, ...], w
     with the lowest path index raises, so a failure is reported as the
     one-thread run reports it.
 
-    Each worker thread allocates its buffers and its generator at its first
+    Each worker thread allocates five buffers and its generator at its first
     tile and fills them in place for every later one, so a tile makes no
-    array of a tile's size: xi (turned into dW in place), W, a, dX, the
-    drift's scratch, the rfft spectrum both transforms share and the window
-    products.
+    array of a tile's size: xi (turned into dW in place), W, dX, one real
+    scratch that holds a and then the drift's ``b / m``, and one complex
+    scratch that holds the rfft spectrum of each transform and then the
+    window products (both transforms copy their orders out of it first).
+    W's cumsum runs one row at a time: numpy holds the GIL through a cumsum
+    along a 2-D array's rows and releases it for a 1-D one of 500 or more
+    entries (the windows reduce along the l axis for the same reason), so
+    threads overlap every step of a tile.
     """
     m, n_max, rows = cfg.m, max(widths), tile_rows(cfg)
+    complex_size = rows * max(m // 2 + 1, (2 * n_max + 1) * (cfg.M + 1))
     local = threading.local()
 
     def buffers() -> tuple[np.ndarray, ...]:
-        """This thread's xi, a, scratch, dX, W, spectrum and window products."""
+        """This thread's xi, scratch, dX, W and complex scratch."""
         if not hasattr(local, "buffers"):
             local.buffers = (
-                *(np.empty((rows, m)) for _ in range(4)),
+                *(np.empty((rows, m)) for _ in range(3)),
                 np.zeros((rows, m + 1)),  # column 0 stays W_0 = 0
-                np.empty((rows, m // 2 + 1), dtype=complex),
-                np.empty((rows, cfg.M + 1, 2 * n_max + 1), dtype=complex),
+                np.empty(complex_size, dtype=complex),
             )
             local.rng = None
         return local.buffers
 
     def one(lo: int) -> None:
         count = min(cfg.paths, lo + rows) - lo
-        xi, a, scratch, dx, w, spectrum, products = (b[:count] for b in buffers())
+        *real, complex_scratch = buffers()
+        xi, scratch, dx, w = (b[:count] for b in real)
+        spectrum = complex_scratch[: count * (m // 2 + 1)].reshape(count, m // 2 + 1)
         for r in range(count):
             local.rng = substream(SeedSpec(cfg.master_seed, lo + r), local.rng)
             local.rng.standard_normal(out=xi[r])
         dw = np.divide(xi, np.sqrt(m), out=xi)
-        np.cumsum(dw, axis=1, out=w[:, 1:])
-        a, _, dx = block_functionals(st, w, out=(a, scratch, dx))
+        for row, nodes in zip(dw, w[:, 1:]):
+            np.add.accumulate(row, out=nodes)
+        _, _, dx = block_functionals(st, w, out=(scratch, scratch, dx))
         f_coef = coefficients(dx, n_max + cfg.M, spectrum)  # order k at column k + n_max + M
         i_coef = coefficients(dw, n_max, spectrum)
-        est = band_windows(f_coef, i_coef, cfg.M, widths, products)
-        work(Tile(lo, w, dw, a, dx, f_coef, i_coef, est, scratch, spectrum))
+        est = band_windows(f_coef, i_coef, cfg.M, widths, complex_scratch)
+        work(Tile(lo, w, dw, dx, f_coef, i_coef, est, scratch, spectrum))
 
     starts = range(0, cfg.paths, rows)
     threads = min(resolve_threads(), len(starts))
@@ -544,8 +558,9 @@ def run_identify(cfg: ExperimentConfig, mode: str) -> IdentifyResult:
     def work(tile: Tile) -> None:
         a = tile.est[:, :, 0]
         _require_finite("a_hat", tile.est, tile.lo, cfg.orders, (N,))
+        diffusion = block_diffusion(st, tile.w, tile.scratch)  # the true a, for the closed form
         b = drift_coefficients(
-            st, mode, tile.w, tile.dw, tile.dx, tile.a, a, tile.f_coef, tile.i_coef,
+            st, mode, tile.w, tile.dw, tile.dx, diffusion, a, tile.f_coef, tile.i_coef,
             out=(tile.scratch, tile.spectrum),
         )
         _require_finite("b_hat", b[:, :, None], tile.lo, cfg.orders, (N,))

@@ -107,6 +107,51 @@ def test_windows_match_an_exactly_summed_oracle(rows, K, L):
         windows(f_coef[:, 1:-1], i_coef, range(K - L - 1, K - L + 1), [1])
 
 
+@st.composite
+def window_cases(draw):
+    L = draw(st.integers(0, 12))
+    top = draw(st.integers(0, 4))  # largest |n|
+    return {
+        "lead": draw(st.sampled_from([(), (1,), (2,), (5,), (2, 3)])),
+        "K": L + top + draw(st.integers(0, 3)),
+        "L": L,
+        "orders": draw(st.lists(st.integers(-top, top), min_size=1, max_size=5)),
+        "widths": draw(st.lists(st.integers(0, L), min_size=1, max_size=5)),
+        "seed": draw(st.integers(0, 2**32)),
+    }
+
+
+def _dyadic(rng, shape):
+    """Complex entries with 26-bit mantissas and exponents 2^-20 .. 2^20: a
+    product of two is exact whether or not numpy fuses its multiply, and
+    sums of them round, so their order shows."""
+    parts = rng.integers(-(2**26), 2**26, (2,) + shape) * 2.0 ** rng.integers(-20, 21, (2,) + shape)
+    return parts[0] + 1j * parts[1]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(window_cases())
+def test_windows_are_the_center_out_loop_bitwise(case):
+    # any rows, orders and widths (unsorted, repeated, N = 0): each window is
+    # the l = 0 product plus the products at l = 1, -1, 2, -2, .. added one by
+    # one, then divided by 2N + 1
+    K, L, orders, widths = case["K"], case["L"], case["orders"], case["widths"]
+    rng = np.random.default_rng(case["seed"])
+    f_coef = _dyadic(rng, case["lead"] + (2 * K + 1,))
+    i_coef = _dyadic(rng, case["lead"] + (2 * L + 1,))
+    out = windows(f_coef, i_coef, orders, widths)
+    assert out.shape == case["lead"] + (len(orders), len(widths))
+    for r in np.ndindex(case["lead"]):
+        f, i = f_coef[r].tolist(), i_coef[r].tolist()
+        for oi, n in enumerate(orders):
+            for wi, N in enumerate(widths):
+                acc = f[n + K] * i[L]
+                for ell in range(1, N + 1):
+                    acc += f[n - ell + K] * i[ell + L]
+                    acc += f[n + ell + K] * i[L - ell]
+                assert out[r + (oi, wi)] == np.divide(acc, 2 * N + 1), (r, n, N)
+
+
 def test_band_windows_conjugate_the_nonnegative_orders():
     rng = np.random.default_rng(5)
     dx, dw = rng.standard_normal((2, 3, 128))

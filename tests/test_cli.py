@@ -255,9 +255,9 @@ def test_identify_bytes_ignore_threads_and_block_size(tmp_path, monkeypatch, mod
     csv1, json1 = run("t1", 1, 32)
     assert [csv1, json1] == run("t3", 3, 32)
     assert [csv1, json1] == run("unset", None, 32)
-    csv50, json50 = run("b50", 1, 50)
-    assert csv50 == csv1  # the CSV carries no block_size; the JSON config and hash do
-    assert json.loads(json50)["rows"] == json.loads(json1)["rows"]
+    csv7, json7 = run("b7", 1, 7)  # 7-row tiles, against 16-row tiles at block size 32
+    assert csv7 == csv1  # the CSV carries no block_size; the JSON config and hash do
+    assert json.loads(json7)["rows"] == json.loads(json1)["rows"]
 
 
 def test_identify_rejects_unknown_mode(tmp_path):
@@ -293,6 +293,11 @@ def test_config_errors_exit_two(tmp_path):
 
     bogus = write_config(tmp_path, "bogus.json", {"process": {"kind": "CONST", "bogus": 1}})
     assert main(["convergence", "--config", bogus]) == 2
+
+    boolean = write_config(
+        tmp_path, "bool.json", {"process": {"kind": "CONST", "g": {"coeffs": {"0": [True, 0]}}}}
+    )
+    assert main(["convergence", "--config", boolean]) == 2
 
 
 def test_unknown_subcommand_exits_two():
@@ -355,6 +360,14 @@ def test_bad_command_line_values_exit_two(argv, capsys):
         lambda: make_process("DET", {"f": {1: "x"}}),
         lambda: make_process("DET", {"f": {"values": {"1": 0.5}}}),
         lambda: make_process("DET", {"f": {"coeffs": {"1": ["a", 0.0]}}}),
+        # a frequency is an integer, and a bool is not a number
+        lambda: make_process("DET", {"f": {1.7: 0.5, -1.7: 0.5}}),
+        lambda: make_process("DET", {"f": {"coeffs": {1.7: [0.5, 0.0], -1.7: [0.5, 0.0]}}}),
+        lambda: make_process("DET", {"f": {True: 0.5, -1: 0.5}}),
+        lambda: make_process("DET", {"f": {0: True}}),
+        lambda: make_process("DET", {"f": {"values": [True, False]}}),
+        lambda: make_process("DET", {"f": np.array([True, False])}),
+        lambda: make_process("DET", {"f": {"coeffs": {"0": [True, 0]}}}),
         lambda: ExperimentConfig(spec=make_process("CONST"), n_list=8),
     ],
 )

@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -241,14 +242,60 @@ def test_prefix_property(kind):
 def test_block_size_does_not_change_estimates():
     # partitioning is an implementation detail of scheduling; the per-path
     # substreams make path content independent of it.  Block size does join
-    # the config hash, so artifacts declare it.  At m=256 a tile holds at most
-    # 64 rows, so 100 runs tiles of 64 and 56 rows: not a multiple of either.
-    assert [tile_rows(small_config(block_size=b)) for b in (32, 50, 100)] == [32, 50, 64]
-    a = run_convergence(small_config(block_size=32))
-    for block_size in (50, 100):
+    # the config hash, so artifacts declare it.  A tile holds at most 16 rows,
+    # so 120 paths run as 24 tiles of 5, as 17 of 7 and one of 1, or as 7 of 16
+    # and one of 8.
+    assert [tile_rows(small_config(block_size=b)) for b in (5, 7, 100)] == [5, 7, 16]
+    a = run_convergence(small_config(block_size=5))
+    for block_size in (7, 100):
         b = run_convergence(small_config(block_size=block_size))
         assert np.array_equal(a.abs_errors, b.abs_errors)
         assert np.array_equal(a.estimates, b.estimates)
+
+
+def test_tile_rows_at_the_grid_sizes():
+    # one (rows, m) float array in 256 KiB, at most 16 rows
+    sizes = [tile_rows(small_config(m=m, block_size=256)) for m in (1024, 4096, 16384)]
+    assert sizes == [16, 8, 2]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_tile_geometry_does_not_change_any_per_path_number(monkeypatch, threads):
+    # 2, 4, 8 and 16-row tiles of 100 paths: every estimate, a_hat and b_hat
+    # bitwise the same, in the sweep and in both identify modes
+    import sfc_lab.experiment as exp
+
+    monkeypatch.setenv("SFC_LAB_THREADS", threads)
+    spec = spec_for("NONCAUSAL_BRIDGE", {"g": cosine(), "drift": "w1"})
+    cfg = small_config(spec=spec, n_list=(4, 16, 64), M=2, m=4096, paths=100, block_size=256)
+    rows, results = [], []
+    for kib in (64, 128, 256, 1024):
+        monkeypatch.setattr(exp, "TILE_BYTES", kib * 1024)
+        rows.append(tile_rows(cfg))
+        closed, synth = (run_identify(cfg, mode) for mode in ("closed_form", "synthesized"))
+        results.append([run_convergence(cfg).estimates, closed.a_hat, closed.b_hat,
+                        synth.a_hat, synth.b_hat])
+    assert rows == [2, 4, 8, 16]
+    for other in results[1:]:
+        for x, y in zip(results[0], other):
+            assert np.array_equal(x, y)
+
+
+def test_a_sweep_holds_few_tile_buffers(monkeypatch):
+    # two workers, each with five 8-row buffers, at the perfbench sweep's m,
+    # widths and orders; the first run builds the spec's tables and the
+    # window plan, which later runs share
+    monkeypatch.setenv("SFC_LAB_THREADS", "2")
+    spec = spec_for("NONCAUSAL_BRIDGE", {"g": cosine(), "drift": "w1"})
+    cfg = small_config(spec=spec, n_list=(4, 8, 16, 32, 64, 128, 256), M=4, m=4096, paths=200)
+    run_convergence(cfg)
+    tracemalloc.start()
+    try:
+        run_convergence(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
 
 
 def test_negative_orders_are_the_conjugates_of_the_positive(monkeypatch):
@@ -263,7 +310,7 @@ def test_tiles_reuse_the_workers_buffers(monkeypatch):
     cfg = small_config()
     tiles = []
     _run_tiles(cfg, spec_tables(cfg.spec, TimeGrid(cfg.m)), cfg.n_list, tiles.append)
-    assert [t.lo for t in tiles] == [0, 32, 64, 96] and len(tiles[-1].dx) == 24
+    assert [t.lo for t in tiles] == list(range(0, 120, 16)) and len(tiles[-1].dx) == 8
     for prev, tile in zip(tiles, tiles[1:]):
         assert np.shares_memory(prev.dx, tile.dx)
         assert np.shares_memory(prev.w, tile.w)
@@ -349,7 +396,7 @@ def test_a_failing_tile_stops_the_run(monkeypatch):
 
     with pytest.raises(NumericalFailureError, match="tile 32"):
         _run_tiles(cfg, spec_tables(cfg.spec, TimeGrid(cfg.m)), cfg.n_list, work)
-    assert seen == [0, 32]
+    assert seen == [0, 16, 32]
 
 
 def identify_config(**over):
