@@ -21,11 +21,7 @@ from .brownian import BrownianPath, SeedSpec, sample_path, wiener_integral
 from .malliavin import (
     DiscreteFunctional,
     DerivativeTable,
-    FunctionalArray,
-    discrete_divergence,
-    divergence_with_partials,
     lemma_fdelta_residual,
-    pairing,
     prop1_residual,
     prop2_residual,
 )
@@ -67,10 +63,6 @@ __all__ = [
     "wiener_integral",
     "DiscreteFunctional",
     "DerivativeTable",
-    "FunctionalArray",
-    "pairing",
-    "discrete_divergence",
-    "divergence_with_partials",
     "lemma_fdelta_residual",
     "prop1_residual",
     "prop2_residual",

@@ -113,6 +113,28 @@ def sample_path(seed: SeedSpec, grid: TimeGrid) -> BrownianPath:
     return BrownianPath(grid=grid, values=values, increments=increments, xi=xi)
 
 
+def sample_rows(
+    master_seed: int, lo: int, dw: np.ndarray, w: np.ndarray, rng: np.random.Generator | None = None
+) -> np.random.Generator:
+    """Draw paths ``lo, lo + 1, ..`` in place into the rows of dW (rows, m)
+    and W (rows, m + 1), each bitwise the path :func:`sample_path` draws.
+
+    ``rng``, a generator from an earlier call, is rekeyed for each row
+    (:func:`substream`); the last one is returned to be passed back.  W is
+    one ``add.accumulate`` per row: numpy holds the GIL through a cumsum
+    along a 2-D array's rows and releases it for a 1-D one of 500 or more
+    entries, so threads that sample their own rows overlap.
+    """
+    for r, row in enumerate(dw):
+        rng = substream(SeedSpec(master_seed, lo + r), rng)
+        rng.standard_normal(out=row)
+    dw /= np.sqrt(dw.shape[-1])
+    w[:, 0] = 0.0
+    for row, nodes in zip(dw, w[:, 1:]):
+        np.add.accumulate(row, out=nodes)
+    return rng
+
+
 def wiener_integral(path: BrownianPath, f_nodes: np.ndarray) -> complex:
     """Left-tagged Wiener sum ``sum_i f(t_i) * (W_{t_{i+1}} - W_{t_i})``.
 

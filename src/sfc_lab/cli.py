@@ -28,8 +28,8 @@ import numpy as np
 
 from . import __version__
 from .bohr import CLOSED_FORM
-from .brownian import SeedSpec, sample_path
-from .catalog import CATALOG_KINDS, CONST, DRIFT_DET, DRIFT_W1, make_process, spec_for
+from .brownian import SeedSpec, sample_rows
+from .catalog import CATALOG_KINDS, CONST, DRIFT_DET, DRIFT_W1, make_process, spec_for, spec_tables
 from .errors import ConfigError, NumericalFailureError
 from .experiment import (
     COMMAND_KEYS,
@@ -41,10 +41,16 @@ from .experiment import (
     run_identify,
 )
 from .grid import TimeGrid, dirichlet_closed_form, dirichlet_kernel, eval_basis, kernel_l2_identity
-from .malliavin import lemma_fdelta_residual, prop1_residual, prop2_residual, w1_functionals
-from .sfc import wiener_sfc_range
+from .malliavin import (
+    block_lemma_residual,
+    block_prop1_residual,
+    block_prop2_residual,
+    block_w1_functionals,
+)
+from .sfc import coefficients
 
 DEFAULT_SEED = 20260819
+_BATTERY_ROWS = 16  # paths per block of the identity battery, whatever --paths is
 
 
 def _run_config(args: argparse.Namespace) -> tuple[ExperimentConfig, dict]:
@@ -128,17 +134,12 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     grid = TimeGrid(512)
     ok &= _identity_checks(grid, seed, paths=20)
 
-    # sampling sanity: terminal variance and the discrete isometry
-    paths = 400
-    term = np.empty(paths)
-    iso = np.empty(paths)
-    for idx in range(paths):
-        path = sample_path(SeedSpec(seed, 2000 + idx), grid)
-        term[idx] = path.terminal
-        iso[idx] = abs(wiener_sfc_range(path, 1).entry(1)) ** 2
-    var = float(np.var(term, ddof=1))
+    # sampling sanity on paths 2000..2399: terminal variance and the discrete isometry
+    dw, w = np.empty((400, grid.m)), np.empty((400, grid.m + 1))
+    sample_rows(seed, 2000, dw, w)
+    var = float(np.var(w[:, -1], ddof=1))
     ok &= _check_line(0.85 <= var <= 1.15, "terminal variance", f"var={var:.4f}")
-    iso_mean = float(np.mean(iso))
+    iso_mean = float(np.mean(np.abs(coefficients(dw, 1)[:, 2]) ** 2))
     ok &= _check_line(abs(iso_mean - 1.0) <= 0.2, "basis isometry", f"mean={iso_mean:.4f}")
 
     # prefix property: a longer run reproduces the shorter run's paths
@@ -165,24 +166,28 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 def _identity_checks(grid: TimeGrid, seed: int, paths: int) -> bool:
     """Integration by parts, the stochastic product rule over every catalog
     kind and the drift product rule over each drift shape, on the first
-    ``paths`` paths, each sampled once; prints one line per check."""
-    sampled = [sample_path(SeedSpec(seed, idx), grid) for idx in range(paths)]
-    e = {n: eval_basis(n, grid.left_nodes) for n in (0, 1, -3)}
-    worst = 0.0
-    for path in sampled:
-        for functional in w1_functionals(path).values():
-            for n in (0, 1, -3):
-                worst = max(worst, lemma_fdelta_residual(functional, e[n], path))
-    ok = _check_line(worst <= 1e-10, "integration by parts", f"max_residual={worst:.3e}")
+    ``paths`` paths; prints one line per check.  The paths are drawn once,
+    in blocks of ``_BATTERY_ROWS`` rows that each residual takes whole."""
+    e = np.array([eval_basis(n, grid.left_nodes) for n in (0, 1, -3)])
     g = {0: 0.5, 1: 0.5, -1: 0.5}  # 1/2 + cos(2 pi t); a zero mean makes prop 2 vacuous
-    checks = [(f"{kind} stochastic", prop1_residual, spec_for(kind)) for kind in CATALOG_KINDS]
+    checks = [(f"{k} stochastic", block_prop1_residual, spec_for(k)) for k in CATALOG_KINDS]
     # The drift rule reads only b = g (g0 + g1 W_1), never the kind's a, so
     # one kind checks each drift shape.
     for d in (DRIFT_DET, DRIFT_W1):
-        checks.append((f"{d} drift", prop2_residual, spec_for(CONST, {"g": g, "drift": d})))
-    for name, residual, spec in checks:
-        worst = max(residual(spec, e[n], path) for path in sampled for n in (0, 1))
-        ok &= _check_line(worst <= 1e-9, f"{name} product rule", f"max_residual={worst:.3e}")
+        checks.append((f"{d} drift", block_prop2_residual, spec_for(CONST, {"g": g, "drift": d})))
+    rules = [(rule, spec_tables(spec, grid)) for _, rule, spec in checks]
+    dw, w = np.empty((_BATTERY_ROWS, grid.m)), np.empty((_BATTERY_ROWS, grid.m + 1))
+    worst, rng = np.zeros(1 + len(rules)), None
+    for lo in range(0, paths, _BATTERY_ROWS):
+        rows = slice(0, min(_BATTERY_ROWS, paths - lo))
+        rng = sample_rows(seed, lo, dw[rows], w[rows], rng)
+        functionals = block_w1_functionals(w[rows]).values()
+        lemma = [block_lemma_residual(value, grad, e, dw[rows]) for value, grad in functionals]
+        found = [lemma] + [rule(st, e[:2], w[rows], dw[rows]) for rule, st in rules]
+        np.maximum(worst, [np.max(r) for r in found], out=worst)
+    ok = _check_line(worst[0] <= 1e-10, "integration by parts", f"max_residual={worst[0]:.3e}")
+    for (name, _, _), res in zip(checks, worst[1:]):
+        ok &= _check_line(res <= 1e-9, f"{name} product rule", f"max_residual={res:.3e}")
     return ok
 
 

@@ -71,7 +71,7 @@ from .catalog import (
 )
 from .errors import ConfigError, NumericalFailureError
 from .grid import TimeGrid
-from .brownian import SeedSpec, substream
+from .brownian import sample_rows
 from .sfc import coefficients
 
 THREADS_ENV = "SFC_LAB_THREADS"
@@ -371,25 +371,23 @@ def _run_tiles(cfg: ExperimentConfig, st: SpecTables, widths: tuple[int, ...], w
 
     Each worker thread allocates five buffers and its generator at its first
     tile and fills them in place for every later one, so a tile makes no
-    array of a tile's size: xi (turned into dW in place), W, dX, one real
-    scratch that holds a and then the drift's ``b / m``, and one complex
-    scratch that holds the rfft spectrum of each transform and then the
-    window products (both transforms copy their orders out of it first).
-    W's cumsum runs one row at a time: numpy holds the GIL through a cumsum
-    along a 2-D array's rows and releases it for a 1-D one of 500 or more
-    entries (the windows reduce along the l axis for the same reason), so
-    threads overlap every step of a tile.
+    array of a tile's size: dW and W (drawn by ``brownian.sample_rows``),
+    dX, one real scratch that holds a and then the drift's ``b / m``, and
+    one complex scratch that holds the rfft spectrum of each transform and
+    then the window products (both transforms copy their orders out of it
+    first).  The sampler and the windows both avoid the steps through which
+    numpy holds the GIL, so threads overlap every step of a tile.
     """
     m, n_max, rows = cfg.m, max(widths), tile_rows(cfg)
     complex_size = rows * max(m // 2 + 1, (2 * n_max + 1) * (cfg.M + 1))
     local = threading.local()
 
     def buffers() -> tuple[np.ndarray, ...]:
-        """This thread's xi, scratch, dX, W and complex scratch."""
+        """This thread's dW, scratch, dX, W and complex scratch."""
         if not hasattr(local, "buffers"):
             local.buffers = (
                 *(np.empty((rows, m)) for _ in range(3)),
-                np.zeros((rows, m + 1)),  # column 0 stays W_0 = 0
+                np.empty((rows, m + 1)),
                 np.empty(complex_size, dtype=complex),
             )
             local.rng = None
@@ -398,14 +396,9 @@ def _run_tiles(cfg: ExperimentConfig, st: SpecTables, widths: tuple[int, ...], w
     def one(lo: int) -> None:
         count = min(cfg.paths, lo + rows) - lo
         *real, complex_scratch = buffers()
-        xi, scratch, dx, w = (b[:count] for b in real)
+        dw, scratch, dx, w = (b[:count] for b in real)
         spectrum = complex_scratch[: count * (m // 2 + 1)].reshape(count, m // 2 + 1)
-        for r in range(count):
-            local.rng = substream(SeedSpec(cfg.master_seed, lo + r), local.rng)
-            local.rng.standard_normal(out=xi[r])
-        dw = np.divide(xi, np.sqrt(m), out=xi)
-        for row, nodes in zip(dw, w[:, 1:]):
-            np.add.accumulate(row, out=nodes)
+        local.rng = sample_rows(cfg.master_seed, lo, dw, w, local.rng)
         _, _, dx = block_functionals(st, w, out=(scratch, scratch, dx))
         f_coef = coefficients(dx, n_max + cfg.M, spectrum)  # order k at column k + n_max + M
         i_coef = coefficients(dw, n_max, spectrum)

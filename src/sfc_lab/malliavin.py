@@ -25,6 +25,10 @@ the Skorokhod integral of the terminal value, with no discretization error.
 For ``u`` adapted on the left (``u_i`` independent of ``xi_j`` for
 ``j >= i``) every diagonal derivative vanishes and div(u) is the plain Ito
 sum.
+
+The identity residuals take blocks of paths as ``brownian.sample_rows``
+draws them and stacks of e, with a and b from the spec's tables as in the
+sweep; each side is built from its own terms.  One-path forms are views.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brownian import BrownianPath, wiener_integral
+from .brownian import BrownianPath
 
 
 @dataclass(frozen=True)
@@ -63,9 +67,9 @@ class DerivativeTable:
     diffusion ``f + alpha W_t + beta W_tau`` has ``u = 1``,
     ``v = beta 1[r < tau m] / sqrt(m)`` and ``lower = alpha / sqrt(m)``;
     ``F e`` has ``u = e``, ``v = dF/dxi``; the drift has ``u = c``, ``v = 1``.
-    Each operation is O(m); :meth:`dense` is a test oracle.  Sums weighted by
-    the Dirichlet kernel read ``u``, ``v`` and ``lower`` directly as Bohr
-    windows (``bohr._kernel_trace``).
+    Each operation is O(m) per row of its (..., m) input; :meth:`dense` is a
+    test oracle.  Sums weighted by the Dirichlet kernel read ``u``, ``v`` and
+    ``lower`` directly as Bohr windows (``bohr._kernel_trace``).
     """
 
     u: np.ndarray = field(repr=False)
@@ -80,17 +84,17 @@ class DerivativeTable:
         return self.u * self.v
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``P @ x = u (v . x) + lower * sum_{r < i} x_r``."""
-        out = self.u * np.dot(self.v, x)
+        """``P @ x = u (v . x) + lower * sum_{r < i} x_r`` for each row of x (..., m)."""
+        out = self.u * (x @ self.v)[..., None]
         if self.lower:
-            out = out + self.lower * np.concatenate(([0.0], np.cumsum(x[:-1])))
+            out[..., 1:] += self.lower * np.cumsum(x[..., :-1], axis=-1)
         return out
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """``P.T @ y = v (u . y) + lower * sum_{i > r} y_i``."""
-        out = self.v * np.dot(self.u, y)
+        """``P.T @ y = v (u . y) + lower * sum_{i > r} y_i`` for each row of y (..., m)."""
+        out = self.v * (y @ self.u)[..., None]
         if self.lower:
-            out = out + self.lower * np.concatenate((np.cumsum(y[:0:-1])[::-1], [0.0]))
+            out[..., :-1] += self.lower * np.cumsum(y[..., :0:-1], axis=-1)[..., ::-1]
         return out
 
     def dense(self) -> np.ndarray:
@@ -98,151 +102,133 @@ class DerivativeTable:
         return np.outer(self.u, self.v) + self.lower * np.tril(np.ones((m, m)), -1)
 
 
-@dataclass(frozen=True)
-class FunctionalArray:
-    """A process on the left nodes: values ``u_i`` and the
-    :class:`DerivativeTable` of partials ``du_i/dxi_r`` (row i, direction r)."""
-
-    values: np.ndarray = field(repr=False)
-    partials: DerivativeTable = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if self.values.ndim != 1:
-            raise ValueError(f"values must be a vector, got shape {self.values.shape}")
-        if not isinstance(self.partials, DerivativeTable) or len(self.partials.u) != self.m:
-            raise ValueError(f"partials must be a DerivativeTable over {self.m} nodes")
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
+def _esum(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``sum_i x_i e_i`` for each row of x (..., m) and of e (K, m): (..., K)."""
+    return x @ e.real.T + 1j * (x @ e.imag.T)
 
 
-def pairing(functional: DiscreteFunctional, e_nodes: np.ndarray, path: BrownianPath) -> complex:
-    """Left Riemann sum of ``D_t F * e(t)``: ``(1/sqrt(m)) sum_i dF/dxi_i e(t_i)``."""
-    m = path.grid.m
-    e_nodes = np.asarray(e_nodes)
-    if functional.partials.shape != (m,) or e_nodes.shape != (m,):
-        raise ValueError("functional partials and e must live on the grid's left nodes")
-    return complex(np.dot(functional.partials, e_nodes) / np.sqrt(m))
+def _divergence(values, table: DerivativeTable, dw) -> tuple[np.ndarray, np.ndarray]:
+    """``div(u)`` of a process with values (rows, m) and one derivative table,
+    and its gradient ``sum_i (du_i/dxi_r) dW_i + u_r / sqrt(m)``: exact for
+    deterministic partials (chaos order <= 1), as every table here is."""
+    sqrt_m = np.sqrt(dw.shape[-1])
+    div = np.sum(values * dw, axis=-1) - np.sum(table.diag()) / sqrt_m
+    return div, table.rmatvec(dw) + values / sqrt_m
 
 
-def discrete_divergence(u: FunctionalArray, path: BrownianPath) -> complex:
-    """Divergence ``sum_i u_i dW_i - (1/sqrt(m)) sum_i du_i/dxi_i``.
-
-    Coincides with the Ito sum for left-adapted integrands and with the
-    Skorokhod integral's closed forms for the anticipating ones used here.
-    """
-    m = path.grid.m
-    if u.m != m:
-        raise ValueError(f"integrand has {u.m} nodes but path grid has {m}")
-    trace = np.sum(u.partials.diag())
-    return complex(np.dot(u.values, path.increments) - trace / np.sqrt(m))
+def _factor_out(value, partials, e, dw, rest) -> np.ndarray:
+    """``|F I(e) - div(F e) - rest|``, (rows, K), for F's values (rows,) and
+    partials (rows, m): ``F e`` has the derivative table ``e_i dF/dxi_r``."""
+    lhs = value[:, None] * _esum(dw, e)
+    div = _esum(value[:, None] * dw, e) - _esum(partials, e) / np.sqrt(dw.shape[-1])
+    return np.abs(lhs - (div + rest))
 
 
-def divergence_with_partials(u: FunctionalArray, path: BrownianPath) -> DiscreteFunctional:
-    """Divergence with its gradient ``sum_i (du_i/dxi_r) dW_i + u_r / sqrt(m)``.
-
-    The formula drops the second-derivative trace term, so it is exact only
-    for deterministic partials (chaos order <= 1), as every table here is.
-    """
-    m = path.grid.m
-    value = discrete_divergence(u, path)
-    grad = u.partials.rmatvec(path.increments) + u.values / np.sqrt(m)
-    return DiscreteFunctional(value=value, partials=grad)
-
-
-def _times_e(functional: DiscreteFunctional, e_nodes: np.ndarray) -> FunctionalArray:
-    """The process ``F e(t)``: values ``F e_i``, partials ``e_i dF/dxi_r``."""
-    return FunctionalArray(
-        values=functional.value * e_nodes,
-        partials=DerivativeTable(u=e_nodes, v=functional.partials),
-    )
-
-
-def lemma_fdelta_residual(
-    functional: DiscreteFunctional, e_nodes: np.ndarray, path: BrownianPath
-) -> float:
-    """Defect of the factor-out identity ``F * I(e) = div(F e) + <DF, e>``.
+def block_lemma_residual(value, partials, e, dw) -> np.ndarray:
+    """Defect of the factor-out identity ``F * I(e) = div(F e) + <DF, e>`` on
+    each row and each e, for F's values (rows,) and partials (rows, m), e
+    (K, m) at the left nodes and dW (rows, m): shape (rows, K).
 
     ``I(e)`` is the left Wiener sum of e.  The identity is pure algebra on
-    the discrete space, so the return value is rounding noise (<= 1e-10 at
-    the meshes used here) whenever the supplied partials are exact.
+    the discrete space, so each entry is rounding noise (<= 1e-10 at the
+    meshes used here) whenever the supplied partials are exact.
     """
-    e_nodes = np.asarray(e_nodes)
-    lhs = functional.value * wiener_integral(path, e_nodes)
-    rhs = discrete_divergence(_times_e(functional, e_nodes), path) + pairing(
-        functional, e_nodes, path
-    )
-    return float(abs(lhs - rhs))
+    return _factor_out(value, partials, e, dw, _esum(partials, e) / np.sqrt(dw.shape[-1]))
 
 
-def prop1_residual(spec, e_nodes: np.ndarray, path: BrownianPath) -> float:
-    """Defect of the product rule for a Wiener integral times a basis sum.
+def block_prop1_residual(st, e, w, dw) -> np.ndarray:
+    """Defect of the product rule for a Wiener integral times a basis sum, on
+    each row of W (rows, m + 1) and dW (rows, m) and each e (K, m).
 
-    Checks, for the diffusion coefficient a of ``spec``,
+    Checks, for the diffusion coefficient a of the tables ``st``,
 
         div(a) * I(e) = div(div(a) e) + div(s -> <D a(s), e>) + (1/m) sum a e
 
     which is the exact discrete form of multiplying a stochastic integral by
-    a first-order one.  Returns |LHS - RHS|.  a and its derivative table
-    come from the spec's tables, built once per spec and grid.
+    a first-order one.
     """
     # Container types live here; closed forms live in the catalog.
-    from .catalog import block_diffusion, spec_tables
+    from .catalog import block_diffusion
 
-    e_nodes = np.asarray(e_nodes)
-    m = path.grid.m
-    st = spec_tables(spec, path.grid)
-    a = FunctionalArray(values=block_diffusion(st, path.values), partials=st.da)
-    div_a = divergence_with_partials(a, path)
-    lhs = div_a.value * wiener_integral(path, e_nodes)
-
-    first = discrete_divergence(_times_e(div_a, e_nodes), path)
+    m = dw.shape[-1]
+    a = block_diffusion(st, w)
+    div_a, grad = _divergence(a, st.da, dw)
     # <D a(s), e> at each node s is deterministic (a is affine in W), so its
     # divergence is the plain Wiener sum.
-    second = wiener_integral(path, a.partials.matvec(e_nodes) / np.sqrt(m))
-    third = np.dot(a.values, e_nodes) / m
-    return float(abs(lhs - (first + second + third)))
+    second = _esum(dw, st.da.matvec(e) / np.sqrt(m))
+    third = _esum(a, e) / m
+    return _factor_out(div_a, grad, e, dw, second + third)
 
 
-def prop2_residual(spec, e_nodes: np.ndarray, path: BrownianPath) -> float:
-    """Defect of the product rule for a time integral times a basis sum.
+def block_prop2_residual(st, e, w, dw) -> np.ndarray:
+    """Defect of the product rule for a time integral times a basis sum, on
+    each row of W (rows, m + 1) and dW (rows, m) and each e (K, m).
 
-    Checks, for the drift coefficient b of ``spec``,
+    Checks, for the drift coefficient b of the tables ``st``,
 
         ((1/m) sum b) * I(e) = div(((1/m) sum b) e) + (1/m) sum_s <D b(s), e>
 
-    i.e. the drift integral times a first-order integral equals a divergence
-    plus the double time integral of the derivative.  Returns |LHS - RHS|.
-    b comes from the spec's tables, built once per spec and grid; ``d b_i /
-    d xi_r = c_i`` for every r, so the integral's gradient is ``sum(c) / m``.
+    the factor-out identity for ``F = (1/m) sum b``, whose gradient is
+    ``sum(c) / m`` since ``d b_i / d xi_r = c_i`` for every r.
     """
-    from .catalog import block_drift, spec_tables
+    from .catalog import block_drift
 
-    e_nodes = np.asarray(e_nodes)
-    m = path.grid.m
-    st = spec_tables(spec, path.grid)
-    b_int = DiscreteFunctional(
-        value=complex(np.sum(block_drift(st, path.values)) / m),
-        partials=np.full(m, np.sum(st.c) / m),
-    )
-    lhs = b_int.value * wiener_integral(path, e_nodes)
-    first = discrete_divergence(_times_e(b_int, e_nodes), path)
-    second = pairing(b_int, e_nodes, path)
-    return float(abs(lhs - (first + second)))
+    m = dw.shape[-1]
+    value = np.sum(block_drift(st, w), axis=-1) / m
+    return block_lemma_residual(value, np.full((len(value), m), np.sum(st.c) / m), e, dw)
+
+
+def _path_rows(path: BrownianPath, e_nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """e as a stack of one, and W and dW of one path as a block of one row."""
+    if np.shape(e_nodes) != path.increments.shape:
+        raise ValueError(f"e must be sampled at the {path.grid.m} left nodes: {np.shape(e_nodes)}")
+    return np.asarray(e_nodes)[None], path.values[None], path.increments[None]
+
+
+def lemma_fdelta_residual(functional: DiscreteFunctional, e_nodes, path: BrownianPath) -> float:
+    """:func:`block_lemma_residual` on one path."""
+    e, _, dw = _path_rows(path, e_nodes)
+    value = np.array([functional.value])
+    return float(block_lemma_residual(value, functional.partials[None], e, dw)[0, 0])
+
+
+def _rule_on_path(rule, spec, e_nodes, path: BrownianPath) -> float:
+    from .catalog import spec_tables
+
+    return float(rule(spec_tables(spec, path.grid), *_path_rows(path, e_nodes))[0, 0])
+
+
+def prop1_residual(spec, e_nodes: np.ndarray, path: BrownianPath) -> float:
+    """:func:`block_prop1_residual` on one path, with the spec's tables."""
+    return _rule_on_path(block_prop1_residual, spec, e_nodes, path)
+
+
+def prop2_residual(spec, e_nodes: np.ndarray, path: BrownianPath) -> float:
+    """:func:`block_prop2_residual` on one path, with the spec's tables."""
+    return _rule_on_path(block_prop2_residual, spec, e_nodes, path)
 
 
 # ---------------------------------------------------------------------------
 # scalar functionals shared by the CLI checks, the tests and the demos
 
 
-def w1_functionals(path: BrownianPath) -> dict[str, DiscreteFunctional]:
-    """W_1, W_1^2 - 1 and the constant 2.5 with their exact gradients."""
-    m = path.grid.m
+def block_w1_functionals(w: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """W_1, W_1^2 - 1 and the constant 2.5 on each row of W (rows, m + 1):
+    name -> (values (rows,), exact gradients (rows, m) as a read-only view)."""
+    m = w.shape[-1] - 1
     s = 1.0 / np.sqrt(m)
-    w1 = float(path.terminal)
+    w1 = w[..., -1]
+    shape = w1.shape + (m,)
     return {
-        "W_1": DiscreteFunctional(value=w1, partials=np.full(m, s)),
-        "W_1^2-1": DiscreteFunctional(value=w1 * w1 - 1.0, partials=np.full(m, 2.0 * w1 * s)),
-        "const": DiscreteFunctional(value=2.5, partials=np.zeros(m)),
+        "W_1": (w1, np.broadcast_to(s, shape)),
+        "W_1^2-1": (w1 * w1 - 1.0, np.broadcast_to((2.0 * w1 * s)[..., None], shape)),
+        "const": (np.full(w1.shape, 2.5), np.broadcast_to(0.0, shape)),
+    }
+
+
+def w1_functionals(path: BrownianPath) -> dict[str, DiscreteFunctional]:
+    """:func:`block_w1_functionals` on one path."""
+    return {
+        name: DiscreteFunctional(value=float(values[0]), partials=partials[0])
+        for name, (values, partials) in block_w1_functionals(path.values[None]).items()
     }

@@ -11,7 +11,7 @@ from sfc_lab import (
     sample_path,
     wiener_integral,
 )
-from sfc_lab.brownian import substream
+from sfc_lab.brownian import sample_rows, substream
 
 
 def test_seedspec_validation():
@@ -50,6 +50,24 @@ def test_distinct_indices_decorrelate():
     c = sample_path(SeedSpec(43, 0), grid)
     assert not np.array_equal(a.xi, b.xi)
     assert not np.array_equal(a.xi, c.xi)
+
+
+@pytest.mark.parametrize("m", [512, 4096])
+@pytest.mark.parametrize("lo", [0, 2000])
+def test_sample_rows_are_sample_path_bitwise(m, lo):
+    # the blocked sampler of the engine and the battery against the
+    # independent one-path reference, from a fresh and from a used generator
+    grid = TimeGrid(m)
+    used = substream(SeedSpec(5, 999))
+    used.standard_normal(7)
+    for rng in (None, used):
+        dw, w = np.full((3, m), np.nan), np.full((3, m + 1), np.nan)
+        returned = sample_rows(42, lo, dw, w, rng)
+        assert rng is None or returned is rng
+        for r in range(3):
+            path = sample_path(SeedSpec(42, lo + r), grid)
+            assert np.array_equal(dw[r], path.increments)
+            assert np.array_equal(w[r], path.values)
 
 
 def test_substream_is_schedule_free():

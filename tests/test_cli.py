@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,24 +96,45 @@ def _counting(monkeypatch, module, name):
 def test_identity_checks_sample_each_path_and_basis_once(monkeypatch, capsys):
     import sfc_lab.catalog as cat
 
-    paths = _counting(monkeypatch, cli, "sample_path")
+    draws = _counting(monkeypatch, cli, "sample_rows")
     bases = _counting(monkeypatch, cli, "eval_basis")
     tables = _counting(monkeypatch, cat, "SpecTables")
-    drift_rules = _counting(monkeypatch, cli, "prop2_residual")
-    assert cli._identity_checks(TimeGrid(64), 7, paths=8)
-    assert len(paths) == 8 and len(bases) == 3
+    drift_rules = _counting(monkeypatch, cli, "block_prop2_residual")
+    paths = 2 * cli._BATTERY_ROWS + 8  # two full blocks and a short one
+    assert cli._identity_checks(TimeGrid(64), 7, paths=paths)
+    drawn = [lo + r for _, lo, dw, *_ in draws for r in range(len(dw))]
+    assert drawn == list(range(paths)) and len(bases) == 3
     assert len(tables) == 8  # once per spec: 6 kinds without drift, one spec per drift shape
-    assert len(drift_rules) == 4 * 8  # (det, w1) x orders (0, 1) per path
+    # (det, w1) per block, each on orders (0, 1) and every path of the block
+    assert len(drift_rules) == 2 * len(draws) == 6
+    assert all(len(e) == 2 for _, e, _, _ in drift_rules)
+    assert sum(len(dw) for *_, dw in drift_rules) == 2 * paths
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 1 + 6 + 2 and lines[0].startswith("ok   integration by parts")
+
+
+def test_identity_checks_memory_does_not_grow_with_paths(capsys):
+    def peak(m, paths):
+        cli._identity_checks(TimeGrid(m), 7, paths)  # first use: imports and FFT plans
+        tracemalloc.start()
+        try:
+            assert cli._identity_checks(TimeGrid(m), 7, paths)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # one block of rows at a time: 400 paths hold what 100 do, where a list
+    # of every sampled path held 10.4 MB at m=1024 and 11.3 MB at m=4096
+    assert peak(1024, 400) <= 1.1 * peak(1024, 100)
+    assert peak(4096, 100) < 11.3e6
 
 
 def test_each_product_rule_line_gates_on_its_own(monkeypatch, capsys):
     def broken(name, hit):
         real = getattr(cli, name)
 
-        def residual(spec, e, path):
-            return 1.0 if hit(spec) else real(spec, e, path)
+        def residual(st, e, w, dw):
+            return np.ones((len(dw), len(e))) if hit(st.spec) else real(st, e, w, dw)
 
         monkeypatch.setattr(cli, name, residual)
 
@@ -120,10 +142,10 @@ def test_each_product_rule_line_gates_on_its_own(monkeypatch, capsys):
         assert main(["verify-multiplication", "--m", "64", "--paths", "2"]) == 1
         return [line for line in capsys.readouterr().out.split("\n") if line.startswith("FAIL")]
 
-    broken("prop2_residual", lambda spec: spec.drift_kind == "w1")
+    broken("block_prop2_residual", lambda spec: spec.drift_kind == "w1")
     assert fail_lines() == ["FAIL w1 drift product rule: max_residual=1.000e+00"]
     monkeypatch.undo()
-    broken("prop1_residual", lambda spec: spec.kind == "ADAPTED_W")
+    broken("block_prop1_residual", lambda spec: spec.kind == "ADAPTED_W")
     assert fail_lines() == ["FAIL ADAPTED_W stochastic product rule: max_residual=1.000e+00"]
 
 

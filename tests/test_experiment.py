@@ -358,9 +358,9 @@ def test_lowest_failing_path_raises_after_every_helper_joins(monkeypatch, thread
     # paths 40 and 70 draw NaN, in the tiles at 32 and 64 (the tile at 0 runs
     # before the helpers start); path 40 draws late, so on threads the tile at
     # 64 fails first, yet path 40 is reported, and no helper is left running
-    import sfc_lab.experiment as exp
+    import sfc_lab.brownian as brownian
 
-    real = exp.substream
+    real = brownian.substream
 
     class NanStream:
         def __init__(self, index):
@@ -376,7 +376,7 @@ def test_lowest_failing_path_raises_after_every_helper_joins(monkeypatch, thread
             return NanStream(seed.path_index)
         return real(seed, None if isinstance(rekey, NanStream) else rekey)
 
-    monkeypatch.setattr(exp, "substream", poisoned)
+    monkeypatch.setattr(brownian, "substream", poisoned)
     monkeypatch.setenv("SFC_LAB_THREADS", threads)
     before = set(threading.enumerate())
     with pytest.raises(NumericalFailureError, match=r"path 40 "):

@@ -15,91 +15,130 @@ from sfc_lab import (
     CATALOG_KINDS,
     DerivativeTable,
     DiscreteFunctional,
-    FunctionalArray,
-    SeedSpec,
     TimeGrid,
-    discrete_divergence,
-    divergence_with_partials,
     eval_basis,
     lemma_fdelta_residual,
-    pairing,
     prop1_residual,
     prop2_residual,
-    sample_path,
 )
+from sfc_lab.catalog import spec_tables
+from sfc_lab.malliavin import _divergence, block_prop1_residual
 
 
 def zero_table(m):
     return DerivativeTable(u=np.zeros(m), v=np.zeros(m))
 
 
-def test_container_validation():
+def block(paths):
+    """W (rows, m + 1) and dW (rows, m) of the given paths, one row each."""
+    return np.array([p.values for p in paths]), np.array([p.increments for p in paths])
+
+
+def test_container_validation(paths256):
     with pytest.raises(ValueError):
         DiscreteFunctional(value=1.0, partials=None)
     with pytest.raises(ValueError):
-        FunctionalArray(values=np.ones(4), partials=zero_table(3))
-    with pytest.raises(ValueError):
-        FunctionalArray(values=np.ones(4), partials=np.ones((4, 4)))
+        DiscreteFunctional(value=1.0, partials=np.ones((4, 4)))
     with pytest.raises(ValueError):
         DerivativeTable(u=np.ones(3), v=np.ones(4))
-    arr = FunctionalArray(values=np.arange(5.0), partials=zero_table(5))
-    assert arr.m == 5
-    npt.assert_allclose(arr.partials.dense(), 0.0, atol=0)
+    with pytest.raises(ValueError):
+        DerivativeTable(u=np.ones((2, 3)), v=np.ones((2, 3)))
+    npt.assert_allclose(zero_table(5).dense(), 0.0, atol=0)
+    # e at the m + 1 nodes instead of the m left tags is a tagging mistake
+    path = paths256[0]
+    functional = w1_functionals(path)["W_1"]
+    for residual, first in ((lemma_fdelta_residual, functional), (prop2_residual, spec_for("DET"))):
+        with pytest.raises(ValueError):
+            residual(first, np.ones(path.grid.m + 1), path)
 
 
 def test_divergence_of_deterministic_row_is_ito(paths256):
-    path = paths256[0]
-    u = FunctionalArray(values=np.ones(path.grid.m), partials=zero_table(path.grid.m))
+    w, dw = block(paths256[:1])
+    m = dw.shape[-1]
     # zero correction: the divergence is the plain Wiener sum
-    assert discrete_divergence(u, path) == pytest.approx(path.terminal, abs=1e-15)
+    div, _ = _divergence(np.ones(dw.shape), zero_table(m), dw)
+    npt.assert_allclose(div, w[:, -1], rtol=0, atol=1e-15)
 
 
 def test_divergence_of_w1_row_is_hermite(paths256):
     # frozen hand oracle: delta(W_1 * 1) = W_1^2 - 1 exactly
-    for path in paths256[:5]:
-        m = path.grid.m
-        s = 1.0 / np.sqrt(m)
-        table = DerivativeTable(u=np.ones(m), v=np.full(m, s))
-        assert np.array_equal(table.dense(), np.full((m, m), s))
-        u = FunctionalArray(values=np.full(m, path.terminal), partials=table)
-        val = discrete_divergence(u, path)
-        assert val == pytest.approx(path.terminal**2 - 1.0, abs=1e-12)
+    w, dw = block(paths256[:5])
+    m = dw.shape[-1]
+    s = 1.0 / np.sqrt(m)
+    table = DerivativeTable(u=np.ones(m), v=np.full(m, s))
+    assert np.array_equal(table.dense(), np.full((m, m), s))
+    w1 = w[:, -1]
+    div, _ = _divergence(np.repeat(w1[:, None], m, axis=1), table, dw)
+    npt.assert_allclose(div, w1**2 - 1.0, rtol=0, atol=1e-12)
 
 
 def test_divergence_of_adapted_row_is_ito_sum(paths256):
     # strictly lower-triangular derivative table has zero trace, so the
     # divergence coincides with the left Ito sum
-    path = paths256[1]
-    m = path.grid.m
-    w_left = path.values[:-1]
+    w, dw = block(paths256)
+    m = dw.shape[-1]
     partials = DerivativeTable(u=np.ones(m), v=np.zeros(m), lower=1.0 / np.sqrt(m))
     assert np.array_equal(partials.dense(), np.tril(np.full((m, m), 1.0 / np.sqrt(m)), k=-1))
-    u = FunctionalArray(values=w_left, partials=partials)
-    ito = float(np.dot(w_left, path.increments))
-    assert discrete_divergence(u, path) == pytest.approx(ito, abs=1e-15)
+    w_left = w[:, :-1]
+    div, _ = _divergence(w_left, partials, dw)
+    ito = [float(np.dot(row, inc)) for row, inc in zip(w_left, dw)]
+    npt.assert_allclose(div, ito, rtol=0, atol=1e-15)
 
 
 def test_pairing_of_terminal_against_constant(paths256):
-    # <D W_1, e_0> = (1/sqrt m) sum_i 1/sqrt m = 1 exactly
-    path = paths256[2]
-    m = path.grid.m
-    F = DiscreteFunctional(value=path.terminal, partials=np.full(m, 1.0 / np.sqrt(m)))
-    assert pairing(F, np.ones(m), path) == pytest.approx(1.0, abs=1e-13)
+    # <D W_1, e_0> = (1/sqrt m) sum_i 1/sqrt m = 1 exactly, with W_1 = delta(1)
+    _, dw = block(paths256)
+    m = dw.shape[-1]
+    _, grad = _divergence(np.ones(dw.shape), zero_table(m), dw)
+    npt.assert_allclose(grad @ np.ones(m) / np.sqrt(m), 1.0, rtol=0, atol=1e-13)
 
 
 def test_divergence_gradient(paths256):
     # gradient of delta(ones) = W_1 is the constant row 1/sqrt(m); gradient
     # of delta(W_1 row) = W_1^2 - 1 is 2 W_1 / sqrt(m)
-    path = paths256[3]
-    m = path.grid.m
+    w, dw = block(paths256)
+    m = dw.shape[-1]
     s = 1.0 / np.sqrt(m)
-    det = divergence_with_partials(FunctionalArray(values=np.ones(m), partials=zero_table(m)), path)
-    npt.assert_allclose(det.partials, np.full(m, s), atol=1e-15)
-    u = FunctionalArray(
-        values=np.full(m, path.terminal), partials=DerivativeTable(u=np.ones(m), v=np.full(m, s))
-    )
-    non = divergence_with_partials(u, path)
-    npt.assert_allclose(non.partials, np.full(m, 2.0 * path.terminal * s), atol=1e-12)
+    _, det = _divergence(np.ones(dw.shape), zero_table(m), dw)
+    npt.assert_allclose(det, np.full(dw.shape, s), atol=1e-15)
+    w1 = w[:, -1:]
+    table = DerivativeTable(u=np.ones(m), v=np.full(m, s))
+    _, non = _divergence(np.repeat(w1, m, axis=1), table, dw)
+    npt.assert_allclose(non, np.repeat(2.0 * w1 * s, m, axis=1), atol=1e-12)
+
+
+def _inclusive_tail(self, y):
+    """rmatvec with the tail summed over i >= r instead of i > r."""
+    return self.v * (y @ self.u)[..., None] + self.lower * np.cumsum(y[..., ::-1], -1)[..., ::-1]
+
+
+def _no_rank_one(self, y):
+    """rmatvec without the rank-one part ``v (u . y)``."""
+    out = np.zeros(y.shape)
+    out[..., :-1] = self.lower * np.cumsum(y[..., :0:-1], axis=-1)[..., ::-1]
+    return out
+
+
+@pytest.mark.parametrize(
+    "mutant, kinds",
+    [
+        (_inclusive_tail, ("ADAPTED_W", "NONCAUSAL_BRIDGE")),
+        (_no_rank_one, ("NONCAUSAL_W1", "NONCAUSAL_MIDPOINT", "NONCAUSAL_BRIDGE")),
+    ],
+)
+def test_stochastic_product_rule_sees_a_wrong_gradient(
+    monkeypatch, paths256, grid256, mutant, kinds
+):
+    # a gradient off by the diagonal or by its rank-one part moves the
+    # residual far past the 1e-9 gate, so the blocked rule still checks it
+    w, dw = block(paths256)
+    e = np.array([eval_basis(n, grid256.left_nodes) for n in (0, 1)])
+    tables = {kind: spec_tables(spec_for(kind), grid256) for kind in kinds}
+    for st in tables.values():
+        assert np.max(block_prop1_residual(st, e, w, dw)) <= 1e-9
+    monkeypatch.setattr(DerivativeTable, "rmatvec", mutant)
+    for kind, st in tables.items():
+        assert np.max(block_prop1_residual(st, e, w, dw)) > 1e-6, kind
 
 
 def test_lemma_residual_battery(paths256, grid256):

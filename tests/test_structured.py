@@ -28,7 +28,14 @@ from sfc_lab import (
     true_fourier_a,
 )
 from sfc_lab.bohr import _direct_terms
+from sfc_lab.brownian import sample_rows
 from sfc_lab.catalog import block_diffusion, spec_tables
+from sfc_lab.malliavin import (
+    block_lemma_residual,
+    block_prop1_residual,
+    block_prop2_residual,
+    block_w1_functionals,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -73,13 +80,17 @@ def test_structured_table_equals_dense(case):
     rng = np.random.default_rng(case["seed"])
     x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     y = rng.standard_normal(m)
+    # a (3, m) stack of each, as the blocked residuals pass them
+    xs = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
+    ys = rng.standard_normal((3, m))
     for table in _tables(case, path):
         dense = table.dense()
         scale = 1.0 + np.max(np.abs(dense))
         tol = 1e-12 * scale * m
         assert np.allclose(table.diag(), np.diag(dense), rtol=0, atol=tol)
-        assert np.allclose(table.matvec(x), dense @ x, rtol=0, atol=tol)
-        assert np.allclose(table.rmatvec(y), dense.T @ y, rtol=0, atol=tol)
+        for xi, yi in ((x, y), (xs, ys)):
+            assert np.allclose(table.matvec(xi), xi @ dense.T, rtol=0, atol=tol)
+            assert np.allclose(table.rmatvec(yi), yi @ dense, rtol=0, atol=tol)
 
 
 @SETTINGS
@@ -94,6 +105,30 @@ def test_exact_identities_hold(case):
         assert lemma_fdelta_residual(functional, e, path) <= 1e-10
     assert prop1_residual(spec, e, path) <= 1e-9
     assert prop2_residual(spec, e, path) <= 1e-9
+
+
+@SETTINGS
+@given(cases)
+def test_blocked_residuals_match_the_one_path_views(case):
+    # every row of a blocked residual is the one-path residual of its path
+    m = case["m"]
+    grid = TimeGrid(m)
+    dw, w = np.empty((3, m)), np.empty((3, m + 1))
+    sample_rows(case["seed"], 5, dw, w)
+    spec = _spec(case)
+    tables = spec_tables(spec, grid)
+    e = np.array([eval_basis(n, grid.left_nodes) for n in (case["n"], 0)])
+    lemma = {name: block_lemma_residual(*f, e, dw) for name, f in block_w1_functionals(w).items()}
+    prop1 = block_prop1_residual(tables, e, w, dw)
+    prop2 = block_prop2_residual(tables, e, w, dw)
+    for r in range(3):
+        path = sample_path(SeedSpec(case["seed"], 5 + r), grid)
+        for k, e_nodes in enumerate(e):
+            for name, functional in w1_functionals(path).items():
+                view = lemma_fdelta_residual(functional, e_nodes, path)
+                assert abs(lemma[name][r, k] - view) <= 1e-13
+            assert abs(prop1[r, k] - prop1_residual(spec, e_nodes, path)) <= 1e-13
+            assert abs(prop2[r, k] - prop2_residual(spec, e_nodes, path)) <= 1e-13
 
 
 @SETTINGS
