@@ -66,6 +66,7 @@ The correction's gradient of ``B_N(q)`` is a convolution in frequency.  With
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -145,15 +146,19 @@ def windows(
     ``I_l`` in column ``k + K`` and ``l + L``; it needs ``max N <= L`` and
     ``L + max |n| <= K``.  The products lie l axis first, center-out ``l = 0,
     1, -1, 2, -2, ..``, in a (2L + 1, orders, rows) array, the leading axes
-    flattened into rows.  The widths go in ascending N, each one reduce along
-    the l axis over its new entries, starting from the total of the width
-    before: the additions of one cumsum, in its order, read at entry 2N.  So
-    a width's value does not depend on which other widths are asked for, and
-    no difference of two prefix sums is taken.  numpy releases the GIL for a
-    reduce over whole (orders, rows) slabs, and holds it through a cumsum
-    along the last axis.  ``out``, a C-contiguous complex array of at least
-    as many elements as the products, in any shape (a tile's rfft spectrum,
-    say), receives them in place of a new array.  Rows never mix, so a row's
+    flattened into rows; ``I`` is gathered along the l axis of its
+    transposed rows, so the multiply runs along contiguous rows.  The widths
+    go in ascending N, each one reduce along the l axis over its new
+    entries, starting from the total of the width before: the additions of
+    one cumsum, in its order, read at entry 2N.  So a width's value does not
+    depend on which other widths are asked for, and no difference of two
+    prefix sums is taken.  Each width reduces into its contiguous slab of a
+    (widths, orders, rows) array, and the result is that array's transpose,
+    a view that is not C-contiguous.  numpy releases the GIL for a reduce
+    over whole (orders, rows) slabs, and holds it through a cumsum along the
+    last axis.  ``out``, a C-contiguous complex array of at least as many
+    elements as the products, in any shape (a tile's rfft spectrum, say),
+    receives them in place of a new array.  Rows never mix, so a row's
     windows do not depend on the rows beside it.
     """
     K = (f_coef.shape[-1] - 1) // 2
@@ -163,21 +168,21 @@ def windows(
     f_by_k = np.ascontiguousarray(f_coef.reshape(-1, 2 * K + 1).T)  # gathers whole rows
     if out is not None:
         shape = f_index.shape + f_by_k.shape[1:]
-        out = out.reshape(-1)[: np.prod(shape)].reshape(shape)
+        out = out.reshape(-1)[: math.prod(shape)].reshape(shape)
     # the indices are in range: mode "clip" only keeps take from buffering ``out``
     prod = np.take(f_by_k, f_index, axis=0, out=out, mode="clip")
-    prod *= np.take(i_coef.reshape(-1, 2 * L + 1), i_index, axis=1).T[:, None, :]
-    est = np.empty((prod.shape[2], prod.shape[1], len(norms)), dtype=complex)
+    prod *= np.take(i_coef.reshape(-1, 2 * L + 1).T, i_index, axis=0)[:, None, :]
+    est = np.empty((len(norms),) + prod.shape[1:], dtype=complex)  # (widths, orders, rows)
     for wi, start, stop in segments:
         if start:
-            prod[start] = est[:, :, prev].T
+            prod[start] = est[prev]
         if prod[0].size > 1:
-            np.add.reduce(prod[start:stop], axis=0, out=est[:, :, wi].T)
+            np.add.reduce(prod[start:stop], axis=0, out=est[wi])
         else:  # a reduce of a single sequence adds pairwise; cumsum adds in order
-            est[:, :, wi] = np.cumsum(prod[start:stop], axis=0)[-1].T
+            est[wi] = np.cumsum(prod[start:stop], axis=0)[-1]
         prev = wi
-    est /= norms
-    return est.reshape(lead + est.shape[1:])
+    est /= norms[:, None, None]
+    return est.T.reshape(lead + est.shape[1::-1])
 
 
 def band_windows(

@@ -88,15 +88,16 @@ def substream(seed: SeedSpec, rekey: np.random.Generator | None = None) -> np.ra
     Given ``rekey``, a generator from an earlier call, its Philox is reset to
     the new key with a zero counter and an empty buffer instead, which is
     the state a new ``Philox(key=)`` starts in, so the stream is the same;
-    a new bit generator would also read OS entropy it then discards.
+    a new bit generator would also read OS entropy it then discards.  The
+    state takes plain ints, which cost less to set than uint64 arrays.
     """
-    key = np.array([seed.master_seed, seed.path_index], dtype=np.uint64)
     if rekey is None:
+        key = np.array([seed.master_seed, seed.path_index], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
     rekey.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": (0, 0, 0, 0), "key": (seed.master_seed, seed.path_index)},
+        "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,

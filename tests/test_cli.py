@@ -152,10 +152,42 @@ def test_each_product_rule_line_gates_on_its_own(monkeypatch, capsys):
 def test_identify_reduces_each_order_once(tmp_path, monkeypatch, capsys):
     import sfc_lab.experiment as exp
 
-    reductions = _counting(monkeypatch, exp, "_mean_var")
+    reductions = _counting(monkeypatch, exp, "_path_statistics")
     cfg_path = write_config(tmp_path, "id.json", identify_config())
     assert main(["identify", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
-    assert len(reductions) == 3 * 4  # orders -1, 0, 1; re and im of a and b
+    assert len(reductions) == 1  # one kernel call for the whole result
+    (values,) = reductions[0]
+    assert values.shape == (100, 3 * 4)  # orders -1, 0, 1; re and im of a and b
+
+
+def test_convergence_fits_and_hashes_once(tmp_path, monkeypatch, capsys):
+    import sfc_lab.experiment as exp
+
+    fits = _counting(monkeypatch, exp, "fit_loglog")
+    hashes = _counting(monkeypatch, exp, "sha256")
+    cfg_path = write_config(tmp_path, "cfg.json", base_convergence_config())
+    assert main(["convergence", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    assert len(fits) == 3  # one per order, shared by the printed lines and the JSON
+    assert len(hashes) == 1
+
+
+@pytest.mark.parametrize(
+    "process, m, n_list, what",
+    [
+        (identify_config()["process"] | {"kind": "NONCAUSAL_BRIDGE", "drift": "w1"}, 64, [1, 2],
+         "overflows"),
+        ({"kind": "CONST"}, 512, [16, 32], "underflows to 0"),
+    ],
+)
+def test_an_lp_error_out_of_range_is_a_numerical_failure(
+    tmp_path, capsys, process, m, n_list, what
+):
+    data = {"process": process, "N_list": n_list, "M": 1, "m": m, "paths": 100, "p_exponent": 3000}
+    cfg_path = write_config(tmp_path, "lp.json", data)
+    assert main(["convergence", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"numerical failure: L^p error {what} at p=3000 (n=" in err
+    assert "Traceback" not in err and "internal error" not in err
 
 
 def test_convergence_writes_identical_artifacts(tmp_path, capsys, monkeypatch):

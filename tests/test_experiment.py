@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import math
 import os
 import sys
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -32,6 +34,7 @@ from sfc_lab.catalog import spec_tables
 from sfc_lab.experiment import (
     CSV_HEADER,
     ExperimentConfig,
+    IdentifyResult,
     _run_tiles,
     config_from_jsonable,
     config_hash,
@@ -539,3 +542,93 @@ def test_resolve_threads(monkeypatch):
     monkeypatch.setenv("SFC_LAB_THREADS", "four")
     with pytest.raises(ConfigError):
         resolve_threads()
+
+
+def _fsums(x):
+    return np.array([math.fsum(x[:, c].tolist()) for c in range(x.shape[1])])
+
+
+@st.composite
+def fsum_arrays(draw):
+    """(P, C) arrays of mixed signs, zeros of both signs, subnormals and
+    magnitudes from 1e-300 to 1e300, with a few hypothesis-chosen entries."""
+    rows, columns = draw(st.integers(1, 3000)), draw(st.integers(1, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low = draw(st.integers(-300, 300))
+    high = draw(st.integers(low, 300))
+    x = rng.choice([-1.0, 1.0], (rows, columns)) * 10.0 ** rng.uniform(low, high, (rows, columns))
+    for value, share in ((0.0, 0.1), (-0.0, 0.05)):
+        x[rng.random(x.shape) < draw(st.sampled_from([0.0, share, 1.0]))] = value
+    subnormal = rng.random(x.shape) < draw(st.sampled_from([0.0, 0.1]))
+    count = subnormal.sum()
+    x[subnormal] = rng.choice([-1, 1], count) * rng.integers(1, 2**52, count) * 5e-324
+    finite = st.floats(min_value=-1e300, max_value=1e300, allow_subnormal=True)
+    for value in draw(st.lists(finite, max_size=5)):
+        x[rng.integers(rows), rng.integers(columns)] = value
+    return x
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(fsum_arrays())
+def test_column_fsum_is_fsum_bitwise(x):
+    import sfc_lab.experiment as exp
+
+    npt.assert_array_equal(exp._column_fsum(x).view(np.int64), _fsums(x).view(np.int64))
+
+
+def test_column_fsum_row_passes_and_non_finite_columns(monkeypatch):
+    import sfc_lab.experiment as exp
+
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((50, 4)) * 10.0 ** rng.uniform(-20, 20, (50, 4))
+    monkeypatch.setattr(exp, "_SUM_ROWS", 7)  # the bound's row passes, at a size a test can run
+    npt.assert_array_equal(exp._column_fsum(x).view(np.int64), _fsums(x).view(np.int64))
+    x[3, 1], x[9, 2] = np.inf, np.nan
+    sums = exp._column_fsum(x)
+    assert sums[1] == np.inf and np.isnan(sums[2])
+    npt.assert_array_equal(sums[[0, 3]], _fsums(x[:, [0, 3]]))
+
+
+def _exact_variance(values):
+    """The sample variance of floats in exact rational arithmetic."""
+    exact = [Fraction(v) for v in values.tolist()]
+    mean = sum(exact) / len(exact)
+    return sum((v - mean) ** 2 for v in exact) / (len(exact) - 1)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_sweep_statistics_match_an_exact_oracle(p):
+    cfg = small_config(spec=spec_for("NONCAUSAL_BRIDGE"), p_exponent=p)
+    res = run_convergence(cfg)
+    for oi in range(len(cfg.orders)):
+        for wi in range(len(cfg.n_list)):
+            err = res.abs_errors[:, wi, oi]
+            assert res.mean_abs_err[oi, wi] == math.fsum(err.tolist()) / cfg.paths
+            se = math.sqrt(_exact_variance(err) / cfg.paths)
+            lp = float(sum(Fraction(v) ** int(p) for v in err.tolist()) / cfg.paths) ** (1 / p)
+            assert res.std_err[oi, wi] == pytest.approx(se, rel=1e-15, abs=0)
+            assert res.lp_err[oi, wi] == pytest.approx(lp, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("mode", ["closed_form", "synthesized"])
+def test_identify_statistics_match_an_exact_oracle(mode):
+    spec = spec_for("NONCAUSAL_BRIDGE", {"g": cosine(), "drift": "w1"})
+    cfg = small_config(spec=spec, n_list=(16,))
+    res = run_identify(cfg, mode)
+    for oi, row in enumerate(res.rows):
+        for name, values in (("a", res.a_hat[:, oi]), ("b", res.b_hat[:, oi])):
+            parts = (values.real, values.imag)
+            means = [math.fsum(part.tolist()) / cfg.paths for part in parts]
+            assert [row[f"{name}_mean_re"], row[f"{name}_mean_im"]] == means
+            var = sum(_exact_variance(part) for part in parts)
+            se = math.sqrt(var / cfg.paths)
+            assert row[f"{name}_se"] == pytest.approx(se, rel=1e-15, abs=0)
+
+
+def test_identify_standard_error_overflow_names_the_order():
+    cfg = small_config(n_list=(16,))
+    a_hat = np.zeros((cfg.paths, 3), dtype=complex)
+    a_hat[::2, 2] = 1e300  # finite estimates whose squares overflow
+    res = IdentifyResult(config=cfg, mode="closed_form", a_hat=a_hat, b_hat=np.zeros_like(a_hat))
+    with pytest.raises(NumericalFailureError, match=r"a_se overflows \(n=1, N=16\)"):
+        res.rows
