@@ -22,7 +22,7 @@ remainders:
 tables and reads ``double_wiener`` off as the residual, as its contract
 states; ``iterated_divergence_term`` computes the same double integral
 directly so tests can confirm the decomposition holds term by term and the
-residual is not absorbing errors.
+residual is not absorbing errors.  The two share only one kernel trace.
 
 Every remainder is a Bohr window.  The kernel matrix
 ``K[i, j] = K_N(t_i - t_j) = sum_{|l| <= N} conj(e_l(t_i)) e_l(t_j)`` is
@@ -31,7 +31,10 @@ circulant of rank 2N + 1, so for real x, y
     sum_i conj(e_n(t_i)) x_i (K y)_i = sum_{|l| <= N} F_{n-l}(x) F_l(y),
 
 which is ``(2N+1)`` times the :func:`windows` entry of the coefficients of x
-and y, and every row of K sums to m.  No m x m array is built.  ``windows``
+and y, and every row of K sums to m.  The strict lower triangle of a
+derivative table weighs ``dW_i`` by the prefix sum of the kernel's lag row,
+a geometric series per frequency: the window of ``I = F(dW)`` against fixed
+ratios, plus one coefficient.  No m x m array is built.  ``windows``
 is the one window kernel: the sweep, identification and the remainders all
 call it, and ``bohr_product`` and ``identify_a`` are one-path views on it.
 It adds the products center-out, ``l = 0, 1, -1, 2, -2, ..``, one by one,
@@ -67,7 +70,7 @@ The correction's gradient of ``B_N(q)`` is a convolution in frequency.  With
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -75,7 +78,6 @@ import numpy as np
 
 from . import catalog as cat
 from .errors import ConfigError
-from .malliavin import DerivativeTable
 from .sfc import CoefficientSet, coefficients, synthesize
 
 CLOSED_FORM = "closed_form"
@@ -347,23 +349,41 @@ class RemainderTerms:
 
     @property
     def total(self) -> complex:
-        return (
-            self.double_wiener
-            + self.diffusion_derivative
-            + self.drift_wiener
-            + self.drift_derivative
-        )
+        return sum(astuple(self))
 
 
-def _require_mesh(m: int, N: int, n: int) -> None:
+def _remainder_windows(pf: cat.PathFunctionals, n: int, N: int) -> tuple:
+    """One path's dW coefficients ``I``, ``|l| <= N + |n|``, its window
+    ``B(x, y) = (1/(2N+1)) sum_i conj(e_n(t_i)) x_i (K y)_i`` (the
+    :func:`windows` entry of the coefficients of a row x against ``F(y)``,
+    ``I`` by default) and the kernel trace ``(1/(2N+1)) sum_i conj(e_n(t_i))
+    dW_i sum_r P[i, r] K[i, r]`` of the diffusion's derivative table P.
+
+    The trace's rank-one part is ``B(u dW, v)``.  The strict lower triangle
+    adds ``lower S_i`` with ``S_i = sum_{1 <= d <= i} K_N(d/m) = i +
+    sum_{0 < |l| <= N} r_l (z_l^i - 1)``, ``z_l = e^{2 pi i l/m}`` and ``r_l =
+    z_l/(z_l - 1) = 1/2 - (i/2) cot(pi l/m)``.  The ratios of l and -l add to
+    1, so with ``r_0 = -N`` the lower sum is ``F_n(i dW) + sum_{|l| <= N} r_l
+    I_{n-l}``: a coefficient plus the window of ``I`` against r.
+    """
+    m = pf.grid.m
     if not grid_supports(m, N, abs(n)):
         raise ValueError(f"grid too coarse: m={m} < 8 (N + |n|) = {8 * (N + abs(n))}")
+    K = N + abs(n)
+    dw = pf.path.increments
+    i_coef = coefficients(dw, K)
 
+    def window(x: np.ndarray, y_coef: np.ndarray = i_coef[K - N : K + N + 1]) -> complex:
+        return complex(windows(coefficients(x, K), y_coef, [n], [N])[0, 0])
 
-def _window(x: np.ndarray, y: np.ndarray, n: int, N: int) -> complex:
-    """``B(x, y) = (1/(2N+1)) sum_i conj(e_n(t_i)) x_i (K y)_i``, the
-    :func:`windows` entry of the coefficients of x and y."""
-    return complex(windows(coefficients(x, N + abs(n)), coefficients(y, N), [n], [N])[0, 0])
+    da = pf.tables.da
+    trace = window(da.u * dw, coefficients(da.v, N))
+    if da.lower:
+        cot = 1.0 / np.tan(np.pi * np.arange(1, N + 1) / m)
+        ratios = np.concatenate([0.5 + 0.5j * cot[::-1], [-N], 0.5 - 0.5j * cot])
+        lower = _coefficient(np.arange(m) * dw, n) / (2 * N + 1)
+        trace += da.lower * (lower + complex(windows(i_coef, ratios, [n], [N])[0, 0]))
+    return i_coef, window, trace
 
 
 def _coefficient(x: np.ndarray, n: int) -> complex:
@@ -371,64 +391,31 @@ def _coefficient(x: np.ndarray, n: int) -> complex:
     return complex(coefficients(x, abs(n))[n + abs(n)])
 
 
-def _kernel_trace(table: DerivativeTable, y: np.ndarray, n: int, N: int) -> complex:
-    """``(1/(2N+1)) sum_i conj(e_n(t_i)) y_i sum_r P[i, r] K[i, r]`` for a real table P.
+def remainder_terms(pf: cat.PathFunctionals, n: int, N: int) -> RemainderTerms:
+    """Evaluate the four-term decomposition at order n and width N.
 
-    The rank-one part is the window ``B(u y, v)``.  The strict lower triangle
-    adds ``lower S_i`` with ``S_i = sum_{1 <= d <= i} K_N(d/m)``, a cumsum of
-    the kernel's lag row, which is one inverse FFT of the all-ones window.
+    The three structured terms come from the catalog's derivative tables;
+    the double stochastic integral is the residual ``B_N(n) - true
+    coefficient - (other three)``, per the decomposition's exactness on the
+    discrete space.  Memory is O(m): every kernel sum is a window.
     """
-    out = _window(table.u * y, table.v, n, N)
-    if table.lower:
-        lags = synthesize(np.ones(2 * N + 1), len(y))
-        prefix = np.concatenate(([0.0], np.cumsum(lags[1:])))
-        out += table.lower * _coefficient(prefix * y, n) / (2 * N + 1)
-    return out
-
-
-def _direct_terms(
-    pf: cat.PathFunctionals, n: int, N: int
-) -> tuple[complex, complex, complex]:
-    """The three directly computable remainders (all but double_wiener)."""
     m = pf.grid.m
     s = 1.0 / np.sqrt(m)
-    dw = pf.path.increments
+    i_coef, window, trace = _remainder_windows(pf, n, N)
+    estimate = window(pf.dx)
+    truth = complex(cat.block_true_fourier_a(pf.tables, pf.path.values, [n], i_coef)[0])
 
     # diffusion derivative: (1/sqrt(m)) conj(e_n(t_i)) sum_j (da_i/dxi_j) K[i, j]
     # integrated dW in the i slot.  Catalog diffusions have deterministic derivative
     # tables, so the divergence is the plain Wiener sum.
-    diffusion_derivative = s * _kernel_trace(pf.tables.da, dw, n, N)
-
+    diffusion_derivative = s * trace
     # derivative of the drift, double time integral: every row of K sums to m.
     drift_derivative = s * _coefficient(pf.tables.c, n) / (2 * N + 1)
-
     # drift smoothed by the kernel, integrated dW in the j slot; its divergence
     # correction is the drift derivative.
-    drift_wiener = _window(pf.b_nodes / m, dw, n, N) - drift_derivative
-    return diffusion_derivative, drift_wiener, drift_derivative
-
-
-def remainder_terms(pf: cat.PathFunctionals, n: int, N: int) -> RemainderTerms:
-    """Evaluate the four-term decomposition at order n and width N.
-
-    The three structured terms come from the catalog's closed forms; the
-    double stochastic integral is the residual
-    ``B_N(n) - true coefficient - (other three)``, per the decomposition's
-    exactness on the discrete space.  Memory is O(m): every term is a window.
-    """
-    _require_mesh(pf.grid.m, N, n)
-    estimate = _window(pf.dx, pf.path.increments, n, N)
-    truth = complex(cat.block_true_fourier_a(pf.tables, pf.path.values, [n])[0])
-    diffusion_derivative, drift_wiener, drift_derivative = _direct_terms(pf, n, N)
-    double_wiener = (
-        estimate - truth - diffusion_derivative - drift_wiener - drift_derivative
-    )
-    return RemainderTerms(
-        double_wiener=complex(double_wiener),
-        diffusion_derivative=diffusion_derivative,
-        drift_wiener=drift_wiener,
-        drift_derivative=drift_derivative,
-    )
+    drift_wiener = window(pf.b_nodes / m) - drift_derivative
+    double_wiener = estimate - truth - diffusion_derivative - drift_wiener - drift_derivative
+    return RemainderTerms(double_wiener, diffusion_derivative, drift_wiener, drift_derivative)
 
 
 def iterated_divergence_term(pf: cat.PathFunctionals, n: int, N: int) -> complex:
@@ -445,8 +432,7 @@ def iterated_divergence_term(pf: cat.PathFunctionals, n: int, N: int) -> complex
     times ``a_j conj(e_n(t_j))/sqrt(m)``, summed.
     """
     m = pf.grid.m
-    _require_mesh(m, N, n)
-    dw = pf.path.increments
-    z = pf.a_nodes * dw - pf.tables.correction
-    outer = _window(z, dw, n, N) - _kernel_trace(pf.tables.da, dw, n, N) / np.sqrt(m)
+    _, window, trace = _remainder_windows(pf, n, N)
+    z = pf.a_nodes * pf.path.increments - pf.tables.correction
+    outer = window(z) - trace / np.sqrt(m)
     return complex(outer - _coefficient(pf.a_nodes, n) / m)

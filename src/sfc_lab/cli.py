@@ -226,6 +226,8 @@ def cmd_convergence(args: argparse.Namespace) -> int:
             f"slope_band_orders must be a non-empty list of integer orders in -{cfg.M}..{cfg.M}, "
             f"got {band_orders!r}"
         )
+    if len(cfg.n_list) < 2:
+        raise ConfigError(f"a decay slope needs at least two widths, got N_list={list(cfg.n_list)}")
     result = run_convergence(cfg)
     _write_artifacts(args.out, "convergence", result)
     print(f"config_hash={config_hash(cfg)}")

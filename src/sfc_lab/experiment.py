@@ -82,9 +82,11 @@ IDENTIFY_CSV_HEADER = (
 )
 
 
-def _require_int(name: str, value) -> None:
+def _require_int(name: str, value) -> int:
+    """``value`` as a Python int (numpy integers too, so it serializes)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -102,13 +104,13 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         try:
-            object.__setattr__(self, "n_list", tuple(self.n_list))  # any sequence, JSON lists too
+            n_list = tuple(self.n_list)  # any sequence, JSON lists too
         except TypeError:
             raise ConfigError(f"n_list must be a sequence of ints, got {self.n_list!r}") from None
         for name in ("M", "m", "paths", "master_seed", "block_size"):
-            _require_int(name, getattr(self, name))
-        for N in self.n_list:
-            _require_int("each n_list entry", N)
+            object.__setattr__(self, name, _require_int(name, getattr(self, name)))
+        n_list = tuple(_require_int("each n_list entry", N) for N in n_list)
+        object.__setattr__(self, "n_list", n_list)
         if len(self.n_list) == 0:
             raise ConfigError("n_list must not be empty")
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
@@ -128,6 +130,7 @@ class ExperimentConfig:
         real = isinstance(p, (int, float, np.integer, np.floating)) and not isinstance(p, bool)
         if not (real and math.isfinite(p) and p >= 1.0):
             raise ConfigError(f"p_exponent must be a finite real >= 1, got {p!r}")
+        object.__setattr__(self, "p_exponent", p.item() if isinstance(p, np.generic) else p)
         if self.block_size < 1:
             raise ConfigError(f"block_size must be >= 1, got {self.block_size}")
         if not 0 <= self.master_seed <= 2**64 - 1:

@@ -69,7 +69,7 @@ class DerivativeTable:
     ``F e`` has ``u = e``, ``v = dF/dxi``; the drift has ``u = c``, ``v = 1``.
     Each operation is O(m) per row of its (..., m) input; :meth:`dense` is a
     test oracle.  Sums weighted by the Dirichlet kernel read ``u``, ``v`` and
-    ``lower`` directly as Bohr windows (``bohr._kernel_trace``).
+    ``lower`` directly as Bohr windows (``bohr.remainder_terms``).
     """
 
     u: np.ndarray = field(repr=False)

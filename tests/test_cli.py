@@ -353,6 +353,12 @@ def test_config_errors_exit_two(tmp_path):
     )
     assert main(["convergence", "--config", boolean]) == 2
 
+    # one width gives no decay slope; the check comes before the sweep
+    one_width = {"process": {"kind": "CONST"}, "N_list": [4], "M": 1, "m": 256, "paths": 100}
+    single = write_config(tmp_path, "single.json", one_width)
+    assert main(["convergence", "--config", single, "--out", str(tmp_path / "single")]) == 2
+    assert not (tmp_path / "single").exists()
+
 
 def test_unknown_subcommand_exits_two():
     assert main(["frobnicate"]) == 2

@@ -127,6 +127,16 @@ def test_config_round_trip_and_hash(cfg):
     shuffled = dict(reversed(list(data.items())))
     assert config_hash(config_from_jsonable(shuffled)) == config_hash(cfg)
     assert config_hash(dataclasses.replace(cfg, paths=cfg.paths + 1)) != config_hash(cfg)
+    # numpy numbers are stored as Python numbers: the same plain data and hash
+    twin = dataclasses.replace(
+        cfg,
+        n_list=np.array(cfg.n_list),
+        master_seed=np.uint64(cfg.master_seed),
+        p_exponent=np.asarray(cfg.p_exponent)[()],
+        **{name: np.int64(getattr(cfg, name)) for name in ("M", "m", "paths", "block_size")},
+    )
+    assert config_jsonable(twin) == data
+    assert config_hash(twin) == config_hash(cfg)
 
 
 def test_json_g_without_drift_is_det():
@@ -207,11 +217,17 @@ def test_fit_decay_order_bound():
 def test_run_shapes_and_determinism():
     cfg = small_config()
     res1 = run_convergence(cfg)
-    res2 = run_convergence(cfg)
+    # the same config in numpy numbers, stored as Python numbers: the same bytes
+    twin = small_config(
+        n_list=np.array(cfg.n_list), M=np.int64(1), m=np.int32(256), paths=np.int64(120),
+        master_seed=np.uint64(90), p_exponent=np.float32(2.0), block_size=np.int16(32),
+    )
+    res2 = run_convergence(twin)
     assert res1.abs_errors.shape == (120, 3, 3)
     assert res1.estimates.shape == (120, 3, 3)
     assert np.array_equal(res1.abs_errors, res2.abs_errors)
     assert res1.csv_text() == res2.csv_text()
+    assert res1.json_text() == res2.json_text()
     assert res1.runtime_seconds > 0.0
     # runtime and per-path tensors stay out of the serialization
     payload = res1.json_dict()

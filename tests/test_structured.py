@@ -27,7 +27,6 @@ from sfc_lab import (
     sample_path,
     true_fourier_a,
 )
-from sfc_lab.bohr import _direct_terms
 from sfc_lab.brownian import sample_rows
 from sfc_lab.catalog import block_diffusion, spec_tables
 from sfc_lab.malliavin import (
@@ -131,20 +130,6 @@ def test_blocked_residuals_match_the_one_path_views(case):
             assert abs(prop2[r, k] - prop2_residual(spec, e_nodes, path)) <= 1e-13
 
 
-@SETTINGS
-@given(cases, st.integers(1, 8))
-def test_decomposition_closes(case, N):
-    # the residual double integral equals the direct iterated divergence
-    m = case["m"]
-    n = case["n"]
-    if m < 8 * (N + abs(n)):
-        return
-    grid = TimeGrid(m)
-    pf = eval_functionals(_spec(case), sample_path(SeedSpec(case["seed"], 2), grid))
-    gap = abs(remainder_terms(pf, n, N).double_wiener - iterated_divergence_term(pf, n, N))
-    assert gap <= 1e-9
-
-
 def _dense_kernel(N, m):
     """``K[i, j] = K_N(t_i - t_j)`` gathered from the 2m - 1 node differences."""
     lags = dirichlet_kernel(N, np.arange(-(m - 1), m) / m).real
@@ -153,8 +138,9 @@ def _dense_kernel(N, m):
 
 
 def _dense_direct_terms(pf, n, N):
-    """Reference for ``bohr._direct_terms``: kernel-weighted sums over the
-    dense kernel and the dense derivative tables."""
+    """Reference for the three directly computable fields of
+    ``remainder_terms``: kernel-weighted sums over the dense kernel and the
+    dense derivative tables."""
     m = pf.grid.m
     dw = pf.path.increments
     ebar = eval_basis(-n, pf.grid.left_nodes)
@@ -205,6 +191,16 @@ def window_cases(draw):
 
 @SETTINGS
 @given(window_cases())
+def test_decomposition_closes(case):
+    # the residual double integral equals the direct iterated divergence
+    m, n, N = case["m"], case["n"], case["N"]
+    pf = eval_functionals(_spec(case), sample_path(SeedSpec(case["seed"], 2), TimeGrid(m)))
+    gap = abs(remainder_terms(pf, n, N).double_wiener - iterated_divergence_term(pf, n, N))
+    assert gap <= 1e-9
+
+
+@SETTINGS
+@given(window_cases())
 def test_remainder_windows_match_dense_kernel(case):
     m, n, N = case["m"], case["n"], case["N"]
     pf = eval_functionals(_spec(case), sample_path(SeedSpec(case["seed"], 3), TimeGrid(m)))
@@ -215,13 +211,39 @@ def test_remainder_windows_match_dense_kernel(case):
     double = estimate / (2 * N + 1) - truth - np.sum(direct)
     terms = remainder_terms(pf, n, N)
 
+    fields = (terms.diffusion_derivative, terms.drift_wiener, terms.drift_derivative)
     pairs = [
-        *zip(_direct_terms(pf, n, N), direct),
+        *zip(fields, direct),
         (terms.double_wiener, double),
         (iterated_divergence_term(pf, n, N), _dense_iterated(pf, n, N)),
     ]
     for value, reference in pairs:
         assert abs(value - reference) <= 1e-12 * (1 + abs(reference)), (value, reference)
+
+
+def test_lower_trace_at_benchmark_sizes():
+    # ADAPTED_W has v = 0, so its diffusion derivative is the strict lower
+    # triangle alone, (1/m) sum_i conj(e_n(t_i)) dW_i S_i / (2N+1), with S_i
+    # the prefix sum of the kernel's lag row K_N(d/m), d = 1 .. i
+    m = 4096
+    grid = TimeGrid(m)
+    drift = {"g": cosine(), "drift": "w1"}
+    paths = [sample_path(SeedSpec(10, r), grid) for r in range(3)]
+    for N in (4, 16, 256):
+        # the kernel's defining sum, a few hundred lags at a time
+        chunks = np.array_split(np.arange(1, m) / m, 8)
+        lags = np.concatenate([dirichlet_kernel(N, d).real for d in chunks])
+        prefix = np.concatenate(([0.0], np.cumsum(lags)))
+        for path in paths:
+            adapted = eval_functionals(spec_for("ADAPTED_W", drift), path)
+            bridge = eval_functionals(spec_for("NONCAUSAL_BRIDGE", drift), path)
+            for n in (-4, 0, 1, 4):
+                weighted = eval_basis(-n, grid.left_nodes) * path.increments
+                ref = np.dot(weighted, prefix) / m / (2 * N + 1)
+                value = remainder_terms(adapted, n, N).diffusion_derivative
+                assert abs(value - ref) <= 1e-12 * (1 + abs(ref)), (N, n, value, ref)
+                residual = remainder_terms(bridge, n, N).double_wiener
+                assert abs(residual - iterated_divergence_term(bridge, n, N)) <= 1e-9
 
 
 def test_residual_memory_is_linear_in_m():
