@@ -46,25 +46,23 @@ these exact conjugates, for the sweep and ``identify_a`` alike.
 
 Drift recovery inverts the coefficient relation
 ``F_n(dX) = div(a conj(e_n)) + (1/m) sum b conj(e_n)``: subtract the
-stochastic part and what is left is the drift coefficient, one transform
-``coefficients(dX - a dW + correction, M)`` with the divergence's correction
-``correction_i = (d a_i / d xi_i) / sqrt(m)``.  :func:`drift_coefficients`
-is that one step, for ``recover_b`` and for ``experiment.run_identify``'s
-tiles alike, and holds the choice between the two modes:
+stochastic part and what is left is the drift coefficient.
+:func:`drift_coefficients` is that one step, for ``recover_b`` and for
+``experiment.run_identify``'s tiles alike, and holds the choice between the
+two modes:
 
-* ``closed_form``   the true a and ``SpecTables.correction``, its exact
-                    derivative diagonal;
-* ``synthesized``   rebuild a from the *estimated* coefficients and subtract
-                    the divergence of the synthesized trigonometric
-                    polynomial, whose correction :func:`estimator_gradient`
-                    returns by differentiating the whole estimation
-                    pipeline.  Exact first-order calculus suffices because
-                    every catalog diffusion is affine in W.
+* ``closed_form``   one transform of ``dX - a dW + correction``, with the
+                    true a and its exact diagonal ``SpecTables.correction``;
+* ``synthesized``   the divergence of the trigonometric polynomial of the
+                    *estimated* coefficients, whose correction is the
+                    gradient of the whole estimation pipeline.  Exact
+                    first-order calculus suffices because every catalog
+                    diffusion is affine in W.
 
-The correction's gradient of ``B_N(q)`` is a convolution in frequency.  With
-``I_l = F_l(dW)``, ``sum_l I_l dF_{q-l}/dxi_r`` is the gradient of
-``sum_i h_q(i) dX_i`` at ``h_q = conj(e_q) sum_{|l| <= N} I_l e_l``, and
-``sum_l F_{q-l} conj(e_l(t_r)) = sum_{|j| <= N} F_{q+j} e_j(t_r)``: inverse FFTs.
+The synthesized step reads only coefficient rows.  With ``S = sum_{|l| <=
+N} I_l e_l``, ``F_n(S x) = sum_{|l| <= N} I_l F_{n-l}(x)`` is a window, and
+every term of the correction's band ``|n| <= M`` is a window or a constant
+of the run: neither the polynomial nor its gradient is formed at the nodes.
 """
 
 from __future__ import annotations
@@ -228,66 +226,34 @@ def identify_a(pf: cat.PathFunctionals, cfg: BohrConfig) -> CoefficientSet:
     return CoefficientSet(max_order=cfg.M, values=values)
 
 
-def estimator_gradient(
-    st: cat.SpecTables, w: np.ndarray, dw: np.ndarray, f_coef: np.ndarray, i_coef: np.ndarray
-) -> np.ndarray:
-    """The divergence's correction ``(d a_hat(t_r)/d xi_r) / sqrt(m)`` of the
-    synthesized a, from the diagonal ``d a_hat(t_r)/d xi_r = sum_{|q| <= M}
-    e_q(t_r) d a_hat_q/d xi_r`` of ``a_hat_q = (1/(2N+1)) sum_{|l| <= N}
-    F_{q-l} I_l``, ``I_l = F_l(dW)``, for one path or each row of a block:
-    ``i_coef`` holds I_l for ``|l| <= N`` and ``f_coef`` holds F_k for
-    ``|k| <= N + M``.
+def _ratios(m: int, L: int) -> np.ndarray:
+    """``r_p = 1/(1 - e^{-2 pi i p/m}) = 1/2 - (i/2) cot(pi p/m)``, ``0 < |p| <=
+    L``, in column ``p + L`` and 0 at p = 0, with no cancellation in ``1 - e^..``."""
+    cot = 1.0 / np.tan(np.pi * np.arange(1, L + 1) / m)
+    return np.concatenate([0.5 + 0.5j * cot[::-1], [0.0], 0.5 - 0.5j * cot])
 
-    * ``sum_l I_l dF_{q-l}/dxi_r`` is the gradient of ``sum_i h_q(i) dX_i``
-      at ``h_q = conj(e_q) S``, with ``S = sum_{|l| <= N} I_l e_l`` real and
-      one inverse FFT of the dW window.  For ``dX = a dW - diag / sqrt(m) +
-      b / m`` with its deterministic diagonal, that gradient is ``s [a h +
-      alpha tail + beta 1[r < tau m] sum_i h_i dW_i] + sum_i c_i h_i / m``
-      (``s = 1/sqrt(m)``, ``a`` at the left tag ``t_r``, ``tail_r = sum_{i >
-      r} h_i dW_i``, ``c`` the drift derivative).  Weighted by ``e_q(t_r)``
-      and summed over q: ``h_q(r)`` gives ``(2M+1) S_r``; each ``sum_i h_q(i)
-      x_i`` gives the band ``|q| <= M`` of ``x S``, one transform and back;
-      the tails give ``sum_{i > r} D_M(t_i - t_r) S_i dW_i`` with ``D_M`` the
-      kernel's lag row, one zero-padded FFT correlation.
-    * ``dI_l/dxi_r = conj(e_l(t_r))/sqrt(m)`` and ``sum_l F_{q-l}
-      conj(e_l(t_r)) = sum_{|j| <= N} F_{q+j} e_j(t_r)``, an inverse FFT of
-      the dX window; weighted by ``e_q(t_r)`` and summed over q, the windows
-      add up to ``sum_k n_k F_k e_k`` with ``n_k = #{|q| <= M : |k - q| <= N}``.
 
-    Every array is one (m,) row per path, and every sum is real, because
-    ``a_hat_{-q} = conj(a_hat_q)``.
-    """
-    m = st.grid.m
-    rec = st.spec.record
-    N = (i_coef.shape[-1] - 1) // 2
-    M = (f_coef.shape[-1] - 1) // 2 - N
-    s = synthesize(i_coef, m)
-    y = s * dw
-    # in place, in the order of ((2M+1) s a / sqrt(m) + terms + d_dw) / (2N+1) / sqrt(m)
-    d_dx = np.multiply(2 * M + 1, s)
-    d_dx *= cat.block_diffusion(st, w)
-    d_dx /= np.sqrt(m)
-    if st.c.any():  # the drift derivative is zero unless the drift depends on W
-        term = synthesize(coefficients(st.c * s, M), m)
-        term /= m
-        d_dx += term
-    if rec.beta:
-        term = synthesize(coefficients(y, M), m)
-        term *= st.da.v
-        d_dx += term
-    if rec.alpha:
-        lags = synthesize(np.ones(2 * M + 1), m)
-        lags[0] = 0.0
-        spectrum = np.fft.rfft(y, 2 * m) * np.conj(np.fft.rfft(lags, 2 * m))
-        d_dx += st.da.lower * np.fft.irfft(spectrum, 2 * m)[..., :m]
-    k = np.arange(-(N + M), N + M + 1)
-    counts = np.minimum(k + N, M) - np.maximum(k - N, -M) + 1
-    d_dw = synthesize(counts * f_coef, m)
-    d_dw /= np.sqrt(m)
-    d_dx += d_dw
-    d_dx /= 2 * N + 1
-    d_dx /= np.sqrt(m)
-    return d_dx
+def _drift_plan(st: cat.SpecTables, N: int, M: int) -> tuple:
+    """The synthesized drift step's constants at the orders ``n = 0 .. M``,
+    kept on the tables per N and M (read-only): the gain ``1 + counts_n/(2N+1)``
+    of ``F_n(dX)``, ``F(c)``, ``|k| <= N + M`` (None when c = 0), ``(2M+1) (F(v)
+    + lower r)``, ``|p| <= 2M`` (None when the table is zero), ``lower rho_n``,
+    ``rho_n = sum_{|l| <= M} r_{n-l}``, and the ramp i (both None if lower = 0)."""
+    plan = st._drift_terms.get((N, M))
+    if plan is None:
+        m, da = st.grid.m, st.da
+        n = np.arange(M + 1)
+        counts = np.minimum(n + N, M) - np.maximum(n - N, -M) + 1
+        f_c = coefficients(st.c, N + M) if st.c.any() else None
+        ratios = _ratios(m, 2 * M)
+        pair = lag = ramp = None
+        if da.lower or da.v.any():
+            pair = (2 * M + 1) * (coefficients(da.v, 2 * M) + da.lower * ratios)
+        if da.lower:
+            lag = da.lower * np.array([ratios[k + M : k + 3 * M + 1].sum() for k in n])
+            ramp = np.arange(m, dtype=float)
+        plan = st._drift_terms[(N, M)] = (1 + counts / (2 * N + 1), f_c, pair, lag, ramp)
+    return plan
 
 
 def drift_coefficients(
@@ -296,46 +262,79 @@ def drift_coefficients(
     w: np.ndarray,
     dw: np.ndarray,
     dx: np.ndarray,
-    a: np.ndarray,
+    a: np.ndarray | None,
     a_hat: np.ndarray,
     f_coef: np.ndarray,
     i_coef: np.ndarray,
     *,
     out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """``b_n = F_n(dX) - div(a conj(e_n)) = F_n(dX - a dW + correction)`` for
-    ``|n| <= M``, one path or each row of a block: the drift step of both
-    modes.  ``closed_form`` takes the true a at the left tags with
-    ``SpecTables.correction``; ``synthesized`` the polynomial of the estimated
-    coefficients ``a_hat`` (..., 2M + 1) with the correction that
-    :func:`estimator_gradient` takes from W, dW, ``f_coef`` and ``i_coef``.
-    ``out``, a real array shaped like dX and a complex one shaped like its
-    rfft, receives the residual and its spectrum in place of new arrays.
+    """``b_n = F_n(dX) - div(a conj(e_n))`` for ``|n| <= M``, the orders of
+    ``a_hat`` (..., 2M + 1), one path or each row of a block: the drift step
+    of both modes, from ``F_k = F_k(dX)``, ``|k| <= N + M`` (``f_coef``), and
+    ``I_l = F_l(dW)``, ``|l| <= max(N + M, 2M)`` (``i_coef``).  ``out``, a real
+    array shaped like dX and a flat complex one that holds the rfft spectrum
+    and each window's products, serves as scratch in place of new arrays.
+
+    ``closed_form`` transforms ``dX - a dW + SpecTables.correction``.
+    ``synthesized`` (a unused; ``n < 0`` as exact conjugates) subtracts
+    ``F_n(a_hat dW)``, the window of I against a_hat, and adds ``F_n`` of ``(d
+    a_hat(t_r)/d xi_r) / sqrt(m)``: for ``S = sum_{|l| <= N} I_l e_l`` and ``s
+    = 1/sqrt(m)``, ``s/(2N+1)`` times ``(2M+1) s S a + S c + v sum_{|j| <= M}
+    F_j(S dW) e_j + lower sum_{i > r} D_M(t_i - t_r) S_i dW_i + s sum_k
+    counts_k F_k e_k`` (c the drift derivative, ``D_M`` the kernel's lag row,
+    ``counts_k = #{|q| <= M : |k - q| <= N}``).  ``F_n(S x)`` is the window of
+    I against ``F(x)``: the first two terms and the tails' ``F_n(i S dW)`` are
+    one window against ``(2M+1) s F(a) + F(c) + lower F(i dW)``, ``F(a)`` m
+    times the truth's; the rank-one part and the rest of the tails, ``sum_{|l|
+    <= M} r_{n-l} (F_l(S dW) - F_n(S dW))``, are one window of ``F(S dW)``
+    against ``F(v) + lower r``, less ``lower rho_n F_n(S dW)``; the last term
+    is ``counts_n F_n / (2N+1)``.
     """
+    m, M = dx.shape[-1], (a_hat.shape[-1] - 1) // 2
+    scratch, buffer = (None, None) if out is None else out
+    size = dx[..., 0].size * (m // 2 + 1)  # the rfft spectrum's
+    spectrum = None if buffer is None else buffer[:size].reshape(dx.shape[:-1] + (-1,))
     if mode == CLOSED_FORM:
-        correction = st.correction
-    else:
-        a = synthesize(a_hat, dx.shape[-1])
-        correction = estimator_gradient(st, w, dw, f_coef, i_coef)
-    scratch, spectrum = (None, None) if out is None else out
-    residual = np.multiply(a, dw, out=scratch)
-    np.subtract(dx, residual, out=residual)
-    residual += correction
-    return coefficients(residual, (f_coef.shape[-1] - i_coef.shape[-1]) // 2, spectrum)
+        residual = np.multiply(a, dw, out=scratch)
+        np.subtract(dx, residual, out=residual)
+        residual += st.correction
+        return coefficients(residual, M, spectrum)
+    K, L = (f_coef.shape[-1] - 1) // 2, (i_coef.shape[-1] - 1) // 2
+    N = K - M
+    gain, f_c, pair, lag, ramp = _drift_plan(st, N, M)
+    i_band, half = i_coef[..., L - N : L + N + 1], range(M + 1)
+    carried = cat.block_true_fourier_a(st, w, range(-K, K + 1), i_coef)
+    carried *= (2 * M + 1) * np.sqrt(m)
+    if f_c is not None:
+        carried += f_c
+    if ramp is not None:
+        carried += st.da.lower * coefficients(np.multiply(ramp, dw, out=scratch), K, spectrum)
+    correction = windows(carried, i_band, half, [N], buffer)[..., 0]
+    if pair is not None:
+        y = band_windows(i_coef, i_band, M, [N], buffer)[..., 0]  # F(S dW) / (2N+1)
+        pairs = np.broadcast_to(pair, y.shape[:-1] + pair.shape)
+        correction += windows(pairs, y, half, [M], buffer)[..., 0]
+        if lag is not None:
+            correction -= lag * y[..., M:]
+    correction /= np.sqrt(m)
+    b = gain * f_coef[..., K : K + M + 1]
+    b -= (2 * M + 1) * windows(i_coef, a_hat, half, [M], buffer)[..., 0]
+    b += correction
+    return np.concatenate([np.conj(b[..., :0:-1]), b], axis=-1)
 
 
-def recover_b(
-    pf: cat.PathFunctionals, a_hat: CoefficientSet, cfg: BohrConfig
-) -> CoefficientSet:
+def recover_b(pf: cat.PathFunctionals, a_hat: CoefficientSet, cfg: BohrConfig) -> CoefficientSet:
     """Recover the drift coefficients ``b_n = F_n(dX) - div(a conj(e_n))``,
-    ``|n| <= cfg.M``, of one path: :func:`drift_coefficients` in ``cfg.mode``."""
+    ``|n| <= cfg.M``, of one path: :func:`drift_coefficients` in ``cfg.mode``,
+    on a tile's transforms.  ``a_hat`` must hold the same orders."""
+    if a_hat.max_order != cfg.M:
+        raise ValueError(f"a_hat has max_order {a_hat.max_order}, but cfg.M is {cfg.M}")
     dw = pf.path.increments
     f_coef = coefficients(pf.dx, cfg.N + cfg.M)
-    i_coef = coefficients(dw, cfg.N)
-    b = drift_coefficients(
-        pf.tables, cfg.mode, pf.path.values, dw, pf.dx, pf.a_nodes, a_hat.values, f_coef, i_coef
-    )
-    return CoefficientSet(cfg.M, b)
+    i_coef = coefficients(dw, max(cfg.N + cfg.M, 2 * cfg.M))
+    args = (pf.path.values, dw, pf.dx, pf.a_nodes, a_hat.values, f_coef, i_coef)
+    return CoefficientSet(cfg.M, drift_coefficients(pf.tables, cfg.mode, *args))
 
 
 @dataclass(frozen=True)
@@ -379,8 +378,8 @@ def _remainder_windows(pf: cat.PathFunctionals, n: int, N: int) -> tuple:
     da = pf.tables.da
     trace = window(da.u * dw, coefficients(da.v, N))
     if da.lower:
-        cot = 1.0 / np.tan(np.pi * np.arange(1, N + 1) / m)
-        ratios = np.concatenate([0.5 + 0.5j * cot[::-1], [-N], 0.5 - 0.5j * cot])
+        ratios = _ratios(m, N)
+        ratios[N] = -N
         lower = _coefficient(np.arange(m) * dw, n) / (2 * N + 1)
         trace += da.lower * (lower + complex(windows(i_coef, ratios, [n], [N])[0, 0]))
     return i_coef, window, trace

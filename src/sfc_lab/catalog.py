@@ -364,6 +364,7 @@ class SpecTables:
     c: np.ndarray = field(repr=False)
     da: DerivativeTable = field(repr=False)
     _order_terms: dict[tuple[int, ...], tuple] = field(default_factory=dict, init=False, repr=False)
+    _drift_terms: dict[tuple[int, int], tuple] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def correction(self) -> np.ndarray:

@@ -51,6 +51,7 @@ from .sfc import coefficients
 
 DEFAULT_SEED = 20260819
 _BATTERY_ROWS = 16  # paths per block of the identity battery, whatever --paths is
+_BASIS_ORDERS = (0, 1, -3)  # the basis functions e_n of the identity battery
 
 
 def _run_config(args: argparse.Namespace) -> tuple[ExperimentConfig, dict]:
@@ -168,7 +169,7 @@ def _identity_checks(grid: TimeGrid, seed: int, paths: int) -> bool:
     kind and the drift product rule over each drift shape, on the first
     ``paths`` paths; prints one line per check.  The paths are drawn once,
     in blocks of ``_BATTERY_ROWS`` rows that each residual takes whole."""
-    e = np.array([eval_basis(n, grid.left_nodes) for n in (0, 1, -3)])
+    e = np.array([eval_basis(n, grid.left_nodes) for n in _BASIS_ORDERS])
     g = {0: 0.5, 1: 0.5, -1: 0.5}  # 1/2 + cos(2 pi t); a zero mean makes prop 2 vacuous
     checks = [(f"{k} stochastic", block_prop1_residual, spec_for(k)) for k in CATALOG_KINDS]
     # The drift rule reads only b = g (g0 + g1 W_1), never the kind's a, so
@@ -194,6 +195,9 @@ def _identity_checks(grid: TimeGrid, seed: int, paths: int) -> bool:
 def cmd_verify_multiplication(args: argparse.Namespace) -> int:
     if args.paths < 1:
         raise ConfigError(f"--paths must be >= 1, got {args.paths}")
+    top = max(_BASIS_ORDERS, key=abs)
+    if args.m <= 2 * abs(top):
+        raise ConfigError(f"--m must be > {2 * abs(top)} to resolve basis order {top}, got {args.m}")
     ok = _identity_checks(TimeGrid(args.m), args.seed, args.paths)
     print("verify-multiplication:", "all residuals in tolerance" if ok else "FAILED")
     return 0 if ok else 1

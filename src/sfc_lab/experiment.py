@@ -58,7 +58,7 @@ from typing import ClassVar, Mapping
 import numpy as np
 
 from . import __version__
-from .bohr import BohrConfig, band_windows, drift_coefficients, grid_supports
+from .bohr import CLOSED_FORM, BohrConfig, band_windows, drift_coefficients, grid_supports
 from .catalog import (
     ProcessSpec,
     SpecTables,
@@ -352,13 +352,15 @@ def tile_rows(cfg: ExperimentConfig) -> int:
 @dataclass(frozen=True, eq=False)
 class Tile:
     """Paths ``lo ..`` of one tile: W's nodes and increments, dX, ``F_k(dX)``
-    (``|k| <= N + M``), ``F_l(dW)`` (``|l| <= N``) and the windows (rows,
-    orders, widths), with the worker's free real scratch (rows, m) and
-    complex scratch, shaped as the rfft spectrum (rows, m // 2 + 1).  W, dW,
-    dX and the two scratch arrays are views on the worker's buffers, which
-    its next tile overwrites: they are valid only inside the callback, so
-    keep a copy of what must outlive it.  The coefficients and the windows
-    are the tile's own."""
+    (``|k| <= N + M``), ``F_l(dW)`` (``|l| <= max(N + M, 2M)``, the orders
+    that the drift step reads; the windows and the truth take the centre)
+    and the windows (rows, orders, widths), with the worker's free real
+    scratch (rows, m) and flat complex scratch, which holds an rfft spectrum
+    of the rows or any window's products.  W, dW, dX and the two scratch
+    arrays are views on the worker's buffers, which its next tile
+    overwrites: they are valid only inside the callback, so keep a copy of
+    what must outlive it.  The coefficients and the windows are the tile's
+    own."""
 
     lo: int
     w: np.ndarray
@@ -368,7 +370,7 @@ class Tile:
     i_coef: np.ndarray
     est: np.ndarray
     scratch: np.ndarray
-    spectrum: np.ndarray
+    complex_scratch: np.ndarray
 
 
 def _run_tiles(cfg: ExperimentConfig, st: SpecTables, widths: tuple[int, ...], work) -> None:
@@ -384,16 +386,18 @@ def _run_tiles(cfg: ExperimentConfig, st: SpecTables, widths: tuple[int, ...], w
     one-thread run reports it.
 
     Each worker thread allocates five buffers and its generator at its first
-    tile and fills them in place for every later one, so a tile makes no
-    array of a tile's size: dW and W (drawn by ``brownian.sample_rows``),
-    dX, one real scratch that holds a and then the drift's ``b / m``, and
-    one complex scratch that holds the rfft spectrum of each transform and
-    then the window products (both transforms copy their orders out of it
-    first).  The sampler and the windows both avoid the steps through which
-    numpy holds the GIL, so threads overlap every step of a tile.
+    tile and fills them in place for every later one, so a tile makes no array
+    of a tile's size: dW and W (drawn by ``brownian.sample_rows``), dX, one
+    real scratch that holds a, then the drift's ``b / m``, then what the drift
+    step writes (a or ``i dW``), and one flat complex scratch that holds the
+    rfft spectrum of each transform and then the window products, of a width N
+    or of the band M (each transform copies its orders out of it first).  The
+    sampler and the windows both avoid the steps through which numpy holds the
+    GIL, so threads overlap every step of a tile.
     """
     m, n_max, rows = cfg.m, max(widths), tile_rows(cfg)
-    complex_size = rows * max(m // 2 + 1, (2 * n_max + 1) * (cfg.M + 1))
+    L = max(n_max + cfg.M, 2 * cfg.M)  # the dW orders the drift step reads
+    complex_size = rows * max(m // 2 + 1, (2 * max(n_max, cfg.M) + 1) * (cfg.M + 1))
     local = threading.local()
 
     def buffers() -> tuple[np.ndarray, ...]:
@@ -415,9 +419,10 @@ def _run_tiles(cfg: ExperimentConfig, st: SpecTables, widths: tuple[int, ...], w
         local.rng = sample_rows(cfg.master_seed, lo, dw, w, local.rng)
         _, _, dx = block_functionals(st, w, out=(scratch, scratch, dx))
         f_coef = coefficients(dx, n_max + cfg.M, spectrum)  # order k at column k + n_max + M
-        i_coef = coefficients(dw, n_max, spectrum)
-        est = band_windows(f_coef, i_coef, cfg.M, widths, complex_scratch)
-        work(Tile(lo, w, dw, dx, f_coef, i_coef, est, scratch, spectrum))
+        i_coef = coefficients(dw, L, spectrum)  # order l at column l + L
+        est = band_windows(f_coef, i_coef[:, L - n_max : L + n_max + 1], cfg.M, widths,
+                           complex_scratch)
+        work(Tile(lo, w, dw, dx, f_coef, i_coef, est, scratch, complex_scratch))
 
     starts = range(0, cfg.paths, rows)
     threads = min(resolve_threads(), len(starts))
@@ -619,7 +624,10 @@ def run_identify(cfg: ExperimentConfig, mode: str) -> IdentifyResult:
     The paths run on the sweep's tiles, so ``a_hat`` is bitwise the sweep's
     estimate at width N and the determinism contract is the sweep's.  Each
     tile takes b from ``bohr.drift_coefficients``, the drift step that
-    ``recover_b`` takes too, so ``b_hat`` is bitwise its value per path.
+    ``recover_b`` takes too, on the tile's ``F_k(dX)``, ``|k| <= N + M``, and
+    ``I_l = F_l(dW)``, ``|l| <= max(N + M, 2M)``, so ``b_hat`` is bitwise its
+    value per path.  Only the closed form builds the true a at the nodes; the
+    synthesized step reads coefficient rows and the truth's coefficients.
     """
     N = BohrConfig(N=max(cfg.n_list), M=cfg.M, mode=mode).N
     st = spec_tables(cfg.spec, TimeGrid(cfg.m))
@@ -629,10 +637,11 @@ def run_identify(cfg: ExperimentConfig, mode: str) -> IdentifyResult:
     def work(tile: Tile) -> None:
         a = tile.est[:, :, 0]
         _require_finite("a_hat", tile.est, tile.lo, cfg.orders, (N,))
-        diffusion = block_diffusion(st, tile.w, tile.scratch)  # the true a, for the closed form
+        # the true a at the left tags, which only the closed form reads
+        diffusion = block_diffusion(st, tile.w, tile.scratch) if mode == CLOSED_FORM else None
         b = drift_coefficients(
             st, mode, tile.w, tile.dw, tile.dx, diffusion, a, tile.f_coef, tile.i_coef,
-            out=(tile.scratch, tile.spectrum),
+            out=(tile.scratch, tile.complex_scratch),
         )
         _require_finite("b_hat", b[:, :, None], tile.lo, cfg.orders, (N,))
         a_hat[tile.lo : tile.lo + len(a)] = a

@@ -15,10 +15,10 @@ With ``t_i = i/m`` the sum is the real DFT of the increments:
 coefficient in the package comes from it: those of dX and dW, the windows of
 the remainders and, through the dW coefficients, the left Riemann truth of a.
 Its inverse, :func:`synthesize`, is the one way back to the left tags: one
-``irfft`` gives the estimated a, the estimator's gradient, the kernel's lag
-row and every trigonometric-polynomial table of the catalog.  Direct sums
-remain only in the tests' oracles (``exact_diffusion_sfc`` and the basis
-loop of ``trigpoly_nodes``), kept independent so they can compare the two.
+``irfft`` gives the kernel's lag row and every trigonometric-polynomial
+table of the catalog.  Direct sums remain only in the tests' oracles
+(``exact_diffusion_sfc`` and the basis loop of ``trigpoly_nodes``), kept
+independent so they can compare the two.
 Each row is transformed on its own, so a row's coefficients are bitwise the
 same whatever block it arrives in.
 

@@ -397,11 +397,16 @@ def test_non_integer_config_fields_exit_two(tmp_path, capsys, field, value):
         ["verify-multiplication", "--m", "1", "--paths", "2"],
         ["verify-multiplication", "--m", "64", "--paths", "0"],
         ["verify-multiplication", "--m", "64", "--paths", "2", "--seed", "-3"],
+        ["verify-multiplication", "--m", "4", "--paths", "2"],  # aliases basis order -3
+        ["verify-multiplication", "--m", "6", "--paths", "2"],
     ],
 )
 def test_bad_command_line_values_exit_two(argv, capsys):
     assert main(argv) == 2
-    assert "config error" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "config error" in err and out == ""  # rejected before any check prints
+    if argv[:3] == ["verify-multiplication", "--m", "6"]:
+        assert "basis order -3" in err
 
 
 @pytest.mark.parametrize(

@@ -317,6 +317,23 @@ def test_a_sweep_holds_few_tile_buffers(monkeypatch):
     assert peak < 4_000_000, peak
 
 
+def test_synthesized_identify_holds_few_tile_buffers(monkeypatch):
+    # ROADMAP item 6's config at 200 paths: the drift step reads coefficient
+    # rows and runs its windows in the tile's complex scratch.  The
+    # time-domain gradient that it replaced peaked at 8.27 MB here.
+    monkeypatch.setenv("SFC_LAB_THREADS", "2")
+    spec = spec_for("NONCAUSAL_BRIDGE", {"g": cosine(), "drift": "w1"})
+    cfg = small_config(spec=spec, n_list=(256,), M=4, m=4096, paths=200)
+    run_identify(cfg, "synthesized")
+    tracemalloc.start()
+    try:
+        run_identify(cfg, "synthesized")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000, peak
+
+
 def test_negative_orders_are_the_conjugates_of_the_positive(monkeypatch):
     monkeypatch.setenv("SFC_LAB_THREADS", "2")
     cfg = small_config(spec=spec_for("NONCAUSAL_BRIDGE", {"g": cosine(), "drift": "w1"}), M=3)
@@ -432,12 +449,28 @@ def test_identify_a_hat_is_the_sweep_estimate(mode):
     assert np.array_equal(ident.a_hat, sweep.estimates[:, -1, :])  # width N = max(n_list)
 
 
+# W1 has the rank-one part alone; BRIDGE with drift w1 the lower triangle,
+# the rank-one part and the drift derivative; MIDPOINT the step v; the last
+# case a band M wider than the width N, with 25 x 13 window products per row,
+# more than the rfft spectrum's 129
+TILE_CASES = [
+    pytest.param("NONCAUSAL_W1", "det", (4, 8, 16), 1, id="w1"),
+    pytest.param("NONCAUSAL_BRIDGE", "w1", (4, 8, 16), 2, id="bridge"),
+    pytest.param("NONCAUSAL_MIDPOINT", "det", (4, 8, 16), 2, id="midpoint"),
+    pytest.param("ADAPTED_W", "w1", (2,), 12, id="wide-band"),
+]
+
+
+@pytest.mark.parametrize("threads", ["1", "3"], ids=["t1", "t3"])
+@pytest.mark.parametrize("kind, drift, n_list, M", TILE_CASES)
 @pytest.mark.parametrize("mode", ["closed_form", "synthesized"])
-def test_identify_tiles_match_the_per_path_estimators(mode):
+def test_identify_tiles_match_the_per_path_estimators(mode, kind, drift, n_list, M, threads,
+                                                      monkeypatch):
     # the engine's tiles and the one-path library calls share every kernel
-    cfg = identify_config()
+    monkeypatch.setenv("SFC_LAB_THREADS", threads)
+    cfg = small_config(spec=spec_for(kind, {"g": cosine(), "drift": drift}), n_list=n_list, M=M)
     ident = run_identify(cfg, mode)
-    bohr_cfg = BohrConfig(N=16, M=1, mode=mode)
+    bohr_cfg = BohrConfig(N=max(n_list), M=M, mode=mode)
     for idx in (0, 37, 119):
         pf = eval_functionals(cfg.spec, sample_path(SeedSpec(cfg.master_seed, idx), TimeGrid(256)))
         a_hat = identify_a(pf, bohr_cfg)
