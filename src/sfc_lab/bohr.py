@@ -273,8 +273,12 @@ def drift_coefficients(
     ``a_hat`` (..., 2M + 1), one path or each row of a block: the drift step
     of both modes, from ``F_k = F_k(dX)``, ``|k| <= N + M`` (``f_coef``), and
     ``I_l = F_l(dW)``, ``|l| <= max(N + M, 2M)`` (``i_coef``).  ``out``, a real
-    array shaped like dX and a flat complex one that holds the rfft spectrum
-    and each window's products, serves as scratch in place of new arrays.
+    array shaped like dX and a flat complex one, serves as scratch in place of
+    new arrays.  The real array receives the transform input, ``dX - a dW +
+    correction`` or ``i dW``; it may be dX itself, since ``F(dX)`` is taken
+    already.  The complex array holds the rfft spectrum and each window's
+    products, and its real view (its first ``dX.size`` floats) holds ``a dW``;
+    ``a`` may live in that view.
 
     ``closed_form`` transforms ``dX - a dW + SpecTables.correction``.
     ``synthesized`` (a unused; ``n < 0`` as exact conjugates) subtracts
@@ -296,8 +300,8 @@ def drift_coefficients(
     size = dx[..., 0].size * (m // 2 + 1)  # the rfft spectrum's
     spectrum = None if buffer is None else buffer[:size].reshape(dx.shape[:-1] + (-1,))
     if mode == CLOSED_FORM:
-        residual = np.multiply(a, dw, out=scratch)
-        np.subtract(dx, residual, out=residual)
+        a_dw = None if buffer is None else buffer.view(float)[: dx.size].reshape(dx.shape)
+        residual = np.subtract(dx, np.multiply(a, dw, out=a_dw), out=scratch)
         residual += st.correction
         return coefficients(residual, M, spectrum)
     K, L = (f_coef.shape[-1] - 1) // 2, (i_coef.shape[-1] - 1) // 2

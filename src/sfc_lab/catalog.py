@@ -363,7 +363,7 @@ class SpecTables:
     tau: int
     c: np.ndarray = field(repr=False)
     da: DerivativeTable = field(repr=False)
-    _order_terms: dict[tuple[int, ...], tuple] = field(default_factory=dict, init=False, repr=False)
+    _order_terms: dict[range | tuple, tuple] = field(default_factory=dict, init=False, repr=False)
     _drift_terms: dict[tuple[int, int], tuple] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
@@ -458,27 +458,33 @@ def eval_functionals(spec: ProcessSpec, path: BrownianPath) -> PathFunctionals:
 # per-path truth values
 
 
-def _order_terms(st: SpecTables, orders: tuple[int, ...]) -> tuple:
-    """What :func:`block_true_fourier_a` takes from the orders alone: f's
-    coefficient row (None when f is zero), ``z``, the divisor ``1 - z`` (1
-    at n = 0) and the mask n = 0; built once per tables and orders and kept
-    on the tables, so a run's tiles share them."""
-    terms = st._order_terms.get(orders)
+def _order_terms(st: SpecTables, orders: Sequence[int]) -> tuple:
+    """What :func:`block_true_fourier_a` takes from the orders alone: the
+    orders as a read-only int array, the largest |n|, f's coefficient row
+    (None when f is zero), ``z``, the divisor ``1 - z`` (1 at n = 0) and the
+    mask n = 0; built once per tables and orders and kept on the tables, so a
+    run's tiles share them.  A range or a tuple is its own key, so a caller
+    that passes one fixed for the run pays neither an array nor a key per
+    call; other sequences are keyed by their tuple of ints."""
+    key = orders if isinstance(orders, (range, tuple)) else tuple(np.asarray(orders).tolist())
+    terms = st._order_terms.get(key)
     if terms is None:
         m = st.grid.m
         ords = np.array(orders, dtype=int)
+        ords.flags.writeable = False
         top = int(np.max(np.abs(ords), initial=0))
         table = st.spec.f_table
         if isinstance(table, TrigPoly):
-            f_row = np.array([table.coeff(n) for n in orders], dtype=complex)
+            f_row = np.array([table.coeff(n) for n in ords.tolist()], dtype=complex)
         elif table is not None:
             f_row = coefficients(st.f, top)[ords + top] / m
         else:
             f_row = None
         one_minus_z = -np.expm1(-2j * np.pi * ords / m)
         is_zero = ords == 0
-        terms = (f_row, 1 - one_minus_z, np.where(is_zero, 1.0, one_minus_z), is_zero)
-        st._order_terms[orders] = terms
+        divisor = np.where(is_zero, 1.0, one_minus_z)
+        terms = (ords, top, f_row, 1 - one_minus_z, divisor, is_zero)
+        st._order_terms[key] = terms
     return terms
 
 
@@ -496,21 +502,21 @@ def block_true_fourier_a(
     with ``z = e^{-2 pi i n/m}`` for n != 0, and ``sum_i W_i`` for n = 0.
     ``i_coef`` (..., 2L + 1), with I_l in column ``l + L``, supplies them when
     it covers every order, as a sweep tile's does; otherwise they are the
-    coefficients of W's increments.
+    coefficients of W's increments.  Pass the orders as a range or a tuple
+    that is fixed for the run, and every call after the first finds their
+    terms at once (:func:`_order_terms`).
     """
     m = st.grid.m
     rec = st.spec.record
-    orders = np.asarray(orders, dtype=int)
-    f_row, z, divisor, is_zero = _order_terms(st, tuple(orders.tolist()))
-    out = np.zeros(w.shape[:-1] + orders.shape, dtype=complex)
+    ords, top, f_row, z, divisor, is_zero = _order_terms(st, orders)
+    out = np.zeros(w.shape[:-1] + ords.shape, dtype=complex)
     if f_row is not None:
         out += f_row
     if rec.alpha:
-        top = int(np.max(np.abs(orders), initial=0))
         if i_coef is None or i_coef.shape[-1] < 2 * top + 1:
             i_coef = coefficients(np.diff(w, axis=-1), top)
         L = (i_coef.shape[-1] - 1) // 2
-        w_coef = (z * i_coef[..., orders + L] - i_coef[..., L : L + 1]) / divisor
+        w_coef = (z * i_coef[..., ords + L] - i_coef[..., L : L + 1]) / divisor
         w_coef[..., is_zero] = w[..., :-1].sum(axis=-1, keepdims=True)
         out += rec.alpha * (w_coef / m)
     if rec.beta:

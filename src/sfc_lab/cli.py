@@ -74,10 +74,19 @@ def _run_config(args: argparse.Namespace) -> tuple[ExperimentConfig, dict]:
     return config_from_jsonable(data), {k: data[k] for k in COMMAND_KEYS if k in data}
 
 
-def _write_artifacts(out: str, stem: str, result) -> None:
-    """Write a result's ``<stem>.csv`` and ``<stem>.json`` into ``out``."""
+def _output_dir(out: str) -> Path:
+    """``--out`` as a directory, made if it is missing, before any run starts:
+    a path that cannot be one is a config error, not a lost run."""
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use --out {out_dir} as the output directory: {exc}") from None
+    return out_dir
+
+
+def _write_artifacts(out_dir: Path, stem: str, result) -> None:
+    """Write a result's ``<stem>.csv`` and ``<stem>.json`` into ``out_dir``."""
     for suffix, text in (("csv", result.csv_text()), ("json", result.json_text())):
         path = out_dir / f"{stem}.{suffix}"
         path.write_text(text, encoding="utf-8", newline="\n")
@@ -198,6 +207,8 @@ def cmd_verify_multiplication(args: argparse.Namespace) -> int:
     top = max(_BASIS_ORDERS, key=abs)
     if args.m <= 2 * abs(top):
         raise ConfigError(f"--m must be > {2 * abs(top)} to resolve basis order {top}, got {args.m}")
+    if args.m % 2:
+        raise ConfigError(f"--m must be even: the battery needs t = 1/2 on the grid, got {args.m}")
     ok = _identity_checks(TimeGrid(args.m), args.seed, args.paths)
     print("verify-multiplication:", "all residuals in tolerance" if ok else "FAILED")
     return 0 if ok else 1
@@ -232,8 +243,9 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         )
     if len(cfg.n_list) < 2:
         raise ConfigError(f"a decay slope needs at least two widths, got N_list={list(cfg.n_list)}")
+    out_dir = _output_dir(args.out)
     result = run_convergence(cfg)
-    _write_artifacts(args.out, "convergence", result)
+    _write_artifacts(out_dir, "convergence", result)
     print(f"config_hash={config_hash(cfg)}")
     print(f"runtime_seconds={result.runtime_seconds:.3f}")
 
@@ -259,8 +271,9 @@ def cmd_convergence(args: argparse.Namespace) -> int:
 
 def cmd_identify(args: argparse.Namespace) -> int:
     cfg, command = _run_config(args)
+    out_dir = _output_dir(args.out)
     result = run_identify(cfg, command.get("mode", CLOSED_FORM))
-    _write_artifacts(args.out, "identify", result)
+    _write_artifacts(out_dir, "identify", result)
     for row in result.rows:
         print(
             f"n={row['n']} a_mean={row['a_mean_re']:+.6f}{row['a_mean_im']:+.6f}j "

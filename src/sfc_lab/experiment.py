@@ -5,9 +5,12 @@ of at most ``block_size`` and 16 rows, and of at most as many as keep one
 from the spec's tables (built once per spec and grid), one transform each of
 dX and dW and all its Bohr windows from one ``bohr.band_windows`` call;
 ``run_identify`` recovers b on the same tile.
-Each worker thread fills the same five buffers for every tile it builds, so
+Each worker thread fills the same four buffers for every tile it builds, so
 a :class:`Tile`'s arrays are views on them, valid only inside the callback
-that receives it.
+that receives it.  The sweep keeps, takes the truth of and reduces the
+orders ``n = 0 .. M`` of each path only: the increments are real, so ``B_N(-n)
+= conj(B_N(n))`` and the truth's coefficients mirror the same way, and the
+orders ``n < 0`` of every table are copies.
 
 Determinism contract
 --------------------
@@ -293,10 +296,11 @@ class ExperimentResult(_Report):
 
     Tables are indexed ``[order_index, width_index]`` with orders ascending
     (-M .. M) and widths in ``config.n_list`` order.  ``abs_errors`` and
-    ``estimates`` keep the per-path tensors (paths, widths, orders) of
-    |estimate - truth| and of the raw estimates; they and ``runtime_seconds``
-    stay out of every serialization so identical configurations serialize
-    identically.
+    ``estimates`` are the per-path tensors (paths, widths, orders) of
+    |estimate - truth| and of the raw estimates, built on each access from
+    the orders ``n = 0 .. M`` that the result keeps (``|err(-n)| = |err(n)|``
+    and ``B_N(-n) = conj(B_N(n))``); they and ``runtime_seconds`` stay out of
+    every serialization so identical configurations serialize identically.
     """
 
     csv_header: ClassVar[str] = CSV_HEADER
@@ -304,8 +308,8 @@ class ExperimentResult(_Report):
     mean_abs_err: np.ndarray = field(repr=False)
     lp_err: np.ndarray = field(repr=False)
     std_err: np.ndarray = field(repr=False)
-    abs_errors: np.ndarray = field(repr=False)
-    estimates: np.ndarray = field(repr=False)
+    _abs_errors: np.ndarray = field(repr=False)  # (paths, widths, orders 0 .. M)
+    _estimates: np.ndarray = field(repr=False)  # (paths, widths, orders 0 .. M)
     runtime_seconds: float = 0.0
     _fits: dict[int, DecayFit] = field(default_factory=dict, init=False, repr=False)  # by order
 
@@ -323,8 +327,27 @@ class ExperimentResult(_Report):
             for wi, N in enumerate(self.config.n_list)
         ]
 
+    @property
+    def abs_errors(self) -> np.ndarray:
+        return _mirror(self._abs_errors, axis=-1)
+
+    @property
+    def estimates(self) -> np.ndarray:
+        return _mirror(self._estimates, axis=-1)
+
     def _json_extra(self) -> dict:
         return {"decay": {str(n): asdict(fit_decay(self, n)) for n in self.config.orders}}
+
+
+def _mirror(half: np.ndarray, axis: int) -> np.ndarray:
+    """The orders ``-M .. M`` along ``axis`` from the orders ``0 .. M`` of
+    ``half``: entry -n is entry n, conjugated when complex."""
+    M = half.shape[axis] - 1
+    full = np.take(half, np.abs(np.arange(-M, M + 1)), axis=axis)
+    if np.iscomplexobj(full):
+        negative = np.moveaxis(full, axis, 0)[:M]
+        np.conjugate(negative, out=negative)
+    return full
 
 
 def fit_decay(result: ExperimentResult, n: int = 0) -> DecayFit:
@@ -354,13 +377,14 @@ class Tile:
     """Paths ``lo ..`` of one tile: W's nodes and increments, dX, ``F_k(dX)``
     (``|k| <= N + M``), ``F_l(dW)`` (``|l| <= max(N + M, 2M)``, the orders
     that the drift step reads; the windows and the truth take the centre)
-    and the windows (rows, orders, widths), with the worker's free real
-    scratch (rows, m) and flat complex scratch, which holds an rfft spectrum
-    of the rows or any window's products.  W, dW, dX and the two scratch
-    arrays are views on the worker's buffers, which its next tile
-    overwrites: they are valid only inside the callback, so keep a copy of
-    what must outlive it.  The coefficients and the windows are the tile's
-    own."""
+    and the windows (rows, orders -M .. M, widths), with the worker's flat
+    complex scratch, which holds an rfft spectrum of the rows or any window's
+    products, and ``scratch``, its real view (rows, m).  Once the
+    coefficients are taken, dX's rows and both scratch arrays are free.  W,
+    dW, dX and the scratch are views on the worker's buffers, which its next
+    tile overwrites: they are valid only inside the callback, so keep a copy
+    of what must outlive it.  The coefficients and the windows are the
+    tile's own."""
 
     lo: int
     w: np.ndarray
@@ -385,26 +409,30 @@ def _run_tiles(cfg: ExperimentConfig, st: SpecTables, widths: tuple[int, ...], w
     with the lowest path index raises, so a failure is reported as the
     one-thread run reports it.
 
-    Each worker thread allocates five buffers and its generator at its first
+    Each worker thread allocates four buffers and its generator at its first
     tile and fills them in place for every later one, so a tile makes no array
-    of a tile's size: dW and W (drawn by ``brownian.sample_rows``), dX, one
-    real scratch that holds a, then the drift's ``b / m``, then what the drift
-    step writes (a or ``i dW``), and one flat complex scratch that holds the
-    rfft spectrum of each transform and then the window products, of a width N
-    or of the band M (each transform copies its orders out of it first).  The
-    sampler and the windows both avoid the steps through which numpy holds the
-    GIL, so threads overlap every step of a tile.
+    of a tile's size: dW and W (drawn by ``brownian.sample_rows``), dX, and one
+    flat complex scratch.  Its real view holds a and then the drift's ``b /
+    m`` until dX is complete; then it holds the rfft spectrum of each
+    transform and the window products, of a width N or of the band M (each
+    transform copies its orders out of it first).  The drift step writes its
+    transform input (``dX - a dW + correction`` or ``i dW``) into dX's rows.
+    The sampler and the windows both avoid the steps through which numpy
+    holds the GIL, so threads overlap every step of a tile.
     """
     m, n_max, rows = cfg.m, max(widths), tile_rows(cfg)
     L = max(n_max + cfg.M, 2 * cfg.M)  # the dW orders the drift step reads
+    # the rfft spectrum (which also covers the real view's m floats a row)
+    # and the band-M windows' products
     complex_size = rows * max(m // 2 + 1, (2 * max(n_max, cfg.M) + 1) * (cfg.M + 1))
     local = threading.local()
 
     def buffers() -> tuple[np.ndarray, ...]:
-        """This thread's dW, scratch, dX, W and complex scratch."""
+        """This thread's dW, dX, W and complex scratch."""
         if not hasattr(local, "buffers"):
             local.buffers = (
-                *(np.empty((rows, m)) for _ in range(3)),
+                np.empty((rows, m)),
+                np.empty((rows, m)),
                 np.empty((rows, m + 1)),
                 np.empty(complex_size, dtype=complex),
             )
@@ -414,7 +442,8 @@ def _run_tiles(cfg: ExperimentConfig, st: SpecTables, widths: tuple[int, ...], w
     def one(lo: int) -> None:
         count = min(cfg.paths, lo + rows) - lo
         *real, complex_scratch = buffers()
-        dw, scratch, dx, w = (b[:count] for b in real)
+        dw, dx, w = (b[:count] for b in real)
+        scratch = complex_scratch.view(float)[: count * m].reshape(count, m)
         spectrum = complex_scratch[: count * (m // 2 + 1)].reshape(count, m // 2 + 1)
         local.rng = sample_rows(cfg.master_seed, lo, dw, w, local.rng)
         _, _, dx = block_functionals(st, w, out=(scratch, scratch, dx))
@@ -539,26 +568,50 @@ def _path_statistics(values: np.ndarray, p: float | None = None) -> np.ndarray:
     return stats
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where ``os.sysconf`` cannot say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _require_results_fit(cfg: ExperimentConfig, bytes_per_path: int) -> None:
+    """Refuse a run whose per-path results alone exceed physical memory: it
+    could not finish, so it fails before anything is allocated."""
+    need, have = cfg.paths * bytes_per_path, _physical_memory()
+    if have is not None and need > have:
+        raise ConfigError(
+            f"{cfg.paths} paths need {need:,} bytes of per-path results, more than the "
+            f"{have:,} bytes of physical memory"
+        )
+
+
 def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the sweep; see the module docstring for the determinism contract."""
     started = time.perf_counter()
+    M, widths = cfg.M, len(cfg.n_list)
+    _require_results_fit(cfg, widths * (M + 1) * (8 + 16))
     st = spec_tables(cfg.spec, TimeGrid(cfg.m))
-    abs_err = np.zeros((cfg.paths, len(cfg.n_list), len(cfg.orders)))
-    estimates = np.zeros((cfg.paths, len(cfg.n_list), len(cfg.orders)), dtype=complex)
+    half = range(M + 1)  # the orders kept; n < 0 mirrors them
+    abs_err = np.zeros((cfg.paths, widths, M + 1))
+    estimates = np.zeros((cfg.paths, widths, M + 1), dtype=complex)
 
     def work(tile: Tile) -> None:
-        truth = block_true_fourier_a(st, tile.w, cfg.orders, tile.i_coef)
-        err = np.abs(tile.est - truth[:, :, None])
-        _require_finite("estimate", err, tile.lo, cfg.orders, cfg.n_list)
+        est = tile.est[:, M:]
+        err = np.abs(est - block_true_fourier_a(st, tile.w, half, tile.i_coef)[:, :, None])
+        # |err(-n)| = |err(n)|: searched from n = M down, labelled -M .. 0, the
+        # first non-finite entry is the one the full band -M .. M shows first
+        _require_finite("estimate", err[:, ::-1], tile.lo, cfg.orders[: M + 1], cfg.n_list)
         hi = tile.lo + len(err)
         abs_err[tile.lo : hi] = err.transpose(0, 2, 1)
-        estimates[tile.lo : hi] = tile.est.transpose(0, 2, 1)
+        estimates[tile.lo : hi] = est.transpose(0, 2, 1)
 
     _run_tiles(cfg, st, cfg.n_list, work)
 
     p = cfg.p_exponent
     stats = _path_statistics(abs_err.reshape(cfg.paths, -1), p)
-    mean_abs, var, power = stats.reshape(3, len(cfg.n_list), len(cfg.orders)).transpose(0, 2, 1)
+    mean_abs, var, power = _mirror(stats.reshape(3, widths, M + 1), axis=-1).transpose(0, 2, 1)
     lp = power ** (1.0 / p)
     se = np.sqrt(var / cfg.paths)
     failures = {
@@ -575,8 +628,8 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
         mean_abs_err=mean_abs,
         lp_err=lp,
         std_err=se,
-        abs_errors=abs_err,
-        estimates=estimates,
+        _abs_errors=abs_err,
+        _estimates=estimates,
         runtime_seconds=time.perf_counter() - started,
     )
 
@@ -630,6 +683,7 @@ def run_identify(cfg: ExperimentConfig, mode: str) -> IdentifyResult:
     synthesized step reads coefficient rows and the truth's coefficients.
     """
     N = BohrConfig(N=max(cfg.n_list), M=cfg.M, mode=mode).N
+    _require_results_fit(cfg, 2 * len(cfg.orders) * 16)
     st = spec_tables(cfg.spec, TimeGrid(cfg.m))
     a_hat = np.empty((cfg.paths, len(cfg.orders)), dtype=complex)
     b_hat = np.empty_like(a_hat)
@@ -639,9 +693,10 @@ def run_identify(cfg: ExperimentConfig, mode: str) -> IdentifyResult:
         _require_finite("a_hat", tile.est, tile.lo, cfg.orders, (N,))
         # the true a at the left tags, which only the closed form reads
         diffusion = block_diffusion(st, tile.w, tile.scratch) if mode == CLOSED_FORM else None
+        # F(dX) is taken, so the drift step's transform input goes into dX's rows
         b = drift_coefficients(
             st, mode, tile.w, tile.dw, tile.dx, diffusion, a, tile.f_coef, tile.i_coef,
-            out=(tile.scratch, tile.complex_scratch),
+            out=(tile.dx, tile.complex_scratch),
         )
         _require_finite("b_hat", b[:, :, None], tile.lo, cfg.orders, (N,))
         a_hat[tile.lo : tile.lo + len(a)] = a

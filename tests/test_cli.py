@@ -399,6 +399,7 @@ def test_non_integer_config_fields_exit_two(tmp_path, capsys, field, value):
         ["verify-multiplication", "--m", "64", "--paths", "2", "--seed", "-3"],
         ["verify-multiplication", "--m", "4", "--paths", "2"],  # aliases basis order -3
         ["verify-multiplication", "--m", "6", "--paths", "2"],
+        ["verify-multiplication", "--m", "7", "--paths", "2"],  # t = 1/2 is not a node
     ],
 )
 def test_bad_command_line_values_exit_two(argv, capsys):
@@ -407,6 +408,40 @@ def test_bad_command_line_values_exit_two(argv, capsys):
     assert "config error" in err and out == ""  # rejected before any check prints
     if argv[:3] == ["verify-multiplication", "--m", "6"]:
         assert "basis order -3" in err
+    if argv[:3] == ["verify-multiplication", "--m", "7"]:
+        assert "must be even" in err and "t = 1/2" in err and "MIDPOINT" not in err
+
+
+@pytest.mark.parametrize("command", ["convergence", "identify"])
+def test_an_unusable_out_exits_two_before_the_run(tmp_path, monkeypatch, capsys, command):
+    def run(*args):
+        raise AssertionError("the run started before --out was checked")
+
+    monkeypatch.setattr(cli, f"run_{command}", run)
+    data = base_convergence_config() if command == "convergence" else identify_config()
+    cfg_path = write_config(tmp_path, "cfg.json", data)
+    afile = tmp_path / "afile"
+    afile.write_text("", encoding="utf-8")
+    assert main([command, "--config", cfg_path, "--out", str(afile / "sub")]) == 2
+    out, err = capsys.readouterr()
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith("config error: ")
+    assert str(afile / "sub") in errors[0] and out == ""
+
+
+def test_results_larger_than_memory_exit_two(tmp_path, monkeypatch, capsys):
+    # the machine is said to hold 1 MB: 100000 paths of 3 widths and the
+    # orders 0 .. 1 need 14.4 MB of per-path results; no tile runs
+    import sfc_lab.experiment as exp
+
+    monkeypatch.setattr(exp, "_physical_memory", lambda: 10**6)
+    monkeypatch.setattr(exp, "_run_tiles", lambda *args: pytest.fail("the run started"))
+    cfg_path = write_config(tmp_path, "cfg.json", base_convergence_config())
+    argv = ["convergence", "--config", cfg_path, "--out", str(tmp_path / "o"), "--paths", "100000"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error: 100000 paths need 14,400,000 bytes" in err
+    assert "1,000,000 bytes of physical memory" in err
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import spec_for
@@ -30,11 +30,12 @@ from sfc_lab import (
     recover_b,
     sample_path,
 )
-from sfc_lab.catalog import spec_tables
+from sfc_lab.catalog import block_true_fourier_a, spec_tables
 from sfc_lab.experiment import (
     CSV_HEADER,
     ExperimentConfig,
     IdentifyResult,
+    _path_statistics,
     _run_tiles,
     config_from_jsonable,
     config_hash,
@@ -301,9 +302,10 @@ def test_tile_geometry_does_not_change_any_per_path_number(monkeypatch, threads)
 
 
 def test_a_sweep_holds_few_tile_buffers(monkeypatch):
-    # two workers, each with five 8-row buffers, at the perfbench sweep's m,
+    # two workers, each with four 8-row buffers, at the perfbench sweep's m,
     # widths and orders; the first run builds the spec's tables and the
-    # window plan, which later runs share
+    # window plan, which later runs share.  Five buffers and the full band's
+    # results peaked at 3.73-3.86 MB here, four and the half band at 3.20.
     monkeypatch.setenv("SFC_LAB_THREADS", "2")
     spec = spec_for("NONCAUSAL_BRIDGE", {"g": cosine(), "drift": "w1"})
     cfg = small_config(spec=spec, n_list=(4, 8, 16, 32, 64, 128, 256), M=4, m=4096, paths=200)
@@ -314,13 +316,14 @@ def test_a_sweep_holds_few_tile_buffers(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4_000_000, peak
+    assert peak < 3_500_000, peak
 
 
 def test_synthesized_identify_holds_few_tile_buffers(monkeypatch):
     # ROADMAP item 6's config at 200 paths: the drift step reads coefficient
-    # rows and runs its windows in the tile's complex scratch.  The
-    # time-domain gradient that it replaced peaked at 8.27 MB here.
+    # rows, runs its windows in the tile's complex scratch and writes its
+    # transform input into dX's rows.  The time-domain gradient that it
+    # replaced peaked at 8.27 MB here, and five tile buffers at 3.70-3.76.
     monkeypatch.setenv("SFC_LAB_THREADS", "2")
     spec = spec_for("NONCAUSAL_BRIDGE", {"g": cosine(), "drift": "w1"})
     cfg = small_config(spec=spec, n_list=(256,), M=4, m=4096, paths=200)
@@ -331,7 +334,86 @@ def test_synthesized_identify_holds_few_tile_buffers(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6_000_000, peak
+    assert peak < 3_500_000, peak
+
+
+def test_the_sweep_keeps_orders_zero_to_m_per_path():
+    cfg = small_config(M=3)
+    res = run_convergence(cfg)
+    # per path: 3 widths x 4 orders of one float error and one complex estimate
+    assert res._abs_errors.shape == res._estimates.shape == (120, 3, 4)
+    assert res._abs_errors.nbytes + res._estimates.nbytes == 120 * 3 * 4 * (8 + 16)
+    assert res.abs_errors.shape == res.estimates.shape == (120, 3, 7)
+    assert not np.shares_memory(res.estimates, res._estimates)  # built on access
+
+
+def _full_band_sweep(cfg):
+    """The sweep over every order -M .. M: the per-path errors and estimates
+    (paths, widths, orders) and the mean, variance and mean p-th power of
+    each error (3, orders, widths), as ``run_convergence`` reduced them
+    before it kept the orders n >= 0 alone."""
+    tables = spec_tables(cfg.spec, TimeGrid(cfg.m))
+    shape = (cfg.paths, len(cfg.n_list), len(cfg.orders))
+    abs_err, estimates = np.zeros(shape), np.zeros(shape, dtype=complex)
+
+    def work(tile):
+        truth = block_true_fourier_a(tables, tile.w, cfg.orders, tile.i_coef)
+        hi = tile.lo + len(tile.est)
+        abs_err[tile.lo : hi] = np.abs(tile.est - truth[:, :, None]).transpose(0, 2, 1)
+        estimates[tile.lo : hi] = tile.est.transpose(0, 2, 1)
+
+    _run_tiles(cfg, tables, cfg.n_list, work)
+    stats = _path_statistics(abs_err.reshape(cfg.paths, -1), cfg.p_exponent)
+    return abs_err, estimates, stats.reshape(3, len(cfg.n_list), -1).transpose(0, 2, 1)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(CATALOG_KINDS),
+    drift=st.sampled_from(DRIFT_KINDS),
+    M=st.integers(0, 3),
+    odd=st.booleans(),
+    p=st.sampled_from([2.0, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_half_band_sweep_rebuilds_the_full_band(kind, drift, M, odd, p, seed):
+    # MIDPOINT needs t = 1/2 on the grid, so an even m
+    assume(not (odd and kind == "NONCAUSAL_MIDPOINT"))
+    params = {} if drift == "none" else {"g": cosine(), "drift": drift}
+    cfg = small_config(spec=spec_for(kind, params), n_list=(2, 4), M=M, m=64 + odd,
+                       paths=100, master_seed=seed, p_exponent=p)
+    res = run_convergence(cfg)
+    abs_err, estimates, (mean, var, power) = _full_band_sweep(cfg)
+    npt.assert_array_equal(_bits(res.abs_errors), _bits(abs_err))
+    npt.assert_array_equal(_bits(res.estimates), _bits(estimates))
+    npt.assert_array_equal(_bits(res.mean_abs_err), _bits(mean))
+    npt.assert_array_equal(_bits(res.lp_err), _bits(power ** (1.0 / p)))
+    npt.assert_array_equal(_bits(res.std_err), _bits(np.sqrt(var / cfg.paths)))
+
+
+def test_results_larger_than_memory_are_refused_before_any_tile(monkeypatch):
+    # by arithmetic, at a size a test can allocate: the machine is said to
+    # hold one byte less than the per-path results need
+    import sfc_lab.experiment as exp
+
+    def no_tiles(*args):
+        raise AssertionError("a run that cannot fit started its tiles")
+
+    monkeypatch.setattr(exp, "_run_tiles", no_tiles)
+    cfg = small_config(paths=1000)
+    for run, need in (
+        (run_convergence, 1000 * 3 * 2 * (8 + 16)),  # widths x orders 0 .. M
+        (lambda c: run_identify(c, "closed_form"), 1000 * 2 * 3 * 16),  # a and b, |n| <= M
+    ):
+        monkeypatch.setattr(exp, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ConfigError) as info:
+            run(cfg)
+        assert f"need {need:,} bytes" in str(info.value)
+        assert f"{need - 1:,} bytes of physical memory" in str(info.value)
 
 
 def test_negative_orders_are_the_conjugates_of_the_positive(monkeypatch):
