@@ -105,6 +105,9 @@ def grid_supports(m: int, N: int, M: int) -> bool:
     return m >= 8 * (N + M)
 
 
+_MULTIPLY_BUFFER = 512  # elements: numpy's ufunc buffer while windows multiplies (default 8192)
+
+
 @lru_cache(maxsize=16)
 def _window_plan(
     K: int, L: int, orders: tuple[int, ...], widths: tuple[int, ...]
@@ -146,20 +149,28 @@ def windows(
     ``I_l`` in column ``k + K`` and ``l + L``; it needs ``max N <= L`` and
     ``L + max |n| <= K``.  The products lie l axis first, center-out ``l = 0,
     1, -1, 2, -2, ..``, in a (2L + 1, orders, rows) array, the leading axes
-    flattened into rows; ``I`` is gathered along the l axis of its
-    transposed rows, so the multiply runs along contiguous rows.  The widths
-    go in ascending N, each one reduce along the l axis over its new
+    flattened into rows.  ``F`` is gathered by whole order rows of its (2K +
+    1, rows) transpose, which is a view when ``f_coef`` is stored order-major
+    as :func:`sfc.coefficients` stores it; ``I`` is gathered the same way,
+    and the multiply broadcasts it over the orders.  numpy runs that
+    broadcast through a ufunc buffer of as many elements as the products, up
+    to its default 8192 (128 KiB); the call caps it at ``_MULTIPLY_BUFFER``
+    elements (8 KiB), for the calling thread only (``np.setbufsize``).  The
+    widths go in ascending N, each one reduce along the l axis over its new
     entries, starting from the total of the width before: the additions of
     one cumsum, in its order, read at entry 2N.  So a width's value does not
     depend on which other widths are asked for, and no difference of two
     prefix sums is taken.  Each width reduces into its contiguous slab of a
     (widths, orders, rows) array, and the result is that array's transpose,
-    a view that is not C-contiguous.  numpy releases the GIL for a reduce
-    over whole (orders, rows) slabs, and holds it through a cumsum along the
-    last axis.  ``out``, a C-contiguous complex array of at least as many
-    elements as the products, in any shape (a tile's rfft spectrum, say),
-    receives them in place of a new array.  Rows never mix, so a row's
-    windows do not depend on the rows beside it.
+    a view that is not C-contiguous.  The reduce over whole (orders, rows)
+    slabs adds them one entry at a time; a single sequence (one order, one
+    row) would be added pairwise, so it takes a cumsum.  These are many
+    short numpy loops: two threads that each ran this stage alone, at a sweep
+    tile on a 2-vCPU host, went at 0.9x the rate of one.  ``out``, a
+    C-contiguous complex array of at least as many elements as the
+    products, in any shape (a tile's rfft spectrum, say), receives them in
+    place of a new array.  Rows never mix, so a row's windows do not depend
+    on the rows beside it.
     """
     K = (f_coef.shape[-1] - 1) // 2
     L = (i_coef.shape[-1] - 1) // 2
@@ -170,8 +181,17 @@ def windows(
         shape = f_index.shape + f_by_k.shape[1:]
         out = out.reshape(-1)[: math.prod(shape)].reshape(shape)
     # the indices are in range: mode "clip" only keeps take from buffering ``out``
-    prod = np.take(f_by_k, f_index, axis=0, out=out, mode="clip")
-    prod *= np.take(i_coef.reshape(-1, 2 * L + 1).T, i_index, axis=0)[:, None, :]
+    prod = np.take(f_by_k, f_index, axis=0, out=out, mode="clip")  # (2L + 1, orders, rows)
+    i_by_l = np.take(i_coef.reshape(-1, 2 * L + 1).T, i_index, axis=0)[:, None, :]
+    if prod.size > _MULTIPLY_BUFFER:
+        bufsize = np.setbufsize(_MULTIPLY_BUFFER)
+        try:
+            prod *= i_by_l
+        finally:
+            np.setbufsize(bufsize)
+    else:  # numpy's buffer holds no more than the products anyway
+        prod *= i_by_l
+    del i_by_l  # freed before the windows are allocated
     est = np.empty((len(norms),) + prod.shape[1:], dtype=complex)  # (widths, orders, rows)
     for wi, start, stop in segments:
         if start:

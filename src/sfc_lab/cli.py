@@ -22,7 +22,9 @@ import json
 import math
 import sys
 import traceback
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -74,15 +76,27 @@ def _run_config(args: argparse.Namespace) -> tuple[ExperimentConfig, dict]:
     return config_from_jsonable(data), {k: data[k] for k in COMMAND_KEYS if k in data}
 
 
-def _output_dir(out: str) -> Path:
+@contextmanager
+def _output_dir(out: str) -> Iterator[Path]:
     """``--out`` as a directory, made if it is missing, before any run starts:
-    a path that cannot be one is a config error, not a lost run."""
+    a path that cannot be one is a config error, not a lost run.  If the run
+    inside raises, the directories made here are removed again while they
+    are still empty."""
     out_dir = Path(out)
+    made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot use --out {out_dir} as the output directory: {exc}") from None
-    return out_dir
+    try:
+        yield out_dir
+    except BaseException:
+        for path in made:  # innermost first
+            try:
+                path.rmdir()
+            except OSError:  # no longer empty, or gone
+                break
+        raise
 
 
 def _write_artifacts(out_dir: Path, stem: str, result) -> None:
@@ -243,8 +257,8 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         )
     if len(cfg.n_list) < 2:
         raise ConfigError(f"a decay slope needs at least two widths, got N_list={list(cfg.n_list)}")
-    out_dir = _output_dir(args.out)
-    result = run_convergence(cfg)
+    with _output_dir(args.out) as out_dir:
+        result = run_convergence(cfg)
     _write_artifacts(out_dir, "convergence", result)
     print(f"config_hash={config_hash(cfg)}")
     print(f"runtime_seconds={result.runtime_seconds:.3f}")
@@ -271,8 +285,8 @@ def cmd_convergence(args: argparse.Namespace) -> int:
 
 def cmd_identify(args: argparse.Namespace) -> int:
     cfg, command = _run_config(args)
-    out_dir = _output_dir(args.out)
-    result = run_identify(cfg, command.get("mode", CLOSED_FORM))
+    with _output_dir(args.out) as out_dir:
+        result = run_identify(cfg, command.get("mode", CLOSED_FORM))
     _write_artifacts(out_dir, "identify", result)
     for row in result.rows:
         print(

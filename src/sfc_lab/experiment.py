@@ -7,10 +7,12 @@ dX and dW and all its Bohr windows from one ``bohr.band_windows`` call;
 ``run_identify`` recovers b on the same tile.
 Each worker thread fills the same four buffers for every tile it builds, so
 a :class:`Tile`'s arrays are views on them, valid only inside the callback
-that receives it.  The sweep keeps, takes the truth of and reduces the
-orders ``n = 0 .. M`` of each path only: the increments are real, so ``B_N(-n)
-= conj(B_N(n))`` and the truth's coefficients mirror the same way, and the
-orders ``n < 0`` of every table are copies.
+that receives it.  Both results keep the orders ``n = 0 .. M`` of each path
+only: the sweep its estimates and one truth row, from which it reduces
+|estimate - truth| one width at a time, and identification ``a_hat`` and
+``b_hat``.  The increments are real, so ``B_N(-n) = conj(B_N(n))``, the
+truth's coefficients and b mirror the same way, and the orders ``n < 0`` of
+every table are copies.
 
 Determinism contract
 --------------------
@@ -298,9 +300,11 @@ class ExperimentResult(_Report):
     (-M .. M) and widths in ``config.n_list`` order.  ``abs_errors`` and
     ``estimates`` are the per-path tensors (paths, widths, orders) of
     |estimate - truth| and of the raw estimates, built on each access from
-    the orders ``n = 0 .. M`` that the result keeps (``|err(-n)| = |err(n)|``
-    and ``B_N(-n) = conj(B_N(n))``); they and ``runtime_seconds`` stay out of
-    every serialization so identical configurations serialize identically.
+    what the result keeps per path: the estimates at the orders ``n = 0 ..
+    M`` and one truth row of those orders (``B_N(-n) = conj(B_N(n))``, and
+    the truth mirrors the same way, so ``|err(-n)| = |err(n)|``).  They and
+    ``runtime_seconds`` stay out of every serialization so identical
+    configurations serialize identically.
     """
 
     csv_header: ClassVar[str] = CSV_HEADER
@@ -308,8 +312,8 @@ class ExperimentResult(_Report):
     mean_abs_err: np.ndarray = field(repr=False)
     lp_err: np.ndarray = field(repr=False)
     std_err: np.ndarray = field(repr=False)
-    _abs_errors: np.ndarray = field(repr=False)  # (paths, widths, orders 0 .. M)
     _estimates: np.ndarray = field(repr=False)  # (paths, widths, orders 0 .. M)
+    _truth: np.ndarray = field(repr=False)  # (paths, orders 0 .. M)
     runtime_seconds: float = 0.0
     _fits: dict[int, DecayFit] = field(default_factory=dict, init=False, repr=False)  # by order
 
@@ -329,7 +333,7 @@ class ExperimentResult(_Report):
 
     @property
     def abs_errors(self) -> np.ndarray:
-        return _mirror(self._abs_errors, axis=-1)
+        return _mirror(np.abs(self._estimates - self._truth[:, None, :]), axis=-1)
 
     @property
     def estimates(self) -> np.ndarray:
@@ -384,7 +388,8 @@ class Tile:
     dW, dX and the scratch are views on the worker's buffers, which its next
     tile overwrites: they are valid only inside the callback, so keep a copy
     of what must outlive it.  The coefficients and the windows are the
-    tile's own."""
+    tile's own; the coefficients are stored order-major, as
+    ``sfc.coefficients`` returns them."""
 
     lo: int
     w: np.ndarray
@@ -395,6 +400,19 @@ class Tile:
     est: np.ndarray
     scratch: np.ndarray
     complex_scratch: np.ndarray
+
+
+def _tile_buffers(cfg: ExperimentConfig, widths: tuple[int, ...]) -> tuple[int, int]:
+    """Rows per tile and the length of a worker's flat complex scratch: the
+    rfft spectrum (which also covers the real view's m floats a row) or the
+    band-M windows' products, whichever is longer."""
+    rows = tile_rows(cfg)
+    return rows, rows * max(cfg.m // 2 + 1, (2 * max(max(widths), cfg.M) + 1) * (cfg.M + 1))
+
+
+def _workers(cfg: ExperimentConfig, rows: int) -> int:
+    """Threads that work a run's tiles: ``resolve_threads()``, at most one a tile."""
+    return min(resolve_threads(), -(-cfg.paths // rows))
 
 
 def _run_tiles(cfg: ExperimentConfig, st: SpecTables, widths: tuple[int, ...], work) -> None:
@@ -417,14 +435,20 @@ def _run_tiles(cfg: ExperimentConfig, st: SpecTables, widths: tuple[int, ...], w
     transform and the window products, of a width N or of the band M (each
     transform copies its orders out of it first).  The drift step writes its
     transform input (``dX - a dW + correction`` or ``i dW``) into dX's rows.
-    The sampler and the windows both avoid the steps through which numpy
-    holds the GIL, so threads overlap every step of a tile.
+    Besides, a sweep tile allocates the two coefficient arrays it keeps, and
+    for the windows the gather of I (2N + 1 complex numbers a row), numpy's 8
+    KiB multiply buffer and the windows themselves.
+
+    Threads overlap the sampling and the transforms, and little else.  Each
+    stage of a sweep tile at the perfbench config (8 rows, m=4096), run alone
+    on two threads of a 2-vCPU host, went at this multiple of its one-thread
+    rate: sampling with X 1.7x, the two transforms 1.7-1.8x, the windows
+    0.9x, the truth and the store 0.7x.  The last two are many short numpy
+    loops and calls, whose overhead does not overlap.
     """
-    m, n_max, rows = cfg.m, max(widths), tile_rows(cfg)
+    m, n_max = cfg.m, max(widths)
+    rows, complex_size = _tile_buffers(cfg, widths)
     L = max(n_max + cfg.M, 2 * cfg.M)  # the dW orders the drift step reads
-    # the rfft spectrum (which also covers the real view's m floats a row)
-    # and the band-M windows' products
-    complex_size = rows * max(m // 2 + 1, (2 * max(n_max, cfg.M) + 1) * (cfg.M + 1))
     local = threading.local()
 
     def buffers() -> tuple[np.ndarray, ...]:
@@ -454,7 +478,7 @@ def _run_tiles(cfg: ExperimentConfig, st: SpecTables, widths: tuple[int, ...], w
         work(Tile(lo, w, dw, dx, f_coef, i_coef, est, scratch, complex_scratch))
 
     starts = range(0, cfg.paths, rows)
-    threads = min(resolve_threads(), len(starts))
+    threads = _workers(cfg, rows)
     pending = iter(starts)
     lock = threading.Lock()
     failures: dict[int, BaseException] = {}
@@ -576,14 +600,28 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _require_results_fit(cfg: ExperimentConfig, bytes_per_path: int) -> None:
-    """Refuse a run whose per-path results alone exceed physical memory: it
-    could not finish, so it fails before anything is allocated."""
-    need, have = cfg.paths * bytes_per_path, _physical_memory()
+# the spec's tables of m floats: f, g, c, the derivative table's u and v,
+# the correction, the drift step's ramp and one temporary
+_TABLE_ARRAYS = 8
+
+
+def _require_run_fits(cfg: ExperimentConfig, widths: tuple[int, ...], bytes_per_path: int) -> None:
+    """Refuse a run that physical memory cannot hold: its per-path results,
+    the spec's tables (at most ``_TABLE_ARRAYS`` arrays of m floats) and the
+    four buffers of every tile worker.  It could not finish, so it fails
+    before the tables or any tile are built."""
+    rows, complex_size = _tile_buffers(cfg, widths)
+    workers = _workers(cfg, rows)
+    results = cfg.paths * bytes_per_path
+    need = results + 8 * _TABLE_ARRAYS * cfg.m + workers * (
+        8 * rows * (3 * cfg.m + 1) + 16 * complex_size
+    )
+    have = _physical_memory()
     if have is not None and need > have:
         raise ConfigError(
-            f"{cfg.paths} paths need {need:,} bytes of per-path results, more than the "
-            f"{have:,} bytes of physical memory"
+            f"{cfg.paths} paths need {results:,} bytes of per-path results, and with the "
+            f"spec's tables and {workers} tile workers' buffers the run needs {need:,} bytes, "
+            f"more than the {have:,} bytes of physical memory"
         )
 
 
@@ -591,27 +629,30 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the sweep; see the module docstring for the determinism contract."""
     started = time.perf_counter()
     M, widths = cfg.M, len(cfg.n_list)
-    _require_results_fit(cfg, widths * (M + 1) * (8 + 16))
+    _require_run_fits(cfg, cfg.n_list, (widths + 1) * (M + 1) * 16)
     st = spec_tables(cfg.spec, TimeGrid(cfg.m))
     half = range(M + 1)  # the orders kept; n < 0 mirrors them
-    abs_err = np.zeros((cfg.paths, widths, M + 1))
     estimates = np.zeros((cfg.paths, widths, M + 1), dtype=complex)
+    truth = np.zeros((cfg.paths, M + 1), dtype=complex)
 
     def work(tile: Tile) -> None:
         est = tile.est[:, M:]
-        err = np.abs(est - block_true_fourier_a(st, tile.w, half, tile.i_coef)[:, :, None])
+        true = block_true_fourier_a(st, tile.w, half, tile.i_coef)
+        err = np.abs(est - true[:, :, None])
         # |err(-n)| = |err(n)|: searched from n = M down, labelled -M .. 0, the
         # first non-finite entry is the one the full band -M .. M shows first
         _require_finite("estimate", err[:, ::-1], tile.lo, cfg.orders[: M + 1], cfg.n_list)
         hi = tile.lo + len(err)
-        abs_err[tile.lo : hi] = err.transpose(0, 2, 1)
         estimates[tile.lo : hi] = est.transpose(0, 2, 1)
+        truth[tile.lo : hi] = true
 
     _run_tiles(cfg, st, cfg.n_list, work)
 
     p = cfg.p_exponent
-    stats = _path_statistics(abs_err.reshape(cfg.paths, -1), p)
-    mean_abs, var, power = _mirror(stats.reshape(3, widths, M + 1), axis=-1).transpose(0, 2, 1)
+    stats = np.empty((3, widths, M + 1))
+    for wi in range(widths):  # the errors of one width at a time, as the tiles found them
+        stats[:, wi] = _path_statistics(np.abs(estimates[:, wi] - truth), p)
+    mean_abs, var, power = _mirror(stats, axis=-1).transpose(0, 2, 1)
     lp = power ** (1.0 / p)
     se = np.sqrt(var / cfg.paths)
     failures = {
@@ -628,8 +669,8 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
         mean_abs_err=mean_abs,
         lp_err=lp,
         std_err=se,
-        _abs_errors=abs_err,
         _estimates=estimates,
+        _truth=truth,
         runtime_seconds=time.perf_counter() - started,
     )
 
@@ -638,24 +679,42 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
 class IdentifyResult(_Report):
     """Per-path estimates of both coefficient processes at width
     ``N = max(config.n_list)``: ``a_hat`` and ``b_hat`` have shape (paths,
-    orders), orders ascending.  They stay out of :meth:`json_dict`."""
+    orders), orders ascending, built on each access from the orders ``n = 0
+    .. M`` that the result keeps (both are exact conjugates at ``n < 0``, as
+    ``band_windows`` and ``drift_coefficients`` build them).  They stay out
+    of :meth:`json_dict`."""
 
     csv_header: ClassVar[str] = IDENTIFY_CSV_HEADER
     config: ExperimentConfig
     mode: str
-    a_hat: np.ndarray = field(repr=False)
-    b_hat: np.ndarray = field(repr=False)
+    _a_hat: np.ndarray = field(repr=False)  # (paths, orders 0 .. M)
+    _b_hat: np.ndarray = field(repr=False)  # (paths, orders 0 .. M)
+
+    @property
+    def a_hat(self) -> np.ndarray:
+        return _mirror(self._a_hat, axis=-1)
+
+    @property
+    def b_hat(self) -> np.ndarray:
+        return _mirror(self._b_hat, axis=-1)
 
     @cached_property
     def rows(self) -> list[dict]:
         """Per order: the complex sample mean and the scalar standard error
         ``sqrt((var(re) + var(im)) / paths)`` of each coefficient, reduced
-        once and shared by both artifacts."""
+        once and shared by both artifacts.  Only the orders ``n = 0 .. M``
+        are reduced; at ``-n`` the imaginary column is negated, so the mean
+        is the conjugate and both variances, and the standard error, are the
+        same, exactly.  (An exact sum of zero is +0 either way, hence ``0 -
+        mean``; only a nonzero sum below P times the least subnormal would
+        round to a zero of the other sign.)"""
         cfg = self.config
         # columns re, im of each order of a, then of b
-        parts = np.concatenate([self.a_hat, self.b_hat], axis=1).view(float)
-        mean, var = _path_statistics(parts).reshape(2, 2, len(cfg.orders), 2)
-        se = np.sqrt((var[..., 0] + var[..., 1]) / cfg.paths)
+        parts = np.concatenate([self._a_hat, self._b_hat], axis=1).view(float)
+        mean, var = _path_statistics(parts).reshape(2, 2, cfg.M + 1, 2)
+        se = _mirror(np.sqrt((var[..., 0] + var[..., 1]) / cfg.paths), axis=-1)
+        mean = _mirror(mean, axis=1)
+        mean[:, : cfg.M, 1] = 0.0 - mean[:, : cfg.M, 1]  # the conjugates at n < 0
         rows = []
         for oi, n in enumerate(cfg.orders):
             row = self._row(n, max(cfg.n_list), mode=self.mode)
@@ -683,9 +742,9 @@ def run_identify(cfg: ExperimentConfig, mode: str) -> IdentifyResult:
     synthesized step reads coefficient rows and the truth's coefficients.
     """
     N = BohrConfig(N=max(cfg.n_list), M=cfg.M, mode=mode).N
-    _require_results_fit(cfg, 2 * len(cfg.orders) * 16)
+    _require_run_fits(cfg, (N,), 2 * (cfg.M + 1) * 16)
     st = spec_tables(cfg.spec, TimeGrid(cfg.m))
-    a_hat = np.empty((cfg.paths, len(cfg.orders)), dtype=complex)
+    a_hat = np.empty((cfg.paths, cfg.M + 1), dtype=complex)  # n < 0 mirrors n > 0
     b_hat = np.empty_like(a_hat)
 
     def work(tile: Tile) -> None:
@@ -699,8 +758,8 @@ def run_identify(cfg: ExperimentConfig, mode: str) -> IdentifyResult:
             out=(tile.dx, tile.complex_scratch),
         )
         _require_finite("b_hat", b[:, :, None], tile.lo, cfg.orders, (N,))
-        a_hat[tile.lo : tile.lo + len(a)] = a
-        b_hat[tile.lo : tile.lo + len(a)] = b
+        a_hat[tile.lo : tile.lo + len(a)] = a[:, cfg.M :]
+        b_hat[tile.lo : tile.lo + len(a)] = b[:, cfg.M :]
 
     _run_tiles(cfg, st, (N,), work)
-    return IdentifyResult(config=cfg, mode=mode, a_hat=a_hat, b_hat=b_hat)
+    return IdentifyResult(config=cfg, mode=mode, _a_hat=a_hat, _b_hat=b_hat)

@@ -83,7 +83,12 @@ def coefficients(
     Returns
     -------
     ndarray of complex, shape (2 max_order + 1,) or (B, 2 max_order + 1)
-        Order k in column ``k + max_order``.
+        Order k in column ``k + max_order``.  The rows are stored order-major,
+        so the array is the transpose of a C-contiguous (2 max_order + 1, B)
+        one: order k of every row is one contiguous run, as :func:`bohr.windows`
+        gathers it.  It is the only array allocated: the orders ``k < 0`` are
+        copied and then conjugated in place, since a conjugate read straight
+        from the strided spectrum would make numpy allocate a ufunc buffer.
     """
     x = np.asarray(increments, dtype=float)
     if max_order < 0:
@@ -93,8 +98,13 @@ def coefficients(
         raise ValueError(
             f"order {max_order} aliases on a grid with m={m} cells; need m > {2 * max_order}"
         )
-    pos = np.fft.rfft(x, axis=-1, out=out)[..., : max_order + 1]
-    return np.concatenate([np.conj(pos[..., :0:-1]), pos], axis=-1)
+    K = max_order
+    spectrum = np.fft.rfft(x, axis=-1, out=out).T  # orders first
+    by_order = np.empty((2 * K + 1,) + x.shape[-2::-1], dtype=complex)
+    by_order[K:] = spectrum[: K + 1]
+    by_order[:K] = spectrum[K:0:-1]
+    np.conjugate(by_order[:K], out=by_order[:K])
+    return by_order.T
 
 
 def synthesize(coeffs: CoefficientSet | np.ndarray, m: int) -> np.ndarray:

@@ -9,6 +9,7 @@ Frozen per-path oracles used here (derived by hand, see notes):
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -168,6 +169,36 @@ def test_band_windows_conjugate_the_nonnegative_orders():
     assert np.array_equal(band[:, M:], windows(f_coef, i_coef, range(M + 1), widths))
     assert np.array_equal(band[:, :M], np.conj(band[:, : M : -1]))
     npt.assert_allclose(band, windows(f_coef, i_coef, range(-M, M + 1), widths), rtol=1e-14)
+
+
+def test_a_tiles_transforms_and_windows_allocate_only_their_results():
+    # the sweep's tile at the perfbench config: 8 rows, m=4096, widths 4 ..
+    # 256, M=4.  Each transform once kept a conjugate copy of its orders
+    # k < 0 (33 KB); the windows once copied F transposed (66 KB) and ran
+    # the broadcast multiply through numpy's default 128 KiB buffer.
+    rows, m, M, widths = 8, 4096, 4, (4, 8, 16, 32, 64, 128, 256)
+    N = max(widths)
+    dx, dw = np.random.default_rng(3).standard_normal((2, rows, m))
+    spectrum = np.empty((rows, m // 2 + 1), dtype=complex)
+    out = np.empty((M + 1) * (2 * N + 1) * rows, dtype=complex)
+    i_coef = coefficients(dw, N, spectrum)
+    f_coef = coefficients(dx, N + M, spectrum)  # and the FFT and window plans
+    windows(f_coef, i_coef, range(M + 1), widths, out)
+    assert f_coef.T.flags.c_contiguous  # order-major: one run per order
+    tracemalloc.start()
+    try:
+        f_coef = coefficients(dx, N + M, spectrum)
+        _, transform = tracemalloc.get_traced_memory()
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        windows(f_coef, i_coef, range(M + 1), widths, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert transform < f_coef.nbytes + 4096, (transform, f_coef.nbytes)
+    # besides ``out``: the I gather (66 KB), an 8 KiB multiply buffer and
+    # the result (4.5 KB)
+    assert peak - held < 80_000, peak - held
 
 
 def test_bohr_product_coverage_errors():

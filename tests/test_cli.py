@@ -157,7 +157,7 @@ def test_identify_reduces_each_order_once(tmp_path, monkeypatch, capsys):
     assert main(["identify", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
     assert len(reductions) == 1  # one kernel call for the whole result
     (values,) = reductions[0]
-    assert values.shape == (100, 3 * 4)  # orders -1, 0, 1; re and im of a and b
+    assert values.shape == (100, 2 * 4)  # orders 0, 1; re and im of a and b
 
 
 def test_convergence_fits_and_hashes_once(tmp_path, monkeypatch, capsys):
@@ -430,8 +430,8 @@ def test_an_unusable_out_exits_two_before_the_run(tmp_path, monkeypatch, capsys,
 
 
 def test_results_larger_than_memory_exit_two(tmp_path, monkeypatch, capsys):
-    # the machine is said to hold 1 MB: 100000 paths of 3 widths and the
-    # orders 0 .. 1 need 14.4 MB of per-path results; no tile runs
+    # the machine is said to hold 1 MB: 100000 paths of 3 widths, the truth
+    # and the orders 0 .. 1 need 12.8 MB of per-path results; no tile runs
     import sfc_lab.experiment as exp
 
     monkeypatch.setattr(exp, "_physical_memory", lambda: 10**6)
@@ -440,8 +440,30 @@ def test_results_larger_than_memory_exit_two(tmp_path, monkeypatch, capsys):
     argv = ["convergence", "--config", cfg_path, "--out", str(tmp_path / "o"), "--paths", "100000"]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "config error: 100000 paths need 14,400,000 bytes" in err
+    assert "config error: 100000 paths need 12,800,000 bytes" in err
     assert "1,000,000 bytes of physical memory" in err
+    assert not (tmp_path / "o").exists()  # the --out that the command made is gone
+
+
+@pytest.mark.parametrize("command", ["convergence", "identify"])
+def test_a_grid_whose_tables_exceed_memory_exits_two(tmp_path, monkeypatch, capsys, command):
+    # m = 10**11: one table of m floats is 800 GB, while the per-path results
+    # fit the terabyte the machine is said to hold; nothing is allocated
+    import sfc_lab.experiment as exp
+
+    monkeypatch.setattr(exp, "_physical_memory", lambda: 10**12)
+    monkeypatch.setattr(exp, "spec_tables", lambda *args: pytest.fail("the tables were built"))
+    data = base_convergence_config() if command == "convergence" else identify_config()
+    cfg_path = write_config(tmp_path, "cfg.json", data)
+    out_dir = tmp_path / "o" / "p" / "q"
+    argv = [command, "--config", cfg_path, "--out", str(out_dir), "--mesh", "100000000000"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith("config error: ")
+    assert "1,000,000,000,000 bytes of physical memory" in errors[0]
+    assert "Traceback" not in err and "internal error" not in err
+    assert not (tmp_path / "o").exists()  # every level that the command made is gone
 
 
 @pytest.mark.parametrize(

@@ -305,7 +305,10 @@ def test_a_sweep_holds_few_tile_buffers(monkeypatch):
     # two workers, each with four 8-row buffers, at the perfbench sweep's m,
     # widths and orders; the first run builds the spec's tables and the
     # window plan, which later runs share.  Five buffers and the full band's
-    # results peaked at 3.73-3.86 MB here, four and the half band at 3.20.
+    # results peaked at 3.73-3.86 MB here, four and the half band at
+    # 2.87-3.21, and tiles that allocate only their two coefficient arrays and
+    # the windows' I gather and 8 KiB buffer, with one truth row per path, at
+    # 2.73-2.79.
     monkeypatch.setenv("SFC_LAB_THREADS", "2")
     spec = spec_for("NONCAUSAL_BRIDGE", {"g": cosine(), "drift": "w1"})
     cfg = small_config(spec=spec, n_list=(4, 8, 16, 32, 64, 128, 256), M=4, m=4096, paths=200)
@@ -316,7 +319,7 @@ def test_a_sweep_holds_few_tile_buffers(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3_500_000, peak
+    assert peak < 2_850_000, peak
 
 
 def test_synthesized_identify_holds_few_tile_buffers(monkeypatch):
@@ -340,9 +343,9 @@ def test_synthesized_identify_holds_few_tile_buffers(monkeypatch):
 def test_the_sweep_keeps_orders_zero_to_m_per_path():
     cfg = small_config(M=3)
     res = run_convergence(cfg)
-    # per path: 3 widths x 4 orders of one float error and one complex estimate
-    assert res._abs_errors.shape == res._estimates.shape == (120, 3, 4)
-    assert res._abs_errors.nbytes + res._estimates.nbytes == 120 * 3 * 4 * (8 + 16)
+    # per path: 3 widths x 4 orders of complex estimates and one complex truth row
+    assert res._estimates.shape == (120, 3, 4) and res._truth.shape == (120, 4)
+    assert res._truth.nbytes + res._estimates.nbytes == 120 * (3 + 1) * 4 * 16
     assert res.abs_errors.shape == res.estimates.shape == (120, 3, 7)
     assert not np.shares_memory(res.estimates, res._estimates)  # built on access
 
@@ -406,14 +409,41 @@ def test_results_larger_than_memory_are_refused_before_any_tile(monkeypatch):
     monkeypatch.setattr(exp, "_run_tiles", no_tiles)
     cfg = small_config(paths=1000)
     for run, need in (
-        (run_convergence, 1000 * 3 * 2 * (8 + 16)),  # widths x orders 0 .. M
-        (lambda c: run_identify(c, "closed_form"), 1000 * 2 * 3 * 16),  # a and b, |n| <= M
+        (run_convergence, 1000 * (3 + 1) * 2 * 16),  # widths and the truth x orders 0 .. M
+        (lambda c: run_identify(c, "closed_form"), 1000 * 2 * 2 * 16),  # a and b, 0 <= n <= M
     ):
         monkeypatch.setattr(exp, "_physical_memory", lambda: need - 1)
         with pytest.raises(ConfigError) as info:
             run(cfg)
         assert f"need {need:,} bytes" in str(info.value)
         assert f"{need - 1:,} bytes of physical memory" in str(info.value)
+
+
+def test_tables_and_tile_buffers_count_toward_the_size_check(monkeypatch):
+    import sfc_lab.experiment as exp
+
+    def no_tables(*args):
+        raise AssertionError("a run that cannot fit built its tables")
+
+    monkeypatch.setenv("SFC_LAB_THREADS", "2")
+    cfg = small_config()  # m=256, 120 paths in 16-row tiles, widths 4, 8, 16, M=1
+    results = 120 * (3 + 1) * 2 * 16  # the estimates and the truth, orders 0 .. 1
+    tables = 8 * 8 * 256  # eight arrays of m floats
+    # per worker: dW, dX, W and the longer of the rfft spectrum and the
+    # band-1 windows' products, 16 x max(129, 33 x 2) complex numbers
+    buffers = 2 * (8 * 16 * (256 + 256 + 257) + 16 * 16 * 129)
+    need = results + tables + buffers
+    monkeypatch.setattr(exp, "_physical_memory", lambda: need)
+    run_convergence(cfg)  # fits exactly
+    monkeypatch.setattr(exp, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ConfigError, match=f"the run needs {need:,} bytes, more than the "):
+        run_convergence(cfg)
+    # a grid of 10**11 cells is refused before one of its tables is built
+    monkeypatch.setattr(exp, "spec_tables", no_tables)
+    monkeypatch.setattr(exp, "_physical_memory", lambda: 10**12)
+    for run in (run_convergence, lambda c: run_identify(c, "synthesized")):
+        with pytest.raises(ConfigError, match="2 tile workers' buffers"):
+            run(small_config(m=10**11))
 
 
 def test_negative_orders_are_the_conjugates_of_the_positive(monkeypatch):
@@ -756,10 +786,57 @@ def test_identify_statistics_match_an_exact_oracle(mode):
             assert row[f"{name}_se"] == pytest.approx(se, rel=1e-15, abs=0)
 
 
+def _full_band_identify_rows(a_hat, b_hat, paths):
+    """The mean (re, im) and standard error of every order -M .. M of both
+    estimates, reduced over the full band as ``IdentifyResult.rows`` did
+    before it kept the orders n >= 0 alone: (2, orders, 3)."""
+    parts = np.concatenate([a_hat, b_hat], axis=1).view(float)
+    mean, var = _path_statistics(parts).reshape(2, 2, a_hat.shape[1], 2)
+    se = np.sqrt((var[..., 0] + var[..., 1]) / paths)
+    return np.concatenate([mean, se[..., None]], axis=-1)
+
+
+def _identify_row_values(res):
+    return np.array([[[row[f"{name}_mean_re"], row[f"{name}_mean_im"], row[f"{name}_se"]]
+                      for row in res.rows] for name in "ab"])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(CATALOG_KINDS),
+    drift=st.sampled_from(DRIFT_KINDS),
+    mode=st.sampled_from(["closed_form", "synthesized"]),
+    M=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_half_band_identify_rebuilds_the_full_band(kind, drift, mode, M, seed):
+    params = {} if drift == "none" else {"g": cosine(), "drift": drift}
+    cfg = small_config(spec=spec_for(kind, params), n_list=(4,), M=M, m=64, paths=100,
+                       master_seed=seed)
+    res = run_identify(cfg, mode)
+    assert res._a_hat.shape == res._b_hat.shape == (100, M + 1)
+    assert np.array_equal(_bits(res.a_hat[:, M:]), _bits(res._a_hat))
+    assert np.array_equal(_bits(res.a_hat[:, :M]), _bits(np.conj(res._a_hat[:, :0:-1])))
+    full = _full_band_identify_rows(res.a_hat, res.b_hat, cfg.paths)
+    npt.assert_array_equal(_bits(_identify_row_values(res)), _bits(full))
+
+
+def test_half_band_identify_rows_keep_the_sign_of_a_zero_mean():
+    # real a_hat and zero b_hat: the columns at n < 0 hold -0.0, whose exact
+    # sum is +0.0, as the full band's reduction gives it
+    cfg = small_config(n_list=(16,), M=2)
+    a_hat = np.zeros((cfg.paths, 3), dtype=complex)
+    a_hat.real = np.random.default_rng(4).standard_normal((cfg.paths, 3))
+    res = IdentifyResult(config=cfg, mode="closed_form", _a_hat=a_hat, _b_hat=np.zeros_like(a_hat))
+    full = _full_band_identify_rows(res.a_hat, res.b_hat, cfg.paths)
+    npt.assert_array_equal(_bits(_identify_row_values(res)), _bits(full))
+
+
 def test_identify_standard_error_overflow_names_the_order():
     cfg = small_config(n_list=(16,))
-    a_hat = np.zeros((cfg.paths, 3), dtype=complex)
-    a_hat[::2, 2] = 1e300  # finite estimates whose squares overflow
-    res = IdentifyResult(config=cfg, mode="closed_form", a_hat=a_hat, b_hat=np.zeros_like(a_hat))
-    with pytest.raises(NumericalFailureError, match=r"a_se overflows \(n=1, N=16\)"):
+    a_hat = np.zeros((cfg.paths, 2), dtype=complex)  # the orders 0 .. M kept
+    a_hat[::2, 1] = 1e300  # finite estimates whose squares overflow
+    res = IdentifyResult(config=cfg, mode="closed_form", _a_hat=a_hat, _b_hat=np.zeros_like(a_hat))
+    # the order n = 1 and its mirror n = -1 overflow; the rows name the first
+    with pytest.raises(NumericalFailureError, match=r"a_se overflows \(n=-1, N=16\)"):
         res.rows
