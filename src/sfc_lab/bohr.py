@@ -152,9 +152,13 @@ def windows(
     flattened into rows.  ``F`` is gathered by whole order rows of its (2K +
     1, rows) transpose, which is a view when ``f_coef`` is stored order-major
     as :func:`sfc.coefficients` stores it; ``I`` is gathered the same way,
-    and the multiply broadcasts it over the orders.  numpy runs that
-    broadcast through a ufunc buffer of as many elements as the products, up
-    to its default 8192 (128 KiB); the call caps it at ``_MULTIPLY_BUFFER``
+    and the multiply broadcasts it over the orders.  Every ``f_coef`` comes
+    straight from that function, and so costs no copy, except two in the
+    synthesized drift step (:func:`drift_coefficients`): its ``carried`` row,
+    built by :func:`catalog.block_true_fourier_a`, and its broadcast
+    ``pairs`` are C-ordered and are copied.  numpy runs the broadcast
+    multiply through a ufunc buffer of as many elements as the products, up
+    to its default 8192 (128 KiB); every call caps it at ``_MULTIPLY_BUFFER``
     elements (8 KiB), for the calling thread only (``np.setbufsize``).  The
     widths go in ascending N, each one reduce along the l axis over its new
     entries, starting from the total of the width before: the additions of
@@ -183,14 +187,11 @@ def windows(
     # the indices are in range: mode "clip" only keeps take from buffering ``out``
     prod = np.take(f_by_k, f_index, axis=0, out=out, mode="clip")  # (2L + 1, orders, rows)
     i_by_l = np.take(i_coef.reshape(-1, 2 * L + 1).T, i_index, axis=0)[:, None, :]
-    if prod.size > _MULTIPLY_BUFFER:
-        bufsize = np.setbufsize(_MULTIPLY_BUFFER)
-        try:
-            prod *= i_by_l
-        finally:
-            np.setbufsize(bufsize)
-    else:  # numpy's buffer holds no more than the products anyway
+    bufsize = np.setbufsize(_MULTIPLY_BUFFER)
+    try:
         prod *= i_by_l
+    finally:
+        np.setbufsize(bufsize)
     del i_by_l  # freed before the windows are allocated
     est = np.empty((len(norms),) + prod.shape[1:], dtype=complex)  # (widths, orders, rows)
     for wi, start, stop in segments:
