@@ -8,6 +8,7 @@ of neighbouring substreams, the prefix property of Monte Carlo runs, and
 thread-count invariance of the aggregated output.
 """
 
+import dataclasses
 import os
 import sys
 
@@ -62,10 +63,12 @@ def main() -> int:
     ok &= prefix
     print(f"prefix property: first 100 of 160 paths bitwise equal = {prefix}")
 
+    # 4-row tiles: 25 of them, enough for five workers (one per four tiles)
+    cfg_tiles = dataclasses.replace(cfg_small, block_size=4)
     os.environ["SFC_LAB_THREADS"] = "1"
-    seq = run_convergence(cfg_small)
+    seq = run_convergence(cfg_tiles)
     os.environ["SFC_LAB_THREADS"] = "5"
-    par = run_convergence(cfg_small)
+    par = run_convergence(cfg_tiles)
     os.environ.pop("SFC_LAB_THREADS")
     invariant = seq.csv_text() == par.csv_text()
     ok &= invariant

@@ -76,7 +76,7 @@ import numpy as np
 
 from . import catalog as cat
 from .errors import ConfigError
-from .sfc import CoefficientSet, coefficients, synthesize
+from .sfc import CoefficientSet, _order_major, coefficients, synthesize
 
 CLOSED_FORM = "closed_form"
 SYNTHESIZED = "synthesized"
@@ -105,7 +105,25 @@ def grid_supports(m: int, N: int, M: int) -> bool:
     return m >= 8 * (N + M)
 
 
-_MULTIPLY_BUFFER = 512  # elements: numpy's ufunc buffer while windows multiplies (default 8192)
+_MULTIPLY_BUFFER = 512  # elements: numpy's ufunc buffer under _small_ufunc_buffer (default 8192)
+
+
+class _small_ufunc_buffer:
+    """numpy's ufunc buffer capped at ``_MULTIPLY_BUFFER`` elements (8 KiB)
+    for the calling thread (``np.setbufsize``), as a context manager.  numpy
+    buffers up to its default 8192 elements (128 KiB) when an operand is
+    broadcast along the short inner axis of an order-major (rows, orders)
+    array, or when the operands' layouts differ.  A class and not a
+    generator: ``windows`` enters it on every call, and a generator's
+    context manager costs about 0.5 us more."""
+
+    __slots__ = ("size",)
+
+    def __enter__(self) -> None:
+        self.size = np.setbufsize(_MULTIPLY_BUFFER)
+
+    def __exit__(self, *exc) -> None:
+        np.setbufsize(self.size)
 
 
 @lru_cache(maxsize=16)
@@ -152,11 +170,11 @@ def windows(
     flattened into rows.  ``F`` is gathered by whole order rows of its (2K +
     1, rows) transpose, which is a view when ``f_coef`` is stored order-major
     as :func:`sfc.coefficients` stores it; ``I`` is gathered the same way,
-    and the multiply broadcasts it over the orders.  Every ``f_coef`` comes
-    straight from that function, and so costs no copy, except two in the
-    synthesized drift step (:func:`drift_coefficients`): its ``carried`` row,
-    built by :func:`catalog.block_true_fourier_a`, and its broadcast
-    ``pairs`` are C-ordered and are copied.  numpy runs the broadcast
+    and the multiply broadcasts it over the orders.  Every ``f_coef`` of the
+    package is stored that way and costs no copy: the sweep's and identify's
+    come from that function, and the synthesized drift step
+    (:func:`drift_coefficients`) builds its ``carried`` row and its
+    ``pairs`` order-major too.  numpy runs the broadcast
     multiply through a ufunc buffer of as many elements as the products, up
     to its default 8192 (128 KiB); every call caps it at ``_MULTIPLY_BUFFER``
     elements (8 KiB), for the calling thread only (``np.setbufsize``).  The
@@ -187,11 +205,8 @@ def windows(
     # the indices are in range: mode "clip" only keeps take from buffering ``out``
     prod = np.take(f_by_k, f_index, axis=0, out=out, mode="clip")  # (2L + 1, orders, rows)
     i_by_l = np.take(i_coef.reshape(-1, 2 * L + 1).T, i_index, axis=0)[:, None, :]
-    bufsize = np.setbufsize(_MULTIPLY_BUFFER)
-    try:
+    with _small_ufunc_buffer():
         prod *= i_by_l
-    finally:
-        np.setbufsize(bufsize)
     del i_by_l  # freed before the windows are allocated
     est = np.empty((len(norms),) + prod.shape[1:], dtype=complex)  # (widths, orders, rows)
     for wi, start, stop in segments:
@@ -329,16 +344,22 @@ def drift_coefficients(
     N = K - M
     gain, f_c, pair, lag, ramp = _drift_plan(st, N, M)
     i_band, half = i_coef[..., L - N : L + N + 1], range(M + 1)
-    carried = cat.block_true_fourier_a(st, w, range(-K, K + 1), i_coef)
-    carried *= (2 * M + 1) * np.sqrt(m)
-    if f_c is not None:
-        carried += f_c
-    if ramp is not None:
-        carried += st.da.lower * coefficients(np.multiply(ramp, dw, out=scratch), K, spectrum)
+    # both f operands of the windows below are order-major, as coefficients
+    # stores its rows, so that windows gathers them without a transposed copy
+    carried = _order_major(w.shape[:-1], K)
+    with _small_ufunc_buffer():  # a row broadcast over order-major rows is buffered
+        cat.block_true_fourier_a(st, w, range(-K, K + 1), i_coef, out=carried)
+        carried *= (2 * M + 1) * np.sqrt(m)
+        if f_c is not None:
+            carried += f_c
+        if ramp is not None:
+            ramp_coef = coefficients(np.multiply(ramp, dw, out=scratch), K, spectrum)
+            carried += np.multiply(st.da.lower, ramp_coef, out=ramp_coef)
     correction = windows(carried, i_band, half, [N], buffer)[..., 0]
     if pair is not None:
         y = band_windows(i_coef, i_band, M, [N], buffer)[..., 0]  # F(S dW) / (2N+1)
-        pairs = np.broadcast_to(pair, y.shape[:-1] + pair.shape)
+        pairs = _order_major(y.shape[:-1], 2 * M)
+        pairs[...] = pair
         correction += windows(pairs, y, half, [M], buffer)[..., 0]
         if lag is not None:
             correction -= lag * y[..., M:]

@@ -489,7 +489,11 @@ def _order_terms(st: SpecTables, orders: Sequence[int]) -> tuple:
 
 
 def block_true_fourier_a(
-    st: SpecTables, w: np.ndarray, orders: Sequence[int], i_coef: np.ndarray | None = None
+    st: SpecTables,
+    w: np.ndarray,
+    orders: Sequence[int],
+    i_coef: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Fourier coefficients of a against conj(e_n), given W (..., m + 1);
     shape (..., orders).
@@ -504,21 +508,30 @@ def block_true_fourier_a(
     it covers every order, as a sweep tile's does; otherwise they are the
     coefficients of W's increments.  Pass the orders as a range or a tuple
     that is fixed for the run, and every call after the first finds their
-    terms at once (:func:`_order_terms`).
+    terms at once (:func:`_order_terms`).  ``out``, a complex array of the
+    result's shape in any layout, receives it in place of a new array.
     """
     m = st.grid.m
     rec = st.spec.record
     ords, top, f_row, z, divisor, is_zero = _order_terms(st, orders)
-    out = np.zeros(w.shape[:-1] + ords.shape, dtype=complex)
+    if out is None:
+        out = np.zeros(w.shape[:-1] + ords.shape, dtype=complex)
+    else:
+        out[...] = 0.0
     if f_row is not None:
         out += f_row
     if rec.alpha:
         if i_coef is None or i_coef.shape[-1] < 2 * top + 1:
             i_coef = coefficients(np.diff(w, axis=-1), top)
         L = (i_coef.shape[-1] - 1) // 2
-        w_coef = (z * i_coef[..., ords + L] - i_coef[..., L : L + 1]) / divisor
+        # (z I_n - I_0) / (1 - z), then alpha (.. / m), in one temporary
+        w_coef = i_coef[..., ords + L]
+        np.multiply(z, w_coef, out=w_coef)
+        np.subtract(w_coef, i_coef[..., L : L + 1], out=w_coef)
+        np.divide(w_coef, divisor, out=w_coef)
         w_coef[..., is_zero] = w[..., :-1].sum(axis=-1, keepdims=True)
-        out += rec.alpha * (w_coef / m)
+        np.divide(w_coef, m, out=w_coef)
+        out += np.multiply(rec.alpha, w_coef, out=w_coef)
     if rec.beta:
         out += rec.beta * (w[..., st.tau : st.tau + 1] * is_zero)
     return out

@@ -32,11 +32,12 @@ keeps the same contract as the sweep:
   any order, by one vectorized kernel that both results share.
 
 Tiles run on as many threads as the process may use CPUs, or on
-``SFC_LAB_THREADS`` when it is set: the calling thread and its helpers take
-the next tile in path order from one shared counter.  The thread count has
-no effect on any reported number.  Wall-clock time is kept on the in-memory
-result only; serialized artifacts contain nothing volatile, so identical
-configurations yield identical bytes.
+``SFC_LAB_THREADS`` when it is set, but on at most one thread for every four
+tiles, so that a run of fewer than 8 tiles starts no helper: the calling
+thread and its helpers take the next tile in path order from one shared
+counter.  The thread count has no effect on any reported number.
+Wall-clock time is kept on the in-memory result only; serialized artifacts
+contain nothing volatile, so identical configurations yield identical bytes.
 
 Config schema
 -------------
@@ -368,11 +369,15 @@ def fit_decay(result: ExperimentResult, n: int = 0) -> DecayFit:
 
 TILE_BYTES = 256 * 1024  # one (rows, m) float64 array of a tile fits in this
 _TILE_MAX_ROWS = 16  # taller tiles grow synthesized identify's temporaries and gain no time
+_TILES_PER_WORKER = 4  # a run starts one worker for every this many tiles (see _workers)
 
 
 def tile_rows(cfg: ExperimentConfig) -> int:
     """Rows per tile: one (rows, m) float array in ``TILE_BYTES``, at most 16
-    rows and ``block_size``: 16 rows at m=1024, 8 at 4096, 2 at 16384."""
+    rows and ``block_size``: 16 rows at m=1024, 8 at 4096, 2 at 16384.  The
+    tile count sets the workers (:func:`_workers`): 100 paths at m=1024 are 7
+    tiles and run on one, where a second lost (0.86x at P=100 in fresh
+    processes on 2 vCPUs); at m=4096 they are 13 and run on two, 1.35x."""
     return min(cfg.block_size, _TILE_MAX_ROWS, max(1, TILE_BYTES // (8 * cfg.m)))
 
 
@@ -411,21 +416,36 @@ def _tile_buffers(cfg: ExperimentConfig, widths: tuple[int, ...]) -> tuple[int, 
 
 
 def _workers(cfg: ExperimentConfig, rows: int) -> int:
-    """Threads that work a run's tiles: ``resolve_threads()``, at most one a tile."""
-    return min(resolve_threads(), -(-cfg.paths // rows))
+    """Threads that work a run's tiles: ``resolve_threads()``, at most one
+    for every ``_TILES_PER_WORKER`` tiles, and at least one.
+
+    A helper costs its thread and its four tile buffers, and the first tile
+    runs alone, so a run of fewer than 8 tiles starts none.  Two workers
+    against one, as the speed ratio of medians over 10 fresh processes each
+    on a 2-vCPU host: synthesized ``identify`` at the perfbench config
+    (m=1024, 16-row tiles) 0.86x at P=100 (7 tiles) and 0.87x at P=400 (25);
+    the sweep at m=1024 0.86x at P=100 and 0.89x at P=2000 (125 tiles);
+    closed-form ``identify`` at m=4096 (8-row tiles) 1.35x at P=100 (13
+    tiles) and 1.28x at P=200 (25).  Every run that the cap sends to one
+    worker lost with two; at m=1024 two lost at every P measured, so the
+    cap is a floor, not the crossover.
+    """
+    return min(resolve_threads(), max(1, -(-cfg.paths // rows) // _TILES_PER_WORKER))
 
 
 def _run_tiles(cfg: ExperimentConfig, st: SpecTables, widths: tuple[int, ...], work) -> None:
     """Build every tile of paths and hand it to ``work``.
 
     The calling thread works the first tile alone, so that the run's
-    one-time costs are paid once; then it and ``resolve_threads() - 1``
-    helper threads (fewer when there are fewer tiles) each take the next
-    tile start from one shared counter until none is left.  A worker whose
-    tile raises takes no further tile, and the others take none past the
-    current start either; every helper is joined before the failing tile
-    with the lowest path index raises, so a failure is reported as the
-    one-thread run reports it.
+    one-time costs are paid once; then it and ``_workers() - 1`` helper
+    threads (``resolve_threads()`` in all, but one for every four tiles, so
+    none below 8 tiles, where a helper lost 0.86x in fresh-process timings;
+    :func:`_workers` gives them) each take the next tile start from one
+    shared counter until none is left.  A worker whose tile raises takes no
+    further tile, and the others take none past the current start either;
+    every helper is joined before the failing tile with the lowest path
+    index raises, so a failure is reported as the one-thread run reports
+    it.
 
     Each worker thread allocates four buffers and its generator at its first
     tile and fills them in place for every later one, so a tile makes no array
@@ -618,9 +638,10 @@ def _require_run_fits(cfg: ExperimentConfig, widths: tuple[int, ...], bytes_per_
     )
     have = _physical_memory()
     if have is not None and need > have:
+        owners = "tile worker's" if workers == 1 else "tile workers'"
         raise ConfigError(
             f"{cfg.paths} paths need {results:,} bytes of per-path results, and with the "
-            f"spec's tables and {workers} tile workers' buffers the run needs {need:,} bytes, "
+            f"spec's tables and {workers} {owners} buffers the run needs {need:,} bytes, "
             f"more than the {have:,} bytes of physical memory"
         )
 

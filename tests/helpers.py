@@ -2,8 +2,11 @@
 scalar functionals under the names the tests use, and independent oracles
 that the package itself no longer needs."""
 
+import threading
+
 import numpy as np
 
+import sfc_lab.experiment as experiment
 from sfc_lab.brownian import BrownianPath
 from sfc_lab.catalog import (  # noqa: F401
     DRIFT_RECORDS,
@@ -94,3 +97,33 @@ def dsfc_partials(spec, path, weights):
         inner += rec.beta * head
     m = path.grid.m
     return inner / np.sqrt(m) + (h @ st.c)[..., None] / m
+
+
+def record_tile_workers(monkeypatch):
+    """The threads that build each run's tiles: one set of thread idents per
+    run, filled as the run goes.  The tile sampler is wrapped so that, when
+    ``SFC_LAB_THREADS`` allows more than one thread, the calling thread
+    waits at its first tile after the one it works alone, up to 10 s, for a
+    helper to start a tile: a run that starts a helper then shows two
+    workers whatever the scheduler does, and a run that starts none shows
+    one."""
+    caller = threading.get_ident()
+    runs = []
+    helper_ran = threading.Event()
+    real = experiment.sample_rows
+
+    def sample_rows(master_seed, lo, *rest):
+        ident = threading.get_ident()
+        if lo == 0:  # every run's first tile, which the calling thread works alone
+            runs.append(set())
+            helper_ran.clear()
+        elif ident == caller and experiment.resolve_threads() > 1:
+            helper_ran.wait(10)
+            helper_ran.set()  # wait once a run
+        else:
+            helper_ran.set()
+        runs[-1].add(ident)
+        return real(master_seed, lo, *rest)
+
+    monkeypatch.setattr(experiment, "sample_rows", sample_rows)
+    return runs

@@ -40,13 +40,15 @@ from sfc_lab import (
     wiener_sfc_range,
 )
 from sfc_lab.bohr import (
+    SYNTHESIZED,
     _drift_plan,
     band_windows,
     drift_coefficients,
     grid_supports,
     windows,
 )
-from sfc_lab.catalog import spec_tables
+from sfc_lab.brownian import sample_rows
+from sfc_lab.catalog import block_functionals, spec_tables
 from sfc_lab.sfc import coefficients
 
 
@@ -199,6 +201,50 @@ def test_a_tiles_transforms_and_windows_allocate_only_their_results():
     # besides ``out``: the I gather (66 KB), an 8 KiB multiply buffer and
     # the result (4.5 KB)
     assert peak - held < 80_000, peak - held
+
+
+def test_the_drift_step_hands_windows_order_major_rows(monkeypatch):
+    # synthesized identify's tile at the heavy config (BRIDGE, drift w1, 8
+    # rows, m=4096, N=256, M=4), which runs every term of the step.
+    # Its carried row (8 x 521 complex) and its pairs were once C-ordered,
+    # and windows copied each transposed; the step peaked at 268,872 B with
+    # that copy and a truth built in three temporaries, and at 211,324 B
+    # without them.  The bound sits about halfway.
+    import sfc_lab.bohr as bohr
+
+    rows, m, N, M = 8, 4096, 256, 4
+    st = spec_tables(spec_for("NONCAUSAL_BRIDGE", {"g": cosine(), "drift": "w1"}), TimeGrid(m))
+    dw, w = np.empty((rows, m)), np.empty((rows, m + 1))
+    sample_rows(11, 0, dw, w)
+    dx = block_functionals(st, w)[2]
+    # the tile's complex scratch: the rfft spectrum or the band-M windows' products
+    buffer = np.empty(rows * (2 * N + 1) * (M + 1), dtype=complex)
+    spectrum = buffer[: rows * (m // 2 + 1)].reshape(rows, -1)
+    f_coef, i_coef = coefficients(dx, N + M, spectrum), coefficients(dw, N + M, spectrum)
+    a_hat = band_windows(f_coef, i_coef[:, M : M + 2 * N + 1], M, [N])[..., 0]
+    args = (st, SYNTHESIZED, w, dw, dx, None, a_hat, f_coef, i_coef)
+    expected = drift_coefficients(*args, out=(dx.copy(), buffer))  # and the step's plans
+    layouts = []
+    real = bohr.windows
+
+    def recording(f, *rest):
+        layouts.append((f.shape, f.reshape(-1, f.shape[-1]).T.flags.c_contiguous))
+        return real(f, *rest)
+
+    monkeypatch.setattr(bohr, "windows", recording)
+    tracemalloc.start()
+    try:
+        held, _ = tracemalloc.get_traced_memory()
+        b = drift_coefficients(*args, out=(dx, buffer))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(b, expected)
+    # carried, F(S dW), the pairs and a_hat's window; every one gathered as a view
+    assert [shape for shape, _ in layouts] == [(rows, 521), (rows, 2 * N + 2 * M + 1),
+                                              (rows, 4 * M + 1), (rows, 2 * N + 2 * M + 1)]
+    assert all(order_major for _, order_major in layouts), layouts
+    assert peak - held < 240_000, peak - held
 
 
 def test_bohr_product_coverage_errors():

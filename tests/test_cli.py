@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import record_tile_workers
 import sfc_lab.cli as cli
 from sfc_lab import (
     BohrConfig,
@@ -295,8 +296,11 @@ def test_identify_nonfinite_estimate_names_the_path(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["closed_form", "synthesized"])
 def test_identify_bytes_ignore_threads_and_block_size(tmp_path, monkeypatch, mode):
+    # 200 paths: 13 tiles of 16 rows, so three threads start two helpers
+    workers = record_tile_workers(monkeypatch)
+
     def run(name, threads, block_size):
-        data = dict(identify_config(), mode=mode, paths=120, block_size=block_size)
+        data = dict(identify_config(), mode=mode, paths=200, block_size=block_size)
         if threads is None:  # unset: one thread per CPU
             monkeypatch.delenv("SFC_LAB_THREADS", raising=False)
         else:
@@ -308,6 +312,7 @@ def test_identify_bytes_ignore_threads_and_block_size(tmp_path, monkeypatch, mod
 
     csv1, json1 = run("t1", 1, 32)
     assert [csv1, json1] == run("t3", 3, 32)
+    assert len(workers[0]) == 1 and len(workers[1]) >= 2
     assert [csv1, json1] == run("unset", None, 32)
     csv7, json7 = run("b7", 1, 7)  # 7-row tiles, against 16-row tiles at block size 32
     assert csv7 == csv1  # the CSV carries no block_size; the JSON config and hash do

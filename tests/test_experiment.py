@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import spec_for
+from helpers import record_tile_workers, spec_for
 from sfc_lab import (
     CATALOG_KINDS,
     DRIFT_KINDS,
@@ -36,7 +37,9 @@ from sfc_lab.experiment import (
     ExperimentConfig,
     IdentifyResult,
     _path_statistics,
+    _require_run_fits,
     _run_tiles,
+    _workers,
     config_from_jsonable,
     config_hash,
     config_jsonable,
@@ -237,15 +240,17 @@ def test_run_shapes_and_determinism():
 
 
 def test_thread_count_does_not_change_bytes(monkeypatch):
-    cfg = small_config()
+    cfg = small_config(block_size=8)  # 15 tiles: three workers at three threads
     monkeypatch.setenv("SFC_LAB_THREADS", "1")
     seq = run_convergence(cfg)
+    workers = record_tile_workers(monkeypatch)
     for threads in ("3", None):  # None: unset, one thread per CPU
         if threads is None:
             monkeypatch.delenv("SFC_LAB_THREADS")
         else:
             monkeypatch.setenv("SFC_LAB_THREADS", threads)
         par = run_convergence(cfg)
+        assert len(workers[-1]) >= min(2, resolve_threads())
         assert np.array_equal(seq.abs_errors, par.abs_errors)
         assert seq.csv_text() == par.csv_text()
         assert seq.json_text() == par.json_text()
@@ -281,13 +286,15 @@ def test_tile_rows_at_the_grid_sizes():
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_tile_geometry_does_not_change_any_per_path_number(monkeypatch, threads):
-    # 2, 4, 8 and 16-row tiles of 100 paths: every estimate, a_hat and b_hat
-    # bitwise the same, in the sweep and in both identify modes
+    # 2, 4, 8 and 16-row tiles of 128 paths: every estimate, a_hat and b_hat
+    # bitwise the same, in the sweep and in both identify modes.  The 16-row
+    # tiles are 8, so two threads start a helper at every geometry.
     import sfc_lab.experiment as exp
 
     monkeypatch.setenv("SFC_LAB_THREADS", threads)
+    workers = record_tile_workers(monkeypatch)
     spec = spec_for("NONCAUSAL_BRIDGE", {"g": cosine(), "drift": "w1"})
-    cfg = small_config(spec=spec, n_list=(4, 16, 64), M=2, m=4096, paths=100, block_size=256)
+    cfg = small_config(spec=spec, n_list=(4, 16, 64), M=2, m=4096, paths=128, block_size=256)
     rows, results = [], []
     for kib in (64, 128, 256, 1024):
         monkeypatch.setattr(exp, "TILE_BYTES", kib * 1024)
@@ -296,6 +303,7 @@ def test_tile_geometry_does_not_change_any_per_path_number(monkeypatch, threads)
         results.append([run_convergence(cfg).estimates, closed.a_hat, closed.b_hat,
                         synth.a_hat, synth.b_hat])
     assert rows == [2, 4, 8, 16]
+    assert [len(ran) for ran in workers] == [int(threads)] * 12
     for other in results[1:]:
         for x, y in zip(results[0], other):
             assert np.array_equal(x, y)
@@ -454,6 +462,58 @@ def test_negative_orders_are_the_conjugates_of_the_positive(monkeypatch):
     assert np.array_equal(est[:, :, :3], np.conj(est[:, :, :3:-1]))
 
 
+def test_a_helper_starts_only_with_four_tiles_each(monkeypatch):
+    # by arithmetic: 16-row tiles at m=256, so 100 paths make 7 tiles, 128
+    # make 8 and 192 make 12
+    seven, eight, twelve = (small_config(paths=paths) for paths in (100, 128, 192))
+    for threads in ("2", "8"):
+        monkeypatch.setenv("SFC_LAB_THREADS", threads)
+        assert _workers(seven, tile_rows(seven)) == 1
+        assert _workers(eight, tile_rows(eight)) == 2
+        assert _workers(twelve, tile_rows(twelve)) == min(3, int(threads))
+    monkeypatch.setenv("SFC_LAB_THREADS", "1")
+    assert _workers(twelve, tile_rows(twelve)) == 1
+    # the perfbench configs on two threads: identify-synth runs 7 tiles of
+    # 16 rows on one worker, identify 25 and the sweep 250 tiles of 8 on two
+    monkeypatch.setenv("SFC_LAB_THREADS", "2")
+    for m, paths, workers in ((1024, 100, 1), (4096, 200, 2), (4096, 2000, 2)):
+        cfg = small_config(m=m, paths=paths, block_size=256)
+        assert _workers(cfg, tile_rows(cfg)) == workers, (m, paths)
+
+
+def test_a_run_of_seven_tiles_starts_no_thread(monkeypatch):
+    import sfc_lab.experiment as exp
+
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    # the engine's own view of the module, so no other code sees the count
+    monkeypatch.setattr(exp, "threading", types.SimpleNamespace(
+        Thread=Thread, Lock=threading.Lock, local=threading.local))
+    monkeypatch.setenv("SFC_LAB_THREADS", "2")
+    run_identify(identify_config(paths=100), "synthesized")  # 7 tiles of 16 rows
+    assert started == []
+    run_identify(identify_config(paths=128), "synthesized")  # 8 tiles
+    assert len(started) == 1
+
+
+def test_the_size_check_counts_the_workers_that_start(monkeypatch):
+    import sfc_lab.experiment as exp
+
+    monkeypatch.setenv("SFC_LAB_THREADS", "2")
+    monkeypatch.setattr(exp, "_physical_memory", lambda: 1)
+    # one worker's dW, dX, W and rfft spectrum, 16 rows at m=256
+    buffers = 8 * 16 * (3 * 256 + 1) + 16 * 16 * 129
+    for paths, workers, owners in ((100, 1, "1 tile worker's"), (128, 2, "2 tile workers'")):
+        need = paths * (3 + 1) * 2 * 16 + 8 * 8 * 256 + workers * buffers
+        with pytest.raises(ConfigError, match=f"{owners} buffers the run needs {need:,} bytes"):
+            _require_run_fits(small_config(paths=paths), (4, 8, 16), (3 + 1) * 2 * 16)
+
+
 def test_tiles_reuse_the_workers_buffers(monkeypatch):
     monkeypatch.setenv("SFC_LAB_THREADS", "1")
     cfg = small_config()
@@ -488,9 +548,12 @@ def test_threaded_tiles_reuse_the_workers_buffers(monkeypatch):
 
 def test_every_tile_runs_once_under_thread_stress(monkeypatch):
     # more workers than cores and a short switch interval: a tile start lost
-    # or handed out twice by the shared counter would show in the list
+    # or handed out twice by the shared counter would show in the list.  40
+    # tiles of 3 rows keep all eight workers under the one-per-four-tiles cap.
     monkeypatch.setenv("SFC_LAB_THREADS", "8")
-    cfg = small_config(block_size=4)
+    cfg = small_config(block_size=3)
+    assert _workers(cfg, tile_rows(cfg)) == 8
+    workers = record_tile_workers(monkeypatch)
     seen = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -499,14 +562,16 @@ def test_every_tile_runs_once_under_thread_stress(monkeypatch):
                    lambda tile: seen.append(tile.lo))
     finally:
         sys.setswitchinterval(interval)
-    assert sorted(seen) == list(range(0, 120, 4))
+    assert sorted(seen) == list(range(0, 120, 3))
+    assert len(workers[0]) >= 2
 
 
 @pytest.mark.parametrize("threads", ["1", "3"])
 def test_lowest_failing_path_raises_after_every_helper_joins(monkeypatch, threads):
-    # paths 40 and 70 draw NaN, in the tiles at 32 and 64 (the tile at 0 runs
-    # before the helpers start); path 40 draws late, so on threads the tile at
-    # 64 fails first, yet path 40 is reported, and no helper is left running
+    # 15 tiles of 8 rows, three workers on three threads.  Paths 40 and 70
+    # draw NaN, in the tiles at 40 and 64 (the tile at 0 runs before the
+    # helpers start); path 40 draws late, so on threads the tile at 64 fails
+    # first, yet path 40 is reported, and no helper is left running
     import sfc_lab.brownian as brownian
 
     real = brownian.substream
@@ -527,10 +592,12 @@ def test_lowest_failing_path_raises_after_every_helper_joins(monkeypatch, thread
 
     monkeypatch.setattr(brownian, "substream", poisoned)
     monkeypatch.setenv("SFC_LAB_THREADS", threads)
+    workers = record_tile_workers(monkeypatch)
     before = set(threading.enumerate())
     with pytest.raises(NumericalFailureError, match=r"path 40 "):
-        run_convergence(small_config())
+        run_convergence(small_config(block_size=8))
     assert set(threading.enumerate()) == before
+    assert len(workers[0]) == 1 if threads == "1" else len(workers[0]) >= 2
 
 
 def test_a_failing_tile_stops_the_run(monkeypatch):
@@ -579,10 +646,14 @@ TILE_CASES = [
 @pytest.mark.parametrize("mode", ["closed_form", "synthesized"])
 def test_identify_tiles_match_the_per_path_estimators(mode, kind, drift, n_list, M, threads,
                                                       monkeypatch):
-    # the engine's tiles and the one-path library calls share every kernel
+    # the engine's tiles and the one-path library calls share every kernel;
+    # 15 tiles of 8 rows, so three threads start two helpers
     monkeypatch.setenv("SFC_LAB_THREADS", threads)
-    cfg = small_config(spec=spec_for(kind, {"g": cosine(), "drift": drift}), n_list=n_list, M=M)
+    workers = record_tile_workers(monkeypatch)
+    cfg = small_config(spec=spec_for(kind, {"g": cosine(), "drift": drift}), n_list=n_list, M=M,
+                       block_size=8)
     ident = run_identify(cfg, mode)
+    assert len(workers[0]) == 1 if threads == "1" else len(workers[0]) >= 2
     bohr_cfg = BohrConfig(N=max(n_list), M=M, mode=mode)
     for idx in (0, 37, 119):
         pf = eval_functionals(cfg.spec, sample_path(SeedSpec(cfg.master_seed, idx), TimeGrid(256)))
