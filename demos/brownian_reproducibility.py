@@ -63,8 +63,9 @@ def main() -> int:
     ok &= prefix
     print(f"prefix property: first 100 of 160 paths bitwise equal = {prefix}")
 
-    # 4-row tiles: 25 of them, enough for five workers (one per four tiles)
-    cfg_tiles = dataclasses.replace(cfg_small, block_size=4)
+    # at m=2048, where a run starts helpers (at m <= 1024 it works alone):
+    # seven 16-row tiles, a worker for each of five threads
+    cfg_tiles = dataclasses.replace(cfg_small, m=2048)
     os.environ["SFC_LAB_THREADS"] = "1"
     seq = run_convergence(cfg_tiles)
     os.environ["SFC_LAB_THREADS"] = "5"

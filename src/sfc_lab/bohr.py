@@ -76,7 +76,7 @@ import numpy as np
 
 from . import catalog as cat
 from .errors import ConfigError
-from .sfc import CoefficientSet, _order_major, coefficients, synthesize
+from .sfc import CoefficientSet, coefficients, synthesize
 
 CLOSED_FORM = "closed_form"
 SYNTHESIZED = "synthesized"
@@ -105,25 +105,7 @@ def grid_supports(m: int, N: int, M: int) -> bool:
     return m >= 8 * (N + M)
 
 
-_MULTIPLY_BUFFER = 512  # elements: numpy's ufunc buffer under _small_ufunc_buffer (default 8192)
-
-
-class _small_ufunc_buffer:
-    """numpy's ufunc buffer capped at ``_MULTIPLY_BUFFER`` elements (8 KiB)
-    for the calling thread (``np.setbufsize``), as a context manager.  numpy
-    buffers up to its default 8192 elements (128 KiB) when an operand is
-    broadcast along the short inner axis of an order-major (rows, orders)
-    array, or when the operands' layouts differ.  A class and not a
-    generator: ``windows`` enters it on every call, and a generator's
-    context manager costs about 0.5 us more."""
-
-    __slots__ = ("size",)
-
-    def __enter__(self) -> None:
-        self.size = np.setbufsize(_MULTIPLY_BUFFER)
-
-    def __exit__(self, *exc) -> None:
-        np.setbufsize(self.size)
+_MULTIPLY_BUFFER = 512  # elements: numpy's ufunc buffer while windows multiplies (default 8192)
 
 
 @lru_cache(maxsize=16)
@@ -205,8 +187,11 @@ def windows(
     # the indices are in range: mode "clip" only keeps take from buffering ``out``
     prod = np.take(f_by_k, f_index, axis=0, out=out, mode="clip")  # (2L + 1, orders, rows)
     i_by_l = np.take(i_coef.reshape(-1, 2 * L + 1).T, i_index, axis=0)[:, None, :]
-    with _small_ufunc_buffer():
+    bufsize = np.setbufsize(_MULTIPLY_BUFFER)
+    try:
         prod *= i_by_l
+    finally:
+        np.setbufsize(bufsize)
     del i_by_l  # freed before the windows are allocated
     est = np.empty((len(norms),) + prod.shape[1:], dtype=complex)  # (widths, orders, rows)
     for wi, start, stop in segments:
@@ -345,20 +330,20 @@ def drift_coefficients(
     gain, f_c, pair, lag, ramp = _drift_plan(st, N, M)
     i_band, half = i_coef[..., L - N : L + N + 1], range(M + 1)
     # both f operands of the windows below are order-major, as coefficients
-    # stores its rows, so that windows gathers them without a transposed copy
-    carried = _order_major(w.shape[:-1], K)
-    with _small_ufunc_buffer():  # a row broadcast over order-major rows is buffered
-        cat.block_true_fourier_a(st, w, range(-K, K + 1), i_coef, out=carried)
-        carried *= (2 * M + 1) * np.sqrt(m)
-        if f_c is not None:
-            carried += f_c
-        if ramp is not None:
-            ramp_coef = coefficients(np.multiply(ramp, dw, out=scratch), K, spectrum)
-            carried += np.multiply(st.da.lower, ramp_coef, out=ramp_coef)
+    # stores its rows, so that windows gathers them without a transposed copy;
+    # carried's sums run on its transpose, where an order's term is a column
+    carried = cat.block_true_fourier_a(st, w, range(-K, K + 1), i_coef)
+    by_order = carried.T
+    by_order *= (2 * M + 1) * np.sqrt(m)
+    if f_c is not None:
+        by_order += f_c.reshape(f_c.shape + (1,) * (w.ndim - 1))
+    if ramp is not None:
+        ramp_coef = coefficients(np.multiply(ramp, dw, out=scratch), K, spectrum).T
+        by_order += np.multiply(st.da.lower, ramp_coef, out=ramp_coef)
     correction = windows(carried, i_band, half, [N], buffer)[..., 0]
     if pair is not None:
         y = band_windows(i_coef, i_band, M, [N], buffer)[..., 0]  # F(S dW) / (2N+1)
-        pairs = _order_major(y.shape[:-1], 2 * M)
+        pairs = np.empty(pair.shape + y.shape[-2::-1], dtype=complex).T
         pairs[...] = pair
         correction += windows(pairs, y, half, [M], buffer)[..., 0]
         if lag is not None:

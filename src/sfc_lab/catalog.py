@@ -489,14 +489,11 @@ def _order_terms(st: SpecTables, orders: Sequence[int]) -> tuple:
 
 
 def block_true_fourier_a(
-    st: SpecTables,
-    w: np.ndarray,
-    orders: Sequence[int],
-    i_coef: np.ndarray | None = None,
-    out: np.ndarray | None = None,
+    st: SpecTables, w: np.ndarray, orders: Sequence[int], i_coef: np.ndarray | None = None
 ) -> np.ndarray:
     """Fourier coefficients of a against conj(e_n), given W (..., m + 1);
-    shape (..., orders).
+    shape (..., orders), stored order-major as :func:`sfc.coefficients`
+    stores its rows.
 
     ``f_n + alpha F_n(W at the left tags) / m + beta W_tau delta_{n0}``: the
     f term is exact for TrigPoly data and the left Riemann sum for a node
@@ -508,33 +505,35 @@ def block_true_fourier_a(
     it covers every order, as a sweep tile's does; otherwise they are the
     coefficients of W's increments.  Pass the orders as a range or a tuple
     that is fixed for the run, and every call after the first finds their
-    terms at once (:func:`_order_terms`).  ``out``, a complex array of the
-    result's shape in any layout, receives it in place of a new array.
+    terms at once (:func:`_order_terms`).
+
+    The sums run on the transpose, one contiguous row an order, as
+    ``i_coef`` stores I: each order's terms broadcast along its row, and the
+    result needs no transposed copy to come out order-major.
     """
     m = st.grid.m
     rec = st.spec.record
     ords, top, f_row, z, divisor, is_zero = _order_terms(st, orders)
-    if out is None:
-        out = np.zeros(w.shape[:-1] + ords.shape, dtype=complex)
-    else:
-        out[...] = 0.0
+    by_order = (slice(None),) + (None,) * (w.ndim - 1)  # an order's term against every row
+    out = np.zeros(ords.shape + w.shape[-2::-1], dtype=complex)  # (orders, ..)
     if f_row is not None:
-        out += f_row
+        out += f_row[by_order]
     if rec.alpha:
         if i_coef is None or i_coef.shape[-1] < 2 * top + 1:
             i_coef = coefficients(np.diff(w, axis=-1), top)
         L = (i_coef.shape[-1] - 1) // 2
         # (z I_n - I_0) / (1 - z), then alpha (.. / m), in one temporary
-        w_coef = i_coef[..., ords + L]
-        np.multiply(z, w_coef, out=w_coef)
-        np.subtract(w_coef, i_coef[..., L : L + 1], out=w_coef)
-        np.divide(w_coef, divisor, out=w_coef)
-        w_coef[..., is_zero] = w[..., :-1].sum(axis=-1, keepdims=True)
-        np.divide(w_coef, m, out=w_coef)
+        i_rows = i_coef.T
+        w_coef = i_rows[ords + L]
+        np.multiply(z[by_order], w_coef, out=w_coef)
+        w_coef -= i_rows[L]
+        w_coef /= divisor[by_order]
+        w_coef[is_zero] = w[..., :-1].sum(axis=-1).T
+        w_coef /= m
         out += np.multiply(rec.alpha, w_coef, out=w_coef)
     if rec.beta:
-        out += rec.beta * (w[..., st.tau : st.tau + 1] * is_zero)
-    return out
+        out += rec.beta * (w[..., st.tau].T * is_zero[by_order])
+    return out.T
 
 
 def true_fourier_a(spec: ProcessSpec, path: BrownianPath, n: int) -> complex:

@@ -32,12 +32,12 @@ keeps the same contract as the sweep:
   any order, by one vectorized kernel that both results share.
 
 Tiles run on as many threads as the process may use CPUs, or on
-``SFC_LAB_THREADS`` when it is set, but on at most one thread for every four
-tiles, so that a run of fewer than 8 tiles starts no helper: the calling
-thread and its helpers take the next tile in path order from one shared
-counter.  The thread count has no effect on any reported number.
-Wall-clock time is kept on the in-memory result only; serialized artifacts
-contain nothing volatile, so identical configurations yield identical bytes.
+``SFC_LAB_THREADS`` when it is set, except that a run at m <= 1024 starts no
+helper: the calling thread and its helpers take the next tile in path order
+from one shared counter.  The thread count has no effect on any reported
+number.  Wall-clock time is kept on the in-memory result only; serialized
+artifacts contain nothing volatile, so identical configurations yield
+identical bytes.
 
 Config schema
 -------------
@@ -369,15 +369,14 @@ def fit_decay(result: ExperimentResult, n: int = 0) -> DecayFit:
 
 TILE_BYTES = 256 * 1024  # one (rows, m) float64 array of a tile fits in this
 _TILE_MAX_ROWS = 16  # taller tiles grow synthesized identify's temporaries and gain no time
-_TILES_PER_WORKER = 4  # a run starts one worker for every this many tiles (see _workers)
+_ONE_WORKER_MAX_M = 1024  # a run at m up to this works its tiles on one thread (see _workers)
 
 
 def tile_rows(cfg: ExperimentConfig) -> int:
     """Rows per tile: one (rows, m) float array in ``TILE_BYTES``, at most 16
-    rows and ``block_size``: 16 rows at m=1024, 8 at 4096, 2 at 16384.  The
-    tile count sets the workers (:func:`_workers`): 100 paths at m=1024 are 7
-    tiles and run on one, where a second lost (0.86x at P=100 in fresh
-    processes on 2 vCPUs); at m=4096 they are 13 and run on two, 1.35x."""
+    rows and ``block_size``: 16 rows at m=1024, 8 at 4096, 2 at 16384.
+    Whether helpers start turns on m, not on the rows or the tile count
+    (:func:`_workers`)."""
     return min(cfg.block_size, _TILE_MAX_ROWS, max(1, TILE_BYTES // (8 * cfg.m)))
 
 
@@ -416,36 +415,46 @@ def _tile_buffers(cfg: ExperimentConfig, widths: tuple[int, ...]) -> tuple[int, 
 
 
 def _workers(cfg: ExperimentConfig, rows: int) -> int:
-    """Threads that work a run's tiles: ``resolve_threads()``, at most one
-    for every ``_TILES_PER_WORKER`` tiles, and at least one.
+    """Threads that work a run's tiles: one at ``m <= _ONE_WORKER_MAX_M``,
+    else ``resolve_threads()``, at most one a tile.
 
-    A helper costs its thread and its four tile buffers, and the first tile
-    runs alone, so a run of fewer than 8 tiles starts none.  Two workers
-    against one, as the speed ratio of medians over 10 fresh processes each
-    on a 2-vCPU host: synthesized ``identify`` at the perfbench config
-    (m=1024, 16-row tiles) 0.86x at P=100 (7 tiles) and 0.87x at P=400 (25);
-    the sweep at m=1024 0.86x at P=100 and 0.89x at P=2000 (125 tiles);
-    closed-form ``identify`` at m=4096 (8-row tiles) 1.35x at P=100 (13
-    tiles) and 1.28x at P=200 (25).  Every run that the cap sends to one
-    worker lost with two; at m=1024 two lost at every P measured, so the
-    cap is a floor, not the crossover.
+    Two workers against one, as the speed ratio of medians over 10 fresh
+    processes a side on a 2-vCPU host, at P=100 unless noted, with N = m/16
+    (N=256 at m=4096): synthesized identify, closed form and the sweep.
+
+    - m=512, 16-row tiles: 0.59x (synthesized), 0.68x (sweep).
+    - m=1024, 16 rows: 0.85-0.86x, 0.86-0.93x, 0.86-0.93x; 0.87x and 0.90x
+      at P=400, 0.89x for the sweep at P=2000 (125 tiles).  8 rows: 0.92x
+      (closed form); 4 rows: 0.69x (sweep).
+    - m=1536, 16 rows: 0.97x, 1.13x, 1.13x.
+    - m=2048, 16 rows (7 tiles): 1.14x, 1.21x, 1.06x; 1.10x and 1.26x at
+      P=200.  4 rows: 0.92x (sweep).
+    - m=4096, 8 rows: 1.35x (closed form), 1.28x at P=200.  4 rows: 1.07x,
+      1.26x, 1.14x; 2 rows: 1.34x (closed form).
+
+    So two lost at every m <= 1024 measured, whatever the rows or the tile
+    count, and won at m >= 1536 but for the synthesized step at m=1536 and
+    4-row sweep tiles at m=2048, which keep two workers.  A helper also
+    holds four tile buffers, which a run at m <= 1024 does not allocate.
+    Hosts with more than two CPUs were not measured.
     """
-    return min(resolve_threads(), max(1, -(-cfg.paths // rows) // _TILES_PER_WORKER))
+    if cfg.m <= _ONE_WORKER_MAX_M:
+        return 1
+    return min(resolve_threads(), -(-cfg.paths // rows))
 
 
 def _run_tiles(cfg: ExperimentConfig, st: SpecTables, widths: tuple[int, ...], work) -> None:
     """Build every tile of paths and hand it to ``work``.
 
     The calling thread works the first tile alone, so that the run's
-    one-time costs are paid once; then it and ``_workers() - 1`` helper
-    threads (``resolve_threads()`` in all, but one for every four tiles, so
-    none below 8 tiles, where a helper lost 0.86x in fresh-process timings;
-    :func:`_workers` gives them) each take the next tile start from one
-    shared counter until none is left.  A worker whose tile raises takes no
-    further tile, and the others take none past the current start either;
-    every helper is joined before the failing tile with the lowest path
-    index raises, so a failure is reported as the one-thread run reports
-    it.
+    one-time costs are paid once; then it and ``resolve_threads() - 1``
+    helper threads (fewer when there are fewer tiles, and none at m <= 1024,
+    where a second worker made every measured run slower: :func:`_workers`)
+    each take the next tile start from one shared counter until none is
+    left.  A worker whose tile raises takes no further tile, and the others
+    take none past the current start either; every helper is joined before
+    the failing tile with the lowest path index raises, so a failure is
+    reported as the one-thread run reports it.
 
     Each worker thread allocates four buffers and its generator at its first
     tile and fills them in place for every later one, so a tile makes no array

@@ -65,12 +65,6 @@ class CoefficientSet:
         return complex(self.values[n + self.max_order])
 
 
-def _order_major(lead: tuple[int, ...], max_order: int) -> np.ndarray:
-    """An empty complex array (*lead, 2 max_order + 1) stored order-major,
-    as :func:`coefficients` stores its result."""
-    return np.empty((2 * max_order + 1,) + lead[::-1], dtype=complex).T
-
-
 def coefficients(
     increments: np.ndarray, max_order: int, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -106,12 +100,11 @@ def coefficients(
         )
     K = max_order
     spectrum = np.fft.rfft(x, axis=-1, out=out).T  # orders first
-    result = _order_major(x.shape[:-1], K)
-    by_order = result.T
+    by_order = np.empty((2 * K + 1,) + x.shape[-2::-1], dtype=complex)
     by_order[K:] = spectrum[: K + 1]
     by_order[:K] = spectrum[K:0:-1]
     np.conjugate(by_order[:K], out=by_order[:K])
-    return result
+    return by_order.T
 
 
 def synthesize(coeffs: CoefficientSet | np.ndarray, m: int) -> np.ndarray:

@@ -99,31 +99,42 @@ def dsfc_partials(spec, path, weights):
     return inner / np.sqrt(m) + (h @ st.c)[..., None] / m
 
 
+def start_helpers_at_any_m(monkeypatch):
+    """Let a run at any m start tile helpers, as runs above m=1024 do, so
+    that a thread test keeps a small grid."""
+    monkeypatch.setattr(experiment, "_ONE_WORKER_MAX_M", 0)
+
+
 def record_tile_workers(monkeypatch):
     """The threads that build each run's tiles: one set of thread idents per
-    run, filled as the run goes.  The tile sampler is wrapped so that, when
-    ``SFC_LAB_THREADS`` allows more than one thread, the calling thread
-    waits at its first tile after the one it works alone, up to 10 s, for a
-    helper to start a tile: a run that starts a helper then shows two
-    workers whatever the scheduler does, and a run that starts none shows
-    one."""
+    run, filled as the run goes.  The tile sampler is wrapped so that, in a
+    run whose ``experiment._workers`` is above one, the calling thread waits
+    at its first tile after the one it works alone, up to 10 s, for a helper
+    to start a tile: a run that starts a helper then shows two workers
+    whatever the scheduler does, and a run that starts none never waits."""
     caller = threading.get_ident()
     runs = []
+    workers = [1]  # the current run's, as _run_tiles asked for them
     helper_ran = threading.Event()
-    real = experiment.sample_rows
+    real_sample, real_workers = experiment.sample_rows, experiment._workers
+
+    def counted_workers(*args):
+        workers[0] = real_workers(*args)
+        return workers[0]
 
     def sample_rows(master_seed, lo, *rest):
         ident = threading.get_ident()
         if lo == 0:  # every run's first tile, which the calling thread works alone
             runs.append(set())
             helper_ran.clear()
-        elif ident == caller and experiment.resolve_threads() > 1:
+        elif ident == caller and workers[0] > 1:
             helper_ran.wait(10)
             helper_ran.set()  # wait once a run
         else:
             helper_ran.set()
         runs[-1].add(ident)
-        return real(master_seed, lo, *rest)
+        return real_sample(master_seed, lo, *rest)
 
+    monkeypatch.setattr(experiment, "_workers", counted_workers)
     monkeypatch.setattr(experiment, "sample_rows", sample_rows)
     return runs

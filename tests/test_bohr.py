@@ -208,8 +208,9 @@ def test_the_drift_step_hands_windows_order_major_rows(monkeypatch):
     # rows, m=4096, N=256, M=4), which runs every term of the step.
     # Its carried row (8 x 521 complex) and its pairs were once C-ordered,
     # and windows copied each transposed; the step peaked at 268,872 B with
-    # that copy and a truth built in three temporaries, and at 211,324 B
-    # without them.  The bound sits about halfway.
+    # that copy and a truth built in three temporaries, and at 235,776 B
+    # without them (numpy still buffers each broadcast of an order's term
+    # over the rows, up to 8192 elements).  The bound sits about halfway.
     import sfc_lab.bohr as bohr
 
     rows, m, N, M = 8, 4096, 256, 4
@@ -244,7 +245,7 @@ def test_the_drift_step_hands_windows_order_major_rows(monkeypatch):
     assert [shape for shape, _ in layouts] == [(rows, 521), (rows, 2 * N + 2 * M + 1),
                                               (rows, 4 * M + 1), (rows, 2 * N + 2 * M + 1)]
     assert all(order_major for _, order_major in layouts), layouts
-    assert peak - held < 240_000, peak - held
+    assert peak - held < 252_000, peak - held
 
 
 def test_bohr_product_coverage_errors():

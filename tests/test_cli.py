@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import record_tile_workers
+from helpers import record_tile_workers, start_helpers_at_any_m
 import sfc_lab.cli as cli
 from sfc_lab import (
     BohrConfig,
@@ -195,10 +195,13 @@ def test_convergence_writes_identical_artifacts(tmp_path, capsys, monkeypatch):
     cfg_path = write_config(tmp_path, "cfg.json", base_convergence_config())
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
+    start_helpers_at_any_m(monkeypatch)
+    workers = record_tile_workers(monkeypatch)
     monkeypatch.setenv("SFC_LAB_THREADS", "1")
     assert main(["convergence", "--config", cfg_path, "--out", str(out1)]) == 0
     monkeypatch.setenv("SFC_LAB_THREADS", "2")
     assert main(["convergence", "--config", cfg_path, "--out", str(out2)]) == 0
+    assert [len(ran) for ran in workers] == [1, 2]
 
     csv1 = (out1 / "convergence.csv").read_bytes()
     assert csv1 == (out2 / "convergence.csv").read_bytes()
@@ -296,11 +299,11 @@ def test_identify_nonfinite_estimate_names_the_path(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["closed_form", "synthesized"])
 def test_identify_bytes_ignore_threads_and_block_size(tmp_path, monkeypatch, mode):
-    # 200 paths: 13 tiles of 16 rows, so three threads start two helpers
+    start_helpers_at_any_m(monkeypatch)
     workers = record_tile_workers(monkeypatch)
 
     def run(name, threads, block_size):
-        data = dict(identify_config(), mode=mode, paths=200, block_size=block_size)
+        data = dict(identify_config(), mode=mode, paths=120, block_size=block_size)
         if threads is None:  # unset: one thread per CPU
             monkeypatch.delenv("SFC_LAB_THREADS", raising=False)
         else:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import record_tile_workers, spec_for
+from helpers import record_tile_workers, spec_for, start_helpers_at_any_m
 from sfc_lab import (
     CATALOG_KINDS,
     DRIFT_KINDS,
@@ -240,7 +240,8 @@ def test_run_shapes_and_determinism():
 
 
 def test_thread_count_does_not_change_bytes(monkeypatch):
-    cfg = small_config(block_size=8)  # 15 tiles: three workers at three threads
+    cfg = small_config()  # 8 tiles: three workers at three threads
+    start_helpers_at_any_m(monkeypatch)
     monkeypatch.setenv("SFC_LAB_THREADS", "1")
     seq = run_convergence(cfg)
     workers = record_tile_workers(monkeypatch)
@@ -286,15 +287,15 @@ def test_tile_rows_at_the_grid_sizes():
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_tile_geometry_does_not_change_any_per_path_number(monkeypatch, threads):
-    # 2, 4, 8 and 16-row tiles of 128 paths: every estimate, a_hat and b_hat
-    # bitwise the same, in the sweep and in both identify modes.  The 16-row
-    # tiles are 8, so two threads start a helper at every geometry.
+    # 2, 4, 8 and 16-row tiles of 100 paths: every estimate, a_hat and b_hat
+    # bitwise the same, in the sweep and in both identify modes; at m=4096
+    # two threads start a helper at every geometry
     import sfc_lab.experiment as exp
 
     monkeypatch.setenv("SFC_LAB_THREADS", threads)
     workers = record_tile_workers(monkeypatch)
     spec = spec_for("NONCAUSAL_BRIDGE", {"g": cosine(), "drift": "w1"})
-    cfg = small_config(spec=spec, n_list=(4, 16, 64), M=2, m=4096, paths=128, block_size=256)
+    cfg = small_config(spec=spec, n_list=(4, 16, 64), M=2, m=4096, paths=100, block_size=256)
     rows, results = [], []
     for kib in (64, 128, 256, 1024):
         monkeypatch.setattr(exp, "TILE_BYTES", kib * 1024)
@@ -435,6 +436,7 @@ def test_tables_and_tile_buffers_count_toward_the_size_check(monkeypatch):
         raise AssertionError("a run that cannot fit built its tables")
 
     monkeypatch.setenv("SFC_LAB_THREADS", "2")
+    start_helpers_at_any_m(monkeypatch)
     cfg = small_config()  # m=256, 120 paths in 16-row tiles, widths 4, 8, 16, M=1
     results = 120 * (3 + 1) * 2 * 16  # the estimates and the truth, orders 0 .. 1
     tables = 8 * 8 * 256  # eight arrays of m floats
@@ -462,26 +464,28 @@ def test_negative_orders_are_the_conjugates_of_the_positive(monkeypatch):
     assert np.array_equal(est[:, :, :3], np.conj(est[:, :, :3:-1]))
 
 
-def test_a_helper_starts_only_with_four_tiles_each(monkeypatch):
-    # by arithmetic: 16-row tiles at m=256, so 100 paths make 7 tiles, 128
-    # make 8 and 192 make 12
-    seven, eight, twelve = (small_config(paths=paths) for paths in (100, 128, 192))
+def test_a_run_at_m_1024_or_less_starts_no_helper(monkeypatch):
+    # by arithmetic, whatever the rows or the count of tiles
     for threads in ("2", "8"):
         monkeypatch.setenv("SFC_LAB_THREADS", threads)
-        assert _workers(seven, tile_rows(seven)) == 1
-        assert _workers(eight, tile_rows(eight)) == 2
-        assert _workers(twelve, tile_rows(twelve)) == min(3, int(threads))
+        for m, paths, block_size, tiles in ((256, 120, 32, 8), (1024, 100, 32, 7),
+                                            (1024, 2000, 32, 125), (1024, 100, 4, 25),
+                                            (2048, 100, 32, 7), (4096, 100, 4, 25)):
+            cfg = small_config(m=m, paths=paths, block_size=block_size)
+            assert -(-paths // tile_rows(cfg)) == tiles
+            expected = 1 if m <= 1024 else min(int(threads), tiles)
+            assert _workers(cfg, tile_rows(cfg)) == expected, (threads, m, paths, block_size)
     monkeypatch.setenv("SFC_LAB_THREADS", "1")
-    assert _workers(twelve, tile_rows(twelve)) == 1
-    # the perfbench configs on two threads: identify-synth runs 7 tiles of
-    # 16 rows on one worker, identify 25 and the sweep 250 tiles of 8 on two
+    assert _workers(small_config(m=4096), 8) == 1
+    # the perfbench configs on two threads: identify-synth at m=1024 runs on
+    # one worker, identify and the sweep at m=4096 on two
     monkeypatch.setenv("SFC_LAB_THREADS", "2")
     for m, paths, workers in ((1024, 100, 1), (4096, 200, 2), (4096, 2000, 2)):
         cfg = small_config(m=m, paths=paths, block_size=256)
         assert _workers(cfg, tile_rows(cfg)) == workers, (m, paths)
 
 
-def test_a_run_of_seven_tiles_starts_no_thread(monkeypatch):
+def test_a_run_at_m_1024_starts_no_thread(monkeypatch):
     import sfc_lab.experiment as exp
 
     started = []
@@ -495,9 +499,9 @@ def test_a_run_of_seven_tiles_starts_no_thread(monkeypatch):
     monkeypatch.setattr(exp, "threading", types.SimpleNamespace(
         Thread=Thread, Lock=threading.Lock, local=threading.local))
     monkeypatch.setenv("SFC_LAB_THREADS", "2")
-    run_identify(identify_config(paths=100), "synthesized")  # 7 tiles of 16 rows
+    run_identify(identify_config(m=1024, paths=200), "synthesized")  # 13 tiles of 16 rows
     assert started == []
-    run_identify(identify_config(paths=128), "synthesized")  # 8 tiles
+    run_identify(identify_config(m=2048, paths=100), "synthesized")  # 7 tiles
     assert len(started) == 1
 
 
@@ -506,12 +510,12 @@ def test_the_size_check_counts_the_workers_that_start(monkeypatch):
 
     monkeypatch.setenv("SFC_LAB_THREADS", "2")
     monkeypatch.setattr(exp, "_physical_memory", lambda: 1)
-    # one worker's dW, dX, W and rfft spectrum, 16 rows at m=256
-    buffers = 8 * 16 * (3 * 256 + 1) + 16 * 16 * 129
-    for paths, workers, owners in ((100, 1, "1 tile worker's"), (128, 2, "2 tile workers'")):
-        need = paths * (3 + 1) * 2 * 16 + 8 * 8 * 256 + workers * buffers
+    for m, workers, owners in ((1024, 1, "1 tile worker's"), (2048, 2, "2 tile workers'")):
+        # one worker's dW, dX, W and rfft spectrum, 16 rows
+        buffers = 8 * 16 * (3 * m + 1) + 16 * 16 * (m // 2 + 1)
+        need = 120 * (3 + 1) * 2 * 16 + 8 * 8 * m + workers * buffers
         with pytest.raises(ConfigError, match=f"{owners} buffers the run needs {need:,} bytes"):
-            _require_run_fits(small_config(paths=paths), (4, 8, 16), (3 + 1) * 2 * 16)
+            _require_run_fits(small_config(m=m), (4, 8, 16), (3 + 1) * 2 * 16)
 
 
 def test_tiles_reuse_the_workers_buffers(monkeypatch):
@@ -529,6 +533,8 @@ def test_threaded_tiles_reuse_the_workers_buffers(monkeypatch):
     # the calling thread is one of the three workers, and each worker keeps
     # one set of buffers for all of its tiles
     monkeypatch.setenv("SFC_LAB_THREADS", "3")
+    start_helpers_at_any_m(monkeypatch)
+    ran = record_tile_workers(monkeypatch)
     cfg = small_config(block_size=8)
     seen = []
 
@@ -538,7 +544,8 @@ def test_threaded_tiles_reuse_the_workers_buffers(monkeypatch):
     _run_tiles(cfg, spec_tables(cfg.spec, TimeGrid(cfg.m)), cfg.n_list, work)
     assert sorted(lo for _, lo, _, _ in seen) == list(range(0, 120, 8))
     workers = {ident for ident, *_ in seen}
-    assert threading.get_ident() in workers and len(workers) <= 3
+    assert threading.get_ident() in workers and 2 <= len(workers) <= 3
+    assert ran == [workers]
     assert len({dx.__array_interface__["data"][0] for *_, dx, _ in seen}) == len(workers)
     for ident in workers:
         mine = [(dx, w) for i, _, dx, w in seen if i == ident]
@@ -548,10 +555,10 @@ def test_threaded_tiles_reuse_the_workers_buffers(monkeypatch):
 
 def test_every_tile_runs_once_under_thread_stress(monkeypatch):
     # more workers than cores and a short switch interval: a tile start lost
-    # or handed out twice by the shared counter would show in the list.  40
-    # tiles of 3 rows keep all eight workers under the one-per-four-tiles cap.
+    # or handed out twice by the shared counter would show in the list
     monkeypatch.setenv("SFC_LAB_THREADS", "8")
-    cfg = small_config(block_size=3)
+    start_helpers_at_any_m(monkeypatch)
+    cfg = small_config(block_size=4)
     assert _workers(cfg, tile_rows(cfg)) == 8
     workers = record_tile_workers(monkeypatch)
     seen = []
@@ -562,16 +569,15 @@ def test_every_tile_runs_once_under_thread_stress(monkeypatch):
                    lambda tile: seen.append(tile.lo))
     finally:
         sys.setswitchinterval(interval)
-    assert sorted(seen) == list(range(0, 120, 3))
+    assert sorted(seen) == list(range(0, 120, 4))
     assert len(workers[0]) >= 2
 
 
 @pytest.mark.parametrize("threads", ["1", "3"])
 def test_lowest_failing_path_raises_after_every_helper_joins(monkeypatch, threads):
-    # 15 tiles of 8 rows, three workers on three threads.  Paths 40 and 70
-    # draw NaN, in the tiles at 40 and 64 (the tile at 0 runs before the
-    # helpers start); path 40 draws late, so on threads the tile at 64 fails
-    # first, yet path 40 is reported, and no helper is left running
+    # paths 40 and 70 draw NaN, in the tiles at 32 and 64 (the tile at 0 runs
+    # before the helpers start); path 40 draws late, so on threads the tile at
+    # 64 fails first, yet path 40 is reported, and no helper is left running
     import sfc_lab.brownian as brownian
 
     real = brownian.substream
@@ -592,10 +598,11 @@ def test_lowest_failing_path_raises_after_every_helper_joins(monkeypatch, thread
 
     monkeypatch.setattr(brownian, "substream", poisoned)
     monkeypatch.setenv("SFC_LAB_THREADS", threads)
+    start_helpers_at_any_m(monkeypatch)
     workers = record_tile_workers(monkeypatch)
     before = set(threading.enumerate())
     with pytest.raises(NumericalFailureError, match=r"path 40 "):
-        run_convergence(small_config(block_size=8))
+        run_convergence(small_config())
     assert set(threading.enumerate()) == before
     assert len(workers[0]) == 1 if threads == "1" else len(workers[0]) >= 2
 
@@ -646,12 +653,11 @@ TILE_CASES = [
 @pytest.mark.parametrize("mode", ["closed_form", "synthesized"])
 def test_identify_tiles_match_the_per_path_estimators(mode, kind, drift, n_list, M, threads,
                                                       monkeypatch):
-    # the engine's tiles and the one-path library calls share every kernel;
-    # 15 tiles of 8 rows, so three threads start two helpers
+    # the engine's tiles and the one-path library calls share every kernel
     monkeypatch.setenv("SFC_LAB_THREADS", threads)
+    start_helpers_at_any_m(monkeypatch)
     workers = record_tile_workers(monkeypatch)
-    cfg = small_config(spec=spec_for(kind, {"g": cosine(), "drift": drift}), n_list=n_list, M=M,
-                       block_size=8)
+    cfg = small_config(spec=spec_for(kind, {"g": cosine(), "drift": drift}), n_list=n_list, M=M)
     ident = run_identify(cfg, mode)
     assert len(workers[0]) == 1 if threads == "1" else len(workers[0]) >= 2
     bohr_cfg = BohrConfig(N=max(n_list), M=M, mode=mode)
