@@ -299,7 +299,9 @@ def drift_coefficients(
     correction`` or ``i dW``; it may be dX itself, since ``F(dX)`` is taken
     already.  The complex array holds the rfft spectrum and each window's
     products, and its real view (its first ``dX.size`` floats) holds ``a dW``;
-    ``a`` may live in that view.
+    ``a`` may live in that view.  Only those two transform inputs read dW, so
+    ``dw`` may be None in ``synthesized`` mode when the table has no lower
+    triangle.
 
     ``closed_form`` transforms ``dX - a dW + SpecTables.correction``.
     ``synthesized`` (a unused; ``n < 0`` as exact conjugates) subtracts

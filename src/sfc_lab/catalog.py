@@ -87,6 +87,9 @@ class TrigPoly:
     def __post_init__(self) -> None:
         table = dict(self.coeffs)
         for k, c in table.items():
+            if not np.isfinite(c):  # NaN would pass the symmetry test below
+                raise ConfigError(f"coefficients must be finite; c[{k}]={c}")
+        for k, c in table.items():
             mate = table.get(-k, 0.0)
             if abs(np.conj(c) - mate) > 1e-12:
                 raise ConfigError(
@@ -97,7 +100,7 @@ class TrigPoly:
     @classmethod
     def from_mapping(cls, mapping: Mapping[int, complex]) -> "TrigPoly":
         """From {frequency: coefficient}: integer keys (a bool is neither a
-        frequency nor a coefficient) and numeric values."""
+        frequency nor a coefficient) and finite numeric values."""
         for k, v in mapping.items():
             integer = isinstance(k, (int, np.integer)) and not _is_bool(k)
             if not (integer and isinstance(v, Number) and not _is_bool(v)):
@@ -201,7 +204,7 @@ def _coerce_table(name: str, value) -> TrigPoly | np.ndarray:
     if isinstance(value, TrigPoly):
         return value
     if isinstance(value, Mapping):
-        return TrigPoly.from_mapping(value)
+        return _trig_poly(name, value)
     if isinstance(value, (Sequence, np.ndarray)):
         return _node_table(name, value)
     raise ConfigError(f"{name} must be a TrigPoly, a frequency->coefficient mapping, or a node table")
@@ -216,7 +219,19 @@ def _node_table(name: str, values) -> np.ndarray:
         raise ConfigError(f"{name} node table must be a 1-d array over the grid")
     if any(map(_is_bool, values)):
         raise ConfigError(f"{name} node table must hold numbers, not booleans")
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ConfigError(f"{name} node table must hold finite numbers, got {arr[bad[0]]} "
+                          f"at node {bad[0]}")
     return arr
+
+
+def _trig_poly(name: str, mapping: Mapping) -> TrigPoly:
+    """:meth:`TrigPoly.from_mapping` for the table ``name``, which its errors name."""
+    try:
+        return TrigPoly.from_mapping(mapping)
+    except ConfigError as exc:
+        raise ConfigError(f"{name} table: {exc}") from None
 
 
 def _table_from_json(name: str, obj: Mapping) -> TrigPoly | np.ndarray:
@@ -239,7 +254,7 @@ def _table_from_json(name: str, obj: Mapping) -> TrigPoly | np.ndarray:
             table[int(k) if isinstance(k, str) else k] = complex(*v)
         except ValueError:
             raise ConfigError(f"{name} frequency {k!r} is not an integer") from None
-    return TrigPoly.from_mapping(table)
+    return _trig_poly(name, table)
 
 
 def _table_jsonable(table: TrigPoly | np.ndarray | None) -> dict | None:

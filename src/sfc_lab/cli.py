@@ -29,7 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from . import __version__
-from .bohr import CLOSED_FORM
+from .bohr import CLOSED_FORM, RECOVERY_MODES
 from .brownian import SeedSpec, sample_rows
 from .catalog import CATALOG_KINDS, CONST, DRIFT_DET, DRIFT_W1, make_process, spec_for, spec_tables
 from .errors import ConfigError, NumericalFailureError
@@ -58,7 +58,8 @@ _BASIS_ORDERS = (0, 1, -3)  # the basis functions e_n of the identity battery
 
 def _run_config(args: argparse.Namespace) -> tuple[ExperimentConfig, dict]:
     """The run's config from ``--config`` and the ``--seed``, ``--paths`` and
-    ``--mesh`` overrides, and the file's command keys (``COMMAND_KEYS``)."""
+    ``--mesh`` overrides, and the file's command keys (``COMMAND_KEYS``),
+    checked by :func:`_command_keys`."""
     path = Path(args.config)
     try:
         text = path.read_text(encoding="utf-8")
@@ -73,7 +74,38 @@ def _run_config(args: argparse.Namespace) -> tuple[ExperimentConfig, dict]:
     for key, value in (("master_seed", args.seed), ("paths", args.paths), ("m", args.mesh)):
         if value is not None:
             data[key] = value
-    return config_from_jsonable(data), {k: data[k] for k in COMMAND_KEYS if k in data}
+    cfg = config_from_jsonable(data)
+    return cfg, _command_keys(cfg, {k: data[k] for k in COMMAND_KEYS if k in data})
+
+
+def _command_keys(cfg: ExperimentConfig, command: dict) -> dict:
+    """``command`` once every value in it is one that the command reading
+    it accepts, whichever command runs, so that one file serves both: a
+    recovery mode (identify), and a slope gate that can fail, a finite band
+    over orders of the run (convergence)."""
+    if "mode" in command and command["mode"] not in RECOVERY_MODES:
+        raise ConfigError(f"mode must be one of {RECOVERY_MODES}, got {command['mode']!r}")
+    band = command.get("slope_band")
+    band_orders = command.get("slope_band_orders", [0])
+    if band is not None and not (
+        isinstance(band, list)
+        and len(band) == 2
+        and all(type(v) in (int, float) and math.isfinite(v) for v in band)
+        and band[0] <= band[1]
+    ):
+        raise ConfigError(
+            f"slope_band must be a [low, high] pair of finite numbers, low <= high, got {band!r}"
+        )
+    if not (
+        isinstance(band_orders, list)
+        and band_orders
+        and all(type(n) is int and abs(n) <= cfg.M for n in band_orders)
+    ):
+        raise ConfigError(
+            f"slope_band_orders must be a non-empty list of integer orders in -{cfg.M}..{cfg.M}, "
+            f"got {band_orders!r}"
+        )
+    return command
 
 
 @contextmanager
@@ -234,27 +266,8 @@ def cmd_verify_multiplication(args: argparse.Namespace) -> int:
 
 def cmd_convergence(args: argparse.Namespace) -> int:
     cfg, command = _run_config(args)
-    # a gate must be able to fail: a finite band over reported orders
     band = command.get("slope_band")
     band_orders = command.get("slope_band_orders", [0])
-    if band is not None and not (
-        isinstance(band, list)
-        and len(band) == 2
-        and all(type(v) in (int, float) and math.isfinite(v) for v in band)
-        and band[0] <= band[1]
-    ):
-        raise ConfigError(
-            f"slope_band must be a [low, high] pair of finite numbers, low <= high, got {band!r}"
-        )
-    if not (
-        isinstance(band_orders, list)
-        and band_orders
-        and all(type(n) is int and abs(n) <= cfg.M for n in band_orders)
-    ):
-        raise ConfigError(
-            f"slope_band_orders must be a non-empty list of integer orders in -{cfg.M}..{cfg.M}, "
-            f"got {band_orders!r}"
-        )
     if len(cfg.n_list) < 2:
         raise ConfigError(f"a decay slope needs at least two widths, got N_list={list(cfg.n_list)}")
     with _output_dir(args.out) as out_dir:

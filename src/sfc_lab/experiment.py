@@ -1,18 +1,19 @@
 """Monte Carlo experiments for the coefficient estimator: the convergence
 sweep and coefficient identification, on one engine.  Paths run in row tiles
 of at most ``block_size`` and 16 rows, and of at most as many as keep one
-(rows, m) float array within ``TILE_BYTES``.  Each tile is sampled, gets X
-from the spec's tables (built once per spec and grid), one transform each of
-dX and dW and all its Bohr windows from one ``bohr.band_windows`` call;
-``run_identify`` recovers b on the same tile.
-Each worker thread fills the same four buffers for every tile it builds, so
-a :class:`Tile`'s arrays are views on them, valid only inside the callback
-that receives it.  Both results keep the orders ``n = 0 .. M`` of each path
-only: the sweep its estimates and one truth row, from which it reduces
-|estimate - truth| one width at a time, and identification ``a_hat`` and
-``b_hat``.  The increments are real, so ``B_N(-n) = conj(B_N(n))``, the
-truth's coefficients and b mirror the same way, and the orders ``n < 0`` of
-every table are copies.
+(rows, m) float array within ``TILE_BYTES``.  Each tile is sampled, takes
+the transform of dW, gets dX from the spec's tables (built once per spec and
+grid), takes the transform of dX and all its Bohr windows from one
+``bohr.band_windows`` call; ``run_identify`` recovers b on the same tile.
+Each worker thread fills the same buffers for every tile it builds: W, dW,
+dX and a complex scratch, or three where the consumer reads no dW after the
+transforms and dX is built in dW's rows.  A :class:`Tile`'s arrays are views
+on them, valid only inside the callback that receives it.  Both results keep
+the orders ``n = 0 .. M`` of each path only: the sweep its estimates and one
+truth row, from which it reduces |estimate - truth| one width at a time, and
+identification ``a_hat`` and ``b_hat``.  The increments are real, so
+``B_N(-n) = conj(B_N(n))``, the truth's coefficients and b mirror the same
+way, and the orders ``n < 0`` of every table are copies.
 
 Determinism contract
 --------------------
@@ -44,9 +45,10 @@ Config schema
 Each part of a config file has one owner: ``catalog.make_process`` reads
 the process block and ``catalog.process_jsonable`` writes it; ``RUN_FIELDS``
 lists the run fields for :func:`config_from_jsonable` and
-:func:`config_jsonable`; the command that uses a ``COMMAND_KEYS`` entry
-(``cli``) reads it.  Both results write their CSV and JSON through one
-writer, each giving only its rows and its own JSON key.
+:func:`config_jsonable`; ``cli`` reads the ``COMMAND_KEYS`` and checks
+each of them whichever command runs, so one file serves both commands.
+Both results write their CSV and JSON through one writer, each giving only
+its rows and its own JSON key.
 """
 
 from __future__ import annotations
@@ -388,16 +390,18 @@ class Tile:
     and the windows (rows, orders -M .. M, widths), with the worker's flat
     complex scratch, which holds an rfft spectrum of the rows or any window's
     products, and ``scratch``, its real view (rows, m).  Once the
-    coefficients are taken, dX's rows and both scratch arrays are free.  W,
-    dW, dX and the scratch are views on the worker's buffers, which its next
-    tile overwrites: they are valid only inside the callback, so keep a copy
-    of what must outlive it.  The coefficients and the windows are the
-    tile's own; the coefficients are stored order-major, as
+    coefficients are taken, dX's rows and both scratch arrays are free.
+    ``dw`` is None where the run keeps no dW (:func:`_run_tiles`): dX then
+    lies in dW's rows, and a consumer that reads dW fails instead of reading
+    dX.  W, dW, dX and the scratch are views on the worker's buffers, which
+    its next tile overwrites: they are valid only inside the callback, so
+    keep a copy of what must outlive it.  The coefficients and the windows
+    are the tile's own; the coefficients are stored order-major, as
     ``sfc.coefficients`` returns them."""
 
     lo: int
     w: np.ndarray
-    dw: np.ndarray
+    dw: np.ndarray | None
     dx: np.ndarray
     f_coef: np.ndarray
     i_coef: np.ndarray
@@ -406,12 +410,19 @@ class Tile:
     complex_scratch: np.ndarray
 
 
-def _tile_buffers(cfg: ExperimentConfig, widths: tuple[int, ...]) -> tuple[int, int]:
-    """Rows per tile and the length of a worker's flat complex scratch: the
-    rfft spectrum (which also covers the real view's m floats a row) or the
-    band-M windows' products, whichever is longer."""
+def _tile_buffers(
+    cfg: ExperimentConfig, widths: tuple[int, ...], keep_dw: bool = True
+) -> tuple[int, int, int]:
+    """Rows per tile, the (rows, m) float arrays of a worker besides W, and
+    the length of its flat complex scratch: the rfft spectrum (which also
+    covers the real view's m floats a row) or the band-M windows' products,
+    whichever is longer.  dW and dX share one array unless ``keep_dw``: the
+    sweep and synthesized identify without a lower triangle read no dW after
+    its transform, while closed-form identify transforms ``dX - a dW +
+    correction`` and the synthesized step with a lower triangle ``i dW``."""
     rows = tile_rows(cfg)
-    return rows, rows * max(cfg.m // 2 + 1, (2 * max(max(widths), cfg.M) + 1) * (cfg.M + 1))
+    complex_size = rows * max(cfg.m // 2 + 1, (2 * max(max(widths), cfg.M) + 1) * (cfg.M + 1))
+    return rows, 2 if keep_dw else 1, complex_size
 
 
 def _workers(cfg: ExperimentConfig, rows: int) -> int:
@@ -435,7 +446,7 @@ def _workers(cfg: ExperimentConfig, rows: int) -> int:
     So two lost at every m <= 1024 measured, whatever the rows or the tile
     count, and won at m >= 1536 but for the synthesized step at m=1536 and
     4-row sweep tiles at m=2048, which keep two workers.  A helper also
-    holds four tile buffers, which a run at m <= 1024 does not allocate.
+    holds its own tile buffers, which a run at m <= 1024 does not allocate.
     Hosts with more than two CPUs were not measured.
     """
     if cfg.m <= _ONE_WORKER_MAX_M:
@@ -443,7 +454,9 @@ def _workers(cfg: ExperimentConfig, rows: int) -> int:
     return min(resolve_threads(), -(-cfg.paths // rows))
 
 
-def _run_tiles(cfg: ExperimentConfig, st: SpecTables, widths: tuple[int, ...], work) -> None:
+def _run_tiles(
+    cfg: ExperimentConfig, st: SpecTables, widths: tuple[int, ...], work, *, keep_dw: bool = True
+) -> None:
     """Build every tile of paths and hand it to ``work``.
 
     The calling thread works the first tile alone, so that the run's
@@ -456,17 +469,21 @@ def _run_tiles(cfg: ExperimentConfig, st: SpecTables, widths: tuple[int, ...], w
     the failing tile with the lowest path index raises, so a failure is
     reported as the one-thread run reports it.
 
-    Each worker thread allocates four buffers and its generator at its first
+    Each worker thread allocates its buffers and its generator at its first
     tile and fills them in place for every later one, so a tile makes no array
     of a tile's size: dW and W (drawn by ``brownian.sample_rows``), dX, and one
-    flat complex scratch.  Its real view holds a and then the drift's ``b /
-    m`` until dX is complete; then it holds the rfft spectrum of each
-    transform and the window products, of a width N or of the band M (each
-    transform copies its orders out of it first).  The drift step writes its
-    transform input (``dX - a dW + correction`` or ``i dW``) into dX's rows.
-    Besides, a sweep tile allocates the two coefficient arrays it keeps, and
-    for the windows the gather of I (2N + 1 complex numbers a row), numpy's 8
-    KiB multiply buffer and the windows themselves.
+    flat complex scratch.  The dW transform is taken first, so where the
+    consumer reads no dW (``keep_dw=False``: the sweep, and synthesized
+    identify without a lower triangle, :func:`_tile_buffers`) dX is built in
+    dW's rows, the worker holds three buffers, and the tile's ``dw`` is None.
+    The scratch's real view holds a and then the drift's ``b / m`` until dX
+    is complete; then it holds the rfft spectrum of each transform and the
+    window products, of a width N or of the band M (each transform copies its
+    orders out of it first).  The drift step writes its transform input (``dX
+    - a dW + correction`` or ``i dW``) into dX's rows.  Besides, a sweep tile
+    allocates the two coefficient arrays it keeps, and for the windows the
+    gather of I (2N + 1 complex numbers a row), numpy's 8 KiB multiply buffer
+    and the windows themselves.
 
     Threads overlap the sampling and the transforms, and little else.  Each
     stage of a sweep tile at the perfbench config (8 rows, m=4096), run alone
@@ -476,17 +493,18 @@ def _run_tiles(cfg: ExperimentConfig, st: SpecTables, widths: tuple[int, ...], w
     loops and calls, whose overhead does not overlap.
     """
     m, n_max = cfg.m, max(widths)
-    rows, complex_size = _tile_buffers(cfg, widths)
+    rows, row_arrays, complex_size = _tile_buffers(cfg, widths, keep_dw)
     L = max(n_max + cfg.M, 2 * cfg.M)  # the dW orders the drift step reads
     local = threading.local()
 
     def buffers() -> tuple[np.ndarray, ...]:
-        """This thread's dW, dX, W and complex scratch."""
+        """This thread's W, dW, dX and complex scratch."""
         if not hasattr(local, "buffers"):
+            dw = np.empty((rows, m))
             local.buffers = (
-                np.empty((rows, m)),
-                np.empty((rows, m)),
                 np.empty((rows, m + 1)),
+                dw,
+                np.empty((rows, m)) if row_arrays == 2 else dw,  # dX goes after F(dW)
                 np.empty(complex_size, dtype=complex),
             )
             local.rng = None
@@ -495,16 +513,17 @@ def _run_tiles(cfg: ExperimentConfig, st: SpecTables, widths: tuple[int, ...], w
     def one(lo: int) -> None:
         count = min(cfg.paths, lo + rows) - lo
         *real, complex_scratch = buffers()
-        dw, dx, w = (b[:count] for b in real)
+        w, dw, dx = (b[:count] for b in real)
         scratch = complex_scratch.view(float)[: count * m].reshape(count, m)
         spectrum = complex_scratch[: count * (m // 2 + 1)].reshape(count, m // 2 + 1)
         local.rng = sample_rows(cfg.master_seed, lo, dw, w, local.rng)
+        i_coef = coefficients(dw, L, spectrum)  # order l at column l + L
         _, _, dx = block_functionals(st, w, out=(scratch, scratch, dx))
         f_coef = coefficients(dx, n_max + cfg.M, spectrum)  # order k at column k + n_max + M
-        i_coef = coefficients(dw, L, spectrum)  # order l at column l + L
         est = band_windows(f_coef, i_coef[:, L - n_max : L + n_max + 1], cfg.M, widths,
                            complex_scratch)
-        work(Tile(lo, w, dw, dx, f_coef, i_coef, est, scratch, complex_scratch))
+        work(Tile(lo, w, dw if keep_dw else None, dx, f_coef, i_coef, est, scratch,
+                  complex_scratch))
 
     starts = range(0, cfg.paths, rows)
     threads = _workers(cfg, rows)
@@ -634,16 +653,19 @@ def _physical_memory() -> int | None:
 _TABLE_ARRAYS = 8
 
 
-def _require_run_fits(cfg: ExperimentConfig, widths: tuple[int, ...], bytes_per_path: int) -> None:
+def _require_run_fits(
+    cfg: ExperimentConfig, widths: tuple[int, ...], bytes_per_path: int, keep_dw: bool = True
+) -> None:
     """Refuse a run that physical memory cannot hold: its per-path results,
     the spec's tables (at most ``_TABLE_ARRAYS`` arrays of m floats) and the
-    four buffers of every tile worker.  It could not finish, so it fails
-    before the tables or any tile are built."""
-    rows, complex_size = _tile_buffers(cfg, widths)
+    buffers of every tile worker, as :func:`_tile_buffers` counts them for
+    ``keep_dw`` (four, or three where dX is built in dW's rows).  It could
+    not finish, so it fails before the tables or any tile are built."""
+    rows, row_arrays, complex_size = _tile_buffers(cfg, widths, keep_dw)
     workers = _workers(cfg, rows)
     results = cfg.paths * bytes_per_path
     need = results + 8 * _TABLE_ARRAYS * cfg.m + workers * (
-        8 * rows * (3 * cfg.m + 1) + 16 * complex_size
+        8 * rows * (row_arrays * cfg.m + cfg.m + 1) + 16 * complex_size
     )
     have = _physical_memory()
     if have is not None and need > have:
@@ -659,7 +681,7 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the sweep; see the module docstring for the determinism contract."""
     started = time.perf_counter()
     M, widths = cfg.M, len(cfg.n_list)
-    _require_run_fits(cfg, cfg.n_list, (widths + 1) * (M + 1) * 16)
+    _require_run_fits(cfg, cfg.n_list, (widths + 1) * (M + 1) * 16, keep_dw=False)
     st = spec_tables(cfg.spec, TimeGrid(cfg.m))
     half = range(M + 1)  # the orders kept; n < 0 mirrors them
     estimates = np.zeros((cfg.paths, widths, M + 1), dtype=complex)
@@ -676,7 +698,7 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
         estimates[tile.lo : hi] = est.transpose(0, 2, 1)
         truth[tile.lo : hi] = true
 
-    _run_tiles(cfg, st, cfg.n_list, work)
+    _run_tiles(cfg, st, cfg.n_list, work, keep_dw=False)  # the truth reads I, not dW
 
     p = cfg.p_exponent
     stats = np.empty((3, widths, M + 1))
@@ -772,7 +794,10 @@ def run_identify(cfg: ExperimentConfig, mode: str) -> IdentifyResult:
     synthesized step reads coefficient rows and the truth's coefficients.
     """
     N = BohrConfig(N=max(cfg.n_list), M=cfg.M, mode=mode).N
-    _require_run_fits(cfg, (N,), 2 * (cfg.M + 1) * 16)
+    # the closed form transforms dX - a dW + correction, and the synthesized
+    # step i dW where a's derivative table has a lower triangle (alpha != 0)
+    keep_dw = mode == CLOSED_FORM or cfg.spec.record.alpha != 0
+    _require_run_fits(cfg, (N,), 2 * (cfg.M + 1) * 16, keep_dw)
     st = spec_tables(cfg.spec, TimeGrid(cfg.m))
     a_hat = np.empty((cfg.paths, cfg.M + 1), dtype=complex)  # n < 0 mirrors n > 0
     b_hat = np.empty_like(a_hat)
@@ -791,5 +816,5 @@ def run_identify(cfg: ExperimentConfig, mode: str) -> IdentifyResult:
         a_hat[tile.lo : tile.lo + len(a)] = a[:, cfg.M :]
         b_hat[tile.lo : tile.lo + len(a)] = b[:, cfg.M :]
 
-    _run_tiles(cfg, st, (N,), work)
+    _run_tiles(cfg, st, (N,), work, keep_dw=keep_dw)
     return IdentifyResult(config=cfg, mode=mode, _a_hat=a_hat, _b_hat=b_hat)

@@ -13,6 +13,7 @@ from sfc_lab import (
     NumericalFailureError,
     SeedSpec,
     TimeGrid,
+    cosine,
     kernel_l2_identity,
     make_process,
 )
@@ -366,6 +367,91 @@ def test_config_errors_exit_two(tmp_path):
     single = write_config(tmp_path, "single.json", one_width)
     assert main(["convergence", "--config", single, "--out", str(tmp_path / "single")]) == 2
     assert not (tmp_path / "single").exists()
+
+
+NONFINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def _nonfinite_tables(bad):
+    """The table forms of make_process, each holding ``bad`` once: node
+    values (a list and the JSON form), a frequency mapping and JSON
+    coefficients, in the real part and, as a conjugate pair, the imaginary."""
+    nodes = [1.0] * 256
+    nodes[5] = bad
+    return [
+        nodes,
+        {"values": nodes},
+        {0: bad},
+        {1: complex(0.5, bad), -1: complex(0.5, -bad)},
+        {"coeffs": {"0": [bad, 0.0]}},
+        {"coeffs": {"1": [0.5, bad], "-1": [0.5, -bad]}},
+    ]
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+@pytest.mark.parametrize("name", ["f", "g"])
+def test_a_nonfinite_table_is_a_config_error_that_names_it(name, bad):
+    for table in _nonfinite_tables(bad):
+        params = {"f": [1.0] * 256, "drift": "det", "g": cosine(), name: table}
+        with pytest.raises(ConfigError, match=rf"^{name} (node )?table"):
+            make_process("DET", params)
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+@pytest.mark.parametrize("name", ["f", "g"])
+@pytest.mark.parametrize("command", ["convergence", "identify"])
+def test_a_nonfinite_table_exits_two_before_the_run(tmp_path, monkeypatch, capsys, command,
+                                                     name, bad):
+    monkeypatch.setattr(cli, f"run_{command}", lambda *args: pytest.fail("the run started"))
+    json_forms = [t for t in _nonfinite_tables(bad)
+                  if isinstance(t, list) or all(isinstance(k, str) for k in t)]
+    assert len(json_forms) == 4
+    for i, table in enumerate(json_forms):
+        data = dict(base_convergence_config(), mode="synthesized")
+        data["process"] = {"kind": "DET", "f": {"coeffs": {"0": [1.0, 0.0]}}, "drift": "det",
+                           "g": {"coeffs": {"0": [1.0, 0.0]}}, name: table}
+        out = tmp_path / f"o{i}"
+        cfg_path = write_config(tmp_path, f"cfg{i}.json", data)
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error" in line]
+        assert len(errors) == 1 and errors[0].startswith(f"config error: {name} ")
+        assert "finite" in errors[0] and captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("convergence", "mode", 3),
+        ("convergence", "mode", "magic"),
+        ("identify", "slope_band", "x"),
+        ("identify", "slope_band", [-0.35, -0.65]),
+        ("identify", "slope_band_orders", [2]),  # M = 1
+    ],
+)
+def test_a_command_key_is_checked_whichever_command_reads_the_file(tmp_path, monkeypatch, capsys,
+                                                                   command, key, value):
+    monkeypatch.setattr(cli, f"run_{command}", lambda *args: pytest.fail("the run started"))
+    data = dict(base_convergence_config(), **{key: value})
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, "cfg.json", data),
+                 "--out", str(out)]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith(f"config error: {key} ")
+    assert not out.exists()
+
+
+def test_one_file_serves_both_commands(tmp_path):
+    # each command accepts the valid keys that the other one reads
+    data = dict(base_convergence_config(), mode="synthesized", slope_band=[-0.65, -0.35],
+                slope_band_orders=[0, 1])
+    cfg_path = write_config(tmp_path, "cfg.json", data)
+    for command in ("convergence", "identify"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 0
+        assert (out / f"{command}.csv").exists()
+    report = json.loads((tmp_path / "identify" / "identify.json").read_text())
+    assert report["mode"] == "synthesized"
 
 
 def test_unknown_subcommand_exits_two():

@@ -311,14 +311,15 @@ def test_tile_geometry_does_not_change_any_per_path_number(monkeypatch, threads)
 
 
 def test_a_sweep_holds_few_tile_buffers(monkeypatch):
-    # one worker with its four 8-row buffers, at the perfbench sweep's m,
-    # widths and orders; the first run builds the spec's tables and the
-    # window plan, which later runs share.  One thread makes the peak the
-    # same on every run: 1,685,932 B for tiles that copy F, run the windows'
-    # multiply through numpy's 128 KiB buffer and keep an error table per
-    # width, and 1,456,776 B for tiles that allocate only their two
-    # coefficient arrays and the windows' I gather and 8 KiB buffer, with one
-    # truth row per path.  The bound sits about halfway, 114 KB from each.
+    # one worker with its three 8-row buffers (W, dW with dX built in its
+    # rows, the complex scratch), at the perfbench sweep's m, widths and
+    # orders; the first run builds the spec's tables and the window plan,
+    # which later runs share.  One thread makes the peak the same on every
+    # run: 1,457,064 B for a worker that holds dX apart from dW, and
+    # 1,195,024 B, one 8 x 4096 float array less, for one that builds dX in
+    # dW's rows.  Tiles allocate only their two coefficient arrays and the
+    # windows' I gather and 8 KiB buffer, with one truth row per path.  The
+    # bound sits halfway, 131 KB from each.
     monkeypatch.setenv("SFC_LAB_THREADS", "1")
     spec = spec_for("NONCAUSAL_BRIDGE", {"g": cosine(), "drift": "w1"})
     cfg = small_config(spec=spec, n_list=(4, 8, 16, 32, 64, 128, 256), M=4, m=4096, paths=200)
@@ -329,7 +330,7 @@ def test_a_sweep_holds_few_tile_buffers(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1_570_000, peak
+    assert peak < 1_326_000, peak
 
 
 def test_synthesized_identify_holds_few_tile_buffers(monkeypatch):
@@ -440,9 +441,10 @@ def test_tables_and_tile_buffers_count_toward_the_size_check(monkeypatch):
     cfg = small_config()  # m=256, 120 paths in 16-row tiles, widths 4, 8, 16, M=1
     results = 120 * (3 + 1) * 2 * 16  # the estimates and the truth, orders 0 .. 1
     tables = 8 * 8 * 256  # eight arrays of m floats
-    # per worker: dW, dX, W and the longer of the rfft spectrum and the
+    # per worker: W, dW with dX built in its rows (the sweep reads no dW
+    # after its transform) and the longer of the rfft spectrum and the
     # band-1 windows' products, 16 x max(129, 33 x 2) complex numbers
-    buffers = 2 * (8 * 16 * (256 + 256 + 257) + 16 * 16 * 129)
+    buffers = 2 * (8 * 16 * (256 + 257) + 16 * 16 * 129)
     need = results + tables + buffers
     monkeypatch.setattr(exp, "_physical_memory", lambda: need)
     run_convergence(cfg)  # fits exactly
@@ -516,6 +518,58 @@ def test_the_size_check_counts_the_workers_that_start(monkeypatch):
         need = 120 * (3 + 1) * 2 * 16 + 8 * 8 * m + workers * buffers
         with pytest.raises(ConfigError, match=f"{owners} buffers the run needs {need:,} bytes"):
             _require_run_fits(small_config(m=m), (4, 8, 16), (3 + 1) * 2 * 16)
+
+
+DW_READERS = [  # kind and drift, mode (None: the sweep), whether the tiles keep dW
+    pytest.param("NONCAUSAL_BRIDGE", "w1", None, False, id="sweep"),
+    pytest.param("NONCAUSAL_W1", "det", "synthesized", False, id="w1-synthesized"),
+    pytest.param("NONCAUSAL_MIDPOINT", "det", "synthesized", False, id="midpoint-synthesized"),
+    pytest.param("NONCAUSAL_W1", "det", "closed_form", True, id="w1-closed-form"),
+    pytest.param("NONCAUSAL_BRIDGE", "w1", "synthesized", True, id="bridge-synthesized"),
+    pytest.param("ADAPTED_W", "det", "synthesized", True, id="adapted-synthesized"),
+]
+
+
+@pytest.mark.parametrize("kind, drift, mode, keeps", DW_READERS)
+def test_only_a_run_that_reads_dw_keeps_it_apart_from_dx(monkeypatch, kind, drift, mode, keeps):
+    # the closed form transforms dX - a dW + correction and the synthesized
+    # step i dW where the table has a lower triangle (ADAPTED_W, BRIDGE);
+    # every other run builds dX in the rows that dW was drawn into
+    import sfc_lab.experiment as exp
+
+    monkeypatch.setenv("SFC_LAB_THREADS", "1")
+    drawn, seen = [], []
+    real_sample, real_tiles = exp.sample_rows, exp._run_tiles
+
+    def sample_rows(master_seed, lo, dw, w, rng):
+        drawn.append(dw.__array_interface__["data"][0])
+        return real_sample(master_seed, lo, dw, w, rng)
+
+    def run_tiles(cfg, st, widths, work, **kw):
+        def recording(tile):
+            seen.append((tile.dw is None, tile.dx.__array_interface__["data"][0],
+                         tile.dw is not None and np.shares_memory(tile.dw, tile.dx)))
+            work(tile)
+
+        real_tiles(cfg, st, widths, recording, **kw)
+
+    monkeypatch.setattr(exp, "sample_rows", sample_rows)
+    monkeypatch.setattr(exp, "_run_tiles", run_tiles)
+    cfg = small_config(spec=spec_for(kind, {"g": cosine(), "drift": drift}), M=2)
+    run_convergence(cfg) if mode is None else run_identify(cfg, mode)
+    assert len(seen) == len(drawn) == 8 and len(set(drawn)) == 1
+    for dw_is_none, dx, shared in seen:
+        assert dw_is_none is not keeps and not shared
+        assert (dx == drawn[0]) is not keeps
+    # the size check counts the (rows, m) arrays that the run allocates
+    monkeypatch.setattr(exp, "_physical_memory", lambda: 1)
+    rows_m = (2 if keeps else 1) * 256 + 257  # dW and dX, or dW alone, and W
+    per_path = (3 + 1) * 3 * 16 if mode is None else 2 * 3 * 16
+    widths = cfg.n_list if mode is None else (16,)
+    need = 120 * per_path + 8 * 8 * 256 + 8 * 16 * rows_m + 16 * 16 * max(
+        129, (2 * max(widths) + 1) * 3)
+    with pytest.raises(ConfigError, match=f"1 tile worker's buffers the run needs {need:,} "):
+        run_convergence(cfg) if mode is None else run_identify(cfg, mode)
 
 
 def test_tiles_reuse_the_workers_buffers(monkeypatch):
