@@ -556,7 +556,8 @@ def test_only_a_run_that_reads_dw_keeps_it_apart_from_dx(monkeypatch, kind, drif
     monkeypatch.setattr(exp, "sample_rows", sample_rows)
     monkeypatch.setattr(exp, "_run_tiles", run_tiles)
     cfg = small_config(spec=spec_for(kind, {"g": cosine(), "drift": drift}), M=2)
-    run_convergence(cfg) if mode is None else run_identify(cfg, mode)
+    run = run_convergence if mode is None else lambda c: run_identify(c, mode)
+    run(cfg)
     assert len(seen) == len(drawn) == 8 and len(set(drawn)) == 1
     for dw_is_none, dx, shared in seen:
         assert dw_is_none is not keeps and not shared
@@ -569,7 +570,7 @@ def test_only_a_run_that_reads_dw_keeps_it_apart_from_dx(monkeypatch, kind, drif
     need = 120 * per_path + 8 * 8 * 256 + 8 * 16 * rows_m + 16 * 16 * max(
         129, (2 * max(widths) + 1) * 3)
     with pytest.raises(ConfigError, match=f"1 tile worker's buffers the run needs {need:,} "):
-        run_convergence(cfg) if mode is None else run_identify(cfg, mode)
+        run(cfg)
 
 
 def test_tiles_reuse_the_workers_buffers(monkeypatch):
