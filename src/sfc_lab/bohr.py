@@ -51,8 +51,9 @@ stochastic part and what is left is the drift coefficient.
 ``experiment.run_identify``'s tiles alike, and holds the choice between the
 two modes:
 
-* ``closed_form``   one transform of ``dX - a dW + correction``, with the
-                    true a and its exact diagonal ``SpecTables.correction``;
+* ``closed_form``   ``F_n(dX) - F_n(a dW) + F_n(correction)``, with the true
+                    a's own ``F(a dW)``, which ``catalog.block_dx_coefficients``
+                    finds beside ``F(dX)``: no transform of its own;
 * ``synthesized``   the divergence of the trigonometric polynomial of the
                     *estimated* coefficients, whose correction is the
                     gradient of the whole estimation pipeline.  Exact
@@ -241,9 +242,10 @@ def identify_a(pf: cat.PathFunctionals, cfg: BohrConfig) -> CoefficientSet:
     m = pf.grid.m
     if not grid_supports(m, cfg.N, cfg.M):
         raise ValueError(f"grid too coarse: m={m} < 8 (N + M) = {8 * (cfg.N + cfg.M)}")
-    f_coef = coefficients(pf.dx, cfg.N + cfg.M)
-    i_coef = coefficients(pf.path.increments, cfg.N)
-    values = band_windows(f_coef, i_coef, cfg.M, [cfg.N])[:, 0]
+    K, dw = cfg.N + cfg.M, pf.path.increments
+    i_coef = coefficients(dw, K)
+    f_coef = cat.block_dx_coefficients(pf.tables, pf.path.values, dw, i_coef, K)
+    values = band_windows(f_coef, i_coef[cfg.M : cfg.M + 2 * cfg.N + 1], cfg.M, [cfg.N])[:, 0]
     return CoefficientSet(max_order=cfg.M, values=values)
 
 
@@ -281,54 +283,47 @@ def drift_coefficients(
     st: cat.SpecTables,
     mode: str,
     w: np.ndarray,
-    dw: np.ndarray,
-    dx: np.ndarray,
-    a: np.ndarray | None,
+    dw: np.ndarray | None,
     a_hat: np.ndarray,
     f_coef: np.ndarray,
     i_coef: np.ndarray,
     *,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
+    stochastic: np.ndarray | None = None,
+    out: tuple[np.ndarray | None, np.ndarray] | None = None,
 ) -> np.ndarray:
     """``b_n = F_n(dX) - div(a conj(e_n))`` for ``|n| <= M``, the orders of
     ``a_hat`` (..., 2M + 1), one path or each row of a block: the drift step
     of both modes, from ``F_k = F_k(dX)``, ``|k| <= N + M`` (``f_coef``), and
-    ``I_l = F_l(dW)``, ``|l| <= max(N + M, 2M)`` (``i_coef``).  ``out``, a real
-    array shaped like dX and a flat complex one, serves as scratch in place of
-    new arrays.  The real array receives the transform input, ``dX - a dW +
-    correction`` or ``i dW``; it may be dX itself, since ``F(dX)`` is taken
-    already.  The complex array holds the rfft spectrum and each window's
-    products, and its real view (its first ``dX.size`` floats) holds ``a dW``;
-    ``a`` may live in that view.  Only those two transform inputs read dW, so
-    ``dw`` may be None in ``synthesized`` mode when the table has no lower
-    triangle.
+    ``I_l = F_l(dW)``, ``|l| <= max(N + M, 2M)`` (``i_coef``), with ``n < 0``
+    as exact conjugates.
 
-    ``closed_form`` transforms ``dX - a dW + SpecTables.correction``.
-    ``synthesized`` (a unused; ``n < 0`` as exact conjugates) subtracts
-    ``F_n(a_hat dW)``, the window of I against a_hat, and adds ``F_n`` of ``(d
-    a_hat(t_r)/d xi_r) / sqrt(m)``: for ``S = sum_{|l| <= N} I_l e_l`` and ``s
-    = 1/sqrt(m)``, ``s/(2N+1)`` times ``(2M+1) s S a + S c + v sum_{|j| <= M}
-    F_j(S dW) e_j + lower sum_{i > r} D_M(t_i - t_r) S_i dW_i + s sum_k
-    counts_k F_k e_k`` (c the drift derivative, ``D_M`` the kernel's lag row,
-    ``counts_k = #{|q| <= M : |k - q| <= N}``).  ``F_n(S x)`` is the window of
-    I against ``F(x)``: the first two terms and the tails' ``F_n(i S dW)`` are
-    one window against ``(2M+1) s F(a) + F(c) + lower F(i dW)``, ``F(a)`` m
-    times the truth's; the rank-one part and the rest of the tails, ``sum_{|l|
-    <= M} r_{n-l} (F_l(S dW) - F_n(S dW))``, are one window of ``F(S dW)``
-    against ``F(v) + lower r``, less ``lower rho_n F_n(S dW)``; the last term
-    is ``counts_n F_n / (2N+1)``.
+    ``closed_form`` (a_hat unused) is ``F_n(dX) - F_n(a dW) + F_n(correction)``
+    at ``n = 0 .. M``, in coefficient space: ``stochastic`` (..., M + 1) is the
+    record's own ``F_n(a dW)`` from :func:`catalog.block_dx_coefficients`.
+
+    ``synthesized`` subtracts ``F_n(a_hat dW)``, the window of I against a_hat,
+    and adds ``F_n`` of ``(d a_hat(t_r)/d xi_r) / sqrt(m)``: for ``S = sum_{|l|
+    <= N} I_l e_l`` and ``s = 1/sqrt(m)``, ``s/(2N+1)`` times ``(2M+1) s S a +
+    S c + v sum_{|j| <= M} F_j(S dW) e_j + lower sum_{i > r} D_M(t_i - t_r) S_i
+    dW_i + s sum_k counts_k F_k e_k`` (c the drift derivative, ``D_M`` the
+    kernel's lag row, ``counts_k = #{|q| <= M : |k - q| <= N}``).  ``F_n(S x)``
+    is the window of I against ``F(x)``: the first two terms and the tails'
+    ``F_n(i S dW)`` are one window against ``(2M+1) s F(a) + F(c) + lower F(i
+    dW)``, ``F(a)`` m times the truth's; the rank-one part and the rest of the
+    tails, ``sum_{|l| <= M} r_{n-l} (F_l(S dW) - F_n(S dW))``, are one window
+    of ``F(S dW)`` against ``F(v) + lower r``, less ``lower rho_n F_n(S dW)``;
+    the last term is ``counts_n F_n / (2N+1)``.  Only ``i dW`` reads ``dw``,
+    which may be None without a lower triangle.  ``out``, a real array shaped
+    like dW (dW itself, say) and a flat complex one, receives ``i dW`` and
+    serves as scratch.
     """
-    m, M = dx.shape[-1], (a_hat.shape[-1] - 1) // 2
-    scratch, buffer = (None, None) if out is None else out
-    size = dx[..., 0].size * (m // 2 + 1)  # the rfft spectrum's
-    spectrum = None if buffer is None else buffer[:size].reshape(dx.shape[:-1] + (-1,))
+    K, M = (f_coef.shape[-1] - 1) // 2, (a_hat.shape[-1] - 1) // 2
     if mode == CLOSED_FORM:
-        a_dw = None if buffer is None else buffer.view(float)[: dx.size].reshape(dx.shape)
-        residual = np.subtract(dx, np.multiply(a, dw, out=a_dw), out=scratch)
-        residual += st.correction
-        return coefficients(residual, M, spectrum)
-    K, L = (f_coef.shape[-1] - 1) // 2, (i_coef.shape[-1] - 1) // 2
-    N = K - M
+        b = f_coef[..., K : K + M + 1] - stochastic
+        b += st.correction_spectrum[: M + 1]
+        return np.concatenate([np.conj(b[..., :0:-1]), b], axis=-1)
+    m, L, N = st.grid.m, (i_coef.shape[-1] - 1) // 2, K - M
+    scratch, buffer = (None, None) if out is None else out
     gain, f_c, pair, lag, ramp = _drift_plan(st, N, M)
     i_band, half = i_coef[..., L - N : L + N + 1], range(M + 1)
     # both f operands of the windows below are order-major, as coefficients
@@ -340,7 +335,7 @@ def drift_coefficients(
     if f_c is not None:
         by_order += f_c.reshape(f_c.shape + (1,) * (w.ndim - 1))
     if ramp is not None:
-        ramp_coef = coefficients(np.multiply(ramp, dw, out=scratch), K, spectrum).T
+        ramp_coef = coefficients(np.multiply(ramp, dw, out=scratch), K, buffer).T
         by_order += np.multiply(st.da.lower, ramp_coef, out=ramp_coef)
     correction = windows(carried, i_band, half, [N], buffer)[..., 0]
     if pair is not None:
@@ -363,11 +358,11 @@ def recover_b(pf: cat.PathFunctionals, a_hat: CoefficientSet, cfg: BohrConfig) -
     on a tile's transforms.  ``a_hat`` must hold the same orders."""
     if a_hat.max_order != cfg.M:
         raise ValueError(f"a_hat has max_order {a_hat.max_order}, but cfg.M is {cfg.M}")
-    dw = pf.path.increments
-    f_coef = coefficients(pf.dx, cfg.N + cfg.M)
-    i_coef = coefficients(dw, max(cfg.N + cfg.M, 2 * cfg.M))
-    args = (pf.path.values, dw, pf.dx, pf.a_nodes, a_hat.values, f_coef, i_coef)
-    return CoefficientSet(cfg.M, drift_coefficients(pf.tables, cfg.mode, *args))
+    st, w, dw, K = pf.tables, pf.path.values, pf.path.increments, cfg.N + cfg.M
+    i_coef, stoch = coefficients(dw, max(K, 2 * cfg.M)), np.empty(cfg.M + 1, dtype=complex)
+    f_coef = cat.block_dx_coefficients(st, w, dw, i_coef, K, stochastic=stoch)
+    b = drift_coefficients(st, cfg.mode, w, dw, a_hat.values, f_coef, i_coef, stochastic=stoch)
+    return CoefficientSet(cfg.M, b)
 
 
 @dataclass(frozen=True)
@@ -434,7 +429,9 @@ def remainder_terms(pf: cat.PathFunctionals, n: int, N: int) -> RemainderTerms:
     m = pf.grid.m
     s = 1.0 / np.sqrt(m)
     i_coef, window, trace = _remainder_windows(pf, n, N)
-    estimate = window(pf.dx)
+    K = N + abs(n)
+    f_coef = cat.block_dx_coefficients(pf.tables, pf.path.values, pf.path.increments, i_coef, K)
+    estimate = complex(windows(f_coef, i_coef[K - N : K + N + 1], [n], [N])[0, 0])
     truth = complex(cat.block_true_fourier_a(pf.tables, pf.path.values, [n], i_coef)[0])
 
     # diffusion derivative: (1/sqrt(m)) conj(e_n(t_i)) sum_j (da_i/dxi_j) K[i, j]

@@ -26,7 +26,9 @@ the discrete divergence of a plus the left Riemann drift.  Summed, the
 stochastic part is the discrete Ito sum ``sum_{i < k} W_i dW_i`` for W_t and
 ``W_tau W_t - min(t, tau)`` for ``W_tau``, and X reproduces
 ``div(a conj(e_n))`` and the Fourier coefficients of a exactly on every path,
-for every kind.
+for every kind.  Given W, dX is linear in dW, so :func:`block_dx_coefficients`
+takes ``F(dX)`` from ``F(dW)`` and at most one transform, of ``(f + alpha W)
+dW``, which W1 and MIDPOINT do not need.
 
 The drift ``b(t) = g(t)`` or ``W_1 g(t)`` (an anticipating drift of chaos
 order 1, ``D_s b(t) = g(t)``) contributes the left Riemann accumulator
@@ -388,6 +390,15 @@ class SpecTables:
         first use and kept with the tables."""
         return self.da.diag() / np.sqrt(self.grid.m)
 
+    @cached_property
+    def correction_spectrum(self) -> np.ndarray:
+        """``F_k(correction)``, ``k = 0 .. m // 2`` (its rfft), kept the same way."""
+        return np.fft.rfft(self.correction)
+
+    @cached_property
+    def g_spectrum(self) -> np.ndarray | None:
+        return None if self.g is None else np.fft.rfft(self.g)  # F_k(g), k = 0 .. m // 2
+
 
 def spec_tables(spec: ProcessSpec, grid: TimeGrid) -> SpecTables:
     """The one :class:`SpecTables` of ``spec`` on grids of ``grid.m`` cells:
@@ -410,27 +421,22 @@ def spec_tables(spec: ProcessSpec, grid: TimeGrid) -> SpecTables:
     return st
 
 
-def block_drift(st: SpecTables, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Drift values b(t_i) at the left tags, given W (..., m + 1); shape (..., m),
-    written into ``out`` when given."""
-    b = np.empty(w.shape[:-1] + (st.grid.m,)) if out is None else out
+def block_drift(st: SpecTables, w: np.ndarray) -> np.ndarray:
+    """Drift values b(t_i) at the left tags, given W (..., m + 1); shape (..., m)."""
     if st.g is None:
-        b.fill(0.0)
-    else:
-        g0, g1 = DRIFT_RECORDS[st.spec.drift_kind]
-        np.multiply(g0 + g1 * w[..., -1:], st.g, out=b)
-    return b
+        return np.zeros(w.shape[:-1] + (st.grid.m,))
+    g0, g1 = DRIFT_RECORDS[st.spec.drift_kind]
+    return np.multiply(g0 + g1 * w[..., -1:], st.g)
 
 
-def block_diffusion(st: SpecTables, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def block_diffusion(st: SpecTables, w: np.ndarray) -> np.ndarray:
     """Diffusion ``a = alpha W_t + f + beta W_tau`` at the left tags, given W
-    (..., m + 1); shape (..., m), written into ``out`` when given."""
+    (..., m + 1); shape (..., m)."""
     rec = st.spec.record
-    a = np.empty(w.shape[:-1] + (st.grid.m,)) if out is None else out
     if rec.alpha:
-        np.multiply(rec.alpha, w[..., :-1], out=a)
+        a = np.multiply(rec.alpha, w[..., :-1])
     else:
-        a.fill(0.0)
+        a = np.zeros(w.shape[:-1] + (st.grid.m,))
     if st.f is not None:
         a += st.f
     if rec.beta:
@@ -438,29 +444,75 @@ def block_diffusion(st: SpecTables, w: np.ndarray, out: np.ndarray | None = None
     return a
 
 
-def block_functionals(
-    st: SpecTables, w: np.ndarray, out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def block_functionals(st: SpecTables, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed forms given the Brownian nodes W (..., m + 1): the diffusion a,
-    the drift b and ``dX = a dW - diag(Da) / sqrt(m) + b / m``, each (..., m).
-
-    ``out``, three (..., m) arrays, receives a, b and dX in place of new
-    arrays; the drift's share ``b / m`` of dX is then divided in b's place,
-    so that b comes back as ``b / m``.  b is built only after ``a dW`` has
-    used a up, so ``out`` may pass a and b as one array, which then holds
-    ``b / m``.
+    the drift b and ``dX = a dW - diag(Da) / sqrt(m) + b / m``, each (..., m),
+    with ``dW`` the differences of W.  Only :func:`eval_functionals` builds
+    dX at the nodes, here; every coefficient of dX comes from
+    :func:`block_dx_coefficients` instead, which the tests check against
+    the transform of this dX.
     """
     m = st.grid.m
     if w.shape[-1:] != (m + 1,):
         raise ConfigError(f"W must have shape (..., {m + 1}), got {w.shape}")
-    a_out, b_out, dx_out = (None, None, None) if out is None else out
-    a = block_diffusion(st, w, a_out)
-    dx = np.subtract(w[..., 1:], w[..., :-1], out=dx_out)
+    a = block_diffusion(st, w)
+    dx = np.subtract(w[..., 1:], w[..., :-1])
     dx *= a
-    b = block_drift(st, w, b_out)
+    b = block_drift(st, w)
     dx -= st.correction
-    dx += np.divide(b, m, out=b_out)
+    dx += b / m
     return a, b, dx
+
+
+def _by_order(half: np.ndarray, K: int) -> np.ndarray:
+    """The orders ``-K .. K`` of a real sequence from its rfft ``half``."""
+    return np.concatenate([np.conj(half[K:0:-1]), half[: K + 1]])
+
+
+def block_dx_coefficients(
+    st: SpecTables, w: np.ndarray, dw: np.ndarray, i_coef: np.ndarray, K: int, *,
+    out: tuple[np.ndarray, np.ndarray] | None = None, stochastic: np.ndarray | None = None,
+) -> np.ndarray:
+    """``F_k(dX)``, ``|k| <= K``, stored order-major as :func:`sfc.coefficients`
+    stores its rows, given W (..., m + 1), dW (..., m) and ``I = F(dW)``,
+    ``|l| <= L``, ``L >= K`` (``i_coef``).  Given W, dX is linear in dW:
+
+        F(dX) = F((f + alpha W) dW) + beta W_tau I - F(correction) + ((g0 + g1 W_1) / m) F(g)
+
+    Only the first term is a transform, and W1 and MIDPOINT (f None, alpha 0)
+    skip it.  ``out``, a real array shaped like dW (dW itself, say) and a
+    flat complex one, receives ``(f + alpha W) dW`` and serves as scratch.
+    ``stochastic`` (..., M + 1) receives the stochastic part ``F((f + alpha
+    W) dW) + beta W_tau I`` at ``0 .. M``, which the closed form subtracts.
+    """
+    m, rec, L = st.grid.m, st.spec.record, (i_coef.shape[-1] - 1) // 2
+    x, buffer = (None, None) if out is None else out
+    i_rows = i_coef.T[L - K : L + K + 1]  # (2K + 1, ..), one contiguous row an order
+    by_order = (slice(None),) + (None,) * (dw.ndim - 1)  # an order's term against every row
+    term = np.empty_like(i_rows) if buffer is None else buffer[: i_rows.size].reshape(i_rows.shape)
+    w_tau = rec.beta * w[..., st.tau].T
+    if st.f is None and not rec.alpha:
+        coef = np.multiply(i_rows, w_tau)
+    else:
+        factor = st.f
+        if rec.alpha:
+            real = None if buffer is None else buffer.view(float)[: dw.size].reshape(dw.shape)
+            factor = np.multiply(rec.alpha, w[..., :-1], out=real)
+            if st.f is not None:
+                factor += st.f
+        coef = coefficients(np.multiply(factor, dw, out=x), K, buffer).T
+        if rec.beta:
+            coef += np.multiply(i_rows, w_tau, out=term)
+    if stochastic is not None:
+        stochastic[...] = coef[K : K + stochastic.shape[-1]].T
+    if rec.beta:  # the correction is beta 1[i < tau m] / m
+        coef -= _by_order(st.correction_spectrum, K)[by_order]
+    if st.g is not None:
+        g0, g1 = DRIFT_RECORDS[st.spec.drift_kind]
+        term[...] = _by_order(st.g_spectrum, K)[by_order]  # a copy broadcasts unbuffered
+        term *= (g0 + g1 * w[..., -1].T) / m
+        coef += term
+    return coef.T
 
 
 def eval_functionals(spec: ProcessSpec, path: BrownianPath) -> PathFunctionals:

@@ -2,13 +2,14 @@
 sweep and coefficient identification, on one engine.  Paths run in row tiles
 of at most ``block_size`` and 16 rows, and of at most as many as keep one
 (rows, m) float array within ``TILE_BYTES``.  Each tile is sampled, takes
-the transform of dW, gets dX from the spec's tables (built once per spec and
-grid), takes the transform of dX and all its Bohr windows from one
-``bohr.band_windows`` call; ``run_identify`` recovers b on the same tile.
-Each worker thread fills the same buffers for every tile it builds: W, dW,
-dX and a complex scratch, or three where the consumer reads no dW after the
-transforms and dX is built in dW's rows.  A :class:`Tile`'s arrays are views
-on them, valid only inside the callback that receives it.  Both results keep
+the transform of dW, gets ``F(dX)`` from it by the affine record's linearity
+(``catalog.block_dx_coefficients``: a transform of ``(f + alpha W) dW``, none
+for W1 and MIDPOINT) and all its Bohr windows from one ``bohr.band_windows``
+call; ``run_identify`` recovers b on the same tile.  Each worker thread
+fills the same buffers for every tile it builds: W, dW and a complex scratch,
+and a fourth where the consumer reads dW after the transforms.  A
+:class:`Tile`'s arrays are views on them, valid only inside the callback
+that receives it.  Both results keep
 the orders ``n = 0 .. M`` of each path only: the sweep its estimates and one
 truth row, from which it reduces |estimate - truth| one width at a time, and
 identification ``a_hat`` and ``b_hat``.  The increments are real, so
@@ -66,12 +67,11 @@ from typing import ClassVar, Mapping
 import numpy as np
 
 from . import __version__
-from .bohr import CLOSED_FORM, BohrConfig, band_windows, drift_coefficients, grid_supports
+from .bohr import SYNTHESIZED, BohrConfig, band_windows, drift_coefficients, grid_supports
 from .catalog import (
     ProcessSpec,
     SpecTables,
-    block_diffusion,
-    block_functionals,
+    block_dx_coefficients,
     block_true_fourier_a,
     make_process,
     process_jsonable,
@@ -384,29 +384,23 @@ def tile_rows(cfg: ExperimentConfig) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Tile:
-    """Paths ``lo ..`` of one tile: W's nodes and increments, dX, ``F_k(dX)``
-    (``|k| <= N + M``), ``F_l(dW)`` (``|l| <= max(N + M, 2M)``, the orders
-    that the drift step reads; the windows and the truth take the centre)
-    and the windows (rows, orders -M .. M, widths), with the worker's flat
-    complex scratch, which holds an rfft spectrum of the rows or any window's
-    products, and ``scratch``, its real view (rows, m).  Once the
-    coefficients are taken, dX's rows and both scratch arrays are free.
-    ``dw`` is None where the run keeps no dW (:func:`_run_tiles`): dX then
-    lies in dW's rows, and a consumer that reads dW fails instead of reading
-    dX.  W, dW, dX and the scratch are views on the worker's buffers, which
-    its next tile overwrites: they are valid only inside the callback, so
-    keep a copy of what must outlive it.  The coefficients and the windows
-    are the tile's own; the coefficients are stored order-major, as
+    """Paths ``lo ..`` of one tile: W's nodes and increments (``dw`` None
+    where the run keeps no dW, :func:`_run_tiles`), ``F_k(dX)``, ``|k| <= N +
+    M``, and its stochastic part at ``k = 0 .. M``
+    (``catalog.block_dx_coefficients``), ``F_l(dW)``, ``|l| <= max(N + M,
+    2M)``, the windows (rows, orders -M .. M, widths) and the worker's flat
+    complex scratch, free once the windows are taken.  W, dW and the scratch
+    are the worker's buffers, which its next tile overwrites: valid only
+    inside the callback.  The coefficients are stored order-major, as
     ``sfc.coefficients`` returns them."""
 
     lo: int
     w: np.ndarray
     dw: np.ndarray | None
-    dx: np.ndarray
     f_coef: np.ndarray
+    stochastic: np.ndarray
     i_coef: np.ndarray
     est: np.ndarray
-    scratch: np.ndarray
     complex_scratch: np.ndarray
 
 
@@ -416,10 +410,9 @@ def _tile_buffers(
     """Rows per tile, the (rows, m) float arrays of a worker besides W, and
     the length of its flat complex scratch: the rfft spectrum (which also
     covers the real view's m floats a row) or the band-M windows' products,
-    whichever is longer.  dW and dX share one array unless ``keep_dw``: the
-    sweep and synthesized identify without a lower triangle read no dW after
-    its transform, while closed-form identify transforms ``dX - a dW +
-    correction`` and the synthesized step with a lower triangle ``i dW``."""
+    whichever is longer.  dW and ``(f + alpha W) dW`` share one array unless
+    ``keep_dw``: only the synthesized step with a lower triangle reads dW
+    after the transforms, for ``i dW``."""
     rows = tile_rows(cfg)
     complex_size = rows * max(cfg.m // 2 + 1, (2 * max(max(widths), cfg.M) + 1) * (cfg.M + 1))
     return rows, 2 if keep_dw else 1, complex_size
@@ -471,26 +464,19 @@ def _run_tiles(
 
     Each worker thread allocates its buffers and its generator at its first
     tile and fills them in place for every later one, so a tile makes no array
-    of a tile's size: dW and W (drawn by ``brownian.sample_rows``), dX, and one
-    flat complex scratch.  The dW transform is taken first, so where the
-    consumer reads no dW (``keep_dw=False``: the sweep, and synthesized
-    identify without a lower triangle, :func:`_tile_buffers`) dX is built in
-    dW's rows, the worker holds three buffers, and the tile's ``dw`` is None.
-    The scratch's real view holds a and then the drift's ``b / m`` until dX
-    is complete; then it holds the rfft spectrum of each transform and the
-    window products, of a width N or of the band M (each transform copies its
-    orders out of it first).  The drift step writes its transform input (``dX
-    - a dW + correction`` or ``i dW``) into dX's rows.  Besides, a sweep tile
-    allocates the two coefficient arrays it keeps, and for the windows the
-    gather of I (2N + 1 complex numbers a row), numpy's 8 KiB multiply buffer
-    and the windows themselves.
+    of a tile's size: dW and W (drawn by ``brownian.sample_rows``), one flat
+    complex scratch, and a second (rows, m) array where the consumer reads dW
+    after the transforms (``keep_dw``: synthesized identify with a lower
+    triangle, :func:`_tile_buffers`).  No tile builds dX at the nodes: once
+    ``F(dW)`` is taken, ``catalog.block_dx_coefficients`` writes ``(f + alpha
+    W) dW`` into dW's rows (the second array with ``keep_dw``) and the
+    scratch, and the synthesized step ``i dW`` into dW's.  Besides, a sweep
+    tile allocates the two coefficient arrays it keeps, and for the windows
+    the gather of I (2N + 1 complex numbers a row), numpy's 8 KiB multiply
+    buffer and the windows themselves.
 
-    Threads overlap the sampling and the transforms, and little else.  Each
-    stage of a sweep tile at the perfbench config (8 rows, m=4096), run alone
-    on two threads of a 2-vCPU host, went at this multiple of its one-thread
-    rate: sampling with X 1.7x, the two transforms 1.7-1.8x, the windows
-    0.9x, the truth and the store 0.7x.  The last two are many short numpy
-    loops and calls, whose overhead does not overlap.
+    Threads overlap the sampling and the transforms; the windows, the truth
+    and the store are many short numpy calls, whose overhead does not overlap.
     """
     m, n_max = cfg.m, max(widths)
     rows, row_arrays, complex_size = _tile_buffers(cfg, widths, keep_dw)
@@ -498,13 +484,13 @@ def _run_tiles(
     local = threading.local()
 
     def buffers() -> tuple[np.ndarray, ...]:
-        """This thread's W, dW, dX and complex scratch."""
+        """This thread's W, dW, the array for ``(f + alpha W) dW`` and complex scratch."""
         if not hasattr(local, "buffers"):
             dw = np.empty((rows, m))
             local.buffers = (
                 np.empty((rows, m + 1)),
                 dw,
-                np.empty((rows, m)) if row_arrays == 2 else dw,  # dX goes after F(dW)
+                np.empty((rows, m)) if row_arrays == 2 else dw,  # written after F(dW)
                 np.empty(complex_size, dtype=complex),
             )
             local.rng = None
@@ -513,16 +499,16 @@ def _run_tiles(
     def one(lo: int) -> None:
         count = min(cfg.paths, lo + rows) - lo
         *real, complex_scratch = buffers()
-        w, dw, dx = (b[:count] for b in real)
-        scratch = complex_scratch.view(float)[: count * m].reshape(count, m)
-        spectrum = complex_scratch[: count * (m // 2 + 1)].reshape(count, m // 2 + 1)
+        w, dw, x = (b[:count] for b in real)
         local.rng = sample_rows(cfg.master_seed, lo, dw, w, local.rng)
-        i_coef = coefficients(dw, L, spectrum)  # order l at column l + L
-        _, _, dx = block_functionals(st, w, out=(scratch, scratch, dx))
-        f_coef = coefficients(dx, n_max + cfg.M, spectrum)  # order k at column k + n_max + M
+        i_coef = coefficients(dw, L, complex_scratch)  # order l at column l + L
+        stochastic = np.empty((count, cfg.M + 1), dtype=complex)
+        f_coef = block_dx_coefficients(  # order k at column k + n_max + M
+            st, w, dw, i_coef, n_max + cfg.M, out=(x, complex_scratch), stochastic=stochastic
+        )
         est = band_windows(f_coef, i_coef[:, L - n_max : L + n_max + 1], cfg.M, widths,
                            complex_scratch)
-        work(Tile(lo, w, dw if keep_dw else None, dx, f_coef, i_coef, est, scratch,
+        work(Tile(lo, w, dw if keep_dw else None, f_coef, stochastic, i_coef, est,
                   complex_scratch))
 
     starts = range(0, cfg.paths, rows)
@@ -648,9 +634,9 @@ def _physical_memory() -> int | None:
         return None
 
 
-# the spec's tables of m floats: f, g, c, the derivative table's u and v,
-# the correction, the drift step's ramp and one temporary
-_TABLE_ARRAYS = 8
+# the spec's tables of m floats: f, g, c, the derivative table's u and v, the
+# correction and the rffts of it and of g, the drift step's ramp and one temporary
+_TABLE_ARRAYS = 10
 
 
 def _require_run_fits(
@@ -659,7 +645,7 @@ def _require_run_fits(
     """Refuse a run that physical memory cannot hold: its per-path results,
     the spec's tables (at most ``_TABLE_ARRAYS`` arrays of m floats) and the
     buffers of every tile worker, as :func:`_tile_buffers` counts them for
-    ``keep_dw`` (four, or three where dX is built in dW's rows).  It could
+    ``keep_dw`` (three, or four where dW is kept apart).  It could
     not finish, so it fails before the tables or any tile are built."""
     rows, row_arrays, complex_size = _tile_buffers(cfg, widths, keep_dw)
     workers = _workers(cfg, rows)
@@ -790,13 +776,12 @@ def run_identify(cfg: ExperimentConfig, mode: str) -> IdentifyResult:
     tile takes b from ``bohr.drift_coefficients``, the drift step that
     ``recover_b`` takes too, on the tile's ``F_k(dX)``, ``|k| <= N + M``, and
     ``I_l = F_l(dW)``, ``|l| <= max(N + M, 2M)``, so ``b_hat`` is bitwise its
-    value per path.  Only the closed form builds the true a at the nodes; the
-    synthesized step reads coefficient rows and the truth's coefficients.
+    value per path.  Neither mode builds a or dX at the nodes, and the closed
+    form reads only the tile's coefficients.
     """
     N = BohrConfig(N=max(cfg.n_list), M=cfg.M, mode=mode).N
-    # the closed form transforms dX - a dW + correction, and the synthesized
-    # step i dW where a's derivative table has a lower triangle (alpha != 0)
-    keep_dw = mode == CLOSED_FORM or cfg.spec.record.alpha != 0
+    # the synthesized step transforms i dW where a's table has a lower triangle
+    keep_dw = mode == SYNTHESIZED and cfg.spec.record.alpha != 0
     _require_run_fits(cfg, (N,), 2 * (cfg.M + 1) * 16, keep_dw)
     st = spec_tables(cfg.spec, TimeGrid(cfg.m))
     a_hat = np.empty((cfg.paths, cfg.M + 1), dtype=complex)  # n < 0 mirrors n > 0
@@ -805,12 +790,10 @@ def run_identify(cfg: ExperimentConfig, mode: str) -> IdentifyResult:
     def work(tile: Tile) -> None:
         a = tile.est[:, :, 0]
         _require_finite("a_hat", tile.est, tile.lo, cfg.orders, (N,))
-        # the true a at the left tags, which only the closed form reads
-        diffusion = block_diffusion(st, tile.w, tile.scratch) if mode == CLOSED_FORM else None
-        # F(dX) is taken, so the drift step's transform input goes into dX's rows
+        # F(dW) is taken, so the synthesized step's i dW goes into dW's rows
         b = drift_coefficients(
-            st, mode, tile.w, tile.dw, tile.dx, diffusion, a, tile.f_coef, tile.i_coef,
-            out=(tile.dx, tile.complex_scratch),
+            st, mode, tile.w, tile.dw, a, tile.f_coef, tile.i_coef, stochastic=tile.stochastic,
+            out=(tile.dw, tile.complex_scratch),
         )
         _require_finite("b_hat", b[:, :, None], tile.lo, cfg.orders, (N,))
         a_hat[tile.lo : tile.lo + len(a)] = a[:, cfg.M :]

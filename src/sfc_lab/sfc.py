@@ -12,8 +12,10 @@ With ``t_i = i/m`` the sum is the real DFT of the increments:
 ``np.fft.rfft(x)[n] = sum_i exp(-2 pi i n i/m) x_i`` is ``F_n`` for
 ``n >= 0``.  The increments are real, so the negative orders are conjugates,
 ``F_{-n} = conj(F_n)``, and :func:`coefficients` fills them that way.  Every
-coefficient in the package comes from it: those of dX and dW, the windows of
-the remainders and, through the dW coefficients, the left Riemann truth of a.
+coefficient in the package comes from it: those of dW, the windows of the
+remainders, the left Riemann truth of a (through ``F(dW)``) and ``F(dX)``,
+by linearity from ``F(dW)`` and one transform of ``(f + alpha W) dW``, which
+W1 and MIDPOINT skip (``catalog.block_dx_coefficients``).
 Its inverse, :func:`synthesize`, is the one way back to the left tags: one
 ``irfft`` gives the kernel's lag row and every trigonometric-polynomial
 table of the catalog.  Direct sums remain only in the tests' oracles
@@ -76,9 +78,9 @@ def coefficients(
         Real values at the m left tags, one path per row.
     max_order : int
         Largest order kept; the grid must satisfy ``m > 2 max_order``.
-    out : ndarray of complex, shape (m // 2 + 1,) or (B, m // 2 + 1), optional
-        Receives the real FFT in place of a new array; the orders kept are
-        copied out of it, so it may be reused as soon as this returns.
+    out : C-contiguous ndarray of complex, any shape, optional
+        Receives the real FFT in its first ``B (m // 2 + 1)`` elements; the
+        orders kept are copied out of it, so it may be reused at once.
 
     Returns
     -------
@@ -99,6 +101,8 @@ def coefficients(
             f"order {max_order} aliases on a grid with m={m} cells; need m > {2 * max_order}"
         )
     K = max_order
+    if out is not None:
+        out = out.reshape(-1)[: x.size // m * (m // 2 + 1)].reshape(x.shape[:-1] + (-1,))
     spectrum = np.fft.rfft(x, axis=-1, out=out).T  # orders first
     by_order = np.empty((2 * K + 1,) + x.shape[-2::-1], dtype=complex)
     by_order[K:] = spectrum[: K + 1]
@@ -123,8 +127,12 @@ def synthesize(coeffs: CoefficientSet | np.ndarray, m: int) -> np.ndarray:
 
 
 def sfc_range(pf: PathFunctionals, max_order: int) -> CoefficientSet:
-    """All coefficients of dX with |n| <= max_order."""
-    return CoefficientSet(max_order=max_order, values=coefficients(pf.dx, max_order))
+    """All coefficients of dX with |n| <= max_order (``catalog.block_dx_coefficients``)."""
+    from .catalog import block_dx_coefficients  # the catalog imports this module
+    dw = pf.path.increments
+    values = block_dx_coefficients(pf.tables, pf.path.values, dw, coefficients(dw, max_order),
+                                   max_order)
+    return CoefficientSet(max_order=max_order, values=values)
 
 
 def wiener_sfc_range(path: BrownianPath, max_order: int) -> CoefficientSet:

@@ -11,8 +11,10 @@ Regenerate them, from the repository root, with::
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-A change that moves bytes regenerates the files and states in CHANGES.md
-the largest move and why.
+Before it replaces a file, the script prints the largest relative and
+absolute move of any number in it, and at the end the largest over all
+files.  A change that moves bytes regenerates the files and states in
+CHANGES.md the largest move and why.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import contextlib
 import io
 import json
 import platform
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -29,6 +32,10 @@ import numpy as np
 
 GOLDEN = Path(__file__).resolve().parent
 RECORD = GOLDEN / "RECORD.json"
+
+# a number as the artifacts print it; the text between numbers must not move
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf|Infinity|NaN)")
+NEAR_ZERO = 1e-13  # residuals at rounding level, imaginary parts that are 0 in exact arithmetic
 
 _COS = {"coeffs": {"1": [0.5, 0.0], "-1": [0.5, 0.0]}}
 
@@ -105,13 +112,43 @@ def produce(name: str) -> dict[str, bytes]:
     return files
 
 
+def moves(kept: str, made: str) -> tuple[float, float] | None:
+    """The largest relative and absolute move of any number from ``kept`` to
+    ``made``, or None when the texts differ in more than their numbers.  A
+    move is relative to the kept number where that exceeds ``NEAR_ZERO``;
+    a smaller one is rounding noise about an exact zero."""
+    if NUMBER.split(kept) != NUMBER.split(made):
+        return None
+    rel = dist = 0.0
+    for a, b in zip(NUMBER.findall(kept), NUMBER.findall(made)):
+        x, y = float(a), float(b)
+        if x != y:
+            dist = max(dist, abs(y - x))
+            rel = max(rel, abs(y - x) / abs(x)) if abs(x) > NEAR_ZERO else rel
+    return rel, dist
+
+
 def main() -> None:
+    largest = (0.0, 0.0)
     for name in CASES:
         directory = GOLDEN / name
         directory.mkdir(exist_ok=True)
         for file, data in produce(name).items():
-            (directory / file).write_bytes(data)
-        print(f"wrote {directory.relative_to(GOLDEN.parent.parent)}")
+            path = directory / file
+            label = path.relative_to(GOLDEN.parent.parent)
+            if not path.exists():
+                print(f"{label}: new")
+            elif path.read_bytes() == data:
+                print(f"{label}: unchanged")
+            else:
+                moved = moves(path.read_text(encoding="utf-8"), data.decode())
+                if moved is None:
+                    print(f"{label}: text changed, not only numbers")
+                else:
+                    largest = tuple(map(max, largest, moved))
+                    print(f"{label}: largest move {moved[0]:.3g} relative, {moved[1]:.3g} absolute")
+            path.write_bytes(data)
+    print(f"largest move of any number: {largest[0]:.3g} relative, {largest[1]:.3g} absolute")
     RECORD.write_text(json.dumps(platform_record(), indent=2, sort_keys=True) + "\n",
                       encoding="utf-8")
 

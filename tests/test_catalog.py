@@ -29,8 +29,12 @@ from sfc_lab import (
     sfc_range,
     true_fourier_a,
 )
+from sfc_lab.bohr import CLOSED_FORM, drift_coefficients
 from sfc_lab.catalog import (
+    KIND_RECORDS,
+    SPEC_TABLE,
     block_diffusion,
+    block_dx_coefficients,
     block_functionals,
     block_true_fourier_a,
     spec_tables,
@@ -194,22 +198,74 @@ def test_block_matches_single_path():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_buffered_forms_equal_the_allocating_forms(kind, drift, rows, m, seed):
-    # the sweep's tiles fill reused buffers; every bit must match a fresh call
+    # the sweep's tiles fill reused buffers, and the one-path views take one
+    # row; every bit must match a fresh call on the block
     spec = spec_for(kind, {} if drift == "none" else {"g": cosine(), "drift": drift})
     tables = spec_tables(spec, TimeGrid(m))
     dw = np.random.default_rng(seed).standard_normal((rows, m)) / np.sqrt(m)
     w = np.zeros((rows, m + 1))
     np.cumsum(dw, axis=1, out=w[:, 1:])
-    a, b, dx = block_functionals(tables, w)
-    out = tuple(np.full((rows, m), np.nan) for _ in range(3))
-    got = block_functionals(tables, w, out=out)
-    assert all(g is o for g, o in zip(got, out))
-    assert got[0].tobytes() == a.tobytes()
-    assert got[1].tobytes() == (b / m).tobytes()  # the drift's share of dX
-    assert got[2].tobytes() == dx.tobytes()
+    K = (m - 1) // 4
+    i_coef = coefficients(dw, (m - 1) // 2)
+    stochastic, kept = np.empty((2, rows, 2), dtype=complex)
+    fresh = block_dx_coefficients(tables, w, dw, i_coef, K, stochastic=kept)
+    x, buffer = dw.copy(), np.full(rows * (m // 2 + 1), np.nan, dtype=complex)
+    got = block_dx_coefficients(tables, w, x, i_coef, K, out=(x, buffer), stochastic=stochastic)
+    assert got.tobytes() == fresh.tobytes() and stochastic.tobytes() == kept.tobytes()
+    assert got.T.flags.c_contiguous  # order-major, as coefficients stores its rows
+    for r in range(rows):
+        one = block_dx_coefficients(tables, w[r], dw[r], i_coef[r], K)
+        assert one.tobytes() == fresh[r].tobytes()
     spectrum = np.full((rows, m // 2 + 1), np.nan, dtype=complex)
-    for x, order in ((dx, (m - 1) // 2), (dw, 2)):
-        assert coefficients(x, order, spectrum).tobytes() == coefficients(x, order).tobytes()
+    for order in ((m - 1) // 2, 2):
+        assert coefficients(dw, order, spectrum).tobytes() == coefficients(dw, order).tobytes()
+
+
+@st.composite
+def record_cases(draw):
+    """A spec of any kind and drift whose f and g are TrigPoly or node
+    tables, a grid, a block of rows, the orders K and M <= K, and a generator."""
+    m = draw(st.sampled_from([16, 64, 256]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def table():
+        if draw(st.booleans()):
+            return rng.standard_normal(m)
+        coeffs = {0: rng.standard_normal()}
+        for k in range(1, draw(st.integers(1, 3)) + 1):
+            c = complex(*rng.standard_normal(2))
+            coeffs[k], coeffs[-k] = c, c.conjugate()
+        return TrigPoly.from_mapping(coeffs)
+
+    kind, drift = draw(st.sampled_from(CATALOG_KINDS)), draw(st.sampled_from(DRIFT_KINDS))
+    params = {"f": table()} if KIND_RECORDS[kind].f is SPEC_TABLE else {}
+    if drift != "none":
+        params.update(g=table(), drift=drift)
+    K = draw(st.integers(0, (m - 1) // 2))
+    return make_process(kind, params), m, draw(st.integers(1, 3)), K, draw(st.integers(0, K)), rng
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(record_cases())
+def test_dx_coefficients_follow_the_record(case):
+    # F(dX) by linearity against the transform of dX built at the nodes, and
+    # closed-form b from it against the transform of dX - a dW + correction
+    spec, m, rows, K, M, rng = case
+    tables = spec_tables(spec, TimeGrid(m))
+    dw = rng.standard_normal((rows, m)) / np.sqrt(m)
+    w = np.zeros((rows, m + 1))
+    np.cumsum(dw, axis=1, out=w[:, 1:])
+    a, _, dx = block_functionals(tables, w)
+    i_coef = coefficients(dw, K)
+    stochastic = np.empty((rows, M + 1), dtype=complex)
+    got = block_dx_coefficients(tables, w, dw, i_coef, K, stochastic=stochastic)
+    ref = coefficients(dx, K)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * (1 + np.max(np.abs(ref)))
+    unused = np.zeros((rows, 2 * M + 1), dtype=complex)
+    b = drift_coefficients(tables, CLOSED_FORM, w, None, unused, got, i_coef,
+                           stochastic=stochastic)
+    ref = coefficients(dx - a * dw + tables.correction, M)
+    assert np.max(np.abs(b - ref)) <= 1e-13 * (1 + np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("m", [256, 4096])

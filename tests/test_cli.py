@@ -283,14 +283,14 @@ def test_identify_closed_form(tmp_path, capsys):
 def test_identify_nonfinite_estimate_names_the_path(monkeypatch):
     import sfc_lab.experiment as exp
 
-    real = exp.block_functionals
+    real = exp.block_dx_coefficients
 
-    def poisoned(st, w_block, out=None):
-        a, b, dx = real(st, w_block, out=out)
-        dx[3, -1] = np.nan  # path index 3 of the first tile
-        return a, b, dx
+    def poisoned(*args, **kw):
+        f_coef = real(*args, **kw)
+        f_coef[3, -1] = np.nan  # path index 3 of the first tile
+        return f_coef
 
-    monkeypatch.setattr(exp, "block_functionals", poisoned)
+    monkeypatch.setattr(exp, "block_dx_coefficients", poisoned)
     cfg = config_from_jsonable(identify_config())
     with pytest.raises(NumericalFailureError, match="path 3") as info:
         cli.run_identify(cfg, "closed_form")

@@ -351,6 +351,26 @@ def test_synthesized_identify_holds_few_tile_buffers(monkeypatch):
     assert peak < 3_500_000, peak
 
 
+def test_closed_form_identify_holds_few_tile_buffers(monkeypatch):
+    # the perfbench identify config (W1, drift det, m=4096, N=256, M=4) on
+    # one worker.  The closed form reads only the tile's coefficients, so
+    # the worker holds three buffers (W, dW, the complex scratch) and builds
+    # neither dX nor a at the nodes.  It peaked at 1,360,920 B with four
+    # buffers, dX built at the nodes and a second transform of dX - a dW +
+    # correction, and peaks at 1,100,804 B now; the bound sits halfway.
+    monkeypatch.setenv("SFC_LAB_THREADS", "1")
+    spec = spec_for("NONCAUSAL_W1", {"g": cosine(), "drift": "det"})
+    cfg = small_config(spec=spec, n_list=(256,), M=4, m=4096, paths=200)
+    run_identify(cfg, "closed_form")
+    tracemalloc.start()
+    try:
+        run_identify(cfg, "closed_form")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_230_800, peak
+
+
 def test_the_sweep_keeps_orders_zero_to_m_per_path():
     cfg = small_config(M=3)
     res = run_convergence(cfg)
@@ -440,7 +460,7 @@ def test_tables_and_tile_buffers_count_toward_the_size_check(monkeypatch):
     start_helpers_at_any_m(monkeypatch)
     cfg = small_config()  # m=256, 120 paths in 16-row tiles, widths 4, 8, 16, M=1
     results = 120 * (3 + 1) * 2 * 16  # the estimates and the truth, orders 0 .. 1
-    tables = 8 * 8 * 256  # eight arrays of m floats
+    tables = 8 * 10 * 256  # ten arrays of m floats
     # per worker: W, dW with dX built in its rows (the sweep reads no dW
     # after its transform) and the longer of the rfft spectrum and the
     # band-1 windows' products, 16 x max(129, 33 x 2) complex numbers
@@ -515,7 +535,7 @@ def test_the_size_check_counts_the_workers_that_start(monkeypatch):
     for m, workers, owners in ((1024, 1, "1 tile worker's"), (2048, 2, "2 tile workers'")):
         # one worker's dW, dX, W and rfft spectrum, 16 rows
         buffers = 8 * 16 * (3 * m + 1) + 16 * 16 * (m // 2 + 1)
-        need = 120 * (3 + 1) * 2 * 16 + 8 * 8 * m + workers * buffers
+        need = 120 * (3 + 1) * 2 * 16 + 8 * 10 * m + workers * buffers
         with pytest.raises(ConfigError, match=f"{owners} buffers the run needs {need:,} bytes"):
             _require_run_fits(small_config(m=m), (4, 8, 16), (3 + 1) * 2 * 16)
 
@@ -524,7 +544,8 @@ DW_READERS = [  # kind and drift, mode (None: the sweep), whether the tiles keep
     pytest.param("NONCAUSAL_BRIDGE", "w1", None, False, id="sweep"),
     pytest.param("NONCAUSAL_W1", "det", "synthesized", False, id="w1-synthesized"),
     pytest.param("NONCAUSAL_MIDPOINT", "det", "synthesized", False, id="midpoint-synthesized"),
-    pytest.param("NONCAUSAL_W1", "det", "closed_form", True, id="w1-closed-form"),
+    pytest.param("NONCAUSAL_W1", "det", "closed_form", False, id="w1-closed-form"),
+    pytest.param("NONCAUSAL_BRIDGE", "w1", "closed_form", False, id="bridge-closed-form"),
     pytest.param("NONCAUSAL_BRIDGE", "w1", "synthesized", True, id="bridge-synthesized"),
     pytest.param("ADAPTED_W", "det", "synthesized", True, id="adapted-synthesized"),
 ]
@@ -532,9 +553,9 @@ DW_READERS = [  # kind and drift, mode (None: the sweep), whether the tiles keep
 
 @pytest.mark.parametrize("kind, drift, mode, keeps", DW_READERS)
 def test_only_a_run_that_reads_dw_keeps_it_apart_from_dx(monkeypatch, kind, drift, mode, keeps):
-    # the closed form transforms dX - a dW + correction and the synthesized
-    # step i dW where the table has a lower triangle (ADAPTED_W, BRIDGE);
-    # every other run builds dX in the rows that dW was drawn into
+    # only the synthesized step reads dW after the transforms, for i dW where
+    # the table has a lower triangle (ADAPTED_W, BRIDGE); every other run
+    # writes (f + alpha W) dW into the rows that dW was drawn into
     import sfc_lab.experiment as exp
 
     monkeypatch.setenv("SFC_LAB_THREADS", "1")
@@ -547,8 +568,7 @@ def test_only_a_run_that_reads_dw_keeps_it_apart_from_dx(monkeypatch, kind, drif
 
     def run_tiles(cfg, st, widths, work, **kw):
         def recording(tile):
-            seen.append((tile.dw is None, tile.dx.__array_interface__["data"][0],
-                         tile.dw is not None and np.shares_memory(tile.dw, tile.dx)))
+            seen.append(None if tile.dw is None else tile.dw.__array_interface__["data"][0])
             work(tile)
 
         real_tiles(cfg, st, widths, recording, **kw)
@@ -559,15 +579,13 @@ def test_only_a_run_that_reads_dw_keeps_it_apart_from_dx(monkeypatch, kind, drif
     run = run_convergence if mode is None else lambda c: run_identify(c, mode)
     run(cfg)
     assert len(seen) == len(drawn) == 8 and len(set(drawn)) == 1
-    for dw_is_none, dx, shared in seen:
-        assert dw_is_none is not keeps and not shared
-        assert (dx == drawn[0]) is not keeps
+    assert seen == [drawn[0] if keeps else None] * 8
     # the size check counts the (rows, m) arrays that the run allocates
     monkeypatch.setattr(exp, "_physical_memory", lambda: 1)
-    rows_m = (2 if keeps else 1) * 256 + 257  # dW and dX, or dW alone, and W
+    rows_m = (2 if keeps else 1) * 256 + 257  # dW and (f + alpha W) dW, or dW alone, and W
     per_path = (3 + 1) * 3 * 16 if mode is None else 2 * 3 * 16
     widths = cfg.n_list if mode is None else (16,)
-    need = 120 * per_path + 8 * 8 * 256 + 8 * 16 * rows_m + 16 * 16 * max(
+    need = 120 * per_path + 8 * 10 * 256 + 8 * 16 * rows_m + 16 * 16 * max(
         129, (2 * max(widths) + 1) * 3)
     with pytest.raises(ConfigError, match=f"1 tile worker's buffers the run needs {need:,} "):
         run(cfg)
@@ -578,9 +596,9 @@ def test_tiles_reuse_the_workers_buffers(monkeypatch):
     cfg = small_config()
     tiles = []
     _run_tiles(cfg, spec_tables(cfg.spec, TimeGrid(cfg.m)), cfg.n_list, tiles.append)
-    assert [t.lo for t in tiles] == list(range(0, 120, 16)) and len(tiles[-1].dx) == 8
+    assert [t.lo for t in tiles] == list(range(0, 120, 16)) and len(tiles[-1].w) == 8
     for prev, tile in zip(tiles, tiles[1:]):
-        assert np.shares_memory(prev.dx, tile.dx)
+        assert np.shares_memory(prev.complex_scratch, tile.complex_scratch)
         assert np.shares_memory(prev.w, tile.w)
 
 
@@ -594,18 +612,18 @@ def test_threaded_tiles_reuse_the_workers_buffers(monkeypatch):
     seen = []
 
     def work(tile):
-        seen.append((threading.get_ident(), tile.lo, tile.dx, tile.w))
+        seen.append((threading.get_ident(), tile.lo, tile.complex_scratch, tile.w))
 
     _run_tiles(cfg, spec_tables(cfg.spec, TimeGrid(cfg.m)), cfg.n_list, work)
     assert sorted(lo for _, lo, _, _ in seen) == list(range(0, 120, 8))
     workers = {ident for ident, *_ in seen}
     assert threading.get_ident() in workers and 2 <= len(workers) <= 3
     assert ran == [workers]
-    assert len({dx.__array_interface__["data"][0] for *_, dx, _ in seen}) == len(workers)
+    assert len({c.__array_interface__["data"][0] for *_, c, _ in seen}) == len(workers)
     for ident in workers:
-        mine = [(dx, w) for i, _, dx, w in seen if i == ident]
-        for (dx0, w0), (dx1, w1) in zip(mine, mine[1:]):
-            assert np.shares_memory(dx0, dx1) and np.shares_memory(w0, w1)
+        mine = [(c, w) for i, _, c, w in seen if i == ident]
+        for (c0, w0), (c1, w1) in zip(mine, mine[1:]):
+            assert np.shares_memory(c0, c1) and np.shares_memory(w0, w1)
 
 
 def test_every_tile_runs_once_under_thread_stress(monkeypatch):
@@ -746,8 +764,8 @@ def test_identify_nonfinite_names_b_hat(monkeypatch):
 
     real = exp.drift_coefficients
 
-    def poisoned(st, mode, w, dw, dx, a, a_hat, f_coef, i_coef, **buffers):
-        b = real(st, mode, w, dw, dx, a, a_hat, f_coef, i_coef, **buffers)
+    def poisoned(st, mode, w, dw, a_hat, f_coef, i_coef, **buffers):
+        b = real(st, mode, w, dw, a_hat, f_coef, i_coef, **buffers)
         b[5, 2] = np.nan  # row 5 of every tile; path 5 is the first
         return b
 
@@ -811,14 +829,14 @@ def test_slope_negative_for_every_kind():
 def test_nonfinite_estimate_names_the_path(monkeypatch):
     import sfc_lab.experiment as exp
 
-    real = exp.block_functionals
+    real = exp.block_dx_coefficients
 
-    def poisoned(st, w_block, out=None):
-        a, b, dx = real(st, w_block, out=out)
-        dx[3, -1] = np.nan  # path index 3 of the first tile
-        return a, b, dx
+    def poisoned(*args, **kw):
+        f_coef = real(*args, **kw)
+        f_coef[3, -1] = np.nan  # path index 3 of the first tile
+        return f_coef
 
-    monkeypatch.setattr(exp, "block_functionals", poisoned)
+    monkeypatch.setattr(exp, "block_dx_coefficients", poisoned)
     with pytest.raises(NumericalFailureError, match="path 3"):
         run_convergence(small_config())
 

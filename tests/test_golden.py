@@ -1,12 +1,11 @@
 """Every golden case gives the files kept in ``tests/golden``: byte for byte
 where numpy and the platform are the ones that wrote them, and otherwise
-number for number within 1e-12 relative (``_NEAR_ZERO`` absolute for numbers
-that sit at rounding level)."""
+number for number within 1e-12 relative (``golden.NEAR_ZERO`` absolute for
+numbers that sit at rounding level)."""
 
 import importlib.util
 import json
 import math
-import re
 from pathlib import Path
 
 import pytest
@@ -16,20 +15,17 @@ _spec = importlib.util.spec_from_file_location("golden_regenerate", _SCRIPT)
 golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(golden)
 
-_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf|Infinity|NaN)")
-_NEAR_ZERO = 1e-13  # residuals at rounding level, imaginary parts that are 0 in exact arithmetic
-
 
 def _numbers_match(kept: str, made: str) -> str | None:
     """None when the two texts differ only in their numbers, each within
-    1e-12 relative or ``_NEAR_ZERO`` absolute; else what differs first."""
-    kept_words, made_words = _NUMBER.split(kept), _NUMBER.split(made)
+    1e-12 relative or ``golden.NEAR_ZERO`` absolute; else what differs first."""
+    kept_words, made_words = golden.NUMBER.split(kept), golden.NUMBER.split(made)
     if kept_words != made_words:
         first = next(i for i, (a, b) in enumerate(zip(kept_words, made_words)) if a != b)
         return f"text differs near {kept_words[first]!r} / {made_words[first]!r}"
-    for a, b in zip(_NUMBER.findall(kept), _NUMBER.findall(made)):
+    for a, b in zip(golden.NUMBER.findall(kept), golden.NUMBER.findall(made)):
         x, y = float(a), float(b)
-        if not (x == y or math.isclose(x, y, rel_tol=1e-12, abs_tol=_NEAR_ZERO)):
+        if not (x == y or math.isclose(x, y, rel_tol=1e-12, abs_tol=golden.NEAR_ZERO)):
             return f"{a} became {b}"
     return None
 
