@@ -40,9 +40,10 @@ call it, and ``bohr_product`` and ``identify_a`` are one-path views on it.
 It adds the products center-out, ``l = 0, 1, -1, 2, -2, ..``, one by one,
 and width N is the running total after entry 2N: its value does not depend
 on which other widths run beside it.  For real increments ``F_{-k} =
-conj(F_k)`` and ``I_{-l} = conj(I_l)``, so ``B_N(-n) = conj(B_N(n))``;
-``band_windows`` computes the orders ``0 .. M`` only and fills ``n < 0`` as
-these exact conjugates, for the sweep and ``identify_a`` alike.
+conj(F_k)`` and ``I_{-l} = conj(I_l)``, so ``B_N(-n) = conj(B_N(n))``: the
+tiles, ``identify_a`` and the drift step take the orders ``0 .. M`` only,
+and ``sfc.mirror`` fills ``n < 0`` as these exact conjugates where a full
+band is read.
 
 Drift recovery inverts the coefficient relation
 ``F_n(dX) = div(a conj(e_n)) + (1/m) sum b conj(e_n)``: subtract the
@@ -77,7 +78,7 @@ import numpy as np
 
 from . import catalog as cat
 from .errors import ConfigError
-from .sfc import CoefficientSet, coefficients, synthesize
+from .sfc import CoefficientSet, coefficients, mirror, synthesize
 
 CLOSED_FORM = "closed_form"
 SYNTHESIZED = "synthesized"
@@ -115,8 +116,8 @@ def _window_plan(
 ) -> tuple:
     """:func:`windows`' gather indices into ``f_coef`` and ``i_coef``
     (center-out entry j first), its segments ``(width index, start, 2N + 1)``
-    in ascending N and the widths ``2N + 1``: built once per shape, orders and
-    widths, so a run's tiles share them (read-only)."""
+    in ascending N and the widths ``2N + 1``.  A per-run cache, keyed by the
+    shape, orders and widths, so a run's tiles share them (read-only)."""
     orders_ = np.asarray(orders, dtype=int)
     widths_ = np.asarray(widths, dtype=int)
     if not 0 <= widths_.min() <= widths_.max() <= L or L + np.abs(orders_).max() > K:
@@ -170,8 +171,8 @@ def windows(
     a view that is not C-contiguous.  The reduce over whole (orders, rows)
     slabs adds them one entry at a time; a single sequence (one order, one
     row) would be added pairwise, so it takes a cumsum.  These are many
-    short numpy loops: two threads that each ran this stage alone, at a sweep
-    tile on a 2-vCPU host, went at 0.9x the rate of one.  ``out``, a
+    short numpy loops, so a second thread gains little on this stage (the
+    rates are in CHANGES.md, under "Sweep memory, part two").  ``out``, a
     C-contiguous complex array of at least as many elements as the
     products, in any shape (a tile's rfft spectrum, say), receives them in
     place of a new array.  Rows never mix, so a row's windows do not depend
@@ -207,21 +208,6 @@ def windows(
     return est.T.reshape(lead + est.shape[1::-1])
 
 
-def band_windows(
-    f_coef: np.ndarray,
-    i_coef: np.ndarray,
-    M: int,
-    widths: Sequence[int],
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """:func:`windows` at the orders ``-M .. M`` of real increments, shape
-    (..., 2M + 1, widths): computed for ``n = 0 .. M`` (``out`` sized for
-    M + 1 orders), and ``B_N(-n) = conj(B_N(n))`` exactly, because
-    ``F_{-k} = conj(F_k)`` and ``I_{-l} = conj(I_l)``."""
-    half = windows(f_coef, i_coef, range(M + 1), widths, out)
-    return np.concatenate([np.conj(half[..., :0:-1, :]), half], axis=-2)
-
-
 def bohr_product(
     dx_coeffs: CoefficientSet, dw_coeffs: CoefficientSet, n: int, N: int
 ) -> complex:
@@ -245,8 +231,8 @@ def identify_a(pf: cat.PathFunctionals, cfg: BohrConfig) -> CoefficientSet:
     K, dw = cfg.N + cfg.M, pf.path.increments
     i_coef = coefficients(dw, K)
     f_coef = cat.block_dx_coefficients(pf.tables, pf.path.values, dw, i_coef, K)
-    values = band_windows(f_coef, i_coef[cfg.M : cfg.M + 2 * cfg.N + 1], cfg.M, [cfg.N])[:, 0]
-    return CoefficientSet(max_order=cfg.M, values=values)
+    half = windows(f_coef, i_coef[cfg.M : cfg.M + 2 * cfg.N + 1], range(cfg.M + 1), [cfg.N])
+    return CoefficientSet(max_order=cfg.M, values=mirror(half[:, 0]))
 
 
 def _ratios(m: int, L: int) -> np.ndarray:
@@ -256,27 +242,26 @@ def _ratios(m: int, L: int) -> np.ndarray:
     return np.concatenate([0.5 + 0.5j * cot[::-1], [0.0], 0.5 - 0.5j * cot])
 
 
+@lru_cache(maxsize=16)
 def _drift_plan(st: cat.SpecTables, N: int, M: int) -> tuple:
-    """The synthesized drift step's constants at the orders ``n = 0 .. M``,
-    kept on the tables per N and M (read-only): the gain ``1 + counts_n/(2N+1)``
-    of ``F_n(dX)``, ``F(c)``, ``|k| <= N + M`` (None when c = 0), ``(2M+1) (F(v)
-    + lower r)``, ``|p| <= 2M`` (None when the table is zero), ``lower rho_n``,
-    ``rho_n = sum_{|l| <= M} r_{n-l}``, and the ramp i (both None if lower = 0)."""
-    plan = st._drift_terms.get((N, M))
-    if plan is None:
-        m, da = st.grid.m, st.da
-        n = np.arange(M + 1)
-        counts = np.minimum(n + N, M) - np.maximum(n - N, -M) + 1
-        f_c = coefficients(st.c, N + M) if st.c.any() else None
-        ratios = _ratios(m, 2 * M)
-        pair = lag = ramp = None
-        if da.lower or da.v.any():
-            pair = (2 * M + 1) * (coefficients(da.v, 2 * M) + da.lower * ratios)
-        if da.lower:
-            lag = da.lower * np.array([ratios[k + M : k + 3 * M + 1].sum() for k in n])
-            ramp = np.arange(m, dtype=float)
-        plan = st._drift_terms[(N, M)] = (1 + counts / (2 * N + 1), f_c, pair, lag, ramp)
-    return plan
+    """The synthesized drift step's constants at the orders ``n = 0 .. M``:
+    the gain ``1 + counts_n/(2N+1)`` of ``F_n(dX)``, ``F(c)``, ``|k| <= N + M``
+    (None when c = 0), ``(2M+1) (F(v) + lower r)``, ``|p| <= 2M`` (None when
+    the table is zero), ``lower rho_n``, ``rho_n = sum_{|l| <= M} r_{n-l}``,
+    and the ramp i (both None if lower = 0).  A per-run cache: the tables
+    hash by identity, so a run's tiles share one plan (read-only)."""
+    m, da = st.grid.m, st.da
+    n = np.arange(M + 1)
+    counts = np.minimum(n + N, M) - np.maximum(n - N, -M) + 1
+    f_c = coefficients(st.c, N + M) if st.c.any() else None
+    ratios = _ratios(m, 2 * M)
+    pair = lag = ramp = None
+    if da.lower or da.v.any():
+        pair = (2 * M + 1) * (coefficients(da.v, 2 * M) + da.lower * ratios)
+    if da.lower:
+        lag = da.lower * np.array([ratios[k + M : k + 3 * M + 1].sum() for k in n])
+        ramp = np.arange(m, dtype=float)
+    return 1 + counts / (2 * N + 1), f_c, pair, lag, ramp
 
 
 def drift_coefficients(
@@ -291,14 +276,14 @@ def drift_coefficients(
     stochastic: np.ndarray | None = None,
     out: tuple[np.ndarray | None, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """``b_n = F_n(dX) - div(a conj(e_n))`` for ``|n| <= M``, the orders of
-    ``a_hat`` (..., 2M + 1), one path or each row of a block: the drift step
+    """``b_n = F_n(dX) - div(a conj(e_n))`` for ``n = 0 .. M``, the orders of
+    ``a_hat`` (..., M + 1), one path or each row of a block: the drift step
     of both modes, from ``F_k = F_k(dX)``, ``|k| <= N + M`` (``f_coef``), and
-    ``I_l = F_l(dW)``, ``|l| <= max(N + M, 2M)`` (``i_coef``), with ``n < 0``
-    as exact conjugates.
+    ``I_l = F_l(dW)``, ``|l| <= max(N + M, 2M)`` (``i_coef``).  At ``n < 0``
+    both a and b are the conjugates (``sfc.mirror``).
 
     ``closed_form`` (a_hat unused) is ``F_n(dX) - F_n(a dW) + F_n(correction)``
-    at ``n = 0 .. M``, in coefficient space: ``stochastic`` (..., M + 1) is the
+    in coefficient space: ``stochastic`` (..., M + 1) is the
     record's own ``F_n(a dW)`` from :func:`catalog.block_dx_coefficients`.
 
     ``synthesized`` subtracts ``F_n(a_hat dW)``, the window of I against a_hat,
@@ -317,11 +302,11 @@ def drift_coefficients(
     like dW (dW itself, say) and a flat complex one, receives ``i dW`` and
     serves as scratch.
     """
-    K, M = (f_coef.shape[-1] - 1) // 2, (a_hat.shape[-1] - 1) // 2
+    K, M = (f_coef.shape[-1] - 1) // 2, a_hat.shape[-1] - 1
     if mode == CLOSED_FORM:
         b = f_coef[..., K : K + M + 1] - stochastic
         b += st.correction_spectrum[: M + 1]
-        return np.concatenate([np.conj(b[..., :0:-1]), b], axis=-1)
+        return b
     m, L, N = st.grid.m, (i_coef.shape[-1] - 1) // 2, K - M
     scratch, buffer = (None, None) if out is None else out
     gain, f_c, pair, lag, ramp = _drift_plan(st, N, M)
@@ -339,30 +324,31 @@ def drift_coefficients(
         by_order += np.multiply(st.da.lower, ramp_coef, out=ramp_coef)
     correction = windows(carried, i_band, half, [N], buffer)[..., 0]
     if pair is not None:
-        y = band_windows(i_coef, i_band, M, [N], buffer)[..., 0]  # F(S dW) / (2N+1)
+        y = windows(i_coef, i_band, half, [N], buffer)[..., 0]  # F(S dW) / (2N+1)
         pairs = np.empty(pair.shape + y.shape[-2::-1], dtype=complex).T
         pairs[...] = pair
-        correction += windows(pairs, y, half, [M], buffer)[..., 0]
+        correction += windows(pairs, mirror(y), half, [M], buffer)[..., 0]
         if lag is not None:
-            correction -= lag * y[..., M:]
+            correction -= lag * y
     correction /= np.sqrt(m)
     b = gain * f_coef[..., K : K + M + 1]
-    b -= (2 * M + 1) * windows(i_coef, a_hat, half, [M], buffer)[..., 0]
+    b -= (2 * M + 1) * windows(i_coef, mirror(a_hat), half, [M], buffer)[..., 0]
     b += correction
-    return np.concatenate([np.conj(b[..., :0:-1]), b], axis=-1)
+    return b
 
 
 def recover_b(pf: cat.PathFunctionals, a_hat: CoefficientSet, cfg: BohrConfig) -> CoefficientSet:
     """Recover the drift coefficients ``b_n = F_n(dX) - div(a conj(e_n))``,
     ``|n| <= cfg.M``, of one path: :func:`drift_coefficients` in ``cfg.mode``,
-    on a tile's transforms.  ``a_hat`` must hold the same orders."""
+    on a tile's transforms.  ``a_hat`` must hold the same orders; its
+    orders ``n < 0`` are read as the conjugates of ``n > 0``."""
     if a_hat.max_order != cfg.M:
         raise ValueError(f"a_hat has max_order {a_hat.max_order}, but cfg.M is {cfg.M}")
-    st, w, dw, K = pf.tables, pf.path.values, pf.path.increments, cfg.N + cfg.M
-    i_coef, stoch = coefficients(dw, max(K, 2 * cfg.M)), np.empty(cfg.M + 1, dtype=complex)
+    st, w, dw, M, K = pf.tables, pf.path.values, pf.path.increments, cfg.M, cfg.N + cfg.M
+    i_coef, stoch = coefficients(dw, max(K, 2 * M)), np.empty(M + 1, dtype=complex)
     f_coef = cat.block_dx_coefficients(st, w, dw, i_coef, K, stochastic=stoch)
-    b = drift_coefficients(st, cfg.mode, w, dw, a_hat.values, f_coef, i_coef, stochastic=stoch)
-    return CoefficientSet(cfg.M, b)
+    b = drift_coefficients(st, cfg.mode, w, dw, a_hat.values[M:], f_coef, i_coef, stochastic=stoch)
+    return CoefficientSet(M, mirror(b))
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ transform; a node table is used as given.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from numbers import Number
 from typing import Mapping, Sequence
 
@@ -53,7 +53,7 @@ from .brownian import BrownianPath
 from .errors import ConfigError
 from .grid import TimeGrid
 from .malliavin import DerivativeTable
-from .sfc import coefficients, synthesize
+from .sfc import coefficients, mirror, synthesize
 
 CONST = "CONST"
 DET = "DET"
@@ -380,8 +380,6 @@ class SpecTables:
     tau: int
     c: np.ndarray = field(repr=False)
     da: DerivativeTable = field(repr=False)
-    _order_terms: dict[range | tuple, tuple] = field(default_factory=dict, init=False, repr=False)
-    _drift_terms: dict[tuple[int, int], tuple] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def correction(self) -> np.ndarray:
@@ -464,11 +462,6 @@ def block_functionals(st: SpecTables, w: np.ndarray) -> tuple[np.ndarray, np.nda
     return a, b, dx
 
 
-def _by_order(half: np.ndarray, K: int) -> np.ndarray:
-    """The orders ``-K .. K`` of a real sequence from its rfft ``half``."""
-    return np.concatenate([np.conj(half[K:0:-1]), half[: K + 1]])
-
-
 def block_dx_coefficients(
     st: SpecTables, w: np.ndarray, dw: np.ndarray, i_coef: np.ndarray, K: int, *,
     out: tuple[np.ndarray, np.ndarray] | None = None, stochastic: np.ndarray | None = None,
@@ -506,10 +499,10 @@ def block_dx_coefficients(
     if stochastic is not None:
         stochastic[...] = coef[K : K + stochastic.shape[-1]].T
     if rec.beta:  # the correction is beta 1[i < tau m] / m
-        coef -= _by_order(st.correction_spectrum, K)[by_order]
+        coef -= mirror(st.correction_spectrum[: K + 1])[by_order]
     if st.g is not None:
         g0, g1 = DRIFT_RECORDS[st.spec.drift_kind]
-        term[...] = _by_order(st.g_spectrum, K)[by_order]  # a copy broadcasts unbuffered
+        term[...] = mirror(st.g_spectrum[: K + 1])[by_order]  # a copy broadcasts unbuffered
         term *= (g0 + g1 * w[..., -1].T) / m
         coef += term
     return coef.T
@@ -525,34 +518,28 @@ def eval_functionals(spec: ProcessSpec, path: BrownianPath) -> PathFunctionals:
 # per-path truth values
 
 
-def _order_terms(st: SpecTables, orders: Sequence[int]) -> tuple:
+@lru_cache(maxsize=16)
+def _order_terms(st: SpecTables, orders: range | tuple[int, ...]) -> tuple:
     """What :func:`block_true_fourier_a` takes from the orders alone: the
     orders as a read-only int array, the largest |n|, f's coefficient row
     (None when f is zero), ``z``, the divisor ``1 - z`` (1 at n = 0) and the
-    mask n = 0; built once per tables and orders and kept on the tables, so a
-    run's tiles share them.  A range or a tuple is its own key, so a caller
-    that passes one fixed for the run pays neither an array nor a key per
-    call; other sequences are keyed by their tuple of ints."""
-    key = orders if isinstance(orders, (range, tuple)) else tuple(np.asarray(orders).tolist())
-    terms = st._order_terms.get(key)
-    if terms is None:
-        m = st.grid.m
-        ords = np.array(orders, dtype=int)
-        ords.flags.writeable = False
-        top = int(np.max(np.abs(ords), initial=0))
-        table = st.spec.f_table
-        if isinstance(table, TrigPoly):
-            f_row = np.array([table.coeff(n) for n in ords.tolist()], dtype=complex)
-        elif table is not None:
-            f_row = coefficients(st.f, top)[ords + top] / m
-        else:
-            f_row = None
-        one_minus_z = -np.expm1(-2j * np.pi * ords / m)
-        is_zero = ords == 0
-        divisor = np.where(is_zero, 1.0, one_minus_z)
-        terms = (ords, top, f_row, 1 - one_minus_z, divisor, is_zero)
-        st._order_terms[key] = terms
-    return terms
+    mask n = 0.  A per-run cache: the tables hash by identity, so each spec
+    and grid has its own entries, and a run's tiles share them (read-only)."""
+    m = st.grid.m
+    ords = np.array(orders, dtype=int)
+    ords.flags.writeable = False
+    top = int(np.max(np.abs(ords), initial=0))
+    table = st.spec.f_table
+    if isinstance(table, TrigPoly):
+        f_row = np.array([table.coeff(n) for n in ords.tolist()], dtype=complex)
+    elif table is not None:
+        f_row = coefficients(st.f, top)[ords + top] / m
+    else:
+        f_row = None
+    one_minus_z = -np.expm1(-2j * np.pi * ords / m)
+    is_zero = ords == 0
+    divisor = np.where(is_zero, 1.0, one_minus_z)
+    return ords, top, f_row, 1 - one_minus_z, divisor, is_zero
 
 
 def block_true_fourier_a(
@@ -570,9 +557,9 @@ def block_true_fourier_a(
     with ``z = e^{-2 pi i n/m}`` for n != 0, and ``sum_i W_i`` for n = 0.
     ``i_coef`` (..., 2L + 1), with I_l in column ``l + L``, supplies them when
     it covers every order, as a sweep tile's does; otherwise they are the
-    coefficients of W's increments.  Pass the orders as a range or a tuple
-    that is fixed for the run, and every call after the first finds their
-    terms at once (:func:`_order_terms`).
+    coefficients of W's increments.  The terms of a range or a tuple of
+    orders are built once per tables (:func:`_order_terms`); any other
+    sequence is taken as its tuple.
 
     The sums run on the transpose, one contiguous row an order, as
     ``i_coef`` stores I: each order's terms broadcast along its row, and the
@@ -580,7 +567,8 @@ def block_true_fourier_a(
     """
     m = st.grid.m
     rec = st.spec.record
-    ords, top, f_row, z, divisor, is_zero = _order_terms(st, orders)
+    ords, top, f_row, z, divisor, is_zero = _order_terms(
+        st, orders if isinstance(orders, range) else tuple(orders))
     by_order = (slice(None),) + (None,) * (w.ndim - 1)  # an order's term against every row
     out = np.zeros(ords.shape + w.shape[-2::-1], dtype=complex)  # (orders, ..)
     if f_row is not None:

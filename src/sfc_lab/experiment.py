@@ -1,20 +1,12 @@
 """Monte Carlo experiments for the coefficient estimator: the convergence
-sweep and coefficient identification, on one engine.  Paths run in row tiles
-of at most ``block_size`` and 16 rows, and of at most as many as keep one
-(rows, m) float array within ``TILE_BYTES``.  Each tile is sampled, takes
-the transform of dW, gets ``F(dX)`` from it by the affine record's linearity
-(``catalog.block_dx_coefficients``: a transform of ``(f + alpha W) dW``, none
-for W1 and MIDPOINT) and all its Bohr windows from one ``bohr.band_windows``
-call; ``run_identify`` recovers b on the same tile.  Each worker thread
-fills the same buffers for every tile it builds: W, dW and a complex scratch,
-and a fourth where the consumer reads dW after the transforms.  A
-:class:`Tile`'s arrays are views on them, valid only inside the callback
-that receives it.  Both results keep
-the orders ``n = 0 .. M`` of each path only: the sweep its estimates and one
-truth row, from which it reduces |estimate - truth| one width at a time, and
-identification ``a_hat`` and ``b_hat``.  The increments are real, so
-``B_N(-n) = conj(B_N(n))``, the truth's coefficients and b mirror the same
-way, and the orders ``n < 0`` of every table are copies.
+sweep and coefficient identification, on one tile engine (``engine``, which
+states how paths are tiled, threaded and buffered).  ``run_identify``
+recovers b on the sweep's tiles.  Both results keep the orders ``n = 0 ..
+M`` of each path only: the sweep its estimates and one truth row, from which
+it reduces |estimate - truth| one width at a time, and identification
+``a_hat`` and ``b_hat``.  The increments are real, so ``B_N(-n) =
+conj(B_N(n))``, the truth's coefficients and b mirror the same way, and the
+orders ``n < 0`` of every table are copies (``sfc.mirror``).
 
 Determinism contract
 --------------------
@@ -27,19 +19,14 @@ keeps the same contract as the sweep:
   real FFT per row, W is one cumsum per row, and each window adds its row's
   products one by one in the same order whatever the rows beside it -- so
   per-path outputs are bitwise independent of the tile a path lands in, of
-  ``block_size``, of the worker schedule and of the run's total P (prefix
-  property);
+  ``block_size``, of the thread count and worker schedule and of the run's
+  total P (prefix property);
 * per-path statistics land in arrays indexed by path, and all reductions run
   afterwards as exact sums rounded once, bitwise what ``math.fsum`` gives in
   any order, by one vectorized kernel that both results share.
 
-Tiles run on as many threads as the process may use CPUs, or on
-``SFC_LAB_THREADS`` when it is set, except that a run at m <= 1024 starts no
-helper: the calling thread and its helpers take the next tile in path order
-from one shared counter.  The thread count has no effect on any reported
-number.  Wall-clock time is kept on the in-memory result only; serialized
-artifacts contain nothing volatile, so identical configurations yield
-identical bytes.
+Wall-clock time is kept on the in-memory result only; serialized artifacts
+contain nothing volatile, so identical configurations yield identical bytes.
 
 Config schema
 -------------
@@ -56,8 +43,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import threading
 import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -67,22 +52,12 @@ from typing import ClassVar, Mapping
 import numpy as np
 
 from . import __version__
-from .bohr import SYNTHESIZED, BohrConfig, band_windows, drift_coefficients, grid_supports
-from .catalog import (
-    ProcessSpec,
-    SpecTables,
-    block_dx_coefficients,
-    block_true_fourier_a,
-    make_process,
-    process_jsonable,
-    spec_tables,
-)
+from .bohr import SYNTHESIZED, BohrConfig, drift_coefficients, grid_supports
+from .catalog import ProcessSpec, block_true_fourier_a, make_process, process_jsonable, spec_tables
+from .engine import Tile, _require_finite, _require_run_fits, _run_tiles
 from .errors import ConfigError, NumericalFailureError
 from .grid import TimeGrid
-from .brownian import sample_rows
-from .sfc import coefficients
-
-THREADS_ENV = "SFC_LAB_THREADS"
+from .sfc import mirror
 
 CSV_HEADER = "process,n,N,m,P,seed,mean_abs_err,lp_err,std_err"
 IDENTIFY_CSV_HEADER = (
@@ -207,24 +182,6 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return cfg._hash
 
 
-def resolve_threads() -> int:
-    """``SFC_LAB_THREADS``, or when it is unset or empty the number of CPUs
-    this process may run on."""
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None or raw.strip() == "":
-        try:
-            return len(os.sched_getaffinity(0))
-        except AttributeError:  # no affinity on this platform
-            return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ConfigError(f"{THREADS_ENV} must be >= 1, got {value}")
-    return value
-
-
 @dataclass(frozen=True)
 class DecayFit:
     """Log-log least squares: ``log err ~ intercept + slope * log(2N+1)``."""
@@ -336,25 +293,14 @@ class ExperimentResult(_Report):
 
     @property
     def abs_errors(self) -> np.ndarray:
-        return _mirror(np.abs(self._estimates - self._truth[:, None, :]), axis=-1)
+        return mirror(np.abs(self._estimates - self._truth[:, None, :]))
 
     @property
     def estimates(self) -> np.ndarray:
-        return _mirror(self._estimates, axis=-1)
+        return mirror(self._estimates)
 
     def _json_extra(self) -> dict:
         return {"decay": {str(n): asdict(fit_decay(self, n)) for n in self.config.orders}}
-
-
-def _mirror(half: np.ndarray, axis: int) -> np.ndarray:
-    """The orders ``-M .. M`` along ``axis`` from the orders ``0 .. M`` of
-    ``half``: entry -n is entry n, conjugated when complex."""
-    M = half.shape[axis] - 1
-    full = np.take(half, np.abs(np.arange(-M, M + 1)), axis=axis)
-    if np.iscomplexobj(full):
-        negative = np.moveaxis(full, axis, 0)[:M]
-        np.conjugate(negative, out=negative)
-    return full
 
 
 def fit_decay(result: ExperimentResult, n: int = 0) -> DecayFit:
@@ -367,200 +313,6 @@ def fit_decay(result: ExperimentResult, n: int = 0) -> DecayFit:
         widths = np.array([2 * N + 1 for N in cfg.n_list], dtype=float)
         result._fits[n] = fit_loglog(widths, result.lp_err[n + cfg.M])
     return result._fits[n]
-
-
-TILE_BYTES = 256 * 1024  # one (rows, m) float64 array of a tile fits in this
-_TILE_MAX_ROWS = 16  # taller tiles grow synthesized identify's temporaries and gain no time
-_ONE_WORKER_MAX_M = 1024  # a run at m up to this works its tiles on one thread (see _workers)
-
-
-def tile_rows(cfg: ExperimentConfig) -> int:
-    """Rows per tile: one (rows, m) float array in ``TILE_BYTES``, at most 16
-    rows and ``block_size``: 16 rows at m=1024, 8 at 4096, 2 at 16384.
-    Whether helpers start turns on m, not on the rows or the tile count
-    (:func:`_workers`)."""
-    return min(cfg.block_size, _TILE_MAX_ROWS, max(1, TILE_BYTES // (8 * cfg.m)))
-
-
-@dataclass(frozen=True, eq=False)
-class Tile:
-    """Paths ``lo ..`` of one tile: W's nodes and increments (``dw`` None
-    where the run keeps no dW, :func:`_run_tiles`), ``F_k(dX)``, ``|k| <= N +
-    M``, and its stochastic part at ``k = 0 .. M``
-    (``catalog.block_dx_coefficients``), ``F_l(dW)``, ``|l| <= max(N + M,
-    2M)``, the windows (rows, orders -M .. M, widths) and the worker's flat
-    complex scratch, free once the windows are taken.  W, dW and the scratch
-    are the worker's buffers, which its next tile overwrites: valid only
-    inside the callback.  The coefficients are stored order-major, as
-    ``sfc.coefficients`` returns them."""
-
-    lo: int
-    w: np.ndarray
-    dw: np.ndarray | None
-    f_coef: np.ndarray
-    stochastic: np.ndarray
-    i_coef: np.ndarray
-    est: np.ndarray
-    complex_scratch: np.ndarray
-
-
-def _tile_buffers(
-    cfg: ExperimentConfig, widths: tuple[int, ...], keep_dw: bool = True
-) -> tuple[int, int, int]:
-    """Rows per tile, the (rows, m) float arrays of a worker besides W, and
-    the length of its flat complex scratch: the rfft spectrum (which also
-    covers the real view's m floats a row) or the band-M windows' products,
-    whichever is longer.  dW and ``(f + alpha W) dW`` share one array unless
-    ``keep_dw``: only the synthesized step with a lower triangle reads dW
-    after the transforms, for ``i dW``."""
-    rows = tile_rows(cfg)
-    complex_size = rows * max(cfg.m // 2 + 1, (2 * max(max(widths), cfg.M) + 1) * (cfg.M + 1))
-    return rows, 2 if keep_dw else 1, complex_size
-
-
-def _workers(cfg: ExperimentConfig, rows: int) -> int:
-    """Threads that work a run's tiles: one at ``m <= _ONE_WORKER_MAX_M``,
-    else ``resolve_threads()``, at most one a tile.
-
-    Two workers against one, as the speed ratio of medians over 10 fresh
-    processes a side on a 2-vCPU host, at P=100 unless noted, with N = m/16
-    (N=256 at m=4096): synthesized identify, closed form and the sweep.
-
-    - m=512, 16-row tiles: 0.59x (synthesized), 0.68x (sweep).
-    - m=1024, 16 rows: 0.85-0.86x, 0.86-0.93x, 0.86-0.93x; 0.87x and 0.90x
-      at P=400, 0.89x for the sweep at P=2000 (125 tiles).  8 rows: 0.92x
-      (closed form); 4 rows: 0.69x (sweep).
-    - m=1536, 16 rows: 0.97x, 1.13x, 1.13x.
-    - m=2048, 16 rows (7 tiles): 1.14x, 1.21x, 1.06x; 1.10x and 1.26x at
-      P=200.  4 rows: 0.92x (sweep).
-    - m=4096, 8 rows: 1.35x (closed form), 1.28x at P=200.  4 rows: 1.07x,
-      1.26x, 1.14x; 2 rows: 1.34x (closed form).
-
-    So two lost at every m <= 1024 measured, whatever the rows or the tile
-    count, and won at m >= 1536 but for the synthesized step at m=1536 and
-    4-row sweep tiles at m=2048, which keep two workers.  A helper also
-    holds its own tile buffers, which a run at m <= 1024 does not allocate.
-    Hosts with more than two CPUs were not measured.
-    """
-    if cfg.m <= _ONE_WORKER_MAX_M:
-        return 1
-    return min(resolve_threads(), -(-cfg.paths // rows))
-
-
-def _run_tiles(
-    cfg: ExperimentConfig, st: SpecTables, widths: tuple[int, ...], work, *, keep_dw: bool = True
-) -> None:
-    """Build every tile of paths and hand it to ``work``.
-
-    The calling thread works the first tile alone, so that the run's
-    one-time costs are paid once; then it and ``resolve_threads() - 1``
-    helper threads (fewer when there are fewer tiles, and none at m <= 1024,
-    where a second worker made every measured run slower: :func:`_workers`)
-    each take the next tile start from one shared counter until none is
-    left.  A worker whose tile raises takes no further tile, and the others
-    take none past the current start either; every helper is joined before
-    the failing tile with the lowest path index raises, so a failure is
-    reported as the one-thread run reports it.
-
-    Each worker thread allocates its buffers and its generator at its first
-    tile and fills them in place for every later one, so a tile makes no array
-    of a tile's size: dW and W (drawn by ``brownian.sample_rows``), one flat
-    complex scratch, and a second (rows, m) array where the consumer reads dW
-    after the transforms (``keep_dw``: synthesized identify with a lower
-    triangle, :func:`_tile_buffers`).  No tile builds dX at the nodes: once
-    ``F(dW)`` is taken, ``catalog.block_dx_coefficients`` writes ``(f + alpha
-    W) dW`` into dW's rows (the second array with ``keep_dw``) and the
-    scratch, and the synthesized step ``i dW`` into dW's.  Besides, a sweep
-    tile allocates the two coefficient arrays it keeps, and for the windows
-    the gather of I (2N + 1 complex numbers a row), numpy's 8 KiB multiply
-    buffer and the windows themselves.
-
-    Threads overlap the sampling and the transforms; the windows, the truth
-    and the store are many short numpy calls, whose overhead does not overlap.
-    """
-    m, n_max = cfg.m, max(widths)
-    rows, row_arrays, complex_size = _tile_buffers(cfg, widths, keep_dw)
-    L = max(n_max + cfg.M, 2 * cfg.M)  # the dW orders the drift step reads
-    local = threading.local()
-
-    def buffers() -> tuple[np.ndarray, ...]:
-        """This thread's W, dW, the array for ``(f + alpha W) dW`` and complex scratch."""
-        if not hasattr(local, "buffers"):
-            dw = np.empty((rows, m))
-            local.buffers = (
-                np.empty((rows, m + 1)),
-                dw,
-                np.empty((rows, m)) if row_arrays == 2 else dw,  # written after F(dW)
-                np.empty(complex_size, dtype=complex),
-            )
-            local.rng = None
-        return local.buffers
-
-    def one(lo: int) -> None:
-        count = min(cfg.paths, lo + rows) - lo
-        *real, complex_scratch = buffers()
-        w, dw, x = (b[:count] for b in real)
-        local.rng = sample_rows(cfg.master_seed, lo, dw, w, local.rng)
-        i_coef = coefficients(dw, L, complex_scratch)  # order l at column l + L
-        stochastic = np.empty((count, cfg.M + 1), dtype=complex)
-        f_coef = block_dx_coefficients(  # order k at column k + n_max + M
-            st, w, dw, i_coef, n_max + cfg.M, out=(x, complex_scratch), stochastic=stochastic
-        )
-        est = band_windows(f_coef, i_coef[:, L - n_max : L + n_max + 1], cfg.M, widths,
-                           complex_scratch)
-        work(Tile(lo, w, dw if keep_dw else None, f_coef, stochastic, i_coef, est,
-                  complex_scratch))
-
-    starts = range(0, cfg.paths, rows)
-    threads = _workers(cfg, rows)
-    pending = iter(starts)
-    lock = threading.Lock()
-    failures: dict[int, BaseException] = {}
-
-    def step() -> bool:
-        """Work the next tile; False once none is left or a tile has failed."""
-        with lock:
-            lo = None if failures else next(pending, None)
-        if lo is None:
-            return False
-        try:
-            one(lo)
-        except BaseException as exc:  # raised below, once every helper has joined
-            with lock:
-                failures[lo] = exc
-            return False
-        return True
-
-    def drain() -> None:
-        while step():
-            pass
-
-    helpers: list[threading.Thread] = []
-    try:
-        # the first tile runs alone: it pays the run's one-time costs (lazy
-        # imports, FFT plans) without a helper contending for them
-        if step():
-            for _ in range(threads - 1):
-                helper = threading.Thread(target=drain)
-                helper.start()
-                helpers.append(helper)
-            drain()
-    finally:
-        for helper in helpers:
-            helper.join()
-    if failures:
-        raise failures[min(failures)]
-
-
-def _require_finite(name: str, values: np.ndarray, lo: int, orders, widths) -> None:
-    """Name the first path (then order, width) whose ``values`` (rows, orders,
-    widths) are not finite."""
-    if np.isfinite(values).all():
-        return
-    r, oi, wi = np.argwhere(~np.isfinite(values))[0]
-    raise NumericalFailureError(
-        f"non-finite {name} for path {lo + r} (n={orders[oi]}, N={widths[wi]})"
-    )
 
 
 _SUM_ROWS = 1 << 25  # rows per bucket pass: every bucket total stays an integer below 2**53
@@ -626,43 +378,6 @@ def _path_statistics(values: np.ndarray, p: float | None = None) -> np.ndarray:
     return stats
 
 
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where ``os.sysconf`` cannot say."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
-# the spec's tables of m floats: f, g, c, the derivative table's u and v, the
-# correction and the rffts of it and of g, the drift step's ramp and one temporary
-_TABLE_ARRAYS = 10
-
-
-def _require_run_fits(
-    cfg: ExperimentConfig, widths: tuple[int, ...], bytes_per_path: int, keep_dw: bool = True
-) -> None:
-    """Refuse a run that physical memory cannot hold: its per-path results,
-    the spec's tables (at most ``_TABLE_ARRAYS`` arrays of m floats) and the
-    buffers of every tile worker, as :func:`_tile_buffers` counts them for
-    ``keep_dw`` (three, or four where dW is kept apart).  It could
-    not finish, so it fails before the tables or any tile are built."""
-    rows, row_arrays, complex_size = _tile_buffers(cfg, widths, keep_dw)
-    workers = _workers(cfg, rows)
-    results = cfg.paths * bytes_per_path
-    need = results + 8 * _TABLE_ARRAYS * cfg.m + workers * (
-        8 * rows * (row_arrays * cfg.m + cfg.m + 1) + 16 * complex_size
-    )
-    have = _physical_memory()
-    if have is not None and need > have:
-        owners = "tile worker's" if workers == 1 else "tile workers'"
-        raise ConfigError(
-            f"{cfg.paths} paths need {results:,} bytes of per-path results, and with the "
-            f"spec's tables and {workers} {owners} buffers the run needs {need:,} bytes, "
-            f"more than the {have:,} bytes of physical memory"
-        )
-
-
 def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the sweep; see the module docstring for the determinism contract."""
     started = time.perf_counter()
@@ -674,14 +389,11 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     truth = np.zeros((cfg.paths, M + 1), dtype=complex)
 
     def work(tile: Tile) -> None:
-        est = tile.est[:, M:]
         true = block_true_fourier_a(st, tile.w, half, tile.i_coef)
-        err = np.abs(est - true[:, :, None])
-        # |err(-n)| = |err(n)|: searched from n = M down, labelled -M .. 0, the
-        # first non-finite entry is the one the full band -M .. M shows first
-        _require_finite("estimate", err[:, ::-1], tile.lo, cfg.orders[: M + 1], cfg.n_list)
+        err = np.abs(tile.est - true[:, :, None])
+        _require_finite("estimate", err, tile.lo, cfg.n_list)  # |err(-n)| = |err(n)|
         hi = tile.lo + len(err)
-        estimates[tile.lo : hi] = est.transpose(0, 2, 1)
+        estimates[tile.lo : hi] = tile.est.transpose(0, 2, 1)
         truth[tile.lo : hi] = true
 
     _run_tiles(cfg, st, cfg.n_list, work, keep_dw=False)  # the truth reads I, not dW
@@ -690,7 +402,7 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     stats = np.empty((3, widths, M + 1))
     for wi in range(widths):  # the errors of one width at a time, as the tiles found them
         stats[:, wi] = _path_statistics(np.abs(estimates[:, wi] - truth), p)
-    mean_abs, var, power = _mirror(stats, axis=-1).transpose(0, 2, 1)
+    mean_abs, var, power = mirror(stats).transpose(0, 2, 1)
     lp = power ** (1.0 / p)
     se = np.sqrt(var / cfg.paths)
     failures = {
@@ -718,9 +430,8 @@ class IdentifyResult(_Report):
     """Per-path estimates of both coefficient processes at width
     ``N = max(config.n_list)``: ``a_hat`` and ``b_hat`` have shape (paths,
     orders), orders ascending, built on each access from the orders ``n = 0
-    .. M`` that the result keeps (both are exact conjugates at ``n < 0``, as
-    ``band_windows`` and ``drift_coefficients`` build them).  They stay out
-    of :meth:`json_dict`."""
+    .. M`` that the result keeps (both are exact conjugates at ``n < 0``).
+    They stay out of :meth:`json_dict`."""
 
     csv_header: ClassVar[str] = IDENTIFY_CSV_HEADER
     config: ExperimentConfig
@@ -730,11 +441,11 @@ class IdentifyResult(_Report):
 
     @property
     def a_hat(self) -> np.ndarray:
-        return _mirror(self._a_hat, axis=-1)
+        return mirror(self._a_hat)
 
     @property
     def b_hat(self) -> np.ndarray:
-        return _mirror(self._b_hat, axis=-1)
+        return mirror(self._b_hat)
 
     @cached_property
     def rows(self) -> list[dict]:
@@ -750,8 +461,8 @@ class IdentifyResult(_Report):
         # columns re, im of each order of a, then of b
         parts = np.concatenate([self._a_hat, self._b_hat], axis=1).view(float)
         mean, var = _path_statistics(parts).reshape(2, 2, cfg.M + 1, 2)
-        se = _mirror(np.sqrt((var[..., 0] + var[..., 1]) / cfg.paths), axis=-1)
-        mean = _mirror(mean, axis=1)
+        se = mirror(np.sqrt((var[..., 0] + var[..., 1]) / cfg.paths))
+        mean = mirror(mean, axis=1)
         mean[:, : cfg.M, 1] = 0.0 - mean[:, : cfg.M, 1]  # the conjugates at n < 0
         rows = []
         for oi, n in enumerate(cfg.orders):
@@ -789,15 +500,15 @@ def run_identify(cfg: ExperimentConfig, mode: str) -> IdentifyResult:
 
     def work(tile: Tile) -> None:
         a = tile.est[:, :, 0]
-        _require_finite("a_hat", tile.est, tile.lo, cfg.orders, (N,))
+        _require_finite("a_hat", tile.est, tile.lo, (N,))
         # F(dW) is taken, so the synthesized step's i dW goes into dW's rows
         b = drift_coefficients(
             st, mode, tile.w, tile.dw, a, tile.f_coef, tile.i_coef, stochastic=tile.stochastic,
             out=(tile.dw, tile.complex_scratch),
         )
-        _require_finite("b_hat", b[:, :, None], tile.lo, cfg.orders, (N,))
-        a_hat[tile.lo : tile.lo + len(a)] = a[:, cfg.M :]
-        b_hat[tile.lo : tile.lo + len(a)] = b[:, cfg.M :]
+        _require_finite("b_hat", b[:, :, None], tile.lo, (N,))
+        a_hat[tile.lo : tile.lo + len(a)] = a
+        b_hat[tile.lo : tile.lo + len(a)] = b
 
     _run_tiles(cfg, st, (N,), work, keep_dw=keep_dw)
     return IdentifyResult(config=cfg, mode=mode, _a_hat=a_hat, _b_hat=b_hat)

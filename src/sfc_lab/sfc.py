@@ -15,8 +15,10 @@ With ``t_i = i/m`` the sum is the real DFT of the increments:
 coefficient in the package comes from it: those of dW, the windows of the
 remainders, the left Riemann truth of a (through ``F(dW)``) and ``F(dX)``,
 by linearity from ``F(dW)`` and one transform of ``(f + alpha W) dW``, which
-W1 and MIDPOINT skip (``catalog.block_dx_coefficients``).
-Its inverse, :func:`synthesize`, is the one way back to the left tags: one
+W1 and MIDPOINT skip (``catalog.block_dx_coefficients``).  What is built
+from them mirrors the same way, and everything else builds the orders
+``n = 0 .. M`` alone: :func:`mirror` fills in ``n < 0``.
+The inverse, :func:`synthesize`, is the one way back to the left tags: one
 ``irfft`` gives the kernel's lag row and every trigonometric-polynomial
 table of the catalog.  Direct sums remain only in the tests' oracles
 (``exact_diffusion_sfc`` and the basis loop of ``trigpoly_nodes``), kept
@@ -109,6 +111,17 @@ def coefficients(
     by_order[:K] = spectrum[K:0:-1]
     np.conjugate(by_order[:K], out=by_order[:K])
     return by_order.T
+
+
+def mirror(half: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The orders ``-M .. M`` along ``axis`` from the orders ``0 .. M`` of
+    ``half``: entry -n is entry n, conjugated when complex.  A new array."""
+    M = half.shape[axis] - 1
+    full = np.take(half, np.abs(np.arange(-M, M + 1)), axis=axis)
+    if np.iscomplexobj(full):
+        negative = full[(slice(None),) * (axis % full.ndim) + (slice(M),)]  # n < 0
+        np.conjugate(negative, out=negative)
+    return full
 
 
 def synthesize(coeffs: CoefficientSet | np.ndarray, m: int) -> np.ndarray:

@@ -6,7 +6,7 @@ import threading
 
 import numpy as np
 
-import sfc_lab.experiment as experiment
+import sfc_lab.engine as engine
 from sfc_lab.brownian import BrownianPath
 from sfc_lab.catalog import (  # noqa: F401
     DRIFT_RECORDS,
@@ -102,13 +102,13 @@ def dsfc_partials(spec, path, weights):
 def start_helpers_at_any_m(monkeypatch):
     """Let a run at any m start tile helpers, as runs above m=1024 do, so
     that a thread test keeps a small grid."""
-    monkeypatch.setattr(experiment, "_ONE_WORKER_MAX_M", 0)
+    monkeypatch.setattr(engine, "_ONE_WORKER_MAX_M", 0)
 
 
 def record_tile_workers(monkeypatch):
     """The threads that build each run's tiles: one set of thread idents per
     run, filled as the run goes.  The tile sampler is wrapped so that, in a
-    run whose ``experiment._workers`` is above one, the calling thread waits
+    run whose ``engine._workers`` is above one, the calling thread waits
     at its first tile after the one it works alone, up to 10 s, for a helper
     to start a tile: a run that starts a helper then shows two workers
     whatever the scheduler does, and a run that starts none never waits."""
@@ -116,7 +116,7 @@ def record_tile_workers(monkeypatch):
     runs = []
     workers = [1]  # the current run's, as _run_tiles asked for them
     helper_ran = threading.Event()
-    real_sample, real_workers = experiment.sample_rows, experiment._workers
+    real_sample, real_workers = engine.sample_rows, engine._workers
 
     def counted_workers(*args):
         workers[0] = real_workers(*args)
@@ -135,6 +135,6 @@ def record_tile_workers(monkeypatch):
         runs[-1].add(ident)
         return real_sample(master_seed, lo, *rest)
 
-    monkeypatch.setattr(experiment, "_workers", counted_workers)
-    monkeypatch.setattr(experiment, "sample_rows", sample_rows)
+    monkeypatch.setattr(engine, "_workers", counted_workers)
+    monkeypatch.setattr(engine, "sample_rows", sample_rows)
     return runs

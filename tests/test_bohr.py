@@ -42,7 +42,6 @@ from sfc_lab import (
 from sfc_lab.bohr import (
     SYNTHESIZED,
     _drift_plan,
-    band_windows,
     drift_coefficients,
     grid_supports,
     windows,
@@ -161,18 +160,6 @@ def test_windows_are_the_center_out_loop_bitwise(case):
                 assert out[r + (oi, wi)] == np.divide(acc, 2 * N + 1), (r, n, N)
 
 
-def test_band_windows_conjugate_the_nonnegative_orders():
-    rng = np.random.default_rng(5)
-    dx, dw = rng.standard_normal((2, 3, 128))
-    M, widths = 3, [2, 8]
-    f_coef, i_coef = coefficients(dx, 8 + M), coefficients(dw, 8)
-    out = np.empty((3, M + 1, 17), dtype=complex)
-    band = band_windows(f_coef, i_coef, M, widths, out)
-    assert np.array_equal(band[:, M:], windows(f_coef, i_coef, range(M + 1), widths))
-    assert np.array_equal(band[:, :M], np.conj(band[:, : M : -1]))
-    npt.assert_allclose(band, windows(f_coef, i_coef, range(-M, M + 1), widths), rtol=1e-14)
-
-
 def test_a_tiles_transforms_and_windows_allocate_only_their_results():
     # the sweep's tile at the perfbench config: 8 rows, m=4096, widths 4 ..
     # 256, M=4.  Each transform once kept a conjugate copy of its orders
@@ -222,7 +209,7 @@ def test_the_drift_step_hands_windows_order_major_rows(monkeypatch):
     buffer = np.empty(rows * (2 * N + 1) * (M + 1), dtype=complex)
     spectrum = buffer[: rows * (m // 2 + 1)].reshape(rows, -1)
     f_coef, i_coef = coefficients(dx, N + M, spectrum), coefficients(dw, N + M, spectrum)
-    a_hat = band_windows(f_coef, i_coef[:, M : M + 2 * N + 1], M, [N])[..., 0]
+    a_hat = windows(f_coef, i_coef[:, M : M + 2 * N + 1], range(M + 1), [N])[..., 0]
     args = (st, SYNTHESIZED, w, dw, a_hat, f_coef, i_coef)
     expected = drift_coefficients(*args, out=(dx.copy(), buffer))  # and the step's plans
     layouts = []
@@ -383,13 +370,13 @@ def test_spectral_gradient_matches_loop(case):
     pf = eval_functionals(spec_for(case["kind"], extra), path)
     cfg = BohrConfig(N=N, M=M, mode="synthesized")
     f_set = sfc_range(pf, N + M)
-    # the correction's band |n| <= M: b with a_hat = 0 is F_n(dX + correction)
-    reference = coefficients(_loop_diagonal(pf, f_set, N, M).real / np.sqrt(case["m"]), M)
+    # the correction's band n = 0 .. M: b with a_hat = 0 is F_n(dX + correction)
+    reference = coefficients(_loop_diagonal(pf, f_set, N, M).real / np.sqrt(case["m"]), M)[M:]
     i_coef = coefficients(path.increments, max(N + M, 2 * M))
     st = spec_tables(pf.spec, pf.grid)
-    zero = np.zeros(2 * M + 1, dtype=complex)
+    zero = np.zeros(M + 1, dtype=complex)
     args = (path.values, path.increments, zero, f_set.values, i_coef)
-    diag = drift_coefficients(st, "synthesized", *args) - f_set.values[N : N + 2 * M + 1]
+    diag = drift_coefficients(st, "synthesized", *args) - f_set.values[N + M : N + 2 * M + 1]
     assert np.max(np.abs(diag - reference)) <= 1e-12 * (1 + np.max(np.abs(reference)))
     a_hat = identify_a(pf, cfg)
     reference = _loop_recover_b(pf, a_hat, N, M)

@@ -29,7 +29,7 @@ from sfc_lab import (
     sfc_range,
     true_fourier_a,
 )
-from sfc_lab.bohr import CLOSED_FORM, drift_coefficients
+from sfc_lab.bohr import CLOSED_FORM, _drift_plan, drift_coefficients
 from sfc_lab.catalog import (
     KIND_RECORDS,
     SPEC_TABLE,
@@ -261,10 +261,10 @@ def test_dx_coefficients_follow_the_record(case):
     got = block_dx_coefficients(tables, w, dw, i_coef, K, stochastic=stochastic)
     ref = coefficients(dx, K)
     assert np.max(np.abs(got - ref)) <= 1e-13 * (1 + np.max(np.abs(ref)))
-    unused = np.zeros((rows, 2 * M + 1), dtype=complex)
+    unused = np.zeros((rows, M + 1), dtype=complex)
     b = drift_coefficients(tables, CLOSED_FORM, w, None, unused, got, i_coef,
                            stochastic=stochastic)
-    ref = coefficients(dx - a * dw + tables.correction, M)
+    ref = coefficients(dx - a * dw + tables.correction, M)[:, M:]  # the step returns n = 0 .. M
     assert np.max(np.abs(b - ref)) <= 1e-13 * (1 + np.max(np.abs(ref)))
 
 
@@ -306,6 +306,31 @@ def test_spec_tables_are_built_once_per_spec_and_grid():
         with pytest.raises(ConfigError, match="length 16 but the path grid has m=32"):
             spec_tables(nodes, TimeGrid(32))
     assert spec_tables(nodes, TimeGrid(16)).f.shape == (16,)
+
+
+def test_per_run_caches_key_on_the_tables_and_their_arguments():
+    # the truth's order terms and the drift step's plans are lru caches over
+    # the tables, which hash by identity, and hashable arguments
+    grid = TimeGrid(64)
+    path = sample_path(SeedSpec(31, 0), grid)
+    w, i_coef = path.values, coefficients(path.increments, 4)
+    node_f = np.random.default_rng(4).standard_normal(64)
+    for spec in (make_process("DET", {"f": node_f}), spec_for("NONCAUSAL_BRIDGE")):
+        tables = spec_tables(spec, grid)
+        forms = (list(range(-3, 5)), tuple(range(-3, 5)), range(-3, 5), np.arange(-3, 5))
+        first, *rest = (block_true_fourier_a(tables, w, orders, i_coef) for orders in forms)
+        assert all(other.tobytes() == first.tobytes() for other in rest)
+    # two DET specs on one grid and orders: each truth is its own f's
+    for k in (1, 2):
+        tables = spec_tables(make_process("DET", {"f": cosine(k)}), grid)
+        npt.assert_array_equal(block_true_fourier_a(tables, w, (0, 1, 2)),
+                               [0.5 if n == k else 0.0 for n in (0, 1, 2)])
+    # two drift specs at one N and M: each plan holds its own F(c)
+    for k in (1, 2):
+        tables = spec_tables(spec_for("NONCAUSAL_BRIDGE", {"g": cosine(k), "drift": "w1"}), grid)
+        plan = _drift_plan(tables, 4, 2)
+        assert _drift_plan(tables, 4, 2) is plan
+        npt.assert_array_equal(plan[1], coefficients(tables.c, 6))
 
 
 def test_constant_tables_are_exact_at_every_m():

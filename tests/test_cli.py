@@ -281,16 +281,16 @@ def test_identify_closed_form(tmp_path, capsys):
 
 
 def test_identify_nonfinite_estimate_names_the_path(monkeypatch):
-    import sfc_lab.experiment as exp
+    import sfc_lab.engine as engine
 
-    real = exp.block_dx_coefficients
+    real = engine.block_dx_coefficients
 
     def poisoned(*args, **kw):
         f_coef = real(*args, **kw)
         f_coef[3, -1] = np.nan  # path index 3 of the first tile
         return f_coef
 
-    monkeypatch.setattr(exp, "block_dx_coefficients", poisoned)
+    monkeypatch.setattr(engine, "block_dx_coefficients", poisoned)
     cfg = config_from_jsonable(identify_config())
     with pytest.raises(NumericalFailureError, match="path 3") as info:
         cli.run_identify(cfg, "closed_form")
@@ -526,9 +526,10 @@ def test_an_unusable_out_exits_two_before_the_run(tmp_path, monkeypatch, capsys,
 def test_results_larger_than_memory_exit_two(tmp_path, monkeypatch, capsys):
     # the machine is said to hold 1 MB: 100000 paths of 3 widths, the truth
     # and the orders 0 .. 1 need 12.8 MB of per-path results; no tile runs
+    import sfc_lab.engine as engine
     import sfc_lab.experiment as exp
 
-    monkeypatch.setattr(exp, "_physical_memory", lambda: 10**6)
+    monkeypatch.setattr(engine, "_physical_memory", lambda: 10**6)
     monkeypatch.setattr(exp, "_run_tiles", lambda *args: pytest.fail("the run started"))
     cfg_path = write_config(tmp_path, "cfg.json", base_convergence_config())
     argv = ["convergence", "--config", cfg_path, "--out", str(tmp_path / "o"), "--paths", "100000"]
@@ -543,9 +544,10 @@ def test_results_larger_than_memory_exit_two(tmp_path, monkeypatch, capsys):
 def test_a_grid_whose_tables_exceed_memory_exits_two(tmp_path, monkeypatch, capsys, command):
     # m = 10**11: one table of m floats is 800 GB, while the per-path results
     # fit the terabyte the machine is said to hold; nothing is allocated
+    import sfc_lab.engine as engine
     import sfc_lab.experiment as exp
 
-    monkeypatch.setattr(exp, "_physical_memory", lambda: 10**12)
+    monkeypatch.setattr(engine, "_physical_memory", lambda: 10**12)
     monkeypatch.setattr(exp, "spec_tables", lambda *args: pytest.fail("the tables were built"))
     data = base_convergence_config() if command == "convergence" else identify_config()
     cfg_path = write_config(tmp_path, "cfg.json", data)

@@ -32,24 +32,21 @@ from sfc_lab import (
     sample_path,
 )
 from sfc_lab.catalog import block_true_fourier_a, spec_tables
+from sfc_lab.engine import _require_run_fits, _run_tiles, _workers, resolve_threads, tile_rows
 from sfc_lab.experiment import (
     CSV_HEADER,
     ExperimentConfig,
     IdentifyResult,
     _path_statistics,
-    _require_run_fits,
-    _run_tiles,
-    _workers,
     config_from_jsonable,
     config_hash,
     config_jsonable,
     fit_decay,
     fit_loglog,
-    resolve_threads,
     run_convergence,
     run_identify,
-    tile_rows,
 )
+from sfc_lab.sfc import mirror
 
 
 def small_config(**over):
@@ -290,7 +287,7 @@ def test_tile_geometry_does_not_change_any_per_path_number(monkeypatch, threads)
     # 2, 4, 8 and 16-row tiles of 100 paths: every estimate, a_hat and b_hat
     # bitwise the same, in the sweep and in both identify modes; at m=4096
     # two threads start a helper at every geometry
-    import sfc_lab.experiment as exp
+    import sfc_lab.engine as engine
 
     monkeypatch.setenv("SFC_LAB_THREADS", threads)
     workers = record_tile_workers(monkeypatch)
@@ -298,7 +295,7 @@ def test_tile_geometry_does_not_change_any_per_path_number(monkeypatch, threads)
     cfg = small_config(spec=spec, n_list=(4, 16, 64), M=2, m=4096, paths=100, block_size=256)
     rows, results = [], []
     for kib in (64, 128, 256, 1024):
-        monkeypatch.setattr(exp, "TILE_BYTES", kib * 1024)
+        monkeypatch.setattr(engine, "TILE_BYTES", kib * 1024)
         rows.append(tile_rows(cfg))
         closed, synth = (run_identify(cfg, mode) for mode in ("closed_form", "synthesized"))
         results.append([run_convergence(cfg).estimates, closed.a_hat, closed.b_hat,
@@ -391,10 +388,11 @@ def _full_band_sweep(cfg):
     abs_err, estimates = np.zeros(shape), np.zeros(shape, dtype=complex)
 
     def work(tile):
+        est = mirror(tile.est, axis=1)
         truth = block_true_fourier_a(tables, tile.w, cfg.orders, tile.i_coef)
-        hi = tile.lo + len(tile.est)
-        abs_err[tile.lo : hi] = np.abs(tile.est - truth[:, :, None]).transpose(0, 2, 1)
-        estimates[tile.lo : hi] = tile.est.transpose(0, 2, 1)
+        hi = tile.lo + len(est)
+        abs_err[tile.lo : hi] = np.abs(est - truth[:, :, None]).transpose(0, 2, 1)
+        estimates[tile.lo : hi] = est.transpose(0, 2, 1)
 
     _run_tiles(cfg, tables, cfg.n_list, work)
     stats = _path_statistics(abs_err.reshape(cfg.paths, -1), cfg.p_exponent)
@@ -432,6 +430,7 @@ def test_half_band_sweep_rebuilds_the_full_band(kind, drift, M, odd, p, seed):
 def test_results_larger_than_memory_are_refused_before_any_tile(monkeypatch):
     # by arithmetic, at a size a test can allocate: the machine is said to
     # hold one byte less than the per-path results need
+    import sfc_lab.engine as engine
     import sfc_lab.experiment as exp
 
     def no_tiles(*args):
@@ -443,7 +442,7 @@ def test_results_larger_than_memory_are_refused_before_any_tile(monkeypatch):
         (run_convergence, 1000 * (3 + 1) * 2 * 16),  # widths and the truth x orders 0 .. M
         (lambda c: run_identify(c, "closed_form"), 1000 * 2 * 2 * 16),  # a and b, 0 <= n <= M
     ):
-        monkeypatch.setattr(exp, "_physical_memory", lambda: need - 1)
+        monkeypatch.setattr(engine, "_physical_memory", lambda: need - 1)
         with pytest.raises(ConfigError) as info:
             run(cfg)
         assert f"need {need:,} bytes" in str(info.value)
@@ -451,6 +450,7 @@ def test_results_larger_than_memory_are_refused_before_any_tile(monkeypatch):
 
 
 def test_tables_and_tile_buffers_count_toward_the_size_check(monkeypatch):
+    import sfc_lab.engine as engine
     import sfc_lab.experiment as exp
 
     def no_tables(*args):
@@ -466,14 +466,14 @@ def test_tables_and_tile_buffers_count_toward_the_size_check(monkeypatch):
     # band-1 windows' products, 16 x max(129, 33 x 2) complex numbers
     buffers = 2 * (8 * 16 * (256 + 257) + 16 * 16 * 129)
     need = results + tables + buffers
-    monkeypatch.setattr(exp, "_physical_memory", lambda: need)
+    monkeypatch.setattr(engine, "_physical_memory", lambda: need)
     run_convergence(cfg)  # fits exactly
-    monkeypatch.setattr(exp, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(engine, "_physical_memory", lambda: need - 1)
     with pytest.raises(ConfigError, match=f"the run needs {need:,} bytes, more than the "):
         run_convergence(cfg)
     # a grid of 10**11 cells is refused before one of its tables is built
     monkeypatch.setattr(exp, "spec_tables", no_tables)
-    monkeypatch.setattr(exp, "_physical_memory", lambda: 10**12)
+    monkeypatch.setattr(engine, "_physical_memory", lambda: 10**12)
     for run in (run_convergence, lambda c: run_identify(c, "synthesized")):
         with pytest.raises(ConfigError, match="2 tile workers' buffers"):
             run(small_config(m=10**11))
@@ -508,7 +508,7 @@ def test_a_run_at_m_1024_or_less_starts_no_helper(monkeypatch):
 
 
 def test_a_run_at_m_1024_starts_no_thread(monkeypatch):
-    import sfc_lab.experiment as exp
+    import sfc_lab.engine as engine
 
     started = []
 
@@ -518,7 +518,7 @@ def test_a_run_at_m_1024_starts_no_thread(monkeypatch):
             super().start()
 
     # the engine's own view of the module, so no other code sees the count
-    monkeypatch.setattr(exp, "threading", types.SimpleNamespace(
+    monkeypatch.setattr(engine, "threading", types.SimpleNamespace(
         Thread=Thread, Lock=threading.Lock, local=threading.local))
     monkeypatch.setenv("SFC_LAB_THREADS", "2")
     run_identify(identify_config(m=1024, paths=200), "synthesized")  # 13 tiles of 16 rows
@@ -528,10 +528,10 @@ def test_a_run_at_m_1024_starts_no_thread(monkeypatch):
 
 
 def test_the_size_check_counts_the_workers_that_start(monkeypatch):
-    import sfc_lab.experiment as exp
+    import sfc_lab.engine as engine
 
     monkeypatch.setenv("SFC_LAB_THREADS", "2")
-    monkeypatch.setattr(exp, "_physical_memory", lambda: 1)
+    monkeypatch.setattr(engine, "_physical_memory", lambda: 1)
     for m, workers, owners in ((1024, 1, "1 tile worker's"), (2048, 2, "2 tile workers'")):
         # one worker's dW, dX, W and rfft spectrum, 16 rows
         buffers = 8 * 16 * (3 * m + 1) + 16 * 16 * (m // 2 + 1)
@@ -556,11 +556,12 @@ def test_only_a_run_that_reads_dw_keeps_it_apart_from_dx(monkeypatch, kind, drif
     # only the synthesized step reads dW after the transforms, for i dW where
     # the table has a lower triangle (ADAPTED_W, BRIDGE); every other run
     # writes (f + alpha W) dW into the rows that dW was drawn into
+    import sfc_lab.engine as engine
     import sfc_lab.experiment as exp
 
     monkeypatch.setenv("SFC_LAB_THREADS", "1")
     drawn, seen = [], []
-    real_sample, real_tiles = exp.sample_rows, exp._run_tiles
+    real_sample, real_tiles = engine.sample_rows, exp._run_tiles
 
     def sample_rows(master_seed, lo, dw, w, rng):
         drawn.append(dw.__array_interface__["data"][0])
@@ -573,7 +574,7 @@ def test_only_a_run_that_reads_dw_keeps_it_apart_from_dx(monkeypatch, kind, drif
 
         real_tiles(cfg, st, widths, recording, **kw)
 
-    monkeypatch.setattr(exp, "sample_rows", sample_rows)
+    monkeypatch.setattr(engine, "sample_rows", sample_rows)
     monkeypatch.setattr(exp, "_run_tiles", run_tiles)
     cfg = small_config(spec=spec_for(kind, {"g": cosine(), "drift": drift}), M=2)
     run = run_convergence if mode is None else lambda c: run_identify(c, mode)
@@ -581,7 +582,7 @@ def test_only_a_run_that_reads_dw_keeps_it_apart_from_dx(monkeypatch, kind, drif
     assert len(seen) == len(drawn) == 8 and len(set(drawn)) == 1
     assert seen == [drawn[0] if keeps else None] * 8
     # the size check counts the (rows, m) arrays that the run allocates
-    monkeypatch.setattr(exp, "_physical_memory", lambda: 1)
+    monkeypatch.setattr(engine, "_physical_memory", lambda: 1)
     rows_m = (2 if keeps else 1) * 256 + 257  # dW and (f + alpha W) dW, or dW alone, and W
     per_path = (3 + 1) * 3 * 16 if mode is None else 2 * 3 * 16
     widths = cfg.n_list if mode is None else (16,)
@@ -766,11 +767,12 @@ def test_identify_nonfinite_names_b_hat(monkeypatch):
 
     def poisoned(st, mode, w, dw, a_hat, f_coef, i_coef, **buffers):
         b = real(st, mode, w, dw, a_hat, f_coef, i_coef, **buffers)
-        b[5, 2] = np.nan  # row 5 of every tile; path 5 is the first
+        b[5, 1] = np.nan  # n=1 of row 5 of every tile; path 5 is the first
         return b
 
+    # the step returns n = 0 .. M; its n = -1 mirrors n = 1, and comes first
     monkeypatch.setattr(exp, "drift_coefficients", poisoned)
-    with pytest.raises(NumericalFailureError, match=r"b_hat for path 5 \(n=1, N=16\)"):
+    with pytest.raises(NumericalFailureError, match=r"b_hat for path 5 \(n=-1, N=16\)"):
         run_identify(identify_config(), "synthesized")
 
 
@@ -827,16 +829,16 @@ def test_slope_negative_for_every_kind():
 
 
 def test_nonfinite_estimate_names_the_path(monkeypatch):
-    import sfc_lab.experiment as exp
+    import sfc_lab.engine as engine
 
-    real = exp.block_dx_coefficients
+    real = engine.block_dx_coefficients
 
     def poisoned(*args, **kw):
         f_coef = real(*args, **kw)
         f_coef[3, -1] = np.nan  # path index 3 of the first tile
         return f_coef
 
-    monkeypatch.setattr(exp, "block_dx_coefficients", poisoned)
+    monkeypatch.setattr(engine, "block_dx_coefficients", poisoned)
     with pytest.raises(NumericalFailureError, match="path 3"):
         run_convergence(small_config())
 

@@ -16,7 +16,8 @@ from sfc_lab import (
     sfc_range,
     wiener_sfc_range,
 )
-from sfc_lab.sfc import coefficients
+from sfc_lab.bohr import windows
+from sfc_lab.sfc import coefficients, mirror
 
 
 def bruteforce(values, n):
@@ -140,3 +141,35 @@ def test_coefficients_properties(case):
         assert np.array_equal(coefficients(row, max_order), coef)
         # real input: negative orders are the conjugates
         assert np.array_equal(coef[max_order::-1], np.conj(coef[max_order:]))
+
+
+def _concat_conj(half, axis):
+    """The orders -M .. M as the package once built them: the reversed,
+    conjugated orders M .. 1 joined before the half."""
+    h = np.moveaxis(half, axis, -1)
+    return np.moveaxis(np.concatenate([np.conj(h[..., :0:-1]), h], axis=-1), -1, axis)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(is_complex=st.booleans(), data=st.data())
+def test_mirror_conjugates_the_nonnegative_orders(is_complex, data):
+    # bitwise the concatenated conjugates, signed zeros, infinities and NaNs
+    # too, for real and complex halves along any axis
+    dtype, elements = (np.complex128, st.complex_numbers()) if is_complex else (
+        np.float64, st.floats())
+    shapes = hnp.array_shapes(min_dims=1, max_dims=3, max_side=5)
+    half = data.draw(hnp.arrays(dtype, shapes, elements=elements))
+    axis = data.draw(st.integers(-half.ndim, half.ndim - 1))
+    full, ref = mirror(half, axis), _concat_conj(half, axis)
+    assert full.dtype == ref.dtype and full.shape == ref.shape
+    assert np.ascontiguousarray(full).tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
+def test_mirror_of_the_half_band_windows_is_the_full_band():
+    # B_N(-n) = conj(B_N(n)) for real increments
+    rng = np.random.default_rng(5)
+    dx, dw = rng.standard_normal((2, 3, 128))
+    M, widths = 3, [2, 8]
+    f_coef, i_coef = coefficients(dx, 8 + M), coefficients(dw, 8)
+    band = mirror(windows(f_coef, i_coef, range(M + 1), widths), axis=1)
+    npt.assert_allclose(band, windows(f_coef, i_coef, range(-M, M + 1), widths), rtol=1e-14)
