@@ -12,7 +12,8 @@ import sys
 
 import numpy as np
 
-from sfc_lab import TimeGrid, dirichlet_closed_form, dirichlet_kernel, kernel_l2_identity
+from sfc_lab import TimeGrid, dirichlet_kernel, kernel_l2_identity
+from sfc_lab.grid import dirichlet_closed_form
 
 
 def main() -> int:

@@ -10,27 +10,13 @@ Everything is seeded and deterministic; see ``experiment`` for the contract.
 __version__ = "0.1.0"
 
 from .errors import ConfigError, NumericalFailureError
-from .grid import (
-    TimeGrid,
-    dirichlet_closed_form,
-    dirichlet_kernel,
-    eval_basis,
-    kernel_l2_identity,
-)
-from .brownian import BrownianPath, SeedSpec, sample_path, wiener_integral
-from .malliavin import (
-    DiscreteFunctional,
-    DerivativeTable,
-    lemma_fdelta_residual,
-    prop1_residual,
-    prop2_residual,
-)
+from .grid import TimeGrid, dirichlet_kernel, eval_basis, kernel_l2_identity
+from .brownian import BrownianPath, SeedSpec, sample_path
+from .malliavin import lemma_fdelta_residual, prop1_residual, prop2_residual
 from .catalog import (
     CATALOG_KINDS,
-    DRIFT_KINDS,
     ProcessSpec,
     TrigPoly,
-    constant,
     cosine,
     eval_functionals,
     make_process,
@@ -44,7 +30,6 @@ from .bohr import (
     iterated_divergence_term,
     recover_b,
     remainder_terms,
-    synthesize,
 )
 from .experiment import ExperimentConfig, fit_decay, run_convergence
 
@@ -55,22 +40,16 @@ __all__ = [
     "TimeGrid",
     "eval_basis",
     "dirichlet_kernel",
-    "dirichlet_closed_form",
     "kernel_l2_identity",
     "SeedSpec",
     "BrownianPath",
     "sample_path",
-    "wiener_integral",
-    "DiscreteFunctional",
-    "DerivativeTable",
     "lemma_fdelta_residual",
     "prop1_residual",
     "prop2_residual",
     "CATALOG_KINDS",
-    "DRIFT_KINDS",
     "TrigPoly",
     "cosine",
-    "constant",
     "ProcessSpec",
     "make_process",
     "eval_functionals",
@@ -81,7 +60,6 @@ __all__ = [
     "BohrConfig",
     "bohr_product",
     "identify_a",
-    "synthesize",
     "recover_b",
     "remainder_terms",
     "iterated_divergence_term",

@@ -78,7 +78,7 @@ import numpy as np
 
 from . import catalog as cat
 from .errors import ConfigError
-from .sfc import CoefficientSet, coefficients, mirror, synthesize
+from .sfc import CoefficientSet, coefficients, mirror
 
 CLOSED_FORM = "closed_form"
 SYNTHESIZED = "synthesized"
@@ -242,7 +242,9 @@ def _ratios(m: int, L: int) -> np.ndarray:
     return np.concatenate([0.5 + 0.5j * cot[::-1], [0.0], 0.5 - 0.5j * cot])
 
 
-@lru_cache(maxsize=16)
+# Two entries, as for ``catalog._order_terms``: a run takes one key, and each
+# entry keeps its tables, and through them the spec, alive.
+@lru_cache(maxsize=2)
 def _drift_plan(st: cat.SpecTables, N: int, M: int) -> tuple:
     """The synthesized drift step's constants at the orders ``n = 0 .. M``:
     the gain ``1 + counts_n/(2N+1)`` of ``F_n(dX)``, ``F(c)``, ``|k| <= N + M``

@@ -1,4 +1,4 @@
-"""Seeded Brownian paths on the grid and left-tagged Wiener sums.
+"""Seeded Brownian paths on the grid: one path, or rows of paths in place.
 
 Seeding contract
 ----------------
@@ -135,16 +135,3 @@ def sample_rows(
         np.add.accumulate(row, out=nodes)
     return rng
 
-
-def wiener_integral(path: BrownianPath, f_nodes: np.ndarray) -> complex:
-    """Left-tagged Wiener sum ``sum_i f(t_i) * (W_{t_{i+1}} - W_{t_i})``.
-
-    ``f_nodes`` must hold the integrand at the m left tags; passing node
-    values of length m + 1 is a tagging mistake and is rejected.
-    """
-    f_nodes = np.asarray(f_nodes)
-    if f_nodes.shape != (path.grid.m,):
-        raise ValueError(
-            f"integrand must be sampled at the {path.grid.m} left nodes, got shape {f_nodes.shape}"
-        )
-    return complex(np.dot(f_nodes, path.increments))

@@ -187,10 +187,6 @@ class ProcessSpec:
             raise ConfigError("drift table g supplied but drift kind is 'none'")
 
     @property
-    def label(self) -> str:
-        return self.kind
-
-    @property
     def record(self) -> AffineKind:
         return KIND_RECORDS[self.kind]
 
@@ -518,7 +514,10 @@ def eval_functionals(spec: ProcessSpec, path: BrownianPath) -> PathFunctionals:
 # per-path truth values
 
 
-@lru_cache(maxsize=16)
+# Two entries: a run takes one key, and a one-path loop that alternates two
+# orders takes two; each entry keeps its tables, and through them the spec,
+# alive after the caller has dropped them.
+@lru_cache(maxsize=2)
 def _order_terms(st: SpecTables, orders: range | tuple[int, ...]) -> tuple:
     """What :func:`block_true_fourier_a` takes from the orders alone: the
     orders as a read-only int array, the largest |n|, f's coefficient row

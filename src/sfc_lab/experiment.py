@@ -229,7 +229,7 @@ class _Report:
 
     def _row(self, n: int, N: int, **values) -> dict:
         cfg = self.config
-        return dict(process=cfg.spec.label, n=n, N=N, m=cfg.m, P=cfg.paths, seed=cfg.master_seed,
+        return dict(process=cfg.spec.kind, n=n, N=N, m=cfg.m, P=cfg.paths, seed=cfg.master_seed,
                     **values)
 
     def csv_text(self) -> str:

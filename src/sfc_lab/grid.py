@@ -47,15 +47,6 @@ class TimeGrid:
             raise ConfigError(f"m must be >= 2, got {self.m}")
 
     @property
-    def dt(self) -> float:
-        return 1.0 / self.m
-
-    @property
-    def nodes(self) -> np.ndarray:
-        """All m + 1 nodes ``t_0 = 0 .. t_m = 1``."""
-        return np.arange(self.m + 1) / self.m
-
-    @property
     def left_nodes(self) -> np.ndarray:
         """The m left tags ``t_0 .. t_{m-1}`` used by every Riemann sum."""
         return np.arange(self.m) / self.m

@@ -57,10 +57,6 @@ class CoefficientSet:
                 f"values must have shape ({2 * self.max_order + 1},), got {self.values.shape}"
             )
 
-    @property
-    def orders(self) -> np.ndarray:
-        return np.arange(-self.max_order, self.max_order + 1)
-
     def entry(self, n: int) -> complex:
         if abs(n) > self.max_order:
             raise ValueError(
@@ -124,13 +120,12 @@ def mirror(half: np.ndarray, axis: int = -1) -> np.ndarray:
     return full
 
 
-def synthesize(coeffs: CoefficientSet | np.ndarray, m: int) -> np.ndarray:
-    """The real polynomial ``sum_n c_n e_n(t_i)`` at the m left tags, for a
-    set or for each row (..., 2K + 1) of orders ``-K .. K``: one
-    ``np.fft.irfft`` of the orders ``n >= 0``, so the coefficients must be
-    conjugate-symmetric, ``c_{-n} = conj(c_n)``.  The inverse of
-    :func:`coefficients` up to the factor m; needs ``m > 2K``."""
-    values = coeffs.values if isinstance(coeffs, CoefficientSet) else coeffs
+def synthesize(values: np.ndarray, m: int) -> np.ndarray:
+    """The real polynomial ``sum_n c_n e_n(t_i)`` at the m left tags, for
+    each row (..., 2K + 1) of orders ``-K .. K``: one ``np.fft.irfft`` of the
+    orders ``n >= 0``, so the coefficients must be conjugate-symmetric,
+    ``c_{-n} = conj(c_n)``.  The inverse of :func:`coefficients` up to the
+    factor m; needs ``m > 2K``."""
     K = (values.shape[-1] - 1) // 2
     if m <= 2 * K:
         raise ValueError(f"order {K} aliases on a grid with m={m} cells")

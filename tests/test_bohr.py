@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from helpers import dsfc_partials, spec_for
 from sfc_lab import (
     CATALOG_KINDS,
-    DRIFT_KINDS,
     BohrConfig,
     CoefficientSet,
     SeedSpec,
@@ -35,7 +34,6 @@ from sfc_lab import (
     remainder_terms,
     sample_path,
     sfc_range,
-    synthesize,
     true_fourier_a,
     wiener_sfc_range,
 )
@@ -47,8 +45,8 @@ from sfc_lab.bohr import (
     windows,
 )
 from sfc_lab.brownian import sample_rows
-from sfc_lab.catalog import block_functionals, spec_tables
-from sfc_lab.sfc import coefficients
+from sfc_lab.catalog import DRIFT_KINDS, block_functionals, spec_tables
+from sfc_lab.sfc import coefficients, synthesize
 
 
 def test_bohr_config_validation():
@@ -272,10 +270,10 @@ def test_identify_a_const_statistics():
 def test_synthesize_round_trip():
     cs = CoefficientSet(max_order=1, values=np.array([0.5, 2.0, 0.5], dtype=complex))
     t = TimeGrid(32).left_nodes
-    npt.assert_allclose(synthesize(cs, 32), 2.0 + np.cos(2 * np.pi * t), atol=1e-12)
-    npt.assert_allclose(coefficients(synthesize(cs, 32), 1) / 32, cs.values, atol=1e-12)
+    npt.assert_allclose(synthesize(cs.values, 32), 2.0 + np.cos(2 * np.pi * t), atol=1e-12)
+    npt.assert_allclose(coefficients(synthesize(cs.values, 32), 1) / 32, cs.values, atol=1e-12)
     with pytest.raises(ValueError):
-        synthesize(cs, 2)
+        synthesize(cs.values, 2)
 
 
 def test_recover_b_closed_form_is_exact(paths256):

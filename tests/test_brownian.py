@@ -3,14 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from helpers import path_from_xi
-from sfc_lab import (
-    BrownianPath,
-    SeedSpec,
-    TimeGrid,
-    eval_basis,
-    sample_path,
-    wiener_integral,
-)
+from sfc_lab import BrownianPath, SeedSpec, TimeGrid, eval_basis, sample_path
 from sfc_lab.brownian import sample_rows, substream
 
 
@@ -108,16 +101,6 @@ def test_path_validation():
         BrownianPath(grid=grid, values=np.ones(5), increments=xi / 2, xi=xi)  # W_0 != 0
 
 
-def test_wiener_integral_left_tagging():
-    grid = TimeGrid(32)
-    path = sample_path(SeedSpec(3, 0), grid)
-    # integrating 1 recovers the terminal value exactly
-    assert wiener_integral(path, np.ones(32)) == pytest.approx(path.terminal, abs=1e-15)
-    # node-valued integrands (length m + 1) are a tagging bug, not a convention
-    with pytest.raises(ValueError):
-        wiener_integral(path, np.ones(33))
-
-
 def test_terminal_distribution_moments():
     grid = TimeGrid(128)
     terms = np.array([sample_path(SeedSpec(777, i), grid).terminal for i in range(600)])
@@ -130,6 +113,6 @@ def test_basis_integral_isometry():
     grid = TimeGrid(128)
     e = eval_basis(-1, grid.left_nodes)
     vals = np.array(
-        [abs(wiener_integral(sample_path(SeedSpec(778, i), grid), e)) ** 2 for i in range(600)]
+        [abs(np.dot(e, sample_path(SeedSpec(778, i), grid).increments)) ** 2 for i in range(600)]
     )
     assert abs(vals.mean() - 1.0) < 0.17

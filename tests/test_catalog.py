@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -14,13 +17,11 @@ from helpers import (
 )
 from sfc_lab import (
     CATALOG_KINDS,
-    DRIFT_KINDS,
     ConfigError,
     ProcessSpec,
     SeedSpec,
     TimeGrid,
     TrigPoly,
-    constant,
     cosine,
     eval_basis,
     eval_functionals,
@@ -31,12 +32,14 @@ from sfc_lab import (
 )
 from sfc_lab.bohr import CLOSED_FORM, _drift_plan, drift_coefficients
 from sfc_lab.catalog import (
+    DRIFT_KINDS,
     KIND_RECORDS,
     SPEC_TABLE,
     block_diffusion,
     block_dx_coefficients,
     block_functionals,
     block_true_fourier_a,
+    constant,
     spec_tables,
 )
 from sfc_lab.sfc import coefficients
@@ -103,14 +106,14 @@ def test_spec_validation():
     with pytest.raises(ConfigError):
         make_process("CONST", {"bogus": 1})
     spec = make_process("NONCAUSAL_W1", {"g": cosine(), "drift": "w1"})
-    assert spec.label == "NONCAUSAL_W1"
+    assert spec.kind == "NONCAUSAL_W1"
 
 
 def test_closed_forms_against_direct_formulas():
     grid = TimeGrid(64)
     path = sample_path(SeedSpec(21, 0), grid)
     w = path.values
-    t = grid.nodes
+    t = np.arange(65) / 64
     qv = np.concatenate(([0.0], np.cumsum(np.diff(w) ** 2)))  # sum_{i<k} dW_i^2
     checks = {
         "CONST": (np.ones(64), w),
@@ -331,6 +334,28 @@ def test_per_run_caches_key_on_the_tables_and_their_arguments():
         plan = _drift_plan(tables, 4, 2)
         assert _drift_plan(tables, 4, 2) is plan
         npt.assert_array_equal(plan[1], coefficients(tables.c, 6))
+
+
+def test_per_run_caches_let_dropped_specs_go():
+    # each cache entry keeps its tables and spec alive; 20 dropped specs must
+    # not cost much more than one
+    grid = TimeGrid(8192)
+    path = sample_path(SeedSpec(32, 0), grid)
+    rng = np.random.default_rng(5)
+    held = []
+    tracemalloc.start()
+    try:
+        for _ in range(20):
+            spec = make_process("DET", {"f": rng.standard_normal(8192),
+                                        "g": rng.standard_normal(8192), "drift": "w1"})
+            true_fourier_a(spec, path, 1)
+            _drift_plan(spec_tables(spec, grid), 64, 4)
+            del spec
+            gc.collect()
+            held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert held[-1] <= 3 * held[0], held
 
 
 def test_constant_tables_are_exact_at_every_m():

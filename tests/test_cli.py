@@ -563,6 +563,26 @@ def test_a_grid_whose_tables_exceed_memory_exits_two(tmp_path, monkeypatch, caps
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["kernel-check", "--N", "1", "--m", "1024"], ["verify-multiplication", "--m", "1024"]],
+)
+def test_a_mesh_larger_than_memory_exits_two(monkeypatch, capsys, argv):
+    # the machine is said to hold 8,000 bytes: at m=1024 kernel-check needs
+    # 8,864 and the battery 1,114,112; nothing is allocated
+    import sfc_lab.engine as engine
+
+    monkeypatch.setattr(engine, "_physical_memory", lambda: 8000)
+    monkeypatch.setattr(cli, "kernel_l2_identity", lambda *args: pytest.fail("the kernel ran"))
+    monkeypatch.setattr(cli, "_identity_checks", lambda *args: pytest.fail("the battery ran"))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    need = 8864 if argv[0] == "kernel-check" else 1114112
+    assert err.startswith(f"config error: {argv[0]} at m=1024 needs {need:,} bytes, more than "
+                          "the 8,000 bytes of physical memory\n")
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize(
     "build",
     [
         lambda: BohrConfig(N=0),

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from helpers import record_tile_workers, spec_for, start_helpers_at_any_m
 from sfc_lab import (
     CATALOG_KINDS,
-    DRIFT_KINDS,
     BohrConfig,
     ConfigError,
     NumericalFailureError,
@@ -31,7 +30,7 @@ from sfc_lab import (
     recover_b,
     sample_path,
 )
-from sfc_lab.catalog import block_true_fourier_a, spec_tables
+from sfc_lab.catalog import DRIFT_KINDS, block_true_fourier_a, spec_tables
 from sfc_lab.engine import _require_run_fits, _run_tiles, _workers, resolve_threads, tile_rows
 from sfc_lab.experiment import (
     CSV_HEADER,

@@ -13,8 +13,6 @@ import pytest
 from helpers import spec_for, w1_functionals
 from sfc_lab import (
     CATALOG_KINDS,
-    DerivativeTable,
-    DiscreteFunctional,
     TimeGrid,
     eval_basis,
     lemma_fdelta_residual,
@@ -22,7 +20,12 @@ from sfc_lab import (
     prop2_residual,
 )
 from sfc_lab.catalog import spec_tables
-from sfc_lab.malliavin import _divergence, block_prop1_residual
+from sfc_lab.malliavin import (
+    DerivativeTable,
+    DiscreteFunctional,
+    _divergence,
+    block_prop1_residual,
+)
 
 
 def zero_table(m):

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from helpers import spec_for, w1_functionals
 from sfc_lab import (
     CATALOG_KINDS,
-    DRIFT_KINDS,
-    DerivativeTable,
     SeedSpec,
     TimeGrid,
     cosine,
@@ -28,8 +26,9 @@ from sfc_lab import (
     true_fourier_a,
 )
 from sfc_lab.brownian import sample_rows
-from sfc_lab.catalog import block_diffusion, spec_tables
+from sfc_lab.catalog import DRIFT_KINDS, block_diffusion, spec_tables
 from sfc_lab.malliavin import (
+    DerivativeTable,
     block_lemma_residual,
     block_prop1_residual,
     block_prop2_residual,
