@@ -66,6 +66,8 @@ CASES = {
                       paths=150, seed=202, f=_DET_F, g=_DET_G),
     "sweep_BRIDGE_w1": _run("NONCAUSAL_BRIDGE", "w1", command="convergence", m=1024,
                             n_list=[4, 16, 64], M=4, paths=100, seed=303),
+    "sweep_MIDPOINT_w1": _run("NONCAUSAL_MIDPOINT", "w1", command="convergence", m=512,
+                              n_list=[4, 16, 32], M=3, paths=100, seed=606),
     **{
         f"identify_{label}_{mode}": _run(kind, drift, command="identify", m=1024, n_list=[64],
                                           M=M, paths=paths, seed=seed, mode=mode)
@@ -75,6 +77,9 @@ CASES = {
         )
         for mode in ("closed_form", "synthesized")
     },
+    "identify_ADAPTED_W_det_synthesized": _run("ADAPTED_W", "det", command="identify", m=1024,
+                                               n_list=[64], M=3, paths=100, seed=707,
+                                               mode="synthesized"),
     "selftest": {"argv": ["selftest"]},
     "verify_multiplication": {"argv": ["verify-multiplication", "--m", "256", "--paths", "4"]},
 }
