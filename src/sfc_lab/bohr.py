@@ -228,9 +228,9 @@ def identify_a(pf: cat.PathFunctionals, cfg: BohrConfig) -> CoefficientSet:
     m = pf.grid.m
     if not grid_supports(m, cfg.N, cfg.M):
         raise ValueError(f"grid too coarse: m={m} < 8 (N + M) = {8 * (cfg.N + cfg.M)}")
-    K, dw = cfg.N + cfg.M, pf.path.increments
-    i_coef = coefficients(dw, K)
-    f_coef = cat.block_dx_coefficients(pf.tables, pf.path.values, dw, i_coef, K)
+    K = cfg.N + cfg.M
+    i_coef = coefficients(pf.path.increments, K)
+    _, f_coef = cat.path_dx_coefficients(pf, i_coef, K)
     half = windows(f_coef, i_coef[cfg.M : cfg.M + 2 * cfg.N + 1], range(cfg.M + 1), [cfg.N])
     return CoefficientSet(max_order=cfg.M, values=mirror(half[:, 0]))
 
@@ -269,7 +269,7 @@ def _drift_plan(st: cat.SpecTables, N: int, M: int) -> tuple:
 def drift_coefficients(
     st: cat.SpecTables,
     mode: str,
-    w: np.ndarray,
+    terms: tuple,
     dw: np.ndarray | None,
     a_hat: np.ndarray,
     f_coef: np.ndarray,
@@ -280,9 +280,10 @@ def drift_coefficients(
 ) -> np.ndarray:
     """``b_n = F_n(dX) - div(a conj(e_n))`` for ``n = 0 .. M``, the orders of
     ``a_hat`` (..., M + 1), one path or each row of a block: the drift step
-    of both modes, from ``F_k = F_k(dX)``, ``|k| <= N + M`` (``f_coef``), and
-    ``I_l = F_l(dW)``, ``|l| <= max(N + M, 2M)`` (``i_coef``).  At ``n < 0``
-    both a and b are the conjugates (``sfc.mirror``).
+    of both modes, from W's terms (``catalog.w_terms``), ``F_k = F_k(dX)``,
+    ``|k| <= N + M`` (``f_coef``), and ``I_l = F_l(dW)``, ``|l| <= max(N + M,
+    2M)`` (``i_coef``).  At ``n < 0`` both a and b are the conjugates
+    (``sfc.mirror``).
 
     ``closed_form`` (a_hat unused) is ``F_n(dX) - F_n(a dW) + F_n(correction)``
     in coefficient space: ``stochastic`` (..., M + 1) is the
@@ -316,11 +317,11 @@ def drift_coefficients(
     # both f operands of the windows below are order-major, as coefficients
     # stores its rows, so that windows gathers them without a transposed copy;
     # carried's sums run on its transpose, where an order's term is a column
-    carried = cat.block_true_fourier_a(st, w, range(-K, K + 1), i_coef)
+    carried = cat.block_true_fourier_a(st, terms, range(-K, K + 1), i_coef)
     by_order = carried.T
     by_order *= (2 * M + 1) * np.sqrt(m)
     if f_c is not None:
-        by_order += f_c.reshape(f_c.shape + (1,) * (w.ndim - 1))
+        by_order += f_c.reshape(f_c.shape + (1,) * (i_coef.ndim - 1))
     if ramp is not None:
         ramp_coef = coefficients(np.multiply(ramp, dw, out=scratch), K, buffer).T
         by_order += np.multiply(st.da.lower, ramp_coef, out=ramp_coef)
@@ -346,10 +347,11 @@ def recover_b(pf: cat.PathFunctionals, a_hat: CoefficientSet, cfg: BohrConfig) -
     orders ``n < 0`` are read as the conjugates of ``n > 0``."""
     if a_hat.max_order != cfg.M:
         raise ValueError(f"a_hat has max_order {a_hat.max_order}, but cfg.M is {cfg.M}")
-    st, w, dw, M, K = pf.tables, pf.path.values, pf.path.increments, cfg.M, cfg.N + cfg.M
+    st, dw, M, K = pf.tables, pf.path.increments, cfg.M, cfg.N + cfg.M
     i_coef, stoch = coefficients(dw, max(K, 2 * M)), np.empty(M + 1, dtype=complex)
-    f_coef = cat.block_dx_coefficients(st, w, dw, i_coef, K, stochastic=stoch)
-    b = drift_coefficients(st, cfg.mode, w, dw, a_hat.values[M:], f_coef, i_coef, stochastic=stoch)
+    terms, f_coef = cat.path_dx_coefficients(pf, i_coef, K, stoch)
+    b = drift_coefficients(st, cfg.mode, terms, dw, a_hat.values[M:], f_coef, i_coef,
+                           stochastic=stoch)
     return CoefficientSet(M, mirror(b))
 
 
@@ -418,9 +420,9 @@ def remainder_terms(pf: cat.PathFunctionals, n: int, N: int) -> RemainderTerms:
     s = 1.0 / np.sqrt(m)
     i_coef, window, trace = _remainder_windows(pf, n, N)
     K = N + abs(n)
-    f_coef = cat.block_dx_coefficients(pf.tables, pf.path.values, pf.path.increments, i_coef, K)
+    terms, f_coef = cat.path_dx_coefficients(pf, i_coef, K)
     estimate = complex(windows(f_coef, i_coef[K - N : K + N + 1], [n], [N])[0, 0])
-    truth = complex(cat.block_true_fourier_a(pf.tables, pf.path.values, [n], i_coef)[0])
+    truth = complex(cat.block_true_fourier_a(pf.tables, terms, [n], i_coef)[0])
 
     # diffusion derivative: (1/sqrt(m)) conj(e_n(t_i)) sum_j (da_i/dxi_j) K[i, j]
     # integrated dW in the i slot.  Catalog diffusions have deterministic derivative

@@ -115,23 +115,29 @@ def sample_path(seed: SeedSpec, grid: TimeGrid) -> BrownianPath:
 
 
 def sample_rows(
-    master_seed: int, lo: int, dw: np.ndarray, w: np.ndarray, rng: np.random.Generator | None = None
+    master_seed: int, lo: int, dw: np.ndarray, rng: np.random.Generator | None = None
 ) -> np.random.Generator:
-    """Draw paths ``lo, lo + 1, ..`` in place into the rows of dW (rows, m)
-    and W (rows, m + 1), each bitwise the path :func:`sample_path` draws.
+    """Draw the increments of paths ``lo, lo + 1, ..`` in place into the rows
+    of dW (rows, m), each bitwise those :func:`sample_path` draws; W is
+    :func:`wiener_nodes` of them.
 
     ``rng``, a generator from an earlier call, is rekeyed for each row
-    (:func:`substream`); the last one is returned to be passed back.  W is
-    one ``add.accumulate`` per row: numpy holds the GIL through a cumsum
-    along a 2-D array's rows and releases it for a 1-D one of 500 or more
-    entries, so threads that sample their own rows overlap.
+    (:func:`substream`); the last one is returned to be passed back.
     """
     for r, row in enumerate(dw):
         rng = substream(SeedSpec(master_seed, lo + r), rng)
         rng.standard_normal(out=row)
     dw /= np.sqrt(dw.shape[-1])
+    return rng
+
+
+def wiener_nodes(dw: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """W (rows, m + 1) from dW (rows, m), in place into ``w``, which it
+    returns: ``W_0 = 0``, then one ``add.accumulate`` a row, bitwise the
+    nodes of :func:`sample_path`.  numpy holds the GIL through a cumsum along
+    a 2-D array's rows and releases it for a 1-D one of 500 or more entries,
+    so threads that build their own rows overlap."""
     w[:, 0] = 0.0
     for row, nodes in zip(dw, w[:, 1:]):
         np.add.accumulate(row, out=nodes)
-    return rng
-
+    return w

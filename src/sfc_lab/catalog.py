@@ -27,8 +27,8 @@ stochastic part is the discrete Ito sum ``sum_{i < k} W_i dW_i`` for W_t and
 ``W_tau W_t - min(t, tau)`` for ``W_tau``, and X reproduces
 ``div(a conj(e_n))`` and the Fourier coefficients of a exactly on every path,
 for every kind.  Given W, dX is linear in dW, so :func:`block_dx_coefficients`
-takes ``F(dX)`` from ``F(dW)`` and at most one transform, of ``(f + alpha W)
-dW``, which W1 and MIDPOINT do not need.
+takes ``F(dX)`` from ``F(dW)``, a few values of W and at most one transform,
+of ``(f + alpha W) dW``, which W1, MIDPOINT and CONST do not need.
 
 The drift ``b(t) = g(t)`` or ``W_1 g(t)`` (an anticipating drift of chaos
 order 1, ``D_s b(t) = g(t)``) contributes the left Riemann accumulator
@@ -329,11 +329,6 @@ class PathFunctionals:
     def tables(self) -> SpecTables:
         return spec_tables(self.spec, self.grid)
 
-    @property
-    def x_nodes(self) -> np.ndarray:
-        """X at every node, ``x_nodes[0] == 0``."""
-        return np.concatenate(([0.0], np.cumsum(self.dx)))
-
 
 def _table_nodes(name: str, table, m: int) -> np.ndarray:
     """A table at the m left tags: a TrigPoly through the inverse transform."""
@@ -350,14 +345,6 @@ def _table_nodes(name: str, table, m: int) -> np.ndarray:
             f"{name} node table has length {arr.shape[0]} but the path grid has m={m} cells"
         )
     return arr
-
-
-def _tau_node(spec: ProcessSpec, m: int) -> int:
-    """Index j with ``t_j = tau``; tau must be a node of the grid."""
-    j = spec.record.tau * m
-    if j != int(j):
-        raise ConfigError(f"{spec.kind} needs t = {spec.record.tau} to be a grid node; got m={m}")
-    return int(j)
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,7 +394,10 @@ def spec_tables(spec: ProcessSpec, grid: TimeGrid) -> SpecTables:
     g = None if spec.g is None else _table_nodes("g", spec.g, m)
     g1 = DRIFT_RECORDS[spec.drift_kind][1]
     c = g1 * g / np.sqrt(m) if g1 else np.zeros(m)
-    tau = _tau_node(spec, m) if rec.beta else 0
+    tau = rec.tau * m if rec.beta else 0  # the node index of tau, which must be a node
+    if tau != int(tau):
+        raise ConfigError(f"{spec.kind} needs t = {rec.tau} to be a grid node; got m={m}")
+    tau = int(tau)
     v = np.zeros(m)
     v[:tau] = s * rec.beta
     da = DerivativeTable(np.ones(m), v, s * rec.alpha)
@@ -441,11 +431,7 @@ def block_diffusion(st: SpecTables, w: np.ndarray) -> np.ndarray:
 def block_functionals(st: SpecTables, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed forms given the Brownian nodes W (..., m + 1): the diffusion a,
     the drift b and ``dX = a dW - diag(Da) / sqrt(m) + b / m``, each (..., m),
-    with ``dW`` the differences of W.  Only :func:`eval_functionals` builds
-    dX at the nodes, here; every coefficient of dX comes from
-    :func:`block_dx_coefficients` instead, which the tests check against
-    the transform of this dX.
-    """
+    with ``dW`` the differences of W (``F(dX)``: :func:`block_dx_coefficients`)."""
     m = st.grid.m
     if w.shape[-1:] != (m + 1,):
         raise ConfigError(f"W must have shape (..., {m + 1}), got {w.shape}")
@@ -458,40 +444,57 @@ def block_functionals(st: SpecTables, w: np.ndarray) -> tuple[np.ndarray, np.nda
     return a, b, dx
 
 
+def w_terms(st: SpecTables, w: np.ndarray) -> tuple:
+    """What the record reads of W (..., m + 1) besides ``(f + alpha W) dW``,
+    as copies of shape (..): ``beta W_tau``, ``W_1`` and, where alpha != 0,
+    ``sum_i W_i`` over the left tags (else None)."""
+    rec = st.spec.record
+    total = w[..., :-1].sum(axis=-1) if rec.alpha else None
+    return rec.beta * w[..., st.tau], w[..., -1].copy(), total
+
+
+def weighted_increments(st: SpecTables, w: np.ndarray, dw: np.ndarray, out) -> np.ndarray | None:
+    """``(f + alpha W) dW`` into ``out`` (dW itself, say), with ``alpha W``
+    formed in place on W (..., m + 1), which is read no further.  None where
+    alpha = 0 and f is None (the term is 0) or 1 (CONST, which
+    ``_table_nodes`` fills exactly: the term is dW, whose transform is I)."""
+    rec = st.spec.record
+    if not rec.alpha and (st.f is None or (st.f == 1.0).all()):
+        return None
+    factor = st.f
+    if rec.alpha:
+        factor = np.multiply(rec.alpha, w[..., :-1], out=w[..., :-1])
+        if st.f is not None:
+            factor += st.f
+    return np.multiply(factor, dw, out=out)
+
+
 def block_dx_coefficients(
-    st: SpecTables, w: np.ndarray, dw: np.ndarray, i_coef: np.ndarray, K: int, *,
-    out: tuple[np.ndarray, np.ndarray] | None = None, stochastic: np.ndarray | None = None,
+    st: SpecTables, terms: tuple, x: np.ndarray | None, i_coef: np.ndarray, K: int, *,
+    buffer: np.ndarray | None = None, stochastic: np.ndarray | None = None,
 ) -> np.ndarray:
     """``F_k(dX)``, ``|k| <= K``, stored order-major as :func:`sfc.coefficients`
-    stores its rows, given W (..., m + 1), dW (..., m) and ``I = F(dW)``,
-    ``|l| <= L``, ``L >= K`` (``i_coef``).  Given W, dX is linear in dW:
+    stores its rows, given W's terms (:func:`w_terms`), ``x = (f + alpha W)
+    dW`` (:func:`weighted_increments`) and ``I = F(dW)``, ``|l| <= L``, ``L >=
+    K`` (``i_coef``).  Given W, dX is linear in dW:
 
-        F(dX) = F((f + alpha W) dW) + beta W_tau I - F(correction) + ((g0 + g1 W_1) / m) F(g)
+        F(dX) = F(x) + beta W_tau I - F(correction) + ((g0 + g1 W_1) / m) F(g)
 
-    Only the first term is a transform, and W1 and MIDPOINT (f None, alpha 0)
-    skip it.  ``out``, a real array shaped like dW (dW itself, say) and a
-    flat complex one, receives ``(f + alpha W) dW`` and serves as scratch.
-    ``stochastic`` (..., M + 1) receives the stochastic part ``F((f + alpha
-    W) dW) + beta W_tau I`` at ``0 .. M``, which the closed form subtracts.
+    Only ``F(x)`` is a transform, in ``buffer`` (flat complex scratch); x None
+    is 0 (f None) or dW (f = 1), whose transform is I.  ``stochastic`` (..., M
+    + 1) receives ``F(x) + beta W_tau I`` at ``0 .. M``, for the closed form.
     """
     m, rec, L = st.grid.m, st.spec.record, (i_coef.shape[-1] - 1) // 2
-    x, buffer = (None, None) if out is None else out
+    w_tau, w_1, _ = terms
     i_rows = i_coef.T[L - K : L + K + 1]  # (2K + 1, ..), one contiguous row an order
-    by_order = (slice(None),) + (None,) * (dw.ndim - 1)  # an order's term against every row
+    by_order = (slice(None),) + (None,) * (i_coef.ndim - 1)  # an order's term against every row
     term = np.empty_like(i_rows) if buffer is None else buffer[: i_rows.size].reshape(i_rows.shape)
-    w_tau = rec.beta * w[..., st.tau].T
-    if st.f is None and not rec.alpha:
-        coef = np.multiply(i_rows, w_tau)
+    if x is None and st.f is None:
+        coef = np.multiply(i_rows, w_tau.T)
     else:
-        factor = st.f
-        if rec.alpha:
-            real = None if buffer is None else buffer.view(float)[: dw.size].reshape(dw.shape)
-            factor = np.multiply(rec.alpha, w[..., :-1], out=real)
-            if st.f is not None:
-                factor += st.f
-        coef = coefficients(np.multiply(factor, dw, out=x), K, buffer).T
+        coef = i_rows.copy() if x is None else coefficients(x, K, buffer).T
         if rec.beta:
-            coef += np.multiply(i_rows, w_tau, out=term)
+            coef += np.multiply(i_rows, w_tau.T, out=term)
     if stochastic is not None:
         stochastic[...] = coef[K : K + stochastic.shape[-1]].T
     if rec.beta:  # the correction is beta 1[i < tau m] / m
@@ -499,9 +502,16 @@ def block_dx_coefficients(
     if st.g is not None:
         g0, g1 = DRIFT_RECORDS[st.spec.drift_kind]
         term[...] = mirror(st.g_spectrum[: K + 1])[by_order]  # a copy broadcasts unbuffered
-        term *= (g0 + g1 * w[..., -1].T) / m
+        term *= (g0 + g1 * w_1.T) / m
         coef += term
     return coef.T
+
+
+def path_dx_coefficients(pf: PathFunctionals, i_coef: np.ndarray, K: int, stochastic=None):
+    """One path's W terms and :func:`block_dx_coefficients`, from ``I = F(dW)``."""
+    st, w = pf.tables, pf.path.values
+    terms, x = w_terms(st, w), weighted_increments(st, w.copy(), pf.path.increments, None)
+    return terms, block_dx_coefficients(st, terms, x, i_coef, K, stochastic=stochastic)
 
 
 def eval_functionals(spec: ProcessSpec, path: BrownianPath) -> PathFunctionals:
@@ -515,8 +525,7 @@ def eval_functionals(spec: ProcessSpec, path: BrownianPath) -> PathFunctionals:
 
 
 # Two entries: a run takes one key, and a one-path loop that alternates two
-# orders takes two; each entry keeps its tables, and through them the spec,
-# alive after the caller has dropped them.
+# orders two; each keeps its tables, and so the spec, alive once dropped.
 @lru_cache(maxsize=2)
 def _order_terms(st: SpecTables, orders: range | tuple[int, ...]) -> tuple:
     """What :func:`block_true_fourier_a` takes from the orders alone: the
@@ -542,55 +551,50 @@ def _order_terms(st: SpecTables, orders: range | tuple[int, ...]) -> tuple:
 
 
 def block_true_fourier_a(
-    st: SpecTables, w: np.ndarray, orders: Sequence[int], i_coef: np.ndarray | None = None
+    st: SpecTables, terms: tuple, orders: Sequence[int], i_coef: np.ndarray
 ) -> np.ndarray:
-    """Fourier coefficients of a against conj(e_n), given W (..., m + 1);
-    shape (..., orders), stored order-major as :func:`sfc.coefficients`
-    stores its rows.
+    """Fourier coefficients of a against conj(e_n), given W's terms
+    (:func:`w_terms`) and ``I_l = F_l(dW)``, ``|l| <= L`` for L >= every |n|
+    (``i_coef`` (..., 2L + 1)); shape (..., orders), stored order-major.
 
     ``f_n + alpha F_n(W at the left tags) / m + beta W_tau delta_{n0}``: the
     f term is exact for TrigPoly data and the left Riemann sum for a node
-    table, and the W_t term is the left Riemann sum along the path, like
-    every other integral of the package.  Summation by parts gives that sum
-    from the dW coefficients ``I_n``: ``F_n(W) = (z I_n - I_0) / (1 - z)``
+    table, and the W_t term is the left Riemann sum along the path, which
+    summation by parts takes from I: ``F_n(W) = (z I_n - I_0) / (1 - z)``
     with ``z = e^{-2 pi i n/m}`` for n != 0, and ``sum_i W_i`` for n = 0.
-    ``i_coef`` (..., 2L + 1), with I_l in column ``l + L``, supplies them when
-    it covers every order, as a sweep tile's does; otherwise they are the
-    coefficients of W's increments.  The terms of a range or a tuple of
-    orders are built once per tables (:func:`_order_terms`); any other
-    sequence is taken as its tuple.
+    The terms of a range or a tuple of orders are built once per tables
+    (:func:`_order_terms`); any other sequence is taken as its tuple.
 
     The sums run on the transpose, one contiguous row an order, as
-    ``i_coef`` stores I: each order's terms broadcast along its row, and the
-    result needs no transposed copy to come out order-major.
+    ``i_coef`` stores I, so the result needs no transposed copy.
     """
-    m = st.grid.m
-    rec = st.spec.record
+    m, rec, L = st.grid.m, st.spec.record, (i_coef.shape[-1] - 1) // 2
     ords, top, f_row, z, divisor, is_zero = _order_terms(
         st, orders if isinstance(orders, range) else tuple(orders))
-    by_order = (slice(None),) + (None,) * (w.ndim - 1)  # an order's term against every row
-    out = np.zeros(ords.shape + w.shape[-2::-1], dtype=complex)  # (orders, ..)
+    w_tau, _, total = terms
+    by_order = (slice(None),) + (None,) * (i_coef.ndim - 1)  # an order's term against every row
+    out = np.zeros(ords.shape + i_coef.shape[-2::-1], dtype=complex)  # (orders, ..)
     if f_row is not None:
         out += f_row[by_order]
     if rec.alpha:
-        if i_coef is None or i_coef.shape[-1] < 2 * top + 1:
-            i_coef = coefficients(np.diff(w, axis=-1), top)
-        L = (i_coef.shape[-1] - 1) // 2
+        if L < top:
+            raise ValueError(f"the dW coefficients cover |l| <= {L}; order {top} needs more")
         # (z I_n - I_0) / (1 - z), then alpha (.. / m), in one temporary
         i_rows = i_coef.T
         w_coef = i_rows[ords + L]
         np.multiply(z[by_order], w_coef, out=w_coef)
         w_coef -= i_rows[L]
         w_coef /= divisor[by_order]
-        w_coef[is_zero] = w[..., :-1].sum(axis=-1).T
+        w_coef[is_zero] = total.T
         w_coef /= m
         out += np.multiply(rec.alpha, w_coef, out=w_coef)
     if rec.beta:
-        out += rec.beta * (w[..., st.tau].T * is_zero[by_order])
+        out += w_tau.T * is_zero[by_order]
     return out.T
 
 
 def true_fourier_a(spec: ProcessSpec, path: BrownianPath, n: int) -> complex:
     """Per-path coefficient ``(1/m) sum_i a(t_i) conj(e_n(t_i))`` (DET given
     TrigPoly data: its exact coefficient, which the sum equals)."""
-    return complex(block_true_fourier_a(spec_tables(spec, path.grid), path.values, [n])[0])
+    st, i_coef = spec_tables(spec, path.grid), coefficients(path.increments, abs(n))
+    return complex(block_true_fourier_a(st, w_terms(st, path.values), [n], i_coef)[0])

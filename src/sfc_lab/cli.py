@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__, engine
 from .bohr import CLOSED_FORM, RECOVERY_MODES
-from .brownian import SeedSpec, sample_rows
+from .brownian import SeedSpec, sample_rows, wiener_nodes
 from .catalog import CATALOG_KINDS, CONST, DRIFT_DET, DRIFT_W1, make_process, spec_for, spec_tables
 from .errors import ConfigError, NumericalFailureError
 from .experiment import (
@@ -211,9 +211,9 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     ok &= _identity_checks(grid, seed, paths=20)
 
     # sampling sanity on paths 2000..2399: terminal variance and the discrete isometry
-    dw, w = np.empty((400, grid.m)), np.empty((400, grid.m + 1))
-    sample_rows(seed, 2000, dw, w)
-    var = float(np.var(w[:, -1], ddof=1))
+    dw = np.empty((400, grid.m))
+    sample_rows(seed, 2000, dw)
+    var = float(np.var(wiener_nodes(dw, np.empty((400, grid.m + 1)))[:, -1], ddof=1))
     ok &= _check_line(0.85 <= var <= 1.15, "terminal variance", f"var={var:.4f}")
     iso_mean = float(np.mean(np.abs(coefficients(dw, 1)[:, 2]) ** 2))
     ok &= _check_line(abs(iso_mean - 1.0) <= 0.2, "basis isometry", f"mean={iso_mean:.4f}")
@@ -256,7 +256,8 @@ def _identity_checks(grid: TimeGrid, seed: int, paths: int) -> bool:
     worst, rng = np.zeros(1 + len(rules)), None
     for lo in range(0, paths, _BATTERY_ROWS):
         rows = slice(0, min(_BATTERY_ROWS, paths - lo))
-        rng = sample_rows(seed, lo, dw[rows], w[rows], rng)
+        rng = sample_rows(seed, lo, dw[rows], rng)
+        wiener_nodes(dw[rows], w[rows])
         functionals = block_w1_functionals(w[rows]).values()
         lemma = [block_lemma_residual(value, grad, e, dw[rows]) for value, grad in functionals]
         found = [lemma] + [rule(st, e[:2], w[rows], dw[rows]) for rule, st in rules]

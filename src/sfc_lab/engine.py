@@ -4,8 +4,9 @@ Tiles
 -----
 A run's paths go in row tiles of at most ``block_size`` and 16 rows, and of
 at most as many as keep one (rows, m) float array within ``TILE_BYTES``
-(:func:`tile_rows`).  Each tile is sampled (``brownian.sample_rows``), takes
-the transform of dW, gets ``F(dX)`` from it by the affine record's linearity
+(:func:`tile_rows`).  Each tile draws dW (``brownian.sample_rows``), takes
+its transform, builds W and reads off the few values of W that the affine
+record needs (``catalog.w_terms``), gets ``F(dX)`` by the record's linearity
 (``catalog.block_dx_coefficients``) and its Bohr windows at the orders ``n =
 0 .. M`` from one ``bohr.windows`` call, and goes to the run's callback as a
 :class:`Tile`.  No tile builds the orders ``n < 0`` (``sfc.mirror``).
@@ -27,11 +28,13 @@ count nor the tile geometry changes any number.
 Buffers
 -------
 Each worker allocates its buffers and its generator at its first tile and
-fills them in place for every later one: W, dW, one flat complex scratch,
-and a second (rows, m) array only where the consumer reads dW after the
-transforms (``keep_dw``: synthesized identify with a lower triangle).
-Elsewhere ``(f + alpha W) dW`` goes into dW's rows once ``F(dW)`` is taken,
-and so does the synthesized step's ``i dW``.  Besides, a tile allocates the
+fills them in place for every later one: dW, one flat complex scratch, and a
+second (rows, m) array only where the consumer reads dW after the transforms
+(``keep_dw``: synthesized identify with a lower triangle).  W is built in the
+scratch's real view (``2 (m // 2 + 1) >= m + 1`` floats a row), idle between
+``F(dW)``'s copy-out and the next transform, and read there for its terms and
+``(f + alpha W) dW``, which goes into dW's rows unless ``keep_dw``, as does
+the synthesized step's ``i dW``.  Besides, a tile allocates the
 coefficient rows and windows that it hands on, and for the windows the
 gather of I and numpy's 8 KiB multiply buffer.  A :class:`Tile`'s arrays are
 views on the worker's buffers, which its next tile overwrites: they are
@@ -50,8 +53,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bohr import windows
-from .brownian import sample_rows
-from .catalog import SpecTables, block_dx_coefficients
+from .brownian import sample_rows, wiener_nodes
+from .catalog import SpecTables, block_dx_coefficients, w_terms, weighted_increments
 from .errors import ConfigError, NumericalFailureError
 from .sfc import coefficients
 
@@ -90,17 +93,17 @@ def tile_rows(cfg: ExperimentConfig) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Tile:
-    """Paths ``lo ..`` of one tile: W's nodes and increments (``dw`` None
-    where the run keeps no dW), ``F_k(dX)``, ``|k| <= N + M``, and its
-    stochastic part at ``k = 0 .. M`` (``catalog.block_dx_coefficients``),
-    ``F_l(dW)``, ``|l| <= max(N + M, 2M)``, the windows (rows, orders 0 ..
-    M, widths) and the worker's flat complex scratch, free once the windows
-    are taken.  W, dW and the scratch are the worker's buffers.  The
-    coefficients are stored order-major, as ``sfc.coefficients`` returns
-    them."""
+    """Paths ``lo ..`` of one tile: W's terms (``catalog.w_terms``), the
+    increments (None where the run keeps no dW), ``F_k(dX)``, ``|k| <= N +
+    M``, and its stochastic part at ``k = 0 .. M``
+    (``catalog.block_dx_coefficients``), ``F_l(dW)``, ``|l| <= max(N + M,
+    2M)``, the windows (rows, orders 0 .. M, widths) and the worker's flat
+    complex scratch, free once the windows are taken.  dW and the scratch
+    are the worker's buffers.  The coefficients are stored order-major, as
+    ``sfc.coefficients`` returns them."""
 
     lo: int
-    w: np.ndarray
+    terms: tuple
     dw: np.ndarray | None
     f_coef: np.ndarray
     stochastic: np.ndarray
@@ -112,10 +115,10 @@ class Tile:
 def _tile_buffers(
     cfg: ExperimentConfig, widths: tuple[int, ...], keep_dw: bool = True
 ) -> tuple[int, int, int]:
-    """Rows per tile, the (rows, m) float arrays of a worker besides W, and
-    the length of its flat complex scratch: the rfft spectrum (which also
-    covers the real view's m floats a row) or the band-M windows' products,
-    whichever is longer.  dW and ``(f + alpha W) dW`` share one array unless
+    """Rows per tile, the (rows, m) float arrays of a worker and the length
+    of its flat complex scratch: the rfft spectrum (whose real view also
+    holds W's m + 1 floats a row) or the band-M windows' products, whichever
+    is longer.  dW and ``(f + alpha W) dW`` share one array unless
     ``keep_dw``."""
     rows = tile_rows(cfg)
     complex_size = rows * max(cfg.m // 2 + 1, (2 * max(max(widths), cfg.M) + 1) * (cfg.M + 1))
@@ -148,22 +151,25 @@ def _run_tiles(
     local = threading.local()
 
     def one(lo: int) -> None:
-        if not hasattr(local, "buffers"):  # this thread's W, dW, (f + alpha W) dW and scratch
+        if not hasattr(local, "buffers"):  # this thread's dW, (f + alpha W) dW and scratch
             dw = np.empty((rows, m))
             x = np.empty((rows, m)) if row_arrays == 2 else dw  # written after F(dW)
-            local.buffers = np.empty((rows, m + 1)), dw, x, np.empty(complex_size, dtype=complex)
+            local.buffers = dw, x, np.empty(complex_size, dtype=complex)
             local.rng = None
         count = min(cfg.paths, lo + rows) - lo
         *real, complex_scratch = local.buffers
-        w, dw, x = (b[:count] for b in real)
-        local.rng = sample_rows(cfg.master_seed, lo, dw, w, local.rng)
+        dw, x = (b[:count] for b in real)
+        local.rng = sample_rows(cfg.master_seed, lo, dw, local.rng)
         i_coef = coefficients(dw, L, complex_scratch)  # order l at column l + L
+        w = complex_scratch.view(float)[: count * (m + 1)].reshape(count, m + 1)
+        terms = w_terms(st, wiener_nodes(dw, w))
+        x = weighted_increments(st, w, dw, x)  # the last read of W before the scratch is reused
         stochastic = np.empty((count, M + 1), dtype=complex)
         f_coef = block_dx_coefficients(  # order k at column k + n_max + M
-            st, w, dw, i_coef, n_max + M, out=(x, complex_scratch), stochastic=stochastic
+            st, terms, x, i_coef, n_max + M, buffer=complex_scratch, stochastic=stochastic
         )
         est = windows(f_coef, i_coef[:, L - n_max : L + n_max + 1], half, widths, complex_scratch)
-        work(Tile(lo, w, dw if keep_dw else None, f_coef, stochastic, i_coef, est,
+        work(Tile(lo, terms, dw if keep_dw else None, f_coef, stochastic, i_coef, est,
                   complex_scratch))
 
     threads = _workers(cfg, rows)
@@ -241,7 +247,7 @@ def _require_run_fits(
     workers = _workers(cfg, rows)
     results = cfg.paths * bytes_per_path
     need = results + 8 * _TABLE_ARRAYS * cfg.m + workers * (
-        8 * rows * (row_arrays * cfg.m + cfg.m + 1) + 16 * complex_size
+        8 * rows * row_arrays * cfg.m + 16 * complex_size
     )
     have = _physical_memory()
     if have is not None and need > have:

@@ -389,7 +389,7 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentResult:
     truth = np.zeros((cfg.paths, M + 1), dtype=complex)
 
     def work(tile: Tile) -> None:
-        true = block_true_fourier_a(st, tile.w, half, tile.i_coef)
+        true = block_true_fourier_a(st, tile.terms, half, tile.i_coef)
         err = np.abs(tile.est - true[:, :, None])
         _require_finite("estimate", err, tile.lo, cfg.n_list)  # |err(-n)| = |err(n)|
         hi = tile.lo + len(err)
@@ -503,7 +503,7 @@ def run_identify(cfg: ExperimentConfig, mode: str) -> IdentifyResult:
         _require_finite("a_hat", tile.est, tile.lo, (N,))
         # F(dW) is taken, so the synthesized step's i dW goes into dW's rows
         b = drift_coefficients(
-            st, mode, tile.w, tile.dw, a, tile.f_coef, tile.i_coef, stochastic=tile.stochastic,
+            st, mode, tile.terms, tile.dw, a, tile.f_coef, tile.i_coef, stochastic=tile.stochastic,
             out=(tile.dw, tile.complex_scratch),
         )
         _require_finite("b_hat", b[:, :, None], tile.lo, (N,))

@@ -26,8 +26,8 @@ For ``u`` adapted on the left (``u_i`` independent of ``xi_j`` for
 ``j >= i``) every diagonal derivative vanishes and div(u) is the plain Ito
 sum.
 
-The identity residuals take blocks of paths as ``brownian.sample_rows``
-draws them and stacks of e, with a and b from the spec's tables as in the
+The identity residuals take blocks of paths as ``brownian.sample_rows`` and
+``brownian.wiener_nodes`` build them and stacks of e, with a and b from the spec's tables as in the
 sweep; each side is built from its own terms.  One-path forms are views.
 """
 

@@ -15,7 +15,7 @@ With ``t_i = i/m`` the sum is the real DFT of the increments:
 coefficient in the package comes from it: those of dW, the windows of the
 remainders, the left Riemann truth of a (through ``F(dW)``) and ``F(dX)``,
 by linearity from ``F(dW)`` and one transform of ``(f + alpha W) dW``, which
-W1 and MIDPOINT skip (``catalog.block_dx_coefficients``).  What is built
+W1, MIDPOINT and CONST skip (``catalog.block_dx_coefficients``).  What is built
 from them mirrors the same way, and everything else builds the orders
 ``n = 0 .. M`` alone: :func:`mirror` fills in ``n < 0``.
 The inverse, :func:`synthesize`, is the one way back to the left tags: one
@@ -135,11 +135,9 @@ def synthesize(values: np.ndarray, m: int) -> np.ndarray:
 
 
 def sfc_range(pf: PathFunctionals, max_order: int) -> CoefficientSet:
-    """All coefficients of dX with |n| <= max_order (``catalog.block_dx_coefficients``)."""
-    from .catalog import block_dx_coefficients  # the catalog imports this module
-    dw = pf.path.increments
-    values = block_dx_coefficients(pf.tables, pf.path.values, dw, coefficients(dw, max_order),
-                                   max_order)
+    """All coefficients of dX with |n| <= max_order (``catalog.path_dx_coefficients``)."""
+    from .catalog import path_dx_coefficients  # the catalog imports this module
+    _, values = path_dx_coefficients(pf, coefficients(pf.path.increments, max_order), max_order)
     return CoefficientSet(max_order=max_order, values=values)
 
 

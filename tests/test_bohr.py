@@ -44,8 +44,8 @@ from sfc_lab.bohr import (
     grid_supports,
     windows,
 )
-from sfc_lab.brownian import sample_rows
-from sfc_lab.catalog import DRIFT_KINDS, block_functionals, spec_tables
+from sfc_lab.brownian import sample_rows, wiener_nodes
+from sfc_lab.catalog import DRIFT_KINDS, block_functionals, spec_tables, w_terms
 from sfc_lab.sfc import coefficients, synthesize
 
 
@@ -201,14 +201,14 @@ def test_the_drift_step_hands_windows_order_major_rows(monkeypatch):
     rows, m, N, M = 8, 4096, 256, 4
     st = spec_tables(spec_for("NONCAUSAL_BRIDGE", {"g": cosine(), "drift": "w1"}), TimeGrid(m))
     dw, w = np.empty((rows, m)), np.empty((rows, m + 1))
-    sample_rows(11, 0, dw, w)
-    dx = block_functionals(st, w)[2]
+    sample_rows(11, 0, dw)
+    dx = block_functionals(st, wiener_nodes(dw, w))[2]
     # the tile's complex scratch: the rfft spectrum or the band-M windows' products
     buffer = np.empty(rows * (2 * N + 1) * (M + 1), dtype=complex)
     spectrum = buffer[: rows * (m // 2 + 1)].reshape(rows, -1)
     f_coef, i_coef = coefficients(dx, N + M, spectrum), coefficients(dw, N + M, spectrum)
     a_hat = windows(f_coef, i_coef[:, M : M + 2 * N + 1], range(M + 1), [N])[..., 0]
-    args = (st, SYNTHESIZED, w, dw, a_hat, f_coef, i_coef)
+    args = (st, SYNTHESIZED, w_terms(st, w), dw, a_hat, f_coef, i_coef)
     expected = drift_coefficients(*args, out=(dx.copy(), buffer))  # and the step's plans
     layouts = []
     real = bohr.windows
@@ -373,7 +373,7 @@ def test_spectral_gradient_matches_loop(case):
     i_coef = coefficients(path.increments, max(N + M, 2 * M))
     st = spec_tables(pf.spec, pf.grid)
     zero = np.zeros(M + 1, dtype=complex)
-    args = (path.values, path.increments, zero, f_set.values, i_coef)
+    args = (w_terms(st, path.values), path.increments, zero, f_set.values, i_coef)
     diag = drift_coefficients(st, "synthesized", *args) - f_set.values[N + M : N + 2 * M + 1]
     assert np.max(np.abs(diag - reference)) <= 1e-12 * (1 + np.max(np.abs(reference)))
     a_hat = identify_a(pf, cfg)

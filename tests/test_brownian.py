@@ -4,7 +4,7 @@ import pytest
 
 from helpers import path_from_xi
 from sfc_lab import BrownianPath, SeedSpec, TimeGrid, eval_basis, sample_path
-from sfc_lab.brownian import sample_rows, substream
+from sfc_lab.brownian import sample_rows, substream, wiener_nodes
 
 
 def test_seedspec_validation():
@@ -55,8 +55,9 @@ def test_sample_rows_are_sample_path_bitwise(m, lo):
     used.standard_normal(7)
     for rng in (None, used):
         dw, w = np.full((3, m), np.nan), np.full((3, m + 1), np.nan)
-        returned = sample_rows(42, lo, dw, w, rng)
+        returned = sample_rows(42, lo, dw, rng)
         assert rng is None or returned is rng
+        assert wiener_nodes(dw, w) is w
         for r in range(3):
             path = sample_path(SeedSpec(42, lo + r), grid)
             assert np.array_equal(dw[r], path.increments)

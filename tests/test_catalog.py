@@ -41,6 +41,8 @@ from sfc_lab.catalog import (
     block_true_fourier_a,
     constant,
     spec_tables,
+    w_terms,
+    weighted_increments,
 )
 from sfc_lab.sfc import coefficients
 
@@ -125,13 +127,13 @@ def test_closed_forms_against_direct_formulas():
     for kind, (a_expect, x_expect) in checks.items():
         pf = eval_functionals(spec_for(kind), path)
         npt.assert_allclose(pf.a_nodes, a_expect, atol=1e-12, err_msg=kind)
-        npt.assert_allclose(pf.x_nodes, x_expect, atol=1e-12, err_msg=kind)
+        npt.assert_allclose(np.cumsum(pf.dx), x_expect[1:], atol=1e-12, err_msg=kind)
         npt.assert_allclose(pf.b_nodes, 0.0, atol=0)
     # DET multiplies increments by f at the left tags
     pf = eval_functionals(spec_for("DET"), path)
     f_nodes = np.cos(2 * np.pi * grid.left_nodes)
     npt.assert_allclose(pf.a_nodes, f_nodes, atol=1e-12)
-    npt.assert_allclose(np.diff(pf.x_nodes), f_nodes * path.increments, atol=1e-14)
+    npt.assert_allclose(pf.dx, f_nodes * path.increments, atol=1e-14)
 
 
 def test_midpoint_requires_even_m():
@@ -164,8 +166,8 @@ def test_drift_prefix_is_left_riemann():
     pf = eval_functionals(spec, path)
     g_nodes = np.cos(2 * np.pi * grid.left_nodes)
     npt.assert_allclose(pf.b_nodes, g_nodes, atol=1e-12)
-    drift_part = pf.x_nodes - path.values  # CONST stochastic part is W itself
-    expected = np.concatenate([[0.0], np.cumsum(g_nodes) / 32])
+    drift_part = np.cumsum(pf.dx) - path.values[1:]  # CONST stochastic part is W itself
+    expected = np.cumsum(g_nodes) / 32
     npt.assert_allclose(drift_part, expected, atol=1e-14)
 
 
@@ -177,6 +179,12 @@ def test_w1_drift_values():
     npt.assert_allclose(
         pf.b_nodes, path.terminal * np.cos(2 * np.pi * grid.left_nodes), atol=1e-12
     )
+
+
+def _dx_coefficients(tables, w, dw, i_coef, K, **kwargs):
+    """block_dx_coefficients from W and dW, leaving both as they were."""
+    x = weighted_increments(tables, w.copy(), dw, None)
+    return block_dx_coefficients(tables, w_terms(tables, w), x, i_coef, K, **kwargs)
 
 
 def test_block_matches_single_path():
@@ -201,8 +209,9 @@ def test_block_matches_single_path():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_buffered_forms_equal_the_allocating_forms(kind, drift, rows, m, seed):
-    # the sweep's tiles fill reused buffers, and the one-path views take one
-    # row; every bit must match a fresh call on the block
+    # the sweep's tiles fill reused buffers, W in the scratch's real view and
+    # (f + alpha W) dW in dW's rows, and the one-path views take one row;
+    # every bit must match a fresh call on the block
     spec = spec_for(kind, {} if drift == "none" else {"g": cosine(), "drift": drift})
     tables = spec_tables(spec, TimeGrid(m))
     dw = np.random.default_rng(seed).standard_normal((rows, m)) / np.sqrt(m)
@@ -211,13 +220,17 @@ def test_buffered_forms_equal_the_allocating_forms(kind, drift, rows, m, seed):
     K = (m - 1) // 4
     i_coef = coefficients(dw, (m - 1) // 2)
     stochastic, kept = np.empty((2, rows, 2), dtype=complex)
-    fresh = block_dx_coefficients(tables, w, dw, i_coef, K, stochastic=kept)
+    fresh = _dx_coefficients(tables, w, dw, i_coef, K, stochastic=kept)
     x, buffer = dw.copy(), np.full(rows * (m // 2 + 1), np.nan, dtype=complex)
-    got = block_dx_coefficients(tables, w, x, i_coef, K, out=(x, buffer), stochastic=stochastic)
+    in_buffer = buffer.view(float)[: rows * (m + 1)].reshape(rows, m + 1)
+    in_buffer[...] = w
+    terms = w_terms(tables, in_buffer)
+    x = weighted_increments(tables, in_buffer, x, x)
+    got = block_dx_coefficients(tables, terms, x, i_coef, K, buffer=buffer, stochastic=stochastic)
     assert got.tobytes() == fresh.tobytes() and stochastic.tobytes() == kept.tobytes()
     assert got.T.flags.c_contiguous  # order-major, as coefficients stores its rows
     for r in range(rows):
-        one = block_dx_coefficients(tables, w[r], dw[r], i_coef[r], K)
+        one = _dx_coefficients(tables, w[r], dw[r], i_coef[r], K)
         assert one.tobytes() == fresh[r].tobytes()
     spectrum = np.full((rows, m // 2 + 1), np.nan, dtype=complex)
     for order in ((m - 1) // 2, 2):
@@ -261,11 +274,11 @@ def test_dx_coefficients_follow_the_record(case):
     a, _, dx = block_functionals(tables, w)
     i_coef = coefficients(dw, K)
     stochastic = np.empty((rows, M + 1), dtype=complex)
-    got = block_dx_coefficients(tables, w, dw, i_coef, K, stochastic=stochastic)
+    got = _dx_coefficients(tables, w, dw, i_coef, K, stochastic=stochastic)
     ref = coefficients(dx, K)
     assert np.max(np.abs(got - ref)) <= 1e-13 * (1 + np.max(np.abs(ref)))
     unused = np.zeros((rows, M + 1), dtype=complex)
-    b = drift_coefficients(tables, CLOSED_FORM, w, None, unused, got, i_coef,
+    b = drift_coefficients(tables, CLOSED_FORM, w_terms(tables, w), None, unused, got, i_coef,
                            stochastic=stochastic)
     ref = coefficients(dx - a * dw + tables.correction, M)[:, M:]  # the step returns n = 0 .. M
     assert np.max(np.abs(b - ref)) <= 1e-13 * (1 + np.max(np.abs(ref)))
@@ -284,11 +297,29 @@ def test_true_fourier_a_by_parts_is_the_left_riemann_sum(kind, m):
     tables = spec_tables(spec_for(kind), grid)
     orders = np.arange(-M, M + 1)
     oracle = coefficients(block_diffusion(tables, w), M) / m
-    for i_coef in (None, coefficients(dw, M), coefficients(dw, 3 * M), coefficients(dw, M - 1)):
-        got = block_true_fourier_a(tables, w, orders, i_coef)
+    terms = w_terms(tables, w)
+    for i_coef in (coefficients(dw, M), coefficients(dw, 3 * M)):
+        got = block_true_fourier_a(tables, terms, orders, i_coef)
         assert np.abs(got - oracle).max() <= 1e-12, kind
+    if KIND_RECORDS[kind].alpha:  # the W_t term reads I at every order
+        with pytest.raises(ValueError, match=r"cover \|l\| <= 3; order 4 needs more"):
+            block_true_fourier_a(tables, terms, orders, coefficients(dw, M - 1))
     for p, row in zip(paths, oracle):
         assert abs(true_fourier_a(spec_for(kind), p, -M) - row[0]) <= 1e-12
+
+
+def test_a_node_table_truth_is_the_direct_left_riemann_sum():
+    # f's part of the truth for a node table is (1/m) sum_i f_i conj(e_n(t_i)),
+    # here a direct sum over the nodes, beside the transform the truth takes
+    m, grid = 64, TimeGrid(64)
+    f = np.random.default_rng(8).standard_normal(m)
+    spec = make_process("DET", {"f": f})
+    tables, path = spec_tables(spec, grid), sample_path(SeedSpec(33, 0), grid)
+    direct = [np.sum(f * eval_basis(-n, grid.left_nodes)) / m for n in range(-5, 6)]
+    i_coef = coefficients(path.increments, 5)
+    got = block_true_fourier_a(tables, w_terms(tables, path.values), range(-5, 6), i_coef)
+    npt.assert_allclose(got, direct, rtol=0, atol=1e-15)
+    assert true_fourier_a(spec, path, 2) == pytest.approx(direct[7], abs=1e-15)
 
 
 def test_spec_tables_are_built_once_per_spec_and_grid():
@@ -321,12 +352,13 @@ def test_per_run_caches_key_on_the_tables_and_their_arguments():
     for spec in (make_process("DET", {"f": node_f}), spec_for("NONCAUSAL_BRIDGE")):
         tables = spec_tables(spec, grid)
         forms = (list(range(-3, 5)), tuple(range(-3, 5)), range(-3, 5), np.arange(-3, 5))
-        first, *rest = (block_true_fourier_a(tables, w, orders, i_coef) for orders in forms)
+        terms = w_terms(tables, w)
+        first, *rest = (block_true_fourier_a(tables, terms, orders, i_coef) for orders in forms)
         assert all(other.tobytes() == first.tobytes() for other in rest)
     # two DET specs on one grid and orders: each truth is its own f's
     for k in (1, 2):
         tables = spec_tables(make_process("DET", {"f": cosine(k)}), grid)
-        npt.assert_array_equal(block_true_fourier_a(tables, w, (0, 1, 2)),
+        npt.assert_array_equal(block_true_fourier_a(tables, w_terms(tables, w), (0, 1, 2), i_coef),
                                [0.5 if n == k else 0.0 for n in (0, 1, 2)])
     # two drift specs at one N and M: each plan holds its own F(c)
     for k in (1, 2):

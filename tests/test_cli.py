@@ -298,6 +298,26 @@ def test_identify_nonfinite_estimate_names_the_path(monkeypatch):
     assert "N=16" in str(info.value)
 
 
+def test_a_non_finite_order_zero_alone_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # at M = 1 one path's estimate is poisoned at n = 0 alone, which is its
+    # own mirror: the finite check must still find it, and name n = 0
+    import sfc_lab.engine as engine
+
+    real = engine.windows
+
+    def poisoned(*args, **kw):
+        est = real(*args, **kw)  # (rows, orders 0 .. M, widths)
+        est[2, 0, 1] = np.nan
+        return est
+
+    monkeypatch.setattr(engine, "windows", poisoned)
+    data = {"process": {"kind": "CONST"}, "N_list": [4, 8, 16], "M": 1, "m": 256, "paths": 100}
+    cfg_path = write_config(tmp_path, "nan.json", data)
+    assert main(["convergence", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "numerical failure: non-finite estimate for path 2 (n=0, N=8)" in err
+
+
 @pytest.mark.parametrize("mode", ["closed_form", "synthesized"])
 def test_identify_bytes_ignore_threads_and_block_size(tmp_path, monkeypatch, mode):
     start_helpers_at_any_m(monkeypatch)

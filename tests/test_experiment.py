@@ -30,7 +30,14 @@ from sfc_lab import (
     recover_b,
     sample_path,
 )
-from sfc_lab.catalog import DRIFT_KINDS, block_true_fourier_a, spec_tables
+from sfc_lab.catalog import (
+    DRIFT_KINDS,
+    block_dx_coefficients,
+    block_true_fourier_a,
+    spec_tables,
+    w_terms,
+    weighted_increments,
+)
 from sfc_lab.engine import _require_run_fits, _run_tiles, _workers, resolve_threads, tile_rows
 from sfc_lab.experiment import (
     CSV_HEADER,
@@ -45,7 +52,7 @@ from sfc_lab.experiment import (
     run_convergence,
     run_identify,
 )
-from sfc_lab.sfc import mirror
+from sfc_lab.sfc import coefficients, mirror
 
 
 def small_config(**over):
@@ -214,6 +221,12 @@ def test_fit_decay_order_bound():
         fit_decay(res, 2)  # M = 1
 
 
+def test_fit_decay_fits_order_zero_by_default():
+    res = run_convergence(small_config())  # M = 1: orders -1, 0 and 1 have fits
+    assert fit_decay(res) is fit_decay(res, 0)
+    assert fit_decay(res, 1) is not fit_decay(res)
+
+
 def test_run_shapes_and_determinism():
     cfg = small_config()
     res1 = run_convergence(cfg)
@@ -307,15 +320,15 @@ def test_tile_geometry_does_not_change_any_per_path_number(monkeypatch, threads)
 
 
 def test_a_sweep_holds_few_tile_buffers(monkeypatch):
-    # one worker with its three 8-row buffers (W, dW with dX built in its
-    # rows, the complex scratch), at the perfbench sweep's m, widths and
-    # orders; the first run builds the spec's tables and the window plan,
-    # which later runs share.  One thread makes the peak the same on every
-    # run: 1,457,064 B for a worker that holds dX apart from dW, and
-    # 1,195,024 B, one 8 x 4096 float array less, for one that builds dX in
-    # dW's rows.  Tiles allocate only their two coefficient arrays and the
-    # windows' I gather and 8 KiB buffer, with one truth row per path.  The
-    # bound sits halfway, 131 KB from each.
+    # one worker with its two 8-row buffers (dW with (f + alpha W) dW built
+    # in its rows, the complex scratch whose real view holds W), at the
+    # perfbench sweep's m, widths and orders; the first run builds the spec's
+    # tables and the window plan, which later runs share.  One thread makes
+    # the peak the same on every run: 1,196,908 B for a worker that holds W
+    # in a buffer of its own, and 934,716 B, one 8 x 4097 float array less,
+    # for one that builds W in the scratch.  Tiles allocate only their two
+    # coefficient arrays and the windows' I gather and 8 KiB buffer, with
+    # one truth row per path.  The bound sits halfway, 131 KB from each.
     monkeypatch.setenv("SFC_LAB_THREADS", "1")
     spec = spec_for("NONCAUSAL_BRIDGE", {"g": cosine(), "drift": "w1"})
     cfg = small_config(spec=spec, n_list=(4, 8, 16, 32, 64, 128, 256), M=4, m=4096, paths=200)
@@ -326,14 +339,17 @@ def test_a_sweep_holds_few_tile_buffers(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1_326_000, peak
+    assert peak < 1_065_800, peak
 
 
 def test_synthesized_identify_holds_few_tile_buffers(monkeypatch):
     # ROADMAP item 6's config at 200 paths: the drift step reads coefficient
     # rows, runs its windows in the tile's complex scratch and writes its
-    # transform input into dX's rows.  The time-domain gradient that it
+    # transform input into dW's rows.  The time-domain gradient that it
     # replaced peaked at 8.27 MB here, and five tile buffers at 3.70-3.76.
+    # Two workers with four buffers each (W, dW, (f + alpha W) dW, the
+    # scratch) peaked at 2.94-3.01 MB, and with three (W in the scratch's
+    # real view) at 2.46-2.49; the bound sits about halfway.
     monkeypatch.setenv("SFC_LAB_THREADS", "2")
     spec = spec_for("NONCAUSAL_BRIDGE", {"g": cosine(), "drift": "w1"})
     cfg = small_config(spec=spec, n_list=(256,), M=4, m=4096, paths=200)
@@ -344,16 +360,17 @@ def test_synthesized_identify_holds_few_tile_buffers(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3_500_000, peak
+    assert peak < 2_740_000, peak
 
 
 def test_closed_form_identify_holds_few_tile_buffers(monkeypatch):
     # the perfbench identify config (W1, drift det, m=4096, N=256, M=4) on
     # one worker.  The closed form reads only the tile's coefficients, so
-    # the worker holds three buffers (W, dW, the complex scratch) and builds
-    # neither dX nor a at the nodes.  It peaked at 1,360,920 B with four
-    # buffers, dX built at the nodes and a second transform of dX - a dW +
-    # correction, and peaks at 1,100,804 B now; the bound sits halfway.
+    # the worker holds two buffers (dW, the complex scratch whose real view
+    # holds W) and builds neither dX nor a at the nodes.  It peaked at
+    # 1,360,920 B with four buffers, dX built at the nodes and a second
+    # transform of dX - a dW + correction, at 1,100,700 B with W in a buffer
+    # of its own, and peaks at 838,508 B now; the bound sits halfway.
     monkeypatch.setenv("SFC_LAB_THREADS", "1")
     spec = spec_for("NONCAUSAL_W1", {"g": cosine(), "drift": "det"})
     cfg = small_config(spec=spec, n_list=(256,), M=4, m=4096, paths=200)
@@ -364,7 +381,7 @@ def test_closed_form_identify_holds_few_tile_buffers(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1_230_800, peak
+    assert peak < 969_600, peak
 
 
 def test_the_sweep_keeps_orders_zero_to_m_per_path():
@@ -388,7 +405,7 @@ def _full_band_sweep(cfg):
 
     def work(tile):
         est = mirror(tile.est, axis=1)
-        truth = block_true_fourier_a(tables, tile.w, cfg.orders, tile.i_coef)
+        truth = block_true_fourier_a(tables, tile.terms, cfg.orders, tile.i_coef)
         hi = tile.lo + len(est)
         abs_err[tile.lo : hi] = np.abs(est - truth[:, :, None]).transpose(0, 2, 1)
         estimates[tile.lo : hi] = est.transpose(0, 2, 1)
@@ -460,10 +477,11 @@ def test_tables_and_tile_buffers_count_toward_the_size_check(monkeypatch):
     cfg = small_config()  # m=256, 120 paths in 16-row tiles, widths 4, 8, 16, M=1
     results = 120 * (3 + 1) * 2 * 16  # the estimates and the truth, orders 0 .. 1
     tables = 8 * 10 * 256  # ten arrays of m floats
-    # per worker: W, dW with dX built in its rows (the sweep reads no dW
-    # after its transform) and the longer of the rfft spectrum and the
-    # band-1 windows' products, 16 x max(129, 33 x 2) complex numbers
-    buffers = 2 * (8 * 16 * (256 + 257) + 16 * 16 * 129)
+    # per worker: dW with (f + alpha W) dW built in its rows (the sweep reads
+    # no dW after its transform) and the longer of the rfft spectrum and the
+    # band-1 windows' products, 16 x max(129, 33 x 2) complex numbers, whose
+    # real view holds W
+    buffers = 2 * (8 * 16 * 256 + 16 * 16 * 129)
     need = results + tables + buffers
     monkeypatch.setattr(engine, "_physical_memory", lambda: need)
     run_convergence(cfg)  # fits exactly
@@ -532,8 +550,8 @@ def test_the_size_check_counts_the_workers_that_start(monkeypatch):
     monkeypatch.setenv("SFC_LAB_THREADS", "2")
     monkeypatch.setattr(engine, "_physical_memory", lambda: 1)
     for m, workers, owners in ((1024, 1, "1 tile worker's"), (2048, 2, "2 tile workers'")):
-        # one worker's dW, dX, W and rfft spectrum, 16 rows
-        buffers = 8 * 16 * (3 * m + 1) + 16 * 16 * (m // 2 + 1)
+        # one worker's dW, (f + alpha W) dW and rfft spectrum (W in its real view), 16 rows
+        buffers = 8 * 16 * 2 * m + 16 * 16 * (m // 2 + 1)
         need = 120 * (3 + 1) * 2 * 16 + 8 * 10 * m + workers * buffers
         with pytest.raises(ConfigError, match=f"{owners} buffers the run needs {need:,} bytes"):
             _require_run_fits(small_config(m=m), (4, 8, 16), (3 + 1) * 2 * 16)
@@ -562,9 +580,9 @@ def test_only_a_run_that_reads_dw_keeps_it_apart_from_dx(monkeypatch, kind, drif
     drawn, seen = [], []
     real_sample, real_tiles = engine.sample_rows, exp._run_tiles
 
-    def sample_rows(master_seed, lo, dw, w, rng):
+    def sample_rows(master_seed, lo, dw, rng):
         drawn.append(dw.__array_interface__["data"][0])
-        return real_sample(master_seed, lo, dw, w, rng)
+        return real_sample(master_seed, lo, dw, rng)
 
     def run_tiles(cfg, st, widths, work, **kw):
         def recording(tile):
@@ -582,7 +600,7 @@ def test_only_a_run_that_reads_dw_keeps_it_apart_from_dx(monkeypatch, kind, drif
     assert seen == [drawn[0] if keeps else None] * 8
     # the size check counts the (rows, m) arrays that the run allocates
     monkeypatch.setattr(engine, "_physical_memory", lambda: 1)
-    rows_m = (2 if keeps else 1) * 256 + 257  # dW and (f + alpha W) dW, or dW alone, and W
+    rows_m = (2 if keeps else 1) * 256  # dW and (f + alpha W) dW, or dW alone; W is in the scratch
     per_path = (3 + 1) * 3 * 16 if mode is None else 2 * 3 * 16
     widths = cfg.n_list if mode is None else (16,)
     need = 120 * per_path + 8 * 10 * 256 + 8 * 16 * rows_m + 16 * 16 * max(
@@ -591,15 +609,42 @@ def test_only_a_run_that_reads_dw_keeps_it_apart_from_dx(monkeypatch, kind, drif
         run(cfg)
 
 
+def test_a_const_tile_takes_one_transform(monkeypatch):
+    # CONST's f is 1 and its alpha 0, so (f + alpha W) dW is dW itself: its
+    # transform is the tile's I, whose band the record copies bit for bit
+    monkeypatch.setenv("SFC_LAB_THREADS", "1")
+    cfg = small_config()  # CONST, 120 paths in 8 tiles of 16 rows
+    tables = spec_tables(cfg.spec, TimeGrid(cfg.m))
+    dw = np.random.default_rng(3).standard_normal((4, cfg.m)) / 16
+    w = np.zeros((4, cfg.m + 1))
+    np.cumsum(dw, axis=1, out=w[:, 1:])
+    i_coef, terms = coefficients(dw, 20), w_terms(tables, w)
+    assert weighted_increments(tables, w, dw, None) is None
+    copied = block_dx_coefficients(tables, terms, None, i_coef, 17)
+    assert copied.tobytes() == block_dx_coefficients(tables, terms, 1.0 * dw, i_coef, 17).tobytes()
+    calls = []
+    real = np.fft.rfft
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    run_convergence(cfg)
+    assert calls == [(16, 256)] * 7 + [(8, 256)]  # F(dW) alone, once a tile
+
+
 def test_tiles_reuse_the_workers_buffers(monkeypatch):
     monkeypatch.setenv("SFC_LAB_THREADS", "1")
     cfg = small_config()
     tiles = []
     _run_tiles(cfg, spec_tables(cfg.spec, TimeGrid(cfg.m)), cfg.n_list, tiles.append)
-    assert [t.lo for t in tiles] == list(range(0, 120, 16)) and len(tiles[-1].w) == 8
+    assert [t.lo for t in tiles] == list(range(0, 120, 16)) and len(tiles[-1].dw) == 8
     for prev, tile in zip(tiles, tiles[1:]):
         assert np.shares_memory(prev.complex_scratch, tile.complex_scratch)
-        assert np.shares_memory(prev.w, tile.w)
+        assert np.shares_memory(prev.dw, tile.dw)
+        # W was built in the scratch, so none of its terms may be a view on it
+        assert not any(np.shares_memory(t, tile.complex_scratch) for t in tile.terms[:2])
 
 
 def test_threaded_tiles_reuse_the_workers_buffers(monkeypatch):
@@ -612,7 +657,7 @@ def test_threaded_tiles_reuse_the_workers_buffers(monkeypatch):
     seen = []
 
     def work(tile):
-        seen.append((threading.get_ident(), tile.lo, tile.complex_scratch, tile.w))
+        seen.append((threading.get_ident(), tile.lo, tile.complex_scratch, tile.dw))
 
     _run_tiles(cfg, spec_tables(cfg.spec, TimeGrid(cfg.m)), cfg.n_list, work)
     assert sorted(lo for _, lo, _, _ in seen) == list(range(0, 120, 8))

@@ -25,7 +25,7 @@ from sfc_lab import (
     sample_path,
     true_fourier_a,
 )
-from sfc_lab.brownian import sample_rows
+from sfc_lab.brownian import sample_rows, wiener_nodes
 from sfc_lab.catalog import DRIFT_KINDS, block_diffusion, spec_tables
 from sfc_lab.malliavin import (
     DerivativeTable,
@@ -112,7 +112,8 @@ def test_blocked_residuals_match_the_one_path_views(case):
     m = case["m"]
     grid = TimeGrid(m)
     dw, w = np.empty((3, m)), np.empty((3, m + 1))
-    sample_rows(case["seed"], 5, dw, w)
+    sample_rows(case["seed"], 5, dw)
+    wiener_nodes(dw, w)
     spec = _spec(case)
     tables = spec_tables(spec, grid)
     e = np.array([eval_basis(n, grid.left_nodes) for n in (case["n"], 0)])
