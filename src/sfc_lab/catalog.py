@@ -431,7 +431,7 @@ def block_diffusion(st: SpecTables, w: np.ndarray) -> np.ndarray:
 def block_functionals(st: SpecTables, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed forms given the Brownian nodes W (..., m + 1): the diffusion a,
     the drift b and ``dX = a dW - diag(Da) / sqrt(m) + b / m``, each (..., m),
-    with ``dW`` the differences of W (``F(dX)``: :func:`block_dx_coefficients`)."""
+    with ``dW`` the differences of W; ``F(dX)`` is :func:`block_dx_coefficients`."""
     m = st.grid.m
     if w.shape[-1:] != (m + 1,):
         raise ConfigError(f"W must have shape (..., {m + 1}), got {w.shape}")
@@ -507,7 +507,7 @@ def block_dx_coefficients(
     return coef.T
 
 
-def path_dx_coefficients(pf: PathFunctionals, i_coef: np.ndarray, K: int, stochastic=None):
+def path_dx_coefficients(pf: PathFunctionals, i_coef: np.ndarray, K: int, stochastic=None) -> tuple:
     """One path's W terms and :func:`block_dx_coefficients`, from ``I = F(dW)``."""
     st, w = pf.tables, pf.path.values
     terms, x = w_terms(st, w), weighted_increments(st, w.copy(), pf.path.increments, None)

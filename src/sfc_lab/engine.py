@@ -33,8 +33,8 @@ second (rows, m) array only where the consumer reads dW after the transforms
 (``keep_dw``: synthesized identify with a lower triangle).  W is built in the
 scratch's real view (``2 (m // 2 + 1) >= m + 1`` floats a row), idle between
 ``F(dW)``'s copy-out and the next transform, and read there for its terms and
-``(f + alpha W) dW``, which goes into dW's rows unless ``keep_dw``, as does
-the synthesized step's ``i dW``.  Besides, a tile allocates the
+``(f + alpha W) dW``, which goes into dW's rows unless ``keep_dw`` keeps dW
+for the synthesized step's ``i dW``.  Besides, a tile allocates the
 coefficient rows and windows that it hands on, and for the windows the
 gather of I and numpy's 8 KiB multiply buffer.  A :class:`Tile`'s arrays are
 views on the worker's buffers, which its next tile overwrites: they are
