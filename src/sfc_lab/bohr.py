@@ -61,10 +61,11 @@ two modes:
                     first-order calculus suffices because every catalog
                     diffusion is affine in W.
 
-The synthesized step reads only coefficient rows.  With ``S = sum_{|l| <=
-N} I_l e_l``, ``F_n(S x) = sum_{|l| <= N} I_l F_{n-l}(x)`` is a window, and
-every term of the correction's band ``|n| <= M`` is a window or a constant
-of the run: neither the polynomial nor its gradient is formed at the nodes.
+The synthesized step transforms only ``i dW``, where a's table has a lower
+triangle.  With ``S = sum_{|l| <= N} I_l e_l``, ``F_n(S x) = sum_{|l| <= N}
+I_l F_{n-l}(x)`` is a window, and every term of the correction's band ``|n|
+<= M`` is a window or a constant of the run: neither the polynomial nor its
+gradient is formed at the nodes.
 """
 
 from __future__ import annotations
@@ -376,7 +377,7 @@ def _remainder_windows(pf: cat.PathFunctionals, n: int, N: int) -> tuple:
     ``I`` by default) and the kernel trace ``(1/(2N+1)) sum_i conj(e_n(t_i))
     dW_i sum_r P[i, r] K[i, r]`` of the diffusion's derivative table P.
 
-    The trace's rank-one part is ``B(u dW, v)``.  The strict lower triangle
+    The trace's rank-one part is ``B(dW, v)``.  The strict lower triangle
     adds ``lower S_i`` with ``S_i = sum_{1 <= d <= i} K_N(d/m) = i +
     sum_{0 < |l| <= N} r_l (z_l^i - 1)``, ``z_l = e^{2 pi i l/m}`` and ``r_l =
     z_l/(z_l - 1) = 1/2 - (i/2) cot(pi l/m)``.  The ratios of l and -l add to
@@ -387,18 +388,17 @@ def _remainder_windows(pf: cat.PathFunctionals, n: int, N: int) -> tuple:
     if not grid_supports(m, N, abs(n)):
         raise ValueError(f"grid too coarse: m={m} < 8 (N + |n|) = {8 * (N + abs(n))}")
     K = N + abs(n)
-    dw = pf.path.increments
-    i_coef = coefficients(dw, K)
+    i_coef = coefficients(pf.path.increments, K)
 
     def window(x: np.ndarray, y_coef: np.ndarray = i_coef[K - N : K + N + 1]) -> complex:
         return complex(windows(coefficients(x, K), y_coef, [n], [N])[0, 0])
 
     da = pf.tables.da
-    trace = window(da.u * dw, coefficients(da.v, N))
+    trace = complex(windows(i_coef, coefficients(da.v, N), [n], [N])[0, 0])
     if da.lower:
         ratios = _ratios(m, N)
         ratios[N] = -N
-        lower = _coefficient(np.arange(m) * dw, n) / (2 * N + 1)
+        lower = _coefficient(np.arange(m) * pf.path.increments, n) / (2 * N + 1)
         trace += da.lower * (lower + complex(windows(i_coef, ratios, [n], [N])[0, 0]))
     return i_coef, window, trace
 

@@ -14,11 +14,9 @@ on elsewhere:
   (prefix property).
 
 Gaussian variates come from ``numpy``'s ``Generator.standard_normal``
-(ziggurat), which is deterministic for a fixed bit stream.
-
-The stored ``xi`` array holds the standardized increments
-``xi_i = (W_{t_{i+1}} - W_{t_i}) * sqrt(m) ~ N(0, 1)``; they are the
-coordinates in which functional derivatives are taken.
+(ziggurat), which is deterministic for a fixed bit stream.  One sampler
+draws them: :func:`sample_rows` fills rows of paths in place, and
+:func:`sample_path` is one such row with its nodes.
 """
 
 from __future__ import annotations
@@ -56,14 +54,11 @@ class BrownianPath:
         ``W`` at every node, ``W_0 = 0``.
     increments : ndarray, shape (m,)
         ``W_{t_{i+1}} - W_{t_i}``, i.i.d. ``N(0, 1/m)``.
-    xi : ndarray, shape (m,)
-        Standardized increments, ``increments * sqrt(m)``.
     """
 
     grid: TimeGrid
     values: np.ndarray = field(repr=False)
     increments: np.ndarray = field(repr=False)
-    xi: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         m = self.grid.m
@@ -71,8 +66,6 @@ class BrownianPath:
             raise ValueError(f"values must have shape ({m + 1},), got {self.values.shape}")
         if self.increments.shape != (m,):
             raise ValueError(f"increments must have shape ({m},), got {self.increments.shape}")
-        if self.xi.shape != (m,):
-            raise ValueError(f"xi must have shape ({m},), got {self.xi.shape}")
         if self.values[0] != 0.0:
             raise ValueError("paths start at W_0 = 0")
 
@@ -106,20 +99,20 @@ def substream(seed: SeedSpec, rekey: np.random.Generator | None = None) -> np.ra
 
 
 def sample_path(seed: SeedSpec, grid: TimeGrid) -> BrownianPath:
-    """Draw the path addressed by ``seed`` on ``grid``."""
-    rng = substream(seed)
-    xi = rng.standard_normal(grid.m)
-    increments = xi / np.sqrt(grid.m)
-    values = np.concatenate([[0.0], np.cumsum(increments)])
-    return BrownianPath(grid=grid, values=values, increments=increments, xi=xi)
+    """Draw the path addressed by ``seed`` on ``grid``: one row of
+    :func:`sample_rows` and its :func:`wiener_nodes`."""
+    dw = np.empty((1, grid.m))
+    sample_rows(seed.master_seed, seed.path_index, dw)
+    w = wiener_nodes(dw, np.empty((1, grid.m + 1)))[0]
+    return BrownianPath(grid=grid, values=w, increments=dw[0])
 
 
 def sample_rows(
     master_seed: int, lo: int, dw: np.ndarray, rng: np.random.Generator | None = None
 ) -> np.random.Generator:
     """Draw the increments of paths ``lo, lo + 1, ..`` in place into the rows
-    of dW (rows, m), each bitwise those :func:`sample_path` draws; W is
-    :func:`wiener_nodes` of them.
+    of dW (rows, m), the path of ``SeedSpec(master_seed, lo + r)`` in row r;
+    W is :func:`wiener_nodes` of them.
 
     ``rng``, a generator from an earlier call, is rekeyed for each row
     (:func:`substream`); the last one is returned to be passed back.
@@ -133,10 +126,10 @@ def sample_rows(
 
 def wiener_nodes(dw: np.ndarray, w: np.ndarray) -> np.ndarray:
     """W (rows, m + 1) from dW (rows, m), in place into ``w``, which it
-    returns: ``W_0 = 0``, then one ``add.accumulate`` a row, bitwise the
-    nodes of :func:`sample_path`.  numpy holds the GIL through a cumsum along
-    a 2-D array's rows and releases it for a 1-D one of 500 or more entries,
-    so threads that build their own rows overlap."""
+    returns: ``W_0 = 0``, then one ``add.accumulate`` a row.  numpy holds the
+    GIL through a cumsum along a 2-D array's rows and releases it for a 1-D
+    one of 500 or more entries, so threads that build their own rows
+    overlap."""
     w[:, 0] = 0.0
     for row, nodes in zip(dw, w[:, 1:]):
         np.add.accumulate(row, out=nodes)

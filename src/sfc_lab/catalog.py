@@ -16,9 +16,9 @@ NONCAUSAL_MIDPOINT  0        0      1     1/2  W_{1/2}
 
 Everything is written once from the record.  With the derivative table
 ``D_r a_i = (alpha 1[r < i] + beta 1[r < tau m]) / sqrt(m)`` -- a strict lower
-triangle plus a rank-one term (a ``malliavin.DerivativeTable``; tau must be a
-grid node) -- every kind has the one increment, with ``D_i a_i`` the table's
-diagonal,
+triangle plus one row v repeated on every row (a ``malliavin.DerivativeTable``;
+tau must be a grid node) -- every kind has the one increment, with ``D_i a_i``
+the table's diagonal,
 
     dX_i = a_i dW_i - D_i a_i / sqrt(m) + b_i / m,
 
@@ -353,8 +353,8 @@ class SpecTables:
     by the spec (:func:`spec_tables`): f and g at the left tags (None when
     absent), the node index of tau (0 when beta == 0), the drift derivative
     ``c_i = d b_i / d xi_r`` (the same for every r) and the table ``d a_i /
-    d xi_r``: ``alpha / sqrt(m)`` on the strict lower triangle plus ``1 v^T``,
-    ``v_r = beta 1[r < tau m] / sqrt(m)``, the same on every path."""
+    d xi_r``: ``alpha / sqrt(m)`` on the strict lower triangle plus the row
+    ``v_r = beta 1[r < tau m] / sqrt(m)`` on every row, the same on every path."""
 
     spec: ProcessSpec
     grid: TimeGrid
@@ -400,7 +400,7 @@ def spec_tables(spec: ProcessSpec, grid: TimeGrid) -> SpecTables:
     tau = int(tau)
     v = np.zeros(m)
     v[:tau] = s * rec.beta
-    da = DerivativeTable(np.ones(m), v, s * rec.alpha)
+    da = DerivativeTable(v, s * rec.alpha)
     st = spec._tables[m] = SpecTables(spec, grid, f, g, tau, c, da)
     return st
 

@@ -55,9 +55,9 @@ DEFAULT_SEED = 20260819
 _BATTERY_ROWS = 16  # paths per block of the identity battery, whatever --paths is
 _BASIS_ORDERS = (0, 1, -3)  # the basis functions e_n of the identity battery
 # Arrays of m floats that the identity battery holds at its peak: tracemalloc's
-# peak over m = 4096 .. 16384 at 16 or more paths is 132.4-135.7 of them, for
-# the dW and W blocks (32), the e rows (6), the eight specs' tables and the
-# residuals' temporaries on one block.
+# peak at 16 or 100 paths is 135.2 of them at m = 1024 and 124.1-126.8 over
+# m = 4096 .. 16384, for the dW and W blocks (32), the e rows (6), the eight
+# specs' tables and the residuals' temporaries on one block.
 _BATTERY_ARRAYS = 136
 
 
@@ -144,16 +144,6 @@ def _write_artifacts(out_dir: Path, stem: str, result) -> None:
         print(f"wrote {path}")
 
 
-def _require_fits(command: str, need: int) -> None:
-    """Refuse a command whose arrays, ``need`` bytes, physical memory
-    cannot hold, before it allocates them."""
-    have = engine._physical_memory()
-    if have is not None and need > have:
-        raise ConfigError(
-            f"{command} needs {need:,} bytes, more than the {have:,} bytes of physical memory"
-        )
-
-
 def _check_line(ok: bool, name: str, detail: str) -> bool:
     print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
     return ok
@@ -169,7 +159,7 @@ def cmd_kernel_check(args: argparse.Namespace) -> int:
     # two (2N + 1, 7) complex term tables, and m >= 4N + 4 (which
     # kernel_l2_identity requires) bounds 2N + 1 by m/2
     terms = min(2 * args.N + 1, args.m // 2)
-    _require_fits(f"kernel-check at m={args.m}", 8 * args.m + 2 * 16 * probe.size * terms)
+    engine.require_fits(f"kernel-check at m={args.m}", 8 * args.m + 2 * 16 * probe.size * terms)
     value = kernel_l2_identity(args.N, args.m)
     expected = 2 * args.N + 1
     rel = abs(value - expected) / expected
@@ -276,7 +266,7 @@ def cmd_verify_multiplication(args: argparse.Namespace) -> int:
         raise ConfigError(f"--m must be > {2 * abs(top)} to resolve basis order {top}, got {args.m}")
     if args.m % 2:
         raise ConfigError(f"--m must be even: the battery needs t = 1/2 on the grid, got {args.m}")
-    _require_fits(f"verify-multiplication at m={args.m}", 8 * _BATTERY_ARRAYS * args.m)
+    engine.require_fits(f"verify-multiplication at m={args.m}", 8 * _BATTERY_ARRAYS * args.m)
     ok = _identity_checks(TimeGrid(args.m), args.seed, args.paths)
     print("verify-multiplication:", "all residuals in tolerance" if ok else "FAILED")
     return 0 if ok else 1

@@ -230,8 +230,17 @@ def _physical_memory() -> int | None:
         return None
 
 
-# the spec's tables of m floats: f, g, c, the derivative table's u and v, the
-# correction and the rffts of it and of g, the drift step's ramp and one temporary
+def require_fits(what: str, need: int) -> None:
+    """Refuse ``what`` where physical memory cannot hold the ``need`` bytes of its arrays."""
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise ConfigError(
+            f"{what} needs {need:,} bytes, more than the {have:,} bytes of physical memory"
+        )
+
+
+# the spec's tables of m floats: f, g, c, the derivative table's v, the correction
+# and the rffts of it and of g, the drift step's ramp, a temporary and one spare
 _TABLE_ARRAYS = 10
 
 
@@ -249,11 +258,6 @@ def _require_run_fits(
     need = results + 8 * _TABLE_ARRAYS * cfg.m + workers * (
         8 * rows * row_arrays * cfg.m + 16 * complex_size
     )
-    have = _physical_memory()
-    if have is not None and need > have:
-        owners = "tile worker's" if workers == 1 else "tile workers'"
-        raise ConfigError(
-            f"{cfg.paths} paths need {results:,} bytes of per-path results, and with the "
-            f"spec's tables and {workers} {owners} buffers the run needs {need:,} bytes, "
-            f"more than the {have:,} bytes of physical memory"
-        )
+    owners = "tile worker's" if workers == 1 else "tile workers'"
+    require_fits(f"{cfg.paths} paths need {results:,} bytes of per-path results, and with the "
+                 f"spec's tables and {workers} {owners} buffers the run", need)

@@ -26,9 +26,9 @@ For ``u`` adapted on the left (``u_i`` independent of ``xi_j`` for
 ``j >= i``) every diagonal derivative vanishes and div(u) is the plain Ito
 sum.
 
-The identity residuals take blocks of paths as ``brownian.sample_rows`` and
-``brownian.wiener_nodes`` build them and stacks of e, with a and b from the spec's tables as in the
-sweep; each side is built from its own terms.  One-path forms are views.
+The identity residuals take blocks of paths from ``brownian.sample_rows`` and
+``wiener_nodes`` and stacks of e, with a and b from the spec's tables as in
+the sweep; each side is built from its own terms.  One-path forms are views.
 """
 
 from __future__ import annotations
@@ -61,45 +61,41 @@ class DiscreteFunctional:
 
 @dataclass(frozen=True)
 class DerivativeTable:
-    """The m x m table ``P[i, r] = u_i v_r + lower * 1[r < i]``, stored as its parts.
+    """The m x m table ``P[i, r] = v_r + lower * 1[r < i]``, stored as its parts.
 
-    Every derivative table in the package has this shape: an affine
-    diffusion ``f + alpha W_t + beta W_tau`` has ``u = 1``,
-    ``v = beta 1[r < tau m] / sqrt(m)`` and ``lower = alpha / sqrt(m)``;
-    ``F e`` has ``u = e``, ``v = dF/dxi``; the drift has ``u = c``, ``v = 1``.
+    It is the derivative table of every catalog diffusion ``f + alpha W_t +
+    beta W_tau``: ``v = beta 1[r < tau m] / sqrt(m)``, ``lower = alpha / sqrt(m)``.
     Each operation is O(m) per row of its (..., m) input; :meth:`dense` is a
-    test oracle.  Sums weighted by the Dirichlet kernel read ``u``, ``v`` and
-    ``lower`` directly as Bohr windows (``bohr.remainder_terms``).
+    test oracle.  Bohr windows read ``v`` and ``lower`` (``bohr.remainder_terms``).
     """
 
-    u: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
     lower: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.u.ndim != 1 or self.u.shape != self.v.shape:
-            raise ValueError(f"u, v must be vectors of one shape: {self.u.shape}, {self.v.shape}")
+        if self.v.ndim != 1:
+            raise ValueError(f"v must be a vector, got shape {self.v.shape}")
 
     def diag(self) -> np.ndarray:
-        return self.u * self.v
+        return self.v
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``P @ x = u (v . x) + lower * sum_{r < i} x_r`` for each row of x (..., m)."""
-        out = self.u * (x @ self.v)[..., None]
+        """``P @ x = (v . x) + lower * sum_{r < i} x_r`` for each row of x (..., m)."""
+        out = np.repeat((x @ self.v)[..., None], x.shape[-1], axis=-1)
         if self.lower:
             out[..., 1:] += self.lower * np.cumsum(x[..., :-1], axis=-1)
         return out
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """``P.T @ y = v (u . y) + lower * sum_{i > r} y_i`` for each row of y (..., m)."""
-        out = self.v * (y @ self.u)[..., None]
+        """``P.T @ y = v sum_i y_i + lower * sum_{i > r} y_i`` for each row of y (..., m)."""
+        out = self.v * np.sum(y, axis=-1)[..., None]
         if self.lower:
             out[..., :-1] += self.lower * np.cumsum(y[..., :0:-1], axis=-1)[..., ::-1]
         return out
 
     def dense(self) -> np.ndarray:
-        m = len(self.u)
-        return np.outer(self.u, self.v) + self.lower * np.tril(np.ones((m, m)), -1)
+        m = len(self.v)
+        return self.v + self.lower * np.tril(np.ones((m, m)), -1)
 
 
 def _esum(x: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -118,7 +114,7 @@ def _divergence(values, table: DerivativeTable, dw) -> tuple[np.ndarray, np.ndar
 
 def _factor_out(value, partials, e, dw, rest) -> np.ndarray:
     """``|F I(e) - div(F e) - rest|``, (rows, K), for F's values (rows,) and
-    partials (rows, m): ``F e`` has the derivative table ``e_i dF/dxi_r``."""
+    partials (rows, m): ``d(F e_i)/dxi_i = e_i dF/dxi_i``."""
     lhs = value[:, None] * _esum(dw, e)
     div = _esum(value[:, None] * dw, e) - _esum(partials, e) / np.sqrt(dw.shape[-1])
     return np.abs(lhs - (div + rest))

@@ -21,9 +21,9 @@ def test_path_shapes_and_anchoring():
     path = sample_path(SeedSpec(9, 4), grid)
     assert path.values.shape == (33,)
     assert path.increments.shape == (32,)
-    assert path.xi.shape == (32,)
     assert path.values[0] == 0.0
-    npt.assert_allclose(path.increments, path.xi / np.sqrt(32), atol=0)
+    xi = substream(SeedSpec(9, 4)).standard_normal(32)
+    npt.assert_array_equal(path.increments, xi / np.sqrt(32))
     npt.assert_allclose(np.diff(path.values), path.increments, atol=1e-15)
     assert path.terminal == pytest.approx(path.increments.sum())
 
@@ -32,7 +32,8 @@ def test_same_seed_reproduces_bitwise():
     grid = TimeGrid(64)
     a = sample_path(SeedSpec(42, 7), grid)
     b = sample_path(SeedSpec(42, 7), grid)
-    assert np.array_equal(a.xi, b.xi)
+    assert np.array_equal(a.increments, b.increments)
+    assert np.array_equal(a.increments, substream(SeedSpec(42, 7)).standard_normal(64) / 8.0)
     assert np.array_equal(a.values, b.values)
 
 
@@ -41,15 +42,16 @@ def test_distinct_indices_decorrelate():
     a = sample_path(SeedSpec(42, 0), grid)
     b = sample_path(SeedSpec(42, 1), grid)
     c = sample_path(SeedSpec(43, 0), grid)
-    assert not np.array_equal(a.xi, b.xi)
-    assert not np.array_equal(a.xi, c.xi)
+    assert not np.array_equal(a.increments, b.increments)
+    assert not np.array_equal(a.increments, c.increments)
 
 
 @pytest.mark.parametrize("m", [512, 4096])
 @pytest.mark.parametrize("lo", [0, 2000])
 def test_sample_rows_are_sample_path_bitwise(m, lo):
-    # the blocked sampler of the engine and the battery against the
-    # independent one-path reference, from a fresh and from a used generator
+    # the blocked sampler of the engine and the battery, from a fresh and
+    # from a used generator, and the one-path view on it, against a one-path
+    # reference built from the substream directly
     grid = TimeGrid(m)
     used = substream(SeedSpec(5, 999))
     used.standard_normal(7)
@@ -59,9 +61,12 @@ def test_sample_rows_are_sample_path_bitwise(m, lo):
         assert rng is None or returned is rng
         assert wiener_nodes(dw, w) is w
         for r in range(3):
+            increments = substream(SeedSpec(42, lo + r)).standard_normal(m) / np.sqrt(m)
+            values = np.concatenate([[0.0], np.cumsum(increments)])
             path = sample_path(SeedSpec(42, lo + r), grid)
-            assert np.array_equal(dw[r], path.increments)
-            assert np.array_equal(w[r], path.values)
+            for row, nodes in ((dw[r], w[r]), (path.increments, path.values)):
+                assert np.array_equal(row, increments)
+                assert np.array_equal(nodes, values)
 
 
 def test_substream_is_schedule_free():
@@ -89,17 +94,17 @@ def test_rekeyed_substream_is_a_new_substream():
 def test_path_from_xi_round_trip():
     grid = TimeGrid(16)
     path = sample_path(SeedSpec(11, 2), grid)
-    rebuilt = path_from_xi(path.xi, grid)
+    xi = substream(SeedSpec(11, 2)).standard_normal(16)
+    rebuilt = path_from_xi(xi, grid)
     assert np.array_equal(rebuilt.values, path.values)
     with pytest.raises(ValueError):
-        path_from_xi(path.xi[:-1], grid)
+        path_from_xi(xi[:-1], grid)
 
 
 def test_path_validation():
     grid = TimeGrid(4)
-    xi = np.zeros(4)
     with pytest.raises(ValueError):
-        BrownianPath(grid=grid, values=np.ones(5), increments=xi / 2, xi=xi)  # W_0 != 0
+        BrownianPath(grid=grid, values=np.ones(5), increments=np.zeros(4))  # W_0 != 0
 
 
 def test_terminal_distribution_moments():

@@ -29,7 +29,7 @@ from sfc_lab.malliavin import (
 
 
 def zero_table(m):
-    return DerivativeTable(u=np.zeros(m), v=np.zeros(m))
+    return DerivativeTable(v=np.zeros(m))
 
 
 def block(paths):
@@ -43,9 +43,7 @@ def test_container_validation(paths256):
     with pytest.raises(ValueError):
         DiscreteFunctional(value=1.0, partials=np.ones((4, 4)))
     with pytest.raises(ValueError):
-        DerivativeTable(u=np.ones(3), v=np.ones(4))
-    with pytest.raises(ValueError):
-        DerivativeTable(u=np.ones((2, 3)), v=np.ones((2, 3)))
+        DerivativeTable(v=np.ones((2, 3)))
     npt.assert_allclose(zero_table(5).dense(), 0.0, atol=0)
     # e at the m + 1 nodes instead of the m left tags is a tagging mistake
     path = paths256[0]
@@ -68,7 +66,7 @@ def test_divergence_of_w1_row_is_hermite(paths256):
     w, dw = block(paths256[:5])
     m = dw.shape[-1]
     s = 1.0 / np.sqrt(m)
-    table = DerivativeTable(u=np.ones(m), v=np.full(m, s))
+    table = DerivativeTable(v=np.full(m, s))
     assert np.array_equal(table.dense(), np.full((m, m), s))
     w1 = w[:, -1]
     div, _ = _divergence(np.repeat(w1[:, None], m, axis=1), table, dw)
@@ -80,7 +78,7 @@ def test_divergence_of_adapted_row_is_ito_sum(paths256):
     # divergence coincides with the left Ito sum
     w, dw = block(paths256)
     m = dw.shape[-1]
-    partials = DerivativeTable(u=np.ones(m), v=np.zeros(m), lower=1.0 / np.sqrt(m))
+    partials = DerivativeTable(v=np.zeros(m), lower=1.0 / np.sqrt(m))
     assert np.array_equal(partials.dense(), np.tril(np.full((m, m), 1.0 / np.sqrt(m)), k=-1))
     w_left = w[:, :-1]
     div, _ = _divergence(w_left, partials, dw)
@@ -105,18 +103,19 @@ def test_divergence_gradient(paths256):
     _, det = _divergence(np.ones(dw.shape), zero_table(m), dw)
     npt.assert_allclose(det, np.full(dw.shape, s), atol=1e-15)
     w1 = w[:, -1:]
-    table = DerivativeTable(u=np.ones(m), v=np.full(m, s))
+    table = DerivativeTable(v=np.full(m, s))
     _, non = _divergence(np.repeat(w1, m, axis=1), table, dw)
     npt.assert_allclose(non, np.repeat(2.0 * w1 * s, m, axis=1), atol=1e-12)
 
 
 def _inclusive_tail(self, y):
     """rmatvec with the tail summed over i >= r instead of i > r."""
-    return self.v * (y @ self.u)[..., None] + self.lower * np.cumsum(y[..., ::-1], -1)[..., ::-1]
+    tail = self.lower * np.cumsum(y[..., ::-1], -1)[..., ::-1]
+    return self.v * np.sum(y, axis=-1)[..., None] + tail
 
 
 def _no_rank_one(self, y):
-    """rmatvec without the rank-one part ``v (u . y)``."""
+    """rmatvec without the rank-one part ``v sum_i y_i``."""
     out = np.zeros(y.shape)
     out[..., :-1] = self.lower * np.cumsum(y[..., :0:-1], axis=-1)[..., ::-1]
     return out

@@ -28,7 +28,6 @@ from sfc_lab import (
 from sfc_lab.brownian import sample_rows, wiener_nodes
 from sfc_lab.catalog import DRIFT_KINDS, block_diffusion, spec_tables
 from sfc_lab.malliavin import (
-    DerivativeTable,
     block_lemma_residual,
     block_prop1_residual,
     block_prop2_residual,
@@ -55,33 +54,21 @@ def _spec(case):
     return spec_for(case["kind"], extra)
 
 
-def _tables(case, path):
-    """Every table shape of the package: diffusion, drift ``c 1^T``, ``e dF``."""
-    tables = spec_tables(_spec(case), path.grid)
-    m = path.grid.m
-    e = eval_basis(case["n"], path.grid.left_nodes)
-    grad = w1_functionals(path)["W_1^2-1"].partials
-    return [
-        tables.da,
-        DerivativeTable(u=tables.c, v=np.ones(m)),
-        DerivativeTable(u=e, v=grad),
-        DerivativeTable(u=e, v=grad * 1j, lower=-0.3 / np.sqrt(m)),
-    ]
-
-
 @SETTINGS
 @given(cases)
 def test_structured_table_equals_dense(case):
+    # the catalog's table shapes: the strict lower triangle (ADAPTED_W), the
+    # step v (MIDPOINT) and both (BRIDGE)
     m = case["m"]
     grid = TimeGrid(m)
-    path = sample_path(SeedSpec(case["seed"], 0), grid)
+    kinds = ("ADAPTED_W", "NONCAUSAL_BRIDGE", "NONCAUSAL_MIDPOINT")
     rng = np.random.default_rng(case["seed"])
     x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     y = rng.standard_normal(m)
     # a (3, m) stack of each, as the blocked residuals pass them
     xs = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
     ys = rng.standard_normal((3, m))
-    for table in _tables(case, path):
+    for table in (spec_tables(spec_for(kind), grid).da for kind in kinds):
         dense = table.dense()
         scale = 1.0 + np.max(np.abs(dense))
         tol = 1e-12 * scale * m
