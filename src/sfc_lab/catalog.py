@@ -27,8 +27,9 @@ stochastic part is the discrete Ito sum ``sum_{i < k} W_i dW_i`` for W_t and
 ``W_tau W_t - min(t, tau)`` for ``W_tau``, and X reproduces
 ``div(a conj(e_n))`` and the Fourier coefficients of a exactly on every path,
 for every kind.  Given W, dX is linear in dW, so :func:`block_dx_coefficients`
-takes ``F(dX)`` from ``F(dW)``, a few values of W and at most one transform,
-of ``(f + alpha W) dW``, which W1, MIDPOINT and CONST do not need.
+takes ``F(dX)`` from ``F(dW)``, ``W_tau`` and ``W_1`` (sums of dW, :func:`w_terms`)
+and at most one transform, of ``(f + alpha W) dW``, which W1, MIDPOINT and
+CONST do not need: only ADAPTED_W and BRIDGE (alpha != 0) read W at every node.
 
 The drift ``b(t) = g(t)`` or ``W_1 g(t)`` (an anticipating drift of chaos
 order 1, ``D_s b(t) = g(t)``) contributes the left Riemann accumulator
@@ -341,9 +342,8 @@ def _table_nodes(name: str, table, m: int) -> np.ndarray:
         return synthesize(np.array([table.coeff(k) for k in range(-K, K + 1)]), m)
     arr = np.asarray(table, dtype=float)
     if arr.shape != (m,):
-        raise ConfigError(
-            f"{name} node table has length {arr.shape[0]} but the path grid has m={m} cells"
-        )
+        raise ConfigError(f"{name} node table has length {arr.shape[0]} but the path grid "
+                          f"has m={m} cells")
     return arr
 
 
@@ -400,9 +400,8 @@ def spec_tables(spec: ProcessSpec, grid: TimeGrid) -> SpecTables:
     tau = int(tau)
     v = np.zeros(m)
     v[:tau] = s * rec.beta
-    da = DerivativeTable(v, s * rec.alpha)
-    st = spec._tables[m] = SpecTables(spec, grid, f, g, tau, c, da)
-    return st
+    spec._tables[m] = SpecTables(spec, grid, f, g, tau, c, DerivativeTable(v, s * rec.alpha))
+    return spec._tables[m]
 
 
 def block_drift(st: SpecTables, w: np.ndarray) -> np.ndarray:
@@ -444,19 +443,19 @@ def block_functionals(st: SpecTables, w: np.ndarray) -> tuple[np.ndarray, np.nda
     return a, b, dx
 
 
-def w_terms(st: SpecTables, w: np.ndarray) -> tuple:
-    """What the record reads of W (..., m + 1) besides ``(f + alpha W) dW``,
-    as copies of shape (..): ``beta W_tau``, ``W_1`` and, where alpha != 0,
-    ``sum_i W_i`` over the left tags (else None)."""
-    rec = st.spec.record
-    total = w[..., :-1].sum(axis=-1) if rec.alpha else None
-    return rec.beta * w[..., st.tau], w[..., -1].copy(), total
+def w_terms(st: SpecTables, dw: np.ndarray, w: np.ndarray | None = None) -> tuple:
+    """What the record reads of the path besides ``(f + alpha W) dW``, shape
+    (..): ``beta W_tau`` and ``W_1`` as sums of dW (..., m), and ``sum_i W_i``
+    over the left tags from W (..., m + 1) where alpha != 0 (else None)."""
+    rec, w_1 = st.spec.record, dw.sum(axis=-1)
+    w_tau = w_1 if st.tau == st.grid.m else dw[..., : st.tau].sum(axis=-1)
+    return rec.beta * w_tau, w_1, w[..., :-1].sum(axis=-1) if rec.alpha else None
 
 
-def weighted_increments(st: SpecTables, w: np.ndarray, dw: np.ndarray, out) -> np.ndarray | None:
+def weighted_increments(st: SpecTables, w: np.ndarray | None, dw: np.ndarray, out):
     """``(f + alpha W) dW`` into ``out`` (dW itself, say), with ``alpha W``
-    formed in place on W (..., m + 1), which is read no further.  None where
-    alpha = 0 and f is None (the term is 0) or 1 (CONST, which
+    formed in place on W (..., m + 1), read no further (None at alpha = 0).
+    None where alpha = 0 and f is None (the term is 0) or 1 (CONST, which
     ``_table_nodes`` fills exactly: the term is dW, whose transform is I)."""
     rec = st.spec.record
     if not rec.alpha and (st.f is None or (st.f == 1.0).all()):
@@ -509,8 +508,8 @@ def block_dx_coefficients(
 
 def path_dx_coefficients(pf: PathFunctionals, i_coef: np.ndarray, K: int, stochastic=None) -> tuple:
     """One path's W terms and :func:`block_dx_coefficients`, from ``I = F(dW)``."""
-    st, w = pf.tables, pf.path.values
-    terms, x = w_terms(st, w), weighted_increments(st, w.copy(), pf.path.increments, None)
+    st, w, dw = pf.tables, pf.path.values, pf.path.increments
+    terms, x = w_terms(st, dw, w), weighted_increments(st, w.copy(), dw, None)
     return terms, block_dx_coefficients(st, terms, x, i_coef, K, stochastic=stochastic)
 
 
@@ -596,5 +595,6 @@ def block_true_fourier_a(
 def true_fourier_a(spec: ProcessSpec, path: BrownianPath, n: int) -> complex:
     """Per-path coefficient ``(1/m) sum_i a(t_i) conj(e_n(t_i))`` (DET given
     TrigPoly data: its exact coefficient, which the sum equals)."""
-    st, i_coef = spec_tables(spec, path.grid), coefficients(path.increments, abs(n))
-    return complex(block_true_fourier_a(st, w_terms(st, path.values), [n], i_coef)[0])
+    st, dw = spec_tables(spec, path.grid), path.increments
+    i_coef, terms = coefficients(dw, abs(n)), w_terms(st, dw, path.values)
+    return complex(block_true_fourier_a(st, terms, [n], i_coef)[0])

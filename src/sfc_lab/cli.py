@@ -200,10 +200,11 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     grid = TimeGrid(512)
     ok &= _identity_checks(grid, seed, paths=20)
 
-    # sampling sanity on paths 2000..2399: terminal variance and the discrete isometry
+    # sampling sanity on paths 2000..2399: terminal variance (W_1 as a sum of
+    # dW, as the tiles take it) and the discrete isometry
     dw = np.empty((400, grid.m))
     sample_rows(seed, 2000, dw)
-    var = float(np.var(wiener_nodes(dw, np.empty((400, grid.m + 1)))[:, -1], ddof=1))
+    var = float(np.var(dw.sum(axis=-1), ddof=1))
     ok &= _check_line(0.85 <= var <= 1.15, "terminal variance", f"var={var:.4f}")
     iso_mean = float(np.mean(np.abs(coefficients(dw, 1)[:, 2]) ** 2))
     ok &= _check_line(abs(iso_mean - 1.0) <= 0.2, "basis isometry", f"mean={iso_mean:.4f}")

@@ -5,11 +5,14 @@ Tiles
 A run's paths go in row tiles of at most ``block_size`` and 16 rows, and of
 at most as many as keep one (rows, m) float array within ``TILE_BYTES``
 (:func:`tile_rows`).  Each tile draws dW (``brownian.sample_rows``), takes
-its transform, builds W and reads off the few values of W that the affine
-record needs (``catalog.w_terms``), gets ``F(dX)`` by the record's linearity
+its transform, sums ``W_tau`` and ``W_1`` over dW's rows
+(``catalog.w_terms``), gets ``F(dX)`` by the record's linearity
 (``catalog.block_dx_coefficients``) and its Bohr windows at the orders ``n =
 0 .. M`` from one ``bohr.windows`` call, and goes to the run's callback as a
-:class:`Tile`.  No tile builds the orders ``n < 0`` (``sfc.mirror``).
+:class:`Tile`.  Only ADAPTED_W and BRIDGE (alpha != 0) build W at every node
+(``brownian.wiener_nodes``), since their ``(f + alpha W) dW`` reads it there;
+the other kinds never build it.  No tile builds the orders ``n < 0``
+(``sfc.mirror``).
 
 Threads
 -------
@@ -30,17 +33,18 @@ Buffers
 Each worker allocates its buffers and its generator at its first tile and
 fills them in place for every later one: dW, one flat complex scratch, and a
 second (rows, m) array only where the consumer reads dW after the transforms
-(``keep_dw``: synthesized identify with a lower triangle).  W is built in the
-scratch's real view (``2 (m // 2 + 1) >= m + 1`` floats a row), idle between
-``F(dW)``'s copy-out and the next transform, and read there for its terms and
-``(f + alpha W) dW``, which goes into dW's rows unless ``keep_dw`` keeps dW
-for the synthesized step's ``i dW``.  Besides, a tile allocates the
-coefficient rows and windows that it hands on, and for the windows the
-gather of I and numpy's 8 KiB multiply buffer.  A :class:`Tile`'s arrays are
-views on the worker's buffers, which its next tile overwrites: they are
-valid only inside the callback.  The size check (:func:`_require_run_fits`)
-counts the buffers of every worker that starts, the spec's tables and the
-per-path results, before any of them is built.
+(``keep_dw``: synthesized identify with a lower triangle).  W's terms are
+read off dW before anything overwrites it.  Where alpha != 0, W is built in
+the scratch's real view (``2 (m // 2 + 1) >= m + 1`` floats a row), idle
+between ``F(dW)``'s copy-out and the next transform, and read there for
+``sum_i W_i`` and ``alpha W``.  ``(f + alpha W) dW`` goes into dW's rows
+unless ``keep_dw`` keeps dW for the synthesized step's ``i dW``.  Besides,
+a tile allocates the coefficient rows and windows that it hands on, and for
+the windows the gather of I and numpy's 8 KiB multiply buffer.  A
+:class:`Tile`'s arrays are views on the worker's buffers, which its next
+tile overwrites: they are valid only inside the callback.  The size check
+(:func:`_require_run_fits`) counts the buffers of every worker that starts,
+the spec's tables and the per-path results, before any of them is built.
 """
 
 from __future__ import annotations
@@ -63,7 +67,11 @@ if TYPE_CHECKING:
 
 THREADS_ENV = "SFC_LAB_THREADS"
 TILE_BYTES = 256 * 1024  # one (rows, m) float64 array of a tile fits in this
-_TILE_MAX_ROWS = 16  # taller tiles grow synthesized identify's temporaries and gain no time
+# Taller tiles trade memory for time.  On a 2-vCPU Xeon KVM guest a one-thread
+# m=1024 BRIDGE sweep (N 4..64, M=4, P=2000) took 89 / 83 / 74 ms at 16 / 32 /
+# 64 rows, two workers ran at 0.93-1.01x of one at each height, and a worker's
+# buffers grow with its rows (ROADMAP item 12 has the m=4096 case).
+_TILE_MAX_ROWS = 16
 _ONE_WORKER_MAX_M = 1024  # a run at m up to this works its tiles on one thread (see _workers)
 
 
@@ -161,8 +169,11 @@ def _run_tiles(
         dw, x = (b[:count] for b in real)
         local.rng = sample_rows(cfg.master_seed, lo, dw, local.rng)
         i_coef = coefficients(dw, L, complex_scratch)  # order l at column l + L
-        w = complex_scratch.view(float)[: count * (m + 1)].reshape(count, m + 1)
-        terms = w_terms(st, wiener_nodes(dw, w))
+        w = None
+        if st.spec.record.alpha:  # (f + alpha W) dW reads W at every node
+            w = complex_scratch.view(float)[: count * (m + 1)].reshape(count, m + 1)
+            wiener_nodes(dw, w)
+        terms = w_terms(st, dw, w)  # read before x, which may overwrite dW
         x = weighted_increments(st, w, dw, x)  # the last read of W before the scratch is reused
         stochastic = np.empty((count, M + 1), dtype=complex)
         f_coef = block_dx_coefficients(  # order k at column k + n_max + M

@@ -16,11 +16,12 @@ keeps the same contract as the sweep:
 * every path comes from its own counter-based substream keyed by
   ``(master_seed, path_index)``;
 * every step treats each row on its own -- the coefficient transform is one
-  real FFT per row, W is one cumsum per row, and each window adds its row's
-  products one by one in the same order whatever the rows beside it -- so
-  per-path outputs are bitwise independent of the tile a path lands in, of
-  ``block_size``, of the thread count and worker schedule and of the run's
-  total P (prefix property);
+  real FFT per row, W_tau and W_1 are one sum of a row of dW each, W (built
+  for ADAPTED_W and BRIDGE only) is one cumsum per row, and each window adds
+  its row's products one by one in the same order whatever the rows beside
+  it -- so per-path outputs are bitwise independent of the tile a path lands
+  in, of ``block_size``, of the thread count and worker schedule and of the
+  run's total P (prefix property);
 * per-path statistics land in arrays indexed by path, and all reductions run
   afterwards as exact sums rounded once, bitwise what ``math.fsum`` gives in
   any order, by one vectorized kernel that both results share.

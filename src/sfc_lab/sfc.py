@@ -14,10 +14,11 @@ With ``t_i = i/m`` the sum is the real DFT of the increments:
 ``F_{-n} = conj(F_n)``, and :func:`coefficients` fills them that way.  Every
 coefficient in the package comes from it: those of dW, the windows of the
 remainders, the left Riemann truth of a (through ``F(dW)``) and ``F(dX)``,
-by linearity from ``F(dW)`` and one transform of ``(f + alpha W) dW``, which
-W1, MIDPOINT and CONST skip (``catalog.block_dx_coefficients``).  What is built
-from them mirrors the same way, and everything else builds the orders
-``n = 0 .. M`` alone: :func:`mirror` fills in ``n < 0``.
+by linearity from ``F(dW)``, ``W_tau`` and ``W_1`` (sums of dW) and one
+transform of ``(f + alpha W) dW``, which W1, MIDPOINT and CONST skip
+(``catalog.block_dx_coefficients``); only ADAPTED_W and BRIDGE build W.
+What is built from them mirrors the same way, and everything else builds
+the orders ``n = 0 .. M`` alone: :func:`mirror` fills in ``n < 0``.
 The inverse, :func:`synthesize`, is the one way back to the left tags: one
 ``irfft`` gives the kernel's lag row and every trigonometric-polynomial
 table of the catalog.  Direct sums remain only in the tests' oracles

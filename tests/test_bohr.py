@@ -208,7 +208,7 @@ def test_the_drift_step_hands_windows_order_major_rows(monkeypatch):
     spectrum = buffer[: rows * (m // 2 + 1)].reshape(rows, -1)
     f_coef, i_coef = coefficients(dx, N + M, spectrum), coefficients(dw, N + M, spectrum)
     a_hat = windows(f_coef, i_coef[:, M : M + 2 * N + 1], range(M + 1), [N])[..., 0]
-    args = (st, SYNTHESIZED, w_terms(st, w), dw, a_hat, f_coef, i_coef)
+    args = (st, SYNTHESIZED, w_terms(st, dw, w), dw, a_hat, f_coef, i_coef)
     expected = drift_coefficients(*args, out=(dx.copy(), buffer))  # and the step's plans
     layouts = []
     real = bohr.windows
@@ -373,7 +373,8 @@ def test_spectral_gradient_matches_loop(case):
     i_coef = coefficients(path.increments, max(N + M, 2 * M))
     st = spec_tables(pf.spec, pf.grid)
     zero = np.zeros(M + 1, dtype=complex)
-    args = (w_terms(st, path.values), path.increments, zero, f_set.values, i_coef)
+    terms = w_terms(st, path.increments, path.values)
+    args = (terms, path.increments, zero, f_set.values, i_coef)
     diag = drift_coefficients(st, "synthesized", *args) - f_set.values[N + M : N + 2 * M + 1]
     assert np.max(np.abs(diag - reference)) <= 1e-12 * (1 + np.max(np.abs(reference)))
     a_hat = identify_a(pf, cfg)

@@ -185,7 +185,34 @@ def test_w1_drift_values():
 def _dx_coefficients(tables, w, dw, i_coef, K, **kwargs):
     """block_dx_coefficients from W and dW, leaving both as they were."""
     x = weighted_increments(tables, w.copy(), dw, None)
-    return block_dx_coefficients(tables, w_terms(tables, w), x, i_coef, K, **kwargs)
+    return block_dx_coefficients(tables, w_terms(tables, dw, w), x, i_coef, K, **kwargs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(CATALOG_KINDS),
+    drift=st.sampled_from(DRIFT_KINDS),
+    rows=st.integers(1, 4),
+    m=st.sampled_from([8, 64, 100, 256]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_w_terms_are_the_reads_of_w_within_rounding(kind, drift, rows, m, seed):
+    # beta W_tau and W_1 are sums of dW, where W's nodes are one running sum:
+    # the two differ by rounding alone, at most 4 eps sum_i |dW_i| a row
+    spec = spec_for(kind, {} if drift == "none" else {"g": cosine(), "drift": drift})
+    tables = spec_tables(spec, TimeGrid(m))
+    dw = np.random.default_rng(seed).standard_normal((rows, m)) / np.sqrt(m)
+    w = np.zeros((rows, m + 1))
+    np.cumsum(dw, axis=1, out=w[:, 1:])
+    w_tau, w_1, total = w_terms(tables, dw, w)
+    bound = 4 * np.finfo(float).eps * np.abs(dw).sum(axis=1)
+    rec = KIND_RECORDS[kind]
+    assert np.all(np.abs(w_tau - rec.beta * w[:, tables.tau]) <= abs(rec.beta) * bound)
+    assert np.all(np.abs(w_1 - w[:, -1]) <= bound)
+    if rec.alpha:
+        assert total.tobytes() == w[:, :-1].sum(axis=1).tobytes()
+    else:
+        assert total is None and w_terms(tables, dw)[2] is None  # W is not read
 
 
 def test_block_matches_single_path():
@@ -225,7 +252,7 @@ def test_buffered_forms_equal_the_allocating_forms(kind, drift, rows, m, seed):
     x, buffer = dw.copy(), np.full(rows * (m // 2 + 1), np.nan, dtype=complex)
     in_buffer = buffer.view(float)[: rows * (m + 1)].reshape(rows, m + 1)
     in_buffer[...] = w
-    terms = w_terms(tables, in_buffer)
+    terms = w_terms(tables, x, in_buffer)
     x = weighted_increments(tables, in_buffer, x, x)
     got = block_dx_coefficients(tables, terms, x, i_coef, K, buffer=buffer, stochastic=stochastic)
     assert got.tobytes() == fresh.tobytes() and stochastic.tobytes() == kept.tobytes()
@@ -279,7 +306,7 @@ def test_dx_coefficients_follow_the_record(case):
     ref = coefficients(dx, K)
     assert np.max(np.abs(got - ref)) <= 1e-13 * (1 + np.max(np.abs(ref)))
     unused = np.zeros((rows, M + 1), dtype=complex)
-    b = drift_coefficients(tables, CLOSED_FORM, w_terms(tables, w), None, unused, got, i_coef,
+    b = drift_coefficients(tables, CLOSED_FORM, w_terms(tables, dw, w), None, unused, got, i_coef,
                            stochastic=stochastic)
     ref = coefficients(dx - a * dw + tables.correction, M)[:, M:]  # the step returns n = 0 .. M
     assert np.max(np.abs(b - ref)) <= 1e-13 * (1 + np.max(np.abs(ref)))
@@ -298,7 +325,7 @@ def test_true_fourier_a_by_parts_is_the_left_riemann_sum(kind, m):
     tables = spec_tables(spec_for(kind), grid)
     orders = np.arange(-M, M + 1)
     oracle = coefficients(block_diffusion(tables, w), M) / m
-    terms = w_terms(tables, w)
+    terms = w_terms(tables, dw, w)
     for i_coef in (coefficients(dw, M), coefficients(dw, 3 * M)):
         got = block_true_fourier_a(tables, terms, orders, i_coef)
         assert np.abs(got - oracle).max() <= 1e-12, kind
@@ -318,7 +345,8 @@ def test_a_node_table_truth_is_the_direct_left_riemann_sum():
     tables, path = spec_tables(spec, grid), sample_path(SeedSpec(33, 0), grid)
     direct = [np.sum(f * eval_basis(-n, grid.left_nodes)) / m for n in range(-5, 6)]
     i_coef = coefficients(path.increments, 5)
-    got = block_true_fourier_a(tables, w_terms(tables, path.values), range(-5, 6), i_coef)
+    terms = w_terms(tables, path.increments, path.values)
+    got = block_true_fourier_a(tables, terms, range(-5, 6), i_coef)
     npt.assert_allclose(got, direct, rtol=0, atol=1e-15)
     assert true_fourier_a(spec, path, 2) == pytest.approx(direct[7], abs=1e-15)
 
@@ -353,13 +381,14 @@ def test_per_run_caches_key_on_the_tables_and_their_arguments():
     for spec in (make_process("DET", {"f": node_f}), spec_for("NONCAUSAL_BRIDGE")):
         tables = spec_tables(spec, grid)
         forms = (list(range(-3, 5)), tuple(range(-3, 5)), range(-3, 5), np.arange(-3, 5))
-        terms = w_terms(tables, w)
+        terms = w_terms(tables, path.increments, w)
         first, *rest = (block_true_fourier_a(tables, terms, orders, i_coef) for orders in forms)
         assert all(other.tobytes() == first.tobytes() for other in rest)
     # two DET specs on one grid and orders: each truth is its own f's
     for k in (1, 2):
         tables = spec_tables(make_process("DET", {"f": cosine(k)}), grid)
-        npt.assert_array_equal(block_true_fourier_a(tables, w_terms(tables, w), (0, 1, 2), i_coef),
+        terms = w_terms(tables, path.increments, w)
+        npt.assert_array_equal(block_true_fourier_a(tables, terms, (0, 1, 2), i_coef),
                                [0.5 if n == k else 0.0 for n in (0, 1, 2)])
     # two drift specs at one N and M: each plan holds its own F(c)
     for k in (1, 2):

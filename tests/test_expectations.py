@@ -61,7 +61,7 @@ def test_the_drift_step_recovers_the_mean_drift_coefficient(rows, kind, drift, N
     st = spec_tables(spec_for(kind, {"g": G, "drift": drift}), TimeGrid(M_CELLS))
     L = max(N + M, 2 * M)
     i_coef = coefficients(dw, L)
-    terms = w_terms(st, w)
+    terms = w_terms(st, dw, w)
     x = weighted_increments(st, w.copy(), dw, np.empty_like(dw))
     stochastic = np.empty((len(dw), M + 1), dtype=complex)
     f_coef = block_dx_coefficients(st, terms, x, i_coef, N + M, stochastic=stochastic)

@@ -32,6 +32,7 @@ from sfc_lab import (
 )
 from sfc_lab.catalog import (
     DRIFT_KINDS,
+    KIND_RECORDS,
     block_dx_coefficients,
     block_true_fourier_a,
     spec_tables,
@@ -618,7 +619,7 @@ def test_a_const_tile_takes_one_transform(monkeypatch):
     dw = np.random.default_rng(3).standard_normal((4, cfg.m)) / 16
     w = np.zeros((4, cfg.m + 1))
     np.cumsum(dw, axis=1, out=w[:, 1:])
-    i_coef, terms = coefficients(dw, 20), w_terms(tables, w)
+    i_coef, terms = coefficients(dw, 20), w_terms(tables, dw, w)
     assert weighted_increments(tables, w, dw, None) is None
     copied = block_dx_coefficients(tables, terms, None, i_coef, 17)
     assert copied.tobytes() == block_dx_coefficients(tables, terms, 1.0 * dw, i_coef, 17).tobytes()
@@ -634,6 +635,27 @@ def test_a_const_tile_takes_one_transform(monkeypatch):
     assert calls == [(16, 256)] * 7 + [(8, 256)]  # F(dW) alone, once a tile
 
 
+@pytest.mark.parametrize("kind", CATALOG_KINDS)
+def test_a_tile_builds_w_only_where_the_record_reads_it_at_every_node(monkeypatch, kind):
+    # W_tau and W_1 are sums of dW, so only (f + alpha W) dW needs W at every
+    # node: ADAPTED_W and BRIDGE build it once a tile, the other kinds never
+    import sfc_lab.engine as engine
+
+    monkeypatch.setenv("SFC_LAB_THREADS", "1")
+    calls, real = [], engine.wiener_nodes
+
+    def counting(dw, w):
+        calls.append(len(dw))
+        return real(dw, w)
+
+    monkeypatch.setattr(engine, "wiener_nodes", counting)
+    cfg = small_config(spec=spec_for(kind, {"g": cosine(), "drift": "w1"}))  # 8 tiles
+    run_convergence(cfg)
+    run_identify(cfg, "synthesized")
+    per_run = [16] * 7 + [8] if KIND_RECORDS[kind].alpha else []
+    assert calls == per_run * 2
+
+
 def test_tiles_reuse_the_workers_buffers(monkeypatch):
     monkeypatch.setenv("SFC_LAB_THREADS", "1")
     cfg = small_config()
@@ -643,7 +665,7 @@ def test_tiles_reuse_the_workers_buffers(monkeypatch):
     for prev, tile in zip(tiles, tiles[1:]):
         assert np.shares_memory(prev.complex_scratch, tile.complex_scratch)
         assert np.shares_memory(prev.dw, tile.dw)
-        # W was built in the scratch, so none of its terms may be a view on it
+        # ADAPTED_W and BRIDGE build W in the scratch; no term may be a view on it
         assert not any(np.shares_memory(t, tile.complex_scratch) for t in tile.terms[:2])
 
 
