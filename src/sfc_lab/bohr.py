@@ -432,7 +432,7 @@ def remainder_terms(pf: cat.PathFunctionals, n: int, N: int) -> RemainderTerms:
     drift_derivative = s * _coefficient(pf.tables.c, n) / (2 * N + 1)
     # drift smoothed by the kernel, integrated dW in the j slot; its divergence
     # correction is the drift derivative.
-    drift_wiener = window(pf.b_nodes / m) - drift_derivative
+    drift_wiener = window(cat.block_drift(pf.tables, pf.path.values) / m) - drift_derivative
     double_wiener = estimate - truth - diffusion_derivative - drift_wiener - drift_derivative
     return RemainderTerms(double_wiener, diffusion_derivative, drift_wiener, drift_derivative)
 
@@ -452,6 +452,6 @@ def iterated_divergence_term(pf: cat.PathFunctionals, n: int, N: int) -> complex
     """
     m = pf.grid.m
     _, window, trace = _remainder_windows(pf, n, N)
-    z = pf.a_nodes * pf.path.increments - pf.tables.correction
-    outer = window(z) - trace / np.sqrt(m)
-    return complex(outer - _coefficient(pf.a_nodes, n) / m)
+    a = cat.block_diffusion(pf.tables, pf.path.values)
+    outer = window(a * pf.path.increments - pf.tables.correction) - trace / np.sqrt(m)
+    return complex(outer - _coefficient(a, n) / m)

@@ -312,15 +312,11 @@ def spec_for(kind: str, extra: Mapping | None = None) -> ProcessSpec:
 
 @dataclass(frozen=True, eq=False)
 class PathFunctionals:
-    """A catalog entry evaluated along one path: the diffusion and drift at
-    the left tags and the increments dX that feed every coefficient sum.
-    Its :attr:`tables` are the spec's own, built once per spec and grid."""
+    """A catalog entry bound to one path: the one-path views take what they read
+    from the path and the spec's :attr:`tables`, built once per spec and grid."""
 
     spec: ProcessSpec
     path: BrownianPath
-    a_nodes: np.ndarray = field(repr=False)
-    b_nodes: np.ndarray = field(repr=False)
-    dx: np.ndarray = field(repr=False)
 
     @property
     def grid(self) -> TimeGrid:
@@ -369,7 +365,7 @@ class SpecTables:
         """``D_i a_i / sqrt(m)``, the divergence's correction that dX
         subtracts and closed-form drift recovery adds back, computed on
         first use and kept with the tables."""
-        return self.da.diag() / np.sqrt(self.grid.m)
+        return self.da.v / np.sqrt(self.grid.m)
 
     @cached_property
     def correction_spectrum(self) -> np.ndarray:
@@ -425,22 +421,6 @@ def block_diffusion(st: SpecTables, w: np.ndarray) -> np.ndarray:
     if rec.beta:
         a += rec.beta * w[..., st.tau : st.tau + 1]
     return a
-
-
-def block_functionals(st: SpecTables, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed forms given the Brownian nodes W (..., m + 1): the diffusion a,
-    the drift b and ``dX = a dW - diag(Da) / sqrt(m) + b / m``, each (..., m),
-    with ``dW`` the differences of W; ``F(dX)`` is :func:`block_dx_coefficients`."""
-    m = st.grid.m
-    if w.shape[-1:] != (m + 1,):
-        raise ConfigError(f"W must have shape (..., {m + 1}), got {w.shape}")
-    a = block_diffusion(st, w)
-    dx = np.subtract(w[..., 1:], w[..., :-1])
-    dx *= a
-    b = block_drift(st, w)
-    dx -= st.correction
-    dx += b / m
-    return a, b, dx
 
 
 def w_terms(st: SpecTables, dw: np.ndarray, w: np.ndarray | None = None) -> tuple:
@@ -509,14 +489,15 @@ def block_dx_coefficients(
 def path_dx_coefficients(pf: PathFunctionals, i_coef: np.ndarray, K: int, stochastic=None) -> tuple:
     """One path's W terms and :func:`block_dx_coefficients`, from ``I = F(dW)``."""
     st, w, dw = pf.tables, pf.path.values, pf.path.increments
-    terms, x = w_terms(st, dw, w), weighted_increments(st, w.copy(), dw, None)
+    terms = w_terms(st, dw, w)
+    x = weighted_increments(st, w.copy() if st.spec.record.alpha else None, dw, None)
     return terms, block_dx_coefficients(st, terms, x, i_coef, K, stochastic=stochastic)
 
 
 def eval_functionals(spec: ProcessSpec, path: BrownianPath) -> PathFunctionals:
-    """Evaluate a catalog entry along one path (X(0) = 0 always)."""
-    a, b, dx = block_functionals(spec_tables(spec, path.grid), path.values)
-    return PathFunctionals(spec=spec, path=path, a_nodes=a, b_nodes=b, dx=dx)
+    """Bind a catalog entry to one path (X(0) = 0) once its tables fit the grid."""
+    spec_tables(spec, path.grid)
+    return PathFunctionals(spec=spec, path=path)
 
 
 # ---------------------------------------------------------------------------

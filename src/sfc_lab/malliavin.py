@@ -28,7 +28,9 @@ sum.
 
 The identity residuals take blocks of paths from ``brownian.sample_rows`` and
 ``wiener_nodes`` and stacks of e, with a and b from the spec's tables as in
-the sweep; each side is built from its own terms.  One-path forms are views.
+the sweep; one-path forms are views.  They check algebra, not the tables: the
+lemma and the drift rule hold to rounding for any value and gradient, and the
+stochastic rule for any table whose ``matvec`` and ``rmatvec`` are transposes.
 """
 
 from __future__ import annotations
@@ -76,9 +78,6 @@ class DerivativeTable:
         if self.v.ndim != 1:
             raise ValueError(f"v must be a vector, got shape {self.v.shape}")
 
-    def diag(self) -> np.ndarray:
-        return self.v
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``P @ x = (v . x) + lower * sum_{r < i} x_r`` for each row of x (..., m)."""
         out = np.repeat((x @ self.v)[..., None], x.shape[-1], axis=-1)
@@ -108,7 +107,7 @@ def _divergence(values, table: DerivativeTable, dw) -> tuple[np.ndarray, np.ndar
     and its gradient ``sum_i (du_i/dxi_r) dW_i + u_r / sqrt(m)``: exact for
     deterministic partials (chaos order <= 1), as every table here is."""
     sqrt_m = np.sqrt(dw.shape[-1])
-    div = np.sum(values * dw, axis=-1) - np.sum(table.diag()) / sqrt_m
+    div = np.sum(values * dw, axis=-1) - np.sum(table.v) / sqrt_m
     return div, table.rmatvec(dw) + values / sqrt_m
 
 

@@ -13,6 +13,7 @@ from sfc_lab.catalog import (  # noqa: F401
     DRIFT_RECORDS,
     TrigPoly,
     block_diffusion,
+    block_drift,
     spec_for,
     spec_tables,
 )
@@ -79,8 +80,20 @@ def exact_diffusion_sfc(spec, path, n):
     # conj(e_n(t_i)) = conj(e_1(t_{n i mod m})): one basis row serves every order
     rows = np.outer(np.atleast_1d(n), np.arange(m))
     ebar = np.take(eval_basis(-1, path.grid.left_nodes), rows, mode="wrap")
-    values = ebar @ (a * path.increments) - ebar @ st.da.diag() / np.sqrt(m)
+    values = ebar @ (a * path.increments) - ebar @ st.da.v / np.sqrt(m)
     return complex(values[0]) if np.ndim(n) == 0 else values
+
+
+def dx_nodes(st, w):
+    """``dX = a dW - diag(Da) / sqrt(m) + b / m`` at the m left tags, on each
+    row of W (..., m + 1), with dW the differences of W: the time-domain form
+    of the increments, which the package takes only as coefficients
+    (``catalog.block_dx_coefficients``)."""
+    dx = np.subtract(w[..., 1:], w[..., :-1])
+    dx *= block_diffusion(st, w)
+    dx -= st.correction
+    dx += block_drift(st, w) / st.grid.m
+    return dx
 
 
 def dsfc_partials(spec, path, weights):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dsfc_partials, spec_for
+from helpers import dsfc_partials, dx_nodes, spec_for
 from sfc_lab import (
     CATALOG_KINDS,
     BohrConfig,
@@ -38,6 +38,7 @@ from sfc_lab import (
     wiener_sfc_range,
 )
 from sfc_lab.bohr import (
+    CLOSED_FORM,
     SYNTHESIZED,
     _drift_plan,
     drift_coefficients,
@@ -45,7 +46,7 @@ from sfc_lab.bohr import (
     windows,
 )
 from sfc_lab.brownian import sample_rows, wiener_nodes
-from sfc_lab.catalog import DRIFT_KINDS, block_functionals, spec_tables, w_terms
+from sfc_lab.catalog import DRIFT_KINDS, spec_tables, w_terms
 from sfc_lab.sfc import coefficients, synthesize
 
 
@@ -202,7 +203,7 @@ def test_the_drift_step_hands_windows_order_major_rows(monkeypatch):
     st = spec_tables(spec_for("NONCAUSAL_BRIDGE", {"g": cosine(), "drift": "w1"}), TimeGrid(m))
     dw, w = np.empty((rows, m)), np.empty((rows, m + 1))
     sample_rows(11, 0, dw)
-    dx = block_functionals(st, wiener_nodes(dw, w))[2]
+    dx = dx_nodes(st, wiener_nodes(dw, w))
     # the tile's complex scratch: the rfft spectrum or the band-M windows' products
     buffer = np.empty(rows * (2 * N + 1) * (M + 1), dtype=complex)
     spectrum = buffer[: rows * (m // 2 + 1)].reshape(rows, -1)
@@ -512,3 +513,30 @@ def test_estimate_decomposes_with_direct_terms(paths256):
                 )
                 assert abs((est - truth) - direct_total) <= 1e-11, (kind, n)
                 assert abs((est - truth) - terms.total) <= 1e-11
+
+
+@pytest.mark.parametrize("kind", CATALOG_KINDS)
+def test_one_path_views_leave_the_path_and_copy_w_only_where_alpha_reads_it(kind, monkeypatch):
+    # the views read W and dW and write neither; (f + alpha W) dW forms alpha W
+    # in place, so only the two kinds with alpha != 0 hand it a copy of W
+    import sfc_lab.catalog as cat
+
+    handed_w, real = [], cat.weighted_increments
+
+    def weighted_increments(st, w, dw, out):
+        handed_w.append(w is not None)
+        return real(st, w, dw, out)
+
+    monkeypatch.setattr(cat, "weighted_increments", weighted_increments)
+    path = sample_path(SeedSpec(46, 0), TimeGrid(64))
+    before = path.values.tobytes(), path.increments.tobytes()
+    pf = eval_functionals(spec_for(kind, {"g": cosine(), "drift": "w1"}), path)
+    cfgs = [BohrConfig(N=2, M=1, mode=mode) for mode in (CLOSED_FORM, SYNTHESIZED)]
+    a_hat = CoefficientSet(max_order=1, values=np.ones(3, dtype=complex))
+    views = [lambda: identify_a(pf, cfgs[0])] + [lambda c=c: recover_b(pf, a_hat, c) for c in cfgs]
+    views += [lambda: sfc_range(pf, 3), lambda: remainder_terms(pf, 1, 2),
+              lambda: iterated_divergence_term(pf, 1, 2)]
+    for i, view in enumerate(views):  # one at a time: two sign flips of W would cancel
+        view()
+        assert (path.values.tobytes(), path.increments.tobytes()) == before, i
+    assert handed_w == [bool(cat.KIND_RECORDS[kind].alpha)] * 5

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     dsfc_partials,
+    dx_nodes,
     exact_diffusion_sfc,
     path_from_xi,
     spec_for,
@@ -37,8 +38,8 @@ from sfc_lab.catalog import (
     KIND_RECORDS,
     SPEC_TABLE,
     block_diffusion,
+    block_drift,
     block_dx_coefficients,
-    block_functionals,
     block_true_fourier_a,
     constant,
     spec_tables,
@@ -126,15 +127,15 @@ def test_closed_forms_against_direct_formulas():
         "NONCAUSAL_MIDPOINT": (np.full(64, w[32]), w[32] * w - np.minimum(t, 0.5)),
     }
     for kind, (a_expect, x_expect) in checks.items():
-        pf = eval_functionals(spec_for(kind), path)
-        npt.assert_allclose(pf.a_nodes, a_expect, atol=1e-12, err_msg=kind)
-        npt.assert_allclose(np.cumsum(pf.dx), x_expect[1:], atol=1e-12, err_msg=kind)
-        npt.assert_allclose(pf.b_nodes, 0.0, atol=0)
+        tables = spec_tables(spec_for(kind), grid)
+        npt.assert_allclose(block_diffusion(tables, w), a_expect, atol=1e-12, err_msg=kind)
+        npt.assert_allclose(np.cumsum(dx_nodes(tables, w)), x_expect[1:], atol=1e-12, err_msg=kind)
+        npt.assert_allclose(block_drift(tables, w), 0.0, atol=0)
     # DET multiplies increments by f at the left tags
-    pf = eval_functionals(spec_for("DET"), path)
+    tables = spec_tables(spec_for("DET"), grid)
     f_nodes = np.cos(2 * np.pi * grid.left_nodes)
-    npt.assert_allclose(pf.a_nodes, f_nodes, atol=1e-12)
-    npt.assert_allclose(pf.dx, f_nodes * path.increments, atol=1e-14)
+    npt.assert_allclose(block_diffusion(tables, w), f_nodes, atol=1e-12)
+    npt.assert_allclose(dx_nodes(tables, w), f_nodes * path.increments, atol=1e-14)
 
 
 def test_midpoint_requires_even_m():
@@ -163,11 +164,11 @@ def test_array_table_must_match_grid():
 def test_drift_prefix_is_left_riemann():
     grid = TimeGrid(32)
     path = sample_path(SeedSpec(22, 0), grid)
-    spec = spec_for("CONST", {"g": cosine(), "drift": "det"})
-    pf = eval_functionals(spec, path)
+    tables = spec_tables(spec_for("CONST", {"g": cosine(), "drift": "det"}), grid)
     g_nodes = np.cos(2 * np.pi * grid.left_nodes)
-    npt.assert_allclose(pf.b_nodes, g_nodes, atol=1e-12)
-    drift_part = np.cumsum(pf.dx) - path.values[1:]  # CONST stochastic part is W itself
+    npt.assert_allclose(block_drift(tables, path.values), g_nodes, atol=1e-12)
+    # CONST's stochastic part is W itself
+    drift_part = np.cumsum(dx_nodes(tables, path.values)) - path.values[1:]
     expected = np.cumsum(g_nodes) / 32
     npt.assert_allclose(drift_part, expected, atol=1e-14)
 
@@ -175,10 +176,10 @@ def test_drift_prefix_is_left_riemann():
 def test_w1_drift_values():
     grid = TimeGrid(32)
     path = sample_path(SeedSpec(22, 1), grid)
-    spec = spec_for("CONST", {"g": cosine(), "drift": "w1"})
-    pf = eval_functionals(spec, path)
+    tables = spec_tables(spec_for("CONST", {"g": cosine(), "drift": "w1"}), grid)
     npt.assert_allclose(
-        pf.b_nodes, path.terminal * np.cos(2 * np.pi * grid.left_nodes), atol=1e-12
+        block_drift(tables, path.values), path.terminal * np.cos(2 * np.pi * grid.left_nodes),
+        atol=1e-12,
     )
 
 
@@ -213,19 +214,6 @@ def test_w_terms_are_the_reads_of_w_within_rounding(kind, drift, rows, m, seed):
         assert total.tobytes() == w[:, :-1].sum(axis=1).tobytes()
     else:
         assert total is None and w_terms(tables, dw)[2] is None  # W is not read
-
-
-def test_block_matches_single_path():
-    grid = TimeGrid(64)
-    paths = [sample_path(SeedSpec(23, i), grid) for i in range(3)]
-    spec = spec_for("NONCAUSAL_BRIDGE", {"g": cosine(), "drift": "det"})
-    w_block = np.stack([p.values for p in paths])
-    a, b, dx = block_functionals(spec_tables(spec, grid), w_block)
-    for i, path in enumerate(paths):
-        pf = eval_functionals(spec, path)
-        assert np.array_equal(a[i], pf.a_nodes)
-        assert np.array_equal(b[i], pf.b_nodes)
-        assert np.array_equal(dx[i], pf.dx)
 
 
 @settings(max_examples=60, deadline=None)
@@ -299,7 +287,7 @@ def test_dx_coefficients_follow_the_record(case):
     dw = rng.standard_normal((rows, m)) / np.sqrt(m)
     w = np.zeros((rows, m + 1))
     np.cumsum(dw, axis=1, out=w[:, 1:])
-    a, _, dx = block_functionals(tables, w)
+    a, dx = block_diffusion(tables, w), dx_nodes(tables, w)
     i_coef = coefficients(dw, K)
     stochastic = np.empty((rows, M + 1), dtype=complex)
     got = _dx_coefficients(tables, w, dw, i_coef, K, stochastic=stochastic)
@@ -515,7 +503,7 @@ def test_basis_sum_of_diffusion_coefficient():
     grid = TimeGrid(64)
     path = sample_path(SeedSpec(28, 0), grid)
     spec = spec_for("DET", {"f": cosine(3, 2.0)})
-    pf = eval_functionals(spec, path)
+    a = block_diffusion(spec_tables(spec, grid), path.values)
     for n in (3, -3, 0, 1):
-        quad = complex(np.sum(pf.a_nodes * eval_basis(-n, grid.left_nodes)) / 64)
+        quad = complex(np.sum(a * eval_basis(-n, grid.left_nodes)) / 64)
         assert quad == pytest.approx(complex(true_fourier_a(spec, path, n)), abs=1e-12)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import spec_for
+from helpers import dx_nodes, spec_for
 from sfc_lab import (
     CoefficientSet,
     SeedSpec,
@@ -42,8 +42,9 @@ def test_sfc_matches_bruteforce():
     path = sample_path(SeedSpec(31, 0), grid)
     pf = eval_functionals(spec_for("ADAPTED_W"), path)
     cs = sfc_range(pf, 4)
+    dx = dx_nodes(pf.tables, path.values)
     for n in (0, 1, -4):
-        brute = complex(np.sum(eval_basis(-n, grid.left_nodes) * pf.dx))
+        brute = complex(np.sum(eval_basis(-n, grid.left_nodes) * dx))
         assert cs.entry(n) == pytest.approx(brute, abs=1e-13)
 
 
@@ -54,8 +55,9 @@ def test_sfc_range_consistency():
     cs = sfc_range(pf, 5)
     assert cs.max_order == 5
     narrow = sfc_range(pf, 2)
+    dx = dx_nodes(pf.tables, path.values)
     for n in range(-5, 6):
-        assert cs.entry(n) == pytest.approx(bruteforce(pf.dx, n), abs=1e-13)
+        assert cs.entry(n) == pytest.approx(bruteforce(dx, n), abs=1e-13)
         if abs(n) <= 2:
             assert narrow.entry(n) == cs.entry(n)  # truncation, not a new sum
 
@@ -94,7 +96,7 @@ def test_sfc_additivity_across_entries():
     pf2 = eval_functionals(spec_for("NONCAUSAL_W1"), path)
     cs1 = sfc_range(pf1, 2)
     cs2 = sfc_range(pf2, 2)
-    summed_dx = pf1.dx + pf2.dx
+    summed_dx = dx_nodes(pf1.tables, path.values) + dx_nodes(pf2.tables, path.values)
     for n in (0, 1, -2):
         combined = bruteforce(summed_dx, n)
         assert combined == pytest.approx(complex(cs1.entry(n) + cs2.entry(n)), abs=1e-13)

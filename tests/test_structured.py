@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import spec_for, w1_functionals
+from helpers import dx_nodes, spec_for, w1_functionals
 from sfc_lab import (
     CATALOG_KINDS,
     SeedSpec,
@@ -26,7 +26,7 @@ from sfc_lab import (
     true_fourier_a,
 )
 from sfc_lab.brownian import sample_rows, wiener_nodes
-from sfc_lab.catalog import DRIFT_KINDS, block_diffusion, spec_tables
+from sfc_lab.catalog import DRIFT_KINDS, block_diffusion, block_drift, spec_tables
 from sfc_lab.malliavin import (
     block_lemma_residual,
     block_prop1_residual,
@@ -72,7 +72,7 @@ def test_structured_table_equals_dense(case):
         dense = table.dense()
         scale = 1.0 + np.max(np.abs(dense))
         tol = 1e-12 * scale * m
-        assert np.allclose(table.diag(), np.diag(dense), rtol=0, atol=tol)
+        assert np.allclose(table.v, np.diag(dense), rtol=0, atol=tol)
         for xi, yi in ((x, y), (xs, ys)):
             assert np.allclose(table.matvec(xi), xi @ dense.T, rtol=0, atol=tol)
             assert np.allclose(table.rmatvec(yi), yi @ dense, rtol=0, atol=tol)
@@ -138,7 +138,7 @@ def _dense_direct_terms(pf, n, N):
     da = tables.da.dense()
     u = np.sum(da * kernel, axis=1) / sqrt_m * ebar
     diffusion_derivative = scale * np.dot(u, dw)
-    v = kernel.T @ (pf.b_nodes * ebar) / m
+    v = kernel.T @ (block_drift(tables, pf.path.values) * ebar) / m
     dv_diag = kernel.T @ (tables.c * ebar) / m
     drift_wiener = scale * (np.dot(v, dw) - np.sum(dv_diag) / sqrt_m)
     drift_derivative = scale * np.sum(dv_diag) / sqrt_m
@@ -193,7 +193,8 @@ def test_remainder_windows_match_dense_kernel(case):
     pf = eval_functionals(_spec(case), sample_path(SeedSpec(case["seed"], 3), TimeGrid(m)))
     direct = _dense_direct_terms(pf, n, N)
     kernel = _dense_kernel(N, m)
-    estimate = np.dot(eval_basis(-n, pf.grid.left_nodes) * pf.dx, kernel @ pf.path.increments)
+    dx = dx_nodes(pf.tables, pf.path.values)
+    estimate = np.dot(eval_basis(-n, pf.grid.left_nodes) * dx, kernel @ pf.path.increments)
     truth = true_fourier_a(pf.spec, pf.path, n)
     double = estimate / (2 * N + 1) - truth - np.sum(direct)
     terms = remainder_terms(pf, n, N)
