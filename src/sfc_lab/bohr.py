@@ -344,10 +344,13 @@ def drift_coefficients(
 def recover_b(pf: cat.PathFunctionals, a_hat: CoefficientSet, cfg: BohrConfig) -> CoefficientSet:
     """Recover the drift coefficients ``b_n = F_n(dX) - div(a conj(e_n))``,
     ``|n| <= cfg.M``, of one path: :func:`drift_coefficients` in ``cfg.mode``,
-    on a tile's transforms.  ``a_hat`` must hold the same orders; its
+    on a tile's transforms, on a grid that meets :func:`grid_supports`, as
+    :func:`identify_a` does.  ``a_hat`` must hold the same orders; its
     orders ``n < 0`` are read as the conjugates of ``n > 0``."""
     if a_hat.max_order != cfg.M:
         raise ValueError(f"a_hat has max_order {a_hat.max_order}, but cfg.M is {cfg.M}")
+    if not grid_supports(pf.grid.m, cfg.N, cfg.M):
+        raise ValueError(f"grid too coarse: m={pf.grid.m} < 8 (N + M) = {8 * (cfg.N + cfg.M)}")
     st, dw, M, K = pf.tables, pf.path.increments, cfg.M, cfg.N + cfg.M
     i_coef, stoch = coefficients(dw, max(K, 2 * M)), np.empty(M + 1, dtype=complex)
     terms, f_coef = cat.path_dx_coefficients(pf, i_coef, K, stoch)

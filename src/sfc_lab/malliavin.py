@@ -67,8 +67,8 @@ class DerivativeTable:
 
     It is the derivative table of every catalog diffusion ``f + alpha W_t +
     beta W_tau``: ``v = beta 1[r < tau m] / sqrt(m)``, ``lower = alpha / sqrt(m)``.
-    Each operation is O(m) per row of its (..., m) input; :meth:`dense` is a
-    test oracle.  Bohr windows read ``v`` and ``lower`` (``bohr.remainder_terms``).
+    Each operation is O(m) per row of its (..., m) input.  Bohr windows read
+    ``v`` and ``lower`` (``bohr.remainder_terms``).
     """
 
     v: np.ndarray = field(repr=False)
@@ -91,10 +91,6 @@ class DerivativeTable:
         if self.lower:
             out[..., :-1] += self.lower * np.cumsum(y[..., :0:-1], axis=-1)[..., ::-1]
         return out
-
-    def dense(self) -> np.ndarray:
-        m = len(self.v)
-        return self.v + self.lower * np.tril(np.ones((m, m)), -1)
 
 
 def _esum(x: np.ndarray, e: np.ndarray) -> np.ndarray:

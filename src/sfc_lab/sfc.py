@@ -21,9 +21,9 @@ What is built from them mirrors the same way, and everything else builds
 the orders ``n = 0 .. M`` alone: :func:`mirror` fills in ``n < 0``.
 The inverse, :func:`synthesize`, is the one way back to the left tags: one
 ``irfft`` gives the kernel's lag row and every trigonometric-polynomial
-table of the catalog.  Direct sums remain only in the tests' oracles
-(``exact_diffusion_sfc`` and the basis loop of ``trigpoly_nodes``), kept
-independent so they can compare the two.
+table of the catalog.  Direct sums remain only in the tests' reference
+(``tests/reference.py``), which takes no transform of the package, so that
+it checks both ways.
 Each row is transformed on its own, so a row's coefficients are bitwise the
 same whatever block it arrives in.
 

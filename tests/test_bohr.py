@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dsfc_partials, dx_nodes, spec_for
+import reference as ref
+from helpers import spec_for
 from sfc_lab import (
     CATALOG_KINDS,
     BohrConfig,
@@ -26,7 +27,6 @@ from sfc_lab import (
     TimeGrid,
     bohr_product,
     cosine,
-    eval_basis,
     eval_functionals,
     identify_a,
     iterated_divergence_term,
@@ -34,8 +34,6 @@ from sfc_lab import (
     remainder_terms,
     sample_path,
     sfc_range,
-    true_fourier_a,
-    wiener_sfc_range,
 )
 from sfc_lab.bohr import (
     CLOSED_FORM,
@@ -46,7 +44,7 @@ from sfc_lab.bohr import (
     windows,
 )
 from sfc_lab.brownian import sample_rows, wiener_nodes
-from sfc_lab.catalog import DRIFT_KINDS, spec_tables, w_terms
+from sfc_lab.catalog import spec_tables, w_terms
 from sfc_lab.sfc import coefficients, synthesize
 
 
@@ -200,10 +198,11 @@ def test_the_drift_step_hands_windows_order_major_rows(monkeypatch):
     import sfc_lab.bohr as bohr
 
     rows, m, N, M = 8, 4096, 256, 4
-    st = spec_tables(spec_for("NONCAUSAL_BRIDGE", {"g": cosine(), "drift": "w1"}), TimeGrid(m))
+    spec = spec_for("NONCAUSAL_BRIDGE", {"g": cosine(), "drift": "w1"})
+    st = spec_tables(spec, TimeGrid(m))
     dw, w = np.empty((rows, m)), np.empty((rows, m + 1))
     sample_rows(11, 0, dw)
-    dx = dx_nodes(st, wiener_nodes(dw, w))
+    dx = ref.dx(spec, wiener_nodes(dw, w), dw)
     # the tile's complex scratch: the rfft spectrum or the band-M windows' products
     buffer = np.empty(rows * (2 * N + 1) * (M + 1), dtype=complex)
     spectrum = buffer[: rows * (m // 2 + 1)].reshape(rows, -1)
@@ -245,11 +244,16 @@ def test_bohr_product_coverage_errors():
 
 
 def test_identify_a_requires_fine_grid():
-    grid = TimeGrid(64)
-    path = sample_path(SeedSpec(41, 0), grid)
-    pf = eval_functionals(spec_for("CONST"), path)
-    with pytest.raises(ValueError):
-        identify_a(pf, BohrConfig(N=8, M=1))  # needs m >= 72
+    # identify_a and recover_b take one mesh rule: N=8 and M=1 need m >= 72
+    a_hat = CoefficientSet(max_order=1, values=np.zeros(3, dtype=complex))
+    for m in (32, 64):
+        pf = eval_functionals(spec_for("CONST"), sample_path(SeedSpec(41, 0), TimeGrid(m)))
+        for estimate in [lambda: identify_a(pf, BohrConfig(N=8, M=1))] + [
+            lambda mode=mode: recover_b(pf, a_hat, BohrConfig(N=8, M=1, mode=mode))
+            for mode in (CLOSED_FORM, SYNTHESIZED)
+        ]:
+            with pytest.raises(ValueError, match="grid too coarse"):
+                estimate()
 
 
 def test_identify_a_const_statistics():
@@ -308,80 +312,6 @@ def test_recover_b_synthesized_tracks_closed_form():
     assert recover_b(pf, identify_a(pf, cfg_closed), cfg_closed).entry(1) == pytest.approx(
         0.5, abs=1e-12
     )
-
-
-def _loop_diagonal(pf, f_set, N, M):
-    """Reference for the synthesized correction: the (q, l) double loop over the
-    per-order gradients, ``sum_q e_q(t_i) d a_hat_q / d xi_i``."""
-    m = pf.grid.m
-    t_left = pf.grid.left_nodes
-    w_set = wiener_sfc_range(pf.path, N)
-    dF = {
-        k: dsfc_partials(pf.spec, pf.path, eval_basis(-k, t_left))
-        for k in range(-(N + M), N + M + 1)
-    }
-    grad = np.zeros((2 * M + 1, m), dtype=complex)
-    for ell in range(-N, N + 1):
-        ebar = eval_basis(-ell, t_left)
-        for qi, q in enumerate(range(-M, M + 1)):
-            grad[qi] += dF[q - ell] * w_set.entry(ell)
-            grad[qi] += f_set.entry(q - ell) * ebar / np.sqrt(m)
-    grad /= 2 * N + 1
-    return sum(grad[qi] * eval_basis(q, t_left) for qi, q in enumerate(range(-M, M + 1)))
-
-
-def _loop_recover_b(pf, a_hat, N, M):
-    """Reference for synthesized ``recover_b``: one direct sum per order."""
-    m = pf.grid.m
-    t_left = pf.grid.left_nodes
-    a_nodes = sum(a_hat.entry(n) * eval_basis(n, t_left) for n in range(-M, M + 1))
-    f_set = sfc_range(pf, N + M)
-    diag = _loop_diagonal(pf, f_set, N, M)
-    values = []
-    for n in range(-M, M + 1):
-        ebar = eval_basis(-n, t_left)
-        div_hat = np.dot(a_nodes * ebar, pf.path.increments) - np.dot(diag, ebar) / np.sqrt(m)
-        values.append(f_set.entry(n) - div_hat)
-    return np.array(values)
-
-
-@st.composite
-def synth_cases(draw):
-    N = draw(st.integers(1, 24))
-    M = draw(st.integers(0, 32 - N))
-    return {
-        "N": N,
-        "M": M,
-        "m": 2 * draw(st.integers(4 * (N + M), 128)),  # even, m >= 8 (N + M)
-        "kind": draw(st.sampled_from(CATALOG_KINDS)),
-        "drift": draw(st.sampled_from(DRIFT_KINDS)),
-        "seed": draw(st.integers(0, 2**32)),
-    }
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(synth_cases())
-def test_spectral_gradient_matches_loop(case):
-    N, M = case["N"], case["M"]
-    g = {0: 0.5, 1: 0.5, -1: 0.5}
-    extra = {} if case["drift"] == "none" else {"g": g, "drift": case["drift"]}
-    path = sample_path(SeedSpec(case["seed"], 0), TimeGrid(case["m"]))
-    pf = eval_functionals(spec_for(case["kind"], extra), path)
-    cfg = BohrConfig(N=N, M=M, mode="synthesized")
-    f_set = sfc_range(pf, N + M)
-    # the correction's band n = 0 .. M: b with a_hat = 0 is F_n(dX + correction)
-    reference = coefficients(_loop_diagonal(pf, f_set, N, M).real / np.sqrt(case["m"]), M)[M:]
-    i_coef = coefficients(path.increments, max(N + M, 2 * M))
-    st = spec_tables(pf.spec, pf.grid)
-    zero = np.zeros(M + 1, dtype=complex)
-    terms = w_terms(st, path.increments, path.values)
-    args = (terms, path.increments, zero, f_set.values, i_coef)
-    diag = drift_coefficients(st, "synthesized", *args) - f_set.values[N + M : N + 2 * M + 1]
-    assert np.max(np.abs(diag - reference)) <= 1e-12 * (1 + np.max(np.abs(reference)))
-    a_hat = identify_a(pf, cfg)
-    reference = _loop_recover_b(pf, a_hat, N, M)
-    b_hat = recover_b(pf, a_hat, cfg).values
-    assert np.max(np.abs(b_hat - reference)) <= 1e-12 * (1 + np.max(np.abs(reference)))
 
 
 def test_recover_b_rejects_an_estimate_of_another_band(paths256):
@@ -476,43 +406,6 @@ def test_w1_diffusion_derivative_oracle(paths256):
             assert terms.diffusion_derivative == pytest.approx(
                 path.terminal / (2 * N + 1), abs=1e-12
             )
-
-
-def test_decomposition_exact_for_exact_kinds(paths256):
-    # residual double integral must agree with the direct iterated
-    # divergence: the decomposition holds term by term, not just in total
-    for kind in CATALOG_KINDS:
-        for extra in ({}, {"g": cosine(), "drift": "det"}, {"g": cosine(), "drift": "w1"}):
-            spec = spec_for(kind, extra)
-            for path in paths256[:3]:
-                pf = eval_functionals(spec, path)
-                for n in (0, 1):
-                    terms = remainder_terms(pf, n, 8)
-                    direct = iterated_divergence_term(pf, n, 8)
-                    assert abs(terms.double_wiener - direct) <= 1e-11, (kind, extra, n)
-
-
-def test_estimate_decomposes_with_direct_terms(paths256):
-    # full non-vacuous identity: estimate - truth = sum of four terms with
-    # the double integral computed directly
-    for kind in ("CONST", "NONCAUSAL_W1"):
-        spec = spec_for(kind, {"g": cosine(), "drift": "w1"})
-        for path in paths256[:4]:
-            pf = eval_functionals(spec, path)
-            for n in (0, 1):
-                est = bohr_product(
-                    sfc_range(pf, 8 + abs(n)), wiener_sfc_range(path, 8), n, 8
-                )
-                truth = true_fourier_a(spec, path, n)
-                terms = remainder_terms(pf, n, 8)
-                direct_total = (
-                    iterated_divergence_term(pf, n, 8)
-                    + terms.diffusion_derivative
-                    + terms.drift_wiener
-                    + terms.drift_derivative
-                )
-                assert abs((est - truth) - direct_total) <= 1e-11, (kind, n)
-                assert abs((est - truth) - terms.total) <= 1e-11
 
 
 @pytest.mark.parametrize("kind", CATALOG_KINDS)

@@ -7,15 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (
-    dsfc_partials,
-    dx_nodes,
-    exact_diffusion_sfc,
-    path_from_xi,
-    spec_for,
-    trigpoly_nodes,
-    true_fourier_b,
-)
+import reference as ref
+from helpers import path_from_xi, spec_for
 from sfc_lab import (
     CATALOG_KINDS,
     ConfigError,
@@ -24,19 +17,16 @@ from sfc_lab import (
     TimeGrid,
     TrigPoly,
     cosine,
-    eval_basis,
     eval_functionals,
     make_process,
     sample_path,
-    sfc_range,
     true_fourier_a,
 )
-from sfc_lab.bohr import CLOSED_FORM, _drift_plan, drift_coefficients
+from sfc_lab.bohr import _drift_plan
 from sfc_lab.brownian import substream
 from sfc_lab.catalog import (
     DRIFT_KINDS,
     KIND_RECORDS,
-    SPEC_TABLE,
     block_diffusion,
     block_drift,
     block_dx_coefficients,
@@ -83,7 +73,7 @@ def test_trigpoly_tables_match_the_basis_loop(case):
     grid = TimeGrid(m)
     spec = make_process("DET", {"f": poly, "g": poly, "drift": "det"})
     st_ = spec_tables(spec, grid)
-    oracle = trigpoly_nodes(poly, grid.left_nodes)
+    oracle = ref.nodes(poly, m)
     tol = 1e-12 * (1 + sum(abs(c) for _, c in poly.coeffs))
     assert np.max(np.abs(st_.f - oracle)) <= tol
     assert np.max(np.abs(st_.g - oracle)) <= tol
@@ -127,15 +117,18 @@ def test_closed_forms_against_direct_formulas():
         "NONCAUSAL_MIDPOINT": (np.full(64, w[32]), w[32] * w - np.minimum(t, 0.5)),
     }
     for kind, (a_expect, x_expect) in checks.items():
-        tables = spec_tables(spec_for(kind), grid)
+        spec = spec_for(kind)
+        tables = spec_tables(spec, grid)
         npt.assert_allclose(block_diffusion(tables, w), a_expect, atol=1e-12, err_msg=kind)
-        npt.assert_allclose(np.cumsum(dx_nodes(tables, w)), x_expect[1:], atol=1e-12, err_msg=kind)
+        dx = ref.dx(spec, w, path.increments)
+        npt.assert_allclose(np.cumsum(dx), x_expect[1:], atol=1e-12, err_msg=kind)
         npt.assert_allclose(block_drift(tables, w), 0.0, atol=0)
     # DET multiplies increments by f at the left tags
     tables = spec_tables(spec_for("DET"), grid)
     f_nodes = np.cos(2 * np.pi * grid.left_nodes)
     npt.assert_allclose(block_diffusion(tables, w), f_nodes, atol=1e-12)
-    npt.assert_allclose(dx_nodes(tables, w), f_nodes * path.increments, atol=1e-14)
+    npt.assert_allclose(ref.dx(spec_for("DET"), w, path.increments), f_nodes * path.increments,
+                        atol=1e-14)
 
 
 def test_midpoint_requires_even_m():
@@ -164,11 +157,11 @@ def test_array_table_must_match_grid():
 def test_drift_prefix_is_left_riemann():
     grid = TimeGrid(32)
     path = sample_path(SeedSpec(22, 0), grid)
-    tables = spec_tables(spec_for("CONST", {"g": cosine(), "drift": "det"}), grid)
+    spec = spec_for("CONST", {"g": cosine(), "drift": "det"})
     g_nodes = np.cos(2 * np.pi * grid.left_nodes)
-    npt.assert_allclose(block_drift(tables, path.values), g_nodes, atol=1e-12)
+    npt.assert_allclose(block_drift(spec_tables(spec, grid), path.values), g_nodes, atol=1e-12)
     # CONST's stochastic part is W itself
-    drift_part = np.cumsum(dx_nodes(tables, path.values)) - path.values[1:]
+    drift_part = np.cumsum(ref.dx(spec, path.values, path.increments)) - path.values[1:]
     expected = np.cumsum(g_nodes) / 32
     npt.assert_allclose(drift_part, expected, atol=1e-14)
 
@@ -253,53 +246,6 @@ def test_buffered_forms_equal_the_allocating_forms(kind, drift, rows, m, seed):
         assert coefficients(dw, order, spectrum).tobytes() == coefficients(dw, order).tobytes()
 
 
-@st.composite
-def record_cases(draw):
-    """A spec of any kind and drift whose f and g are TrigPoly or node
-    tables, a grid, a block of rows, the orders K and M <= K, and a generator."""
-    m = draw(st.sampled_from([16, 64, 256]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-
-    def table():
-        if draw(st.booleans()):
-            return rng.standard_normal(m)
-        coeffs = {0: rng.standard_normal()}
-        for k in range(1, draw(st.integers(1, 3)) + 1):
-            c = complex(*rng.standard_normal(2))
-            coeffs[k], coeffs[-k] = c, c.conjugate()
-        return TrigPoly.from_mapping(coeffs)
-
-    kind, drift = draw(st.sampled_from(CATALOG_KINDS)), draw(st.sampled_from(DRIFT_KINDS))
-    params = {"f": table()} if KIND_RECORDS[kind].f is SPEC_TABLE else {}
-    if drift != "none":
-        params.update(g=table(), drift=drift)
-    K = draw(st.integers(0, (m - 1) // 2))
-    return make_process(kind, params), m, draw(st.integers(1, 3)), K, draw(st.integers(0, K)), rng
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(record_cases())
-def test_dx_coefficients_follow_the_record(case):
-    # F(dX) by linearity against the transform of dX built at the nodes, and
-    # closed-form b from it against the transform of dX - a dW + correction
-    spec, m, rows, K, M, rng = case
-    tables = spec_tables(spec, TimeGrid(m))
-    dw = rng.standard_normal((rows, m)) / np.sqrt(m)
-    w = np.zeros((rows, m + 1))
-    np.cumsum(dw, axis=1, out=w[:, 1:])
-    a, dx = block_diffusion(tables, w), dx_nodes(tables, w)
-    i_coef = coefficients(dw, K)
-    stochastic = np.empty((rows, M + 1), dtype=complex)
-    got = _dx_coefficients(tables, w, dw, i_coef, K, stochastic=stochastic)
-    ref = coefficients(dx, K)
-    assert np.max(np.abs(got - ref)) <= 1e-13 * (1 + np.max(np.abs(ref)))
-    unused = np.zeros((rows, M + 1), dtype=complex)
-    b = drift_coefficients(tables, CLOSED_FORM, w_terms(tables, dw, w), None, unused, got, i_coef,
-                           stochastic=stochastic)
-    ref = coefficients(dx - a * dw + tables.correction, M)[:, M:]  # the step returns n = 0 .. M
-    assert np.max(np.abs(b - ref)) <= 1e-13 * (1 + np.max(np.abs(ref)))
-
-
 @pytest.mark.parametrize("m", [256, 4096])
 @pytest.mark.parametrize("kind", CATALOG_KINDS)
 def test_true_fourier_a_by_parts_is_the_left_riemann_sum(kind, m):
@@ -322,21 +268,6 @@ def test_true_fourier_a_by_parts_is_the_left_riemann_sum(kind, m):
             block_true_fourier_a(tables, terms, orders, coefficients(dw, M - 1))
     for p, row in zip(paths, oracle):
         assert abs(true_fourier_a(spec_for(kind), p, -M) - row[0]) <= 1e-12
-
-
-def test_a_node_table_truth_is_the_direct_left_riemann_sum():
-    # f's part of the truth for a node table is (1/m) sum_i f_i conj(e_n(t_i)),
-    # here a direct sum over the nodes, beside the transform the truth takes
-    m, grid = 64, TimeGrid(64)
-    f = np.random.default_rng(8).standard_normal(m)
-    spec = make_process("DET", {"f": f})
-    tables, path = spec_tables(spec, grid), sample_path(SeedSpec(33, 0), grid)
-    direct = [np.sum(f * eval_basis(-n, grid.left_nodes)) / m for n in range(-5, 6)]
-    i_coef = coefficients(path.increments, 5)
-    terms = w_terms(tables, path.increments, path.values)
-    got = block_true_fourier_a(tables, terms, range(-5, 6), i_coef)
-    npt.assert_allclose(got, direct, rtol=0, atol=1e-15)
-    assert true_fourier_a(spec, path, 2) == pytest.approx(direct[7], abs=1e-15)
 
 
 def test_spec_tables_are_built_once_per_spec_and_grid():
@@ -416,17 +347,21 @@ def test_constant_tables_are_exact_at_every_m():
 
 
 def test_derivative_tables():
+    # the package's tables are the reference's, built from the record
     grid = TimeGrid(16)
     s = 0.25  # 1/sqrt(16)
-    da = spec_tables(spec_for("CONST"), grid).da.dense()
-    npt.assert_allclose(da, 0.0, atol=0)
-    da = spec_tables(spec_for("ADAPTED_W"), grid).da.dense()
+    dense = {}
+    for kind in CATALOG_KINDS:
+        table, dense[kind] = spec_tables(spec_for(kind), grid).da, ref.table(spec_for(kind), 16)
+        npt.assert_array_equal(table.rmatvec(np.eye(16)), dense[kind], err_msg=kind)
+        npt.assert_array_equal(table.matvec(np.eye(16)), dense[kind].T, err_msg=kind)
+    npt.assert_allclose(dense["CONST"], 0.0, atol=0)
+    da = dense["ADAPTED_W"]
     assert da[3, 2] == s and da[3, 3] == 0.0 and da[2, 3] == 0.0
-    da = spec_tables(spec_for("NONCAUSAL_W1"), grid).da.dense()
-    npt.assert_allclose(da, s, atol=0)
-    da = spec_tables(spec_for("NONCAUSAL_BRIDGE"), grid).da.dense()
+    npt.assert_allclose(dense["NONCAUSAL_W1"], s, atol=0)
+    da = dense["NONCAUSAL_BRIDGE"]
     assert da[3, 3] == s and da[3, 2] == 0.0 and da[2, 3] == s
-    da = spec_tables(spec_for("NONCAUSAL_MIDPOINT"), grid).da.dense()
+    da = dense["NONCAUSAL_MIDPOINT"]
     assert da[0, 7] == s and da[0, 8] == 0.0  # only directions r < m/2 matter
     c = spec_tables(spec_for("CONST", {"g": constant(2.0), "drift": "w1"}), grid).c
     npt.assert_allclose(c, 2.0 * s, atol=1e-14)
@@ -451,32 +386,18 @@ def test_true_fourier_a_values():
 
 
 def test_true_fourier_b_values():
-    grid = TimeGrid(64)
-    path = sample_path(SeedSpec(25, 1), grid)
+    w = sample_path(SeedSpec(25, 1), TimeGrid(64)).values
     spec = spec_for("CONST", {"g": cosine(), "drift": "det"})
-    assert true_fourier_b(spec, path, 1) == 0.5
-    assert true_fourier_b(spec, path, 0) == 0.0
+    assert ref.true_b(spec, w, 1) == pytest.approx(0.5, abs=1e-15)
+    assert ref.true_b(spec, w, 0) == pytest.approx(0.0, abs=1e-15)
     spec = spec_for("CONST", {"g": cosine(), "drift": "w1"})
-    assert true_fourier_b(spec, path, 1) == pytest.approx(0.5 * path.terminal)
-    assert true_fourier_b(spec_for("CONST"), path, 0) == 0.0
-
-
-def test_sfc_equals_divergence_for_exact_kinds(paths256):
-    # every kind: F_n(dX) = div(a conj(e_n)) + F_n(b dt), exactly on each path
-    for kind in CATALOG_KINDS:
-        for drift in DRIFT_KINDS:
-            extra = {} if drift == "none" else {"g": cosine(), "drift": drift}
-            spec = spec_for(kind, extra)
-            for path in paths256[:4]:
-                cs = sfc_range(eval_functionals(spec, path), 2)
-                for n in (0, 1, -2):
-                    expect = exact_diffusion_sfc(spec, path, n) + true_fourier_b(spec, path, n)
-                    assert abs(cs.entry(n) - expect) <= 1e-12, (kind, drift, n)
+    assert ref.true_b(spec, w, 1) == pytest.approx(0.5 * w[-1], abs=1e-15)
+    assert ref.true_b(spec_for("CONST"), w, 0) == 0.0
 
 
 def test_dsfc_partials_match_finite_differences():
-    # coefficient functionals are at most quadratic in xi, so a central
-    # difference is exact up to rounding
+    # the reference's gradient of F_n(dX): coefficient functionals are at
+    # most quadratic in xi, so a central difference is exact up to rounding
     grid = TimeGrid(32)
     base = sample_path(SeedSpec(27, 0), grid)
     xi = substream(SeedSpec(27, 0)).standard_normal(32)  # base's standardized increments
@@ -484,26 +405,15 @@ def test_dsfc_partials_match_finite_differences():
     for kind in CATALOG_KINDS:
         for extra in ({}, {"g": cosine(), "drift": "det"}, {"g": cosine(), "drift": "w1"}):
             spec = spec_for(kind, extra)
+            gradient = ref.dx_gradient(spec, base.values, base.increments)
             for n in (0, 2):
-                grad = dsfc_partials(spec, base, eval_basis(-n, grid.left_nodes))
+                grad = ref.transform(gradient, n)
                 for r in (0, 7, 31):
                     xi_hi = xi.copy()
                     xi_hi[r] += h
                     xi_lo = xi.copy()
                     xi_lo[r] -= h
-                    hi = sfc_range(eval_functionals(spec, path_from_xi(xi_hi, grid)), n).entry(n)
-                    lo = sfc_range(eval_functionals(spec, path_from_xi(xi_lo, grid)), n).entry(n)
+                    hi, lo = (ref.transform(ref.dx(spec, p.values, p.increments), n)
+                              for p in (path_from_xi(x, grid) for x in (xi_hi, xi_lo)))
                     fd = (hi - lo) / (2 * h)
                     assert abs(grad[r] - fd) <= 1e-7, (kind, extra.get("drift"), n, r)
-
-
-def test_basis_sum_of_diffusion_coefficient():
-    # integral of a conj(e_n) over the grid equals the true coefficient for
-    # frequency data: left sums of trig polynomials are exact quadrature
-    grid = TimeGrid(64)
-    path = sample_path(SeedSpec(28, 0), grid)
-    spec = spec_for("DET", {"f": cosine(3, 2.0)})
-    a = block_diffusion(spec_tables(spec, grid), path.values)
-    for n in (3, -3, 0, 1):
-        quad = complex(np.sum(a * eval_basis(-n, grid.left_nodes)) / 64)
-        assert quad == pytest.approx(complex(true_fourier_a(spec, path, n)), abs=1e-12)

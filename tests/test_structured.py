@@ -1,6 +1,6 @@
-"""Structured derivative tables against their dense form, the exact
-identities as properties, the remainder windows against their dense
-kernel-table form, and the O(m) memory bound of the residuals."""
+"""Structured derivative tables against the reference's dense form, the
+exact identities as properties, the lower trace at benchmark sizes, and the
+O(m) memory bound of the residuals."""
 
 import tracemalloc
 
@@ -8,7 +8,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dx_nodes, spec_for, w1_functionals
+import reference as ref
+from helpers import spec_for, w1_functionals
 from sfc_lab import (
     CATALOG_KINDS,
     SeedSpec,
@@ -23,10 +24,9 @@ from sfc_lab import (
     prop2_residual,
     remainder_terms,
     sample_path,
-    true_fourier_a,
 )
 from sfc_lab.brownian import sample_rows, wiener_nodes
-from sfc_lab.catalog import DRIFT_KINDS, block_diffusion, block_drift, spec_tables
+from sfc_lab.catalog import DRIFT_KINDS, spec_tables
 from sfc_lab.malliavin import (
     block_lemma_residual,
     block_prop1_residual,
@@ -68,8 +68,8 @@ def test_structured_table_equals_dense(case):
     # a (3, m) stack of each, as the blocked residuals pass them
     xs = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
     ys = rng.standard_normal((3, m))
-    for table in (spec_tables(spec_for(kind), grid).da for kind in kinds):
-        dense = table.dense()
+    for spec in map(spec_for, kinds):
+        table, dense = spec_tables(spec, grid).da, ref.table(spec, m)
         scale = 1.0 + np.max(np.abs(dense))
         tol = 1e-12 * scale * m
         assert np.allclose(table.v, np.diag(dense), rtol=0, atol=tol)
@@ -115,98 +115,6 @@ def test_blocked_residuals_match_the_one_path_views(case):
                 assert abs(lemma[name][r, k] - view) <= 1e-13
             assert abs(prop1[r, k] - prop1_residual(spec, e_nodes, path)) <= 1e-13
             assert abs(prop2[r, k] - prop2_residual(spec, e_nodes, path)) <= 1e-13
-
-
-def _dense_kernel(N, m):
-    """``K[i, j] = K_N(t_i - t_j)`` gathered from the 2m - 1 node differences."""
-    lags = dirichlet_kernel(N, np.arange(-(m - 1), m) / m).real
-    i = np.arange(m)
-    return lags[i[:, None] - i[None, :] + m - 1]
-
-
-def _dense_direct_terms(pf, n, N):
-    """Reference for the three directly computable fields of
-    ``remainder_terms``: kernel-weighted sums over the dense kernel and the
-    dense derivative tables."""
-    m = pf.grid.m
-    dw = pf.path.increments
-    ebar = eval_basis(-n, pf.grid.left_nodes)
-    kernel = _dense_kernel(N, m)
-    scale = 1.0 / (2 * N + 1)
-    sqrt_m = np.sqrt(m)
-    tables = spec_tables(pf.spec, pf.grid)
-    da = tables.da.dense()
-    u = np.sum(da * kernel, axis=1) / sqrt_m * ebar
-    diffusion_derivative = scale * np.dot(u, dw)
-    v = kernel.T @ (block_drift(tables, pf.path.values) * ebar) / m
-    dv_diag = kernel.T @ (tables.c * ebar) / m
-    drift_wiener = scale * (np.dot(v, dw) - np.sum(dv_diag) / sqrt_m)
-    drift_derivative = scale * np.sum(dv_diag) / sqrt_m
-    return np.array([diffusion_derivative, drift_wiener, drift_derivative])
-
-
-def _dense_iterated(pf, n, N):
-    """Reference for ``iterated_divergence_term``: both divergences taken
-    over the dense kernel and the dense derivative table."""
-    m = pf.grid.m
-    dw = pf.path.increments
-    ebar = eval_basis(-n, pf.grid.left_nodes)
-    kernel = _dense_kernel(N, m)
-    sqrt_m = np.sqrt(m)
-    tables = spec_tables(pf.spec, pf.grid)
-    da = tables.da.dense()
-    weighted = block_diffusion(tables, pf.path.values) * ebar
-    g = (weighted * dw) @ kernel - (np.diag(da) * ebar) @ kernel / sqrt_m
-    dg_diag = (ebar * dw) @ (da * kernel) + weighted * np.diag(kernel) / sqrt_m
-    return (np.dot(g, dw) - np.sum(dg_diag) / sqrt_m) / (2 * N + 1)
-
-
-@st.composite
-def window_cases(draw):
-    m = 2 * draw(st.integers(4, 128))
-    top = min(3, m // 8 - 1)
-    n = draw(st.integers(-top, top))
-    return {
-        "m": m,
-        "n": n,
-        "N": draw(st.integers(1, m // 8 - abs(n))),  # m >= 8 (N + |n|)
-        "kind": draw(st.sampled_from(CATALOG_KINDS)),
-        "drift": draw(st.sampled_from(DRIFT_KINDS)),
-        "seed": draw(st.integers(0, 2**32)),
-    }
-
-
-@SETTINGS
-@given(window_cases())
-def test_decomposition_closes(case):
-    # the residual double integral equals the direct iterated divergence
-    m, n, N = case["m"], case["n"], case["N"]
-    pf = eval_functionals(_spec(case), sample_path(SeedSpec(case["seed"], 2), TimeGrid(m)))
-    gap = abs(remainder_terms(pf, n, N).double_wiener - iterated_divergence_term(pf, n, N))
-    assert gap <= 1e-9
-
-
-@SETTINGS
-@given(window_cases())
-def test_remainder_windows_match_dense_kernel(case):
-    m, n, N = case["m"], case["n"], case["N"]
-    pf = eval_functionals(_spec(case), sample_path(SeedSpec(case["seed"], 3), TimeGrid(m)))
-    direct = _dense_direct_terms(pf, n, N)
-    kernel = _dense_kernel(N, m)
-    dx = dx_nodes(pf.tables, pf.path.values)
-    estimate = np.dot(eval_basis(-n, pf.grid.left_nodes) * dx, kernel @ pf.path.increments)
-    truth = true_fourier_a(pf.spec, pf.path, n)
-    double = estimate / (2 * N + 1) - truth - np.sum(direct)
-    terms = remainder_terms(pf, n, N)
-
-    fields = (terms.diffusion_derivative, terms.drift_wiener, terms.drift_derivative)
-    pairs = [
-        *zip(fields, direct),
-        (terms.double_wiener, double),
-        (iterated_divergence_term(pf, n, N), _dense_iterated(pf, n, N)),
-    ]
-    for value, reference in pairs:
-        assert abs(value - reference) <= 1e-12 * (1 + abs(reference)), (value, reference)
 
 
 def test_lower_trace_at_benchmark_sizes():
