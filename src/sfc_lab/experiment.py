@@ -26,6 +26,12 @@ keeps the same contract as the sweep:
   afterwards as exact sums rounded once, bitwise what ``math.fsum`` gives in
   any order, by one vectorized kernel that both results share.
 
+One property checks the contract,
+``tests/test_experiment.py::test_per_path_results_ignore_threads_tiles_and_prefix``:
+both results at one thread, default tiles and P paths against 2-3 threads,
+2-16-row tiles and a prefix of the paths, bitwise per path, and against the
+one-path calls ``identify_a`` and ``recover_b``.
+
 Wall-clock time is kept on the in-memory result only; serialized artifacts
 contain nothing volatile, so identical configurations yield identical bytes.
 

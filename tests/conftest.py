@@ -2,10 +2,16 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from sfc_lab import SeedSpec, TimeGrid, sample_path
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# every property test draws the same examples on every run, and a slow
+# example is not a failure
+settings.register_profile("sfc_lab", derandomize=True, deadline=None)
+settings.load_profile("sfc_lab")
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -38,7 +38,6 @@ from sfc_lab import (
 from sfc_lab.bohr import (
     CLOSED_FORM,
     SYNTHESIZED,
-    _drift_plan,
     drift_coefficients,
     grid_supports,
     windows,
@@ -134,7 +133,7 @@ def _dyadic(rng, shape):
     return parts[0] + 1j * parts[1]
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=120)
 @given(window_cases())
 def test_windows_are_the_center_out_loop_bitwise(case):
     # any rows, orders and widths (unsorted, repeated, N = 0): each window is
@@ -322,55 +321,6 @@ def test_recover_b_rejects_an_estimate_of_another_band(paths256):
     for mode in ("synthesized", "closed_form"):
         with pytest.raises(ValueError, match="max_order 1, but cfg.M is 2"):
             recover_b(pf, a_hat, BohrConfig(N=8, M=2, mode=mode))
-
-
-@st.composite
-def fold_cases(draw):
-    M = draw(st.integers(0, 6))
-    return {
-        "M": M,
-        "N": draw(st.integers(1, 4)),
-        "m": 2 * draw(st.integers(max(4, 2 * M + 1), 32)),  # even, m > 4M, m <= 64
-        "kind": draw(st.sampled_from(["ADAPTED_W", "NONCAUSAL_W1", "NONCAUSAL_BRIDGE",
-                                      "NONCAUSAL_MIDPOINT"])),
-        "seed": draw(st.integers(0, 2**32)),
-    }
-
-
-def _gap(value, ref):
-    return np.max(np.abs(value - ref) / (1 + np.abs(ref)))
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(fold_cases())
-def test_tail_and_rank_one_folds_match_dense_sums(case):
-    # the drift step's rank-one part v sum_j F_j(y) e_j and its lower-triangle
-    # tails sum_{i > r} D_M(t_i - t_r) y_i, read at n = 0 .. M as one window of
-    # F(y) against the plan's row, plus lower F_n(i y) less lower rho_n F_n(y)
-    M, N, m = case["M"], case["N"], case["m"]
-    tables = spec_tables(spec_for(case["kind"]), TimeGrid(m))
-    y = np.random.default_rng(case["seed"]).standard_normal(m)
-    _, _, pair, lag, ramp = _drift_plan(tables, N, M)
-    f_y = coefficients(y, M)
-    fold = windows(pair, f_y, range(M + 1), [M])[:, 0]
-    lags = synthesize(np.ones(2 * M + 1), m)
-    dense = np.array([[lags[i - r] if i > r else 0.0 for i in range(m)] for r in range(m)])
-    ref = coefficients(synthesize(f_y, m) * tables.da.v, M)[M:]  # the rank-one part
-    if tables.da.lower:
-        fold += tables.da.lower * coefficients(ramp * y, M)[M:] - lag * f_y[M:]
-        ref += tables.da.lower * coefficients(dense @ y, M)[M:]  # the tails
-    assert _gap(fold, ref) <= 1e-12
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(fold_cases())
-def test_estimate_times_dw_is_a_window(case):
-    # F_n(a_hat dW) = sum_{|q| <= M} a_hat_q I_{n-q}: the window of I against a_hat
-    M, m = case["M"], case["m"]
-    rng = np.random.default_rng(case["seed"])
-    a_hat, dw = coefficients(rng.standard_normal(m), M) / m, rng.standard_normal(m)
-    fold = (2 * M + 1) * windows(coefficients(dw, 2 * M), a_hat, range(-M, M + 1), [M])[:, 0]
-    assert _gap(fold, coefficients(synthesize(a_hat, m) * dw, M)) <= 1e-12
 
 
 def test_remainder_terms_mesh_guard():

@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import record_tile_workers, start_helpers_at_any_m
 import sfc_lab.cli as cli
 from sfc_lab import (
     BohrConfig,
@@ -192,35 +191,15 @@ def test_an_lp_error_out_of_range_is_a_numerical_failure(
     assert "Traceback" not in err and "internal error" not in err
 
 
-def test_convergence_writes_identical_artifacts(tmp_path, capsys, monkeypatch):
-    cfg_path = write_config(tmp_path, "cfg.json", base_convergence_config())
-    out1 = tmp_path / "run1"
-    out2 = tmp_path / "run2"
-    start_helpers_at_any_m(monkeypatch)
-    workers = record_tile_workers(monkeypatch)
-    monkeypatch.setenv("SFC_LAB_THREADS", "1")
-    assert main(["convergence", "--config", cfg_path, "--out", str(out1)]) == 0
-    monkeypatch.setenv("SFC_LAB_THREADS", "2")
-    assert main(["convergence", "--config", cfg_path, "--out", str(out2)]) == 0
-    assert [len(ran) for ran in workers] == [1, 2]
-
-    csv1 = (out1 / "convergence.csv").read_bytes()
-    assert csv1 == (out2 / "convergence.csv").read_bytes()
-    assert (out1 / "convergence.json").read_bytes() == (out2 / "convergence.json").read_bytes()
-
-    lines = csv1.decode().strip().split("\n")
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == 1 + 3 * 3
-    out = capsys.readouterr().out
-    assert "config_hash=" in out
-
-
 def test_convergence_paths_override(tmp_path, capsys):
     cfg_path = write_config(tmp_path, "cfg.json", base_convergence_config())
     out_dir = tmp_path / "run"
     assert main(["convergence", "--config", cfg_path, "--out", str(out_dir), "--paths", "100"]) == 0
-    row = (out_dir / "convergence.csv").read_text().strip().split("\n")[1]
-    assert row.split(",")[4] == "100"
+    lines = (out_dir / "convergence.csv").read_text().strip().split("\n")
+    assert lines[0] == CSV_HEADER and len(lines) == 1 + 3 * 3  # widths x orders -1, 0, 1
+    assert lines[1].split(",")[4] == "100"
+    report = json.loads((out_dir / "convergence.json").read_text())
+    assert f"config_hash={report['config_hash']}" in capsys.readouterr().out
 
 
 def test_convergence_slope_band_gate(tmp_path):
@@ -316,31 +295,6 @@ def test_a_non_finite_order_zero_alone_is_a_numerical_failure(tmp_path, capsys, 
     assert main(["convergence", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "numerical failure: non-finite estimate for path 2 (n=0, N=8)" in err
-
-
-@pytest.mark.parametrize("mode", ["closed_form", "synthesized"])
-def test_identify_bytes_ignore_threads_and_block_size(tmp_path, monkeypatch, mode):
-    start_helpers_at_any_m(monkeypatch)
-    workers = record_tile_workers(monkeypatch)
-
-    def run(name, threads, block_size):
-        data = dict(identify_config(), mode=mode, paths=120, block_size=block_size)
-        if threads is None:  # unset: one thread per CPU
-            monkeypatch.delenv("SFC_LAB_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("SFC_LAB_THREADS", str(threads))
-        out = tmp_path / name
-        assert main(["identify", "--config", write_config(tmp_path, f"{name}.json", data),
-                     "--out", str(out)]) == 0
-        return [(out / f).read_bytes() for f in ("identify.csv", "identify.json")]
-
-    csv1, json1 = run("t1", 1, 32)
-    assert [csv1, json1] == run("t3", 3, 32)
-    assert len(workers[0]) == 1 and len(workers[1]) >= 2
-    assert [csv1, json1] == run("unset", None, 32)
-    csv7, json7 = run("b7", 1, 7)  # 7-row tiles, against 16-row tiles at block size 32
-    assert csv7 == csv1  # the CSV carries no block_size; the JSON config and hash do
-    assert json.loads(json7)["rows"] == json.loads(json1)["rows"]
 
 
 def test_identify_rejects_unknown_mode(tmp_path):

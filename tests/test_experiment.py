@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import record_tile_workers, spec_for, start_helpers_at_any_m
@@ -30,6 +30,7 @@ from sfc_lab import (
     recover_b,
     sample_path,
 )
+from sfc_lab.bohr import RECOVERY_MODES
 from sfc_lab.catalog import (
     DRIFT_KINDS,
     KIND_RECORDS,
@@ -124,7 +125,7 @@ def run_configs(draw):
     )
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(run_configs())
 def test_config_round_trip_and_hash(cfg):
     data = config_jsonable(cfg)
@@ -249,75 +250,88 @@ def test_run_shapes_and_determinism():
     assert set(payload) == {"version", "config_hash", "config", "rows", "decay"}
 
 
-def test_thread_count_does_not_change_bytes(monkeypatch):
-    cfg = small_config()  # 8 tiles: three workers at three threads
-    start_helpers_at_any_m(monkeypatch)
-    monkeypatch.setenv("SFC_LAB_THREADS", "1")
-    seq = run_convergence(cfg)
-    workers = record_tile_workers(monkeypatch)
-    for threads in ("3", None):  # None: unset, one thread per CPU
-        if threads is None:
-            monkeypatch.delenv("SFC_LAB_THREADS")
-        else:
-            monkeypatch.setenv("SFC_LAB_THREADS", threads)
-        par = run_convergence(cfg)
-        assert len(workers[-1]) >= min(2, resolve_threads())
-        assert np.array_equal(seq.abs_errors, par.abs_errors)
-        assert seq.csv_text() == par.csv_text()
-        assert seq.json_text() == par.json_text()
-
-
-@pytest.mark.parametrize("kind", ["CONST", "ADAPTED_W", "NONCAUSAL_BRIDGE"])
-def test_prefix_property(kind):
-    short = run_convergence(small_config(spec=spec_for(kind), paths=100))
-    longer = run_convergence(small_config(spec=spec_for(kind), paths=160))
-    assert np.array_equal(short.abs_errors, longer.abs_errors[:100])
-    assert np.array_equal(short.estimates, longer.estimates[:100])
-
-
-def test_block_size_does_not_change_estimates():
-    # partitioning is an implementation detail of scheduling; the per-path
-    # substreams make path content independent of it.  Block size does join
-    # the config hash, so artifacts declare it.  A tile holds at most 16 rows,
-    # so 120 paths run as 24 tiles of 5, as 17 of 7 and one of 1, or as 7 of 16
-    # and one of 8.
-    assert [tile_rows(small_config(block_size=b)) for b in (5, 7, 100)] == [5, 7, 16]
-    a = run_convergence(small_config(block_size=5))
-    for block_size in (7, 100):
-        b = run_convergence(small_config(block_size=block_size))
-        assert np.array_equal(a.abs_errors, b.abs_errors)
-        assert np.array_equal(a.estimates, b.estimates)
-
-
 def test_tile_rows_at_the_grid_sizes():
-    # one (rows, m) float array in 256 KiB, at most 16 rows
+    # one (rows, m) float array in 256 KiB, at most 16 rows and block_size
     sizes = [tile_rows(small_config(m=m, block_size=256)) for m in (1024, 4096, 16384)]
     assert sizes == [16, 8, 2]
+    assert [tile_rows(small_config(block_size=b)) for b in (5, 7, 100)] == [5, 7, 16]
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_tile_geometry_does_not_change_any_per_path_number(monkeypatch, threads):
-    # 2, 4, 8 and 16-row tiles of 100 paths: every estimate, a_hat and b_hat
-    # bitwise the same, in the sweep and in both identify modes; at m=4096
-    # two threads start a helper at every geometry
+@st.composite
+def determinism_cases(draw):
+    """A run of any kind and drift, and a variant of it on 2-3 threads, in
+    2-16-row tiles and with a prefix P' <= P of its paths."""
+    m, M = draw(st.sampled_from([64, 256])), draw(st.integers(0, 3))
+    widths = draw(st.lists(st.integers(1, m // 8 - M), min_size=2, max_size=3, unique=True))
+    paths = draw(st.integers(100, 200))
+    return dict(kind=draw(st.sampled_from(CATALOG_KINDS)), drift=draw(st.sampled_from(DRIFT_KINDS)),
+                n_list=tuple(sorted(widths)), M=M, m=m, seed=draw(st.integers(0, 2**64 - 1)),
+                paths=paths, prefix=draw(st.integers(100, paths)),
+                threads=draw(st.integers(2, 3)), block_size=draw(st.integers(2, 16)), tile_kib=None)
+
+
+def _sweep_and_identify(cfg):
+    return run_convergence(cfg), *(run_identify(cfg, mode) for mode in RECOVERY_MODES)
+
+
+def _per_path(res):
+    """A result's per-path arrays, orders -M .. M last."""
+    if isinstance(res, IdentifyResult):
+        return res.a_hat, res.b_hat
+    return res.estimates, res.abs_errors
+
+
+@settings(max_examples=20)
+# a band M wider than the width N: 25 x 13 window products a row, more than
+# the rfft spectrum's 129
+@example(dict(kind="ADAPTED_W", drift="w1", n_list=(1, 2), M=12, m=256, seed=90, paths=120,
+              prefix=120, threads=3, block_size=7, tile_kib=None))
+# 2-row tiles by TILE_BYTES, against 8 at m=4096, in the same config
+@example(dict(kind="NONCAUSAL_BRIDGE", drift="w1", n_list=(4, 16, 64), M=2, m=4096, seed=90,
+              paths=100, prefix=100, threads=2, block_size=256, tile_kib=64))
+@given(determinism_cases())
+def test_per_path_results_ignore_threads_tiles_and_prefix(case):
+    # the engine's determinism contract: every per-path number is bitwise
+    # independent of its tile, block_size, the threads and their schedule,
+    # and the run's P, and is what the one-path library calls give
     import sfc_lab.engine as engine
 
-    monkeypatch.setenv("SFC_LAB_THREADS", threads)
-    workers = record_tile_workers(monkeypatch)
-    spec = spec_for("NONCAUSAL_BRIDGE", {"g": cosine(), "drift": "w1"})
-    cfg = small_config(spec=spec, n_list=(4, 16, 64), M=2, m=4096, paths=100, block_size=256)
-    rows, results = [], []
-    for kib in (64, 128, 256, 1024):
-        monkeypatch.setattr(engine, "TILE_BYTES", kib * 1024)
-        rows.append(tile_rows(cfg))
-        closed, synth = (run_identify(cfg, mode) for mode in ("closed_form", "synthesized"))
-        results.append([run_convergence(cfg).estimates, closed.a_hat, closed.b_hat,
-                        synth.a_hat, synth.b_hat])
-    assert rows == [2, 4, 8, 16]
-    assert [len(ran) for ran in workers] == [int(threads)] * 12
-    for other in results[1:]:
-        for x, y in zip(results[0], other):
-            assert np.array_equal(x, y)
+    params = {} if case["drift"] == "none" else {"g": cosine(), "drift": case["drift"]}
+    cfg = small_config(spec=spec_for(case["kind"], params), n_list=case["n_list"], M=case["M"],
+                       m=case["m"], master_seed=case["seed"], paths=case["paths"], block_size=256)
+    variant = dataclasses.replace(cfg, paths=case["prefix"], block_size=case["block_size"])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("SFC_LAB_THREADS", "1")
+        base = _sweep_and_identify(cfg)
+        mp.setenv("SFC_LAB_THREADS", str(case["threads"]))
+        start_helpers_at_any_m(mp)
+        if case["tile_kib"]:
+            mp.setattr(engine, "TILE_BYTES", case["tile_kib"] * 1024)
+        assert 2 <= tile_rows(variant) <= 16
+        workers = record_tile_workers(mp)
+        runs = _sweep_and_identify(variant)
+    assert len(workers) == 3 and all(len(ran) >= 2 for ran in workers)
+    P, M = variant.paths, cfg.M
+    for got, want in zip(runs, base):
+        for x, y in zip(_per_path(got), _per_path(want)):
+            assert np.array_equal(_bits(x), _bits(y[:P]))
+            assert np.array_equal(_bits(x[..., :M]), _bits(np.conj(x[..., :M:-1])))
+        if P == cfg.paths:
+            assert got.csv_text() == want.csv_text()
+            assert json.loads(got.json_text())["rows"] == json.loads(want.json_text())["rows"]
+        if variant == cfg:
+            assert got.json_text() == want.json_text()
+    sweep, *identified = runs
+    grid = TimeGrid(cfg.m)
+    for res in identified:
+        assert np.array_equal(_bits(res.a_hat), _bits(sweep.estimates[:, -1]))  # N = max(n_list)
+        bohr_cfg = BohrConfig(N=max(cfg.n_list), M=M, mode=res.mode)
+        for idx in (0, P - 1):
+            pf = eval_functionals(cfg.spec, sample_path(SeedSpec(cfg.master_seed, idx), grid))
+            a_hat = identify_a(pf, bohr_cfg)
+            assert np.array_equal(_bits(res.a_hat[idx]), _bits(a_hat.values))
+            assert np.array_equal(_bits(res.b_hat[idx]),
+                                  _bits(recover_b(pf, a_hat, bohr_cfg).values))
 
 
 def test_a_sweep_holds_few_tile_buffers(monkeypatch):
@@ -420,7 +434,7 @@ def _bits(x):
     return np.ascontiguousarray(x).view(np.int64)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(
     kind=st.sampled_from(CATALOG_KINDS),
     drift=st.sampled_from(DRIFT_KINDS),
@@ -495,13 +509,6 @@ def test_tables_and_tile_buffers_count_toward_the_size_check(monkeypatch):
     for run in (run_convergence, lambda c: run_identify(c, "synthesized")):
         with pytest.raises(ConfigError, match="2 tile workers' buffers"):
             run(small_config(m=10**11))
-
-
-def test_negative_orders_are_the_conjugates_of_the_positive(monkeypatch):
-    monkeypatch.setenv("SFC_LAB_THREADS", "2")
-    cfg = small_config(spec=spec_for("NONCAUSAL_BRIDGE", {"g": cosine(), "drift": "w1"}), M=3)
-    est = run_convergence(cfg).estimates  # (paths, widths, orders -M .. M)
-    assert np.array_equal(est[:, :, :3], np.conj(est[:, :, :3:-1]))
 
 
 def test_a_run_at_m_1024_or_less_starts_no_helper(monkeypatch):
@@ -767,55 +774,6 @@ def identify_config(**over):
     return small_config(spec=spec, **over)
 
 
-@pytest.mark.parametrize("mode", ["closed_form", "synthesized"])
-def test_identify_a_hat_is_the_sweep_estimate(mode):
-    cfg = identify_config()
-    ident = run_identify(cfg, mode)
-    sweep = run_convergence(cfg)
-    assert ident.a_hat.shape == (120, 3)
-    assert np.array_equal(ident.a_hat, sweep.estimates[:, -1, :])  # width N = max(n_list)
-
-
-# W1 has the rank-one part alone; BRIDGE with drift w1 the lower triangle,
-# the rank-one part and the drift derivative; MIDPOINT the step v; the last
-# case a band M wider than the width N, with 25 x 13 window products per row,
-# more than the rfft spectrum's 129
-TILE_CASES = [
-    pytest.param("NONCAUSAL_W1", "det", (4, 8, 16), 1, id="w1"),
-    pytest.param("NONCAUSAL_BRIDGE", "w1", (4, 8, 16), 2, id="bridge"),
-    pytest.param("NONCAUSAL_MIDPOINT", "det", (4, 8, 16), 2, id="midpoint"),
-    pytest.param("ADAPTED_W", "w1", (2,), 12, id="wide-band"),
-]
-
-
-@pytest.mark.parametrize("threads", ["1", "3"], ids=["t1", "t3"])
-@pytest.mark.parametrize("kind, drift, n_list, M", TILE_CASES)
-@pytest.mark.parametrize("mode", ["closed_form", "synthesized"])
-def test_identify_tiles_match_the_per_path_estimators(mode, kind, drift, n_list, M, threads,
-                                                      monkeypatch):
-    # the engine's tiles and the one-path library calls share every kernel
-    monkeypatch.setenv("SFC_LAB_THREADS", threads)
-    start_helpers_at_any_m(monkeypatch)
-    workers = record_tile_workers(monkeypatch)
-    cfg = small_config(spec=spec_for(kind, {"g": cosine(), "drift": drift}), n_list=n_list, M=M)
-    ident = run_identify(cfg, mode)
-    assert len(workers[0]) == 1 if threads == "1" else len(workers[0]) >= 2
-    bohr_cfg = BohrConfig(N=max(n_list), M=M, mode=mode)
-    for idx in (0, 37, 119):
-        pf = eval_functionals(cfg.spec, sample_path(SeedSpec(cfg.master_seed, idx), TimeGrid(256)))
-        a_hat = identify_a(pf, bohr_cfg)
-        assert np.array_equal(ident.a_hat[idx], a_hat.values)
-        assert np.array_equal(ident.b_hat[idx], recover_b(pf, a_hat, bohr_cfg).values)
-
-
-@pytest.mark.parametrize("mode", ["closed_form", "synthesized"])
-def test_identify_prefix_property(mode):
-    short = run_identify(identify_config(paths=100), mode)
-    longer = run_identify(identify_config(paths=160), mode)
-    assert np.array_equal(short.a_hat, longer.a_hat[:100])
-    assert np.array_equal(short.b_hat, longer.b_hat[:100])
-
-
 @pytest.mark.parametrize("kind", CATALOG_KINDS)
 def test_identify_closed_form_recovers_the_drift_exactly(kind):
     cfg = small_config(spec=spec_for(kind, {"g": cosine(), "drift": "det"}))
@@ -948,7 +906,7 @@ def fsum_arrays(draw):
     return x
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(fsum_arrays())
 def test_column_fsum_is_fsum_bitwise(x):
     import sfc_lab.experiment as exp
@@ -1020,7 +978,7 @@ def _identify_row_values(res):
                       for row in res.rows] for name in "ab"])
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(
     kind=st.sampled_from(CATALOG_KINDS),
     drift=st.sampled_from(DRIFT_KINDS),

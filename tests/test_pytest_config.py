@@ -1,8 +1,11 @@
-"""The repository's pytest configuration reports failing property tests."""
+"""The repository's pytest configuration reports failing property tests,
+and its hypothesis profile makes every run draw the same examples."""
 
 import subprocess
 import sys
 from pathlib import Path
+
+from hypothesis import settings
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -32,3 +35,8 @@ def test_failing_hypothesis_test_shows_its_example(tmp_path):
     assert proc.returncode == 1, out
     assert "Falsifying example" in out, out
     assert "INTERNALERROR" not in out, out
+
+
+def test_property_tests_are_derandomized_without_a_deadline():
+    assert settings.default.derandomize is True
+    assert settings.default.deadline is None

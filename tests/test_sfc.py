@@ -77,7 +77,7 @@ def increments_and_order(draw):
     return x, max_order
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(increments_and_order())
 def test_coefficients_properties(case):
     x, max_order = case
@@ -105,7 +105,7 @@ def _concat_conj(half, axis):
     return np.moveaxis(np.concatenate([np.conj(h[..., :0:-1]), h], axis=-1), -1, axis)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(is_complex=st.booleans(), data=st.data())
 def test_mirror_conjugates_the_nonnegative_orders(is_complex, data):
     # bitwise the concatenated conjugates, signed zeros, infinities and NaNs

@@ -34,7 +34,7 @@ from sfc_lab.malliavin import (
     block_w1_functionals,
 )
 
-SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+SETTINGS = settings(max_examples=40)
 
 cases = st.fixed_dictionaries(
     {
