@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import record_tile_workers, spec_for, start_helpers_at_any_m
@@ -257,17 +257,32 @@ def test_tile_rows_at_the_grid_sizes():
     assert [tile_rows(small_config(block_size=b)) for b in (5, 7, 100)] == [5, 7, 16]
 
 
-@st.composite
-def determinism_cases(draw):
-    """A run of any kind and drift, and a variant of it on 2-3 threads, in
-    2-16-row tiles and with a prefix P' <= P of its paths."""
-    m, M = draw(st.sampled_from([64, 256])), draw(st.integers(0, 3))
-    widths = draw(st.lists(st.integers(1, m // 8 - M), min_size=2, max_size=3, unique=True))
-    paths = draw(st.integers(100, 200))
-    return dict(kind=draw(st.sampled_from(CATALOG_KINDS)), drift=draw(st.sampled_from(DRIFT_KINDS)),
-                n_list=tuple(sorted(widths)), M=M, m=m, seed=draw(st.integers(0, 2**64 - 1)),
-                paths=paths, prefix=draw(st.integers(100, paths)),
-                threads=draw(st.integers(2, 3)), block_size=draw(st.integers(2, 16)), tile_kib=None)
+def _determinism_case(seed, kind, drift, threads, fixed):
+    """A run of the kind and drift, and a variant of it on the threads, in
+    2-16-row tiles and with a prefix P' <= P of its paths. The rest of its
+    shape comes from the seed and the case, and ``fixed`` overrides it."""
+    rng = np.random.default_rng([seed, CATALOG_KINDS.index(kind), DRIFT_KINDS.index(drift),
+                                 threads])
+    m, M = int(rng.choice([64, 256])), int(rng.integers(0, 4))
+    widths = rng.choice(np.arange(1, m // 8 - M + 1), int(rng.integers(2, 4)), replace=False)
+    paths = int(rng.integers(100, 201))
+    case = dict(n_list=tuple(sorted(widths.tolist())), M=M, m=m, seed=int(rng.integers(2**63)),
+                paths=paths, prefix=int(rng.integers(100, paths + 1)),
+                block_size=int(rng.integers(2, 17)), tile_kib=None)
+    return case | fixed
+
+
+# every kind and drift at 2 and 3 threads; then a band M wider than the width
+# N (25 x 13 window products a row, more than the rfft spectrum's 129), and
+# 2-row tiles by TILE_BYTES against 8 at m=4096 in the same config
+DETERMINISM_CASES = [
+    *(pytest.param(kind, drift, threads, {}, id=f"{kind}-{drift}-t{threads}")
+      for kind in CATALOG_KINDS for drift in DRIFT_KINDS for threads in (2, 3)),
+    pytest.param("ADAPTED_W", "w1", 3, dict(n_list=(1, 2), M=12, m=256), id="wide-band"),
+    pytest.param("NONCAUSAL_BRIDGE", "w1", 2, dict(n_list=(4, 16, 64), M=2, m=4096, paths=100,
+                                                   prefix=100, block_size=256, tile_kib=64),
+                 id="tile-bytes"),
+]
 
 
 def _sweep_and_identify(cfg):
@@ -281,29 +296,24 @@ def _per_path(res):
     return res.estimates, res.abs_errors
 
 
-@settings(max_examples=20)
-# a band M wider than the width N: 25 x 13 window products a row, more than
-# the rfft spectrum's 129
-@example(dict(kind="ADAPTED_W", drift="w1", n_list=(1, 2), M=12, m=256, seed=90, paths=120,
-              prefix=120, threads=3, block_size=7, tile_kib=None))
-# 2-row tiles by TILE_BYTES, against 8 at m=4096, in the same config
-@example(dict(kind="NONCAUSAL_BRIDGE", drift="w1", n_list=(4, 16, 64), M=2, m=4096, seed=90,
-              paths=100, prefix=100, threads=2, block_size=256, tile_kib=64))
-@given(determinism_cases())
-def test_per_path_results_ignore_threads_tiles_and_prefix(case):
+@pytest.mark.parametrize("kind, drift, threads, fixed", DETERMINISM_CASES)
+@settings(max_examples=1)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_per_path_results_ignore_threads_tiles_and_prefix(kind, drift, threads, fixed, seed):
     # the engine's determinism contract: every per-path number is bitwise
     # independent of its tile, block_size, the threads and their schedule,
     # and the run's P, and is what the one-path library calls give
     import sfc_lab.engine as engine
 
-    params = {} if case["drift"] == "none" else {"g": cosine(), "drift": case["drift"]}
-    cfg = small_config(spec=spec_for(case["kind"], params), n_list=case["n_list"], M=case["M"],
+    case = _determinism_case(seed, kind, drift, threads, fixed)
+    params = {} if drift == "none" else {"g": cosine(), "drift": drift}
+    cfg = small_config(spec=spec_for(kind, params), n_list=case["n_list"], M=case["M"],
                        m=case["m"], master_seed=case["seed"], paths=case["paths"], block_size=256)
     variant = dataclasses.replace(cfg, paths=case["prefix"], block_size=case["block_size"])
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("SFC_LAB_THREADS", "1")
         base = _sweep_and_identify(cfg)
-        mp.setenv("SFC_LAB_THREADS", str(case["threads"]))
+        mp.setenv("SFC_LAB_THREADS", str(threads))
         start_helpers_at_any_m(mp)
         if case["tile_kib"]:
             mp.setattr(engine, "TILE_BYTES", case["tile_kib"] * 1024)
