@@ -53,7 +53,7 @@ stochastic part and what is left is the drift coefficient.
 two modes:
 
 * ``closed_form``   ``F_n(dX) - F_n(a dW) + F_n(correction)``, with the true
-                    a's own ``F(a dW)``, which ``catalog.block_dx_coefficients``
+                    a's own ``F(a dW)``, which ``catalog.dx_coefficients``
                     finds beside ``F(dX)``: no transform of its own;
 * ``synthesized``   the divergence of the trigonometric polynomial of the
                     *estimated* coefficients, whose correction is the
@@ -106,6 +106,12 @@ class BohrConfig:
 def grid_supports(m: int, N: int, M: int) -> bool:
     """Mesh rule for identification: m >= 8 (N + M)."""
     return m >= 8 * (N + M)
+
+
+def _require_grid(m: int, N: int, M: int, band: str = "M") -> None:
+    """Refuse a one-path view on a grid that fails :func:`grid_supports`."""
+    if not grid_supports(m, N, M):
+        raise ValueError(f"grid too coarse: m={m} < 8 (N + {band}) = {8 * (N + M)}")
 
 
 _MULTIPLY_BUFFER = 512  # elements: numpy's ufunc buffer while windows multiplies (default 8192)
@@ -226,12 +232,9 @@ def bohr_product(
 
 def identify_a(pf: cat.PathFunctionals, cfg: BohrConfig) -> CoefficientSet:
     """Estimate the Fourier coefficients of a for all |n| <= cfg.M."""
-    m = pf.grid.m
-    if not grid_supports(m, cfg.N, cfg.M):
-        raise ValueError(f"grid too coarse: m={m} < 8 (N + M) = {8 * (cfg.N + cfg.M)}")
+    _require_grid(pf.grid.m, cfg.N, cfg.M)
     K = cfg.N + cfg.M
-    i_coef = coefficients(pf.path.increments, K)
-    _, f_coef = cat.path_dx_coefficients(pf, i_coef, K)
+    i_coef, _, f_coef = cat.dx_coefficients(pf.tables, pf.path.increments, K, K)
     half = windows(f_coef, i_coef[cfg.M : cfg.M + 2 * cfg.N + 1], range(cfg.M + 1), [cfg.N])
     return CoefficientSet(max_order=cfg.M, values=mirror(half[:, 0]))
 
@@ -288,7 +291,7 @@ def drift_coefficients(
 
     ``closed_form`` (a_hat unused) is ``F_n(dX) - F_n(a dW) + F_n(correction)``
     in coefficient space: ``stochastic`` (..., M + 1) is the
-    record's own ``F_n(a dW)`` from :func:`catalog.block_dx_coefficients`.
+    record's own ``F_n(a dW)`` from :func:`catalog.dx_coefficients`.
 
     ``synthesized`` subtracts ``F_n(a_hat dW)``, the window of I against a_hat,
     and adds ``F_n`` of ``(d a_hat(t_r)/d xi_r) / sqrt(m)``: for ``S = sum_{|l|
@@ -349,11 +352,10 @@ def recover_b(pf: cat.PathFunctionals, a_hat: CoefficientSet, cfg: BohrConfig) -
     orders ``n < 0`` are read as the conjugates of ``n > 0``."""
     if a_hat.max_order != cfg.M:
         raise ValueError(f"a_hat has max_order {a_hat.max_order}, but cfg.M is {cfg.M}")
-    if not grid_supports(pf.grid.m, cfg.N, cfg.M):
-        raise ValueError(f"grid too coarse: m={pf.grid.m} < 8 (N + M) = {8 * (cfg.N + cfg.M)}")
+    _require_grid(pf.grid.m, cfg.N, cfg.M)
     st, dw, M, K = pf.tables, pf.path.increments, cfg.M, cfg.N + cfg.M
-    i_coef, stoch = coefficients(dw, max(K, 2 * M)), np.empty(M + 1, dtype=complex)
-    terms, f_coef = cat.path_dx_coefficients(pf, i_coef, K, stoch)
+    stoch = np.empty(M + 1, dtype=complex)
+    i_coef, terms, f_coef = cat.dx_coefficients(st, dw, max(K, 2 * M), K, stochastic=stoch)
     b = drift_coefficients(st, cfg.mode, terms, dw, a_hat.values[M:], f_coef, i_coef,
                            stochastic=stoch)
     return CoefficientSet(M, mirror(b))
@@ -373,8 +375,8 @@ class RemainderTerms:
         return sum(astuple(self))
 
 
-def _remainder_windows(pf: cat.PathFunctionals, n: int, N: int) -> tuple:
-    """One path's dW coefficients ``I``, ``|l| <= N + |n|``, its window
+def _remainder_windows(pf: cat.PathFunctionals, n: int, N: int, i_coef: np.ndarray) -> tuple:
+    """Given one path's dW coefficients ``I``, ``|l| <= N + |n|``, its window
     ``B(x, y) = (1/(2N+1)) sum_i conj(e_n(t_i)) x_i (K y)_i`` (the
     :func:`windows` entry of the coefficients of a row x against ``F(y)``,
     ``I`` by default) and the kernel trace ``(1/(2N+1)) sum_i conj(e_n(t_i))
@@ -387,11 +389,7 @@ def _remainder_windows(pf: cat.PathFunctionals, n: int, N: int) -> tuple:
     1, so with ``r_0 = -N`` the lower sum is ``F_n(i dW) + sum_{|l| <= N} r_l
     I_{n-l}``: a coefficient plus the window of ``I`` against r.
     """
-    m = pf.grid.m
-    if not grid_supports(m, N, abs(n)):
-        raise ValueError(f"grid too coarse: m={m} < 8 (N + |n|) = {8 * (N + abs(n))}")
-    K = N + abs(n)
-    i_coef = coefficients(pf.path.increments, K)
+    m, K = pf.grid.m, N + abs(n)
 
     def window(x: np.ndarray, y_coef: np.ndarray = i_coef[K - N : K + N + 1]) -> complex:
         return complex(windows(coefficients(x, K), y_coef, [n], [N])[0, 0])
@@ -403,7 +401,7 @@ def _remainder_windows(pf: cat.PathFunctionals, n: int, N: int) -> tuple:
         ratios[N] = -N
         lower = _coefficient(np.arange(m) * pf.path.increments, n) / (2 * N + 1)
         trace += da.lower * (lower + complex(windows(i_coef, ratios, [n], [N])[0, 0]))
-    return i_coef, window, trace
+    return window, trace
 
 
 def _coefficient(x: np.ndarray, n: int) -> complex:
@@ -419,11 +417,11 @@ def remainder_terms(pf: cat.PathFunctionals, n: int, N: int) -> RemainderTerms:
     coefficient - (other three)``, per the decomposition's exactness on the
     discrete space.  Memory is O(m): every kernel sum is a window.
     """
-    m = pf.grid.m
+    m, K = pf.grid.m, N + abs(n)
     s = 1.0 / np.sqrt(m)
-    i_coef, window, trace = _remainder_windows(pf, n, N)
-    K = N + abs(n)
-    terms, f_coef = cat.path_dx_coefficients(pf, i_coef, K)
+    _require_grid(m, N, abs(n), "|n|")
+    i_coef, terms, f_coef = cat.dx_coefficients(pf.tables, pf.path.increments, K, K)
+    window, trace = _remainder_windows(pf, n, N, i_coef)
     estimate = complex(windows(f_coef, i_coef[K - N : K + N + 1], [n], [N])[0, 0])
     truth = complex(cat.block_true_fourier_a(pf.tables, terms, [n], i_coef)[0])
 
@@ -453,8 +451,9 @@ def iterated_divergence_term(pf: cat.PathFunctionals, n: int, N: int) -> complex
     trace of ``Da`` against ``dW`` plus the kernel's peak ``K[j, j] = 2N+1``
     times ``a_j conj(e_n(t_j))/sqrt(m)``, summed.
     """
-    m = pf.grid.m
-    _, window, trace = _remainder_windows(pf, n, N)
+    m, K = pf.grid.m, N + abs(n)
+    _require_grid(m, N, abs(n), "|n|")
+    window, trace = _remainder_windows(pf, n, N, coefficients(pf.path.increments, K))
     a = cat.block_diffusion(pf.tables, pf.path.values)
     outer = window(a * pf.path.increments - pf.tables.correction) - trace / np.sqrt(m)
     return complex(outer - _coefficient(a, n) / m)

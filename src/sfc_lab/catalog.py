@@ -26,10 +26,11 @@ the discrete divergence of a plus the left Riemann drift.  Summed, the
 stochastic part is the discrete Ito sum ``sum_{i < k} W_i dW_i`` for W_t and
 ``W_tau W_t - min(t, tau)`` for ``W_tau``, and X reproduces
 ``div(a conj(e_n))`` and the Fourier coefficients of a exactly on every path,
-for every kind.  Given W, dX is linear in dW, so :func:`block_dx_coefficients`
-takes ``F(dX)`` from ``F(dW)``, ``W_tau`` and ``W_1`` (sums of dW, :func:`w_terms`)
-and at most one transform, of ``(f + alpha W) dW``, which W1, MIDPOINT and
-CONST do not need: only ADAPTED_W and BRIDGE (alpha != 0) read W at every node.
+for every kind.  Given W, dX is linear in dW, so :func:`dx_coefficients`, the
+first step of every run's tiles and every one-path view, takes ``F(dX)`` from
+``F(dW)``, ``W_tau`` and ``W_1`` (sums of dW, :func:`w_terms`) and at most
+one transform, of ``(f + alpha W) dW``, which W1, MIDPOINT and CONST do not
+need: only ADAPTED_W and BRIDGE (alpha != 0) build W at every node.
 
 The drift ``b(t) = g(t)`` or ``W_1 g(t)`` (an anticipating drift of chaos
 order 1, ``D_s b(t) = g(t)``) contributes the left Riemann accumulator
@@ -50,7 +51,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .brownian import BrownianPath
+from .brownian import BrownianPath, wiener_nodes
 from .errors import ConfigError
 from .grid import TimeGrid
 from .malliavin import DerivativeTable
@@ -432,46 +433,52 @@ def w_terms(st: SpecTables, dw: np.ndarray, w: np.ndarray | None = None) -> tupl
     return rec.beta * w_tau, w_1, w[..., :-1].sum(axis=-1) if rec.alpha else None
 
 
-def weighted_increments(st: SpecTables, w: np.ndarray | None, dw: np.ndarray, out):
-    """``(f + alpha W) dW`` into ``out`` (dW itself, say), with ``alpha W``
-    formed in place on W (..., m + 1), read no further (None at alpha = 0).
-    None where alpha = 0 and f is None (the term is 0) or 1 (CONST, which
-    ``_table_nodes`` fills exactly: the term is dW, whose transform is I)."""
-    rec = st.spec.record
-    if not rec.alpha and (st.f is None or (st.f == 1.0).all()):
-        return None
-    factor = st.f
-    if rec.alpha:
-        factor = np.multiply(rec.alpha, w[..., :-1], out=w[..., :-1])
-        if st.f is not None:
-            factor += st.f
-    return np.multiply(factor, dw, out=out)
-
-
-def block_dx_coefficients(
-    st: SpecTables, terms: tuple, x: np.ndarray | None, i_coef: np.ndarray, K: int, *,
+def dx_coefficients(
+    st: SpecTables, dw: np.ndarray, L: int, K: int, *, x: np.ndarray | None = None,
     buffer: np.ndarray | None = None, stochastic: np.ndarray | None = None,
-) -> np.ndarray:
-    """``F_k(dX)``, ``|k| <= K``, stored order-major as :func:`sfc.coefficients`
-    stores its rows, given W's terms (:func:`w_terms`), ``x = (f + alpha W)
-    dW`` (:func:`weighted_increments`) and ``I = F(dW)``, ``|l| <= L``, ``L >=
-    K`` (``i_coef``).  Given W, dX is linear in dW:
+) -> tuple:
+    """The first step of every run and one-path view, for one path dW (m,) or
+    rows of them (..., m): ``I = F(dW)``, ``|l| <= L``, W's terms
+    (:func:`w_terms`) and ``F_k(dX)``, ``|k| <= K <= L``, both stored
+    order-major as :func:`sfc.coefficients` stores its rows.  Given W, dX is
+    linear in dW:
 
-        F(dX) = F(x) + beta W_tau I - F(correction) + ((g0 + g1 W_1) / m) F(g)
+        F(dX) = F((f + alpha W) dW) + beta W_tau I - F(correction) + ((g0 + g1 W_1) / m) F(g)
 
-    Only ``F(x)`` is a transform, in ``buffer`` (flat complex scratch); x None
-    is 0 (f None) or dW (f = 1), whose transform is I.  ``stochastic`` (..., M
-    + 1) receives ``F(x) + beta W_tau I`` at ``0 .. M``, for the closed form.
+    Only alpha != 0 builds W, in the real view of ``buffer`` (a flat complex
+    scratch, which takes every transform) or a new array, and W's terms are
+    read before ``(f + alpha W) dW`` goes into ``x`` (dW itself, say; a new
+    array when None), with ``alpha W`` formed in place on W.  That term's
+    transform is the only one besides I: W1 and MIDPOINT skip it (the term is
+    0), and so does CONST (the term is dW, whose transform is I; ``_table_nodes``
+    fills f = 1 exactly).  ``stochastic`` (..., M + 1) receives ``F((f +
+    alpha W) dW) + beta W_tau I`` at ``0 .. M``, for the closed form.
     """
-    m, rec, L = st.grid.m, st.spec.record, (i_coef.shape[-1] - 1) // 2
+    m, rec = st.grid.m, st.spec.record
+    i_coef = coefficients(dw, L, buffer)  # order l at column l + L
+    w = None
+    if rec.alpha:  # (f + alpha W) dW reads W at every node
+        shape = dw.shape[:-1] + (m + 1,)
+        w = np.empty(shape) if buffer is None else buffer.view(float)[: dw.size // m * (m + 1)]
+        w = w.reshape(shape)
+        wiener_nodes(dw.reshape(-1, m), w.reshape(-1, m + 1))
+    terms = w_terms(st, dw, w)
     w_tau, w_1, _ = terms
     i_rows = i_coef.T[L - K : L + K + 1]  # (2K + 1, ..), one contiguous row an order
     by_order = (slice(None),) + (None,) * (i_coef.ndim - 1)  # an order's term against every row
     term = np.empty_like(i_rows) if buffer is None else buffer[: i_rows.size].reshape(i_rows.shape)
-    if x is None and st.f is None:
+    if not rec.alpha and st.f is None:  # W1, MIDPOINT: (f + alpha W) dW is 0
         coef = np.multiply(i_rows, w_tau.T)
     else:
-        coef = i_rows.copy() if x is None else coefficients(x, K, buffer).T
+        if rec.alpha or not (st.f == 1.0).all():  # DET, ADAPTED_W, BRIDGE
+            factor = st.f
+            if rec.alpha:  # the last read of W before the transform reuses the scratch
+                factor = np.multiply(rec.alpha, w[..., :-1], out=w[..., :-1])
+                if st.f is not None:
+                    factor += st.f
+            coef = coefficients(np.multiply(factor, dw, out=x), K, buffer).T
+        else:  # CONST: (f + alpha W) dW is dW, whose transform is I
+            coef = i_rows.copy()
         if rec.beta:
             coef += np.multiply(i_rows, w_tau.T, out=term)
     if stochastic is not None:
@@ -483,15 +490,7 @@ def block_dx_coefficients(
         term[...] = mirror(st.g_spectrum[: K + 1])[by_order]  # a copy broadcasts unbuffered
         term *= (g0 + g1 * w_1.T) / m
         coef += term
-    return coef.T
-
-
-def path_dx_coefficients(pf: PathFunctionals, i_coef: np.ndarray, K: int, stochastic=None) -> tuple:
-    """One path's W terms and :func:`block_dx_coefficients`, from ``I = F(dW)``."""
-    st, w, dw = pf.tables, pf.path.values, pf.path.increments
-    terms = w_terms(st, dw, w)
-    x = weighted_increments(st, w.copy() if st.spec.record.alpha else None, dw, None)
-    return terms, block_dx_coefficients(st, terms, x, i_coef, K, stochastic=stochastic)
+    return i_coef, terms, coef.T
 
 
 def eval_functionals(spec: ProcessSpec, path: BrownianPath) -> PathFunctionals:

@@ -36,6 +36,7 @@ from .errors import ConfigError, NumericalFailureError
 from .experiment import (
     COMMAND_KEYS,
     ExperimentConfig,
+    _require_decay_widths,
     config_from_jsonable,
     config_hash,
     fit_decay,
@@ -281,8 +282,7 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     cfg, command = _run_config(args)
     band = command.get("slope_band")
     band_orders = command.get("slope_band_orders", [0])
-    if len(cfg.n_list) < 2:
-        raise ConfigError(f"a decay slope needs at least two widths, got N_list={list(cfg.n_list)}")
+    _require_decay_widths(cfg)  # before the run, which could not report
     with _output_dir(args.out) as out_dir:
         result = run_convergence(cfg)
     _write_artifacts(out_dir, "convergence", result)

@@ -5,14 +5,12 @@ Tiles
 A run's paths go in row tiles of at most ``block_size`` and 16 rows, and of
 at most as many as keep one (rows, m) float array within ``TILE_BYTES``
 (:func:`tile_rows`).  Each tile draws dW (``brownian.sample_rows``), takes
-its transform, sums ``W_tau`` and ``W_1`` over dW's rows
-(``catalog.w_terms``), gets ``F(dX)`` by the record's linearity
-(``catalog.block_dx_coefficients``) and its Bohr windows at the orders ``n =
-0 .. M`` from one ``bohr.windows`` call, and goes to the run's callback as a
-:class:`Tile`.  Only ADAPTED_W and BRIDGE (alpha != 0) build W at every node
-(``brownian.wiener_nodes``), since their ``(f + alpha W) dW`` reads it there;
-the other kinds never build it.  No tile builds the orders ``n < 0``
-(``sfc.mirror``).
+``F(dW)``, W's terms and ``F(dX)`` from the one step that every one-path
+view takes too (``catalog.dx_coefficients``), and its Bohr windows at the
+orders ``n = 0 .. M`` from one ``bohr.windows`` call, and goes to the run's
+callback as a :class:`Tile`.  Only ADAPTED_W and BRIDGE (alpha != 0) build
+W at every node, since their ``(f + alpha W) dW`` reads it there; the other
+kinds never build it.  No tile builds the orders ``n < 0`` (``sfc.mirror``).
 
 Threads
 -------
@@ -33,11 +31,11 @@ Buffers
 Each worker allocates its buffers and its generator at its first tile and
 fills them in place for every later one: dW, one flat complex scratch, and a
 second (rows, m) array only where the consumer reads dW after the transforms
-(``keep_dw``: synthesized identify with a lower triangle).  W's terms are
-read off dW before anything overwrites it.  Where alpha != 0, W is built in
-the scratch's real view (``2 (m // 2 + 1) >= m + 1`` floats a row), idle
-between ``F(dW)``'s copy-out and the next transform, and read there for
-``sum_i W_i`` and ``alpha W``.  ``(f + alpha W) dW`` goes into dW's rows
+(``keep_dw``: synthesized identify with a lower triangle).  The step takes
+the scratch as its ``buffer``: where alpha != 0 it builds W in the
+scratch's real view (``2 (m // 2 + 1) >= m + 1`` floats a row), idle
+between ``F(dW)``'s copy-out and the next transform, and reads W's terms
+before anything overwrites dW.  ``(f + alpha W) dW`` goes into dW's rows
 unless ``keep_dw`` keeps dW for the synthesized step's ``i dW``.  Besides,
 a tile allocates the coefficient rows and windows that it hands on, and for
 the windows the gather of I and numpy's 8 KiB multiply buffer.  A
@@ -57,10 +55,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bohr import windows
-from .brownian import sample_rows, wiener_nodes
-from .catalog import SpecTables, block_dx_coefficients, w_terms, weighted_increments
+from .brownian import sample_rows
+from .catalog import SpecTables, dx_coefficients
 from .errors import ConfigError, NumericalFailureError
-from .sfc import coefficients
 
 if TYPE_CHECKING:
     from .experiment import ExperimentConfig
@@ -103,12 +100,12 @@ def tile_rows(cfg: ExperimentConfig) -> int:
 class Tile:
     """Paths ``lo ..`` of one tile: W's terms (``catalog.w_terms``), the
     increments (None where the run keeps no dW), ``F_k(dX)``, ``|k| <= N +
-    M``, and its stochastic part at ``k = 0 .. M``
-    (``catalog.block_dx_coefficients``), ``F_l(dW)``, ``|l| <= max(N + M,
-    2M)``, the windows (rows, orders 0 .. M, widths) and the worker's flat
-    complex scratch, free once the windows are taken.  dW and the scratch
-    are the worker's buffers.  The coefficients are stored order-major, as
-    ``sfc.coefficients`` returns them."""
+    M``, and its stochastic part at ``k = 0 .. M``, ``F_l(dW)``, ``|l| <=
+    max(N + M, 2M)`` (all from ``catalog.dx_coefficients``), the windows
+    (rows, orders 0 .. M, widths) and the worker's flat complex scratch, free
+    once the windows are taken.  dW and the scratch are the worker's buffers.
+    The coefficients are stored order-major, as ``sfc.coefficients`` returns
+    them."""
 
     lo: int
     terms: tuple
@@ -168,16 +165,9 @@ def _run_tiles(
         *real, complex_scratch = local.buffers
         dw, x = (b[:count] for b in real)
         local.rng = sample_rows(cfg.master_seed, lo, dw, local.rng)
-        i_coef = coefficients(dw, L, complex_scratch)  # order l at column l + L
-        w = None
-        if st.spec.record.alpha:  # (f + alpha W) dW reads W at every node
-            w = complex_scratch.view(float)[: count * (m + 1)].reshape(count, m + 1)
-            wiener_nodes(dw, w)
-        terms = w_terms(st, dw, w)  # read before x, which may overwrite dW
-        x = weighted_increments(st, w, dw, x)  # the last read of W before the scratch is reused
         stochastic = np.empty((count, M + 1), dtype=complex)
-        f_coef = block_dx_coefficients(  # order k at column k + n_max + M
-            st, terms, x, i_coef, n_max + M, buffer=complex_scratch, stochastic=stochastic
+        i_coef, terms, f_coef = dx_coefficients(  # orders at columns l + L and k + n_max + M
+            st, dw, L, n_max + M, x=x, buffer=complex_scratch, stochastic=stochastic
         )
         est = windows(f_coef, i_coef[:, L - n_max : L + n_max + 1], half, widths, complex_scratch)
         work(Tile(lo, terms, dw if keep_dw else None, f_coef, stochastic, i_coef, est,

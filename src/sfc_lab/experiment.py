@@ -310,10 +310,17 @@ class ExperimentResult(_Report):
         return {"decay": {str(n): asdict(fit_decay(self, n)) for n in self.config.orders}}
 
 
+def _require_decay_widths(cfg: ExperimentConfig) -> None:
+    """Refuse a decay fit, and so a sweep's JSON report, over fewer than two widths."""
+    if len(cfg.n_list) < 2:
+        raise ConfigError(f"a decay slope needs at least two widths, got N_list={list(cfg.n_list)}")
+
+
 def fit_decay(result: ExperimentResult, n: int = 0) -> DecayFit:
     """Decay fit of the sample L^p error against 2N+1 for one order n,
     fitted once per result, for the CLI's lines and the report alike."""
     cfg = result.config
+    _require_decay_widths(cfg)
     if abs(n) > cfg.M:
         raise ValueError(f"order {n} outside |n| <= {cfg.M}")
     if n not in result._fits:

@@ -16,7 +16,7 @@ coefficient in the package comes from it: those of dW, the windows of the
 remainders, the left Riemann truth of a (through ``F(dW)``) and ``F(dX)``,
 by linearity from ``F(dW)``, ``W_tau`` and ``W_1`` (sums of dW) and one
 transform of ``(f + alpha W) dW``, which W1, MIDPOINT and CONST skip
-(``catalog.block_dx_coefficients``); only ADAPTED_W and BRIDGE build W.
+(``catalog.dx_coefficients``); only ADAPTED_W and BRIDGE build W.
 What is built from them mirrors the same way, and everything else builds
 the orders ``n = 0 .. M`` alone: :func:`mirror` fills in ``n < 0``.
 The inverse, :func:`synthesize`, is the one way back to the left tags: one
@@ -136,9 +136,9 @@ def synthesize(values: np.ndarray, m: int) -> np.ndarray:
 
 
 def sfc_range(pf: PathFunctionals, max_order: int) -> CoefficientSet:
-    """All coefficients of dX with |n| <= max_order (``catalog.path_dx_coefficients``)."""
-    from .catalog import path_dx_coefficients  # the catalog imports this module
-    _, values = path_dx_coefficients(pf, coefficients(pf.path.increments, max_order), max_order)
+    """All coefficients of dX with |n| <= max_order (``catalog.dx_coefficients``)."""
+    from .catalog import dx_coefficients  # the catalog imports this module
+    *_, values = dx_coefficients(pf.tables, pf.path.increments, max_order, max_order)
     return CoefficientSet(max_order=max_order, values=values)
 
 

@@ -2,15 +2,19 @@ import os
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from sfc_lab import SeedSpec, TimeGrid, sample_path
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # every property test draws the same examples on every run, and a slow
-# example is not a failure
-settings.register_profile("sfc_lab", derandomize=True, deadline=None)
+# example is not a failure; a failing example is shown as found, without the
+# explain phase's rerun under coverage tracing
+settings.register_profile(
+    "sfc_lab", derandomize=True, deadline=None,
+    phases=tuple(p for p in Phase if p is not Phase.explain),
+)
 settings.load_profile("sfc_lab")
 
 

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 import reference as ref
 from helpers import spec_for
 from sfc_lab import (
-    CATALOG_KINDS,
     BohrConfig,
     CoefficientSet,
     SeedSpec,
@@ -33,7 +32,6 @@ from sfc_lab import (
     recover_b,
     remainder_terms,
     sample_path,
-    sfc_range,
 )
 from sfc_lab.bohr import (
     CLOSED_FORM,
@@ -356,30 +354,3 @@ def test_w1_diffusion_derivative_oracle(paths256):
             assert terms.diffusion_derivative == pytest.approx(
                 path.terminal / (2 * N + 1), abs=1e-12
             )
-
-
-@pytest.mark.parametrize("kind", CATALOG_KINDS)
-def test_one_path_views_leave_the_path_and_copy_w_only_where_alpha_reads_it(kind, monkeypatch):
-    # the views read W and dW and write neither; (f + alpha W) dW forms alpha W
-    # in place, so only the two kinds with alpha != 0 hand it a copy of W
-    import sfc_lab.catalog as cat
-
-    handed_w, real = [], cat.weighted_increments
-
-    def weighted_increments(st, w, dw, out):
-        handed_w.append(w is not None)
-        return real(st, w, dw, out)
-
-    monkeypatch.setattr(cat, "weighted_increments", weighted_increments)
-    path = sample_path(SeedSpec(46, 0), TimeGrid(64))
-    before = path.values.tobytes(), path.increments.tobytes()
-    pf = eval_functionals(spec_for(kind, {"g": cosine(), "drift": "w1"}), path)
-    cfgs = [BohrConfig(N=2, M=1, mode=mode) for mode in (CLOSED_FORM, SYNTHESIZED)]
-    a_hat = CoefficientSet(max_order=1, values=np.ones(3, dtype=complex))
-    views = [lambda: identify_a(pf, cfgs[0])] + [lambda c=c: recover_b(pf, a_hat, c) for c in cfgs]
-    views += [lambda: sfc_range(pf, 3), lambda: remainder_terms(pf, 1, 2),
-              lambda: iterated_divergence_term(pf, 1, 2)]
-    for i, view in enumerate(views):  # one at a time: two sign flips of W would cancel
-        view()
-        assert (path.values.tobytes(), path.increments.tobytes()) == before, i
-    assert handed_w == [bool(cat.KIND_RECORDS[kind].alpha)] * 5

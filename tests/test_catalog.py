@@ -29,12 +29,11 @@ from sfc_lab.catalog import (
     KIND_RECORDS,
     block_diffusion,
     block_drift,
-    block_dx_coefficients,
     block_true_fourier_a,
     constant,
+    dx_coefficients,
     spec_tables,
     w_terms,
-    weighted_increments,
 )
 from sfc_lab.sfc import coefficients
 
@@ -176,12 +175,6 @@ def test_w1_drift_values():
     )
 
 
-def _dx_coefficients(tables, w, dw, i_coef, K, **kwargs):
-    """block_dx_coefficients from W and dW, leaving both as they were."""
-    x = weighted_increments(tables, w.copy(), dw, None)
-    return block_dx_coefficients(tables, w_terms(tables, dw, w), x, i_coef, K, **kwargs)
-
-
 @settings(max_examples=60)
 @given(
     kind=st.sampled_from(CATALOG_KINDS),
@@ -209,6 +202,14 @@ def test_w_terms_are_the_reads_of_w_within_rounding(kind, drift, rows, m, seed):
         assert total is None and w_terms(tables, dw)[2] is None  # W is not read
 
 
+def _bytes(a, row=None):
+    """The bytes of an array, of a tuple of W's terms (None for a term not
+    read), or of one row of either."""
+    if isinstance(a, tuple):
+        return tuple(_bytes(t, row) for t in a)
+    return None if a is None else np.asarray(a if row is None else a[row]).tobytes()
+
+
 @settings(max_examples=60)
 @given(
     kind=st.sampled_from(CATALOG_KINDS),
@@ -220,27 +221,23 @@ def test_w_terms_are_the_reads_of_w_within_rounding(kind, drift, rows, m, seed):
 def test_buffered_forms_equal_the_allocating_forms(kind, drift, rows, m, seed):
     # the sweep's tiles fill reused buffers, W in the scratch's real view and
     # (f + alpha W) dW in dW's rows, and the one-path views take one row;
-    # every bit must match a fresh call on the block
+    # every bit must match a fresh call on the block, which leaves dW as it was
     spec = spec_for(kind, {} if drift == "none" else {"g": cosine(), "drift": drift})
     tables = spec_tables(spec, TimeGrid(m))
     dw = np.random.default_rng(seed).standard_normal((rows, m)) / np.sqrt(m)
-    w = np.zeros((rows, m + 1))
-    np.cumsum(dw, axis=1, out=w[:, 1:])
-    K = (m - 1) // 4
-    i_coef = coefficients(dw, (m - 1) // 2)
+    K, L = (m - 1) // 4, (m - 1) // 2
     stochastic, kept = np.empty((2, rows, 2), dtype=complex)
-    fresh = _dx_coefficients(tables, w, dw, i_coef, K, stochastic=kept)
+    before = dw.tobytes()
+    fresh = dx_coefficients(tables, dw, L, K, stochastic=kept)
+    assert dw.tobytes() == before
     x, buffer = dw.copy(), np.full(rows * (m // 2 + 1), np.nan, dtype=complex)
-    in_buffer = buffer.view(float)[: rows * (m + 1)].reshape(rows, m + 1)
-    in_buffer[...] = w
-    terms = w_terms(tables, x, in_buffer)
-    x = weighted_increments(tables, in_buffer, x, x)
-    got = block_dx_coefficients(tables, terms, x, i_coef, K, buffer=buffer, stochastic=stochastic)
-    assert got.tobytes() == fresh.tobytes() and stochastic.tobytes() == kept.tobytes()
-    assert got.T.flags.c_contiguous  # order-major, as coefficients stores its rows
+    got = dx_coefficients(tables, x, L, K, x=x, buffer=buffer, stochastic=stochastic)
+    assert [_bytes(a) for a in got] == [_bytes(a) for a in fresh]
+    assert stochastic.tobytes() == kept.tobytes()
+    assert got[2].T.flags.c_contiguous  # order-major, as coefficients stores its rows
     for r in range(rows):
-        one = _dx_coefficients(tables, w[r], dw[r], i_coef[r], K)
-        assert one.tobytes() == fresh[r].tobytes()
+        one = dx_coefficients(tables, dw[r], L, K)
+        assert [_bytes(a) for a in one] == [_bytes(a, r) for a in fresh]
     spectrum = np.full((rows, m // 2 + 1), np.nan, dtype=complex)
     for order in ((m - 1) // 2, 2):
         assert coefficients(dw, order, spectrum).tobytes() == coefficients(dw, order).tobytes()

@@ -262,14 +262,14 @@ def test_identify_closed_form(tmp_path, capsys):
 def test_identify_nonfinite_estimate_names_the_path(monkeypatch):
     import sfc_lab.engine as engine
 
-    real = engine.block_dx_coefficients
+    real = engine.dx_coefficients
 
     def poisoned(*args, **kw):
-        f_coef = real(*args, **kw)
+        i_coef, terms, f_coef = real(*args, **kw)
         f_coef[3, -1] = np.nan  # path index 3 of the first tile
-        return f_coef
+        return i_coef, terms, f_coef
 
-    monkeypatch.setattr(engine, "block_dx_coefficients", poisoned)
+    monkeypatch.setattr(engine, "dx_coefficients", poisoned)
     cfg = config_from_jsonable(identify_config())
     with pytest.raises(NumericalFailureError, match="path 3") as info:
         cli.run_identify(cfg, "closed_form")

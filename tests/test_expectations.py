@@ -11,15 +11,8 @@ import pytest
 from helpers import gauss_hermite_rows, spec_for
 from sfc_lab import CATALOG_KINDS, TimeGrid, eval_basis
 from sfc_lab.bohr import CLOSED_FORM, RECOVERY_MODES, drift_coefficients, windows
-from sfc_lab.catalog import (
-    block_diffusion,
-    block_dx_coefficients,
-    spec_tables,
-    w_terms,
-    weighted_increments,
-)
+from sfc_lab.catalog import block_diffusion, dx_coefficients, spec_tables
 from sfc_lab.malliavin import block_w1_functionals
-from sfc_lab.sfc import coefficients
 
 M_CELLS = 8  # even, so that the midpoint t = 1/2 is a node
 G = {0: 0.5, 1: 0.5, -1: 0.5}  # g = 1/2 + cos(2 pi t): F_0(g) = F_1(g) = 1/2
@@ -57,14 +50,11 @@ def test_the_divergence_is_the_dual_of_the_derivative(rows, kind, drift):
 def test_the_drift_step_recovers_the_mean_drift_coefficient(rows, kind, drift, N, M):
     # E[b_n] = E[F_n(b)]: 1/2 at n = 0, 1 for b = g, 0 for b = W_1 g; the
     # synthesized correction is a divergence, whose mean is 0
-    w, dw, weights = rows
+    _, dw, weights = rows
     st = spec_tables(spec_for(kind, {"g": G, "drift": drift}), TimeGrid(M_CELLS))
     L = max(N + M, 2 * M)
-    i_coef = coefficients(dw, L)
-    terms = w_terms(st, dw, w)
-    x = weighted_increments(st, w.copy(), dw, np.empty_like(dw))
     stochastic = np.empty((len(dw), M + 1), dtype=complex)
-    f_coef = block_dx_coefficients(st, terms, x, i_coef, N + M, stochastic=stochastic)
+    i_coef, terms, f_coef = dx_coefficients(st, dw, L, N + M, stochastic=stochastic)
     a_hat = windows(f_coef, i_coef[:, L - N : L + N + 1], range(M + 1), [N])[..., 0]
     target = np.array([0.5, 0.5])[: M + 1] if drift == "det" else np.zeros(M + 1)
     for mode in RECOVERY_MODES:

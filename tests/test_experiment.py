@@ -26,19 +26,20 @@ from sfc_lab import (
     cosine,
     eval_functionals,
     identify_a,
+    iterated_divergence_term,
     make_process,
     recover_b,
+    remainder_terms,
     sample_path,
+    sfc_range,
 )
-from sfc_lab.bohr import RECOVERY_MODES
+from sfc_lab.bohr import CLOSED_FORM, RECOVERY_MODES, SYNTHESIZED
 from sfc_lab.catalog import (
     DRIFT_KINDS,
     KIND_RECORDS,
-    block_dx_coefficients,
     block_true_fourier_a,
+    dx_coefficients,
     spec_tables,
-    w_terms,
-    weighted_increments,
 )
 from sfc_lab.engine import _require_run_fits, _run_tiles, _workers, resolve_threads, tile_rows
 from sfc_lab.experiment import (
@@ -227,6 +228,13 @@ def test_fit_decay_fits_order_zero_by_default():
     res = run_convergence(small_config())  # M = 1: orders -1, 0 and 1 have fits
     assert fit_decay(res) is fit_decay(res, 0)
     assert fit_decay(res, 1) is not fit_decay(res)
+
+
+def test_a_one_width_sweep_runs_but_has_no_decay_report():
+    res = run_convergence(small_config(n_list=(2,)))
+    assert res.csv_text().count("\n") == 1 + 3  # the header and orders -1 .. 1
+    with pytest.raises(ConfigError, match=r"a decay slope needs at least two widths, got N_list=\[2\]"):
+        res.json_text()
 
 
 def test_run_shapes_and_determinism():
@@ -627,50 +635,90 @@ def test_only_a_run_that_reads_dw_keeps_it_apart_from_dx(monkeypatch, kind, drif
         run(cfg)
 
 
-def test_a_const_tile_takes_one_transform(monkeypatch):
-    # CONST's f is 1 and its alpha 0, so (f + alpha W) dW is dW itself: its
-    # transform is the tile's I, whose band the record copies bit for bit
+# rffts a tile takes in the sweep and in identify's two modes, and that each
+# of _one_path_views takes, in its order
+RFFTS = {
+    "CONST": ((1, 1, 1), (1, 1, 1, 1, 4, 4)),
+    "DET": ((2, 2, 2), (2, 2, 2, 2, 5, 4)),
+    "ADAPTED_W": ((2, 2, 3), (2, 2, 3, 2, 6, 5)),
+    "NONCAUSAL_W1": ((1, 1, 1), (1, 1, 1, 1, 4, 4)),
+    "NONCAUSAL_BRIDGE": ((2, 2, 3), (2, 2, 3, 2, 6, 5)),
+    "NONCAUSAL_MIDPOINT": ((1, 1, 1), (1, 1, 1, 1, 4, 4)),
+}
+
+
+def _one_path_views(pf, N, M, n):
+    """identify_a, recover_b in both modes, sfc_range, remainder_terms and
+    iterated_divergence_term of one path, each a call of no argument."""
+    cfgs = [BohrConfig(N=N, M=M, mode=mode) for mode in (CLOSED_FORM, SYNTHESIZED)]
+    a_hat = identify_a(pf, cfgs[0])
+    views = [lambda: identify_a(pf, cfgs[0])] + [lambda c=c: recover_b(pf, a_hat, c) for c in cfgs]
+    return views + [lambda: sfc_range(pf, N + M), lambda: remainder_terms(pf, n, N),
+                    lambda: iterated_divergence_term(pf, n, N)]
+
+
+@pytest.mark.parametrize("kind", CATALOG_KINDS)
+def test_tiles_and_one_path_views_take_the_transforms_of_their_kind(monkeypatch, kind):
+    # F(dW) is every step's first transform, and (f + alpha W) dW its second,
+    # which W1 and MIDPOINT skip (the term is 0) and CONST too (the term is dW,
+    # whose transform is I); the synthesized step transforms i dW where a's
+    # table has a lower triangle, and the remainders share the step's I
     monkeypatch.setenv("SFC_LAB_THREADS", "1")
-    cfg = small_config()  # CONST, 120 paths in 8 tiles of 16 rows
-    tables = spec_tables(cfg.spec, TimeGrid(cfg.m))
-    dw = np.random.default_rng(3).standard_normal((4, cfg.m)) / 16
-    w = np.zeros((4, cfg.m + 1))
-    np.cumsum(dw, axis=1, out=w[:, 1:])
-    i_coef, terms = coefficients(dw, 20), w_terms(tables, dw, w)
-    assert weighted_increments(tables, w, dw, None) is None
-    copied = block_dx_coefficients(tables, terms, None, i_coef, 17)
-    assert copied.tobytes() == block_dx_coefficients(tables, terms, 1.0 * dw, i_coef, 17).tobytes()
-    calls = []
-    real = np.fft.rfft
+    cfg = small_config(spec=spec_for(kind, {"g": cosine(), "drift": "w1"}))  # 8 tiles
+    pf = eval_functionals(cfg.spec, sample_path(SeedSpec(46, 0), TimeGrid(cfg.m)))
+    runs = [lambda: run_convergence(cfg)]
+    runs += [lambda mode=mode: run_identify(cfg, mode) for mode in (CLOSED_FORM, SYNTHESIZED)]
+    per_tile, per_view = RFFTS[kind]
+    expected = [[(16, 256)] * 7 * count + [(8, 256)] * count for count in per_tile]
+    expected += [[(256,)] * count for count in per_view]
+    calls, real = [], np.fft.rfft
 
     def counting(*args, **kwargs):
         calls.append(np.shape(args[0]))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.fft, "rfft", counting)
-    run_convergence(cfg)
-    assert calls == [(16, 256)] * 7 + [(8, 256)]  # F(dW) alone, once a tile
+    for i, (step, want) in enumerate(zip(runs + _one_path_views(pf, 8, 2, 1), expected)):
+        step()  # the spec's spectra and the per-run plans are built on the first call
+        calls.clear()
+        step()
+        assert calls == want, i
+    if kind == "CONST":  # the skipped transform: F(dX) is I's band, bit for bit
+        dw = np.random.default_rng(3).standard_normal((4, cfg.m)) / 16
+        st = spec_tables(spec_for("CONST"), TimeGrid(cfg.m))
+        _, _, copied = dx_coefficients(st, dw, 20, 17)
+        assert copied.tobytes() == coefficients(1.0 * dw, 17).tobytes()
 
 
 @pytest.mark.parametrize("kind", CATALOG_KINDS)
 def test_a_tile_builds_w_only_where_the_record_reads_it_at_every_node(monkeypatch, kind):
     # W_tau and W_1 are sums of dW, so only (f + alpha W) dW needs W at every
-    # node: ADAPTED_W and BRIDGE build it once a tile, the other kinds never
-    import sfc_lab.engine as engine
+    # node: ADAPTED_W and BRIDGE build it once a tile and once a one-path view
+    # of the step, the other kinds never; the views write neither W nor dW
+    import sfc_lab.catalog as cat
 
     monkeypatch.setenv("SFC_LAB_THREADS", "1")
-    calls, real = [], engine.wiener_nodes
+    calls, real = [], cat.wiener_nodes
 
     def counting(dw, w):
         calls.append(len(dw))
         return real(dw, w)
 
-    monkeypatch.setattr(engine, "wiener_nodes", counting)
+    path = sample_path(SeedSpec(46, 0), TimeGrid(64))
+    monkeypatch.setattr(cat, "wiener_nodes", counting)
     cfg = small_config(spec=spec_for(kind, {"g": cosine(), "drift": "w1"}))  # 8 tiles
     run_convergence(cfg)
-    run_identify(cfg, "synthesized")
-    per_run = [16] * 7 + [8] if KIND_RECORDS[kind].alpha else []
-    assert calls == per_run * 2
+    for mode in RECOVERY_MODES:
+        run_identify(cfg, mode)
+    alpha = bool(KIND_RECORDS[kind].alpha)
+    assert calls == ([16] * 7 + [8] if alpha else []) * 3
+    before = path.values.tobytes(), path.increments.tobytes()
+    views = _one_path_views(eval_functionals(cfg.spec, path), 2, 1, 1)
+    calls.clear()  # identify_a's a_hat for recover_b
+    for i, view in enumerate(views):  # one at a time: two sign flips of W would cancel
+        view()
+        assert (path.values.tobytes(), path.increments.tobytes()) == before, i
+    assert calls == ([1] * 5 if alpha else [])  # all but iterated_divergence_term take the step
 
 
 def test_tiles_reuse_the_workers_buffers(monkeypatch):
@@ -865,14 +913,14 @@ def test_slope_negative_for_every_kind():
 def test_nonfinite_estimate_names_the_path(monkeypatch):
     import sfc_lab.engine as engine
 
-    real = engine.block_dx_coefficients
+    real = engine.dx_coefficients
 
     def poisoned(*args, **kw):
-        f_coef = real(*args, **kw)
+        i_coef, terms, f_coef = real(*args, **kw)
         f_coef[3, -1] = np.nan  # path index 3 of the first tile
-        return f_coef
+        return i_coef, terms, f_coef
 
-    monkeypatch.setattr(engine, "block_dx_coefficients", poisoned)
+    monkeypatch.setattr(engine, "dx_coefficients", poisoned)
     with pytest.raises(NumericalFailureError, match="path 3"):
         run_convergence(small_config())
 

@@ -5,7 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -40,3 +40,4 @@ def test_failing_hypothesis_test_shows_its_example(tmp_path):
 def test_property_tests_are_derandomized_without_a_deadline():
     assert settings.default.derandomize is True
     assert settings.default.deadline is None
+    assert Phase.explain not in settings.default.phases and Phase.shrink in settings.default.phases
