@@ -382,12 +382,12 @@ def _remainder_windows(pf: cat.PathFunctionals, n: int, N: int, i_coef: np.ndarr
     ``I`` by default) and the kernel trace ``(1/(2N+1)) sum_i conj(e_n(t_i))
     dW_i sum_r P[i, r] K[i, r]`` of the diffusion's derivative table P.
 
-    The trace's rank-one part is ``B(dW, v)``.  The strict lower triangle
-    adds ``lower S_i`` with ``S_i = sum_{1 <= d <= i} K_N(d/m) = i +
-    sum_{0 < |l| <= N} r_l (z_l^i - 1)``, ``z_l = e^{2 pi i l/m}`` and ``r_l =
-    z_l/(z_l - 1) = 1/2 - (i/2) cot(pi l/m)``.  The ratios of l and -l add to
-    1, so with ``r_0 = -N`` the lower sum is ``F_n(i dW) + sum_{|l| <= N} r_l
-    I_{n-l}``: a coefficient plus the window of ``I`` against r.
+    The trace's rank-one part is ``B(dW, v)``, 0 where v = 0.  The strict
+    lower triangle adds ``lower S_i`` with ``S_i = sum_{1 <= d <= i} K_N(d/m)
+    = i + sum_{0 < |l| <= N} r_l (z_l^i - 1)``, ``z_l = e^{2 pi i l/m}`` and
+    ``r_l = z_l/(z_l - 1) = 1/2 - (i/2) cot(pi l/m)``.  The ratios of l and -l
+    add to 1, so with ``r_0 = -N`` the lower sum is ``F_n(i dW) + sum_{|l| <=
+    N} r_l I_{n-l}``: a coefficient plus the window of ``I`` against r.
     """
     m, K = pf.grid.m, N + abs(n)
 
@@ -395,7 +395,7 @@ def _remainder_windows(pf: cat.PathFunctionals, n: int, N: int, i_coef: np.ndarr
         return complex(windows(coefficients(x, K), y_coef, [n], [N])[0, 0])
 
     da = pf.tables.da
-    trace = complex(windows(i_coef, coefficients(da.v, N), [n], [N])[0, 0])
+    trace = complex(windows(i_coef, coefficients(da.v, N), [n], [N])[0, 0] if da.v.any() else 0)
     if da.lower:
         ratios = _ratios(m, N)
         ratios[N] = -N
@@ -415,25 +415,27 @@ def remainder_terms(pf: cat.PathFunctionals, n: int, N: int) -> RemainderTerms:
     The three structured terms come from the catalog's derivative tables;
     the double stochastic integral is the residual ``B_N(n) - true
     coefficient - (other three)``, per the decomposition's exactness on the
-    discrete space.  Memory is O(m): every kernel sum is a window.
+    discrete space.  Memory is O(m): every kernel sum is a window; a term
+    whose table (v, c or g) is zero is an exact 0 and takes no transform.
     """
-    m, K = pf.grid.m, N + abs(n)
+    m, K, st = pf.grid.m, N + abs(n), pf.tables
     s = 1.0 / np.sqrt(m)
     _require_grid(m, N, abs(n), "|n|")
-    i_coef, terms, f_coef = cat.dx_coefficients(pf.tables, pf.path.increments, K, K)
+    i_coef, terms, f_coef = cat.dx_coefficients(st, pf.path.increments, K, K)
     window, trace = _remainder_windows(pf, n, N, i_coef)
     estimate = complex(windows(f_coef, i_coef[K - N : K + N + 1], [n], [N])[0, 0])
-    truth = complex(cat.block_true_fourier_a(pf.tables, terms, [n], i_coef)[0])
+    truth = complex(cat.block_true_fourier_a(st, terms, [n], i_coef)[0])
 
     # diffusion derivative: (1/sqrt(m)) conj(e_n(t_i)) sum_j (da_i/dxi_j) K[i, j]
     # integrated dW in the i slot.  Catalog diffusions have deterministic derivative
     # tables, so the divergence is the plain Wiener sum.
     diffusion_derivative = s * trace
     # derivative of the drift, double time integral: every row of K sums to m.
-    drift_derivative = s * _coefficient(pf.tables.c, n) / (2 * N + 1)
+    drift_derivative = s * _coefficient(st.c, n) / (2 * N + 1) if st.c.any() else 0j
     # drift smoothed by the kernel, integrated dW in the j slot; its divergence
     # correction is the drift derivative.
-    drift_wiener = window(cat.block_drift(pf.tables, pf.path.values) / m) - drift_derivative
+    drift_wiener = window(cat.block_drift(st, pf.path.values) / m) if st.g is not None else 0j
+    drift_wiener -= drift_derivative
     double_wiener = estimate - truth - diffusion_derivative - drift_wiener - drift_derivative
     return RemainderTerms(double_wiener, diffusion_derivative, drift_wiener, drift_derivative)
 

@@ -6,7 +6,8 @@ M`` of each path only: the sweep its estimates and one truth row, from which
 it reduces |estimate - truth| one width at a time, and identification
 ``a_hat`` and ``b_hat``.  The increments are real, so ``B_N(-n) =
 conj(B_N(n))``, the truth's coefficients and b mirror the same way, and the
-orders ``n < 0`` of every table are copies (``sfc.mirror``).
+orders ``n < 0`` of every table are copies (``sfc.mirror``), as are the
+sweep's statistics; identification's rows reduce every order they print.
 
 Determinism contract
 --------------------
@@ -445,7 +446,7 @@ class IdentifyResult(_Report):
     ``N = max(config.n_list)``: ``a_hat`` and ``b_hat`` have shape (paths,
     orders), orders ascending, built on each access from the orders ``n = 0
     .. M`` that the result keeps (both are exact conjugates at ``n < 0``).
-    They stay out of :meth:`json_dict`."""
+    They stay out of :meth:`json_dict`; the rows reduce the band they print."""
 
     csv_header: ClassVar[str] = IDENTIFY_CSV_HEADER
     config: ExperimentConfig
@@ -463,21 +464,15 @@ class IdentifyResult(_Report):
 
     @cached_property
     def rows(self) -> list[dict]:
-        """Per order: the complex sample mean and the scalar standard error
-        ``sqrt((var(re) + var(im)) / paths)`` of each coefficient, reduced
-        once and shared by both artifacts.  Only the orders ``n = 0 .. M``
-        are reduced; at ``-n`` the imaginary column is negated, so the mean
-        is the conjugate and both variances, and the standard error, are the
-        same, exactly.  (An exact sum of zero is +0 either way, hence ``0 -
-        mean``; only a nonzero sum below P times the least subnormal would
-        round to a zero of the other sign.)"""
+        """Per order ``-M .. M``: the complex sample mean and the scalar
+        standard error ``sqrt((var(re) + var(im)) / paths)`` of each
+        coefficient, reduced once over the band the rows print (the columns
+        of :attr:`a_hat` and :attr:`b_hat`) and shared by both artifacts."""
         cfg = self.config
         # columns re, im of each order of a, then of b
-        parts = np.concatenate([self._a_hat, self._b_hat], axis=1).view(float)
-        mean, var = _path_statistics(parts).reshape(2, 2, cfg.M + 1, 2)
-        se = mirror(np.sqrt((var[..., 0] + var[..., 1]) / cfg.paths))
-        mean = mirror(mean, axis=1)
-        mean[:, : cfg.M, 1] = 0.0 - mean[:, : cfg.M, 1]  # the conjugates at n < 0
+        parts = np.concatenate([self.a_hat, self.b_hat], axis=1).view(float)
+        mean, var = _path_statistics(parts).reshape(2, 2, len(cfg.orders), 2)
+        se = np.sqrt((var[..., 0] + var[..., 1]) / cfg.paths)
         rows = []
         for oi, n in enumerate(cfg.orders):
             row = self._row(n, max(cfg.n_list), mode=self.mode)

@@ -5,9 +5,10 @@ It reads a spec's record ``(f, alpha, beta, tau)``, its tables f and g and
 its drift shape, and a path's W (m + 1) and dW (m).  From ``sfc_lab`` it
 takes only ``DRIFT_RECORDS`` and ``TrigPoly``: no transform, kernel, table or
 FFT of the package, so a defect in a shared part cannot pass on both sides.
-``diffusion``, ``drift`` and ``dx`` take stacks of rows of W and dW;
-everything else takes one path.  Dense tables make it O(m^2) a path (O(m^3) for the iterated
-divergence), meant for m <= 64.
+``diffusion``, ``drift`` and ``dx`` take stacks of rows of W and dW, and
+``statistics`` reduces values per path; everything else takes one path.
+Dense tables make it O(m^2) a path (O(m^3) for the iterated divergence),
+meant for m <= 64.
 
 With ``t_i = i/m``, ``e_n(t) = exp(2 pi i n t)`` and ``s = 1/sqrt(m)``:
 
@@ -19,6 +20,9 @@ With ``t_i = i/m``, ``e_n(t) = exp(2 pi i n t)`` and ``s = 1/sqrt(m)``:
   P[i, i] + b_i / m`` makes ``F_n(dX) = div(a conj(e_n)) + (1/m) sum_i b_i
   conj(e_n(t_i))``, and b is found by subtraction.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -165,3 +169,16 @@ def iterated(spec, w, dw, n, N):
     u = (diffusion(spec, w) * ebar) * k.T  # u[j, i]
     du = (table(spec, m) * ebar[:, None]) * k.T[:, :, None]  # du[j, i, r]
     return div(*div(u, du, dw), dw)[0] / (2 * N + 1)
+
+
+def statistics(x, p=None):
+    """Per column of x (paths, C): the mean ``fsum / paths``, and as exact
+    fractions the sample variance about that mean and, for an integer p, the
+    mean p-th power."""
+    P, means, variances, powers = len(x), [], [], []
+    for column in np.asarray(x).T.tolist():
+        exact = [Fraction(v) for v in column]
+        means.append(math.fsum(column) / P)
+        variances.append(sum((v - Fraction(means[-1])) ** 2 for v in exact) / (P - 1))
+        powers.append(None if p is None else sum(v ** int(p) for v in exact) / P)
+    return means, variances, powers

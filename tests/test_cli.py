@@ -158,7 +158,7 @@ def test_identify_reduces_each_order_once(tmp_path, monkeypatch, capsys):
     assert main(["identify", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
     assert len(reductions) == 1  # one kernel call for the whole result
     (values,) = reductions[0]
-    assert values.shape == (100, 2 * 4)  # orders 0, 1; re and im of a and b
+    assert values.shape == (100, 2 * 6)  # orders -1, 0, 1; re and im of a and b
 
 
 def test_convergence_fits_and_hashes_once(tmp_path, monkeypatch, capsys):

@@ -7,12 +7,11 @@ import threading
 import time
 import tracemalloc
 import types
-from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import record_tile_workers, spec_for, start_helpers_at_any_m
@@ -34,19 +33,12 @@ from sfc_lab import (
     sfc_range,
 )
 from sfc_lab.bohr import CLOSED_FORM, RECOVERY_MODES, SYNTHESIZED
-from sfc_lab.catalog import (
-    DRIFT_KINDS,
-    KIND_RECORDS,
-    block_true_fourier_a,
-    dx_coefficients,
-    spec_tables,
-)
+from sfc_lab.catalog import DRIFT_KINDS, KIND_RECORDS, dx_coefficients, spec_tables
 from sfc_lab.engine import _require_run_fits, _run_tiles, _workers, resolve_threads, tile_rows
 from sfc_lab.experiment import (
     CSV_HEADER,
     ExperimentConfig,
     IdentifyResult,
-    _path_statistics,
     config_from_jsonable,
     config_hash,
     config_jsonable,
@@ -55,7 +47,7 @@ from sfc_lab.experiment import (
     run_convergence,
     run_identify,
 )
-from sfc_lab.sfc import coefficients, mirror
+from sfc_lab.sfc import coefficients
 
 
 def small_config(**over):
@@ -293,6 +285,10 @@ DETERMINISM_CASES = [
 ]
 
 
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
 def _sweep_and_identify(cfg):
     return run_convergence(cfg), *(run_identify(cfg, mode) for mode in RECOVERY_MODES)
 
@@ -425,55 +421,6 @@ def test_the_sweep_keeps_orders_zero_to_m_per_path():
     assert res._truth.nbytes + res._estimates.nbytes == 120 * (3 + 1) * 4 * 16
     assert res.abs_errors.shape == res.estimates.shape == (120, 3, 7)
     assert not np.shares_memory(res.estimates, res._estimates)  # built on access
-
-
-def _full_band_sweep(cfg):
-    """The sweep over every order -M .. M: the per-path errors and estimates
-    (paths, widths, orders) and the mean, variance and mean p-th power of
-    each error (3, orders, widths), as ``run_convergence`` reduced them
-    before it kept the orders n >= 0 alone."""
-    tables = spec_tables(cfg.spec, TimeGrid(cfg.m))
-    shape = (cfg.paths, len(cfg.n_list), len(cfg.orders))
-    abs_err, estimates = np.zeros(shape), np.zeros(shape, dtype=complex)
-
-    def work(tile):
-        est = mirror(tile.est, axis=1)
-        truth = block_true_fourier_a(tables, tile.terms, cfg.orders, tile.i_coef)
-        hi = tile.lo + len(est)
-        abs_err[tile.lo : hi] = np.abs(est - truth[:, :, None]).transpose(0, 2, 1)
-        estimates[tile.lo : hi] = est.transpose(0, 2, 1)
-
-    _run_tiles(cfg, tables, cfg.n_list, work)
-    stats = _path_statistics(abs_err.reshape(cfg.paths, -1), cfg.p_exponent)
-    return abs_err, estimates, stats.reshape(3, len(cfg.n_list), -1).transpose(0, 2, 1)
-
-
-def _bits(x):
-    return np.ascontiguousarray(x).view(np.int64)
-
-
-@settings(max_examples=40)
-@given(
-    kind=st.sampled_from(CATALOG_KINDS),
-    drift=st.sampled_from(DRIFT_KINDS),
-    M=st.integers(0, 3),
-    odd=st.booleans(),
-    p=st.sampled_from([2.0, 3.0]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_half_band_sweep_rebuilds_the_full_band(kind, drift, M, odd, p, seed):
-    # MIDPOINT needs t = 1/2 on the grid, so an even m
-    assume(not (odd and kind == "NONCAUSAL_MIDPOINT"))
-    params = {} if drift == "none" else {"g": cosine(), "drift": drift}
-    cfg = small_config(spec=spec_for(kind, params), n_list=(2, 4), M=M, m=64 + odd,
-                       paths=100, master_seed=seed, p_exponent=p)
-    res = run_convergence(cfg)
-    abs_err, estimates, (mean, var, power) = _full_band_sweep(cfg)
-    npt.assert_array_equal(_bits(res.abs_errors), _bits(abs_err))
-    npt.assert_array_equal(_bits(res.estimates), _bits(estimates))
-    npt.assert_array_equal(_bits(res.mean_abs_err), _bits(mean))
-    npt.assert_array_equal(_bits(res.lp_err), _bits(power ** (1.0 / p)))
-    npt.assert_array_equal(_bits(res.std_err), _bits(np.sqrt(var / cfg.paths)))
 
 
 def test_results_larger_than_memory_are_refused_before_any_tile(monkeypatch):
@@ -636,11 +583,11 @@ def test_only_a_run_that_reads_dw_keeps_it_apart_from_dx(monkeypatch, kind, drif
 
 
 # rffts a tile takes in the sweep and in identify's two modes, and that each
-# of _one_path_views takes, in its order
+# of _one_path_views takes, in its order, with drift w1
 RFFTS = {
-    "CONST": ((1, 1, 1), (1, 1, 1, 1, 4, 4)),
-    "DET": ((2, 2, 2), (2, 2, 2, 2, 5, 4)),
-    "ADAPTED_W": ((2, 2, 3), (2, 2, 3, 2, 6, 5)),
+    "CONST": ((1, 1, 1), (1, 1, 1, 1, 3, 3)),
+    "DET": ((2, 2, 2), (2, 2, 2, 2, 4, 3)),
+    "ADAPTED_W": ((2, 2, 3), (2, 2, 3, 2, 5, 4)),
     "NONCAUSAL_W1": ((1, 1, 1), (1, 1, 1, 1, 4, 4)),
     "NONCAUSAL_BRIDGE": ((2, 2, 3), (2, 2, 3, 2, 6, 5)),
     "NONCAUSAL_MIDPOINT": ((1, 1, 1), (1, 1, 1, 1, 4, 4)),
@@ -662,7 +609,8 @@ def test_tiles_and_one_path_views_take_the_transforms_of_their_kind(monkeypatch,
     # F(dW) is every step's first transform, and (f + alpha W) dW its second,
     # which W1 and MIDPOINT skip (the term is 0) and CONST too (the term is dW,
     # whose transform is I); the synthesized step transforms i dW where a's
-    # table has a lower triangle, and the remainders share the step's I
+    # table has a lower triangle; the remainders share the step's I, and
+    # take F(v), F(c) and the drift's window only where v, c and g are not 0
     monkeypatch.setenv("SFC_LAB_THREADS", "1")
     cfg = small_config(spec=spec_for(kind, {"g": cosine(), "drift": "w1"}))  # 8 tiles
     pf = eval_functionals(cfg.spec, sample_path(SeedSpec(46, 0), TimeGrid(cfg.m)))
@@ -688,6 +636,12 @@ def test_tiles_and_one_path_views_take_the_transforms_of_their_kind(monkeypatch,
         st = spec_tables(spec_for("CONST"), TimeGrid(cfg.m))
         _, _, copied = dx_coefficients(st, dw, 20, 17)
         assert copied.tobytes() == coefficients(1.0 * dw, 17).tobytes()
+        # with no drift every remainder but double_wiener is 0: F(dW) alone
+        pf = eval_functionals(st.spec, pf.path)
+        remainder_terms(pf, 1, 8)
+        calls.clear()
+        remainder_terms(pf, 1, 8)
+        assert calls == [(256,)]
 
 
 @pytest.mark.parametrize("kind", CATALOG_KINDS)
@@ -983,88 +937,6 @@ def test_column_fsum_row_passes_and_non_finite_columns(monkeypatch):
     sums = exp._column_fsum(x)
     assert sums[1] == np.inf and np.isnan(sums[2])
     npt.assert_array_equal(sums[[0, 3]], _fsums(x[:, [0, 3]]))
-
-
-def _exact_variance(values):
-    """The sample variance of floats in exact rational arithmetic."""
-    exact = [Fraction(v) for v in values.tolist()]
-    mean = sum(exact) / len(exact)
-    return sum((v - mean) ** 2 for v in exact) / (len(exact) - 1)
-
-
-@pytest.mark.parametrize("p", [2.0, 3.0])
-def test_sweep_statistics_match_an_exact_oracle(p):
-    cfg = small_config(spec=spec_for("NONCAUSAL_BRIDGE"), p_exponent=p)
-    res = run_convergence(cfg)
-    for oi in range(len(cfg.orders)):
-        for wi in range(len(cfg.n_list)):
-            err = res.abs_errors[:, wi, oi]
-            assert res.mean_abs_err[oi, wi] == math.fsum(err.tolist()) / cfg.paths
-            se = math.sqrt(_exact_variance(err) / cfg.paths)
-            lp = float(sum(Fraction(v) ** int(p) for v in err.tolist()) / cfg.paths) ** (1 / p)
-            assert res.std_err[oi, wi] == pytest.approx(se, rel=1e-15, abs=0)
-            assert res.lp_err[oi, wi] == pytest.approx(lp, rel=1e-15, abs=0)
-
-
-@pytest.mark.parametrize("mode", ["closed_form", "synthesized"])
-def test_identify_statistics_match_an_exact_oracle(mode):
-    spec = spec_for("NONCAUSAL_BRIDGE", {"g": cosine(), "drift": "w1"})
-    cfg = small_config(spec=spec, n_list=(16,))
-    res = run_identify(cfg, mode)
-    for oi, row in enumerate(res.rows):
-        for name, values in (("a", res.a_hat[:, oi]), ("b", res.b_hat[:, oi])):
-            parts = (values.real, values.imag)
-            means = [math.fsum(part.tolist()) / cfg.paths for part in parts]
-            assert [row[f"{name}_mean_re"], row[f"{name}_mean_im"]] == means
-            var = sum(_exact_variance(part) for part in parts)
-            se = math.sqrt(var / cfg.paths)
-            assert row[f"{name}_se"] == pytest.approx(se, rel=1e-15, abs=0)
-
-
-def _full_band_identify_rows(a_hat, b_hat, paths):
-    """The mean (re, im) and standard error of every order -M .. M of both
-    estimates, reduced over the full band as ``IdentifyResult.rows`` did
-    before it kept the orders n >= 0 alone: (2, orders, 3)."""
-    parts = np.concatenate([a_hat, b_hat], axis=1).view(float)
-    mean, var = _path_statistics(parts).reshape(2, 2, a_hat.shape[1], 2)
-    se = np.sqrt((var[..., 0] + var[..., 1]) / paths)
-    return np.concatenate([mean, se[..., None]], axis=-1)
-
-
-def _identify_row_values(res):
-    return np.array([[[row[f"{name}_mean_re"], row[f"{name}_mean_im"], row[f"{name}_se"]]
-                      for row in res.rows] for name in "ab"])
-
-
-@settings(max_examples=40)
-@given(
-    kind=st.sampled_from(CATALOG_KINDS),
-    drift=st.sampled_from(DRIFT_KINDS),
-    mode=st.sampled_from(["closed_form", "synthesized"]),
-    M=st.integers(0, 3),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_half_band_identify_rebuilds_the_full_band(kind, drift, mode, M, seed):
-    params = {} if drift == "none" else {"g": cosine(), "drift": drift}
-    cfg = small_config(spec=spec_for(kind, params), n_list=(4,), M=M, m=64, paths=100,
-                       master_seed=seed)
-    res = run_identify(cfg, mode)
-    assert res._a_hat.shape == res._b_hat.shape == (100, M + 1)
-    assert np.array_equal(_bits(res.a_hat[:, M:]), _bits(res._a_hat))
-    assert np.array_equal(_bits(res.a_hat[:, :M]), _bits(np.conj(res._a_hat[:, :0:-1])))
-    full = _full_band_identify_rows(res.a_hat, res.b_hat, cfg.paths)
-    npt.assert_array_equal(_bits(_identify_row_values(res)), _bits(full))
-
-
-def test_half_band_identify_rows_keep_the_sign_of_a_zero_mean():
-    # real a_hat and zero b_hat: the columns at n < 0 hold -0.0, whose exact
-    # sum is +0.0, as the full band's reduction gives it
-    cfg = small_config(n_list=(16,), M=2)
-    a_hat = np.zeros((cfg.paths, 3), dtype=complex)
-    a_hat.real = np.random.default_rng(4).standard_normal((cfg.paths, 3))
-    res = IdentifyResult(config=cfg, mode="closed_form", _a_hat=a_hat, _b_hat=np.zeros_like(a_hat))
-    full = _full_band_identify_rows(res.a_hat, res.b_hat, cfg.paths)
-    npt.assert_array_equal(_bits(_identify_row_values(res)), _bits(full))
 
 
 def test_identify_standard_error_overflow_names_the_order():

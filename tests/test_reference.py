@@ -1,9 +1,12 @@
 """The package against the one reference (``reference.py``): every kind,
 drift and table form, both recovery modes and bands M > N, on the sweep,
-identification, the remainders and the divergence.  The blocked identity
-residuals are not compared: they are defects near 0 on both sides."""
+identification, the remainders and the divergence, and every statistic
+that the reports print, against exact sums of the package's own per-path
+values.  The blocked identity residuals are not compared: they are defects
+near 0 on both sides."""
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -32,14 +35,18 @@ from sfc_lab.experiment import run_identify
 from sfc_lab.malliavin import _divergence
 
 
-def _run(seed, kind, drift):
+def _case_rng(seed, kind, drift, *key):
+    return np.random.default_rng([seed, CATALOG_KINDS.index(kind), DRIFT_KINDS.index(drift), *key])
+
+
+def _run(seed, kind, drift, odd=False, p=2.0):
     """A run of 100 paths and three of its paths, whose shape comes from the
     seed and the case (a parametrized test draws the same seeds for every
-    case): N <= 4, M <= 3, m even from 8 (N + M) to 64, and f and g TrigPoly
-    or node tables."""
-    rng = np.random.default_rng([seed, CATALOG_KINDS.index(kind), DRIFT_KINDS.index(drift)])
+    case): N <= 4, M <= 3, m even from 8 (N + M) to 64 (one more if odd),
+    and f and g TrigPoly or node tables."""
+    rng = _case_rng(seed, kind, drift)
     N, M = int(rng.integers(1, 5)), int(rng.integers(0, 4))
-    m = 2 * int(rng.integers(4 * (N + M), 33))
+    m = 2 * int(rng.integers(4 * (N + M), 33)) + odd
 
     def table():
         if rng.integers(2):
@@ -55,7 +62,7 @@ def _run(seed, kind, drift):
         params.update(g=table(), drift=drift)
     widths = sorted({N, *rng.integers(1, N + 1, size=rng.integers(0, 3)).tolist()})
     cfg = ExperimentConfig(spec=make_process(kind, params), n_list=widths, M=M, m=m, paths=100,
-                           master_seed=seed)
+                           master_seed=seed, p_exponent=p)
     return cfg, rng.choice(100, 3, replace=False).tolist()
 
 
@@ -64,6 +71,11 @@ def _close(got, want, atol=None):
     want = np.asarray(want)
     bound = 1e-12 * (1 + np.abs(want)) if atol is None else atol
     assert np.all(np.abs(np.asarray(got) - want) <= bound), (got, want)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), (got, want)
 
 
 @pytest.mark.parametrize("drift", DRIFT_KINDS)
@@ -109,6 +121,34 @@ def test_the_package_matches_the_reference(kind, drift, seed):
         want_value, want_grad = ref.div(a[r], ref.table(spec, cfg.m), dw[r])
         _close(value[r], want_value)
         _close(grad[r], want_grad)
+
+
+@pytest.mark.parametrize("drift", DRIFT_KINDS)
+@pytest.mark.parametrize("kind", CATALOG_KINDS)
+@settings(max_examples=3)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_the_reported_statistics_reduce_the_per_path_values_exactly(kind, drift, seed):
+    # p = 2 or 3, and an odd m for every kind but MIDPOINT, which needs t = 1/2
+    rng = _case_rng(seed, kind, drift, 1)
+    odd = kind != "NONCAUSAL_MIDPOINT" and bool(rng.integers(2))
+    cfg, _ = _run(seed, kind, drift, odd, float(rng.choice([2, 3])))
+    P, p = cfg.paths, cfg.p_exponent
+    sweep = run_convergence(cfg)
+    errors = sweep.abs_errors.transpose(0, 2, 1).reshape(P, -1)  # columns (order, width)
+    means, variances, powers = ref.statistics(errors, p)
+    _same_bits(sweep.mean_abs_err.ravel(), means)
+    se, lp = [math.sqrt(v / P) for v in variances], [float(x) ** (1 / p) for x in powers]
+    assert sweep.std_err.ravel().tolist() == pytest.approx(se, rel=1e-15, abs=0)
+    assert sweep.lp_err.ravel().tolist() == pytest.approx(lp, rel=1e-15, abs=0)
+    for mode in RECOVERY_MODES:
+        result = run_identify(cfg, mode)
+        for name, values in (("a", result.a_hat), ("b", result.b_hat)):
+            means, variances, _ = ref.statistics(values.view(float))  # re, im of each order
+            rows = [[row[f"{name}_mean_re"], row[f"{name}_mean_im"]] for row in result.rows]
+            _same_bits(rows, np.reshape(means, (-1, 2)))
+            se = [math.sqrt((re + im) / P) for re, im in zip(variances[::2], variances[1::2])]
+            got = [row[f"{name}_se"] for row in result.rows]
+            assert got == pytest.approx(se, rel=1e-15, abs=0)
 
 
 def test_the_reference_takes_only_the_records_from_the_package():
