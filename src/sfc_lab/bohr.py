@@ -71,7 +71,7 @@ gradient is formed at the nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -369,10 +369,6 @@ class RemainderTerms:
     diffusion_derivative: complex
     drift_wiener: complex
     drift_derivative: complex
-
-    @property
-    def total(self) -> complex:
-        return sum(astuple(self))
 
 
 def _remainder_windows(pf: cat.PathFunctionals, n: int, N: int, i_coef: np.ndarray) -> tuple:

@@ -31,6 +31,8 @@ The identity residuals take blocks of paths from ``brownian.sample_rows`` and
 the sweep; one-path forms are views.  They check algebra, not the tables: the
 lemma and the drift rule hold to rounding for any value and gradient, and the
 stochastic rule for any table whose ``matvec`` and ``rmatvec`` are transposes.
+The tests compare those inputs with ``tests/reference.py``; the commands
+that run the residuals still cannot see a wrong table (ROADMAP item 17).
 """
 
 from __future__ import annotations

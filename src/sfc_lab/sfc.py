@@ -110,14 +110,13 @@ def coefficients(
     return by_order.T
 
 
-def mirror(half: np.ndarray, axis: int = -1) -> np.ndarray:
-    """The orders ``-M .. M`` along ``axis`` from the orders ``0 .. M`` of
-    ``half``: entry -n is entry n, conjugated when complex.  A new array."""
-    M = half.shape[axis] - 1
-    full = np.take(half, np.abs(np.arange(-M, M + 1)), axis=axis)
+def mirror(half: np.ndarray) -> np.ndarray:
+    """The orders ``-M .. M`` along the last axis from the orders ``0 .. M``
+    of ``half``: entry -n is entry n, conjugated when complex.  A new array."""
+    M = half.shape[-1] - 1
+    full = np.take(half, np.abs(np.arange(-M, M + 1)), axis=-1)
     if np.iscomplexobj(full):
-        negative = full[(slice(None),) * (axis % full.ndim) + (slice(M),)]  # n < 0
-        np.conjugate(negative, out=negative)
+        np.conjugate(full[..., :M], out=full[..., :M])  # n < 0
     return full
 
 

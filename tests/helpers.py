@@ -1,8 +1,9 @@
 """Shared helpers for the test suite: the package's example specs and
-scalar functionals under the names the tests use, a path from given
-standardized increments, the Gauss-Hermite rows of exact expectations, and
-the hooks that make a run start tile helpers and record its workers.  The
-independent reference is ``reference.py``."""
+scalar functionals under the names the tests use, the generator of a
+parametrized case, a path from given standardized increments, the
+Gauss-Hermite rows of exact expectations, and the hooks that make a run
+start tile helpers and record its workers.  The independent reference is
+``reference.py``."""
 
 import threading
 
@@ -11,8 +12,15 @@ from numpy.polynomial.hermite_e import hermegauss
 
 import sfc_lab.engine as engine
 from sfc_lab.brownian import BrownianPath, wiener_nodes
-from sfc_lab.catalog import spec_for  # noqa: F401
+from sfc_lab.catalog import CATALOG_KINDS, DRIFT_KINDS, spec_for  # noqa: F401
 from sfc_lab.malliavin import w1_functionals  # noqa: F401
+
+
+def case_rng(seed, kind, drift, *key):
+    """The generator of one kind x drift case of a parametrized property,
+    keyed by the property's seed, the case and any further integers: each
+    case draws its own shape from the same seed."""
+    return np.random.default_rng([seed, CATALOG_KINDS.index(kind), DRIFT_KINDS.index(drift), *key])
 
 
 def path_from_xi(xi, grid):

@@ -69,19 +69,6 @@ def test_kernel_check_rejects_coarse_grid(capsys):
     assert main(["kernel-check", "--N", "5", "--m", "10"]) == 2
 
 
-def test_selftest_passes(capsys):
-    assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "all checks passed" in out
-    assert "FAIL " not in out
-
-
-def test_verify_multiplication_reduced(capsys):
-    assert main(["verify-multiplication", "--m", "256", "--paths", "10"]) == 0
-    out = capsys.readouterr().out
-    assert "all residuals in tolerance" in out
-
-
 def _counting(monkeypatch, module, name):
     calls = []
     real = getattr(module, name)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import record_tile_workers, spec_for, start_helpers_at_any_m
+from helpers import case_rng, record_tile_workers, spec_for, start_helpers_at_any_m
 from sfc_lab import (
     CATALOG_KINDS,
     BohrConfig,
@@ -261,8 +261,7 @@ def _determinism_case(seed, kind, drift, threads, fixed):
     """A run of the kind and drift, and a variant of it on the threads, in
     2-16-row tiles and with a prefix P' <= P of its paths. The rest of its
     shape comes from the seed and the case, and ``fixed`` overrides it."""
-    rng = np.random.default_rng([seed, CATALOG_KINDS.index(kind), DRIFT_KINDS.index(drift),
-                                 threads])
+    rng = case_rng(seed, kind, drift, threads)
     m, M = int(rng.choice([64, 256])), int(rng.integers(0, 4))
     widths = rng.choice(np.arange(1, m // 8 - M + 1), int(rng.integers(2, 4)), replace=False)
     paths = int(rng.integers(100, 201))

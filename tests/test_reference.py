@@ -1,9 +1,11 @@
 """The package against the one reference (``reference.py``): every kind,
 drift and table form, both recovery modes and bands M > N, on the sweep,
-identification, the remainders and the divergence, and every statistic
-that the reports print, against exact sums of the package's own per-path
-values.  The blocked identity residuals are not compared: they are defects
-near 0 on both sides."""
+identification, the remainders, the divergence and every input that the
+identity battery reads (a, b, the drift derivative, the derivative table
+and the W_1 functionals), and every statistic that the reports print,
+against exact sums of the package's own per-path values.  The battery's
+residuals are defects near 0 on both sides, so ``test_structured.py``
+checks them by their gates instead."""
 
 import ast
 import math
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
+from helpers import case_rng
 from sfc_lab import (
     CATALOG_KINDS,
     ExperimentConfig,
@@ -30,13 +33,16 @@ from sfc_lab import (
     sfc_range,
 )
 from sfc_lab.bohr import CLOSED_FORM, RECOVERY_MODES, SYNTHESIZED
-from sfc_lab.catalog import DRIFT_KINDS, KIND_RECORDS, SPEC_TABLE, spec_tables
+from sfc_lab.catalog import (
+    DRIFT_KINDS,
+    KIND_RECORDS,
+    SPEC_TABLE,
+    block_diffusion,
+    block_drift,
+    spec_tables,
+)
 from sfc_lab.experiment import run_identify
-from sfc_lab.malliavin import _divergence
-
-
-def _case_rng(seed, kind, drift, *key):
-    return np.random.default_rng([seed, CATALOG_KINDS.index(kind), DRIFT_KINDS.index(drift), *key])
+from sfc_lab.malliavin import _divergence, block_w1_functionals
 
 
 def _run(seed, kind, drift, odd=False, p=2.0):
@@ -44,7 +50,7 @@ def _run(seed, kind, drift, odd=False, p=2.0):
     seed and the case (a parametrized test draws the same seeds for every
     case): N <= 4, M <= 3, m even from 8 (N + M) to 64 (one more if odd),
     and f and g TrigPoly or node tables."""
-    rng = _case_rng(seed, kind, drift)
+    rng = case_rng(seed, kind, drift)
     N, M = int(rng.integers(1, 5)), int(rng.integers(0, 4))
     m = 2 * int(rng.integers(4 * (N + M), 33)) + odd
 
@@ -114,13 +120,26 @@ def test_the_package_matches_the_reference(kind, drift, seed):
             _close([found.double_wiener, found.diffusion_derivative, found.drift_wiener,
                     found.drift_derivative], terms)
             _close(iterated_divergence_term(pf, n, N), double)
+    # the identity battery's inputs, on the three paths as one block
     w, dw = np.array([p.values for p in paths]), np.array([p.increments for p in paths])
-    a = ref.diffusion(spec, w)
-    value, grad = _divergence(a, spec_tables(spec, grid).da, dw)
+    tables, m, s = spec_tables(spec, grid), cfg.m, 1 / np.sqrt(cfg.m)
+    a, table, e = ref.diffusion(spec, w), ref.table(spec, m), ref.basis(np.arange(-K, K + 1), m)
+    _close(block_diffusion(tables, w), a)
+    _close(block_drift(tables, w), ref.drift(spec, w))
+    _close(tables.c, ref.drift_derivative(spec, m))
+    _close(tables.da.matvec(e), e @ table.T)
+    _close(tables.da.rmatvec(dw), dw @ table)
+    value, grad = _divergence(a, tables.da, dw)
+    functionals = block_w1_functionals(w)
     for r in range(len(paths)):
-        want_value, want_grad = ref.div(a[r], ref.table(spec, cfg.m), dw[r])
+        want_value, want_grad = ref.div(a[r], table, dw[r])
         _close(value[r], want_value)
         _close(grad[r], want_grad)
+        # W_1 = div(1) and W_1^2 - 1 = div(W_1), whose table is s everywhere
+        for name, u, du in (("W_1", 1.0, 0.0), ("W_1^2-1", w[r, -1], s)):
+            want_value, want_grad = ref.div(np.full(m, u), np.full((m, m), du), dw[r])
+            _close(functionals[name][0][r], want_value)
+            _close(functionals[name][1][r], want_grad)
 
 
 @pytest.mark.parametrize("drift", DRIFT_KINDS)
@@ -129,7 +148,7 @@ def test_the_package_matches_the_reference(kind, drift, seed):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_the_reported_statistics_reduce_the_per_path_values_exactly(kind, drift, seed):
     # p = 2 or 3, and an odd m for every kind but MIDPOINT, which needs t = 1/2
-    rng = _case_rng(seed, kind, drift, 1)
+    rng = case_rng(seed, kind, drift, 1)
     odd = kind != "NONCAUSAL_MIDPOINT" and bool(rng.integers(2))
     cfg, _ = _run(seed, kind, drift, odd, float(rng.choice([2, 3])))
     P, p = cfg.paths, cfg.p_exponent

@@ -109,13 +109,14 @@ def _concat_conj(half, axis):
 @given(is_complex=st.booleans(), data=st.data())
 def test_mirror_conjugates_the_nonnegative_orders(is_complex, data):
     # bitwise the concatenated conjugates, signed zeros, infinities and NaNs
-    # too, for real and complex halves along any axis
+    # too, for real and complex halves, each axis moved last
     dtype, elements = (np.complex128, st.complex_numbers()) if is_complex else (
         np.float64, st.floats())
     shapes = hnp.array_shapes(min_dims=1, max_dims=3, max_side=5)
     half = data.draw(hnp.arrays(dtype, shapes, elements=elements))
     axis = data.draw(st.integers(-half.ndim, half.ndim - 1))
-    full, ref = mirror(half, axis), _concat_conj(half, axis)
+    full = np.moveaxis(mirror(np.moveaxis(half, axis, -1)), -1, axis)
+    ref = _concat_conj(half, axis)
     assert full.dtype == ref.dtype and full.shape == ref.shape
     assert np.ascontiguousarray(full).tobytes() == np.ascontiguousarray(ref).tobytes()
 
@@ -126,5 +127,6 @@ def test_mirror_of_the_half_band_windows_is_the_full_band():
     dx, dw = rng.standard_normal((2, 3, 128))
     M, widths = 3, [2, 8]
     f_coef, i_coef = coefficients(dx, 8 + M), coefficients(dw, 8)
-    band = mirror(windows(f_coef, i_coef, range(M + 1), widths), axis=1)
+    half = np.moveaxis(windows(f_coef, i_coef, range(M + 1), widths), 1, -1)  # orders last
+    band = np.moveaxis(mirror(half), -1, 1)
     npt.assert_allclose(band, windows(f_coef, i_coef, range(-M, M + 1), widths), rtol=1e-14)
